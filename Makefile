@@ -81,6 +81,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzTraceJSONL -fuzztime 5s ./internal/workload/
 	$(GO) test -run xxx -fuzz FuzzMessageRoundTrip -fuzztime 5s ./internal/openflow/
 	$(GO) test -run xxx -fuzz FuzzMatchRoundTrip -fuzztime 5s ./internal/openflow/
+	$(GO) test -run xxx -fuzz FuzzMultipartReplyReuse -fuzztime 5s ./internal/openflow/
 
 # Per-tenant flow-setup latency CDF table from the multi-tenant scenario
 # (the CI artifact proving the DDoS-isolation bound).

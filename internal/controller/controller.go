@@ -68,7 +68,6 @@ type SwitchHandle struct {
 	role         uint32
 	xid          uint32
 	statsCB      map[uint32]func(*openflow.MultipartReply)
-	statsAcc     map[uint32][]openflow.FlowStats
 	barrierCB    map[uint32]func()
 	roleCB       map[uint32]func(*openflow.RoleReply)
 	echoPending  int
@@ -104,6 +103,11 @@ type Controller struct {
 	OnSwitchDead func(sw *SwitchHandle)
 
 	trace *telemetry.Tracer
+
+	// statsPart is the one reply every flow-stats part from every switch
+	// is decoded into (see RequestFlowStats): parts arrive on the
+	// controller's own event loop, one at a time.
+	statsPart openflow.MultipartReply
 }
 
 // pinJob is one queued Packet-In awaiting controller CPU.
@@ -184,7 +188,6 @@ func (c *Controller) Connect(sw *device.Switch) *SwitchHandle {
 		ctrl:         c,
 		role:         openflow.RoleEqual,
 		statsCB:      make(map[uint32]func(*openflow.MultipartReply)),
-		statsAcc:     make(map[uint32][]openflow.FlowStats),
 		barrierCB:    make(map[uint32]func()),
 		roleCB:       make(map[uint32]func(*openflow.RoleReply)),
 	}
@@ -334,7 +337,12 @@ func (h *SwitchHandle) RequestRole(role uint32, generation uint64, cb func(*open
 	}
 }
 
-// RequestFlowStats queries the switch's flow statistics; cb runs on reply.
+// RequestFlowStats queries the switch's flow statistics. cb runs once per
+// reply part, in the order the switch walks its tables; rep.More is set on
+// every part but the last, after which cb is dropped. rep and rep.Flows
+// are reused for the next part and are valid only during the call: a
+// callback that needs entries later must copy them. No part is kept, so a
+// poll of a large table holds no table-sized buffer at the controller.
 func (h *SwitchHandle) RequestFlowStats(req *openflow.FlowStatsRequest, cb func(*openflow.MultipartReply)) {
 	xid := h.send(&openflow.MultipartRequest{MPType: openflow.MultipartFlow, Flow: req})
 	h.statsCB[xid] = cb
@@ -354,6 +362,10 @@ func (h *SwitchHandle) Dead() bool { return h.dead }
 func (c *Controller) receive(dpid uint64, raw []byte) {
 	h := c.switches[dpid]
 	if h == nil {
+		return
+	}
+	if t, ok := openflow.PeekType(raw); ok && t == openflow.TypeMultipartReply {
+		c.receiveStatsPart(h, raw)
 		return
 	}
 	msg, xid, err := openflow.Unmarshal(raw)
@@ -385,16 +397,6 @@ func (c *Controller) receive(dpid uint64, raw []byte) {
 	case *openflow.EchoReply:
 		c.Stats.EchoReplies++
 		h.echoPending = 0
-	case *openflow.MultipartReply:
-		if cb, ok := h.statsCB[xid]; ok {
-			h.statsAcc[xid] = append(h.statsAcc[xid], m.Flows...)
-			if !m.More {
-				m.Flows = h.statsAcc[xid]
-				delete(h.statsAcc, xid)
-				delete(h.statsCB, xid)
-				cb(m)
-			}
-		}
 	case *openflow.BarrierReply:
 		if cb, ok := h.barrierCB[xid]; ok {
 			delete(h.barrierCB, xid)
@@ -414,6 +416,25 @@ func (c *Controller) receive(dpid uint64, raw []byte) {
 			}
 		}
 	}
+}
+
+// receiveStatsPart decodes one flow-stats reply part into the controller's
+// reusable reply and runs the request's callback on it; the callback is
+// forgotten after the final part. Nothing is accumulated across parts.
+func (c *Controller) receiveStatsPart(h *SwitchHandle, raw []byte) {
+	rep := &c.statsPart
+	xid, err := openflow.UnmarshalMultipartReply(raw, rep)
+	if err != nil {
+		return
+	}
+	cb, ok := h.statsCB[xid]
+	if !ok {
+		return
+	}
+	if !rep.More {
+		delete(h.statsCB, xid)
+	}
+	cb(rep)
 }
 
 // dispatchPacketIn parses a punt and consults the apps in registration

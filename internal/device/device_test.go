@@ -280,6 +280,46 @@ func TestTableFullError(t *testing.T) {
 	}
 }
 
+// TestRefusedInsertKeepsArenaSlot pins that a FlowMod refused for a full
+// table does not use up a rule-arena slot: on a saturated edge switch most
+// FlowMods are refused, and abandoned slots would leave each arena block
+// pinned by a fraction of the rules it could hold.
+func TestRefusedInsertKeepsArenaSlot(t *testing.T) {
+	eng := sim.New(1)
+	prof := fastProfile()
+	prof.TableCapacity = 3
+	sw := NewSwitch(eng, "s1", 1, prof)
+	add := func(i int) {
+		send(t, sw, &openflow.FlowMod{
+			Command: openflow.FlowAdd, Priority: 100,
+			Match: openflow.Match{Fields: openflow.FieldIPv4Src, IPv4Src: netaddr.IPv4(i)},
+		})
+	}
+	for i := 1; i <= 3; i++ {
+		add(i)
+	}
+	eng.RunUntil(100 * time.Millisecond)
+	free := len(sw.ruleArena)
+	for i := 10; i < 210; i++ {
+		add(i)
+	}
+	eng.RunUntil(time.Second)
+	if sw.Stats.TableFull != 200 {
+		t.Fatalf("table-full count = %d, want 200", sw.Stats.TableFull)
+	}
+	if len(sw.ruleArena) != free {
+		t.Fatalf("200 refused inserts used %d arena slots", free-len(sw.ruleArena))
+	}
+	send(t, sw, &openflow.FlowMod{Command: openflow.FlowDeleteStrict, Priority: 100,
+		Match: openflow.Match{Fields: openflow.FieldIPv4Src, IPv4Src: 1}})
+	add(1000)
+	eng.RunUntil(2 * time.Second)
+	if sw.Stats.RulesInstalled != 4 || len(sw.ruleArena) != free-1 {
+		t.Fatalf("after a delete and an add: %d installed, %d arena slots used, want 4 and 1",
+			sw.Stats.RulesInstalled, free-len(sw.ruleArena))
+	}
+}
+
 func TestEchoAndFeatures(t *testing.T) {
 	eng := sim.New(1)
 	sw := NewSwitch(eng, "s1", 42, fastProfile())

@@ -672,8 +672,10 @@ func (sw *Switch) processRule(it ruleItem) {
 		if len(sw.ruleArena) == 0 {
 			sw.ruleArena = make([]flowtable.Rule, 128)
 		}
+		// The slot is consumed only once the table keeps the rule: a
+		// refused insert holds no reference to it, and the next FlowMod
+		// overwrites it.
 		rule := &sw.ruleArena[0]
-		sw.ruleArena = sw.ruleArena[1:]
 		*rule = flowtable.Rule{
 			Priority:     m.Priority,
 			Match:        m.Match,
@@ -692,6 +694,7 @@ func (sw *Switch) processRule(it ruleItem) {
 			}, it.xid)
 			return
 		}
+		sw.ruleArena = sw.ruleArena[1:]
 		sw.Stats.RulesInstalled++
 		if sw.trace != nil {
 			if key, ok := telemetry.FlowKeyFromMatch(&m.Match); ok {
@@ -755,48 +758,15 @@ func (sw *Switch) notifyRemoved(r *flowtable.Rule, reason uint8, now sim.Time) {
 	})
 }
 
+// replyFlowStats answers a flow-stats request part by part, each part
+// marshalled into its own frame as the table walk fills it. The parts are
+// all scheduled at this one instant, back to back, so nothing else runs on
+// the controller between them.
 func (sw *Switch) replyFlowStats(connID int, req *openflow.MultipartRequest, xid uint32) {
 	if req.MPType != openflow.MultipartFlow || req.Flow == nil {
 		return
 	}
-	now := sw.proc.Now()
-	reply := &openflow.MultipartReply{MPType: openflow.MultipartFlow}
-	for _, tbl := range sw.Pipeline.Tables {
-		if req.Flow.TableID != 0xff && tbl.ID != req.Flow.TableID {
-			continue
-		}
-		for _, r := range tbl.Rules() {
-			if req.Flow.Match.Fields != 0 && !req.Flow.Match.Equal(&r.Match) {
-				continue
-			}
-			reply.Flows = append(reply.Flows, openflow.FlowStats{
-				TableID:      r.TableID,
-				DurationSec:  uint32((now - r.Installed) / time.Second),
-				DurationNsec: uint32((now - r.Installed) % time.Second),
-				Priority:     r.Priority,
-				Cookie:       r.Cookie,
-				PacketCount:  r.Packets,
-				ByteCount:    r.Bytes,
-				Match:        r.Match,
-			})
-		}
-	}
-	// Chunk large tables across multipart parts so each message stays
-	// within the protocol's frame limit (OFPMPF_REPLY_MORE semantics).
-	const chunk = 400
-	for start := 0; ; start += chunk {
-		end := start + chunk
-		if end > len(reply.Flows) {
-			end = len(reply.Flows)
-		}
-		part := &openflow.MultipartReply{
-			MPType: openflow.MultipartFlow,
-			More:   end < len(reply.Flows),
-			Flows:  reply.Flows[start:end],
-		}
+	sw.Pipeline.FlowStats(req.Flow, sw.proc.Now(), func(part *openflow.MultipartReply) {
 		sw.sendToConnXID(connID, part, xid)
-		if end == len(reply.Flows) {
-			break
-		}
-	}
+	})
 }

@@ -473,6 +473,58 @@ type Pipeline struct {
 	// one Process result before the next call (the simulated switch runs
 	// its pipeline on a single lane; concurrent users must copy).
 	mergeScratch []openflow.Action
+
+	// statsPart is the reply part FlowStats fills and hands out, reused
+	// from part to part and from dump to dump.
+	statsPart openflow.MultipartReply
+}
+
+// StatsPartLen is the number of entries in one flow-stats reply part: 400
+// entries with the largest match the codec emits make a 57.6 kB frame,
+// inside OpenFlow's 64 kB limit.
+const StatsPartLen = 400
+
+// FlowStats walks the rules req selects — those of table req.TableID (every
+// table for 0xff) whose match equals req.Match when it has fields — in table
+// order, and hands their statistics at virtual time now to emit in parts of
+// up to StatsPartLen entries. More is set on every part but the last,
+// decided by looking ahead, so a dump that selects nothing is still
+// answered by exactly one empty part with More=false. The part is owned by
+// the pipeline and overwritten once emit returns: emit must finish with it
+// (marshal it) before then.
+func (pl *Pipeline) FlowStats(req *openflow.FlowStatsRequest, now sim.Time, emit func(part *openflow.MultipartReply)) {
+	part := &pl.statsPart
+	part.MPType = openflow.MultipartFlow
+	part.More = false
+	part.Flows = part.Flows[:0]
+	for _, tbl := range pl.Tables {
+		if req.TableID != 0xff && tbl.ID != req.TableID {
+			continue
+		}
+		for _, r := range tbl.rules {
+			if req.Match.Fields != 0 && !req.Match.Equal(&r.Match) {
+				continue
+			}
+			if len(part.Flows) == StatsPartLen {
+				part.More = true
+				emit(part)
+				part.More = false
+				part.Flows = part.Flows[:0]
+			}
+			age := now - r.Installed
+			part.Flows = append(part.Flows, openflow.FlowStats{
+				TableID:      r.TableID,
+				DurationSec:  uint32(age / time.Second),
+				DurationNsec: uint32(age % time.Second),
+				Priority:     r.Priority,
+				Cookie:       r.Cookie,
+				PacketCount:  r.Packets,
+				ByteCount:    r.Bytes,
+				Match:        r.Match,
+			})
+		}
+	}
+	emit(part)
 }
 
 // NewPipeline creates a pipeline with n tables of the given capacity each

@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -359,6 +360,78 @@ func TestInsertKeepsPriorityFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlowStatsParts pins the shared stats walker's part boundaries, its
+// table and match filters, and the entries' table order and ages.
+func TestFlowStatsParts(t *testing.T) {
+	fill := func(n int) *Pipeline {
+		pl := NewPipeline(2, 0)
+		for i := 0; i < n; i++ {
+			k := netaddr.FlowKey{Src: netaddr.IPv4(i + 1), Dst: srvIP, Proto: netaddr.ProtoTCP, SrcPort: 1, DstPort: 80}
+			r := exactRule(uint16(n-i), k, 1) // descending priority: table order is insertion order
+			r.Installed = time.Duration(i) * time.Millisecond
+			if err := pl.Tables[i%2].Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pl
+	}
+	parts := func(pl *Pipeline, req *openflow.FlowStatsRequest) (sizes []int, more []bool, flows []openflow.FlowStats) {
+		pl.FlowStats(req, 5*time.Second, func(p *openflow.MultipartReply) {
+			sizes = append(sizes, len(p.Flows))
+			more = append(more, p.More)
+			flows = append(flows, p.Flows...)
+		})
+		return
+	}
+	all := &openflow.FlowStatsRequest{TableID: 0xff}
+	for _, tc := range []struct {
+		rules int
+		sizes []int
+	}{
+		{0, []int{0}},
+		{1, []int{1}},
+		{StatsPartLen, []int{StatsPartLen}},
+		{StatsPartLen + 1, []int{StatsPartLen, 1}},
+		{1000, []int{400, 400, 200}},
+	} {
+		sizes, more, flows := parts(fill(tc.rules), all)
+		if fmt.Sprint(sizes) != fmt.Sprint(tc.sizes) {
+			t.Fatalf("%d rules: parts %v, want %v", tc.rules, sizes, tc.sizes)
+		}
+		for i, m := range more {
+			if m != (i < len(more)-1) {
+				t.Fatalf("%d rules: More flags %v, want set on all but the last part", tc.rules, more)
+			}
+		}
+		// Table 0 holds the even rules, table 1 the odd ones.
+		for i, f := range flows {
+			want := 2 * i
+			if i >= (tc.rules+1)/2 {
+				want = 2*(i-(tc.rules+1)/2) + 1
+			}
+			if f.Match.IPv4Src != netaddr.IPv4(want+1) || f.TableID != uint8(want%2) {
+				t.Fatalf("%d rules: entry %d is rule %v of table %d, want rule %d", tc.rules, i, f.Match.IPv4Src, f.TableID, want+1)
+			}
+			if age := 5*time.Second - time.Duration(want)*time.Millisecond; f.DurationSec != uint32(age/time.Second) ||
+				f.DurationNsec != uint32(age%time.Second) {
+				t.Fatalf("entry %d: duration %d s %d ns, want %v", i, f.DurationSec, f.DurationNsec, age)
+			}
+		}
+	}
+
+	pl := fill(10)
+	if sizes, _, flows := parts(pl, &openflow.FlowStatsRequest{TableID: 1}); len(sizes) != 1 || len(flows) != 5 || flows[0].TableID != 1 {
+		t.Fatalf("table filter: parts %v, %d entries", sizes, len(flows))
+	}
+	one := pl.Tables[0].Rules()[2].Match
+	if _, _, flows := parts(pl, &openflow.FlowStatsRequest{TableID: 0xff, Match: one}); len(flows) != 1 || flows[0].Match != one {
+		t.Fatalf("match filter selected %d entries", len(flows))
+	}
+	if sizes, more, _ := parts(pl, &openflow.FlowStatsRequest{TableID: 7}); fmt.Sprint(sizes, more) != "[0] [false]" {
+		t.Fatalf("dump of a missing table: parts %v more %v, want one empty final part", sizes, more)
 	}
 }
 

@@ -407,31 +407,33 @@ func (ls *LiveSwitch) applyFlowMod(conn *Conn, m *openflow.FlowMod, xid uint32) 
 	return nil
 }
 
+// replyStats answers a flow-stats request with as many reply parts as the
+// table needs. The parts are marshalled under the lock, where the
+// pipeline's reusable part is safe, and written after unlocking.
 func (ls *LiveSwitch) replyStats(conn *Conn, req *openflow.MultipartRequest, xid uint32) error {
 	if req.MPType != openflow.MultipartFlow || req.Flow == nil {
 		return nil
 	}
+	var frames [][]byte
+	var err error
 	ls.mu.Lock()
-	reply := &openflow.MultipartReply{MPType: openflow.MultipartFlow}
-	now := ls.now()
-	for _, tbl := range ls.pipeline.Tables {
-		if req.Flow.TableID != 0xff && tbl.ID != req.Flow.TableID {
-			continue
+	ls.pipeline.FlowStats(req.Flow, ls.now(), func(part *openflow.MultipartReply) {
+		if err == nil {
+			var b []byte
+			b, err = openflow.Marshal(part, xid)
+			frames = append(frames, b)
 		}
-		for _, r := range tbl.Rules() {
-			reply.Flows = append(reply.Flows, openflow.FlowStats{
-				TableID:     r.TableID,
-				DurationSec: uint32((now - r.Installed) / time.Second),
-				Priority:    r.Priority,
-				Cookie:      r.Cookie,
-				PacketCount: r.Packets,
-				ByteCount:   r.Bytes,
-				Match:       r.Match,
-			})
+	})
+	ls.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	for _, b := range frames {
+		if err := conn.write(b); err != nil {
+			return err
 		}
 	}
-	ls.mu.Unlock()
-	return conn.SendXID(reply, xid)
+	return nil
 }
 
 // RuleCount returns the number of installed rules across tables.

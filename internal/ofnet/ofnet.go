@@ -41,9 +41,14 @@ func (c *Conn) SendXID(m openflow.Message, xid uint32) error {
 	if err != nil {
 		return err
 	}
+	return c.write(b)
+}
+
+// write sends one already-marshalled frame.
+func (c *Conn) write(b []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	_, err = c.c.Write(b)
+	_, err := c.c.Write(b)
 	if err != nil && c.errCounter != nil {
 		c.errCounter.Add(1)
 	}

@@ -2,12 +2,14 @@ package ofnet
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"scotch/internal/flowtable"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
 	"scotch/internal/packet"
@@ -320,6 +322,77 @@ func TestFlowStatsOverTCP(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stats reply timeout")
+	}
+}
+
+// TestLiveFlowStatsDumpInParts dumps a table of 1000 exact 5-tuple rules
+// over an in-memory connection: that is more than one 64 kB frame holds,
+// so the reply must arrive complete as parts of 400, 400 and 200 entries
+// in table order, with More on all but the last. The entries carry their
+// sub-second age, and a request's match selects only the equal rule.
+func TestLiveFlowStatsDumpInParts(t *testing.T) {
+	ls := NewLiveSwitch(12, 1)
+	installed := ls.now() - 1500*time.Millisecond
+	for i := 0; i < 1000; i++ {
+		k := netaddr.FlowKey{Src: netaddr.IPv4(i + 1), Dst: 9, Proto: netaddr.ProtoTCP, SrcPort: 1, DstPort: 80}
+		if err := ls.pipeline.Tables[0].Insert(&flowtable.Rule{
+			Priority:  1,
+			Match:     flowtable.ExactMatch(k),
+			Installed: installed,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dump := func(req *openflow.FlowStatsRequest) (sizes []int, more []bool, flows []openflow.FlowStats) {
+		t.Helper()
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		if err := b.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			errc <- ls.handle(NewConn(a), &openflow.MultipartRequest{MPType: openflow.MultipartFlow, Flow: req}, 77)
+		}()
+		for {
+			msg, xid, err := openflow.ReadMessage(b)
+			if err != nil {
+				t.Fatalf("after %v: %v", sizes, err)
+			}
+			rep, ok := msg.(*openflow.MultipartReply)
+			if !ok || xid != 77 {
+				t.Fatalf("got %v xid %d, want a multipart reply to xid 77", msg.Type(), xid)
+			}
+			sizes = append(sizes, len(rep.Flows))
+			more = append(more, rep.More)
+			flows = append(flows, rep.Flows...)
+			if !rep.More {
+				break
+			}
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("stats reply: %v", err)
+		}
+		return sizes, more, flows
+	}
+
+	sizes, more, flows := dump(&openflow.FlowStatsRequest{TableID: 0xff})
+	if fmt.Sprint(sizes, more) != "[400 400 200] [true true false]" {
+		t.Fatalf("parts %v, More %v; want [400 400 200] [true true false]", sizes, more)
+	}
+	for i, f := range flows {
+		if f.Match.IPv4Src != netaddr.IPv4(i+1) {
+			t.Fatalf("entry %d is rule %v", i, f.Match.IPv4Src)
+		}
+	}
+	if age := time.Duration(flows[0].DurationSec)*time.Second + time.Duration(flows[0].DurationNsec); age < 1500*time.Millisecond {
+		t.Fatalf("rule installed 1.5 s ago reports age %v", age)
+	}
+
+	want := ls.pipeline.Tables[0].Rules()[499].Match
+	if _, _, flows := dump(&openflow.FlowStatsRequest{TableID: 0xff, Match: want}); len(flows) != 1 || flows[0].Match != want {
+		t.Fatalf("match filter returned %d entries", len(flows))
 	}
 }
 

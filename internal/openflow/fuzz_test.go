@@ -53,6 +53,61 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzMultipartReplyReuse decodes two arbitrary frames one after the other
+// into the same caller-owned reply and holds the second decode to a fresh
+// Unmarshal of the same frame: same verdict, same xid, same entries. The
+// seeds put a long reply before a short one, so stale entries or match
+// fields left behind by the earlier, longer message would show.
+func FuzzMultipartReplyReuse(f *testing.F) {
+	long := &MultipartReply{MPType: MultipartFlow, More: true}
+	for i := 0; i < 5; i++ {
+		long.Flows = append(long.Flows, FlowStats{TableID: 1, Priority: uint16(i),
+			PacketCount: 7, ByteCount: uint64(i) << 20, Match: sampleMatch()})
+	}
+	short := &MultipartReply{MPType: MultipartFlow, Flows: []FlowStats{
+		{ByteCount: 9, Match: Match{Fields: FieldInPort, InPort: 2}}}}
+	empty := &MultipartReply{MPType: MultipartFlow}
+	frame := func(m Message) []byte {
+		b, err := Marshal(m, 9)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	f.Add(frame(long), frame(short))
+	f.Add(frame(long), frame(empty))
+	f.Add(frame(short), frame(long))
+	f.Add(frame(long), frame(long)[:40])
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		var reused MultipartReply
+		_, _ = UnmarshalMultipartReply(first, &reused) // only leaves state behind
+		xid, err := UnmarshalMultipartReply(second, &reused)
+		m, freshXID, freshErr := Unmarshal(second)
+		fresh, isReply := m.(*MultipartReply)
+		if freshErr == nil && !isReply {
+			if err == nil {
+				t.Fatalf("%v frame decoded as a multipart reply", m.Type())
+			}
+			return
+		}
+		if (err == nil) != (freshErr == nil) {
+			t.Fatalf("reused decode err %v, fresh decode err %v", err, freshErr)
+		}
+		if err != nil {
+			return
+		}
+		if xid != freshXID || reused.MPType != fresh.MPType || reused.More != fresh.More ||
+			len(reused.Flows) != len(fresh.Flows) {
+			t.Fatalf("reused decode xid %d %+v differs from fresh xid %d %+v", xid, reused, freshXID, *fresh)
+		}
+		for i := range fresh.Flows {
+			if reused.Flows[i] != fresh.Flows[i] {
+				t.Fatalf("entry %d: reused %+v, fresh %+v", i, reused.Flows[i], fresh.Flows[i])
+			}
+		}
+	})
+}
+
 // FuzzMatchRoundTrip drives Match.Unmarshal with arbitrary ofp_match bytes,
 // seeded with the sample and empty matches. Decoded matches must re-encode
 // canonically and select the same packets (Equal) after a second decode.
@@ -69,6 +124,9 @@ func FuzzMatchRoundTrip(f *testing.F) {
 			return
 		}
 		first := m.Marshal(nil)
+		if len(first) != m.WireLen() {
+			t.Fatalf("WireLen %d, Marshal wrote %d bytes", m.WireLen(), len(first))
+		}
 		var m2 Match
 		rest, err := m2.Unmarshal(first)
 		if err != nil {

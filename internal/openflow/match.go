@@ -162,6 +162,48 @@ func (m *Match) Marshal(b []byte) []byte {
 	return b
 }
 
+// WireLen returns exactly how many bytes Marshal appends for m: the
+// ofp_match header and OXM TLVs, padded to a multiple of 8.
+func (m *Match) WireLen() int {
+	n := 4 // type + length
+	// Each OXM TLV is a 4-byte header plus its value (value and mask when
+	// masked); these sizes mirror marshalOXM field by field.
+	f := m.Fields
+	if f.Has(FieldInPort) {
+		n += 4 + 4
+	}
+	if f.Has(FieldEthType) {
+		n += 4 + 2
+	}
+	if f.Has(FieldIPProto) {
+		n += 4 + 1
+	}
+	if f.Has(FieldIPv4Src) {
+		n += 4 + 4
+		if m.srcMask() != 0xffffffff {
+			n += 4
+		}
+	}
+	if f.Has(FieldIPv4Dst) {
+		n += 4 + 4
+		if m.dstMask() != 0xffffffff {
+			n += 4
+		}
+	}
+	for _, port := range [...]FieldSet{FieldTCPSrc, FieldTCPDst, FieldUDPSrc, FieldUDPDst} {
+		if f.Has(port) {
+			n += 4 + 2
+		}
+	}
+	if f.Has(FieldMPLSLabel) {
+		n += 4 + 4
+	}
+	if f.Has(FieldTunnelID) {
+		n += 4 + 8
+	}
+	return (n + 7) &^ 7
+}
+
 // Unmarshal parses an ofp_match from the front of b and returns the bytes
 // following the padded structure.
 func (m *Match) Unmarshal(b []byte) ([]byte, error) {

@@ -483,7 +483,13 @@ type MultipartReply struct {
 
 // Type implements Message.
 func (*MultipartReply) Type() MsgType { return TypeMultipartReply }
-func (m *MultipartReply) marshalSizeHint() int { return 8 + len(m.Flows)*(48+matchSizeUB) }
+func (m *MultipartReply) marshalSizeHint() int {
+	n := 8
+	for i := range m.Flows {
+		n += 48 + m.Flows[i].Match.WireLen()
+	}
+	return n
+}
 func (m *MultipartReply) marshalBody(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint16(b, m.MPType)
 	var flags uint16
@@ -524,7 +530,7 @@ func (m *MultipartReply) unmarshalBody(b []byte) error {
 	}
 	m.More = binary.BigEndian.Uint16(b[2:])&1 != 0
 	b = b[8:]
-	m.Flows = nil
+	m.Flows = m.Flows[:0] // nil for a fresh reply; reused storage otherwise
 	for len(b) > 0 {
 		if len(b) < 48 {
 			return fmt.Errorf("openflow: flow stats entry truncated")

@@ -75,9 +75,9 @@ func (t MsgType) String() string {
 
 const headerLen = 8
 
-// MaxMessageLen bounds accepted message sizes, protecting ReadMessage from
-// hostile length fields.
-const MaxMessageLen = 1 << 16
+// MaxMessageLen is the largest frame the header's 16-bit length field can
+// describe; Marshal refuses anything longer.
+const MaxMessageLen = 0xffff
 
 // Message is an OpenFlow protocol message body.
 type Message interface {
@@ -89,8 +89,9 @@ type Message interface {
 
 // sizeHinter is implemented by message types whose encoded size varies
 // widely (payload-carrying or repeated-entry bodies). The hint is an
-// upper-bound estimate of the body length; Marshal sizes its buffer from
-// it so the binary.Append* calls in marshalBody never reallocate.
+// upper bound on the body length (exact for MultipartReply, whose parts
+// are the largest frames sent); Marshal sizes its buffer from it so the
+// binary.Append* calls in marshalBody never reallocate.
 type sizeHinter interface {
 	marshalSizeHint() int
 }
@@ -121,6 +122,50 @@ func Marshal(m Message, xid uint32) ([]byte, error) {
 
 // Unmarshal decodes one complete message, returning its body and xid.
 func Unmarshal(b []byte) (Message, uint32, error) {
+	body, xid, err := frameBody(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	m, err := newMessage(MsgType(b[1]))
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := m.unmarshalBody(body); err != nil {
+		return nil, 0, err
+	}
+	return m, xid, nil
+}
+
+// UnmarshalMultipartReply decodes one complete MULTIPART_REPLY frame into
+// m, which the caller owns and may reuse from frame to frame: the entries
+// are written over m.Flows[:0], so a reply decoded this way holds no more
+// storage than its largest part. It returns the frame's xid. b is only
+// read, never retained.
+func UnmarshalMultipartReply(b []byte, m *MultipartReply) (uint32, error) {
+	body, xid, err := frameBody(b)
+	if err != nil {
+		return 0, err
+	}
+	if t := MsgType(b[1]); t != TypeMultipartReply {
+		return 0, fmt.Errorf("openflow: %v frame where %v expected", t, TypeMultipartReply)
+	}
+	if err := m.unmarshalBody(body); err != nil {
+		return 0, err
+	}
+	return xid, nil
+}
+
+// PeekType returns a frame's message type without decoding it; ok is
+// false when b is shorter than a header.
+func PeekType(b []byte) (t MsgType, ok bool) {
+	if len(b) < headerLen {
+		return 0, false
+	}
+	return MsgType(b[1]), true
+}
+
+// frameBody validates a frame's header and returns its body and xid.
+func frameBody(b []byte) ([]byte, uint32, error) {
 	if len(b) < headerLen {
 		return nil, 0, fmt.Errorf("openflow: header truncated (%d bytes)", len(b))
 	}
@@ -128,18 +173,10 @@ func Unmarshal(b []byte) (Message, uint32, error) {
 		return nil, 0, fmt.Errorf("openflow: unsupported version %#02x", b[0])
 	}
 	length := int(binary.BigEndian.Uint16(b[2:]))
-	xid := binary.BigEndian.Uint32(b[4:])
 	if length < headerLen || length > len(b) {
 		return nil, 0, fmt.Errorf("openflow: bad message length %d (have %d)", length, len(b))
 	}
-	m, err := newMessage(MsgType(b[1]))
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := m.unmarshalBody(b[headerLen:length]); err != nil {
-		return nil, 0, err
-	}
-	return m, xid, nil
+	return b[headerLen:length], binary.BigEndian.Uint32(b[4:]), nil
 }
 
 func newMessage(t MsgType) (Message, error) {

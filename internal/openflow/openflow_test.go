@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -191,6 +192,71 @@ func TestFlowStatsRoundTrip(t *testing.T) {
 	backRep := roundTrip(t, rep, 12).(*MultipartReply)
 	if !reflect.DeepEqual(backRep, rep) {
 		t.Errorf("stats reply:\n got %+v\nwant %+v", backRep, rep)
+	}
+}
+
+// TestMultipartReplyFrameExact pins the stats path's frame sizing: a part
+// of the largest size switches send is marshalled into a buffer of exactly
+// its wire length, with nothing over-allocated.
+func TestMultipartReplyFrameExact(t *testing.T) {
+	rep := &MultipartReply{MPType: MultipartFlow}
+	masked := Match{Fields: FieldIPv4Src | FieldIPv4Dst | FieldTunnelID,
+		IPv4Src: 0x0a000000, IPv4SrcMask: 0xffffff00, IPv4Dst: 9, TunnelID: 3}
+	for i := 0; i < 400; i++ {
+		m := sampleMatch()
+		switch i % 3 {
+		case 1:
+			m = masked
+		case 2:
+			m = Match{Fields: FieldInPort | FieldMPLSLabel, InPort: uint32(i), MPLSLabel: 5}
+		}
+		rep.Flows = append(rep.Flows, FlowStats{Priority: uint16(i), ByteCount: uint64(i), Match: m})
+	}
+	b, err := Marshal(rep, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(b) != len(b) {
+		t.Fatalf("%d-byte frame marshalled into a %d-byte buffer", len(b), cap(b))
+	}
+	back, _, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, rep) {
+		t.Fatal("400-entry reply does not round-trip")
+	}
+}
+
+// TestMatchWireLen checks WireLen against Marshal for every combination of
+// match fields, with the address fields both exact and masked.
+func TestMatchWireLen(t *testing.T) {
+	for fields := FieldSet(0); fields < FieldTunnelID<<1; fields++ {
+		for _, mask := range []uint32{0, 0xffffffff, 0xffff0000} {
+			m := Match{Fields: fields, IPv4SrcMask: mask, IPv4DstMask: mask}
+			if got, want := m.WireLen(), len(m.Marshal(nil)); got != want {
+				t.Fatalf("fields %#x mask %#x: WireLen %d, Marshal wrote %d", fields, mask, got, want)
+			}
+		}
+	}
+}
+
+// TestMarshalFrameLengthLimit pins the ceiling of the header's 16-bit
+// length field: a 65 535-byte frame encodes and decodes, and a frame one
+// byte longer is refused instead of being sent with a length of 0.
+func TestMarshalFrameLengthLimit(t *testing.T) {
+	b, err := Marshal(&EchoRequest{Data: make([]byte, 0xffff-headerLen)}, 1)
+	if err != nil {
+		t.Fatalf("65535-byte frame refused: %v", err)
+	}
+	if n := binary.BigEndian.Uint16(b[2:]); len(b) != 0xffff || n != 0xffff {
+		t.Fatalf("65535-byte frame: %d bytes, length field %d", len(b), n)
+	}
+	if _, _, err := Unmarshal(b); err != nil {
+		t.Fatalf("65535-byte frame does not decode: %v", err)
+	}
+	if b, err := Marshal(&EchoRequest{Data: make([]byte, 1<<16-headerLen)}, 1); err == nil {
+		t.Fatalf("65536-byte frame accepted with length field %d", binary.BigEndian.Uint16(b[2:]))
 	}
 }
 

@@ -2,8 +2,10 @@ package scotch
 
 import (
 	"testing"
+	"time"
 
 	"scotch/internal/controller"
+	"scotch/internal/flowtable"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
 )
@@ -30,6 +32,50 @@ func elephantFixture(t *testing.T, cfg Config, packets, bytes uint64) bool {
 		}},
 	})
 	return f.app.migrating[key]
+}
+
+// TestElephantInThirdStatsPartMigrates plants an elephant deep in a
+// 1000-rule vSwitch table, where the flow-stats reply carries it in its
+// third part: the poller sees each part as it arrives and must still
+// elect the flow and move it to a physical path.
+func TestElephantInThirdStatsPartMigrates(t *testing.T) {
+	cfg := DefaultConfig()
+	f := newFixture(t, cfg, 2, 0)
+	key := netaddr.FlowKey{
+		Src: f.client.IP, Dst: f.server.IP,
+		Proto: netaddr.ProtoTCP, SrcPort: 4000, DstPort: 80,
+	}
+	fi := &controller.FlowInfo{
+		Key: key, FirstHop: f.edge.DPID, IngressPort: 2,
+		OnOverlay: true, OverlayVSwitch: f.vs[0].DPID,
+	}
+	f.c.FlowDB.Put(fi)
+	elephant := &flowtable.Rule{Priority: 1, Match: exactMatch(key), Bytes: cfg.ElephantBytes + 1}
+	pl := f.vs[0].Pipeline
+	for i := 0; i < 1000; i++ {
+		r := &flowtable.Rule{Priority: 1, Match: openflow.Match{
+			Fields: openflow.FieldIPv4Src, IPv4Src: netaddr.MakeIPv4(172, 16, byte(i>>8), byte(i))}}
+		if i == 950 {
+			r = elephant
+		}
+		if err := pl.Table(0).Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pos := 0
+	for _, tbl := range pl.Tables {
+		for _, r := range tbl.Rules() {
+			if r == elephant && pos/flowtable.StatsPartLen != 2 {
+				t.Fatalf("elephant is entry %d of the dump, not in its third part", pos)
+			}
+			pos++
+		}
+	}
+
+	f.eng.RunUntil(3 * time.Second) // past the first 1 s elephant poll
+	if !fi.Migrated || f.app.Stats.Migrated != 1 {
+		t.Fatalf("elephant in the third stats part not migrated (migrated=%v, count %d)", fi.Migrated, f.app.Stats.Migrated)
+	}
 }
 
 // TestElephantDetectsHighPacketCount is the §5.3 regression test: the
