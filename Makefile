@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet doclint linkcheck bench bench-report bench-short bench-shards trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
+.PHONY: all build test short race vet doclint linkcheck golden bench bench-report bench-short bench-shards trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
 
 all: build test
 
@@ -34,14 +34,24 @@ doclint:
 linkcheck:
 	$(GO) run ./cmd/linkcheck
 
+# Golden output gate: every experiment's output, minus its wall-time
+# lines, must match internal/experiments/testdata/all.golden byte for
+# byte. A deliberate shift is documented in EXPERIMENTS.md and the file
+# regenerated with
+#   go run ./cmd/scotchsim -parallel 2 all | grep -v ' wall time)$' > internal/experiments/testdata/all.golden
+golden:
+	$(GO) run ./cmd/scotchsim -parallel 2 all > golden.out
+	grep -v ' wall time)$$' golden.out | diff -u internal/experiments/testdata/all.golden -
+
 # The chaos experiments (§5 reliability mechanisms under injected faults)
-# plus the elastic autoscaler cycle and the devolution invalidation run,
-# which exercise the same live-mutation paths from the control-loop and
-# policy-distribution sides.
+# plus the elastic pool cycle (a pool-only balancer) and the devolution
+# invalidation run, which exercise the same live-mutation paths from the
+# control-loop and policy-distribution sides.
 chaos:
 	$(GO) run ./cmd/scotchsim run chaos-vswitch chaos-partition chaos-churn elastic devolve-invalidate
 
-# Chaos + elastic trace artifact: fault and resize marks with control-path
+# Chaos + elastic trace artifact: fault marks, the balancer's
+# balance:grow-pool / balance:drain-pool resize marks, and control-path
 # spans for the fast experiments (Chrome trace-event JSON).
 trace-chaos:
 	$(GO) run ./cmd/scotchsim run chaos-partition chaos-churn elastic -trace trace_chaos.json
@@ -114,4 +124,4 @@ cover:
 
 clean:
 	$(GO) clean ./...
-	rm -f coverage.out trace_fig14.json trace_chaos.json scenario_multitenant.txt devolve_ablation.txt obs_slo.txt health_obs_slo.json balance.txt health_balance.json
+	rm -f coverage.out golden.out trace_fig14.json trace_chaos.json scenario_multitenant.txt devolve_ablation.txt obs_slo.txt health_obs_slo.json balance.txt health_balance.json

@@ -4,15 +4,9 @@ import (
 	"fmt"
 
 	"scotch/internal/elastic"
-	"scotch/internal/obs"
 	"scotch/internal/sim"
 	"scotch/internal/telemetry"
 )
-
-// ViewFunc supplies the balancer's only input: one consistent
-// ClusterView snapshot per tick. obs.Observatory.Snapshot is the
-// production implementation; tests return literals.
-type ViewFunc func() *obs.ClusterView
 
 // Migrator moves one switch pod from replica `from` to replica `to`,
 // returning the migrated pod's name. ok=false means no pod move would
@@ -102,15 +96,16 @@ type DecisionRecord struct {
 // counted so a runaway policy cannot grow memory without bound.
 const maxLog = 512
 
-// Balancer runs the joint-elasticity control loop. All methods are safe
-// on a nil receiver (no-ops), so call sites never guard.
+// Balancer runs the elasticity control loop over whichever actuators it
+// holds. All methods are safe on a nil receiver (no-ops), so call sites
+// never guard.
 type Balancer struct {
-	eng    sim.Proc
-	cfg    Config
-	view   ViewFunc
-	act    Actuators
-	tracer *telemetry.Tracer
-	ticker *sim.Ticker
+	eng     sim.Proc
+	cfg     Config
+	signals func() Signals
+	act     Actuators
+	tracer  *telemetry.Tracer
+	ticker  *sim.Ticker
 
 	st      state
 	lastSig Signals
@@ -121,15 +116,18 @@ type Balancer struct {
 	Stats Stats
 }
 
-// New validates cfg and binds a balancer to its view source and
-// actuators. It panics on a malformed config: these are programming
-// errors, not runtime conditions.
-func New(eng sim.Proc, cfg Config, view ViewFunc, act Actuators) *Balancer {
+// New validates cfg and binds a balancer to its signal source and
+// actuators. signals is called once per tick: PoolSignals and
+// ReplicaSignals read a pool or a coordinator live; an observatory-fed
+// rig passes ExtractSignals over Observatory.Snapshot. It panics on a
+// malformed config: these are programming errors, not runtime
+// conditions.
+func New(eng sim.Proc, cfg Config, signals func() Signals, act Actuators) *Balancer {
 	cfg.validate()
-	if view == nil {
-		panic("balance: nil ViewFunc")
+	if signals == nil {
+		panic("balance: nil signal source")
 	}
-	return &Balancer{eng: eng, cfg: cfg, view: view, act: act}
+	return &Balancer{eng: eng, cfg: cfg, signals: signals, act: act}
 }
 
 // SetTracer attaches a tracer; each decision emits a "balance:<action>"
@@ -229,11 +227,11 @@ func (b *Balancer) LastSignals() Signals {
 	return b.lastSig
 }
 
-// tick is one control-loop evaluation: snapshot the view, extract
-// signals, run the pure policy, and apply (or advise) its decision.
+// tick is one control-loop evaluation: read the signals, run the pure
+// policy, and apply (or advise) its decision.
 func (b *Balancer) tick() {
 	b.Stats.Ticks++
-	sig := ExtractSignals(b.view())
+	sig := b.signals()
 	b.lastSig = sig
 	now := b.eng.Now()
 	d, sups := decide(b.cfg, &b.st, sig, now)

@@ -49,7 +49,8 @@ func (m *fakeMigrator) MigratePod(from, to int) (string, bool) {
 }
 
 // viewState is a mutable stand-in for the observatory: tests poke its
-// fields and the ViewFunc renders a ClusterView the way Watch* would.
+// fields, view renders a ClusterView the way Watch* would, and signals
+// digests it as an observatory-fed rig does.
 type viewState struct {
 	poolSize float64
 	poolLoad float64
@@ -80,12 +81,14 @@ func (v *viewState) view() *obs.ClusterView {
 	return cv
 }
 
+func (v *viewState) signals() Signals { return ExtractSignals(v.view()) }
+
 func TestBalancerGrowsThenDrains(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1}
 	vs := &viewState{poolSize: 1, poolLoad: 200}
 	cfg := testCfg()
-	b := New(eng, cfg, vs.view, Actuators{Pool: pool}).Start()
+	b := New(eng, cfg, vs.signals, Actuators{Pool: pool}).Start()
 	// Keep the rendered view in step with the fake pool.
 	eng.Every(50*time.Millisecond, func() { vs.poolSize = float64(pool.size) })
 
@@ -122,7 +125,7 @@ func TestBalancerMigratesAndEscalates(t *testing.T) {
 	spawns := 0
 	vs := &viewState{repLoads: []float64{900, 100}}
 	cfg := testCfg()
-	b := New(eng, cfg, vs.view, Actuators{
+	b := New(eng, cfg, vs.signals, Actuators{
 		Migrator: mig,
 		Replicas: ReplicaFuncs{SpawnFn: func() error { spawns++; return nil }},
 	}).Start()
@@ -148,7 +151,7 @@ func TestMigratorNoPodStartsCooldown(t *testing.T) {
 	eng := sim.New(1)
 	mig := &fakeMigrator{ok: false}
 	vs := &viewState{repLoads: []float64{900, 100}}
-	b := New(eng, testCfg(), vs.view, Actuators{Migrator: mig}).Start()
+	b := New(eng, testCfg(), vs.signals, Actuators{Migrator: mig}).Start()
 	eng.RunUntil(350 * time.Millisecond)
 	b.Stop()
 	// Ticks at 100/200/300ms; the 100ms attempt fails definitively and
@@ -166,20 +169,27 @@ func TestActuatorErrorRetriesWithoutCooldown(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1, growErr: errors.New("no standby")}
 	vs := &viewState{poolSize: 1, poolLoad: 200}
-	b := New(eng, testCfg(), vs.view, Actuators{Pool: pool}).Start()
+	b := New(eng, testCfg(), vs.signals, Actuators{Pool: pool}).Start()
 	eng.RunUntil(450 * time.Millisecond)
-	b.Stop()
 	// Eligible from tick 2 (200ms): ticks at 200/300/400ms all retry
 	// because a failed grow must not start the cooldown.
 	if b.Stats.Errors != 3 || b.Stats.Grows != 0 {
 		t.Fatalf("stats = %+v, want 3 error retries", b.Stats)
+	}
+	// Capacity appears: the kept streak converts to a grow on the very
+	// next tick, without re-counting from zero.
+	pool.growErr = nil
+	eng.RunUntil(550 * time.Millisecond)
+	b.Stop()
+	if pool.grows != 1 || b.Stats.Grows != 1 {
+		t.Fatalf("grows = %d after capacity appeared, want 1 (stats %+v)", pool.grows, b.Stats)
 	}
 }
 
 func TestNoActuatorIsSuppressedNotFatal(t *testing.T) {
 	eng := sim.New(1)
 	vs := &viewState{poolSize: 1, poolLoad: 200, repLoads: []float64{900, 100}}
-	b := New(eng, testCfg(), vs.view, Actuators{}).Start()
+	b := New(eng, testCfg(), vs.signals, Actuators{}).Start()
 	eng.RunUntil(time.Second)
 	b.Stop()
 	if b.Stats.NoActuator == 0 {
@@ -197,7 +207,7 @@ func TestAdviseModeNeverActuates(t *testing.T) {
 	vs := &viewState{poolSize: 1, poolLoad: 200, repLoads: []float64{900, 100}}
 	cfg := testCfg()
 	cfg.Advise = true
-	b := New(eng, cfg, vs.view, Actuators{Pool: pool, Migrator: mig}).Start()
+	b := New(eng, cfg, vs.signals, Actuators{Pool: pool, Migrator: mig}).Start()
 	eng.RunUntil(time.Second)
 	b.Stop()
 	if pool.grows != 0 || len(mig.moves) != 0 {
@@ -217,23 +227,29 @@ func TestMarksAndMetrics(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1}
 	vs := &viewState{poolSize: 1, poolLoad: 200}
-	b := New(eng, testCfg(), vs.view, Actuators{Pool: pool})
+	b := New(eng, testCfg(), vs.signals, Actuators{Pool: pool})
 	tr := telemetry.NewTracer()
 	b.SetTracer(tr)
 	reg := telemetry.NewRegistry()
 	b.BindMetrics(reg)
 	b.Start()
 	eng.RunUntil(300 * time.Millisecond)
+	// Go cold: three cold ticks past the 250ms cooldown drain back.
+	vs.poolSize, vs.poolLoad = float64(pool.size), 5
+	eng.RunUntil(650 * time.Millisecond)
 	b.Stop()
 
-	found := false
+	var grow, drain string
 	for _, m := range tr.Marks() {
-		if strings.Contains(m.Name, "balance:grow-pool") {
-			found = true
+		if strings.HasPrefix(m.Name, "balance:grow-pool") {
+			grow = m.Name
+		}
+		if strings.HasPrefix(m.Name, "balance:drain-pool") {
+			drain = m.Name
 		}
 	}
-	if !found {
-		t.Fatalf("no balance:grow-pool mark in %+v", tr.Marks())
+	if grow != "balance:grow-pool size=2" || drain != "balance:drain-pool size=1" {
+		t.Fatalf("resize marks grow=%q drain=%q in %+v", grow, drain, tr.Marks())
 	}
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -243,6 +259,7 @@ func TestMarksAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"scotch_balance_ticks_total",
 		`scotch_balance_actions_total{action="grow-pool"} 1`,
+		`scotch_balance_actions_total{action="drain-pool"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
@@ -317,7 +334,7 @@ func TestNilBalancerAllocFree(t *testing.T) {
 
 func TestLogBound(t *testing.T) {
 	eng := sim.New(1)
-	b := New(eng, testCfg(), func() *obs.ClusterView { return nil }, Actuators{})
+	b := New(eng, testCfg(), func() Signals { return Signals{} }, Actuators{})
 	for i := 0; i < maxLog+10; i++ {
 		b.record(DecisionRecord{})
 	}

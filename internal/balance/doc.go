@@ -1,14 +1,20 @@
-// Package balance is the joint-elasticity balancer: one deterministic,
-// sim-clock-driven control loop that jointly decides how the whole
-// Scotch control plane scales. Its only input is the observatory's
-// consistent obs.ClusterView snapshot (DESIGN.md §12 — the balancer
-// never probes subsystems directly), and its outputs are three actuator
-// interfaces:
+// Package balance is the elasticity control loop: the one deterministic,
+// sim-clock-driven loop that decides how the Scotch control plane
+// scales. Its input is a Signals source called once per tick — a vSwitch
+// pool read live (PoolSignals), a cluster coordinator read live
+// (ReplicaSignals), or the observatory's consistent obs.ClusterView
+// snapshot digested by ExtractSignals (DESIGN.md §12) — and its outputs
+// are three actuator interfaces:
 //
 //   - grow/drain the overlay vSwitch pool (elastic.Pool),
 //   - migrate switch pods between controller replicas (Migrator,
 //     satisfied by cluster.Coordinator.MigratePod), and
 //   - spawn/retire controller replicas (ReplicaActuator).
+//
+// A balancer wired with one actuator is the whole loop for that tier:
+// the elastic experiments run a pool-only balancer, every cluster rig a
+// migrate-only one, and the joint experiments one balancer with all
+// three.
 //
 // The policy is multi-threshold with hysteresis and per-action
 // cooldowns, in the style of EASM (arXiv 1711.08659) and the

@@ -49,11 +49,9 @@ type Config struct {
 	Interval time.Duration
 
 	// PoolGrowLoad / PoolDrainLoad bound the pool hysteresis band (same
-	// unit as the view's elastic "load" series). PoolUpChecks and
-	// PoolDownChecks are the consecutive-tick streaks required before
-	// acting; MinPool/MaxPool bound the size; PoolCooldown spaces pool
-	// resizes. These mirror elastic.Config so a joint balancer drops in
-	// for the standalone autoscaler without re-tuning.
+	// unit as Signals.PoolLoad). PoolUpChecks and PoolDownChecks are the
+	// consecutive-tick streaks required before acting; MinPool/MaxPool
+	// bound the size; PoolCooldown spaces pool resizes.
 	PoolGrowLoad   float64
 	PoolDrainLoad  float64
 	PoolUpChecks   int
@@ -65,7 +63,9 @@ type Config struct {
 	// MigrateImbalance triggers a pod migration when the hottest alive
 	// replica's load exceeds this multiple of the coolest's, provided the
 	// hottest is above MigrateMinLoad in absolute terms (idle clusters
-	// don't churn). MigrateCooldown spaces migrations.
+	// don't churn). MigrateCooldown spaces this balancer's own migrations
+	// (and its "no pod move helps" verdicts); failovers and explicit
+	// coordinator moves do not restart it.
 	MigrateImbalance float64
 	MigrateMinLoad   float64
 	MigrateCooldown  time.Duration
@@ -95,10 +95,11 @@ type Config struct {
 	Advise bool
 }
 
-// DefaultConfig returns calibrated defaults: the pool band mirrors
-// elastic.DefaultConfig, the migration band mirrors
-// cluster.DefaultConfig, and the replica band escalates at a burn rate
-// of 2 (the error budget burning twice as fast as it accrues).
+// DefaultConfig returns calibrated defaults: the pool band the elastic
+// experiments run with (pool-only balancers), the migration band every
+// cluster rig runs with (migrate-only balancers), and a replica band
+// that escalates at a burn rate of 2 (the error budget burning twice as
+// fast as it accrues).
 func DefaultConfig() Config {
 	return Config{
 		Interval:       500 * time.Millisecond,

@@ -85,12 +85,19 @@ func TestPoolDeadBandHolds(t *testing.T) {
 
 func TestPoolBrokenStreakResets(t *testing.T) {
 	cfg := testCfg()
-	var st state
-	decide(cfg, &st, poolSig(150, 1), ms(0))
-	decide(cfg, &st, poolSig(60, 1), ms(100)) // breaks the streak
-	d, _ := decide(cfg, &st, poolSig(150, 1), ms(200))
-	if d.Action != ActionNone {
-		t.Fatalf("grew with a broken streak: %+v", d)
+	// A dead-band tick (60) or a cold one (0) between hot ticks breaks
+	// the streak: alternating spikes never grow.
+	for _, gap := range []float64{60, 0} {
+		var st state
+		for i := 0; i < 6; i++ {
+			load := 150.0
+			if i%2 == 1 {
+				load = gap
+			}
+			if d, _ := decide(cfg, &st, poolSig(load, 1), ms(i*100)); d.Action != ActionNone {
+				t.Fatalf("gap %v: tick %d acted on a broken streak: %+v", gap, i, d)
+			}
+		}
 	}
 }
 
@@ -316,15 +323,27 @@ func TestNoPoolInViewDisablesPoolRungs(t *testing.T) {
 
 func TestCooldownExpiryReenables(t *testing.T) {
 	cfg := testCfg()
-	var st state
-	st.notePool(ms(0))
-	sig := poolSig(150, 1)
-	decide(cfg, &st, sig, ms(100))
-	if d, _ := decide(cfg, &st, sig, ms(200)); d.Action != ActionNone {
-		t.Fatalf("acted inside cooldown: %+v", d)
+	// The one pool cooldown spaces grows and drains alike: with the
+	// streak complete, the 250ms cooldown from t=0 holds the tick at
+	// 200ms and releases the one at 300ms.
+	cases := []struct {
+		sig  Signals
+		want Action
+	}{
+		{poolSig(150, 1), ActionGrowPool},
+		{poolSig(5, 2), ActionDrainPool},
 	}
-	if d, _ := decide(cfg, &st, sig, ms(300)); d.Action != ActionGrowPool {
-		t.Fatalf("cooldown expiry did not re-enable grow")
+	for _, c := range cases {
+		var st state
+		st.notePool(ms(0))
+		decide(cfg, &st, c.sig, ms(50))
+		decide(cfg, &st, c.sig, ms(100))
+		if d, _ := decide(cfg, &st, c.sig, ms(200)); d.Action != ActionNone {
+			t.Fatalf("%v: acted inside cooldown: %+v", c.want, d)
+		}
+		if d, _ := decide(cfg, &st, c.sig, ms(300)); d.Action != c.want {
+			t.Fatalf("%v: cooldown expiry did not re-enable it: %+v", c.want, d)
+		}
 	}
 }
 
@@ -333,10 +352,12 @@ func TestValidatePanics(t *testing.T) {
 		func(c *Config) { c.Interval = 0 },
 		func(c *Config) { c.PoolDrainLoad = c.PoolGrowLoad },
 		func(c *Config) { c.PoolUpChecks = 0 },
+		func(c *Config) { c.PoolDownChecks = 0 },
 		func(c *Config) { c.MinPool = 0 },
 		func(c *Config) { c.MaxPool = c.MinPool - 1 },
 		func(c *Config) { c.MigrateImbalance = 0.5 },
 		func(c *Config) { c.MinReplicas = 0 },
+		func(c *Config) { c.MaxReplicas = c.MinReplicas - 1 },
 		func(c *Config) { c.ReplicaIdleLoad = c.ReplicaHotLoad },
 	}
 	for i, mutate := range bad {

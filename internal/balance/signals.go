@@ -5,13 +5,14 @@ import (
 	"strconv"
 	"strings"
 
+	"scotch/internal/cluster"
+	"scotch/internal/elastic"
 	"scotch/internal/obs"
 	"scotch/internal/sim"
 )
 
-// ReplicaSignal is one controller replica's state as read from a
-// ClusterView: the coordinator's scalar load (Packet-In rate + queue
-// depth) and liveness.
+// ReplicaSignal is one controller replica's state: the coordinator's
+// scalar load (Packet-In rate + queue depth) and liveness.
 type ReplicaSignal struct {
 	ID    int
 	Load  float64
@@ -19,19 +20,21 @@ type ReplicaSignal struct {
 }
 
 // Signals is the balancer's digested input: the handful of scalars one
-// policy tick needs, extracted from a ClusterView snapshot. Keeping the
+// policy tick needs, read live (PoolSignals, ReplicaSignals) or
+// extracted from a ClusterView snapshot (ExtractSignals). Keeping the
 // extraction separate from the policy makes decide() a pure function
 // that unit tests can drive exhaustively.
 type Signals struct {
-	// At is the snapshot's newest sample time.
+	// At is the snapshot's newest sample time (zero from the live
+	// sources; the balancer reads the clock itself).
 	At sim.Time
-	// HasPool reports whether the view carried an "elastic" component
-	// with a pool_size series (i.e. a vSwitch pool is being observed).
+	// HasPool reports whether a vSwitch pool is being watched: the
+	// source is PoolSignals, or the view carried an "elastic" component
+	// with a pool_size series.
 	HasPool  bool
 	PoolSize int
-	// PoolLoad is the pool's scalar load signal (the "load" series of
-	// the elastic component — overlay-routed flows/s per member when
-	// wired via elastic.OverlayRate).
+	// PoolLoad is the pool's scalar load signal (overlay-routed flows/s
+	// per member when wired via elastic.OverlayRate).
 	PoolLoad float64
 	// Replicas holds per-replica signals in replica-ID order.
 	Replicas []ReplicaSignal
@@ -41,6 +44,32 @@ type Signals struct {
 	Burning bool
 	MaxBurn float64
 	BurnSLO string
+}
+
+// PoolSignals is the live input of a balancer that only resizes a
+// vSwitch pool. Each call samples load() before pool.Size(): the load
+// function may read the pool itself (elastic.OverlayRate divides by its
+// size), so the order is part of the signal.
+func PoolSignals(pool elastic.Pool, load elastic.LoadFunc) func() Signals {
+	return func() Signals {
+		l := load()
+		return Signals{HasPool: true, PoolSize: pool.Size(), PoolLoad: l}
+	}
+}
+
+// ReplicaSignals is the live input of a balancer that only migrates
+// pods between a coordinator's replicas. Each call reads co.Load(r) and
+// then r.Alive() for every replica in ID order, dead ones included, so
+// replicas enrolled after construction are picked up.
+func ReplicaSignals(co *cluster.Coordinator) func() Signals {
+	return func() Signals {
+		rs := make([]ReplicaSignal, 0, len(co.Replicas))
+		for _, r := range co.Replicas {
+			load := co.Load(r)
+			rs = append(rs, ReplicaSignal{ID: r.ID, Load: load, Alive: r.Alive()})
+		}
+		return Signals{Replicas: rs}
+	}
 }
 
 // ExtractSignals digests a ClusterView into policy inputs. It relies on

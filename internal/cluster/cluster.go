@@ -40,21 +40,6 @@ type Config struct {
 	// liveness state is not poisoned while mastership is in limbo.
 	HeartbeatInterval time.Duration
 	HeartbeatMisses   int
-
-	// BalanceInterval is how often load is compared across replicas.
-	// Zero or negative disables the coordinator's built-in balance loop
-	// entirely; an external controller (the joint balancer in
-	// internal/balance) then owns migration decisions via MigratePod.
-	BalanceInterval time.Duration
-	// ImbalanceFactor triggers migration when the most loaded replica
-	// exceeds this multiple of the least loaded one.
-	ImbalanceFactor float64
-	// MinLoad suppresses rebalancing while the hottest replica is below
-	// this load (Packet-Ins/s + queued punts): idle clusters don't churn.
-	MinLoad float64
-	// MigrationCooldown is the minimum spacing between load-triggered
-	// migrations, damping oscillation.
-	MigrationCooldown time.Duration
 }
 
 // DefaultConfig returns the calibrated defaults.
@@ -62,10 +47,6 @@ func DefaultConfig() Config {
 	return Config{
 		HeartbeatInterval: 100 * time.Millisecond,
 		HeartbeatMisses:   3,
-		BalanceInterval:   500 * time.Millisecond,
-		ImbalanceFactor:   2,
-		MinLoad:           50,
-		MigrationCooldown: time.Second,
 	}
 }
 
@@ -155,11 +136,10 @@ type Coordinator struct {
 	// control-path trace timeline.
 	Trace *telemetry.Tracer
 
-	pods     []*Pod
-	byName   map[string]*Pod
-	assign   map[string]int
-	gen      uint64
-	lastMove sim.Time
+	pods   []*Pod
+	byName map[string]*Pod
+	assign map[string]int
+	gen    uint64
 }
 
 // New creates a coordinator on the simulation engine.
@@ -235,7 +215,8 @@ func (co *Coordinator) Load(r *Replica) float64 {
 
 // Start claims the initial roles — each pod's home replica becomes master
 // on the pod's switches, every other replica slave — and begins the
-// heartbeat and load-balance tickers.
+// heartbeat ticker. Load-triggered migration is not the coordinator's
+// job: a balance.Balancer decides it and calls MigratePod.
 func (co *Coordinator) Start() {
 	for _, p := range co.pods {
 		owner := co.assign[p.Name]
@@ -255,9 +236,6 @@ func (co *Coordinator) Start() {
 		}
 	}
 	co.Eng.Every(co.Cfg.HeartbeatInterval, co.heartbeat)
-	if co.Cfg.BalanceInterval > 0 {
-		co.Eng.Every(co.Cfg.BalanceInterval, co.balance)
-	}
 }
 
 // Enroll adds a controller to an already-running cluster as a fresh
@@ -317,12 +295,11 @@ func (co *Coordinator) Retire(id int) bool {
 }
 
 // MigratePod asks the coordinator to move one pod from replica `from` to
-// replica `to`, applying the same EASM-style pod selection as the
-// internal balance loop: among the source's pods it picks the one whose
-// move most narrows the load spread, and refuses moves that would merely
-// relocate the hotspot. Returns the migrated pod's name, or ok=false
-// when the ids are invalid, a replica is dead, or no pod improves the
-// spread.
+// replica `to`, with EASM-style pod selection: among the source's pods
+// it picks the one whose move most narrows the load spread, and refuses
+// moves that would merely relocate the hotspot. Returns the migrated
+// pod's name, or ok=false when the ids are invalid, a replica is dead,
+// or no pod improves the spread.
 func (co *Coordinator) MigratePod(from, to int) (pod string, ok bool) {
 	if from == to || from < 0 || to < 0 || from >= len(co.Replicas) || to >= len(co.Replicas) {
 		return "", false
@@ -376,7 +353,6 @@ func (co *Coordinator) migrate(p *Pod, to *Replica, failover bool) {
 	p.App.Rebind(to.C)
 	to.C.Register(p.App)
 	co.assign[p.Name] = to.ID
-	co.lastMove = co.Eng.Now()
 
 	// Role handoff, fenced by a fresh generation id so the old master —
 	// even if partitioned rather than dead — can never reclaim the shard
@@ -479,42 +455,6 @@ func (co *Coordinator) leastLoaded(exclude *Replica) *Replica {
 		}
 	}
 	return best
-}
-
-// balance compares replica loads and migrates the pod whose move best
-// narrows the spread, when the hottest replica is both busy in absolute
-// terms and ImbalanceFactor times busier than the coolest.
-func (co *Coordinator) balance() {
-	now := co.Eng.Now()
-	if co.lastMove > 0 && now-co.lastMove < co.Cfg.MigrationCooldown {
-		return
-	}
-	var alive []*Replica
-	for _, r := range co.Replicas {
-		if !r.dead {
-			alive = append(alive, r)
-		}
-	}
-	if len(alive) < 2 {
-		return
-	}
-	maxR, minR := alive[0], alive[0]
-	maxL, minL := co.Load(alive[0]), co.Load(alive[0])
-	for _, r := range alive[1:] {
-		l := co.Load(r)
-		if l > maxL {
-			maxR, maxL = r, l
-		}
-		if l < minL {
-			minR, minL = r, l
-		}
-	}
-	if maxR == minR || maxL < co.Cfg.MinLoad || maxL <= co.Cfg.ImbalanceFactor*minL {
-		return
-	}
-	if best := co.pickPod(maxR, minR); best != nil {
-		co.migrate(best, minR, false)
-	}
 }
 
 // pickPod selects the source pod whose move to dst minimizes the

@@ -245,57 +245,6 @@ func TestFailoverReassignsPodsAfterDetectionWindow(t *testing.T) {
 	}
 }
 
-func TestBalancerMigratesHotPod(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MinLoad = 50
-	rg := &twoShardRig{eng: sim.New(7)}
-	rg.net = topo.New(rg.eng)
-	link := device.LinkConfig{Delay: 50 * time.Microsecond, RateBps: 1e9}
-	rg.cap = capture.New(rg.eng)
-	outPorts := [2]map[netaddr.IPv4]uint32{}
-	for i := 0; i < 2; i++ {
-		rg.sw[i] = rg.net.AddSwitch([]string{"e0", "e1"}[i], device.Pica8Profile())
-		rg.clients[i] = rg.net.AddHost([]string{"c0", "c1"}[i], netaddr.MakeIPv4(10, byte(i), 0, 10))
-		rg.net.AttachHost(rg.clients[i], rg.sw[i], link)
-		rg.servers[i] = rg.net.AddHost([]string{"s0", "s1"}[i], netaddr.MakeIPv4(10, byte(i), 1, 10))
-		srvPort := rg.net.AttachHost(rg.servers[i], rg.sw[i], link)
-		rg.cap.Attach(rg.servers[i])
-		outPorts[i] = map[netaddr.IPv4]uint32{rg.servers[i].IP: srvPort}
-	}
-	rg.co = New(rg.eng, cfg)
-	for i := 0; i < 2; i++ {
-		c := controller.New(rg.eng, rg.net)
-		c.ConnectAll()
-		rg.r[i] = rg.co.AddReplica(c)
-	}
-	// Both pods start on replica 0; replica 1 is an idle spare.
-	for i := 0; i < 2; i++ {
-		app := &reactiveApp{name: []string{"pod-a", "pod-b"}[i], c: rg.r[0].C, outPort: outPorts[i]}
-		rg.r[0].C.Register(app)
-		rg.apps[i] = app
-		rg.co.AddPod(app.name, app, rg.r[0], rg.sw[i].DPID)
-	}
-	rg.co.Start()
-	rg.eng.RunUntil(50 * time.Millisecond)
-
-	// Pod A runs hot (every spoofed flow punts once); pod B stays light.
-	atk := workload.StartDDoS(workload.NewEmitter(rg.eng, rg.clients[0], rg.cap), rg.servers[0].IP, 300)
-	cli := workload.StartClient(workload.NewEmitter(rg.eng, rg.clients[1], rg.cap), rg.servers[1].IP, 20, 1, 0)
-	rg.eng.RunUntil(5 * time.Second)
-	atk.Stop()
-	cli.Stop()
-
-	if rg.co.Stats.Migrations == 0 {
-		t.Fatal("balancer never migrated under sustained imbalance")
-	}
-	if got := rg.co.Owner("pod-a"); got != rg.r[1].ID {
-		t.Fatalf("hot pod owner = %d, want the idle replica", got)
-	}
-	if got := rg.co.Owner("pod-b"); got != rg.r[0].ID {
-		t.Fatalf("light pod owner = %d, want to stay put", got)
-	}
-}
-
 // pusherApp is a reactiveApp that also devolves policy: the coordinator
 // must call RepublishPolicy once a migration's role handoff completes,
 // so switch-resident caches are re-fed by the new master.

@@ -1,4 +1,4 @@
-package elastic
+package elastic_test
 
 import (
 	"errors"
@@ -6,17 +6,23 @@ import (
 	"testing"
 	"time"
 
+	"scotch/internal/balance"
+	"scotch/internal/elastic"
+	"scotch/internal/scotch"
 	"scotch/internal/sim"
 	"scotch/internal/telemetry"
 )
 
+// The pool is autoscaled by a balance.Balancer that holds only the pool
+// actuator and reads balance.PoolSignals. These tests drive that exact
+// wiring with scripted load trajectories and pin when it resizes.
+
 // fakePool is a scripted Pool: instant resizes, optional growth failure.
 type fakePool struct {
-	size     int
-	growErr  error
-	grows    int
-	shrinks  int
-	draining int // members shrunk but not yet gone; not counted by Size
+	size    int
+	growErr error
+	grows   int
+	shrinks int
 }
 
 func (p *fakePool) Size() int { return p.size }
@@ -33,13 +39,12 @@ func (p *fakePool) Grow() error {
 func (p *fakePool) Shrink() error {
 	p.shrinks++
 	p.size--
-	p.draining++
 	return nil
 }
 
-// scriptedLoad replays a load trajectory, one value per evaluation,
-// holding the last value once exhausted.
-func scriptedLoad(vals ...float64) LoadFunc {
+// scriptedLoad replays a load trajectory, one value per tick, holding
+// the last value once exhausted.
+func scriptedLoad(vals ...float64) elastic.LoadFunc {
 	i := 0
 	return func() float64 {
 		v := vals[i]
@@ -50,17 +55,20 @@ func scriptedLoad(vals ...float64) LoadFunc {
 	}
 }
 
-func testCfg() Config {
-	return Config{
-		EvalInterval:  100 * time.Millisecond,
-		ScaleUpLoad:   100,
-		ScaleDownLoad: 20,
-		UpChecks:      2,
-		DownChecks:    3,
-		Cooldown:      250 * time.Millisecond,
-		MinPool:       1,
-		MaxPool:       3,
-	}
+// testCfg is a compact pool band: 100ms ticks, grow at 100 for two
+// ticks, drain at 20 for three, 250ms cooldown, size in [1, 3].
+func testCfg() balance.Config {
+	cfg := balance.DefaultConfig()
+	cfg.Interval = 100 * time.Millisecond
+	cfg.PoolGrowLoad, cfg.PoolDrainLoad = 100, 20
+	cfg.PoolUpChecks, cfg.PoolDownChecks = 2, 3
+	cfg.PoolCooldown = 250 * time.Millisecond
+	cfg.MinPool, cfg.MaxPool = 1, 3
+	return cfg
+}
+
+func newPoolBalancer(eng sim.Proc, pool elastic.Pool, load elastic.LoadFunc) *balance.Balancer {
+	return balance.New(eng, testCfg(), balance.PoolSignals(pool, load), balance.Actuators{Pool: pool})
 }
 
 func TestHysteresisGrowAndShrink(t *testing.T) {
@@ -74,9 +82,9 @@ func TestHysteresisGrowAndShrink(t *testing.T) {
 		150, 150, 150, // grow to 3 once cooldown passes
 		10, 10, 10, 10, 10, 10, 10, 10, 10, 10, // shrink to 2, then 1
 	)
-	a := New(eng, testCfg(), pool, load).Start()
+	b := newPoolBalancer(eng, pool, load).Start()
 	eng.RunUntil(3 * time.Second)
-	a.Stop()
+	b.Stop()
 
 	if pool.grows != 2 {
 		t.Fatalf("grows = %d, want 2", pool.grows)
@@ -87,32 +95,31 @@ func TestHysteresisGrowAndShrink(t *testing.T) {
 	if pool.size != 1 {
 		t.Fatalf("final size = %d, want MinPool", pool.size)
 	}
-	if a.Stats.Ups != 2 || a.Stats.Downs != 2 {
-		t.Fatalf("stats = %+v", a.Stats)
+	if b.Stats.Grows != 2 || b.Stats.Drains != 2 {
+		t.Fatalf("stats = %+v", b.Stats)
 	}
 }
 
 func TestSingleSpikeDoesNotGrow(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1}
-	load := scriptedLoad(150, 0, 150, 0, 150, 0)
-	a := New(eng, testCfg(), pool, load).Start()
+	b := newPoolBalancer(eng, pool, scriptedLoad(150, 0, 150, 0, 150, 0)).Start()
 	eng.RunUntil(time.Second)
-	a.Stop()
+	b.Stop()
 	if pool.grows != 0 {
-		t.Fatalf("grew on alternating spikes (grows=%d) — UpChecks hysteresis broken", pool.grows)
+		t.Fatalf("grew on alternating spikes (grows=%d) — up-streak hysteresis broken", pool.grows)
 	}
 }
 
 func TestCooldownSpacesResizes(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1}
-	a := New(eng, testCfg(), pool, scriptedLoad(150)).Start()
-	// Load is pegged high. With a 100ms eval and 250ms cooldown the pool
-	// may grow at most once per 3 evals: by 650ms (6 evals) exactly two
+	b := newPoolBalancer(eng, pool, scriptedLoad(150)).Start()
+	// Load is pegged high. With a 100ms tick and 250ms cooldown the pool
+	// may grow at most once per 3 ticks: by 650ms (6 ticks) exactly two
 	// resizes fit (t=200ms and t=500ms).
 	eng.RunUntil(650 * time.Millisecond)
-	a.Stop()
+	b.Stop()
 	if pool.grows != 2 {
 		t.Fatalf("grows = %d in 650ms, want 2 (cooldown not enforced)", pool.grows)
 	}
@@ -121,18 +128,18 @@ func TestCooldownSpacesResizes(t *testing.T) {
 func TestBoundsRespected(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1}
-	a := New(eng, testCfg(), pool, scriptedLoad(500)).Start()
+	b := newPoolBalancer(eng, pool, scriptedLoad(500)).Start()
 	eng.RunUntil(10 * time.Second)
 	if pool.size != 3 {
 		t.Fatalf("size = %d under sustained load, want MaxPool=3", pool.size)
 	}
-	a.Stop()
+	b.Stop()
 
 	eng2 := sim.New(1)
 	pool2 := &fakePool{size: 1}
-	b := New(eng2, testCfg(), pool2, scriptedLoad(0)).Start()
+	b2 := newPoolBalancer(eng2, pool2, scriptedLoad(0)).Start()
 	eng2.RunUntil(10 * time.Second)
-	b.Stop()
+	b2.Stop()
 	if pool2.shrinks != 0 || pool2.size != 1 {
 		t.Fatalf("shrank below MinPool (size=%d)", pool2.size)
 	}
@@ -141,16 +148,16 @@ func TestBoundsRespected(t *testing.T) {
 func TestGrowFailureRetries(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1, growErr: errors.New("no standby")}
-	a := New(eng, testCfg(), pool, scriptedLoad(500)).Start()
+	b := newPoolBalancer(eng, pool, scriptedLoad(500)).Start()
 	eng.RunUntil(time.Second)
-	if pool.grows != 0 || a.Stats.Ups != 0 {
+	if pool.grows != 0 || b.Stats.Grows != 0 {
 		t.Fatal("counted a failed grow")
 	}
 	// Capacity appears: the sustained streak must convert to a grow on
-	// the next evaluation without restarting from zero.
+	// the next tick without restarting from zero.
 	pool.growErr = nil
 	eng.RunUntil(1100 * time.Millisecond)
-	a.Stop()
+	b.Stop()
 	if pool.grows != 1 {
 		t.Fatalf("grows = %d after capacity appeared, want 1", pool.grows)
 	}
@@ -159,14 +166,14 @@ func TestGrowFailureRetries(t *testing.T) {
 func TestMetricsAndMarks(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1}
-	a := New(eng, testCfg(), pool, scriptedLoad(150, 150, 150, 0, 0, 0, 0, 0, 0))
+	b := newPoolBalancer(eng, pool, scriptedLoad(150, 150, 150, 0, 0, 0, 0, 0, 0))
 	tr := telemetry.NewTracer()
-	a.SetTracer(tr)
+	b.SetTracer(tr)
 	reg := telemetry.NewRegistry()
-	a.BindMetrics(reg)
-	a.Start()
+	b.BindMetrics(reg)
+	b.Start()
 	eng.RunUntil(2 * time.Second)
-	a.Stop()
+	b.Stop()
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -174,36 +181,30 @@ func TestMetricsAndMarks(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		`scotch_elastic_resize_total{dir="up"} 1`,
-		`scotch_elastic_resize_total{dir="down"} 1`,
-		"scotch_elastic_pool_size 1",
+		`scotch_balance_actions_total{action="grow-pool"} 1`,
+		`scotch_balance_actions_total{action="drain-pool"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, out)
 		}
 	}
-	var grow, drain bool
+	var marks []string
 	for _, m := range tr.Marks() {
-		if strings.HasPrefix(m.Name, "elastic:grow") {
-			grow = true
-		}
-		if strings.HasPrefix(m.Name, "elastic:drain") {
-			drain = true
-		}
+		marks = append(marks, m.Name)
 	}
-	if !grow || !drain {
-		t.Fatalf("missing resize marks (grow=%v drain=%v)", grow, drain)
+	if got := strings.Join(marks, ", "); got != "balance:grow-pool size=2, balance:drain-pool size=1" {
+		t.Fatalf("resize marks = %q", got)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	eng := sim.New(1)
-	bad := []func(*Config){
-		func(c *Config) { c.EvalInterval = 0 },
-		func(c *Config) { c.ScaleDownLoad = c.ScaleUpLoad },
-		func(c *Config) { c.UpChecks = 0 },
-		func(c *Config) { c.MinPool = 0 },
-		func(c *Config) { c.MaxPool = c.MinPool - 1 },
+	bad := []func(*balance.Config){
+		func(c *balance.Config) { c.Interval = 0 },
+		func(c *balance.Config) { c.PoolDrainLoad = c.PoolGrowLoad },
+		func(c *balance.Config) { c.PoolUpChecks = 0 },
+		func(c *balance.Config) { c.MinPool = 0 },
+		func(c *balance.Config) { c.MaxPool = c.MinPool - 1 },
 	}
 	for i, mutate := range bad {
 		cfg := testCfg()
@@ -214,7 +215,69 @@ func TestConfigValidation(t *testing.T) {
 					t.Errorf("config mutation %d not rejected", i)
 				}
 			}()
-			New(eng, cfg, &fakePool{size: 1}, scriptedLoad(0))
+			pool := &fakePool{size: 1}
+			balance.New(eng, cfg, balance.PoolSignals(pool, scriptedLoad(0)), balance.Actuators{Pool: pool})
 		}()
+	}
+}
+
+// overlayRig is an app whose overlay-routed count the test sets by hand
+// and a pool whose size it sets, read by one OverlayRate.
+type overlayRig struct {
+	eng  *sim.Engine
+	app  *scotch.App
+	pool *fakePool
+	rate elastic.LoadFunc
+}
+
+func newOverlayRig(size int) *overlayRig {
+	rg := &overlayRig{eng: sim.New(1), app: &scotch.App{}, pool: &fakePool{size: size}}
+	rg.rate = elastic.OverlayRate(rg.eng, rg.app, rg.pool)
+	return rg
+}
+
+// sample advances the clock to at, sets the routed total and the pool
+// size, and reads the rate.
+func (rg *overlayRig) sample(at time.Duration, routed uint64, size int) float64 {
+	rg.eng.RunUntil(at)
+	rg.app.Stats.OverlayRouted = routed
+	rg.pool.size = size
+	return rg.rate()
+}
+
+func TestOverlayRate(t *testing.T) {
+	rg := newOverlayRig(1)
+	// The first sample measures from time zero.
+	if got := rg.sample(2*time.Second, 100, 1); got != 50 {
+		t.Fatalf("first sample = %v, want 100 flows / 2s = 50", got)
+	}
+	// Divided by the pool size at sample time, not at the previous one.
+	if got := rg.sample(3*time.Second, 400, 4); got != 75 {
+		t.Fatalf("rate at size 4 = %v, want 300 flows / 1s / 4 = 75", got)
+	}
+	// A second sample at the same instant has no interval: it reads 0,
+	// and the flows it saw are not counted again later.
+	if got := rg.sample(3*time.Second, 500, 4); got != 0 {
+		t.Fatalf("zero-interval sample = %v, want 0", got)
+	}
+	if got := rg.sample(4*time.Second, 500, 4); got != 0 {
+		t.Fatalf("rate after the zero-interval sample = %v, want 0", got)
+	}
+	// An empty pool (every member draining) is clamped to one member.
+	if got := rg.sample(5*time.Second, 530, 0); got != 30 {
+		t.Fatalf("rate at size 0 = %v, want 30 flows / 1s / 1 = 30", got)
+	}
+}
+
+func TestOverlayRateThroughPoolSignals(t *testing.T) {
+	// The wiring the elastic experiments use: the load is per member of
+	// the pool as it is at the tick.
+	rg := newOverlayRig(2)
+	src := balance.PoolSignals(rg.pool, rg.rate)
+	rg.eng.RunUntil(time.Second)
+	rg.app.Stats.OverlayRouted = 300
+	sig := src()
+	if !sig.HasPool || sig.PoolSize != 2 || sig.PoolLoad != 150 {
+		t.Fatalf("signals = %+v, want size 2 load 150", sig)
 	}
 }

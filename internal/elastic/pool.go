@@ -7,10 +7,31 @@ import (
 	"scotch/internal/sim"
 )
 
+// Pool is a resizable resource: the pool actuator of a balance.Balancer.
+// The Scotch adapter is VSwitchPool; tests substitute fakes.
+type Pool interface {
+	// Size returns the number of members currently taking new
+	// assignments (draining members do not count).
+	Size() int
+	// Grow adds one member. An error means no growth happened (for
+	// example, no standby capacity); the balancer keeps its streak and
+	// retries on its next tick.
+	Grow() error
+	// Shrink begins gracefully removing one member. An error means no
+	// shrink started.
+	Shrink() error
+}
+
+// LoadFunc samples the scalar load signal driving scale decisions, in
+// the unit of the balancer's pool band (balance.Config.PoolGrowLoad and
+// PoolDrainLoad). It is called once per balancer tick, on the
+// simulation clock.
+type LoadFunc func() float64
+
 // VSwitchPool adapts a running scotch.App to the Pool interface. Grow
 // promotes the next standby vSwitch into the mesh live; Shrink drains
 // the most recently grown member (LIFO, so the build-time floor is
-// never drained by the autoscaler). A drained member returns to the
+// never drained by the balancer). A drained member returns to the
 // back of the standby list and may be grown again later — the overlay
 // allocates fresh tunnel ports on re-add, so recycling is safe.
 type VSwitchPool struct {
@@ -22,7 +43,7 @@ type VSwitchPool struct {
 // NewVSwitchPool builds a pool over app with the given standby vSwitch
 // DPIDs. The standbys must exist in the topology and be connected to
 // the controller, but not be mesh members; they join only when the
-// autoscaler grows the pool.
+// balancer grows the pool.
 func NewVSwitchPool(app *scotch.App, standby []uint64) *VSwitchPool {
 	return &VSwitchPool{app: app, standby: append([]uint64(nil), standby...)}
 }
@@ -73,10 +94,12 @@ func (p *VSwitchPool) Shrink() error {
 
 // OverlayRate returns a LoadFunc measuring the overlay-routed flow rate
 // per pool member: the increase in app.Stats.OverlayRouted since the
-// previous sample, per second, divided by the pool size. This is the
-// signal the elastic experiment scales on — it is exactly the work the
-// mesh absorbs for the control plane, so it rises with the attack and
-// falls when the attack stops or capacity is added.
+// previous sample, per second, divided by the pool size at sample time
+// (clamped to 1). The first sample measures from time zero; a sample
+// at the same instant as the previous one reads 0. This is the signal
+// the elastic experiments scale on — it is exactly the work the mesh
+// absorbs for the control plane, so it rises with the attack and falls
+// when the attack stops or capacity is added.
 func OverlayRate(eng sim.Proc, app *scotch.App, pool Pool) LoadFunc {
 	var prevCount uint64
 	var prevAt sim.Time

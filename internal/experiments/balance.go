@@ -92,11 +92,17 @@ func newRunAdvisor(eng sim.Proc, o *obs.Observatory) {
 	balanceState.n++
 	cfg := balance.DefaultConfig()
 	cfg.Advise = true
-	b := balance.New(eng, cfg, o.Snapshot, balance.Actuators{}).Start()
+	b := balance.New(eng, cfg, viewSignals(o), balance.Actuators{}).Start()
 	balanceState.runs = append(balanceState.runs, NamedBalance{
 		Name: fmt.Sprintf("run%d", balanceState.n),
 		B:    b,
 	})
+}
+
+// viewSignals is the input of a balancer fed by an observatory: one
+// ClusterView snapshot per tick, digested by balance.ExtractSignals.
+func viewSignals(o *obs.Observatory) func() balance.Signals {
+	return func() balance.Signals { return balance.ExtractSignals(o.Snapshot()) }
 }
 
 // WriteDecisions prints a balancer's decision log in a compact,
@@ -156,11 +162,10 @@ type elasticUnderMigrationResult struct {
 // and a ramping 0->1200 flows/s crowd hits pod 0, so two independent
 // pressures build: the pod-0 overlay saturates (pool must grow) and
 // replica 0 carries everything (a pod must migrate). The joint balancer
-// is the only controller of both: the coordinator's internal balance
-// loop is off (BalanceInterval 0) and no standalone autoscaler runs.
-// Replica capacity is infinite, so any client-flow loss would be
-// attributable to the growth/drain/migration machinery itself — the
-// experiment asserts there is none.
+// is the only controller of both: the rig starts no migrate-only
+// balancer of its own. Replica capacity is infinite, so any client-flow
+// loss would be attributable to the growth/drain/migration machinery
+// itself — the experiment asserts there is none.
 func elasticUnderMigrationPoint(seed int64) elasticUnderMigrationResult {
 	const dur = 18 * time.Second
 	scfg := scotch.DefaultConfig()
@@ -171,16 +176,15 @@ func elasticUnderMigrationPoint(seed int64) elasticUnderMigrationResult {
 	// flows/s — the surge is control-plane pressure on the pool, not on
 	// the physical install path.
 	scfg.InstallRate = 200
-	ccfg := cluster.DefaultConfig()
-	ccfg.BalanceInterval = 0 // the joint balancer owns migration
 	r := newClusterRig(clusterRigConfig{
-		seed:     seed,
-		pods:     2,
-		replicas: 2,
-		scfg:     scfg,
-		ccfg:     ccfg,
-		homes:    []int{0, 0},
-		standby:  3,
+		seed:        seed,
+		pods:        2,
+		replicas:    2,
+		scfg:        scfg,
+		ccfg:        cluster.DefaultConfig(),
+		homes:       []int{0, 0},
+		standby:     3,
+		ownBalancer: true,
 	})
 
 	// The balancer's only input is a ClusterView, so the experiment owns
@@ -193,7 +197,7 @@ func elasticUnderMigrationPoint(seed int64) elasticUnderMigrationResult {
 		standby = append(standby, sb.DPID)
 	}
 	pool := elastic.NewVSwitchPool(r.pods[0].app, standby)
-	o.WatchPool(pool, nil)
+	o.WatchPool(pool)
 	o.Series("elastic", "load", elastic.OverlayRate(r.eng, r.pods[0].app, pool))
 	o.Start()
 
@@ -202,7 +206,7 @@ func elasticUnderMigrationPoint(seed int64) elasticUnderMigrationResult {
 	bcfg.MaxPool = 5 // 2 permanent + 3 standbys
 	bcfg.PoolGrowLoad = 100
 	bcfg.MigrateMinLoad = 1300
-	b := balance.New(r.eng, bcfg, o.Snapshot, balance.Actuators{
+	b := balance.New(r.eng, bcfg, viewSignals(o), balance.Actuators{
 		Pool:     pool,
 		Migrator: r.co,
 	}).Start()
@@ -329,17 +333,16 @@ func replicaScaleOutPoint(seed int64) replicaScaleOutResult {
 		capacity = 450
 		queue    = 256
 	)
-	ccfg := cluster.DefaultConfig()
-	ccfg.BalanceInterval = 0 // the joint balancer owns migration
 	r := newClusterRig(clusterRigConfig{
-		seed:     seed,
-		pods:     6,
-		replicas: 2,
-		capacity: capacity,
-		queue:    queue,
-		scfg:     scotch.DefaultConfig(),
-		ccfg:     ccfg,
-		homes:    []int{0, 1, 0, 1, 0, 1},
+		seed:        seed,
+		pods:        6,
+		replicas:    2,
+		capacity:    capacity,
+		queue:       queue,
+		scfg:        scotch.DefaultConfig(),
+		ccfg:        cluster.DefaultConfig(),
+		homes:       []int{0, 1, 0, 1, 0, 1},
+		ownBalancer: true,
 	})
 
 	// Experiment-owned observatory: replica loads/liveness for the
@@ -362,7 +365,7 @@ func replicaScaleOutPoint(seed int64) replicaScaleOutResult {
 	bcfg.ReplicaIdleLoad = 80
 	bcfg.MinReplicas = 2
 	bcfg.MaxReplicas = replicaScaleOutMaxReplicas
-	b := balance.New(r.eng, bcfg, o.Snapshot, balance.Actuators{
+	b := balance.New(r.eng, bcfg, viewSignals(o), balance.Actuators{
 		Migrator: r.co,
 		Replicas: balance.ReplicaFuncs{
 			SpawnFn: func() error {

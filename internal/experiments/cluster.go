@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"scotch/internal/balance"
 	"scotch/internal/capture"
 	"scotch/internal/cluster"
 	"scotch/internal/controller"
@@ -70,6 +71,9 @@ type clusterRigConfig struct {
 	ccfg     cluster.Config
 	homes    []int // pod -> initial replica index; nil = round robin
 	standby  int   // standby vSwitches on pod 0 (elastic growth headroom)
+	// ownBalancer is set by experiments that wire their own joint
+	// balancer; the rig then starts no migrate-only one.
+	ownBalancer bool
 }
 
 func newClusterRig(cc clusterRigConfig) *clusterRig {
@@ -137,7 +141,19 @@ func newClusterRig(cc clusterRigConfig) *clusterRig {
 		r.co.AddPod(pod.name, pod.app, home, dpids...)
 	}
 	r.co.Start()
+	// Load-triggered migration: a migrate-only balancer whose ticker is
+	// registered right behind the coordinator's heartbeat, so same-instant
+	// events keep their order. The replica count is fixed, so no spawn or
+	// retire rung can fire.
+	var bal *balance.Balancer
+	if !cc.ownBalancer {
+		bcfg := balance.DefaultConfig()
+		bcfg.MinReplicas, bcfg.MaxReplicas = cc.replicas, cc.replicas
+		bal = balance.New(eng, bcfg, balance.ReplicaSignals(r.co),
+			balance.Actuators{Migrator: r.co}).Start()
+	}
 	if tr := newRunTracer(); tr != nil {
+		bal.SetTracer(tr)
 		r.co.Trace = tr
 		for _, rep := range r.replicas {
 			rep.C.SetTracer(tr)
@@ -232,10 +248,10 @@ type clusterMigrateResult struct {
 
 // clusterMigratePoint starts both pods on replica 0 with replica 1 as an
 // idle spare, runs steady multi-packet client flows on both, and surges
-// pod 0 with a crowd. The coordinator's balancer must hand pod 0 to the
-// spare mid-surge; client flows (4 packets each) must all survive the
-// handoff — packets in flight during the mastership change re-punt to the
-// new master and are re-admitted.
+// pod 0 with a crowd. The rig's migrate-only balancer must hand pod 0 to
+// the spare; client flows (4 packets each) must all survive the handoff
+// — packets in flight during the mastership change re-punt to the new
+// master and are re-admitted.
 func clusterMigratePoint(seed int64) clusterMigrateResult {
 	const dur = 8 * time.Second
 	ccfg := cluster.DefaultConfig()

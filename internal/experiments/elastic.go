@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"scotch/internal/balance"
 	"scotch/internal/elastic"
 	"scotch/internal/netaddr"
 	"scotch/internal/scotch"
@@ -19,15 +20,15 @@ func init() {
 	})
 }
 
-// elasticResult is one full autoscaler run: the pool-size trajectory
+// elasticResult is one full autoscaling run: the pool-size trajectory
 // sampled once per second plus the resize and loss accounting. The
 // experiment table and the Go acceptance test share it.
 type elasticResult struct {
 	sizes      []int // pool size at t = 1s, 2s, ...
 	peak       int
 	final      int
-	ups        uint64 // autoscaler grow decisions
-	downs      uint64 // autoscaler shrink decisions
+	ups        uint64 // applied pool grows
+	downs      uint64 // applied pool drains
 	added      uint64 // overlay members added live
 	drained    uint64 // overlay members drained to completion
 	clientFail float64
@@ -37,8 +38,8 @@ type elasticResult struct {
 // elasticPoint drives the paper's single-edge rig through one load
 // cycle: a flash-crowd attack ramps from nothing to 3000 spoofed
 // flows/s and back, while a steady 20 flows/s client shares the switch.
-// The autoscaler watches the overlay-routed rate per member and must
-// grow the one-primary mesh into the standby pool during the ramp, then
+// A pool-only balancer watches the overlay-routed rate per member and
+// must grow the one-primary mesh into the standby pool during the ramp, then
 // drain back down to the floor after the attack subsides. A second
 // client ("drain probe") runs only inside the drain window: any loss
 // there would be attributable to the scale-down path.
@@ -56,10 +57,11 @@ func elasticPoint(seed int64) elasticResult {
 		standby = append(standby, sb.DPID)
 	}
 	pool := elastic.NewVSwitchPool(r.app, standby)
-	as := elastic.New(r.eng, elastic.DefaultConfig(), pool,
-		elastic.OverlayRate(r.eng, r.app, pool))
-	as.SetTracer(r.c.Tracer())
-	as.Start()
+	b := balance.New(r.eng, balance.DefaultConfig(),
+		balance.PoolSignals(pool, elastic.OverlayRate(r.eng, r.app, pool)),
+		balance.Actuators{Pool: pool})
+	b.SetTracer(r.c.Tracer())
+	b.Start()
 
 	atkEm := r.emitter(r.clients[0])
 	var n uint64
@@ -97,7 +99,7 @@ func elasticPoint(seed int64) elasticResult {
 	// Let in-flight flows land and the last drains finish before the
 	// final size sample.
 	r.eng.RunUntil(dur + 2*time.Second)
-	as.Stop()
+	b.Stop()
 
 	for _, s := range res.sizes {
 		if s > res.peak {
@@ -105,8 +107,8 @@ func elasticPoint(seed int64) elasticResult {
 		}
 	}
 	res.final = pool.Size()
-	res.ups = as.Stats.Ups
-	res.downs = as.Stats.Downs
+	res.ups = b.Stats.Grows
+	res.downs = b.Stats.Drains
 	res.added = r.app.Stats.VSwitchesAdded
 	res.drained = r.app.Stats.VSwitchesDrained
 	res.clientFail = r.cap.FailureFraction("client")

@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"scotch/internal/balance"
 	"scotch/internal/capture"
 	"scotch/internal/elastic"
 	"scotch/internal/metrics"
@@ -68,16 +69,17 @@ func latencyTable(w io.Writer, rows []latRow) {
 // multitenantResult is one scenario-multitenant run pair; the experiment
 // table and the acceptance test share it.
 type multitenantResult struct {
-	quiet    []latRow // base + crowd, overlay + autoscaler active
+	quiet    []latRow // base + crowd, overlay + pool balancer active
 	attacked []latRow // the same mix plus the DDoS tenant
-	peakPool int      // autoscaler peak during the attacked run
+	peakPool int      // pool peak during the attacked run
 	// p99Ratio is the baseline tenant's attacked p99 over its quiet p99 —
 	// the paper's isolation claim bounds this below 2.
 	p99Ratio float64
 }
 
 // multitenantRun composes the three-tenant mix on the single-edge rig with
-// the elastic autoscaler active and returns the per-tenant latency rows.
+// a pool-only balancer resizing the overlay and returns the per-tenant
+// latency rows.
 func multitenantRun(seed int64, withDDoS bool) ([]latRow, int) {
 	const dur = 12 * time.Second
 	cfg := scotch.DefaultConfig()
@@ -90,9 +92,9 @@ func multitenantRun(seed int64, withDDoS bool) ([]latRow, int) {
 		standby = append(standby, sb.DPID)
 	}
 	pool := elastic.NewVSwitchPool(r.app, standby)
-	as := elastic.New(r.eng, elastic.DefaultConfig(), pool,
-		elastic.OverlayRate(r.eng, r.app, pool))
-	as.Start()
+	b := balance.New(r.eng, balance.DefaultConfig(),
+		balance.PoolSignals(pool, elastic.OverlayRate(r.eng, r.app, pool)),
+		balance.Actuators{Pool: pool}).Start()
 
 	lat := workload.NewLatencyTracker(nil)
 	lat.AttachCapture(r.cap)
@@ -133,7 +135,7 @@ func multitenantRun(seed int64, withDDoS bool) ([]latRow, int) {
 	r.eng.RunUntil(dur)
 	sc.Stop()
 	r.eng.RunUntil(dur + 2*time.Second)
-	as.Stop()
+	b.Stop()
 	return latencyRows(lat), peak
 }
 

@@ -6,7 +6,7 @@
 // backlogs (internal/scotch), per-vSwitch queue depth and rule counts
 // (internal/device), per-replica Packet-In/FlowMod rates
 // (internal/cluster), devolve hit/escalation totals (internal/devolve),
-// autoscaler pool size (internal/elastic), and per-tenant flow-setup
+// vSwitch pool size (internal/elastic), and per-tenant flow-setup
 // latency distributions (internal/workload) — into fixed-size ring-buffer
 // time series keyed to the simulation clock, and evaluates declarative
 // latency SLOs with multi-window error-budget burn rates.
@@ -241,21 +241,15 @@ func (o *Observatory) WatchCoordinator(co *cluster.Coordinator) {
 	o.Series("cluster", "failovers_total", func() float64 { return float64(co.Stats.Failovers) })
 }
 
-// WatchPool registers the elastic pool size and, when an autoscaler is
-// given, its last observed load signal and resize decision counts.
-// Nil-safe (pool may be nil, as may the autoscaler).
-func (o *Observatory) WatchPool(pool elastic.Pool, as *elastic.Autoscaler) {
-	if o == nil {
+// WatchPool registers the elastic pool size as series "pool_size" of
+// component "elastic"; a rig that balances on the view adds the pool's
+// load signal as series "load" of the same component. Nil-safe on both
+// sides.
+func (o *Observatory) WatchPool(pool elastic.Pool) {
+	if o == nil || pool == nil {
 		return
 	}
-	if pool != nil {
-		o.Series("elastic", "pool_size", func() float64 { return float64(pool.Size()) })
-	}
-	if as != nil {
-		o.Series("elastic", "load", func() float64 { return as.LastLoad() })
-		o.Series("elastic", "grows_total", func() float64 { return float64(as.Stats.Ups) })
-		o.Series("elastic", "shrinks_total", func() float64 { return float64(as.Stats.Downs) })
-	}
+	o.Series("elastic", "pool_size", func() float64 { return float64(pool.Size()) })
 }
 
 // WatchDevolve registers devolution cache totals: local hits and

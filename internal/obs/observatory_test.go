@@ -132,7 +132,7 @@ func TestNilObservatorySafe(t *testing.T) {
 	o.WatchController("c", nil)
 	o.WatchSwitch(nil)
 	o.WatchCoordinator(nil)
-	o.WatchPool(nil, nil)
+	o.WatchPool(nil)
 	o.WatchDevolve(nil)
 	o.WatchLatency(nil)
 	o.Start()
