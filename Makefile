@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: all build test short race vet doclint linkcheck golden bench bench-report bench-short bench-shards trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
+.PHONY: all build test short race vet doclint linkcheck golden bench-smoke bench-compare trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-# Tier-1 gate: the full test suite (includes determinism properties over the
-# fast experiments; set SCOTCH_DETERMINISM_ALL=1 to cover every experiment).
+# Tier-1 gate: the full test suite (TestGolden checks the fast experiments
+# against the golden file; set SCOTCH_DETERMINISM_ALL=1 to check every one).
 test:
 	$(GO) test ./...
 
@@ -56,27 +56,15 @@ chaos:
 trace-chaos:
 	$(GO) run ./cmd/scotchsim run chaos-partition chaos-churn elastic -trace trace_chaos.json
 
-# Micro + macro benchmarks with allocation counts.
-bench:
-	$(GO) test -run xxx -bench 'ScheduleFire|LookupHit|LookupMiss' -benchmem ./internal/sim/ ./internal/flowtable/
-	$(GO) test -run xxx -bench 'Suite' -benchmem .
+# Test-sized run of the benchmark (benchmark/README.md): all four
+# workloads, 2 simulated s and 0.5 s live, written as a result file.
+bench-smoke:
+	$(GO) run ./benchmark -smoke -out bench_smoke.json
 
-# Regenerate BENCH_scotch.json: the full suite serial vs parallel.
-bench-report:
-	$(GO) run ./cmd/scotchsim bench -out BENCH_scotch.json
-
-# CI-sized bench report: the fastest experiments only, same JSON schema.
-bench-short:
-	$(GO) run ./cmd/scotchsim bench -out BENCH_scotch.json fig14 fig4 table1 cluster-scale devolve-ablation devolve-invalidate
-
-# Partitioned event core: benchmark the shardable experiments on the
-# sharded engine (2 workers) and pin byte-identical serial-vs-sharded
-# output, including under the race detector (reduced matrix there; set
-# SCOTCH_DETERMINISM_ALL=1 on the test for the full six-experiment one).
-bench-shards:
-	$(GO) run ./cmd/scotchsim -shards 2 bench -out BENCH_shards.json fig13 ablation-elephant-threshold ablation-withdrawal
-	$(GO) test -run TestShardedByteIdentical ./internal/experiments/
-	$(GO) test -race -run TestShardedByteIdentical ./internal/experiments/
+# Regression gate between two benchmark result files, e.g.
+#   make bench-compare OLD=old.json NEW=bench_smoke.json
+bench-compare:
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
 # Sample control-path trace (Chrome trace-event JSON, loadable in
 # chrome://tracing / Perfetto).
@@ -124,4 +112,4 @@ cover:
 
 clean:
 	$(GO) clean ./...
-	rm -f coverage.out golden.out trace_fig14.json trace_chaos.json scenario_multitenant.txt devolve_ablation.txt obs_slo.txt health_obs_slo.json balance.txt health_balance.json
+	rm -f coverage.out golden.out bench_smoke.json trace_fig14.json trace_chaos.json scenario_multitenant.txt devolve_ablation.txt obs_slo.txt health_obs_slo.json balance.txt health_balance.json

@@ -12,7 +12,6 @@
 //	             -statusz-addr :9090         live /statusz + /metrics while running
 //	             -balance                    advisory joint balancer per rig (decision log)
 //	scotchsim [-parallel N] all              run every experiment
-//	scotchsim [-parallel N] bench [-out F]   measure the suite, write BENCH_scotch.json
 //
 // Experiments execute on a worker pool of -parallel workers (default:
 // runtime.NumCPU()). Each experiment owns a private deterministic engine,
@@ -21,14 +20,6 @@
 // (-trace / -stages) and health observation (-health and friends) force
 // serial execution so collected traces and digests line up with output
 // order; the experiments' own tables are byte-unchanged either way.
-//
-// -shards N additionally parallelizes INSIDE a run: experiments marked
-// shardable build their topology on a partitioned event engine — one lane
-// per vSwitch — executed by N workers under a conservative lookahead
-// protocol. Output stays byte-identical to the serial engine at any shard
-// count; experiments that mutate the topology mid-run (elastic, chaos),
-// enable devolution, or run with tracing/observation armed fall back to
-// the serial engine automatically.
 package main
 
 import (
@@ -41,7 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"scotch/internal/bench"
 	"scotch/internal/experiments"
 	"scotch/internal/obs"
 	"scotch/internal/telemetry"
@@ -49,14 +39,12 @@ import (
 
 func main() {
 	parallel := flag.Int("parallel", runtime.NumCPU(), "number of experiments to run concurrently")
-	shards := flag.Int("shards", 0, "worker goroutines per shardable experiment's partitioned engine (0 = serial engine)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
 	}
-	experiments.SetShards(*shards)
 	switch flag.Arg(0) {
 	case "list":
 		for _, e := range experiments.All() {
@@ -70,8 +58,6 @@ func main() {
 		runIDs(ids, *parallel)
 	case "run":
 		runCmd(flag.Args()[1:], *parallel)
-	case "bench":
-		benchCmd(flag.Args()[1:], *parallel)
 	default:
 		usage()
 		os.Exit(2)
@@ -262,41 +248,9 @@ func runIDs(ids []string, parallel int) {
 	}
 }
 
-func benchCmd(args []string, parallel int) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	out := fs.String("out", "BENCH_scotch.json", "report output path")
-	fs.Parse(args)
-
-	ids := fs.Args()
-	fmt.Fprintf(os.Stderr, "benchmarking %s serially, then with %d workers...\n",
-		describe(ids), parallel)
-	report, err := bench.Collect(context.Background(), ids, parallel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	if err := report.WriteFile(*out); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("serial %v, parallel %v on %d workers (%d cores): %.2fx speedup, outputs identical: %v\n",
-		time.Duration(report.SerialWallNs).Round(time.Millisecond),
-		time.Duration(report.ParallelWallNs).Round(time.Millisecond),
-		report.Parallelism, report.Cores, report.Speedup, report.OutputIdentical)
-	fmt.Printf("wrote %s\n", *out)
-}
-
-func describe(ids []string) string {
-	if len(ids) == 0 {
-		return "the full suite"
-	}
-	return fmt.Sprintf("%d experiments", len(ids))
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, strings.TrimSpace(`
-usage: scotchsim [-parallel N] [-shards N] list | all
+usage: scotchsim [-parallel N] list | all
        scotchsim run [-trace file] [-stages] [-health] [-health-json file] [-profile-dir dir] [-statusz-addr addr] [-balance] <id>...
-       scotchsim bench [-out file] [id...]
 `))
 }

@@ -39,7 +39,7 @@ func runAblationFanout(w io.Writer) error {
 		cfg := scotch.DefaultConfig()
 		cfg.FanOut = fan
 		cfg.OverlayInstallRate = 1e6
-		r := newRig(rigConfig{seed: 21, cfg: cfg, nClients: 2, nServers: 4, nPrimary: 4, shardable: true})
+		r := newRig(rigConfig{seed: 21, cfg: cfg, nClients: 2, nServers: 4, nPrimary: 4})
 		var gens []*workload.DDoS
 		for i, cl := range r.clients {
 			for j := 0; j < 2; j++ {
@@ -79,7 +79,7 @@ func runAblationElephant(w io.Writer) error {
 	for _, kb := range []int{5, 20, 100, 1 << 20} {
 		cfg := scotch.DefaultConfig()
 		cfg.ElephantBytes = uint64(kb) << 10
-		r := newRig(rigConfig{seed: 22, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, shardable: true})
+		r := newRig(rigConfig{seed: 22, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2000)
 		em := r.emitter(r.clients[1])
 		r.eng.Schedule(time.Second, func() {
@@ -114,7 +114,7 @@ func runAblationScheduler(w io.Writer) error {
 	for _, rate := range []float64{100, 500, 1000, 1500, 2500} {
 		cfg := scotch.DefaultConfig()
 		cfg.InstallRate = rate
-		r := newRig(rigConfig{seed: 23, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, shardable: true})
+		r := newRig(rigConfig{seed: 23, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
 		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
 		r.eng.RunUntil(dur)

@@ -6,13 +6,14 @@ import (
 	"errors"
 	"io"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-// fastIDs are the experiments cheap enough to run repeatedly in the normal
-// test cycle (each well under ~5s). Set SCOTCH_DETERMINISM_ALL=1 to run the
-// properties over every registered experiment (several minutes).
+// fastIDs are the experiments cheap enough to run in the normal test cycle
+// (each well under ~5s). Set SCOTCH_DETERMINISM_ALL=1 to check every
+// registered experiment against the golden file (a few minutes).
 var fastIDs = []string{"table1", "fig4", "fig8", "fig9", "fig14", "elastic",
 	"scenario-multitenant", "scenario-fattree", "scenario-replay",
 	"devolve-ablation", "devolve-invalidate", "obs-slo",
@@ -29,20 +30,35 @@ func determinismIDs(t *testing.T) []string {
 	}
 	if testing.Short() || raceEnabled {
 		// The race detector slows these sim-heavy runs 10-20x; two
-		// experiments still exercise the serial-vs-parallel machinery.
+		// experiments still exercise the parallel runner.
 		return fastIDs[:2]
 	}
 	return fastIDs
 }
 
-// TestSameSeedByteIdentical runs each experiment twice and requires
-// byte-identical output: every experiment builds its world on a freshly
-// seeded sim.Engine, so a repeat run must reproduce the exact same bytes.
-// Any divergence means nondeterminism leaked into a model (map iteration,
-// wall-clock reads, shared state across runs).
+// rerunIDs are the fastIDs members that finish in well under 200ms, so
+// the two tests below can repeat them for about a second in total;
+// TestGolden checks every fastIDs member against the golden file. Under
+// -short, the race detector or SCOTCH_DETERMINISM_ALL=1 they cover
+// determinismIDs instead.
+var rerunIDs = []string{"table1", "fig4", "fig14", "scenario-replay",
+	"devolve-invalidate", "replica-scale-out"}
+
+func repeatIDs(t *testing.T) []string {
+	t.Helper()
+	if os.Getenv("SCOTCH_DETERMINISM_ALL") != "" || testing.Short() || raceEnabled {
+		return determinismIDs(t)
+	}
+	return rerunIDs
+}
+
+// TestSameSeedByteIdentical runs each experiment twice in one process and
+// requires byte-identical output: every experiment builds its world on a
+// freshly seeded sim.Engine, so a repeat run must reproduce the exact same
+// bytes. Any divergence means nondeterminism leaked into a model (map
+// iteration, wall-clock reads, shared state across runs).
 func TestSameSeedByteIdentical(t *testing.T) {
-	for _, id := range determinismIDs(t) {
-		id := id
+	for _, id := range repeatIDs(t) {
 		t.Run(id, func(t *testing.T) {
 			e, ok := ByID(id)
 			if !ok {
@@ -67,7 +83,7 @@ func TestSameSeedByteIdentical(t *testing.T) {
 // output to be byte-identical to a serial run of the same ids, for several
 // parallelism degrees. Goroutine interleaving must not be observable.
 func TestSerialParallelIdentical(t *testing.T) {
-	ids := determinismIDs(t)
+	ids := repeatIDs(t)
 	serial, err := RunAll(context.Background(), ids, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +115,116 @@ func TestSerialParallelIdentical(t *testing.T) {
 				t.Errorf("parallelism %d: %s reported non-positive wall time", par, r.ID)
 			}
 		}
+	}
+}
+
+// goldenPath is the file holding every experiment's output as
+// `scotchsim all` prints it, minus the wall-time lines; goldenRegen (run
+// from the repo root) rewrites it, as the Makefile's golden target
+// documents.
+const (
+	goldenPath  = "testdata/all.golden"
+	goldenRegen = `go run ./cmd/scotchsim -parallel 2 all | grep -v ' wall time)$' > internal/experiments/testdata/all.golden`
+)
+
+// goldenBanner matches the "== id: title ==" line that opens each section.
+var goldenBanner = regexp.MustCompile(`(?m)^== ([^:]+): .* ==$`)
+
+// goldenSections splits the golden file into each experiment's section:
+// its Output followed by the one blank line that ended its wall-time line.
+func goldenSections(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(b)
+	banners := goldenBanner.FindAllStringSubmatchIndex(text, -1)
+	sections := make(map[string]string, len(banners))
+	for i, m := range banners {
+		end := len(text)
+		if i+1 < len(banners) {
+			end = banners[i+1][0]
+		}
+		sections[text[m[2]:m[3]]] = text[m[0]:end]
+	}
+	return sections
+}
+
+// lineDiff renders a unified-style diff of want against got: lines kept
+// by a longest common subsequence are prefixed ' ', lines only in want
+// '-' and lines only in got '+'.
+func lineDiff(want, got string) string {
+	a := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
+	b := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
+	// lcs[i][j] is the common-subsequence length of a[i:] and b[j:].
+	lcs := make([][]int, len(a)+1)
+	for i := range lcs {
+		lcs[i] = make([]int, len(b)+1)
+	}
+	for i := len(a) - 1; i >= 0; i-- {
+		for j := len(b) - 1; j >= 0; j-- {
+			if a[i] == b[j] {
+				lcs[i][j] = lcs[i+1][j+1] + 1
+			} else {
+				lcs[i][j] = max(lcs[i+1][j], lcs[i][j+1])
+			}
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString("--- " + goldenPath + "\n+++ this run\n")
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		switch {
+		case i < len(a) && j < len(b) && a[i] == b[j]:
+			sb.WriteString(" " + a[i] + "\n")
+			i, j = i+1, j+1
+		case i < len(a) && (j == len(b) || lcs[i+1][j] >= lcs[i][j+1]):
+			sb.WriteString("-" + a[i] + "\n")
+			i++
+		default:
+			sb.WriteString("+" + b[j] + "\n")
+			j++
+		}
+	}
+	return sb.String()
+}
+
+// TestGolden runs the determinism set once through the parallel runner
+// and compares each experiment's output with its section of the golden
+// file. Every experiment builds its world on a freshly seeded sim.Engine
+// and the file was recorded by an earlier process, so a match pins both
+// that a seed reproduces its bytes and that worker interleaving is not
+// observable. A mismatch means a model changed behaviour or
+// nondeterminism leaked in (map iteration, wall-clock reads, state shared
+// across runs).
+func TestGolden(t *testing.T) {
+	ids := determinismIDs(t)
+	results, err := RunAll(context.Background(), ids, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.ID != ids[i] {
+			t.Errorf("result %d is %q, want %q", i, r.ID, ids[i])
+		}
+		if r.Wall <= 0 {
+			t.Errorf("%s reported non-positive wall time", r.ID)
+		}
+	}
+	sections := goldenSections(t)
+	for i, id := range ids {
+		got := string(results[i].Output) + "\n"
+		t.Run(id, func(t *testing.T) {
+			want, ok := sections[id]
+			if !ok {
+				t.Fatalf("%s has no section in %s; regenerate it from the repo root with\n  %s",
+					id, goldenPath, goldenRegen)
+			}
+			if got != want {
+				t.Errorf("%s differs from %s:\n%s\nIf the shift is intended, document it in EXPERIMENTS.md and regenerate the file from the repo root with\n  %s",
+					id, goldenPath, lineDiff(want, got), goldenRegen)
+			}
+		})
 	}
 }
 

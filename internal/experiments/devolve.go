@@ -14,7 +14,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "devolve-ablation",
-		Title: "Control devolution ablation: devolved vs centralized under the multi-tenant DDoS mix (ROADMAP item 4)",
+		Title: "Control devolution ablation: devolved vs centralized under the multi-tenant DDoS mix",
 		Run:   runDevolveAblation,
 	})
 	register(Experiment{

@@ -15,7 +15,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "elastic",
-		Title: "Elastic vSwitch pool: autoscaler grows the mesh under a ramping attack and drains it back (§3)",
+		Title: "Elastic vSwitch pool: a pool-only balancer grows the mesh under a ramping attack and drains it back (§3)",
 		Run:   runElastic,
 	})
 }

@@ -18,8 +18,7 @@ import (
 // a vSwitch pool, with any number of client-side hosts (each on its own
 // ingress port) and servers (spread across delivery vSwitches).
 type rig struct {
-	eng     sim.System
-	sh      *sim.Sharded // non-nil when the rig runs partitioned
+	eng     *sim.Engine
 	net     *topo.Network
 	edge    *device.Switch
 	clients []*device.Host
@@ -40,42 +39,16 @@ type rigConfig struct {
 	nBackup  int
 	// nStandby provisions extra vSwitches that are linked and connected
 	// to the controller but left out of the mesh: spare capacity for the
-	// elastic autoscaler to grow into.
+	// pool-only balancer to grow into.
 	nStandby  int
 	noOverlay bool // run the plain reactive baseline instead of Scotch
-	// shardable marks rigs whose run never mutates the topology and whose
-	// driver only touches lane-0 state mid-run: with -shards armed, each
-	// vSwitch gets its own partition lane of a sim.Sharded engine.
-	// Experiments that add/drain mesh members, enable devolution, or
-	// sample vSwitch state mid-run must leave this false.
-	shardable bool
 }
 
-// vsLinkDelay is the edge-to-vSwitch link propagation delay. It is the
-// minimum latency of any cross-partition interaction (mesh and delivery
-// tunnels aggregate at least one such hop; the control channel's
-// CtrlDelay is 10x larger), so it is the sharded engine's lookahead.
-const vsLinkDelay = 20 * time.Microsecond
-
 func newRig(rc rigConfig) *rig {
-	var (
-		eng sim.System
-		sh  *sim.Sharded
-	)
-	nVS := rc.nPrimary + rc.nBackup + rc.nStandby
-	if w := Shards(); w > 0 && rc.shardable && nVS > 0 &&
-		!observatoryArmed() && !tracingArmed() {
-		// One lane per vSwitch plus lane 0 for everything the driver and
-		// controller touch: edge switch, hosts, capture, workload. Lane 0
-		// holds the raw seed, so output matches the serial engine.
-		sh = sim.NewSharded(rc.seed, 1+nVS, vsLinkDelay, w)
-		eng = sh.System()
-	} else {
-		eng = sim.New(rc.seed)
-	}
+	eng := sim.New(rc.seed)
 	net := topo.New(eng)
 	edge := net.AddSwitch("edge", device.Pica8Profile())
-	r := &rig{eng: eng, sh: sh, net: net, edge: edge}
+	r := &rig{eng: eng, net: net, edge: edge}
 	link := device.LinkConfig{Delay: 50 * time.Microsecond, RateBps: 1e9}
 
 	var clientPorts []uint32
@@ -89,25 +62,16 @@ func newRig(rc rigConfig) *rig {
 		net.AttachHost(h, edge, link)
 		r.servers = append(r.servers, h)
 	}
-	vsLink := device.LinkConfig{Delay: vsLinkDelay, RateBps: 1e9}
+	vsLink := device.LinkConfig{Delay: 20 * time.Microsecond, RateBps: 1e9}
 	for i := 0; i < rc.nPrimary+rc.nBackup; i++ {
-		if sh != nil {
-			net.UseProc(sh.Lane(1 + i))
-		}
 		vs := net.AddSwitch(fmt.Sprintf("vs%d", i), device.OVSProfile())
 		net.LinkSwitches(edge, vs, vsLink)
 		r.vs = append(r.vs, vs)
 	}
 	for i := 0; i < rc.nStandby; i++ {
-		if sh != nil {
-			net.UseProc(sh.Lane(1 + rc.nPrimary + rc.nBackup + i))
-		}
 		sb := net.AddSwitch(fmt.Sprintf("sb%d", i), device.OVSProfile())
 		net.LinkSwitches(edge, sb, vsLink)
 		r.standby = append(r.standby, sb)
-	}
-	if sh != nil {
-		net.UseProc(nil)
 	}
 
 	r.c = controller.New(eng, net)

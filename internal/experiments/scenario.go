@@ -162,7 +162,7 @@ func multitenantPoint(seed int64) multitenantResult {
 
 func runScenarioMultitenant(w io.Writer) error {
 	res := multitenantPoint(61)
-	fmt.Fprintln(w, "quiet run (base + crowd, overlay + autoscaler):")
+	fmt.Fprintln(w, "quiet run (base + crowd, overlay + balancer):")
 	latencyTable(w, res.quiet)
 	fmt.Fprintln(w, "attacked run (base + crowd + ddos):")
 	latencyTable(w, res.attacked)

@@ -41,7 +41,7 @@ func runFig11(w io.Writer) error {
 	const dur = 15 * time.Second
 	for _, ar := range rates {
 		run := func(noOverlay bool) (float64, float64) {
-			r := newRig(rigConfig{seed: 11, cfg: scotch.DefaultConfig(), shardable: true,
+			r := newRig(rigConfig{seed: 11, cfg: scotch.DefaultConfig(),
 				nClients: 2, nServers: 1, nPrimary: 2, noOverlay: noOverlay})
 			atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, ar)
 			cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
@@ -72,7 +72,7 @@ func runFig12(w io.Writer) error {
 		// per-switch pacing.
 		cfg.OverlayInstallRate = 1e6
 		cfg.FanOut = n
-		r := newRig(rigConfig{seed: 12, cfg: cfg, nClients: 2, nServers: 8, nPrimary: n, shardable: true})
+		r := newRig(rigConfig{seed: 12, cfg: cfg, nClients: 2, nServers: 8, nPrimary: n})
 		// Two attackers spread over the servers to exercise every
 		// delivery vSwitch.
 		var gens []*workload.DDoS
@@ -108,7 +108,7 @@ func runFig13(w io.Writer) error {
 		if !enabled {
 			cfg.ElephantBytes = 1 << 40
 		}
-		r := newRig(rigConfig{seed: 13, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, shardable: true})
+		r := newRig(rigConfig{seed: 13, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
 		// Attack keeps the control path saturated so new flows take the
 		// overlay.
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2000)
@@ -180,7 +180,7 @@ func runFig14(w io.Writer) error {
 			cfg.ActivateRate = 0.1
 			cfg.DeactivateRate = 0
 		}
-		r := newRig(rigConfig{seed: 14, cfg: cfg, nClients: 1, nServers: 1, nPrimary: 2, shardable: true})
+		r := newRig(rigConfig{seed: 14, cfg: cfg, nClients: 1, nServers: 1, nPrimary: 2})
 		em := r.emitter(r.clients[0])
 		// A warm-up flow triggers overlay activation when forced.
 		if forceOverlay {
