@@ -71,8 +71,9 @@ bench-compare:
 trace-sample:
 	$(GO) run ./cmd/scotchsim run fig14 -trace trace_fig14.json
 
-# Short fuzz pass over every native fuzz target (trace parsers and the
-# OpenFlow codec), a few seconds each; new findings land in the build cache,
+# Short fuzz pass over every native fuzz target (trace parsers, the
+# OpenFlow codec and the flow table against its linear reference), a few
+# seconds each; new findings land in the build cache,
 # reproducers in testdata/fuzz/.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzTraceCSV -fuzztime 5s ./internal/workload/
@@ -80,6 +81,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzMessageRoundTrip -fuzztime 5s ./internal/openflow/
 	$(GO) test -run xxx -fuzz FuzzMatchRoundTrip -fuzztime 5s ./internal/openflow/
 	$(GO) test -run xxx -fuzz FuzzMultipartReplyReuse -fuzztime 5s ./internal/openflow/
+	$(GO) test -run xxx -fuzz FuzzTableOps -fuzztime 5s ./internal/flowtable/
 
 # Per-tenant flow-setup latency CDF table from the multi-tenant scenario
 # (the CI artifact proving the DDoS-isolation bound).

@@ -35,7 +35,7 @@ func benchExperiment(b *testing.B, id string) {
 }
 
 // TestHotPathAllocBudget pins the allocation diet: each run sits ~15-20%
-// under its budget today (devolve-ablation ~485k, cluster-scale ~482k
+// under its budget today (devolve-ablation ~480k, cluster-scale ~481k
 // allocs/run, down from ~1.77M/~1.68M before the diet), so a failure
 // here means a hot path regained a per-packet or per-message allocation
 // — look for new closures over []byte, FlowMods built field-by-field

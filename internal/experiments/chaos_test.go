@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"context"
 	"testing"
 
 	"scotch/internal/fault"
@@ -23,38 +21,10 @@ func chaosTestIDs(t *testing.T) []string {
 
 // TestChaosDeterministic requires the chaos experiments to be as
 // reproducible as the fault-free ones: the fault plans are seeded and the
-// runner schedules events on the sim clock, so a repeat run — serial or
-// under the parallel runner — must produce byte-identical tables.
+// runner schedules events on the sim clock, so a run under the parallel
+// runner must reproduce the golden file byte for byte.
 func TestChaosDeterministic(t *testing.T) {
-	ids := chaosTestIDs(t)
-	serial, err := RunAll(context.Background(), ids, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range ids {
-		i, id := i, id
-		t.Run(id, func(t *testing.T) {
-			e, _ := ByID(id)
-			var again bytes.Buffer
-			if err := e.Run(&again); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Contains(serial[i].Output, again.Bytes()) {
-				t.Errorf("repeat run of %s diverged:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-					id, serial[i].Output, again.String())
-			}
-		})
-	}
-	parallel, err := RunAll(context.Background(), ids, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range ids {
-		if !bytes.Equal(serial[i].Output, parallel[i].Output) {
-			t.Errorf("parallel run of %s diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				id, serial[i].Output, parallel[i].Output)
-		}
-	}
+	checkGolden(t, chaosTestIDs(t), 4)
 }
 
 // TestChaosVSwitchBound is the experiment's acceptance bound: with a

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestClusterScaleImprovement is the headline acceptance criterion for the
 // cluster subsystem: at flash-crowd saturation, four replicas must sustain
@@ -74,53 +70,12 @@ func TestClusterFailoverDetection(t *testing.T) {
 	}
 }
 
-// TestClusterDeterminism runs each cluster experiment twice with the same
-// seed and requires byte-identical output, then checks that the parallel
-// runner produces the same bytes as the serial one.
+// TestClusterDeterminism runs the cluster experiments once under the
+// parallel runner and requires each one's section of the golden file byte
+// for byte.
 func TestClusterDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster runs")
 	}
-	ids := []string{"cluster-scale", "cluster-migrate", "cluster-failover"}
-	for _, id := range ids {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %s not registered", id)
-		}
-		var a, b bytes.Buffer
-		if err := e.Run(&a); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if err := e.Run(&b); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("%s: same-seed reruns differ:\n--- run 1 ---\n%s--- run 2 ---\n%s", id, a.String(), b.String())
-		}
-	}
-
-	serial := runAllOutputs(t, ids, 1)
-	parallel := runAllOutputs(t, ids, 2)
-	for _, id := range ids {
-		if serial[id] != parallel[id] {
-			t.Errorf("%s: serial vs parallel output differs:\n--- serial ---\n%s--- parallel ---\n%s",
-				id, serial[id], parallel[id])
-		}
-	}
-}
-
-func runAllOutputs(t *testing.T, ids []string, parallelism int) map[string]string {
-	t.Helper()
-	results, err := RunAll(context.Background(), ids, parallelism)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string]string, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.ID, r.Err)
-		}
-		out[r.ID] = string(r.Output)
-	}
-	return out
+	checkGolden(t, []string{"cluster-scale", "cluster-migrate", "cluster-failover"}, 3)
 }

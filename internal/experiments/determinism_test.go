@@ -198,8 +198,15 @@ func lineDiff(want, got string) string {
 // nondeterminism leaked in (map iteration, wall-clock reads, state shared
 // across runs).
 func TestGolden(t *testing.T) {
-	ids := determinismIDs(t)
-	results, err := RunAll(context.Background(), ids, 4)
+	checkGolden(t, determinismIDs(t), 4)
+}
+
+// checkGolden runs ids once through RunAll at the given parallelism and
+// compares each experiment's output with its section of the golden file,
+// in one subtest per id.
+func checkGolden(t *testing.T, ids []string, parallelism int) {
+	t.Helper()
+	results, err := RunAll(context.Background(), ids, parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}

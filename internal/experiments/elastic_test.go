@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestElasticGrowsAndDrains is the acceptance test for the elastic
 // control loop: under the ramping attack the autoscaler must grow the
@@ -40,37 +36,10 @@ func TestElasticGrowsAndDrains(t *testing.T) {
 	}
 }
 
-// TestElasticDeterministic locks the elastic experiment's byte output
-// across repeat runs and across the parallel runner: autoscaler
-// decisions ride the sim clock only.
+// TestElasticDeterministic locks the elastic experiment's byte output to
+// the golden file under the parallel runner, paired with another
+// experiment so the parallelism is real: balancer decisions ride the sim
+// clock only.
 func TestElasticDeterministic(t *testing.T) {
-	// Pair the elastic run with another experiment so parallelism is real.
-	ids := []string{"elastic", "fig4"}
-	serial, err := RunAll(context.Background(), ids, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := RunAll(context.Background(), ids, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunAll(context.Background(), ids, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b, c bytes.Buffer
-	for _, pair := range []struct {
-		buf *bytes.Buffer
-		res []RunResult
-	}{{&a, serial}, {&b, again}, {&c, parallel}} {
-		if err := WriteResults(pair.buf, pair.res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two serial elastic runs diverged")
-	}
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
-		t.Fatal("parallel elastic run diverged from serial")
-	}
+	checkGolden(t, []string{"elastic", "fig4"}, 2)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"scotch/internal/obs"
@@ -58,26 +57,12 @@ func TestObsSLOBurnAndRecover(t *testing.T) {
 	}
 }
 
-// TestObsSLOTableDeterministic runs the experiment's Run function twice
-// and requires byte-identical tables — the digest path itself (not just
-// the underlying simulation) must be deterministic.
+// TestObsSLOTableDeterministic runs the experiment once and requires its
+// section of the golden file byte for byte: the digest path itself (not
+// just the underlying simulation) must be deterministic.
 func TestObsSLOTableDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	e, ok := ByID("obs-slo")
-	if !ok {
-		t.Fatal("obs-slo not registered")
-	}
-	var a, b bytes.Buffer
-	if err := e.Run(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("obs-slo output diverged between runs:\n--- 1 ---\n%s\n--- 2 ---\n%s",
-			a.String(), b.String())
-	}
+	checkGolden(t, []string{"obs-slo"}, 1)
 }

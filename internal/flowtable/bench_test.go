@@ -1,7 +1,10 @@
 package flowtable
 
 import (
+	"reflect"
 	"testing"
+	"time"
+	"unsafe"
 
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
@@ -70,5 +73,110 @@ func TestLookupAllocFree(t *testing.T) {
 		if avg := testing.AllocsPerRun(500, func() { tbl.Lookup(p, 1) }); avg != 0 {
 			t.Errorf("Lookup(%s) allocates %.1f objects/op, want 0", name, avg)
 		}
+	}
+}
+
+// newKey is an exact flow key that benchTable never installs.
+func newKey(i int) netaddr.FlowKey {
+	return netaddr.FlowKey{Src: cliIP, Dst: srvIP, Proto: netaddr.ProtoUDP, SrcPort: uint16(i), DstPort: 53}
+}
+
+// TestTableMutationAllocs pins the mutation paths' allocations. Inserting
+// a rule and strictly deleting it again costs at most the one slice Delete
+// returns (a delete that rebuilds the exact index costs 8). An insert the
+// full table refuses and an Expire that removes nothing cost none.
+func TestTableMutationAllocs(t *testing.T) {
+	tbl := benchTable(14)
+	r := exactRule(100, newKey(1), 1)
+	if avg := testing.AllocsPerRun(500, func() {
+		tbl.Insert(r)
+		tbl.Delete(&r.Match, r.Priority, true)
+	}); avg > 1 {
+		t.Errorf("insert + strict delete on a %d-rule table allocates %.1f objects/op, want at most 1", tbl.Len(), avg)
+	}
+	tbl.Capacity = tbl.Len()
+	if avg := testing.AllocsPerRun(500, func() { tbl.Insert(r) }); avg != 0 {
+		t.Errorf("a refused insert allocates %.1f objects/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(500, func() { tbl.Expire(time.Hour) }); avg != 0 {
+		t.Errorf("an Expire that removes nothing allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestRuleSize pins the rule's footprint: moving Flags beside Priority
+// freed the 8 bytes the chain link takes.
+func TestRuleSize(t *testing.T) {
+	if got := unsafe.Sizeof(Rule{}); got != 152 {
+		t.Fatalf("unsafe.Sizeof(Rule{}) = %d, want 152", got)
+	}
+}
+
+// TestInsertCostFlat pins insertion cost against table size: 256 new
+// exact rules inserted into a 32 k-rule table may take at most 8x as long
+// as into a 1 k-rule one, and so may 256 inserts a full table refuses. A
+// duplicate scan over the whole table makes both ratios 30-50x.
+func TestInsertCostFlat(t *testing.T) {
+	rules := make([]*Rule, 256)
+	for i := range rules {
+		rules[i] = exactRule(100, newKey(i), 1)
+	}
+	// best times the 256 inserts five times, deleting them again after
+	// each pass, and keeps the fastest pass.
+	best := func(tbl *Table) time.Duration {
+		fastest := time.Duration(1 << 62)
+		for pass := 0; pass < 5; pass++ {
+			start := time.Now()
+			for _, r := range rules {
+				tbl.Insert(r)
+			}
+			fastest = min(fastest, time.Since(start))
+			for _, r := range rules {
+				tbl.Delete(&r.Match, r.Priority, true)
+			}
+		}
+		return fastest
+	}
+	small, large := benchTable(1<<10), benchTable(1<<15)
+	for _, what := range []string{"inserts", "refused inserts"} {
+		if what == "refused inserts" {
+			small.Capacity, large.Capacity = small.Len(), large.Len()
+		}
+		ratio := float64(best(large)) / float64(best(small))
+		if ratio > 8 {
+			t.Errorf("256 %s at 32 k rules take %.1fx as long as at 1 k, want at most 8x", what, ratio)
+		}
+		t.Logf("256 %s: %.1fx as long at 32 k rules as at 1 k", what, ratio)
+	}
+}
+
+// TestExactMapRightSized checks the map right-sizing rule from inside:
+// deleting keys only counts them until more than 2*len(exact)+64 have
+// gone since the last copy, and then exact is copied into a fresh map and
+// the count starts again.
+func TestExactMapRightSized(t *testing.T) {
+	tbl := &Table{}
+	for i := 0; i < 100; i++ {
+		r := exactRule(100, newKey(i), 1)
+		r.IdleTimeout = time.Second
+		tbl.Insert(r)
+	}
+	mapAt := func() unsafe.Pointer { return reflect.ValueOf(tbl.exact).UnsafePointer() }
+	grown := mapAt()
+	for i := 0; i < 10; i++ {
+		m := ExactMatch(newKey(i))
+		tbl.Delete(&m, 100, true)
+	}
+	if tbl.removed != 10 || mapAt() != grown {
+		t.Fatalf("after 10 of 100 keys deleted: removed = %d, map recopied = %v; want 10, false", tbl.removed, mapAt() != grown)
+	}
+	tbl.Expire(time.Second) // 100 deleted, 0 live: past 2*0+64
+	if tbl.removed != 0 || mapAt() == grown || len(tbl.exact) != 0 {
+		t.Fatalf("after every key expired: removed = %d, map recopied = %v, %d keys; want 0, true, 0",
+			tbl.removed, mapAt() != grown, len(tbl.exact))
+	}
+	r := exactRule(100, newKey(7), 1)
+	tbl.Insert(r)
+	if got := tbl.Lookup(packet.NewUDP(cliIP, srvIP, 7, 53, 0), 1); got != r {
+		t.Fatal("a rule inserted after the copy is not found")
 	}
 }

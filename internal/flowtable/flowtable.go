@@ -3,6 +3,7 @@ package flowtable
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -20,18 +21,19 @@ var ErrTableFull = errors.New("flowtable: table full")
 type Rule struct {
 	TableID      uint8
 	Priority     uint16
+	Flags        uint16
 	Match        openflow.Match
 	Instructions []openflow.Instruction
 	IdleTimeout  time.Duration // 0 = never expires
 	HardTimeout  time.Duration
 	Cookie       uint64
-	Flags        uint16
 
 	Packets, Bytes uint64
 	Installed      sim.Time
 	LastHit        sim.Time
 
-	seq uint64 // table insertion order, for FIFO tie-breaks within a priority
+	seq  uint64 // table insertion order, for FIFO tie-breaks within a priority
+	next *Rule  // next installed rule of the same exact flow key, in match order
 }
 
 // Expired reports whether the rule has timed out at virtual time now and,
@@ -139,21 +141,28 @@ func ExactMatch(k netaddr.FlowKey) openflow.Match {
 	return m
 }
 
-// Table is a single flow table: rules ordered by priority (descending),
-// FIFO within equal priority.
+// Table is a single flow table. Its rules are kept in match order:
+// priority descending, then insertion order (seq) within a priority.
 //
-// Reactive forwarding installs overwhelmingly exact 5-tuple rules, so the
-// table keeps a hash index from flow key to the winning exact rule beside
-// the ordered slice. Lookup consults the index and only scans the (few)
-// wildcard rules, turning the common case from O(rules) into O(wildcards).
+// Reactive forwarding installs overwhelmingly exact 5-tuple rules, so
+// beside the ordered slice every rule is indexed exactly once. An
+// exact-shaped rule (see exactKey) sits in its flow key's chain: the map
+// entry is the chain's head and Rule.next links the key's other exact
+// rules, all in match order. Any other rule sits in wild, also in match
+// order. A chain head is its key's winning exact rule, so Lookup hashes
+// the packet's flow key and scans only the (few) wildcard rules ahead of
+// that winner. Insert and Delete touch one chain (or wild) plus one
+// binary-searched position in rules: no mutation scans or rebuilds the
+// table. Expire still walks rules once per sweep, to find what timed out.
 type Table struct {
 	ID       uint8
 	Capacity int // maximum number of rules; 0 means unlimited
 	rules    []*Rule
 
-	seq   uint64                    // insertion counter for FIFO tie-breaks
-	exact map[netaddr.FlowKey]*Rule // winning exact 5-tuple rule per flow
-	wild  []*Rule                   // non-exact rules, same sort order as rules
+	seq     uint64                    // insertion counter for FIFO tie-breaks
+	exact   map[netaddr.FlowKey]*Rule // head of each flow key's exact-rule chain
+	wild    []*Rule                   // non-exact rules, in match order
+	removed int                       // keys deleted from exact since it was last copied
 }
 
 // Len returns the number of installed rules.
@@ -201,84 +210,147 @@ func exactKey(m *openflow.Match) (netaddr.FlowKey, bool) {
 	return k, true
 }
 
-// indexInsert places an already-ordered rule into the exact index or the
-// wildcard slice.
-func (t *Table) indexInsert(r *Rule) {
-	if key, ok := exactKey(&r.Match); ok {
-		if t.exact == nil {
-			t.exact = make(map[netaddr.FlowKey]*Rule)
-		}
-		// Two exact rules may share a key at different priorities (equal
-		// priority would have replaced); the index holds the winner.
-		if cur := t.exact[key]; cur == nil || r.Priority > cur.Priority {
-			t.exact[key] = r
-		}
-		return
-	}
-	i := sort.Search(len(t.wild), func(i int) bool {
-		return t.wild[i].Priority < r.Priority ||
-			(t.wild[i].Priority == r.Priority && t.wild[i].seq > r.seq)
-	})
-	t.wild = append(t.wild, nil)
-	copy(t.wild[i+1:], t.wild[i:])
-	t.wild[i] = r
+// before reports whether installed rule a precedes b in match order.
+func before(a, b *Rule) bool {
+	return a.Priority > b.Priority || (a.Priority == b.Priority && a.seq < b.seq)
 }
 
-// reindex rebuilds the exact/wildcard indexes from the rules slice; called
-// after bulk removals, which are rare relative to lookups.
-func (t *Table) reindex() {
-	t.exact = nil
-	t.wild = t.wild[:0]
-	for _, r := range t.rules {
-		t.indexInsert(r)
+// position returns r's index in s, a slice in match order, or the index
+// at which r belongs when it is not in s.
+func position(s []*Rule, r *Rule) int {
+	return sort.Search(len(s), func(i int) bool { return !before(s[i], r) })
+}
+
+// find returns the installed rule whose priority is priority and whose
+// match is Equal to m, or nil. Only a rule in m's chain can be Equal to an
+// exact-shaped m, and only a wild rule to any other m. Equal still decides
+// within them, since it also compares fields m does not select (in_port,
+// tunnel_id, the MPLS label).
+func (t *Table) find(m *openflow.Match, priority uint16) *Rule {
+	if key, ok := exactKey(m); ok {
+		for r := t.exact[key]; r != nil && r.Priority >= priority; r = r.next {
+			if r.Priority == priority && r.Match.Equal(m) {
+				return r
+			}
+		}
+		return nil
 	}
+	for _, r := range t.wild {
+		if r.Priority == priority && r.Match.Equal(m) {
+			return r
+		}
+	}
+	return nil
 }
 
 // Insert adds a rule. A rule with an identical match and priority replaces
-// the existing entry (OpenFlow add semantics) without consuming extra
-// capacity. Returns ErrTableFull when at capacity.
+// the existing entry in place (OpenFlow add semantics), keeping its
+// position, without consuming extra capacity. Returns ErrTableFull when at
+// capacity.
 func (t *Table) Insert(r *Rule) error {
 	r.TableID = t.ID
-	for i, old := range t.rules {
-		if old.Priority == r.Priority && old.Match.Equal(&r.Match) {
-			r.seq = old.seq
-			t.rules[i] = r
-			t.replaceIndexed(old, r)
-			return nil
+	if old := t.find(&r.Match, r.Priority); old != nil {
+		r.seq = old.seq
+		t.rules[position(t.rules, old)] = r
+		if key, ok := exactKey(&r.Match); ok {
+			// In this order, so re-inserting old itself keeps its link.
+			next := old.next
+			old.next = nil
+			r.next = next
+			t.relink(key, old, r)
+		} else {
+			t.wild[position(t.wild, old)] = r
 		}
+		return nil
 	}
 	if t.Capacity > 0 && len(t.rules) >= t.Capacity {
 		return ErrTableFull
 	}
 	t.seq++
 	r.seq = t.seq
-	// Insert after all rules with priority >= r.Priority to keep FIFO
-	// order within a priority level.
-	i := sort.Search(len(t.rules), func(i int) bool {
-		return t.rules[i].Priority < r.Priority
-	})
-	t.rules = append(t.rules, nil)
-	copy(t.rules[i+1:], t.rules[i:])
-	t.rules[i] = r
-	t.indexInsert(r)
+	t.rules = slices.Insert(t.rules, position(t.rules, r), r)
+	if key, ok := exactKey(&r.Match); ok {
+		t.link(key, r)
+	} else {
+		t.wild = slices.Insert(t.wild, position(t.wild, r), r)
+	}
 	return nil
 }
 
-// replaceIndexed swaps old for r (same match and priority) in whichever
-// index holds old.
-func (t *Table) replaceIndexed(old, r *Rule) {
-	if key, ok := exactKey(&r.Match); ok {
-		if t.exact[key] == old {
-			t.exact[key] = r
-		}
+// link threads a newly inserted exact rule into its key's chain. Its seq
+// is the table's newest, so it follows every rule of its priority or above.
+func (t *Table) link(key netaddr.FlowKey, r *Rule) {
+	if t.exact == nil {
+		t.exact = make(map[netaddr.FlowKey]*Rule)
+	}
+	head := t.exact[key]
+	if head == nil || r.Priority > head.Priority {
+		r.next = head
+		t.exact[key] = r
 		return
 	}
-	for i, w := range t.wild {
-		if w == old {
-			t.wild[i] = r
-			return
-		}
+	c := head
+	for c.next != nil && c.next.Priority >= r.Priority {
+		c = c.next
 	}
+	r.next, c.next = c.next, r
+}
+
+// relink makes whatever points at old in key's chain (the map entry when
+// old is the head, else its predecessor's next) point at to instead. A nil
+// to removes the key.
+func (t *Table) relink(key netaddr.FlowKey, old, to *Rule) {
+	if c := t.exact[key]; c != old {
+		for c.next != old {
+			c = c.next
+		}
+		c.next = to
+		return
+	}
+	if to != nil {
+		t.exact[key] = to
+		return
+	}
+	delete(t.exact, key)
+	t.removed++
+}
+
+// unlink takes an exact-shaped rule out of its chain and clears its next,
+// so a removed rule pins nothing. It reports false, doing nothing, for a
+// rule that is not exact-shaped (its index entry is in wild).
+func (t *Table) unlink(r *Rule) bool {
+	key, ok := exactKey(&r.Match)
+	if !ok {
+		return false
+	}
+	t.relink(key, r, r.next)
+	r.next = nil
+	return true
+}
+
+// remove takes installed rule r out of rules and out of its index.
+func (t *Table) remove(r *Rule) {
+	i := position(t.rules, r)
+	t.rules = slices.Delete(t.rules, i, i+1)
+	if !t.unlink(r) {
+		i = position(t.wild, r)
+		t.wild = slices.Delete(t.wild, i, i+1)
+	}
+}
+
+// rightSize copies exact into a map sized for its live keys once more keys
+// have been deleted from it since the last copy than 2*len(exact)+64. A Go
+// map never gives back the capacity that churn has grown, and the keys of
+// a reactive table turn over for as long as it runs.
+func (t *Table) rightSize() {
+	if t.removed <= 2*len(t.exact)+64 {
+		return
+	}
+	m := make(map[netaddr.FlowKey]*Rule, len(t.exact))
+	for k, r := range t.exact {
+		m[k] = r
+	}
+	t.exact, t.removed = m, 0
 }
 
 // exactEligible reports whether the packet can hit the exact index: a plain
@@ -328,41 +400,35 @@ func (t *Table) Lookup(p *packet.Packet, inPort uint32) *Rule {
 
 // Delete removes rules. With strict set, only the rule with exactly the
 // given match and priority is removed; otherwise every rule whose match
-// equals m is removed regardless of priority. Removed rules are returned
-// so the switch can emit flow-removed notifications.
+// equals m is removed regardless of priority. OpenFlow 1.3's non-strict
+// delete also removes rules more specific than m; taking only the equal
+// ones is a deliberate simplification (no caller sends a non-strict
+// delete; DESIGN.md §7). Removed rules are returned in match order so the
+// switch can emit flow-removed notifications.
 func (t *Table) Delete(m *openflow.Match, priority uint16, strict bool) []*Rule {
 	var removed []*Rule
-	keep := t.rules[:0]
-	for _, r := range t.rules {
-		del := r.Match.Equal(m) && (!strict || r.Priority == priority)
-		if del {
-			removed = append(removed, r)
-		} else {
-			keep = append(keep, r)
+	switch key, exact := exactKey(m); {
+	case strict:
+		if r := t.find(m, priority); r != nil {
+			removed = []*Rule{r}
+		}
+	case exact:
+		for r := t.exact[key]; r != nil; r = r.next {
+			if r.Match.Equal(m) {
+				removed = append(removed, r)
+			}
+		}
+	default:
+		for _, r := range t.wild {
+			if r.Match.Equal(m) {
+				removed = append(removed, r)
+			}
 		}
 	}
-	t.rules = keep
-	if len(removed) > 0 {
-		t.reindex()
+	for _, r := range removed {
+		t.remove(r)
 	}
-	return removed
-}
-
-// DeleteWhere removes every rule for which fn returns true.
-func (t *Table) DeleteWhere(fn func(*Rule) bool) []*Rule {
-	var removed []*Rule
-	keep := t.rules[:0]
-	for _, r := range t.rules {
-		if fn(r) {
-			removed = append(removed, r)
-		} else {
-			keep = append(keep, r)
-		}
-	}
-	t.rules = keep
-	if len(removed) > 0 {
-		t.reindex()
-	}
+	t.rightSize()
 	return removed
 }
 
@@ -371,19 +437,28 @@ func (t *Table) DeleteWhere(fn func(*Rule) bool) []*Rule {
 func (t *Table) Expire(now sim.Time) ([]*Rule, []uint8) {
 	var rules []*Rule
 	var reasons []uint8
+	wild := false
 	keep := t.rules[:0]
 	for _, r := range t.rules {
 		if exp, reason := r.Expired(now); exp {
 			rules = append(rules, r)
 			reasons = append(reasons, reason)
+			if !t.unlink(r) {
+				wild = true
+			}
 		} else {
 			keep = append(keep, r)
 		}
 	}
+	clear(t.rules[len(keep):])
 	t.rules = keep
-	if len(rules) > 0 {
-		t.reindex()
+	if wild {
+		t.wild = slices.DeleteFunc(t.wild, func(r *Rule) bool {
+			exp, _ := r.Expired(now)
+			return exp
+		})
 	}
+	t.rightSize()
 	return rules, reasons
 }
 
