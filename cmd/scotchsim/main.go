@@ -16,10 +16,11 @@
 // Experiments execute on a worker pool of -parallel workers (default:
 // runtime.NumCPU()). Each experiment owns a private deterministic engine,
 // so the concatenated output is byte-identical to a serial run regardless
-// of parallelism; only the per-experiment wall-time lines vary. Tracing
-// (-trace / -stages) and health observation (-health and friends) force
-// serial execution so collected traces and digests line up with output
-// order; the experiments' own tables are byte-unchanged either way.
+// of parallelism; only the per-experiment wall-time lines vary. The run
+// flags arm per-experiment probes whose traces, digests and advice are
+// numbered run1, run2, ... in output order, so they too are identical at
+// any parallelism. Only -profile-dir forces serial execution: Go's CPU
+// profiler is process-wide.
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"scotch/internal/experiments"
@@ -55,7 +57,7 @@ func main() {
 		for _, e := range experiments.All() {
 			ids = append(ids, e.ID)
 		}
-		runIDs(ids, *parallel)
+		runIDs(ids, *parallel, nil)
 	case "run":
 		runCmd(flag.Args()[1:], *parallel)
 	default:
@@ -91,148 +93,95 @@ func runCmd(args []string, parallel int) {
 		usage()
 		os.Exit(2)
 	}
-	tracing := *tracePath != "" || *stages
-	if tracing {
-		// One private tracer per rig, collected in build order; serial
-		// execution keeps that order aligned with the output order.
-		experiments.EnableTracing()
-		defer experiments.DisableTracing()
-		parallel = 1
+	arm := &experiments.Probes{Trace: *tracePath != "" || *stages, Advise: *advise}
+	if *health || *healthJSON != "" || *profileDir != "" || *statuszAddr != "" || *advise {
+		arm.Obs = &obs.Config{ProfileDir: *profileDir}
 	}
-	observing := *health || *healthJSON != "" || *profileDir != "" || *statuszAddr != "" || *advise
-	if observing {
-		// Like tracing: one observatory per rig in build order, so serial
-		// execution keeps digests aligned with the output order (and the
-		// /statusz "current rig" pointer meaningful).
-		experiments.EnableObservatoryWith(obs.Config{ProfileDir: *profileDir})
-		defer experiments.DisableObservatory()
+	if *profileDir != "" {
+		// Go's CPU profiler is process-wide: only one breach capture can
+		// profile at a time, so experiments run one after another.
 		parallel = 1
-	}
-	if *advise {
-		// Advise mode reads each rig's observatory but never actuates, so
-		// the experiments' own output is byte-unchanged.
-		experiments.EnableBalanceAdvisor()
-		defer experiments.DisableBalanceAdvisor()
 	}
 	if *statuszAddr != "" {
+		// Workers publish each observatory as its rig is built; /statusz
+		// serves the newest one's view.
+		var newest atomic.Pointer[obs.Observatory]
+		arm.Observed = newest.Store
 		srv, err := telemetry.StartServer(*statuszAddr, telemetry.NewRegistry(),
-			telemetry.WithHandler("/statusz", obs.Handler(experiments.CurrentClusterView)))
+			telemetry.WithHandler("/statusz", obs.Handler(func() *obs.ClusterView {
+				return newest.Load().Snapshot()
+			})))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "statusz on http://%s/statusz\n", srv.Addr())
 	}
-	runIDs(ids, parallel)
-	if *advise {
-		writeAdvice()
+	p := experiments.CollectProbes(runIDs(ids, parallel, arm))
+	if arm.Advise && len(p.Advice) == 0 {
+		fmt.Fprintln(os.Stderr, "note: the selected experiments built no advised rigs; no balance advice to report")
 	}
-	if observing {
-		writeHealth(*health, *healthJSON)
+	if arm.Obs != nil && len(p.Health) == 0 {
+		fmt.Fprintln(os.Stderr, "note: the selected experiments built no observed rigs; no health to report")
 	}
-	if !tracing {
-		return
-	}
-	traces := experiments.CollectedTraces()
-	if len(traces) == 0 {
+	if arm.Trace && len(p.Traces) == 0 {
 		fmt.Fprintln(os.Stderr, "note: the selected experiments built no traced rigs; nothing was recorded")
-		return
 	}
-	if *stages {
-		for _, nt := range traces {
-			fmt.Printf("control-path stages (%s):\n", nt.Name)
-			nt.Tracer.WriteStageSummary(os.Stdout)
-			fmt.Println()
-		}
+	text := *p
+	if !*health {
+		text.Health = nil
 	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+	if !*stages {
+		text.Traces = nil
+	}
+	if err := experiments.WriteProbes(os.Stdout, &text); err != nil {
+		fail(err)
+	}
+	if *healthJSON != "" && len(p.Health) > 0 {
+		digests := make([]*obs.Digest, 0, len(p.Health))
+		for _, nh := range p.Health {
+			digests = append(digests, nh.Obs.Digest(nh.Name))
 		}
-		werr := telemetry.WriteChromeTrace(f, traces...)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "error:", werr)
-			os.Exit(1)
-		}
+		writeFile(*healthJSON, func(f *os.File) error {
+			enc := json.NewEncoder(f)
+			enc.SetIndent("", "  ")
+			return enc.Encode(digests)
+		})
+		fmt.Fprintf(os.Stderr, "wrote %s (%d health digests)\n", *healthJSON, len(digests))
+	}
+	if *tracePath != "" && len(p.Traces) > 0 {
+		writeFile(*tracePath, func(f *os.File) error {
+			return telemetry.WriteChromeTrace(f, p.Traces...)
+		})
 		spans := 0
-		for _, nt := range traces {
+		for _, nt := range p.Traces {
 			spans += len(nt.Tracer.Spans())
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d traced runs, %d spans)\n", *tracePath, len(traces), spans)
+		fmt.Fprintf(os.Stderr, "wrote %s (%d traced runs, %d spans)\n", *tracePath, len(p.Traces), spans)
 	}
 }
 
-// writeAdvice prints each rig's advisory balancer decision log after the
-// experiments' own output, in build order.
-func writeAdvice() {
-	runs := experiments.CollectedBalance()
-	if len(runs) == 0 {
-		fmt.Fprintln(os.Stderr, "note: the selected experiments built no advised rigs; no balance advice to report")
-		return
-	}
-	for _, nb := range runs {
-		log := nb.B.Log()
-		fmt.Printf("balance advice (%s): %d decisions\n", nb.Name, len(log))
-		experiments.WriteDecisions(os.Stdout, log)
-		fmt.Println()
-	}
-}
-
-// writeHealth renders the collected per-rig health digests: as text to
-// stdout when -health is set, and as a JSON array to jsonPath when
-// -health-json names a file.
-func writeHealth(text bool, jsonPath string) {
-	runs := experiments.CollectedHealth()
-	if len(runs) == 0 {
-		fmt.Fprintln(os.Stderr, "note: the selected experiments built no observed rigs; no health to report")
-		return
-	}
-	digests := make([]*obs.Digest, 0, len(runs))
-	for _, nh := range runs {
-		digests = append(digests, nh.Obs.Digest(nh.Name))
-	}
-	if text {
-		for _, d := range digests {
-			if err := d.WriteText(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			fmt.Println()
-		}
-	}
-	if jsonPath == "" {
-		return
-	}
-	f, err := os.Create(jsonPath)
+// writeFile creates path and fills it with write, exiting on any error.
+func writeFile(path string, write func(*os.File) error) {
+	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(digests)
+	werr := write(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
-		fmt.Fprintln(os.Stderr, "error:", werr)
-		os.Exit(1)
+		fail(werr)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d health digests)\n", jsonPath, len(digests))
 }
 
-// runIDs executes experiments on the worker pool and streams each result in
-// submission order: the experiment's captured output (banner + table),
-// followed by a wall-time line. Output bytes are identical at any
-// parallelism; timings naturally vary.
-func runIDs(ids []string, parallel int) {
-	results, err := experiments.RunAll(context.Background(), ids, parallel)
+// runIDs executes experiments on the worker pool under arm and streams
+// each result in submission order: the experiment's captured output
+// (banner + table), followed by a wall-time line. Output bytes are
+// identical at any parallelism; timings naturally vary.
+func runIDs(ids []string, parallel int, arm *experiments.Probes) []experiments.RunResult {
+	results, err := experiments.RunAll(context.Background(), ids, parallel, arm)
 	for _, r := range results {
 		if r.ID == "" {
 			continue // never started: an earlier experiment failed
@@ -243,9 +192,14 @@ func runIDs(ids []string, parallel int) {
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		fail(err)
 	}
+	return results
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "error:", err)
+	os.Exit(1)
 }
 
 func usage() {

@@ -31,7 +31,7 @@ func init() {
 // vSwitch against hashing them across the mesh (paper §5.1's select
 // group). With one bucket, the single vSwitch OFA becomes the new
 // bottleneck.
-func runAblationFanout(w io.Writer) error {
+func runAblationFanout(w io.Writer, p *Probes) error {
 	t := newTable(w, "fanout", "offered_flows_per_s", "delivered_fraction", "max_vswitch_punt_share")
 	const offered = 16000.0
 	const dur = 5 * time.Second
@@ -39,7 +39,7 @@ func runAblationFanout(w io.Writer) error {
 		cfg := scotch.DefaultConfig()
 		cfg.FanOut = fan
 		cfg.OverlayInstallRate = 1e6
-		r := newRig(rigConfig{seed: 21, cfg: cfg, nClients: 2, nServers: 4, nPrimary: 4})
+		r := newRig(rigConfig{seed: 21, cfg: cfg, nClients: 2, nServers: 4, nPrimary: 4, probes: p})
 		var gens []*workload.DDoS
 		for i, cl := range r.clients {
 			for j := 0; j < 2; j++ {
@@ -73,13 +73,13 @@ func runAblationFanout(w io.Writer) error {
 // runAblationElephant sweeps the migration byte threshold and reports how
 // many flows migrate and how much elephant traffic stays on the (slower)
 // overlay data plane.
-func runAblationElephant(w io.Writer) error {
+func runAblationElephant(w io.Writer, p *Probes) error {
 	t := newTable(w, "threshold_kb", "migrated", "elephant_delivery_ratio")
 	const dur = 15 * time.Second
 	for _, kb := range []int{5, 20, 100, 1 << 20} {
 		cfg := scotch.DefaultConfig()
 		cfg.ElephantBytes = uint64(kb) << 10
-		r := newRig(rigConfig{seed: 22, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
+		r := newRig(rigConfig{seed: 22, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2000)
 		em := r.emitter(r.clients[1])
 		r.eng.Schedule(time.Second, func() {
@@ -108,13 +108,13 @@ func runAblationElephant(w io.Writer) error {
 // runAblationScheduler sweeps Scotch's install pacing R. Too low wastes
 // physical capacity; too high drives the switch into the Fig. 9/10
 // regimes (insertion failures and data-path stall drops).
-func runAblationScheduler(w io.Writer) error {
+func runAblationScheduler(w io.Writer, p *Probes) error {
 	t := newTable(w, "install_rate_R", "client_failure", "insert_failures", "stall_drops")
 	const dur = 10 * time.Second
 	for _, rate := range []float64{100, 500, 1000, 1500, 2500} {
 		cfg := scotch.DefaultConfig()
 		cfg.InstallRate = rate
-		r := newRig(rigConfig{seed: 23, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
+		r := newRig(rigConfig{seed: 23, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
 		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
 		r.eng.RunUntil(dur)

@@ -25,13 +25,13 @@ func init() {
 // and priority classes: with a single FIFO, the attacker's request flood
 // sits in front of the client's requests, so the client's flow setup
 // starves even though Scotch is otherwise active.
-func runAblationFIFO(w io.Writer) error {
+func runAblationFIFO(w io.Writer, p *Probes) error {
 	t := newTable(w, "scheduler", "client_failure", "client_first_packet_ms_p50", "client_first_packet_ms_p99")
 	const dur = 15 * time.Second
 	for _, fifo := range []bool{false, true} {
 		cfg := scotch.DefaultConfig()
 		cfg.FIFOScheduler = fifo
-		r := newRig(rigConfig{seed: 24, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
+		r := newRig(rigConfig{seed: 24, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
 		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
 		r.eng.RunUntil(dur)
@@ -55,7 +55,7 @@ func runAblationFIFO(w io.Writer) error {
 // withdrawal, new flows keep detouring through the vSwitch mesh long
 // after the hardware control path has recovered, paying the overlay's
 // relay delay for nothing.
-func runAblationWithdrawal(w io.Writer) error {
+func runAblationWithdrawal(w io.Writer, p *Probes) error {
 	t := newTable(w, "withdrawal", "active_after_quiet", "postsurge_edge_punts",
 		"postsurge_vswitch_punts", "postsurge_first_packet_ms_p50")
 	const surgeEnd = 5 * time.Second
@@ -67,7 +67,7 @@ func runAblationWithdrawal(w io.Writer) error {
 		if !enabled {
 			cfg.DeactivateRate = 0 // rate never falls below zero: no withdrawal
 		}
-		r := newRig(rigConfig{seed: 25, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
+		r := newRig(rigConfig{seed: 25, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
 		r.eng.Schedule(surgeEnd, atk.Stop)
 		r.eng.RunUntil(quietEnd)

@@ -28,7 +28,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard); err != nil {
+		if err := e.Run(io.Discard, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := e.Run(io.Discard); err != nil {
+				if err := e.Run(io.Discard, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

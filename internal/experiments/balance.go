@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"scotch/internal/balance"
@@ -29,76 +28,6 @@ func init() {
 	})
 }
 
-// The balance advisor is armed process-wide like tracing and health
-// observation: when enabled, every rig whose observatory arms also gets
-// an Advise-mode balancer reading that observatory's snapshots. Advise
-// mode never actuates, so arming it cannot change experiment outputs —
-// the determinism suite pins that byte-for-byte.
-var balanceState struct {
-	sync.Mutex
-	enabled bool
-	n       int
-	runs    []NamedBalance
-}
-
-// NamedBalance pairs one rig's advisory balancer with its build-order
-// run name ("run1", "run2", ...).
-type NamedBalance struct {
-	Name string
-	B    *balance.Balancer
-}
-
-// EnableBalanceAdvisor arms an Advise-mode joint balancer on every rig
-// built from now on. It requires the observatory to be armed too (the
-// advisor's only input is the observatory's ClusterView); call
-// EnableObservatory first. Clears previously collected runs.
-func EnableBalanceAdvisor() {
-	balanceState.Lock()
-	defer balanceState.Unlock()
-	balanceState.enabled = true
-	balanceState.n = 0
-	balanceState.runs = nil
-}
-
-// DisableBalanceAdvisor disarms the advisor and drops collected runs.
-func DisableBalanceAdvisor() {
-	balanceState.Lock()
-	defer balanceState.Unlock()
-	balanceState.enabled = false
-	balanceState.n = 0
-	balanceState.runs = nil
-}
-
-// CollectedBalance returns the advisory balancers of every rig built
-// since EnableBalanceAdvisor, in build order.
-func CollectedBalance() []NamedBalance {
-	balanceState.Lock()
-	defer balanceState.Unlock()
-	return append([]NamedBalance(nil), balanceState.runs...)
-}
-
-// newRunAdvisor attaches an Advise-mode balancer to a freshly armed rig
-// observatory. Called by newRunObservatory/newClusterRunObservatory; a
-// nil observatory (observation disarmed) leaves the rig advisor-free.
-func newRunAdvisor(eng sim.Proc, o *obs.Observatory) {
-	if o == nil {
-		return
-	}
-	balanceState.Lock()
-	defer balanceState.Unlock()
-	if !balanceState.enabled {
-		return
-	}
-	balanceState.n++
-	cfg := balance.DefaultConfig()
-	cfg.Advise = true
-	b := balance.New(eng, cfg, viewSignals(o), balance.Actuators{}).Start()
-	balanceState.runs = append(balanceState.runs, NamedBalance{
-		Name: fmt.Sprintf("run%d", balanceState.n),
-		B:    b,
-	})
-}
-
 // viewSignals is the input of a balancer fed by an observatory: one
 // ClusterView snapshot per tick, digested by balance.ExtractSignals.
 func viewSignals(o *obs.Observatory) func() balance.Signals {
@@ -108,7 +37,7 @@ func viewSignals(o *obs.Observatory) func() balance.Signals {
 // WriteDecisions prints a balancer's decision log in a compact,
 // deterministic form: one line per decision with its simulation
 // timestamp, action, applied/held status, and operator-facing reason.
-// Both balance experiments and scotchsim's -balance flag render with it.
+// Both balance experiments and WriteProbes render with it.
 func WriteDecisions(w io.Writer, log []balance.DecisionRecord) {
 	for _, d := range log {
 		applied := "applied"
@@ -166,7 +95,7 @@ type elasticUnderMigrationResult struct {
 // balancer of its own. Replica capacity is infinite, so any client-flow
 // loss would be attributable to the growth/drain/migration machinery
 // itself — the experiment asserts there is none.
-func elasticUnderMigrationPoint(seed int64) elasticUnderMigrationResult {
+func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResult {
 	const dur = 18 * time.Second
 	scfg := scotch.DefaultConfig()
 	// Fast rule idle-out so drained members' flow tables quiesce within
@@ -185,6 +114,7 @@ func elasticUnderMigrationPoint(seed int64) elasticUnderMigrationResult {
 		homes:       []int{0, 0},
 		standby:     3,
 		ownBalancer: true,
+		probes:      p,
 	})
 
 	// The balancer's only input is a ClusterView, so the experiment owns
@@ -273,8 +203,8 @@ func elasticUnderMigrationPoint(seed int64) elasticUnderMigrationResult {
 	return res
 }
 
-func runElasticUnderMigration(w io.Writer) error {
-	res := elasticUnderMigrationPoint(23)
+func runElasticUnderMigration(w io.Writer, p *Probes) error {
+	res := elasticUnderMigrationPoint(p, 23)
 	t := newTable(w, "t_s", "pool_size", "pod0_owner")
 	for i := range res.sizes {
 		t.row(i+1, res.sizes[i], res.owners[i])
@@ -327,7 +257,7 @@ const replicaScaleOutMaxReplicas = 3
 // coldest replica back to the floor of two. Six pods matter: an odd pod
 // count per replica leaves a visible imbalance after the spawn, which is
 // exactly what the migration rung exists to fix.
-func replicaScaleOutPoint(seed int64) replicaScaleOutResult {
+func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 	const (
 		dur      = 18 * time.Second
 		capacity = 450
@@ -343,6 +273,7 @@ func replicaScaleOutPoint(seed int64) replicaScaleOutResult {
 		ccfg:        cluster.DefaultConfig(),
 		homes:       []int{0, 1, 0, 1, 0, 1},
 		ownBalancer: true,
+		probes:      p,
 	})
 
 	// Experiment-owned observatory: replica loads/liveness for the
@@ -448,8 +379,8 @@ func replicaScaleOutPoint(seed int64) replicaScaleOutResult {
 	return res
 }
 
-func runReplicaScaleOut(w io.Writer) error {
-	res := replicaScaleOutPoint(31)
+func runReplicaScaleOut(w io.Writer, p *Probes) error {
+	res := replicaScaleOutPoint(p, 31)
 	t := newTable(w, "t_s", "alive", "pods_r0", "pods_r1", "pods_r2", "queue_sum")
 	for i := range res.alive {
 		row := res.podSplit[i*replicaScaleOutMaxReplicas : (i+1)*replicaScaleOutMaxReplicas]

@@ -97,10 +97,10 @@ type chaosVSwitchResult struct {
 // rides a separate ingress port, so per-port differentiation (§5.2) keeps
 // it on the physical path; the vSwitch kills land on the attack overlay,
 // and §5.6 promotion decides how much attack traffic survives.
-func chaosVSwitchPoint(attackRate float64, plan fault.Plan) chaosVSwitchResult {
+func chaosVSwitchPoint(p *Probes, attackRate float64, plan fault.Plan) chaosVSwitchResult {
 	const dur = 15 * time.Second
 	r := newRig(rigConfig{seed: 41, cfg: scotch.DefaultConfig(),
-		nClients: 2, nServers: 1, nPrimary: 2, nBackup: 2})
+		nClients: 2, nServers: 1, nPrimary: 2, nBackup: 2, probes: p})
 	env := &chaosEnv{switches: make(map[string]*device.Switch)}
 	for _, vs := range r.vs {
 		env.switches[vs.Name()] = vs
@@ -127,15 +127,15 @@ func chaosVSwitchPoint(attackRate float64, plan fault.Plan) chaosVSwitchResult {
 // the chaos client failure fraction stays within 2× of the no-fault
 // Scotch curve, because client flows never depended on the dead overlay
 // nodes and the promoted backups absorb the attack-side load.
-func runChaosVSwitch(w io.Writer) error {
+func runChaosVSwitch(w io.Writer, p *Probes) error {
 	rates := []float64{1000, 2000, 3000}
 	t := newTable(w, "attack_flows_per_s",
 		"nofault_client_fail", "chaos_client_fail",
 		"nofault_attack_fail", "chaos_attack_fail",
 		"failover_swaps", "faults_injected")
 	for _, ar := range rates {
-		base := chaosVSwitchPoint(ar, fault.Plan{})
-		ch := chaosVSwitchPoint(ar, chaosVSwitchPlan())
+		base := chaosVSwitchPoint(p, ar, fault.Plan{})
+		ch := chaosVSwitchPoint(p, ar, chaosVSwitchPlan())
 		t.row(int(ar), base.clientFail, ch.clientFail,
 			base.atkFail, ch.atkFail, int(ch.swaps), int(ch.injected))
 	}
@@ -159,7 +159,7 @@ type chaosPartitionResult struct {
 // and then has the healed ex-master replay its original mastership claim
 // (generation 1). The switches hold the failover generation, so every
 // replayed claim must be fenced with OFPRRFC_STALE.
-func chaosPartitionPoint(seed int64) chaosPartitionResult {
+func chaosPartitionPoint(p *Probes, seed int64) chaosPartitionResult {
 	const dur = 9 * time.Second
 	cutAt := 5050 * time.Millisecond
 	healAt := 6500 * time.Millisecond
@@ -171,6 +171,7 @@ func chaosPartitionPoint(seed int64) chaosPartitionResult {
 		queue:    512,
 		scfg:     scotch.DefaultConfig(),
 		ccfg:     cluster.DefaultConfig(),
+		probes:   p,
 	})
 	env := &chaosEnv{replicas: map[string]*cluster.Replica{"replica0": r.replicas[0]}}
 	fr := fault.NewRunner(r.eng, env, r.replicas[0].C.Tracer())
@@ -220,8 +221,8 @@ func chaosPartitionPoint(seed int64) chaosPartitionResult {
 	return res
 }
 
-func runChaosPartition(w io.Writer) error {
-	res := chaosPartitionPoint(43)
+func runChaosPartition(w io.Writer, p *Probes) error {
+	res := chaosPartitionPoint(p, 43)
 	t := newTable(w, "failovers", "detect_ms", "handoff_ms",
 		"stale_claims_fenced", "client_fail_frac", "faults_injected")
 	t.row(int(res.failovers), res.detectMs, res.handoffMs,
@@ -249,13 +250,13 @@ type chaosChurnResult struct {
 // — client flows included — detours through the mesh and counts into the
 // withdrawal signal, so a client above that rate would pin the overlay up
 // even with the attacker dark.
-func chaosChurnPoint(seed int64) chaosChurnResult {
+func chaosChurnPoint(p *Probes, seed int64) chaosChurnResult {
 	const dur = 14 * time.Second
 	cfg := scotch.DefaultConfig()
 	// Let offload rules idle out between flaps so each cycle starts from
 	// a clean table instead of accumulating dead state.
 	cfg.RuleIdleTimeout = 2 * time.Second
-	r := newRig(rigConfig{seed: seed, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
+	r := newRig(rigConfig{seed: seed, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
 	env := &chaosEnv{links: map[string]*device.Link{
 		"link:c0": r.net.HostLink(r.clients[0].IP),
 	}}
@@ -286,8 +287,8 @@ func chaosChurnPoint(seed int64) chaosChurnResult {
 	}
 }
 
-func runChaosChurn(w io.Writer) error {
-	res := chaosChurnPoint(47)
+func runChaosChurn(w io.Writer, p *Probes) error {
+	res := chaosChurnPoint(p, 47)
 	t := newTable(w, "link_flaps", "activations", "withdrawals",
 		"overlay_active_at_end", "client_fail_frac", "faults_injected")
 	t.row(res.flaps, int(res.activations), int(res.withdrawals),

@@ -24,7 +24,7 @@ func chaosTestIDs(t *testing.T) []string {
 // runner schedules events on the sim clock, so a run under the parallel
 // runner must reproduce the golden file byte for byte.
 func TestChaosDeterministic(t *testing.T) {
-	checkGolden(t, chaosTestIDs(t), 4)
+	checkGolden(t, chaosTestIDs(t), 4, nil)
 }
 
 // TestChaosVSwitchBound is the experiment's acceptance bound: with a
@@ -35,8 +35,8 @@ func TestChaosVSwitchBound(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("two 15s sim runs; skipped under -short / -race")
 	}
-	base := chaosVSwitchPoint(2000, fault.Plan{})
-	ch := chaosVSwitchPoint(2000, chaosVSwitchPlan())
+	base := chaosVSwitchPoint(nil, 2000, fault.Plan{})
+	ch := chaosVSwitchPoint(nil, 2000, chaosVSwitchPlan())
 	if ch.swaps == 0 {
 		t.Fatal("no backup promotion recorded — the kill never landed")
 	}
@@ -57,7 +57,7 @@ func TestChaosVSwitchBound(t *testing.T) {
 // stale mastership claim the healed ex-master replays is fenced — one per
 // pod0 switch (edge + 2 vSwitches).
 func TestChaosPartitionBound(t *testing.T) {
-	res := chaosPartitionPoint(43)
+	res := chaosPartitionPoint(nil, 43)
 	if res.failovers != 1 {
 		t.Fatalf("failovers = %d, want 1", res.failovers)
 	}
@@ -80,7 +80,7 @@ func TestChaosPartitionBound(t *testing.T) {
 // last flap the overlay ends withdrawn — deploy/withdraw cycling instead
 // of wedging in either state.
 func TestChaosChurnConverges(t *testing.T) {
-	res := chaosChurnPoint(47)
+	res := chaosChurnPoint(nil, 47)
 	if res.flaps < 2 {
 		t.Fatalf("plan produced %d flaps, want >= 2", res.flaps)
 	}

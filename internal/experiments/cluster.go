@@ -11,8 +11,10 @@ import (
 	"scotch/internal/controller"
 	"scotch/internal/device"
 	"scotch/internal/netaddr"
+	"scotch/internal/obs"
 	"scotch/internal/scotch"
 	"scotch/internal/sim"
+	"scotch/internal/telemetry"
 	"scotch/internal/topo"
 	"scotch/internal/workload"
 )
@@ -74,6 +76,7 @@ type clusterRigConfig struct {
 	// ownBalancer is set by experiments that wire their own joint
 	// balancer; the rig then starts no migrate-only one.
 	ownBalancer bool
+	probes      *Probes // instrumentation the rig attaches (nil: none)
 }
 
 func newClusterRig(cc clusterRigConfig) *clusterRig {
@@ -152,7 +155,8 @@ func newClusterRig(cc clusterRigConfig) *clusterRig {
 		bal = balance.New(eng, bcfg, balance.ReplicaSignals(r.co),
 			balance.Actuators{Migrator: r.co}).Start()
 	}
-	if tr := newRunTracer(); tr != nil {
+	// Standbys are observed but not traced.
+	cc.probes.attach(eng, r.cap, func(tr *telemetry.Tracer) {
 		bal.SetTracer(tr)
 		r.co.Trace = tr
 		for _, rep := range r.replicas {
@@ -165,8 +169,19 @@ func newClusterRig(cc clusterRigConfig) *clusterRig {
 			}
 			traceDelivery(tr, pod.server)
 		}
-	}
-	newClusterRunObservatory(r)
+	}, func(o *obs.Observatory) {
+		o.WatchCoordinator(r.co)
+		for _, pod := range r.pods {
+			o.WatchAppAs("scotch/"+pod.name, pod.app)
+			o.WatchSwitch(pod.edge)
+			for _, vs := range pod.vs {
+				o.WatchSwitch(vs)
+			}
+			for _, sb := range pod.standby {
+				o.WatchSwitch(sb)
+			}
+		}
+	})
 	return r
 }
 
@@ -193,7 +208,7 @@ func (r *clusterRig) startCrowd(p int, fc workload.FlashCrowd, class string) *wo
 // Packet-Ins/s processing capacity each. Returns offered and delivered
 // crowd flows, the per-second successful-flow rate over the crowd span,
 // and total punts dropped at replica ingress queues.
-func clusterScalePoint(replicas int, seed int64) (offered, delivered int, successRate float64, drops uint64) {
+func clusterScalePoint(p *Probes, replicas int, seed int64) (offered, delivered int, successRate float64, drops uint64) {
 	const dur = 10 * time.Second
 	r := newClusterRig(clusterRigConfig{
 		seed:     seed,
@@ -203,6 +218,7 @@ func clusterScalePoint(replicas int, seed int64) (offered, delivered int, succes
 		queue:    256,
 		scfg:     scotch.DefaultConfig(),
 		ccfg:     cluster.DefaultConfig(),
+		probes:   p,
 	})
 	var crowds []*workload.FlashCrowd
 	for p := range r.pods {
@@ -226,10 +242,10 @@ func clusterScalePoint(replicas int, seed int64) (offered, delivered int, succes
 	return offered, delivered, successRate, drops
 }
 
-func runClusterScale(w io.Writer) error {
+func runClusterScale(w io.Writer, p *Probes) error {
 	t := newTable(w, "replicas", "offered_flows", "delivered_flows", "success_flows_per_s", "replica_queue_drops")
 	for _, n := range []int{1, 2, 4} {
-		offered, delivered, rate, drops := clusterScalePoint(n, 11)
+		offered, delivered, rate, drops := clusterScalePoint(p, n, 11)
 		t.row(n, offered, delivered, rate, drops)
 	}
 	t.flush()
@@ -252,7 +268,7 @@ type clusterMigrateResult struct {
 // the spare; client flows (4 packets each) must all survive the handoff
 // — packets in flight during the mastership change re-punt to the new
 // master and are re-admitted.
-func clusterMigratePoint(seed int64) clusterMigrateResult {
+func clusterMigratePoint(p *Probes, seed int64) clusterMigrateResult {
 	const dur = 8 * time.Second
 	ccfg := cluster.DefaultConfig()
 	r := newClusterRig(clusterRigConfig{
@@ -264,6 +280,7 @@ func clusterMigratePoint(seed int64) clusterMigrateResult {
 		scfg:     scotch.DefaultConfig(),
 		ccfg:     ccfg,
 		homes:    []int{0, 0},
+		probes:   p,
 	})
 	res := clusterMigrateResult{ownerBefore: r.co.Owner("pod0"), ownerAfter: -1}
 	var migratedAt sim.Time
@@ -296,8 +313,8 @@ func clusterMigratePoint(seed int64) clusterMigrateResult {
 	return res
 }
 
-func runClusterMigrate(w io.Writer) error {
-	res := clusterMigratePoint(13)
+func runClusterMigrate(w io.Writer, p *Probes) error {
+	res := clusterMigratePoint(p, 13)
 	t := newTable(w, "migrations", "owner_before", "owner_after", "handoff_ms", "client_flows", "client_fail_frac")
 	t.row(int(res.migrations), res.ownerBefore, res.ownerAfter, res.handoffMs, res.clientSent, res.clientFailFrac)
 	t.flush()
@@ -317,7 +334,7 @@ type clusterFailoverResult struct {
 // coordinator takes to detect the death and re-master the orphaned shard
 // on the survivor. Client flows are long enough (8 packets over 350ms) to
 // straddle the outage window, so most survive the failover.
-func clusterFailoverPoint(seed int64) clusterFailoverResult {
+func clusterFailoverPoint(p *Probes, seed int64) clusterFailoverResult {
 	const dur = 8 * time.Second
 	killAt := 5050 * time.Millisecond
 	ccfg := cluster.DefaultConfig()
@@ -329,6 +346,7 @@ func clusterFailoverPoint(seed int64) clusterFailoverResult {
 		queue:    512,
 		scfg:     scotch.DefaultConfig(),
 		ccfg:     ccfg,
+		probes:   p,
 	})
 	cli0 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[0].client, r.cap), r.pods[0].server.IP, 50, 8, 50*time.Millisecond)
 	cli1 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[1].client, r.cap), r.pods[1].server.IP, 50, 8, 50*time.Millisecond)
@@ -351,8 +369,8 @@ func clusterFailoverPoint(seed int64) clusterFailoverResult {
 	return res
 }
 
-func runClusterFailover(w io.Writer) error {
-	res := clusterFailoverPoint(17)
+func runClusterFailover(w io.Writer, p *Probes) error {
+	res := clusterFailoverPoint(p, 17)
 	t := newTable(w, "failovers", "detect_ms", "handoff_ms", "client_fail_frac")
 	t.row(int(res.failovers), res.detectMs, res.handoffMs, res.clientFailFrac)
 	t.flush()

@@ -9,8 +9,8 @@ func TestClusterScaleImprovement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster sweep")
 	}
-	_, d1, r1, _ := clusterScalePoint(1, 11)
-	_, d4, r4, drops4 := clusterScalePoint(4, 11)
+	_, d1, r1, _ := clusterScalePoint(nil, 1, 11)
+	_, d4, r4, drops4 := clusterScalePoint(nil, 4, 11)
 	if d1 == 0 {
 		t.Fatal("single replica delivered nothing; workload broken")
 	}
@@ -32,7 +32,7 @@ func TestClusterMigrateZeroLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster run")
 	}
-	res := clusterMigratePoint(13)
+	res := clusterMigratePoint(nil, 13)
 	if res.migrations < 1 {
 		t.Fatalf("migrations = %d, want >= 1", res.migrations)
 	}
@@ -53,7 +53,7 @@ func TestClusterFailoverDetection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster run")
 	}
-	res := clusterFailoverPoint(17)
+	res := clusterFailoverPoint(nil, 17)
 	if res.failovers != 1 {
 		t.Fatalf("failovers = %d, want 1", res.failovers)
 	}
@@ -77,5 +77,5 @@ func TestClusterDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster runs")
 	}
-	checkGolden(t, []string{"cluster-scale", "cluster-migrate", "cluster-failover"}, 3)
+	checkGolden(t, []string{"cluster-scale", "cluster-migrate", "cluster-failover"}, 3, nil)
 }

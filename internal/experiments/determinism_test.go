@@ -65,10 +65,10 @@ func TestSameSeedByteIdentical(t *testing.T) {
 				t.Fatalf("experiment %q not registered", id)
 			}
 			var a, b bytes.Buffer
-			if err := e.Run(&a); err != nil {
+			if err := e.Run(&a, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Run(&b); err != nil {
+			if err := e.Run(&b, nil); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -84,7 +84,7 @@ func TestSameSeedByteIdentical(t *testing.T) {
 // parallelism degrees. Goroutine interleaving must not be observable.
 func TestSerialParallelIdentical(t *testing.T) {
 	ids := repeatIDs(t)
-	serial, err := RunAll(context.Background(), ids, 1)
+	serial, err := RunAll(context.Background(), ids, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSerialParallelIdentical(t *testing.T) {
 		t.Fatal("serial run produced no output")
 	}
 	for _, par := range []int{2, 4, len(ids)} {
-		results, err := RunAll(context.Background(), ids, par)
+		results, err := RunAll(context.Background(), ids, par, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,10 +151,10 @@ func goldenSections(t *testing.T) map[string]string {
 	return sections
 }
 
-// lineDiff renders a unified-style diff of want against got: lines kept
-// by a longest common subsequence are prefixed ' ', lines only in want
-// '-' and lines only in got '+'.
-func lineDiff(want, got string) string {
+// lineDiff renders a unified-style diff of want, read from path, against
+// got: lines kept by a longest common subsequence are prefixed ' ', lines
+// only in want '-' and lines only in got '+'.
+func lineDiff(path, want, got string) string {
 	a := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
 	b := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
 	// lcs[i][j] is the common-subsequence length of a[i:] and b[j:].
@@ -172,7 +172,7 @@ func lineDiff(want, got string) string {
 		}
 	}
 	var sb strings.Builder
-	sb.WriteString("--- " + goldenPath + "\n+++ this run\n")
+	sb.WriteString("--- " + path + "\n+++ this run\n")
 	for i, j := 0, 0; i < len(a) || j < len(b); {
 		switch {
 		case i < len(a) && j < len(b) && a[i] == b[j]:
@@ -198,15 +198,17 @@ func lineDiff(want, got string) string {
 // nondeterminism leaked in (map iteration, wall-clock reads, state shared
 // across runs).
 func TestGolden(t *testing.T) {
-	checkGolden(t, determinismIDs(t), 4)
+	checkGolden(t, determinismIDs(t), 4, nil)
 }
 
 // checkGolden runs ids once through RunAll at the given parallelism and
-// compares each experiment's output with its section of the golden file,
-// in one subtest per id.
-func checkGolden(t *testing.T, ids []string, parallelism int) {
+// arm and compares each experiment's output with its section of the
+// golden file, in one subtest per id. Probes only read the simulation, so
+// armed output must match the clean bytes too. It returns the results
+// for checks on what the probes collected.
+func checkGolden(t *testing.T, ids []string, parallelism int, arm *Probes) []RunResult {
 	t.Helper()
-	results, err := RunAll(context.Background(), ids, parallelism)
+	results, err := RunAll(context.Background(), ids, parallelism, arm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,16 +231,17 @@ func checkGolden(t *testing.T, ids []string, parallelism int) {
 			}
 			if got != want {
 				t.Errorf("%s differs from %s:\n%s\nIf the shift is intended, document it in EXPERIMENTS.md and regenerate the file from the repo root with\n  %s",
-					id, goldenPath, lineDiff(want, got), goldenRegen)
+					id, goldenPath, lineDiff(goldenPath, want, got), goldenRegen)
 			}
 		})
 	}
+	return results
 }
 
 // TestRunAllUnknownID verifies the runner rejects unknown experiments
 // before starting any work.
 func TestRunAllUnknownID(t *testing.T) {
-	if _, err := RunAll(context.Background(), []string{"table1", "nope"}, 2); err == nil {
+	if _, err := RunAll(context.Background(), []string{"table1", "nope"}, 2, nil); err == nil {
 		t.Fatal("expected error for unknown experiment id")
 	}
 }
@@ -248,7 +251,7 @@ func TestRunAllUnknownID(t *testing.T) {
 func TestRunAllCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := RunAll(ctx, []string{"table1", "fig14"}, 1)
+	results, err := RunAll(ctx, []string{"table1", "fig14"}, 1, nil)
 	if err == nil {
 		t.Fatal("expected context error")
 	}
@@ -267,14 +270,14 @@ func TestRunAllErrorPropagation(t *testing.T) {
 	register(Experiment{
 		ID:    id,
 		Title: "always fails (test only)",
-		Run:   func(io.Writer) error { return errors.New("boom") },
+		Run:   func(io.Writer, *Probes) error { return errors.New("boom") },
 	})
 	defer func() {
 		delete(registry, id)
 		order = order[:len(order)-1]
 	}()
 
-	results, err := RunAll(context.Background(), []string{"table1", id}, 1)
+	results, err := RunAll(context.Background(), []string{"table1", id}, 1, nil)
 	if err == nil || !strings.Contains(err.Error(), id) || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want wrapped boom from %s", err, id)
 	}

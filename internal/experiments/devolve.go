@@ -41,14 +41,14 @@ type devolveRunResult struct {
 // (per-tenant policies absorb mice at the vSwitch tier). The elephant
 // byte threshold is raised out of reach so the ablation isolates the
 // mice fast path; elephant escalation has its own unit tests.
-func devolveRun(seed int64, devolved bool) devolveRunResult {
+func devolveRun(p *Probes, seed int64, devolved bool) devolveRunResult {
 	const dur = 10 * time.Second
 	cfg := scotch.DefaultConfig()
 	cfg.RuleIdleTimeout = 2 * time.Second
 	cfg.FanOut = 4
 	cfg.ElephantBytes = 1 << 30
 	r := newRig(rigConfig{seed: seed, cfg: cfg,
-		nClients: 3, nServers: 2, nPrimary: devolvePool})
+		nClients: 3, nServers: 2, nPrimary: devolvePool, probes: p})
 
 	if devolved {
 		r.app.EnableDevolution()
@@ -120,10 +120,10 @@ func baseP99(rows []latRow) float64 {
 	return 0
 }
 
-func devolveAblationPoint(seed int64) devolveAblationResult {
+func devolveAblationPoint(p *Probes, seed int64) devolveAblationResult {
 	res := devolveAblationResult{
-		centralized: devolveRun(seed, false),
-		devolved:    devolveRun(seed, true),
+		centralized: devolveRun(p, seed, false),
+		devolved:    devolveRun(p, seed, true),
 	}
 	if res.centralized.packetIns > 0 {
 		res.piRatio = float64(res.devolved.packetIns) / float64(res.centralized.packetIns)
@@ -134,8 +134,8 @@ func devolveAblationPoint(seed int64) devolveAblationResult {
 	return res
 }
 
-func runDevolveAblation(w io.Writer) error {
-	res := devolveAblationPoint(71)
+func runDevolveAblation(w io.Writer, p *Probes) error {
+	res := devolveAblationPoint(p, 71)
 	fmt.Fprintln(w, "centralized (every miss punts to the controller):")
 	latencyTable(w, res.centralized.rows)
 	fmt.Fprintln(w, "devolved (per-tenant policy caches at the mesh vSwitches):")
@@ -168,13 +168,13 @@ type devolveInvalidateResult struct {
 // cache must flush and keep fencing afterwards). Traffic continues
 // throughout; revoked-tenant flows fall back to central admission, so
 // completions stay high.
-func devolveInvalidatePoint(seed int64) devolveInvalidateResult {
+func devolveInvalidatePoint(p *Probes, seed int64) devolveInvalidateResult {
 	const dur = 8 * time.Second
 	cfg := scotch.DefaultConfig()
 	cfg.ActivateRate = 20 // engage the overlay promptly
 	cfg.RuleIdleTimeout = time.Second
 	r := newRig(rigConfig{seed: seed, cfg: cfg,
-		nClients: 2, nServers: 1, nPrimary: 2})
+		nClients: 2, nServers: 1, nPrimary: 2, probes: p})
 	r.app.EnableDevolution()
 	r.app.DevolveTenant("web", netaddr.MakePrefix(r.clients[0].IP, 32), false)
 	r.app.DevolveTenant("bulk", netaddr.MakePrefix(r.clients[1].IP, 32), false)
@@ -237,8 +237,8 @@ func devolveInvalidatePoint(seed int64) devolveInvalidateResult {
 	return res
 }
 
-func runDevolveInvalidate(w io.Writer) error {
-	res := devolveInvalidatePoint(72)
+func runDevolveInvalidate(w io.Writer, p *Probes) error {
+	res := devolveInvalidatePoint(p, 72)
 	t := newTable(w, "tenant", "hits_at_revoke", "hits_final", "completion")
 	t.row("web", res.webHitsAtRevoke, res.webHitsFinal, res.webCompletion)
 	t.row("bulk", uint64(0), res.bulkHitsFinal, res.bulkCompletion)

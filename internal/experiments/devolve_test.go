@@ -11,7 +11,7 @@ func TestDevolveAblationBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two 12s scenario simulations")
 	}
-	res := devolveAblationPoint(71)
+	res := devolveAblationPoint(nil, 71)
 	if res.centralized.packetIns == 0 {
 		t.Fatal("centralized run produced no controller Packet-Ins")
 	}
@@ -57,7 +57,7 @@ func TestDevolveInvalidateNoStaleDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 10s scenario simulation")
 	}
-	res := devolveInvalidatePoint(72)
+	res := devolveInvalidatePoint(nil, 72)
 	if res.webHitsAtRevoke == 0 {
 		t.Fatal("web tenant never devolved before the revoke")
 	}

@@ -43,14 +43,14 @@ type elasticResult struct {
 // drain back down to the floor after the attack subsides. A second
 // client ("drain probe") runs only inside the drain window: any loss
 // there would be attributable to the scale-down path.
-func elasticPoint(seed int64) elasticResult {
+func elasticPoint(p *Probes, seed int64) elasticResult {
 	const dur = 24 * time.Second
 	cfg := scotch.DefaultConfig()
 	// Fast rule idle-out so the drained members' flow tables quiesce
 	// within the run (the same trick chaos-churn uses).
 	cfg.RuleIdleTimeout = 2 * time.Second
 	r := newRig(rigConfig{seed: seed, cfg: cfg,
-		nClients: 2, nServers: 1, nPrimary: 1, nStandby: 3})
+		nClients: 2, nServers: 1, nPrimary: 1, nStandby: 3, probes: p})
 
 	standby := make([]uint64, 0, len(r.standby))
 	for _, sb := range r.standby {
@@ -116,8 +116,8 @@ func elasticPoint(seed int64) elasticResult {
 	return res
 }
 
-func runElastic(w io.Writer) error {
-	res := elasticPoint(47)
+func runElastic(w io.Writer, p *Probes) error {
+	res := elasticPoint(p, 47)
 	fmt.Fprintln(w, "t(s)  pool_size")
 	for i, s := range res.sizes {
 		fmt.Fprintf(w, "%-5d %d\n", i+1, s)

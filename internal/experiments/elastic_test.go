@@ -10,7 +10,7 @@ import "testing"
 // (loss there would be attributable to the scale-down path, not to the
 // attack).
 func TestElasticGrowsAndDrains(t *testing.T) {
-	res := elasticPoint(47)
+	res := elasticPoint(nil, 47)
 	if res.peak < 2 {
 		t.Fatalf("pool never grew under the attack (peak=%d)", res.peak)
 	}
@@ -41,5 +41,5 @@ func TestElasticGrowsAndDrains(t *testing.T) {
 // experiment so the parallelism is real: balancer decisions ride the sim
 // clock only.
 func TestElasticDeterministic(t *testing.T) {
-	checkGolden(t, []string{"elastic", "fig4"}, 2)
+	checkGolden(t, []string{"elastic", "fig4"}, 2, nil)
 }

@@ -11,8 +11,9 @@ import (
 type Experiment struct {
 	ID    string
 	Title string
-	// Run executes the experiment, writing its result table to w.
-	Run func(w io.Writer) error
+	// Run executes the experiment, writing its result table to w; every
+	// rig it builds attaches p's instruments (nil p: none).
+	Run func(w io.Writer, p *Probes) error
 }
 
 var registry = map[string]Experiment{}

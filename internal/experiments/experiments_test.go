@@ -43,7 +43,7 @@ func TestRegistryComplete(t *testing.T) {
 func TestTable1Runs(t *testing.T) {
 	e, _ := ByID("table1")
 	var buf bytes.Buffer
-	if err := e.Run(&buf); err != nil {
+	if err := e.Run(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -62,7 +62,7 @@ func TestFig14Runs(t *testing.T) {
 	}
 	e, _ := ByID("fig14")
 	var buf bytes.Buffer
-	if err := e.Run(&buf); err != nil {
+	if err := e.Run(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -80,7 +80,7 @@ func TestFig9ShapeMatchesPaper(t *testing.T) {
 	}
 	e, _ := ByID("fig9")
 	var buf bytes.Buffer
-	if err := e.Run(&buf); err != nil {
+	if err := e.Run(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -56,7 +56,7 @@ func newDCRig(seed int64, cfg scotch.Config, baseline bool) *dcRig {
 	return r
 }
 
-func runFig15(w io.Writer) error {
+func runFig15(w io.Writer, _ *Probes) error {
 	t := newTable(w, "controller", "flows", "failure_fraction", "completion_fraction",
 		"fct_ms_p50", "fct_ms_p99")
 	const dur = 25 * time.Second

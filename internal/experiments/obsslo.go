@@ -40,14 +40,14 @@ type obsSLOResult struct {
 // recovers quickly once Scotch diverts the crowd, long before the
 // crowd itself recovers. After the ramp subsides the windows empty and
 // both verdicts end healthy: healthy -> burning -> healthy.
-func obsSLOPoint(seed int64) obsSLOResult {
+func obsSLOPoint(p *Probes, seed int64) obsSLOResult {
 	const dur = 20 * time.Second
 	r := newRig(rigConfig{seed: seed, cfg: scotch.DefaultConfig(),
-		nClients: 2, nServers: 1, nPrimary: 2, nBackup: 1})
+		nClients: 2, nServers: 1, nPrimary: 2, nBackup: 1, probes: p})
 
 	// The experiment carries its own always-on observatory with the SLOs
-	// under test; the process-wide arming (-health) layers a second,
-	// independent one over the same rig when requested.
+	// under test; armed probes (-health) layer a second, independent one
+	// over the same rig when requested.
 	lt := workload.NewLatencyTracker(nil)
 	lt.AttachCapture(r.cap)
 	o := obs.New(r.eng, obs.Config{
@@ -97,8 +97,8 @@ func obsSLOPoint(seed int64) obsSLOResult {
 	return obsSLOResult{digest: d, base: d.SLO("base-p99"), crowd: d.SLO("crowd-p99")}
 }
 
-func runObsSLO(w io.Writer) error {
-	res := obsSLOPoint(47)
+func runObsSLO(w io.Writer, p *Probes) error {
+	res := obsSLOPoint(p, 47)
 	fmt.Fprintln(w, "slo        tenant  verdict_path               peak_burn_short  peak_burn_long  peak_window_p99(s)")
 	for _, s := range []*obs.SLODigest{res.base, res.crowd} {
 		fmt.Fprintf(w, "%-10s %-7s %-26s %-16.1f %-15.1f %.4f\n",

@@ -15,7 +15,7 @@ func TestObsSLOBurnAndRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := obsSLOPoint(47)
+	res := obsSLOPoint(nil, 47)
 
 	if res.digest.Samples == 0 {
 		t.Fatal("observatory took no samples")
@@ -64,5 +64,5 @@ func TestObsSLOTableDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	checkGolden(t, []string{"obs-slo"}, 1)
+	checkGolden(t, []string{"obs-slo"}, 1, nil)
 }

@@ -113,7 +113,7 @@ func newPolicyRig(seed int64, naive bool) *policyRig {
 	return r
 }
 
-func runFig8(w io.Writer) error {
+func runFig8(w io.Writer, _ *Probes) error {
 	t := newTable(w, "migration_mode", "migrated", "fwA_passed", "fwB_rejected",
 		"elephant_delivery_ratio", "elephant_stalled")
 	const dur = 20 * time.Second

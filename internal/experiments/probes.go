@@ -1,0 +1,184 @@
+package experiments
+
+import (
+	"fmt"
+	"io"
+	"time"
+
+	"scotch/internal/balance"
+	"scotch/internal/capture"
+	"scotch/internal/device"
+	"scotch/internal/obs"
+	"scotch/internal/packet"
+	"scotch/internal/sim"
+	"scotch/internal/telemetry"
+	"scotch/internal/workload"
+)
+
+// Probes arms one run's instrumentation and collects what it built. Every
+// rig built under armed probes gets its own tracer, observatory and
+// advisor, appended in build order ("run1", "run2", ...), so concurrent
+// runs share nothing. A nil *Probes arms nothing.
+//
+// Probes only read the simulation (tracers record, observatories sample
+// read-only, advisors never actuate), so arming them cannot change an
+// experiment's output bytes; the determinism suite pins that.
+type Probes struct {
+	// Trace gives every rig a private control-path tracer.
+	Trace bool
+	// Obs, when non-nil, gives every rig except fig4's testbed a private
+	// health observatory with this config; nil SLOs select the default
+	// rig objectives.
+	Obs *obs.Config
+	// Advise adds an Advise-mode joint balancer reading each rig's
+	// observatory; it needs Obs, the advisor's only input.
+	Advise bool
+	// Observed, when set, is called with each observatory as its rig is
+	// built (scotchsim's /statusz source). Under RunAll it may be called
+	// from several workers at once.
+	Observed func(*obs.Observatory)
+
+	// What the rigs built under these probes collected, in build order.
+	Traces []telemetry.NamedTrace
+	Health []NamedHealth
+	Advice []NamedBalance
+}
+
+// NamedHealth pairs one rig's observatory with its build-order run name.
+type NamedHealth struct {
+	Name string
+	Obs  *obs.Observatory
+}
+
+// NamedBalance pairs one rig's advisory balancer with its build-order run
+// name.
+type NamedBalance struct {
+	Name string
+	B    *balance.Balancer
+}
+
+// fresh returns probes with p's settings and nothing collected (nil for
+// nil p): what one experiment of a RunAll call builds under.
+func (p *Probes) fresh() *Probes {
+	if p == nil {
+		return nil
+	}
+	return &Probes{Trace: p.Trace, Obs: p.Obs, Advise: p.Advise, Observed: p.Observed}
+}
+
+func runName(i int) string { return fmt.Sprintf("run%d", i+1) }
+
+// defaultRigSLOs are the objectives armed observatories evaluate on
+// every rig: flow-setup p99 under 50ms over 1s/3s burn windows, for the
+// tenant classes the stock experiments emit.
+func defaultRigSLOs() []obs.SLO {
+	var out []obs.SLO
+	for _, tenant := range []string{"client", "base", "crowd"} {
+		out = append(out, obs.SLO{
+			Name:   tenant + "-p99",
+			Tenant: tenant,
+			Target: 50 * time.Millisecond,
+		})
+	}
+	return out
+}
+
+// attach arms a freshly built rig: trace hands its traced components a
+// new tracer, and watch registers its observed components on a new
+// observatory, which samples them plus the flow-setup latency of the
+// rig's capture by flow class (how experiment workloads name tenants).
+// A nil watch leaves the rig unobserved.
+func (p *Probes) attach(eng *sim.Engine, cap *capture.Capture, trace func(*telemetry.Tracer), watch func(*obs.Observatory)) {
+	if p == nil {
+		return
+	}
+	if p.Trace {
+		tr := telemetry.NewTracer()
+		trace(tr)
+		p.Traces = append(p.Traces, telemetry.NamedTrace{Name: runName(len(p.Traces)), Tracer: tr})
+	}
+	if p.Obs == nil || watch == nil {
+		return
+	}
+	cfg := *p.Obs
+	if cfg.SLOs == nil {
+		cfg.SLOs = defaultRigSLOs()
+	}
+	o := obs.New(eng, cfg)
+	watch(o)
+	lt := workload.NewLatencyTracker(nil)
+	lt.AttachCapture(cap)
+	o.WatchLatency(lt)
+	o.Start()
+	p.Health = append(p.Health, NamedHealth{Name: runName(len(p.Health)), Obs: o})
+	if p.Observed != nil {
+		p.Observed(o)
+	}
+	if p.Advise {
+		bcfg := balance.DefaultConfig()
+		bcfg.Advise = true
+		b := balance.New(eng, bcfg, viewSignals(o), balance.Actuators{}).Start()
+		p.Advice = append(p.Advice, NamedBalance{Name: runName(len(p.Advice)), B: b})
+	}
+}
+
+// traceDelivery chains a first-packet-delivery trace point onto a host's
+// receive observer, preserving any existing observer (e.g. the capture
+// subsystem's).
+func traceDelivery(tr *telemetry.Tracer, h *device.Host) {
+	prev := h.OnReceive
+	h.OnReceive = func(pkt *packet.Packet, now sim.Time) {
+		tr.Point(telemetry.PointDelivered, pkt.FlowKey(), 0, now)
+		if prev != nil {
+			prev(pkt, now)
+		}
+	}
+}
+
+// CollectProbes concatenates what the results' probes collected, in
+// result order, and renames the runs run1, run2, ... per kind: exactly
+// what one serial run of the same ids builds.
+func CollectProbes(results []RunResult) *Probes {
+	all := &Probes{}
+	for _, r := range results {
+		if r.Probes != nil {
+			all.Traces = append(all.Traces, r.Probes.Traces...)
+			all.Health = append(all.Health, r.Probes.Health...)
+			all.Advice = append(all.Advice, r.Probes.Advice...)
+		}
+	}
+	for i := range all.Traces {
+		all.Traces[i].Name = runName(i)
+	}
+	for i := range all.Health {
+		all.Health[i].Name = runName(i)
+	}
+	for i := range all.Advice {
+		all.Advice[i].Name = runName(i)
+	}
+	return all
+}
+
+// WriteProbes renders what p collected as scotchsim prints it after the
+// experiments' own output: each advisor's decision log, then each health
+// digest, then each tracer's control-path stage breakdown.
+func WriteProbes(w io.Writer, p *Probes) error {
+	for _, nb := range p.Advice {
+		log := nb.B.Log()
+		fmt.Fprintf(w, "balance advice (%s): %d decisions\n", nb.Name, len(log))
+		WriteDecisions(w, log)
+		fmt.Fprintln(w)
+	}
+	for _, nh := range p.Health {
+		if err := nh.Obs.Digest(nh.Name).WriteText(w); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
+	for _, nt := range p.Traces {
+		fmt.Fprintf(w, "control-path stages (%s):\n", nt.Name)
+		nt.Tracer.WriteStageSummary(w)
+		fmt.Fprintln(w)
+	}
+	return nil
+}

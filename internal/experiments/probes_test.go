@@ -1,0 +1,151 @@
+package experiments
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"sync/atomic"
+	"testing"
+
+	"scotch/internal/obs"
+	"scotch/internal/telemetry"
+)
+
+// TestTracingDoesNotChangeOutput: a traced run keeps its golden bytes, and
+// the collected traces cover the full control path (>= 5 distinct stages)
+// and export as Chrome trace JSON.
+func TestTracingDoesNotChangeOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	traces := CollectProbes(checkGolden(t, []string{"fig14"}, 4, &Probes{Trace: true})).Traces
+	if len(traces) == 0 {
+		t.Fatal("no traces collected")
+	}
+	stages := make(map[string]bool)
+	spans := 0
+	for _, nt := range traces {
+		for _, s := range nt.Tracer.Spans() {
+			stages[s.Stage] = true
+			spans++
+			if s.End < s.Start {
+				t.Fatalf("negative span %+v", s)
+			}
+		}
+	}
+	if spans == 0 {
+		t.Fatal("traced run recorded no spans")
+	}
+	if len(stages) < 5 {
+		t.Fatalf("distinct stages = %d (%v), want >= 5", len(stages), stages)
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WriteChromeTrace(&buf, traces...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestObservatoryDoesNotChangeOutput: observation adds sampling events to
+// the engine but reads model state strictly read-only, so observed runs
+// keep their golden bytes, and every rig's digest carries data.
+func TestObservatoryDoesNotChangeOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	results := checkGolden(t, []string{"fig14", "elastic"}, 4, &Probes{Obs: &obs.Config{}})
+	runs := CollectProbes(results).Health
+	if len(runs) == 0 {
+		t.Fatal("no health runs collected")
+	}
+	for _, nh := range runs {
+		d := nh.Obs.Digest(nh.Name)
+		if d.Samples == 0 {
+			t.Errorf("%s: observatory took no samples", nh.Name)
+		}
+		if len(d.Components) == 0 {
+			t.Errorf("%s: digest has no components", nh.Name)
+		}
+	}
+}
+
+// TestBalanceAdvisorDoesNotChangeOutput: an Advise-mode balancer adds
+// policy ticks to the engine but never actuates, so advised runs keep
+// their golden bytes.
+func TestBalanceAdvisorDoesNotChangeOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	results := checkGolden(t, []string{"elastic", "cluster-migrate"}, 4,
+		&Probes{Obs: &obs.Config{}, Advise: true})
+	runs := CollectProbes(results).Advice
+	if len(runs) == 0 {
+		t.Fatal("no advisory balancers collected")
+	}
+	for _, nb := range runs {
+		if nb.B.Stats.Ticks == 0 {
+			t.Errorf("%s: advisor never ticked", nb.Name)
+		}
+		if n := nb.B.Stats.Grows + nb.B.Stats.Drains + nb.B.Stats.Migrations +
+			nb.B.Stats.Spawns + nb.B.Stats.Retires; n != 0 {
+			t.Errorf("%s: advise mode actuated %d times", nb.Name, n)
+		}
+	}
+}
+
+// TestArmedRunAllSharesNoState arms every probe, including a /statusz
+// source backed by one atomic pointer as scotchsim's is, over a parallel
+// RunAll. Under the race detector (CI's -race -short run) it proves the
+// per-run probes share no state; the newest rig's view must be live.
+func TestArmedRunAllSharesNoState(t *testing.T) {
+	var newest atomic.Pointer[obs.Observatory]
+	arm := &Probes{Trace: true, Obs: &obs.Config{}, Advise: true, Observed: newest.Store}
+	p := CollectProbes(checkGolden(t, []string{"table1", "fig4", "fig14"}, 2, arm))
+	// fig4 traces one testbed per offered rate; fig14 builds two rigs.
+	if len(p.Traces) != 9 || len(p.Health) != 2 || len(p.Advice) != 2 {
+		t.Errorf("collected %d traces, %d health, %d advice runs; want 9, 2, 2",
+			len(p.Traces), len(p.Health), len(p.Advice))
+	}
+	if v := newest.Load().Snapshot(); len(v.Components) == 0 || v.At == 0 {
+		t.Fatalf("newest cluster view = %+v, want populated", v)
+	}
+}
+
+// armedGolden holds what `scotchsim run -stages -health -balance` prints
+// for armedIDs, minus the wall-time lines; armedRegen rewrites it from
+// the repo root.
+const (
+	armedGolden = "testdata/armed.golden"
+	armedRegen  = `go run ./cmd/scotchsim run -stages -health -balance fig14 elastic cluster-migrate obs-slo | grep -v ' wall time)$' > internal/experiments/testdata/armed.golden`
+)
+
+var armedIDs = []string{"fig14", "elastic", "cluster-migrate", "obs-slo"}
+
+// TestArmedGolden: built at parallelism 4, the experiments' output
+// followed by WriteProbes' advice, health and stage blocks must match the
+// bytes a serial run printed.
+func TestArmedGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	results, err := RunAll(context.Background(), armedIDs, 4,
+		&Probes{Trace: true, Obs: &obs.Config{}, Advise: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, r := range results {
+		got.Write(r.Output)
+		got.WriteString("\n")
+	}
+	if err := WriteProbes(&got, CollectProbes(results)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(armedGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("armed artifacts differ from %s:\n%s\nIf the shift is intended, regenerate the file from the repo root with\n  %s",
+			armedGolden, lineDiff(armedGolden, string(want), got.String()), armedRegen)
+	}
+}

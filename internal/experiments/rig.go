@@ -8,8 +8,10 @@ import (
 	"scotch/internal/controller"
 	"scotch/internal/device"
 	"scotch/internal/netaddr"
+	"scotch/internal/obs"
 	"scotch/internal/scotch"
 	"scotch/internal/sim"
+	"scotch/internal/telemetry"
 	"scotch/internal/topo"
 	"scotch/internal/workload"
 )
@@ -41,7 +43,8 @@ type rigConfig struct {
 	// to the controller but left out of the mesh: spare capacity for the
 	// pool-only balancer to grow into.
 	nStandby  int
-	noOverlay bool // run the plain reactive baseline instead of Scotch
+	noOverlay bool    // run the plain reactive baseline instead of Scotch
+	probes    *Probes // instrumentation the rig attaches (nil: none)
 }
 
 func newRig(rc rigConfig) *rig {
@@ -102,7 +105,7 @@ func newRig(rc rigConfig) *rig {
 	for _, srv := range r.servers {
 		r.cap.Attach(srv)
 	}
-	if tr := newRunTracer(); tr != nil {
+	rc.probes.attach(eng, r.cap, func(tr *telemetry.Tracer) {
 		r.c.SetTracer(tr)
 		edge.SetTracer(tr)
 		for _, vs := range r.vs {
@@ -114,8 +117,17 @@ func newRig(rc rigConfig) *rig {
 		for _, srv := range r.servers {
 			traceDelivery(tr, srv)
 		}
-	}
-	newRunObservatory(r)
+	}, func(o *obs.Observatory) {
+		o.WatchApp(r.app)
+		o.WatchController("controller", r.c)
+		o.WatchSwitch(edge)
+		for _, vs := range r.vs {
+			o.WatchSwitch(vs)
+		}
+		for _, sb := range r.standby {
+			o.WatchSwitch(sb)
+		}
+	})
 	return r
 }
 

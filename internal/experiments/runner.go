@@ -24,11 +24,16 @@ type RunResult struct {
 	Wall time.Duration
 	// Err is the experiment's error, if it failed.
 	Err error
+	// Probes holds what the experiment's rigs collected under RunAll's
+	// arm (nil when unarmed).
+	Probes *Probes
 }
 
 // RunAll executes the experiments with the given ids on a pool of
 // parallelism workers and returns their results in the order ids were
-// given. parallelism <= 0 means runtime.NumCPU().
+// given. parallelism <= 0 means runtime.NumCPU(). Each experiment runs
+// under a fresh copy of arm's settings (nil arms nothing), so collected
+// instruments never mix across workers; CollectProbes merges them.
 //
 // Each experiment's output is captured into a per-experiment buffer, so
 // parallel execution cannot interleave output. The first experiment error
@@ -36,7 +41,7 @@ type RunResult struct {
 // (already-running experiments finish; their results are still reported).
 // The returned error is the first error in id order, wrapped with its
 // experiment id.
-func RunAll(ctx context.Context, ids []string, parallelism int) ([]RunResult, error) {
+func RunAll(ctx context.Context, ids []string, parallelism int, arm *Probes) ([]RunResult, error) {
 	exps := make([]Experiment, len(ids))
 	for i, id := range ids {
 		e, ok := ByID(id)
@@ -66,7 +71,7 @@ func RunAll(ctx context.Context, ids []string, parallelism int) ([]RunResult, er
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = runCaptured(exps[i])
+				results[i] = runCaptured(exps[i], arm.fresh())
 				if results[i].Err != nil {
 					cancel()
 				}
@@ -95,17 +100,18 @@ feed:
 }
 
 // runCaptured runs one experiment, capturing banner and table output.
-func runCaptured(e Experiment) RunResult {
+func runCaptured(e Experiment, p *Probes) RunResult {
 	var buf bytes.Buffer
 	banner(&buf, e)
 	start := time.Now()
-	err := e.Run(&buf)
+	err := e.Run(&buf, p)
 	return RunResult{
 		ID:     e.ID,
 		Title:  e.Title,
 		Output: buf.Bytes(),
 		Wall:   time.Since(start),
 		Err:    err,
+		Probes: p,
 	}
 }
 

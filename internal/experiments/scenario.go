@@ -80,12 +80,12 @@ type multitenantResult struct {
 // multitenantRun composes the three-tenant mix on the single-edge rig with
 // a pool-only balancer resizing the overlay and returns the per-tenant
 // latency rows.
-func multitenantRun(seed int64, withDDoS bool) ([]latRow, int) {
+func multitenantRun(p *Probes, seed int64, withDDoS bool) ([]latRow, int) {
 	const dur = 12 * time.Second
 	cfg := scotch.DefaultConfig()
 	cfg.RuleIdleTimeout = 2 * time.Second
 	r := newRig(rigConfig{seed: seed, cfg: cfg,
-		nClients: 3, nServers: 2, nPrimary: 1, nStandby: 3})
+		nClients: 3, nServers: 2, nPrimary: 1, nStandby: 3, probes: p})
 
 	standby := make([]uint64, 0, len(r.standby))
 	for _, sb := range r.standby {
@@ -139,10 +139,10 @@ func multitenantRun(seed int64, withDDoS bool) ([]latRow, int) {
 	return latencyRows(lat), peak
 }
 
-func multitenantPoint(seed int64) multitenantResult {
+func multitenantPoint(p *Probes, seed int64) multitenantResult {
 	var res multitenantResult
-	res.quiet, _ = multitenantRun(seed, false)
-	res.attacked, res.peakPool = multitenantRun(seed, true)
+	res.quiet, _ = multitenantRun(p, seed, false)
+	res.attacked, res.peakPool = multitenantRun(p, seed, true)
 	var quietP99, attackedP99 float64
 	for _, r := range res.quiet {
 		if r.tenant == "base" {
@@ -160,8 +160,8 @@ func multitenantPoint(seed int64) multitenantResult {
 	return res
 }
 
-func runScenarioMultitenant(w io.Writer) error {
-	res := multitenantPoint(61)
+func runScenarioMultitenant(w io.Writer, p *Probes) error {
+	res := multitenantPoint(p, 61)
 	fmt.Fprintln(w, "quiet run (base + crowd, overlay + balancer):")
 	latencyTable(w, res.quiet)
 	fmt.Fprintln(w, "attacked run (base + crowd + ddos):")
@@ -241,7 +241,7 @@ func fattreePoint(seed int64) fattreeResult {
 	}
 }
 
-func runScenarioFattree(w io.Writer) error {
+func runScenarioFattree(w io.Writer, _ *Probes) error {
 	res := fattreePoint(62)
 	latencyTable(w, res.rows)
 	fmt.Fprintf(w, "base_completion=%.3f crowd_completion=%.3f\n",
@@ -264,10 +264,10 @@ type replayResult struct {
 // hashing trace endpoints onto the rig's clients and servers. The trace's
 // tenant column ("web", "batch", and unlabeled → "replay") drives the
 // per-tenant latency CDFs.
-func replayPoint(seed int64) replayResult {
+func replayPoint(p *Probes, seed int64) replayResult {
 	const dur = 8 * time.Second
 	r := newRig(rigConfig{seed: seed, cfg: scotch.DefaultConfig(),
-		nClients: 2, nServers: 2, nPrimary: 1, nBackup: 1})
+		nClients: 2, nServers: 2, nPrimary: 1, nBackup: 1, probes: p})
 	lat := workload.NewLatencyTracker(nil)
 	lat.AttachCapture(r.cap)
 
@@ -295,8 +295,8 @@ func replayPoint(seed int64) replayResult {
 	}
 }
 
-func runScenarioReplay(w io.Writer) error {
-	res := replayPoint(63)
+func runScenarioReplay(w io.Writer, p *Probes) error {
+	res := replayPoint(p, 63)
 	fmt.Fprintf(w, "trace_events=%d scheduled=%d\n", res.events, res.scheduled)
 	latencyTable(w, res.rows)
 	fmt.Fprintf(w, "all_tenants: n=%d p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f\n",

@@ -12,7 +12,7 @@ func TestMultitenantIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two 12s scenario simulations")
 	}
-	res := multitenantPoint(61)
+	res := multitenantPoint(nil, 61)
 	if res.p99Ratio <= 0 {
 		t.Fatalf("degenerate p99 ratio %v (no baseline latencies observed?)", res.p99Ratio)
 	}
@@ -73,7 +73,7 @@ func TestFattreeScenario(t *testing.T) {
 // TestReplayScenario checks the embedded trace parses, schedules fully,
 // and yields per-tenant latency rows for all three tenant labels.
 func TestReplayScenario(t *testing.T) {
-	res := replayPoint(63)
+	res := replayPoint(nil, 63)
 	if res.events == 0 || res.scheduled != res.events {
 		t.Fatalf("scheduled %d of %d trace events", res.scheduled, res.events)
 	}

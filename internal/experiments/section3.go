@@ -8,6 +8,7 @@ import (
 	"scotch/internal/controller"
 	"scotch/internal/device"
 	"scotch/internal/sim"
+	"scotch/internal/telemetry"
 	"scotch/internal/topo"
 	"scotch/internal/workload"
 )
@@ -51,7 +52,7 @@ func fig3Point(prof device.Profile, attackRate float64, dur time.Duration, seed 
 	return cap.FailureFraction("client")
 }
 
-func runFig3(w io.Writer) error {
+func runFig3(w io.Writer, _ *Probes) error {
 	rates := []float64{100, 500, 1000, 1500, 2000, 2500, 3000, 3800}
 	profiles := []device.Profile{
 		device.ProcurveProfile(),
@@ -70,7 +71,7 @@ func runFig3(w io.Writer) error {
 	return nil
 }
 
-func runFig4(w io.Writer) error {
+func runFig4(w io.Writer, p *Probes) error {
 	rates := []float64{50, 100, 150, 200, 300, 500, 1000}
 	t := newTable(w, "offered_new_flows_per_s", "packet_in_per_s", "rule_install_per_s", "success_flows_per_s")
 	for _, r := range rates {
@@ -81,11 +82,12 @@ func runFig4(w io.Writer) error {
 		c.ConnectAll()
 		cap := capture.New(eng)
 		cap.Attach(tb.Server)
-		if tr := newRunTracer(); tr != nil {
+		// Traced but not observed.
+		p.attach(eng, cap, func(tr *telemetry.Tracer) {
 			c.SetTracer(tr)
 			tb.Switch.SetTracer(tr)
 			traceDelivery(tr, tb.Server)
-		}
+		}, nil)
 		const dur = 10 * time.Second
 		cli := workload.StartClient(workload.NewEmitter(eng, tb.Client, cap), tb.Server.IP, r, 1, 0)
 		eng.RunUntil(dur)
@@ -104,7 +106,7 @@ func runFig4(w io.Writer) error {
 	return nil
 }
 
-func runTable1(w io.Writer) error {
+func runTable1(w io.Writer, _ *Probes) error {
 	t := newTable(w, "profile", "packet_in_per_s", "insert_lossfree_per_s",
 		"insert_overload_per_s", "stall_knee_per_s", "dataplane_pps", "tcam")
 	for _, name := range []string{"pica8", "procurve", "ovs"} {

@@ -53,7 +53,7 @@ func driveInserts(eng *sim.Engine, sw *device.Switch, rate float64, dur time.Dur
 	eng.Schedule(dur, tick.Stop)
 }
 
-func runFig9(w io.Writer) error {
+func runFig9(w io.Writer, _ *Probes) error {
 	// "We let the Ryu controller generate flow rules at a constant rate
 	// and send them to the Pica8 switch... there is no data traffic."
 	rates := []float64{250, 500, 1000, 1500, 2000, 2250, 2500, 3000}
@@ -72,7 +72,7 @@ func runFig9(w io.Writer) error {
 	return nil
 }
 
-func runFig10(w io.Writer) error {
+func runFig10(w io.Writer, _ *Probes) error {
 	// Data traffic through a pre-installed rule while the controller
 	// inserts unrelated rules at a given rate; measure data-path loss.
 	insertRates := []float64{100, 400, 800, 1200, 1300, 1400, 1600, 2000}

@@ -35,14 +35,14 @@ func init() {
 // runFig11 compares the client flow failure fraction with and without
 // Scotch while an attacker on a different ingress port sweeps its rate.
 // With Scotch, per-port queues isolate the attack (paper §5.2).
-func runFig11(w io.Writer) error {
+func runFig11(w io.Writer, p *Probes) error {
 	rates := []float64{500, 1000, 2000, 3000, 3800}
 	t := newTable(w, "attack_flows_per_s", "baseline_client_failure", "scotch_client_failure", "scotch_attack_failure")
 	const dur = 15 * time.Second
 	for _, ar := range rates {
 		run := func(noOverlay bool) (float64, float64) {
 			r := newRig(rigConfig{seed: 11, cfg: scotch.DefaultConfig(),
-				nClients: 2, nServers: 1, nPrimary: 2, noOverlay: noOverlay})
+				nClients: 2, nServers: 1, nPrimary: 2, noOverlay: noOverlay, probes: p})
 			atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, ar)
 			cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
 			r.eng.RunUntil(dur)
@@ -62,7 +62,7 @@ func runFig11(w io.Writer) error {
 // runFig12 grows the vSwitch pool under a fixed control-plane overload and
 // reports the aggregate rate of successfully handled new flows: Scotch's
 // elastic capacity scaling.
-func runFig12(w io.Writer) error {
+func runFig12(w io.Writer, p *Probes) error {
 	t := newTable(w, "vswitches", "offered_flows_per_s", "handled_flows_per_s", "delivered_flows_per_s")
 	const offered = 25000.0
 	const dur = 5 * time.Second
@@ -72,7 +72,7 @@ func runFig12(w io.Writer) error {
 		// per-switch pacing.
 		cfg.OverlayInstallRate = 1e6
 		cfg.FanOut = n
-		r := newRig(rigConfig{seed: 12, cfg: cfg, nClients: 2, nServers: 8, nPrimary: n})
+		r := newRig(rigConfig{seed: 12, cfg: cfg, nClients: 2, nServers: 8, nPrimary: n, probes: p})
 		// Two attackers spread over the servers to exercise every
 		// delivery vSwitch.
 		var gens []*workload.DDoS
@@ -99,7 +99,7 @@ func runFig12(w io.Writer) error {
 // runFig13 measures where an elephant's bytes land with and without
 // migration: with the migrator on, the bulk of the bytes return to the
 // physical network shortly after detection.
-func runFig13(w io.Writer) error {
+func runFig13(w io.Writer, p *Probes) error {
 	t := newTable(w, "migration", "elephant_bytes_overlay", "elephant_bytes_physical",
 		"physical_fraction", "elephants_migrated")
 	const dur = 20 * time.Second
@@ -108,7 +108,7 @@ func runFig13(w io.Writer) error {
 		if !enabled {
 			cfg.ElephantBytes = 1 << 40
 		}
-		r := newRig(rigConfig{seed: 13, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2})
+		r := newRig(rigConfig{seed: 13, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
 		// Attack keeps the control path saturated so new flows take the
 		// overlay.
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2000)
@@ -166,7 +166,7 @@ func runFig13(w io.Writer) error {
 
 // runFig14 compares flow-setup latency and steady-state per-packet delay
 // on the physical path versus the three-tunnel overlay path.
-func runFig14(w io.Writer) error {
+func runFig14(w io.Writer, p *Probes) error {
 	t := newTable(w, "path", "first_packet_ms_p50", "steady_delay_ms_p50", "steady_delay_ms_p99")
 	const dur = 10 * time.Second
 
@@ -180,7 +180,7 @@ func runFig14(w io.Writer) error {
 			cfg.ActivateRate = 0.1
 			cfg.DeactivateRate = 0
 		}
-		r := newRig(rigConfig{seed: 14, cfg: cfg, nClients: 1, nServers: 1, nPrimary: 2})
+		r := newRig(rigConfig{seed: 14, cfg: cfg, nClients: 1, nServers: 1, nPrimary: 2, probes: p})
 		em := r.emitter(r.clients[0])
 		// A warm-up flow triggers overlay activation when forced.
 		if forceOverlay {

@@ -29,7 +29,9 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -60,9 +62,10 @@ type Config struct {
 	SLOs []SLO
 	// ProfileDir, when non-empty, enables automatic pprof capture on SLO
 	// breach transitions: entering Burning writes a heap profile and
-	// starts a CPU profile in this directory; recovering stops the CPU
-	// profile. Empty (the default) disables all profile I/O, keeping
-	// simulation runs free of side effects.
+	// starts a CPU profile in this directory, never overwriting an
+	// existing capture; recovering stops the CPU profile. Empty (the
+	// default) disables all profile I/O, keeping simulation runs free of
+	// side effects.
 	ProfileDir string
 }
 
@@ -400,11 +403,22 @@ func (o *Observatory) onTransitionLocked(s *sloState, to Verdict) {
 	switch to {
 	case Burning:
 		o.captures++
-		base := filepath.Join(o.cfg.ProfileDir,
-			fmt.Sprintf("breach_%s_%d", sanitize(s.def.Name), o.captures))
-		if f, err := os.Create(base + "_heap.pprof"); err == nil {
-			_ = pprof.WriteHeapProfile(f)
-			_ = f.Close()
+		// Observatories sharing a ProfileDir (one per rig of a run) count
+		// their captures separately: take the first number from ours on
+		// whose heap file is still free, so no capture overwrites another.
+		var base string
+		for n := o.captures; ; n++ {
+			base = filepath.Join(o.cfg.ProfileDir,
+				fmt.Sprintf("breach_%s_%d", sanitize(s.def.Name), n))
+			f, err := os.OpenFile(base+"_heap.pprof", os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+			if errors.Is(err, fs.ErrExist) {
+				continue
+			}
+			if err == nil {
+				_ = pprof.WriteHeapProfile(f)
+				_ = f.Close()
+			}
+			break
 		}
 		if o.cpuFile == nil {
 			if f, err := os.Create(base + "_cpu.pprof"); err == nil {

@@ -97,8 +97,9 @@ func TestSnapshotMidBurn(t *testing.T) {
 	}
 }
 
-func TestBreachProfileCapture(t *testing.T) {
-	dir := t.TempDir()
+// breachRun runs an observatory capturing into dir whose one SLO, "t-p99",
+// breaches once and never recovers.
+func breachRun(dir string) *Observatory {
 	eng := sim.New(1)
 	lt := workload.NewLatencyTracker(nil)
 	o := New(eng, Config{
@@ -110,7 +111,12 @@ func TestBreachProfileCapture(t *testing.T) {
 	o.Start()
 	eng.RunUntil(3 * time.Second)
 	o.Stop()
+	return o
+}
 
+func TestBreachProfileCapture(t *testing.T) {
+	dir := t.TempDir()
+	o := breachRun(dir)
 	if o.Captures() != 1 {
 		t.Fatalf("captures = %d, want 1", o.Captures())
 	}
@@ -122,6 +128,21 @@ func TestBreachProfileCapture(t *testing.T) {
 		if fi.Size() == 0 {
 			t.Errorf("breach profile %s is empty", name)
 		}
+	}
+}
+
+// TestBreachProfilesShareDir: observatories of different rigs share one
+// ProfileDir and count their captures separately, yet no capture may
+// overwrite another's files.
+func TestBreachProfilesShareDir(t *testing.T) {
+	dir := t.TempDir()
+	captures := breachRun(dir).Captures() + breachRun(dir).Captures()
+	heaps, err := filepath.Glob(filepath.Join(dir, "breach_t-p99_*_heap.pprof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if captures != 2 || len(heaps) != captures {
+		t.Fatalf("%d captures left %d heap profiles %v, want one each", captures, len(heaps), heaps)
 	}
 }
 
