@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet doclint linkcheck golden bench-smoke bench-compare trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
+.PHONY: all build test short race vet doclint linkcheck golden golden-poison bench-smoke bench-compare trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
 
 all: build test
 
@@ -20,8 +20,10 @@ short:
 race:
 	$(GO) test -race ./...
 
+# Vet gate: go vet, and every Go file as gofmt prints it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # Documentation gate: every internal package needs a package comment, and
 # the scotch/cluster/devolve/elastic/fault packages need docs on every
@@ -42,6 +44,16 @@ linkcheck:
 golden:
 	$(GO) run ./cmd/scotchsim -parallel 2 all > golden.out
 	grep -v ' wall time)$$' golden.out | diff -u internal/experiments/testdata/all.golden -
+
+# Poisoned-frame gate (DESIGN.md §14, "The control-channel frame"): with
+# the scotchpoison tag every recycled control-channel frame is overwritten
+# with 0xAB and the receivers' scratch messages are zeroed after each
+# callback, so anything that keeps a frame, a decoded message or a parsed
+# packet past its callback without copying shifts a golden output or fails
+# a package test.
+golden-poison:
+	$(GO) test -tags scotchpoison ./internal/experiments -run 'Golden'
+	$(GO) test -tags scotchpoison ./internal/sim ./internal/device ./internal/controller ./internal/scotch ./internal/cluster
 
 # The chaos experiments (§5 reliability mechanisms under injected faults)
 # plus the elastic pool cycle (a pool-only balancer) and the devolution
@@ -80,7 +92,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzTraceJSONL -fuzztime 5s ./internal/workload/
 	$(GO) test -run xxx -fuzz FuzzMessageRoundTrip -fuzztime 5s ./internal/openflow/
 	$(GO) test -run xxx -fuzz FuzzMatchRoundTrip -fuzztime 5s ./internal/openflow/
-	$(GO) test -run xxx -fuzz FuzzMultipartReplyReuse -fuzztime 5s ./internal/openflow/
+	$(GO) test -run xxx -fuzz FuzzUnmarshalIntoReuse -fuzztime 5s ./internal/openflow/
 	$(GO) test -run xxx -fuzz FuzzTableOps -fuzztime 5s ./internal/flowtable/
 
 # Per-tenant flow-setup latency CDF table from the multi-tenant scenario

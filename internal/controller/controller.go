@@ -19,17 +19,23 @@ type App interface {
 	// Name identifies the app.
 	Name() string
 	// HandlePacketIn processes a punted packet. pkt is the parsed packet
-	// from the message data (nil if unparseable).
+	// from the message data (nil if unparseable). pin, pin.Data and pkt
+	// are valid only during the call: the controller decodes the next
+	// Packet-In into the same message and packet, and pin.Data aliases a
+	// frame that is recycled when the call returns. An app that needs any
+	// of them later must copy it (DESIGN.md §14, "The control-channel
+	// frame").
 	HandlePacketIn(sw *SwitchHandle, pin *openflow.PacketIn, pkt *packet.Packet) bool
 }
 
-// FlowRemovedHandler is implemented by apps that track rule expiry.
+// FlowRemovedHandler is implemented by apps that track rule expiry. fr is
+// valid only during the call, as HandlePacketIn's pin is.
 type FlowRemovedHandler interface {
 	HandleFlowRemoved(sw *SwitchHandle, fr *openflow.FlowRemoved)
 }
 
 // ErrorHandler is implemented by apps that react to switch errors (e.g.
-// table-full).
+// table-full). e is valid only during the call, as HandlePacketIn's pin is.
 type ErrorHandler interface {
 	HandleError(sw *SwitchHandle, e *openflow.Error)
 }
@@ -104,13 +110,34 @@ type Controller struct {
 
 	trace *telemetry.Tracer
 
-	// statsPart is the one reply every flow-stats part from every switch
-	// is decoded into (see RequestFlowStats): parts arrive on the
-	// controller's own event loop, one at a time.
-	statsPart openflow.MultipartReply
+	// rx is what switch-to-controller frames are decoded into, wbuf what
+	// controller-to-switch messages are marshalled into: every message is
+	// handled to completion on the controller's own event loop, so one of
+	// each suffices.
+	rx   rxScratch
+	wbuf []byte
+	// pinFree recycles the Packet-In copies the paced queue holds.
+	pinFree []*openflow.PacketIn
 }
 
-// pinJob is one queued Packet-In awaiting controller CPU.
+// rxScratch holds one decoded message of each type the controller
+// receives, plus the packet a Packet-In carries, all valid only until the
+// callback that decoded them returns.
+type rxScratch struct {
+	pin     openflow.PacketIn
+	pkt     packet.Parser
+	fr      openflow.FlowRemoved
+	err     openflow.Error
+	role    openflow.RoleReply
+	echo    openflow.EchoReply
+	barrier openflow.BarrierReply
+	// stats is the one reply every flow-stats part from every switch is
+	// decoded into (see RequestFlowStats).
+	stats openflow.MultipartReply
+}
+
+// pinJob is one queued Packet-In awaiting controller CPU. m is a copy the
+// controller owns (see queuedCopy): the queue outlives the frame.
 type pinJob struct {
 	h *SwitchHandle
 	m *openflow.PacketIn
@@ -132,8 +159,11 @@ func New(eng sim.Proc, net *topo.Network) *Controller {
 // is dropped (and counted in Stats.PacketInsDropped). Zero-capacity
 // controllers (the default) process punts immediately.
 func (c *Controller) SetCapacity(rate float64, queue int) {
-	c.pinSrv = sim.NewServer(c.Eng, rate, queue, c.dispatchPacketIn)
-	c.pinSrv.OnDrop(func(pinJob) { c.Stats.PacketInsDropped++ })
+	c.pinSrv = sim.NewServer(c.Eng, rate, queue, c.dispatchQueued)
+	c.pinSrv.OnDrop(func(j pinJob) {
+		c.Stats.PacketInsDropped++
+		c.pinFree = append(c.pinFree, j.m)
+	})
 }
 
 // QueueDepth returns the number of Packet-Ins awaiting processing (always
@@ -260,12 +290,16 @@ func (c *Controller) Switch(dpid uint64) *SwitchHandle { return c.switches[dpid]
 // Switches returns all connected switch handles.
 func (c *Controller) Switches() map[uint64]*SwitchHandle { return c.switches }
 
+// send marshals m into the controller's scratch buffer; the switch copies
+// it into a frame of its own per delivery.
 func (h *SwitchHandle) send(m openflow.Message) uint32 {
 	h.xid++
-	b, err := openflow.Marshal(m, h.xid)
+	c := h.ctrl
+	b, err := openflow.MarshalAppend(c.wbuf[:0], m, h.xid)
 	if err != nil {
 		panic(err)
 	}
+	c.wbuf = b
 	h.Dev.DeliverControlFrom(h.connID, b)
 	return h.xid
 }
@@ -358,72 +392,131 @@ func (h *SwitchHandle) Barrier(cb func()) {
 // Dead reports whether the heartbeat monitor declared the switch failed.
 func (h *SwitchHandle) Dead() bool { return h.dead }
 
-// receive decodes and dispatches a switch-to-controller message.
+// receive decodes and dispatches a switch-to-controller message. The
+// frame, and everything decoded from it into c.rx, is dead once this
+// returns; a Poison build zeroes c.rx then, so a holder that kept a
+// reference reads zeros.
 func (c *Controller) receive(dpid uint64, raw []byte) {
-	h := c.switches[dpid]
-	if h == nil {
+	if h := c.switches[dpid]; h != nil {
+		c.handle(h, raw)
+	}
+	if sim.Poison {
+		c.rx = rxScratch{}
+	}
+}
+
+func (c *Controller) handle(h *SwitchHandle, raw []byte) {
+	t, ok := openflow.PeekType(raw)
+	if !ok {
 		return
 	}
-	if t, ok := openflow.PeekType(raw); ok && t == openflow.TypeMultipartReply {
+	rx := &c.rx
+	switch t {
+	case openflow.TypePacketIn:
+		if _, err := openflow.UnmarshalInto(raw, &rx.pin); err == nil {
+			c.receivePacketIn(h, &rx.pin)
+		}
+	case openflow.TypeMultipartReply:
 		c.receiveStatsPart(h, raw)
-		return
+	case openflow.TypeRoleReply:
+		if xid, err := openflow.UnmarshalInto(raw, &rx.role); err == nil {
+			h.role = rx.role.Role
+			if cb, ok := h.roleCB[xid]; ok {
+				delete(h.roleCB, xid)
+				cb(&rx.role)
+			}
+		}
+	case openflow.TypeEchoReply:
+		if _, err := openflow.UnmarshalInto(raw, &rx.echo); err == nil {
+			c.Stats.EchoReplies++
+			h.echoPending = 0
+		}
+	case openflow.TypeBarrierReply:
+		if xid, err := openflow.UnmarshalInto(raw, &rx.barrier); err == nil {
+			if cb, ok := h.barrierCB[xid]; ok {
+				delete(h.barrierCB, xid)
+				cb()
+			}
+		}
+	case openflow.TypeFlowRemoved:
+		if _, err := openflow.UnmarshalInto(raw, &rx.fr); err == nil {
+			for _, app := range c.apps {
+				if fr, ok := app.(FlowRemovedHandler); ok {
+					fr.HandleFlowRemoved(h, &rx.fr)
+				}
+			}
+		}
+	case openflow.TypeError:
+		if _, err := openflow.UnmarshalInto(raw, &rx.err); err == nil {
+			c.Stats.ErrorsReceived++
+			for _, app := range c.apps {
+				if eh, ok := app.(ErrorHandler); ok {
+					eh.HandleError(h, &rx.err)
+				}
+			}
+		}
 	}
-	msg, xid, err := openflow.Unmarshal(raw)
-	if err != nil {
-		return
-	}
+}
+
+// receivePacketIn counts a punt and dispatches it. The packet is parsed
+// once, into the scratch packet, for both the trace point and the apps.
+// With SetCapacity the punt waits in the paced queue as a copy, and is
+// parsed when it is served.
+func (c *Controller) receivePacketIn(h *SwitchHandle, m *openflow.PacketIn) {
 	now := c.Eng.Now()
-	switch m := msg.(type) {
-	case *openflow.PacketIn:
-		c.Stats.PacketIns++
-		c.InRate.Add(now, 1)
-		h.PacketInRate.Add(now, 1)
-		if c.trace != nil {
-			if pkt, err := packet.Parse(m.Data); err == nil {
-				c.trace.Point(telemetry.PointCtrlRecv, pkt.FlowKey(), dpid, now)
-			}
-		}
-		if c.pinSrv != nil {
-			c.pinSrv.Submit(pinJob{h, m})
-		} else {
-			c.dispatchPacketIn(pinJob{h, m})
-		}
-	case *openflow.RoleReply:
-		h.role = m.Role
-		if cb, ok := h.roleCB[xid]; ok {
-			delete(h.roleCB, xid)
-			cb(m)
-		}
-	case *openflow.EchoReply:
-		c.Stats.EchoReplies++
-		h.echoPending = 0
-	case *openflow.BarrierReply:
-		if cb, ok := h.barrierCB[xid]; ok {
-			delete(h.barrierCB, xid)
-			cb()
-		}
-	case *openflow.FlowRemoved:
-		for _, app := range c.apps {
-			if fr, ok := app.(FlowRemovedHandler); ok {
-				fr.HandleFlowRemoved(h, m)
-			}
-		}
-	case *openflow.Error:
-		c.Stats.ErrorsReceived++
-		for _, app := range c.apps {
-			if eh, ok := app.(ErrorHandler); ok {
-				eh.HandleError(h, m)
-			}
-		}
+	c.Stats.PacketIns++
+	c.InRate.Add(now, 1)
+	h.PacketInRate.Add(now, 1)
+	var pkt *packet.Packet
+	if c.pinSrv == nil || c.trace != nil {
+		pkt, _ = c.rx.pkt.Parse(m.Data)
 	}
+	if c.trace != nil && pkt != nil {
+		c.trace.Point(telemetry.PointCtrlRecv, pkt.FlowKey(), h.DPID, now)
+	}
+	if c.pinSrv != nil {
+		c.pinSrv.Submit(pinJob{h, c.queuedCopy(m)})
+		return
+	}
+	c.dispatch(h, m, pkt)
+}
+
+// queuedCopy copies a Packet-In, its data included, into a recycled
+// message for the paced queue; dispatchQueued and the queue's drop hook
+// give it back.
+func (c *Controller) queuedCopy(m *openflow.PacketIn) *openflow.PacketIn {
+	var cp *openflow.PacketIn
+	if n := len(c.pinFree); n > 0 {
+		cp = c.pinFree[n-1]
+		c.pinFree[n-1] = nil
+		c.pinFree = c.pinFree[:n-1]
+	} else {
+		cp = new(openflow.PacketIn)
+	}
+	data := append(cp.Data[:0], m.Data...)
+	*cp = *m
+	cp.Data = data
+	return cp
+}
+
+// dispatchQueued dispatches a punt served by the paced queue. The copy and
+// the scratch packet are dead once it returns, as in receive.
+func (c *Controller) dispatchQueued(j pinJob) {
+	pkt, _ := c.rx.pkt.Parse(j.m.Data)
+	c.dispatch(j.h, j.m, pkt)
+	if sim.Poison {
+		*j.m = openflow.PacketIn{}
+		c.rx = rxScratch{}
+	}
+	c.pinFree = append(c.pinFree, j.m)
 }
 
 // receiveStatsPart decodes one flow-stats reply part into the controller's
 // reusable reply and runs the request's callback on it; the callback is
 // forgotten after the final part. Nothing is accumulated across parts.
 func (c *Controller) receiveStatsPart(h *SwitchHandle, raw []byte) {
-	rep := &c.statsPart
-	xid, err := openflow.UnmarshalMultipartReply(raw, rep)
+	rep := &c.rx.stats
+	xid, err := openflow.UnmarshalInto(raw, rep)
 	if err != nil {
 		return
 	}
@@ -437,15 +530,13 @@ func (c *Controller) receiveStatsPart(h *SwitchHandle, raw []byte) {
 	cb(rep)
 }
 
-// dispatchPacketIn parses a punt and consults the apps in registration
-// order; with SetCapacity this runs from the paced queue.
-func (c *Controller) dispatchPacketIn(j pinJob) {
-	pkt, _ := packet.Parse(j.m.Data)
+// dispatch consults the apps in registration order.
+func (c *Controller) dispatch(h *SwitchHandle, m *openflow.PacketIn, pkt *packet.Packet) {
 	if c.trace != nil && pkt != nil {
-		c.trace.Point(telemetry.PointDispatch, pkt.FlowKey(), j.h.DPID, c.Eng.Now())
+		c.trace.Point(telemetry.PointDispatch, pkt.FlowKey(), h.DPID, c.Eng.Now())
 	}
 	for _, app := range c.apps {
-		if app.HandlePacketIn(j.h, j.m, pkt) {
+		if app.HandlePacketIn(h, m, pkt) {
 			break
 		}
 	}

@@ -78,6 +78,9 @@ func installRules(h *SwitchHandle, first, last int) {
 // the whole reply as one slice and reassembling it at the controller cost
 // 16 times the wire bytes for these 64-byte entries.
 func TestFlowStatsPollAllocations(t *testing.T) {
+	if sim.Poison {
+		t.Skip("a poison build zeroes the reusable reply after every part")
+	}
 	eng := sim.New(1)
 	net := topo.New(eng)
 	sw := net.AddSwitch("s1", fastProfile())

@@ -15,14 +15,15 @@ var (
 	ipB = netaddr.MakeIPv4(10, 0, 0, 2)
 )
 
-// ctrlSink collects decoded switch-to-controller messages.
+// ctrlSink collects decoded switch-to-controller messages. It keeps them
+// past the delivery, so it decodes a copy of each frame.
 type ctrlSink struct {
 	t    *testing.T
 	msgs []openflow.Message
 }
 
 func (c *ctrlSink) fn(dpid uint64, b []byte) {
-	m, _, err := openflow.Unmarshal(b)
+	m, _, err := openflow.Unmarshal(append([]byte(nil), b...))
 	if err != nil {
 		c.t.Fatalf("controller received garbage: %v", err)
 	}

@@ -87,6 +87,17 @@ type Switch struct {
 	chFaults *fault.ChannelFaults
 	local    LocalAgent // nil = every miss escalates to the controller
 
+	// pin and fr are the messages every punt and every flow-removed
+	// notice is built in (pin.Data is the buffer the punted packet is
+	// serialized into); both are dead once marshalled. rx holds the
+	// controller-to-switch messages decoded into scratch (see decode).
+	pin openflow.PacketIn
+	fr  openflow.FlowRemoved
+	rx  struct {
+		po   openflow.PacketOut
+		echo openflow.EchoRequest
+	}
+
 	Stats SwitchStats
 
 	// OnForward, when set, observes every (packet, outPort) the data
@@ -423,8 +434,8 @@ func (sw *Switch) emitPacketIn(it dataItem) {
 		m.Fields |= openflow.FieldTunnelID
 		m.TunnelID = it.pkt.Meta.TunnelID
 	}
-	data := it.pkt.Marshal()
-	msg := &openflow.PacketIn{
+	data := it.pkt.AppendMarshal(sw.pin.Data[:0])
+	sw.pin = openflow.PacketIn{
 		BufferID: 0xffffffff,
 		TotalLen: uint16(it.pkt.Size),
 		Reason:   openflow.ReasonNoMatch,
@@ -433,35 +444,65 @@ func (sw *Switch) emitPacketIn(it dataItem) {
 		Match:    m,
 		Data:     data,
 	}
-	sw.sendAsync(msg)
+	sw.sendAsync(&sw.pin)
 }
 
 // sendAsync fans an asynchronous message (Packet-In, Flow-Removed) out to
 // every master and equal connection; slaves receive nothing (OF 1.3 §6.3).
 func (sw *Switch) sendAsync(m openflow.Message) {
 	sw.xid++
-	b, err := openflow.Marshal(m, sw.xid)
-	if err != nil {
-		panic(fmt.Sprintf("device: marshal %v: %v", m.Type(), err))
-	}
-	dpid := sw.DPID
+	var b []byte // marshalled for the first connection that gets it
+	handed := false
 	for _, c := range sw.conns {
 		if c.role == openflow.RoleSlave {
 			continue
 		}
-		delay := sw.Profile.CtrlDelay
-		if sw.chFaults != nil {
-			v := sw.chFaults.Verdict()
-			if v.Drop {
-				continue
-			}
-			delay += v.Delay
-			if v.Duplicate {
-				sw.proc.DeferBytes(c.proc, delay, deliverToConn, c.send, int(dpid), b)
-			}
+		if b == nil {
+			b = sw.marshal(m, sw.xid)
 		}
-		sw.proc.DeferBytes(c.proc, delay, deliverToConn, c.send, int(dpid), b)
+		handed = post(sw.proc, c.proc, sw.chFaults, sw.Profile.CtrlDelay, deliverToConn, c.send, int(sw.DPID), b, handed)
 	}
+}
+
+// marshal encodes m straight into a frame from the switch's free list.
+func (sw *Switch) marshal(m openflow.Message, xid uint32) []byte {
+	b, err := openflow.MarshalAppend(sw.proc.Frame(openflow.SizeHint(m)), m, xid)
+	if err != nil {
+		panic(fmt.Sprintf("device: marshal %v: %v", m.Type(), err))
+	}
+	return b
+}
+
+// post sends frame b from src to dst: fn(obj, id, frame) runs on dst
+// after delay plus whatever the fault policy adds, twice for a duplicated
+// message and never for a dropped one. Every delivery owns its frame. The
+// first takes b itself unless b is already handed off (handed), and every
+// further one gets a copy in a frame from src; copying b after handing it
+// off is safe because no delivery runs before the current event returns.
+// post reports whether b has been handed off.
+func post(src, dst sim.Proc, cf *fault.ChannelFaults, delay time.Duration,
+	fn func(obj any, id int, b []byte), obj any, id int, b []byte, handed bool) bool {
+	if cf != nil {
+		v := cf.Verdict()
+		if v.Drop {
+			return handed
+		}
+		delay += v.Delay
+		if v.Duplicate {
+			handed = postFrame(src, dst, delay, fn, obj, id, b, handed)
+		}
+	}
+	return postFrame(src, dst, delay, fn, obj, id, b, handed)
+}
+
+// postFrame is one delivery of post.
+func postFrame(src, dst sim.Proc, delay time.Duration,
+	fn func(obj any, id int, b []byte), obj any, id int, b []byte, handed bool) bool {
+	if handed {
+		b = append(src.Frame(len(b)), b...)
+	}
+	src.DeferBytes(dst, delay, fn, obj, id, b)
+	return true
 }
 
 // deliverToConn is the DeferBytes target for switch-to-controller sends:
@@ -483,23 +524,7 @@ func (sw *Switch) sendToConnXID(connID int, m openflow.Message, xid uint32) {
 	if c == nil {
 		return // connection closed since the request arrived
 	}
-	b, err := openflow.Marshal(m, xid)
-	if err != nil {
-		panic(fmt.Sprintf("device: marshal %v: %v", m.Type(), err))
-	}
-	dpid := sw.DPID
-	delay := sw.Profile.CtrlDelay
-	if sw.chFaults != nil {
-		v := sw.chFaults.Verdict()
-		if v.Drop {
-			return
-		}
-		delay += v.Delay
-		if v.Duplicate {
-			sw.proc.DeferBytes(c.proc, delay, deliverToConn, c.send, int(dpid), b)
-		}
-	}
-	sw.proc.DeferBytes(c.proc, delay, deliverToConn, c.send, int(dpid), b)
+	post(sw.proc, c.proc, sw.chFaults, sw.Profile.CtrlDelay, deliverToConn, c.send, int(sw.DPID), sw.marshal(m, xid), false)
 }
 
 // DeliverControl accepts an encoded controller-to-switch message on the
@@ -510,24 +535,14 @@ func (sw *Switch) DeliverControl(b []byte) { sw.DeliverControlFrom(0, b) }
 // DeliverControlFrom accepts an encoded controller-to-switch message on a
 // specific connection. It runs on the caller's (controller-side) context:
 // the message is deferred from the connection's Proc onto the switch's,
-// arriving after the control channel's one-way delay.
+// arriving after the control channel's one-way delay. The caller keeps b:
+// each delivery carries a copy in a frame from the connection's Proc.
 func (sw *Switch) DeliverControlFrom(connID int, b []byte) {
 	src := sw.proc
 	if c := sw.conn(connID); c != nil && c.proc != nil {
 		src = c.proc
 	}
-	delay := sw.Profile.CtrlDelay
-	if sw.chFaults != nil {
-		v := sw.chFaults.Verdict()
-		if v.Drop {
-			return
-		}
-		delay += v.Delay
-		if v.Duplicate {
-			src.DeferBytes(sw.proc, delay, deliverControl, sw, connID, b)
-		}
-	}
-	src.DeferBytes(sw.proc, delay, deliverControl, sw, connID, b)
+	post(src, sw.proc, sw.chFaults, sw.Profile.CtrlDelay, deliverControl, sw, connID, b, true)
 }
 
 // ruleItem is a FlowMod or barrier queued at the OFA, tagged with its
@@ -573,10 +588,35 @@ func (sw *Switch) handleControl(connID int, b []byte) {
 		// directly): process the message, drop any reply.
 		c = &ctrlConn{id: connID, role: openflow.RoleEqual}
 	}
-	msg, xid, err := openflow.Unmarshal(b)
+	msg, xid, err := sw.decode(b)
 	if err != nil {
 		return
 	}
+	sw.handleMessage(c, connID, msg, xid)
+	if sim.Poison {
+		sw.rx.po, sw.rx.echo = openflow.PacketOut{}, openflow.EchoRequest{}
+	}
+}
+
+// decode decodes a controller-to-switch frame. A Packet-Out or an Echo
+// request goes into the switch's scratch, dead once handleControl
+// returns; a message whose parts the switch keeps (a FlowMod's
+// instructions, a group's buckets) is decoded fresh.
+func (sw *Switch) decode(b []byte) (openflow.Message, uint32, error) {
+	var m openflow.Message
+	switch t, _ := openflow.PeekType(b); t {
+	case openflow.TypePacketOut:
+		m = &sw.rx.po
+	case openflow.TypeEchoRequest:
+		m = &sw.rx.echo
+	default:
+		return openflow.Unmarshal(b)
+	}
+	xid, err := openflow.UnmarshalInto(b, m)
+	return m, xid, err
+}
+
+func (sw *Switch) handleMessage(c *ctrlConn, connID int, msg openflow.Message, xid uint32) {
 	// Slave connections are read-only: state-changing requests bounce with
 	// an is-slave error and never reach the pipeline.
 	if c.role == openflow.RoleSlave {
@@ -746,7 +786,7 @@ func (sw *Switch) notifyRemoved(r *flowtable.Rule, reason uint8, now sim.Time) {
 	if r.Flags&openflow.FlagSendFlowRem == 0 {
 		return
 	}
-	sw.sendAsync(&openflow.FlowRemoved{
+	sw.fr = openflow.FlowRemoved{
 		Cookie:      r.Cookie,
 		Priority:    r.Priority,
 		Reason:      reason,
@@ -755,7 +795,8 @@ func (sw *Switch) notifyRemoved(r *flowtable.Rule, reason uint8, now sim.Time) {
 		PacketCount: r.Packets,
 		ByteCount:   r.Bytes,
 		Match:       r.Match,
-	})
+	}
+	sw.sendAsync(&sw.fr)
 }
 
 // replyFlowStats answers a flow-stats request part by part, each part

@@ -35,10 +35,12 @@ func benchExperiment(b *testing.B, id string) {
 }
 
 // TestHotPathAllocBudget pins the allocation diet: each run sits ~15-20%
-// under its budget today (devolve-ablation ~480k, cluster-scale ~481k
-// allocs/run, down from ~1.77M/~1.68M before the diet), so a failure
-// here means a hot path regained a per-packet or per-message allocation
-// — look for new closures over []byte, FlowMods built field-by-field
+// under its budget today (devolve-ablation ~262k, cluster-scale ~228k
+// allocs/run; ~480k each before control-channel frames were recycled and
+// decoded into scratch, ~1.77M/~1.68M before the diet), so a failure here
+// means a hot path regained a per-packet or per-message allocation — look
+// for a frame that is no longer recycled, a message decoded fresh instead
+// of into scratch, new closures over []byte, FlowMods built field-by-field
 // instead of via openflow.FlowMod1/Apply1, or lost arena/pool reuse.
 func TestHotPathAllocBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
@@ -48,8 +50,8 @@ func TestHotPathAllocBudget(t *testing.T) {
 		id     string
 		budget int64 // allocs per full experiment run
 	}{
-		{"devolve-ablation", 589_000},
-		{"cluster-scale", 559_000},
+		{"devolve-ablation", 310_000},
+		{"cluster-scale", 275_000},
 	} {
 		e, ok := ByID(tc.id)
 		if !ok {

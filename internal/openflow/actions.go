@@ -186,8 +186,8 @@ func marshalActions(b []byte, actions []Action) ([]byte, error) {
 	return b, nil
 }
 
-func unmarshalActions(b []byte) ([]Action, error) {
-	var out []Action
+// unmarshalActions appends the actions encoded in b to out.
+func unmarshalActions(out []Action, b []byte) ([]Action, error) {
 	for len(b) > 0 {
 		var a Action
 		var err error
@@ -300,7 +300,7 @@ func (in *Instruction) unmarshal(b []byte) ([]byte, error) {
 	case InstrGotoTable:
 		in.TableID = body[0]
 	case InstrApplyActions:
-		actions, err := unmarshalActions(body[4:])
+		actions, err := unmarshalActions(nil, body[4:])
 		if err != nil {
 			return nil, err
 		}

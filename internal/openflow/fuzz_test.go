@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -53,12 +54,14 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzMultipartReplyReuse decodes two arbitrary frames one after the other
-// into the same caller-owned reply and holds the second decode to a fresh
-// Unmarshal of the same frame: same verdict, same xid, same entries. The
-// seeds put a long reply before a short one, so stale entries or match
-// fields left behind by the earlier, longer message would show.
-func FuzzMultipartReplyReuse(f *testing.F) {
+// FuzzUnmarshalIntoReuse decodes two arbitrary frames one after the other
+// into one message of every type and holds the second decode to a fresh
+// Unmarshal of the same frame: a target of another type refuses the
+// frame, and one of its type reaches the same verdict, xid and fields. The
+// seeds put long messages before short ones of the same type, so stale
+// entries, actions, data or match fields left behind by the earlier decode
+// would show.
+func FuzzUnmarshalIntoReuse(f *testing.F) {
 	long := &MultipartReply{MPType: MultipartFlow, More: true}
 	for i := 0; i < 5; i++ {
 		long.Flows = append(long.Flows, FlowStats{TableID: 1, Priority: uint16(i),
@@ -78,34 +81,77 @@ func FuzzMultipartReplyReuse(f *testing.F) {
 	f.Add(frame(long), frame(empty))
 	f.Add(frame(short), frame(long))
 	f.Add(frame(long), frame(long)[:40])
+	for _, pair := range [][2]Message{
+		{&PacketOut{InPort: 1, Actions: []Action{OutputAction(2), PushMPLSAction(3)}, Data: []byte{1, 2}}, &PacketOut{InPort: 4}},
+		{&PacketIn{Match: sampleMatch(), Data: make([]byte, 64)}, &PacketIn{Match: Match{Fields: FieldInPort, InPort: 1}}},
+		{&EchoRequest{Data: []byte("abc")}, &EchoRequest{}},
+		{&EchoReply{Data: []byte("abc")}, &EchoReply{}},
+		{&Error{ErrType: 1, Data: []byte{1, 2, 3}}, &Error{Code: 2}},
+		{&FlowRemoved{Match: sampleMatch(), PacketCount: 3}, &FlowRemoved{}},
+		{&FlowMod{Match: sampleMatch(), Instructions: []Instruction{ApplyActions(OutputAction(1)), GotoTable(1)}}, &FlowMod{}},
+		{&GroupMod{GroupID: 2, Buckets: []Bucket{{Actions: []Action{OutputAction(1)}}}}, &GroupMod{}},
+	} {
+		f.Add(frame(pair[0]), frame(pair[1]))
+	}
+	wires := corpus(f)
+	for i, w := range wires {
+		f.Add(w, wires[(i+1)%len(wires)])
+	}
 	f.Fuzz(func(t *testing.T, first, second []byte) {
-		var reused MultipartReply
-		_, _ = UnmarshalMultipartReply(first, &reused) // only leaves state behind
-		xid, err := UnmarshalMultipartReply(second, &reused)
-		m, freshXID, freshErr := Unmarshal(second)
-		fresh, isReply := m.(*MultipartReply)
-		if freshErr == nil && !isReply {
-			if err == nil {
-				t.Fatalf("%v frame decoded as a multipart reply", m.Type())
+		fresh, freshXID, freshErr := Unmarshal(second)
+		typ, _ := PeekType(second)
+		for mt := MsgType(0); mt < 32; mt++ {
+			target, err := newMessage(mt)
+			if err != nil {
+				continue
 			}
-			return
-		}
-		if (err == nil) != (freshErr == nil) {
-			t.Fatalf("reused decode err %v, fresh decode err %v", err, freshErr)
-		}
-		if err != nil {
-			return
-		}
-		if xid != freshXID || reused.MPType != fresh.MPType || reused.More != fresh.More ||
-			len(reused.Flows) != len(fresh.Flows) {
-			t.Fatalf("reused decode xid %d %+v differs from fresh xid %d %+v", xid, reused, freshXID, *fresh)
-		}
-		for i := range fresh.Flows {
-			if reused.Flows[i] != fresh.Flows[i] {
-				t.Fatalf("entry %d: reused %+v, fresh %+v", i, reused.Flows[i], fresh.Flows[i])
+			_, _ = UnmarshalInto(first, target) // only leaves state behind
+			xid, err := UnmarshalInto(second, target)
+			if mt != typ {
+				if err == nil {
+					t.Fatalf("%v frame decoded into a %v", typ, mt)
+				}
+				continue
+			}
+			if (err == nil) != (freshErr == nil) {
+				t.Fatalf("%v: reused decode err %v, fresh decode err %v", mt, err, freshErr)
+			}
+			if err == nil && (xid != freshXID || !sameDecoded(reflect.ValueOf(target), reflect.ValueOf(fresh))) {
+				t.Fatalf("%v: reused decode xid %d %+v differs from fresh xid %d %+v", mt, xid, target, freshXID, fresh)
 			}
 		}
 	})
+}
+
+// sameDecoded is reflect.DeepEqual except that a nil slice equals an empty
+// one: a decode into reused storage leaves an emptied slice where a fresh
+// decode leaves none.
+func sameDecoded(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameDecoded(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameDecoded(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameDecoded(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
 }
 
 // FuzzMatchRoundTrip drives Match.Unmarshal with arbitrary ofp_match bytes,

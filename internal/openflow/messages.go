@@ -23,6 +23,7 @@ func (m *EchoRequest) marshalBody(b []byte) ([]byte, error) {
 	return append(b, m.Data...), nil
 }
 func (m *EchoRequest) unmarshalBody(b []byte) error {
+	m.Data = nil
 	if len(b) > 0 {
 		m.Data = b // alias: the wire buffer is dead once the message is handled
 	}
@@ -38,6 +39,7 @@ func (m *EchoReply) marshalBody(b []byte) ([]byte, error) {
 	return append(b, m.Data...), nil
 }
 func (m *EchoReply) unmarshalBody(b []byte) error {
+	m.Data = nil
 	if len(b) > 0 {
 		m.Data = b // alias: the wire buffer is dead once the message is handled
 	}
@@ -106,7 +108,7 @@ type PacketIn struct {
 const matchSizeUB = 96
 
 // Type implements Message.
-func (*PacketIn) Type() MsgType { return TypePacketIn }
+func (*PacketIn) Type() MsgType          { return TypePacketIn }
 func (m *PacketIn) marshalSizeHint() int { return 18 + matchSizeUB + len(m.Data) }
 func (m *PacketIn) marshalBody(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint32(b, m.BufferID)
@@ -133,8 +135,8 @@ func (m *PacketIn) unmarshalBody(b []byte) error {
 	if len(rest) < 2 {
 		return fmt.Errorf("openflow: packet-in pad truncated")
 	}
-	// Alias rather than copy: the wire buffer's only consumer is this
-	// decode, so Data borrowing it is safe and saves a copy per punt.
+	// Alias rather than copy, saving a copy per punt: a receiver is done
+	// with the frame, and so with Data, when its callback returns.
 	m.Data = rest[2:]
 	return nil
 }
@@ -148,7 +150,7 @@ type PacketOut struct {
 }
 
 // Type implements Message.
-func (*PacketOut) Type() MsgType { return TypePacketOut }
+func (*PacketOut) Type() MsgType          { return TypePacketOut }
 func (m *PacketOut) marshalSizeHint() int { return 16 + 16*len(m.Actions) + len(m.Data) }
 func (m *PacketOut) marshalBody(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint32(b, m.BufferID)
@@ -174,7 +176,7 @@ func (m *PacketOut) unmarshalBody(b []byte) error {
 	if len(b) < 16+alen {
 		return fmt.Errorf("openflow: packet-out actions truncated")
 	}
-	actions, err := unmarshalActions(b[16 : 16+alen])
+	actions, err := unmarshalActions(m.Actions[:0], b[16:16+alen])
 	if err != nil {
 		return err
 	}
@@ -214,7 +216,7 @@ type FlowMod struct {
 }
 
 // Type implements Message.
-func (*FlowMod) Type() MsgType { return TypeFlowMod }
+func (*FlowMod) Type() MsgType          { return TypeFlowMod }
 func (m *FlowMod) marshalSizeHint() int { return 40 + matchSizeUB + 32*len(m.Instructions) + 64 }
 func (m *FlowMod) marshalBody(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, m.Cookie)
@@ -282,7 +284,8 @@ type FlowRemoved struct {
 }
 
 // Type implements Message.
-func (*FlowRemoved) Type() MsgType { return TypeFlowRemoved }
+func (*FlowRemoved) Type() MsgType          { return TypeFlowRemoved }
+func (m *FlowRemoved) marshalSizeHint() int { return 40 + m.Match.WireLen() }
 func (m *FlowRemoved) marshalBody(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, m.Cookie)
 	b = binary.BigEndian.AppendUint16(b, m.Priority)
@@ -383,7 +386,7 @@ func (m *GroupMod) unmarshalBody(b []byte) error {
 		bk.Weight = binary.BigEndian.Uint16(b[2:])
 		bk.WatchPort = binary.BigEndian.Uint32(b[4:])
 		bk.WatchGroup = binary.BigEndian.Uint32(b[8:])
-		actions, err := unmarshalActions(b[16:blen])
+		actions, err := unmarshalActions(nil, b[16:blen])
 		if err != nil {
 			return err
 		}
@@ -591,7 +594,7 @@ func (m *Error) unmarshalBody(b []byte) error {
 	}
 	m.ErrType = binary.BigEndian.Uint16(b)
 	m.Code = binary.BigEndian.Uint16(b[2:])
-	m.Data = append([]byte(nil), b[4:]...)
+	m.Data = append(m.Data[:0], b[4:]...) // copied, into m's own buffer when it has one
 	return nil
 }
 

@@ -90,37 +90,84 @@ type Message interface {
 // sizeHinter is implemented by message types whose encoded size varies
 // widely (payload-carrying or repeated-entry bodies). The hint is an
 // upper bound on the body length (exact for MultipartReply, whose parts
-// are the largest frames sent); Marshal sizes its buffer from it so the
-// binary.Append* calls in marshalBody never reallocate.
+// are the largest frames sent, and FlowRemoved); MarshalAppend sizes its
+// buffer from it so the binary.Append* calls in marshalBody never
+// reallocate.
 type sizeHinter interface {
 	marshalSizeHint() int
 }
 
 // Marshal encodes a complete message (header + body) with the given
-// transaction id.
+// transaction id into a fresh buffer sized for it.
 func Marshal(m Message, xid uint32) ([]byte, error) {
+	b, err := MarshalAppend(nil, m, xid)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// MarshalAppend appends one complete message (header + body) with the
+// given transaction id to dst and returns the extended buffer; on error it
+// returns dst as it was. The header carries the length, so frames can be
+// appended back to back. When dst lacks room for the message's size hint
+// it is grown once, to exactly its length plus the hint; a recycled frame
+// with room allocates nothing.
+func MarshalAppend(dst []byte, m Message, xid uint32) ([]byte, error) {
+	start, hint := len(dst), SizeHint(m)
+	if cap(dst)-start < hint {
+		grown := make([]byte, start, start+hint)
+		copy(grown, dst)
+		dst = grown
+	}
+	b := append(dst, Version, byte(m.Type()), 0, 0)
+	b = binary.BigEndian.AppendUint32(b, xid)
+	b, err := m.marshalBody(b)
+	if err != nil {
+		return dst, err
+	}
+	n := len(b) - start
+	if n > MaxMessageLen {
+		return dst, fmt.Errorf("openflow: message too large (%d bytes)", n)
+	}
+	binary.BigEndian.PutUint16(b[start+2:], uint16(n))
+	return b, nil
+}
+
+// SizeHint returns the room MarshalAppend makes for m: an upper bound on
+// its frame's length for the messages whose size varies (exact for a
+// MultipartReply or a FlowRemoved), and a 72-byte default for the rest.
+func SizeHint(m Message) int {
 	hint := 64
 	if s, ok := m.(sizeHinter); ok {
 		if n := s.marshalSizeHint(); n > hint {
 			hint = n
 		}
 	}
-	b := make([]byte, headerLen, headerLen+hint)
-	b[0] = Version
-	b[1] = byte(m.Type())
-	binary.BigEndian.PutUint32(b[4:], xid)
-	b, err := m.marshalBody(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) > MaxMessageLen {
-		return nil, fmt.Errorf("openflow: message too large (%d bytes)", len(b))
-	}
-	binary.BigEndian.PutUint16(b[2:], uint16(len(b)))
-	return b, nil
+	return headerLen + hint
 }
 
-// Unmarshal decodes one complete message, returning its body and xid.
+// UnmarshalInto decodes one complete frame into m, whose type must match
+// the frame's, and returns the frame's xid. Every field of m is
+// overwritten, so frame after frame can be decoded into one message: its
+// slices are reused and its Data fields alias b. What m holds is thus
+// valid only until the next decode into it, and only while b is unchanged.
+func UnmarshalInto(b []byte, m Message) (uint32, error) {
+	body, xid, err := frameBody(b)
+	if err != nil {
+		return 0, err
+	}
+	if t := MsgType(b[1]); t != m.Type() {
+		return 0, fmt.Errorf("openflow: %v frame where %v expected", t, m.Type())
+	}
+	if err := m.unmarshalBody(body); err != nil {
+		return 0, err
+	}
+	return xid, nil
+}
+
+// Unmarshal decodes one complete message into a fresh value, returning it
+// and its xid.
 func Unmarshal(b []byte) (Message, uint32, error) {
 	body, xid, err := frameBody(b)
 	if err != nil {
@@ -134,25 +181,6 @@ func Unmarshal(b []byte) (Message, uint32, error) {
 		return nil, 0, err
 	}
 	return m, xid, nil
-}
-
-// UnmarshalMultipartReply decodes one complete MULTIPART_REPLY frame into
-// m, which the caller owns and may reuse from frame to frame: the entries
-// are written over m.Flows[:0], so a reply decoded this way holds no more
-// storage than its largest part. It returns the frame's xid. b is only
-// read, never retained.
-func UnmarshalMultipartReply(b []byte, m *MultipartReply) (uint32, error) {
-	body, xid, err := frameBody(b)
-	if err != nil {
-		return 0, err
-	}
-	if t := MsgType(b[1]); t != TypeMultipartReply {
-		return 0, fmt.Errorf("openflow: %v frame where %v expected", t, TypeMultipartReply)
-	}
-	if err := m.unmarshalBody(body); err != nil {
-		return 0, err
-	}
-	return xid, nil
 }
 
 // PeekType returns a frame's message type without decoding it; ok is

@@ -272,6 +272,56 @@ func TestFlowRemovedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlowRemovedMarshalOneAlloc pins FlowRemoved's size hint: the frame
+// is sized exactly up front, so Match.Marshal never regrows it (without
+// the hint a 5-tuple match cost a second allocation).
+func TestFlowRemovedMarshalOneAlloc(t *testing.T) {
+	m := &FlowRemoved{Cookie: 3, Priority: 10, PacketCount: 42, ByteCount: 4200, Match: sampleMatch()}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Marshal(m, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("Marshal(FlowRemoved) allocates %v times, want 1", n)
+	}
+	if b, _ := Marshal(m, 1); cap(b) != len(b) {
+		t.Fatalf("%d-byte frame marshalled into a %d-byte buffer", len(b), cap(b))
+	}
+}
+
+// TestMarshalAppend: frames appended back to back into one buffer match
+// Marshal byte for byte and use the buffer's spare capacity; a failed
+// marshal leaves the buffer as it was.
+func TestMarshalAppend(t *testing.T) {
+	msgs := []Message{&Hello{}, &FlowRemoved{Match: sampleMatch()}, &PacketIn{Data: []byte("data")}}
+	buf := make([]byte, 0, 1024)
+	var err error
+	for i, m := range msgs {
+		if buf, err = MarshalAppend(buf, m, uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(buf) != 1024 {
+		t.Fatalf("appending into spare capacity regrew the buffer to %d bytes", cap(buf))
+	}
+	rest := buf
+	for i, m := range msgs {
+		want, _ := Marshal(m, uint32(i))
+		n := int(binary.BigEndian.Uint16(rest[2:]))
+		if !bytes.Equal(rest[:n], want) {
+			t.Fatalf("frame %d:\n% x\nwant\n% x", i, rest[:n], want)
+		}
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d stray bytes after the last frame", len(rest))
+	}
+	out, err := MarshalAppend(buf[:3], &MultipartRequest{MPType: 9}, 1)
+	if err == nil || len(out) != 3 {
+		t.Fatalf("bad message: err %v, buffer %d bytes, want an error and the 3 bytes it held", err, len(out))
+	}
+}
+
 func TestErrorRoundTrip(t *testing.T) {
 	m := &Error{ErrType: ErrTypeFlowModFailed, Code: ErrCodeTableFull, Data: []byte{9, 9}}
 	back := roundTrip(t, m, 14).(*Error)

@@ -203,25 +203,37 @@ func (p *Packet) DecapGRE() (uint32, error) {
 // so the layers serialize straight into one exactly-sized buffer — the
 // whole encode is a single allocation.
 func (p *Packet) Marshal() []byte {
-	var l4Len int
+	l4Len, greLen := p.headerLens()
+	size := ethernetLen + len(p.MPLS)*mplsLen + ipv4Len + l4Len + len(p.Payload)
+	if p.Outer != nil {
+		size += ipv4Len + greLen
+	}
+	return p.AppendMarshal(make([]byte, 0, size))
+}
+
+// headerLens returns the lengths of the L4 and GRE headers Marshal emits.
+func (p *Packet) headerLens() (l4Len, greLen int) {
 	switch {
 	case p.TCP != nil:
 		l4Len = tcpLen
 	case p.UDP != nil:
 		l4Len = udpLen
 	}
-	innerLen := ipv4Len + l4Len + len(p.Payload)
-	size := ethernetLen + len(p.MPLS)*mplsLen + innerLen
-	greLen := 0
 	if p.Outer != nil {
 		greLen = 4
 		if p.GRE.KeyPresent {
 			greLen += 4
 		}
-		size += ipv4Len + greLen
 	}
-	b := make([]byte, 0, size)
-	b = p.Eth.SerializeTo(b)
+	return l4Len, greLen
+}
+
+// AppendMarshal appends the packet's wire bytes, exactly as Marshal
+// encodes them, to dst and returns the extended buffer.
+func (p *Packet) AppendMarshal(dst []byte) []byte {
+	l4Len, greLen := p.headerLens()
+	innerLen := ipv4Len + l4Len + len(p.Payload)
+	b := p.Eth.SerializeTo(dst)
 	for i := range p.MPLS {
 		b = p.MPLS[i].SerializeTo(b)
 	}
@@ -242,11 +254,39 @@ func (p *Packet) Marshal() []byte {
 // Parse decodes wire bytes produced by Marshal. The returned packet has
 // zero Meta; Size is set to the wire length.
 func Parse(b []byte) (*Packet, error) {
-	bx := &boxed{p: Packet{Size: len(b)}}
+	bx := &boxed{}
+	if err := parseInto(bx, b, nil); err != nil {
+		return nil, err
+	}
+	return &bx.p, nil
+}
+
+// Parser parses packets into one reusable packet: each Parse overwrites
+// the packet the previous call returned, so a receiver that parses one
+// packet per message allocates nothing once warm. The zero value is ready
+// to use.
+type Parser struct{ bx boxed }
+
+// Parse decodes b as the package-level Parse does, into the parser's
+// packet, and returns it (nil on error). The packet, its headers and its
+// payload are valid until the next call.
+func (ps *Parser) Parse(b []byte) (*Packet, error) {
+	payload := ps.bx.p.Payload[:0]
+	ps.bx = boxed{}
+	if err := parseInto(&ps.bx, b, payload); err != nil {
+		return nil, err
+	}
+	return &ps.bx.p, nil
+}
+
+// parseInto decodes b into the zeroed box bx, appending any payload to
+// payload's storage.
+func parseInto(bx *boxed, b, payload []byte) error {
 	p := &bx.p
+	p.Size = len(b)
 	rest, err := p.Eth.DecodeFromBytes(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	et := p.Eth.EtherType
 	if et == EtherTypeMPLS {
@@ -255,7 +295,7 @@ func Parse(b []byte) (*Packet, error) {
 	for et == EtherTypeMPLS {
 		var m MPLSLabel
 		if rest, err = m.DecodeFromBytes(rest); err != nil {
-			return nil, err
+			return err
 		}
 		p.MPLS = append(p.MPLS, m)
 		if m.Bottom {
@@ -263,24 +303,24 @@ func Parse(b []byte) (*Packet, error) {
 		}
 	}
 	if et != EtherTypeIPv4 {
-		return nil, fmt.Errorf("packet: unsupported EtherType %#04x", et)
+		return fmt.Errorf("packet: unsupported EtherType %#04x", et)
 	}
 	var ip IPv4
 	if rest, err = ip.DecodeFromBytes(rest); err != nil {
-		return nil, err
+		return err
 	}
 	if ip.Protocol == netaddr.ProtoGRE {
 		bx.outer = ip
 		p.Outer = &bx.outer
 		p.GRE = &bx.gre
 		if rest, err = p.GRE.DecodeFromBytes(rest); err != nil {
-			return nil, err
+			return err
 		}
 		if p.GRE.Protocol != EtherTypeIPv4 {
-			return nil, fmt.Errorf("packet: unsupported GRE payload %#04x", p.GRE.Protocol)
+			return fmt.Errorf("packet: unsupported GRE payload %#04x", p.GRE.Protocol)
 		}
 		if rest, err = p.IP.DecodeFromBytes(rest); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		p.IP = ip
@@ -289,18 +329,18 @@ func Parse(b []byte) (*Packet, error) {
 	case netaddr.ProtoTCP:
 		p.TCP = &bx.tcp
 		if rest, err = p.TCP.DecodeFromBytes(rest); err != nil {
-			return nil, err
+			return err
 		}
 	case netaddr.ProtoUDP:
 		p.UDP = &bx.udp
 		if rest, err = p.UDP.DecodeFromBytes(rest); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if len(rest) > 0 {
-		p.Payload = append([]byte(nil), rest...)
+		p.Payload = append(payload, rest...)
 	}
-	return p, nil
+	return nil
 }
 
 // String summarizes the packet for logs and test failures.

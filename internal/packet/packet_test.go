@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +53,63 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(q.Payload, []byte{1, 2, 3}) {
 		t.Fatalf("payload = %v", q.Payload)
+	}
+}
+
+// samplePackets returns one packet of every header stack Marshal emits.
+func samplePackets(t *testing.T) []*Packet {
+	t.Helper()
+	plain := NewTCP(srcIP, dstIP, 12345, 80, FlagSYN)
+	udp := NewUDP(srcIP, dstIP, 53, 5353, 3)
+	udp.Payload = []byte{1, 2, 3}
+	mpls := NewTCP(srcIP, dstIP, 1, 2, FlagACK)
+	mpls.PushMPLS(7)
+	mpls.PushMPLS(100)
+	gre := NewTCP(srcIP, dstIP, 3, 4, 0)
+	gre.Payload = []byte("tunnelled")
+	if err := gre.EncapGRE(dstIP, srcIP, 42); err != nil {
+		t.Fatal(err)
+	}
+	return []*Packet{gre, mpls, udp, plain}
+}
+
+// TestAppendMarshal: AppendMarshal appends exactly Marshal's bytes after
+// what the buffer already holds.
+func TestAppendMarshal(t *testing.T) {
+	for _, p := range samplePackets(t) {
+		want := p.Marshal()
+		if got := p.AppendMarshal([]byte("hdr")); string(got) != "hdr"+string(want) {
+			t.Fatalf("%v: AppendMarshal\n% x\nwant hdr +\n% x", p, got, want)
+		}
+	}
+}
+
+// TestParserReuse: a Parser returns what Parse returns, packet after
+// packet, leaves nothing of a richer earlier packet (GRE, MPLS labels,
+// payload) in a plainer later one, and allocates nothing once warm.
+func TestParserReuse(t *testing.T) {
+	var ps Parser
+	var wires [][]byte
+	for _, p := range samplePackets(t) {
+		wires = append(wires, p.Marshal())
+	}
+	for round := 0; round < 2; round++ {
+		for i, w := range wires {
+			want, err := Parse(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ps.Parse(w)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("packet %d: Parser gave %v (%v), Parse gave %v", i, got, err, want)
+			}
+		}
+	}
+	if got, err := ps.Parse(wires[0][:10]); got != nil || err == nil {
+		t.Fatalf("truncated packet: Parser gave %v, %v; want nil and an error", got, err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { ps.Parse(wires[2]) }); avg != 0 {
+		t.Fatalf("Parser.Parse allocates %.1f objects once warm, want 0", avg)
 	}
 }
 

@@ -107,7 +107,7 @@ func (o *Overlay) buildChains() error {
 			// to the middlebox.
 			suHandle.InstallFlow(&openflow.FlowMod{
 				Command: openflow.FlowAdd, TableID: 0, Priority: prioGreenChain,
-				Match: openflow.Match{Fields: openflow.FieldTunnelID, TunnelID: id},
+				Match:        openflow.Match{Fields: openflow.FieldTunnelID, TunnelID: id},
 				Instructions: openflow.Apply1(openflow.OutputAction(mb.SUOut)),
 			})
 		}
@@ -127,7 +127,7 @@ func (o *Overlay) buildChains() error {
 		// Shared green rule at S_D: middlebox output returns to the mesh.
 		sdHandle.InstallFlow(&openflow.FlowMod{
 			Command: openflow.FlowAdd, TableID: 0, Priority: prioGreenChain,
-			Match: openflow.Match{Fields: openflow.FieldInPort, InPort: mb.SDIn},
+			Match:        openflow.Match{Fields: openflow.FieldInPort, InPort: mb.SDIn},
 			Instructions: openflow.Apply1(openflow.OutputAction(sp)),
 		})
 	}

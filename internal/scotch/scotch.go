@@ -142,10 +142,10 @@ type protState struct {
 	reqRate *metrics.RateMeter
 }
 
-// newReq takes a zeroed flowReq from the pool (or allocates one). Every
-// request is served exactly once, and no admit path retains its request
-// past the serve call, so served and dropped requests go straight back
-// via freeReq.
+// newReq takes a flowReq from the pool (or allocates one), zeroed but for
+// its empty data buffer. Every request is served exactly once, and no
+// admit path retains its request past the serve call, so served and
+// dropped requests go straight back via freeReq.
 func (a *App) newReq() *flowReq {
 	if n := len(a.reqPool); n > 0 {
 		r := a.reqPool[n-1]
@@ -155,9 +155,10 @@ func (a *App) newReq() *flowReq {
 	return &flowReq{}
 }
 
-// freeReq returns a finished request to the pool.
+// freeReq returns a finished request to the pool, keeping its data
+// buffer's capacity for the next request.
 func (a *App) freeReq(r *flowReq) {
-	*r = flowReq{}
+	*r = flowReq{data: r.data[:0]}
 	a.reqPool = append(a.reqPool, r)
 }
 
@@ -167,8 +168,11 @@ type flowReq struct {
 	origin uint64 // first-hop physical switch
 	port   uint32 // ingress port at the origin
 	punter *controller.SwitchHandle
-	data   []byte   // the first packet, as carried in the Packet-In
-	at     sim.Time // punt arrival, for central setup-latency attribution
+	// data is the first packet, as carried in the Packet-In: a copy in a
+	// buffer the request owns, since the Packet-In's frame is recycled
+	// when HandlePacketIn returns and the request is served later.
+	data []byte
+	at   sim.Time // punt arrival, for central setup-latency attribution
 }
 
 // App is the Scotch controller application.
@@ -536,7 +540,7 @@ func (a *App) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.PacketIn
 	a.Stats.Requests++
 	req := a.newReq()
 	*req = flowReq{key: key, origin: origin, port: port, punter: punter,
-		data: pin.Data, at: a.C.Eng.Now()}
+		data: append(req.data[:0], pin.Data...), at: a.C.Eng.Now()}
 
 	group := port
 	if a.Cfg.GroupBy != nil {

@@ -31,7 +31,7 @@ type eventNode struct {
 	// buffer and small integer ride in the node directly (a1 carries the
 	// receiver), so control-channel deliveries cost no closure and no
 	// interface-boxing of the slice header. At most one of fn, fn2, fnB
-	// is set.
+	// is set. b belongs to the engine: it is recycled once fnB returns.
 	fnB      func(obj any, id int, b []byte)
 	id       int
 	b        []byte
@@ -114,6 +114,10 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 	fired   uint64
+	// small and large are the free lists of control-channel frames (see
+	// Frame): DeferBytes hands a frame to the engine, which lists it here
+	// once its delivery callback returns.
+	small, large frameList
 }
 
 // New returns an Engine whose random source is seeded with seed, so that
@@ -284,6 +288,7 @@ func (e *Engine) RunUntil(end Time) uint64 {
 			fn2(a1, a2)
 		default:
 			fnB(a1, id, b)
+			e.recycleFrame(b)
 		}
 	}
 	if !e.stopped && e.now < end && end < 1<<62-1 {
