@@ -45,15 +45,16 @@ golden:
 	$(GO) run ./cmd/scotchsim -parallel 2 all > golden.out
 	grep -v ' wall time)$$' golden.out | diff -u internal/experiments/testdata/all.golden -
 
-# Poisoned-frame gate (DESIGN.md §14, "The control-channel frame"): with
-# the scotchpoison tag every recycled control-channel frame is overwritten
-# with 0xAB and the receivers' scratch messages are zeroed after each
-# callback, so anything that keeps a frame, a decoded message or a parsed
-# packet past its callback without copying shifts a golden output or fails
-# a package test.
+# Poison gate (DESIGN.md §14, "The control-channel frame" and "The
+# data-plane packet"): with the scotchpoison tag every recycled
+# control-channel frame is overwritten with 0xAB, the receivers' scratch
+# messages are zeroed after each callback, and every released data-plane
+# packet is overwritten instead of pooled, so anything that keeps a frame,
+# a decoded message or a packet past its callback without copying shifts a
+# golden output or fails a package test.
 golden-poison:
 	$(GO) test -tags scotchpoison ./internal/experiments -run 'Golden'
-	$(GO) test -tags scotchpoison ./internal/sim ./internal/device ./internal/controller ./internal/scotch ./internal/cluster
+	$(GO) test -tags scotchpoison ./internal/sim ./internal/device ./internal/controller ./internal/scotch ./internal/cluster ./internal/packet ./internal/workload ./internal/devolve
 
 # The chaos experiments (§5 reliability mechanisms under injected faults)
 # plus the elastic pool cycle (a pool-only balancer) and the devolution

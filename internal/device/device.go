@@ -17,7 +17,8 @@ type Node interface {
 	// Links and tunnels deliver into the destination node's Proc, which
 	// is what lets partitions simulate concurrently.
 	Proc() sim.Proc
-	// Receive delivers a packet arriving on one of the node's ports.
+	// Receive delivers a packet arriving on one of the node's ports. The
+	// node owns pkt from then on: it passes it on or releases it.
 	Receive(pkt *packet.Packet, port *Port)
 	// attachPort registers a new port on the node.
 	attachPort(p *Port)
@@ -40,8 +41,9 @@ type Port struct {
 // Peer returns the port at the other end of the link or tunnel.
 func (p *Port) Peer() *Port { return p.peer }
 
-// Send transmits a packet out of this port. tunnelKey is the pending
-// set_field(tunnel_id) value and is only meaningful for tunnel ports.
+// Send transmits a packet out of this port, taking ownership of it.
+// tunnelKey is the pending set_field(tunnel_id) value and is only
+// meaningful for tunnel ports.
 func (p *Port) Send(pkt *packet.Packet, tunnelKey uint64) {
 	switch {
 	case p.Tunnel != nil:
@@ -122,6 +124,7 @@ func (l *Link) transmit(pkt *packet.Packet, from *Port) {
 	d := l.dir(from)
 	if l.down {
 		l.drops[d]++
+		pkt.Release()
 		return
 	}
 	src := from.Owner.Proc()
@@ -137,6 +140,7 @@ func (l *Link) transmit(pkt *packet.Packet, from *Port) {
 		backlog := float64((start - now).Seconds()) * l.cfg.RateBps / 8
 		if int(backlog) > l.cfg.QueueBytes {
 			l.drops[d]++
+			pkt.Release()
 			return
 		}
 	}

@@ -17,7 +17,9 @@ type Host struct {
 	Received uint64
 	Sent     uint64
 
-	// OnReceive observes every packet delivered to this host.
+	// OnReceive observes every packet delivered to this host. The host
+	// releases pkt when the call returns, so pkt is valid only during the
+	// call: an observer that keeps it clones it.
 	OnReceive func(pkt *packet.Packet, now sim.Time)
 }
 
@@ -52,22 +54,27 @@ func (h *Host) Port() *Port {
 	return h.ports[0]
 }
 
-// Receive implements Node.
+// Receive implements Node. The host is where a data packet dies: it is
+// released once OnReceive returns.
 func (h *Host) Receive(pkt *packet.Packet, _ *Port) {
 	// Hosts accept anything addressed to them (or broadcast); stray
 	// packets are dropped silently, as a NIC would.
 	if pkt.IP.Dst != h.IP && !pkt.Eth.Dst.IsBroadcast() {
+		pkt.Release()
 		return
 	}
 	h.Received++
 	if h.OnReceive != nil {
 		h.OnReceive(pkt, h.proc.Now())
 	}
+	pkt.Release()
 }
 
-// Send stamps the packet with the host's source addresses and transmits it.
+// Send stamps the packet with the host's source addresses and transmits
+// it. It takes ownership of pkt.
 func (h *Host) Send(pkt *packet.Packet) {
 	if len(h.ports) == 0 {
+		pkt.Release()
 		return
 	}
 	pkt.Eth.Src = h.MAC

@@ -74,6 +74,7 @@ func (f *Firewall) Receive(pkt *packet.Packet, port *Port) {
 	if !f.established[key] && !f.established[key.Reverse()] {
 		if !opening {
 			f.Rejected++
+			pkt.Release()
 			return
 		}
 		f.established[key] = true
@@ -81,9 +82,16 @@ func (f *Firewall) Receive(pkt *packet.Packet, port *Port) {
 	f.Passed++
 	out := f.other(port)
 	if out == nil {
+		pkt.Release()
 		return
 	}
-	f.proc.Schedule(f.Delay, func() { out.Send(pkt, 0) })
+	f.proc.DeferCall(f.proc, f.Delay, sendOut, out, pkt)
+}
+
+// sendOut is the static callback a middlebox schedules to emit a packet
+// after its processing delay: a1 is the out port, a2 the packet.
+func sendOut(a1, a2 any) {
+	a1.(*Port).Send(a2.(*packet.Packet), 0)
 }
 
 func (f *Firewall) other(p *Port) *Port {
@@ -157,9 +165,10 @@ func (lb *LoadBalancer) Receive(pkt *packet.Packet, port *Port) {
 	lb.Passed++
 	out := lb.other(port)
 	if out == nil {
+		pkt.Release()
 		return
 	}
-	lb.proc.Schedule(lb.Delay, func() { out.Send(pkt, 0) })
+	lb.proc.DeferCall(lb.proc, lb.Delay, sendOut, out, pkt)
 }
 
 func (lb *LoadBalancer) other(p *Port) *Port {

@@ -40,11 +40,13 @@ type SwitchStats struct {
 // LocalAgent is a switch-resident control element consulted on every
 // table miss before the miss is queued for Packet-In emission. If
 // HandleMiss returns true the agent has disposed of the packet locally
-// (typically forwarding it via ForwardLocal and installing a rule via
-// InstallLocal) and no Packet-In is generated; returning false escalates
-// the miss to the controller as usual. The devolve package implements
-// this with a per-tenant policy cache. Agents run inline on the data
-// plane's event-loop service slot, so they must not block.
+// (typically forwarding it via ForwardLocal, which takes ownership, and
+// installing a rule via InstallLocal) and no Packet-In is generated;
+// returning false escalates the miss to the controller as usual, and the
+// switch keeps the packet. An agent that keeps pkt past the call clones
+// it. The devolve package implements this with a per-tenant policy cache.
+// Agents run inline on the data plane's event-loop service slot, so they
+// must not block.
 type LocalAgent interface {
 	HandleMiss(pkt *packet.Packet, inPort uint32) bool
 }
@@ -101,13 +103,17 @@ type Switch struct {
 	Stats SwitchStats
 
 	// OnForward, when set, observes every (packet, outPort) the data
-	// plane emits; the capture subsystem uses it.
+	// plane emits. pkt is valid only during the call: an observer that
+	// keeps it clones it.
 	OnForward func(pkt *packet.Packet, out *Port)
 }
 
+// dataItem is a packet queued at the data plane or the OFA's Packet-In
+// stage, with the port it arrived on. The queue owns the packet: the stage
+// that serves it, or the drop callback, disposes of it.
 type dataItem struct {
-	pkt  *packet.Packet
-	port *Port
+	pkt    *packet.Packet
+	inPort uint32
 }
 
 // NewSwitch creates a switch with the given profile and starts its expiry
@@ -123,9 +129,15 @@ func NewSwitch(eng sim.Proc, name string, dpid uint64, prof Profile) *Switch {
 		insertMeter: metrics.NewRateMeter(time.Second, 10),
 	}
 	sw.dataSrv = sim.NewServer(eng, prof.DataPlanePPS, prof.DataQueue, sw.processData)
-	sw.dataSrv.OnDrop(func(dataItem) { sw.Stats.DataDropped++ })
+	sw.dataSrv.OnDrop(func(it dataItem) {
+		sw.Stats.DataDropped++
+		it.pkt.Release()
+	})
 	sw.pktInSrv = sim.NewServer(eng, prof.PacketInRate, prof.PacketInQueue, sw.emitPacketIn)
-	sw.pktInSrv.OnDrop(func(dataItem) { sw.Stats.PacketInDropped++ })
+	sw.pktInSrv.OnDrop(func(it dataItem) {
+		sw.Stats.PacketInDropped++
+		it.pkt.Release()
+	})
 	sw.ruleSrv = sim.NewServer(eng, prof.RuleInsertRate, prof.RuleQueue, sw.processRule)
 	sw.ruleSrv.OnDrop(func(ruleItem) { sw.Stats.InsertQueueDrop++ })
 	eng.Every(time.Second, sw.sweepExpired)
@@ -300,9 +312,11 @@ func (sw *Switch) InstallLocal(fm *openflow.FlowMod, applied func()) {
 
 // ForwardLocal emits a packet decided by the local agent through the
 // normal action-execution path (group expansion, capture hooks, port
-// transmit included), as if a rule had matched it.
+// transmit included), as if a rule had matched it. It takes ownership of
+// pkt.
 func (sw *Switch) ForwardLocal(pkt *packet.Packet, inPort uint32, actions []openflow.Action) {
 	if sw.failed {
+		pkt.Release()
 		return
 	}
 	sw.Stats.DataForwarded++
@@ -312,20 +326,24 @@ func (sw *Switch) ForwardLocal(pkt *packet.Packet, inPort uint32, actions []open
 // PuntLocal re-enters a packet into the OFA's Packet-In stage as if it
 // had just missed: the local agent uses it to escalate a flow it had
 // been handling locally (e.g. a detected elephant) to the controller.
+// It takes ownership of pkt, which is released once the Packet-In is
+// built: a caller that still needs the packet punts a clone.
 func (sw *Switch) PuntLocal(pkt *packet.Packet, inPort uint32) {
 	if sw.failed {
+		pkt.Release()
 		return
 	}
-	sw.pktInSrv.Submit(dataItem{pkt: pkt, port: &Port{ID: inPort, Owner: sw}})
+	sw.pktInSrv.Submit(dataItem{pkt, inPort})
 }
 
 // Receive implements Node: a packet arrives on a data port.
 func (sw *Switch) Receive(pkt *packet.Packet, port *Port) {
 	if sw.failed {
+		pkt.Release()
 		return
 	}
 	sw.Stats.DataIn++
-	sw.dataSrv.Submit(dataItem{pkt, port})
+	sw.dataSrv.Submit(dataItem{pkt, port.ID})
 }
 
 // InsertBacklog returns the number of FlowMods queued at the OFA.
@@ -339,15 +357,16 @@ func (sw *Switch) processData(it dataItem) {
 	if stall := sw.Profile.StallFraction(sw.insertMeter.Rate(now)); stall > 0 &&
 		sw.proc.Rand().Float64() < stall {
 		sw.Stats.StallDrops++
+		it.pkt.Release()
 		return
 	}
-	res := sw.Pipeline.Process(it.pkt, it.port.ID, now)
+	res := sw.Pipeline.Process(it.pkt, it.inPort, now)
 	if res.Miss {
 		sw.Stats.Misses++
 		// A local agent (control devolution) may absorb the miss without
 		// involving the controller; with none attached this is one nil
-		// check on the hot path.
-		if sw.local != nil && sw.local.HandleMiss(it.pkt, it.port.ID) {
+		// check on the hot path. An agent that absorbs it owns the packet.
+		if sw.local != nil && sw.local.HandleMiss(it.pkt, it.inPort) {
 			sw.Stats.LocalHandled++
 			return
 		}
@@ -355,17 +374,24 @@ func (sw *Switch) processData(it dataItem) {
 		return
 	}
 	sw.Stats.DataForwarded++
-	sw.execute(it.pkt, it.port.ID, res.Actions)
+	sw.execute(it.pkt, it.inPort, res.Actions)
 }
 
-// execute runs an action list on a packet, expanding groups.
+// execute runs an action list on a packet, expanding groups. It owns pkt:
+// the list's final output transfers it, and a list that ends any other way
+// releases it.
 func (sw *Switch) execute(pkt *packet.Packet, inPort uint32, actions []openflow.Action) {
-	sw.executeCtx(pkt, inPort, actions, 0, 0)
+	if !sw.executeCtx(pkt, inPort, actions, 0, 0) {
+		pkt.Release()
+	}
 }
 
-func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openflow.Action, tunnelKey uint64, depth int) {
+// executeCtx runs actions on pkt and reports whether an output took the
+// packet itself rather than a clone; only the final output of a top-level
+// list (depth 0) does.
+func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openflow.Action, tunnelKey uint64, depth int) bool {
 	if depth > 4 {
-		return // group recursion guard
+		return false // group recursion guard
 	}
 	for i := range actions {
 		a := &actions[i]
@@ -374,7 +400,7 @@ func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openfl
 			pkt.PushMPLS(a.MPLSLabel)
 		case openflow.ActionTypePopMPLS:
 			if _, err := pkt.PopMPLS(); err != nil {
-				return
+				return false
 			}
 		case openflow.ActionTypeSetField:
 			switch a.Field {
@@ -397,12 +423,17 @@ func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openfl
 				}
 			case openflow.GroupTypeAll:
 				for j := range g.Buckets {
-					sw.executeCtx(pkt.Clone(), inPort, g.Buckets[j].Actions, tunnelKey, depth+1)
+					// A bucket runs below the top level, so every output
+					// in it sends a clone of its own: the bucket's copy
+					// dies here.
+					c := pkt.Clone()
+					sw.executeCtx(c, inPort, g.Buckets[j].Actions, tunnelKey, depth+1)
+					c.Release()
 				}
 			}
 		case openflow.ActionTypeOutput:
 			if a.Port == openflow.PortController {
-				sw.pktInSrv.Submit(dataItem{pkt.Clone(), &Port{ID: inPort, Owner: sw}})
+				sw.pktInSrv.Submit(dataItem{pkt.Clone(), inPort})
 				continue
 			}
 			out := sw.ports[a.Port]
@@ -422,14 +453,20 @@ func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openfl
 				sw.OnForward(sent, out)
 			}
 			out.Send(sent, tunnelKey)
+			if sent == pkt {
+				return true
+			}
 		}
 	}
+	return false
 }
 
-// emitPacketIn is the OFA's Packet-In generation stage.
+// emitPacketIn is the OFA's Packet-In generation stage. The punted packet
+// dies here, once serialized into the Packet-In; the server's serve trace
+// hook has already read it.
 func (sw *Switch) emitPacketIn(it dataItem) {
 	sw.Stats.PacketInSent++
-	m := openflow.Match{Fields: openflow.FieldInPort, InPort: it.port.ID}
+	m := openflow.Match{Fields: openflow.FieldInPort, InPort: it.inPort}
 	if it.pkt.Meta.TunnelID != 0 {
 		m.Fields |= openflow.FieldTunnelID
 		m.TunnelID = it.pkt.Meta.TunnelID
@@ -444,6 +481,7 @@ func (sw *Switch) emitPacketIn(it dataItem) {
 		Match:    m,
 		Data:     data,
 	}
+	it.pkt.Release()
 	sw.sendAsync(&sw.pin)
 }
 

@@ -121,6 +121,7 @@ func (t *Tunnel) transmit(pkt *packet.Packet, from *Port, tunnelKey uint64) {
 	d := t.dir(from)
 	if t.down {
 		t.dropsTx[d]++
+		pkt.Release()
 		return
 	}
 	switch t.Cfg.Type {
@@ -135,6 +136,7 @@ func (t *Tunnel) transmit(pkt *packet.Packet, from *Port, tunnelKey uint64) {
 		}
 		if err := pkt.EncapGRE(local, remote, uint32(tunnelKey)); err != nil {
 			t.dropsTx[d]++
+			pkt.Release()
 			return
 		}
 	}
@@ -152,6 +154,7 @@ func (t *Tunnel) transmit(pkt *packet.Packet, from *Port, tunnelKey uint64) {
 		backlog := (start - now).Seconds() * t.Cfg.RateBps / 8
 		if int(backlog) > t.Cfg.QueueBytes {
 			t.dropsTx[d]++
+			pkt.Release()
 			return
 		}
 	}
@@ -176,6 +179,7 @@ func deliverTunnelPkt(a1, a2 any) {
 func (t *Tunnel) deliver(pkt *packet.Packet, to *Port, d int) {
 	if t.dead {
 		t.dropsRx[d]++
+		pkt.Release()
 		return
 	}
 	stripInner := t.Cfg.StripInnerB
@@ -186,6 +190,7 @@ func (t *Tunnel) deliver(pkt *packet.Packet, to *Port, d int) {
 	case TunnelMPLS:
 		if _, err := pkt.PopMPLS(); err != nil {
 			t.dropsRx[d]++
+			pkt.Release()
 			return
 		}
 		pkt.Meta.TunnelID = t.Cfg.ID
@@ -197,6 +202,7 @@ func (t *Tunnel) deliver(pkt *packet.Packet, to *Port, d int) {
 		key, err := pkt.DecapGRE()
 		if err != nil {
 			t.dropsRx[d]++
+			pkt.Release()
 			return
 		}
 		pkt.Meta.TunnelID = t.Cfg.ID

@@ -126,7 +126,7 @@ type record struct {
 	tenant      string
 	inPort      uint32
 	out         uint32
-	first       *packet.Packet // clone of the first packet, for escalation re-punts
+	first       *packet.Packet // clone of the first packet, for escalation re-punts; handed to PuntLocal
 	installedAt sim.Time
 	lastMiss    sim.Time
 	applied     bool // local rule confirmed in the table
@@ -361,8 +361,9 @@ func (c *Cache) OriginRate(origin uint64, now sim.Time) float64 {
 }
 
 // HandleMiss implements device.LocalAgent: classify the miss and either
-// absorb it (forward + install a local rule) or escalate by returning
-// false.
+// absorb it (forward + install a local rule), handing pkt on to the
+// switch, or escalate by returning false. A devolved flow's record keeps a
+// clone of its first packet, never pkt itself.
 func (c *Cache) HandleMiss(pkt *packet.Packet, inPort uint32) bool {
 	key := pkt.FlowKey()
 	now := c.eng.Now()
@@ -492,8 +493,10 @@ func (c *Cache) sweepTick() {
 			// Re-punt the stored first packet: its tunnel metadata still
 			// attributes the flow to its origin switch, so the controller
 			// admits it like any overlay punt and the red rules it
-			// installs divert the elephant off the overlay.
+			// installs divert the elephant off the overlay. The punt
+			// takes the packet, and an escalated record never punts again.
 			c.sw.PuntLocal(rec.first, rec.inPort)
+			rec.first = nil
 		}
 	}
 	for key, rec := range c.records {

@@ -8,6 +8,7 @@ import (
 	"scotch/internal/device"
 	"scotch/internal/devolve"
 	"scotch/internal/netaddr"
+	"scotch/internal/openflow"
 	"scotch/internal/packet"
 	"scotch/internal/sim"
 )
@@ -160,12 +161,23 @@ func TestHandleMissDevolves(t *testing.T) {
 
 // TestElephantSweepEscalates bumps a devolved rule's packet counter past
 // the table's packet threshold and asserts the sweep re-punts the flow
-// to the controller exactly once.
+// to the controller exactly once, carrying the flow's first packet. The
+// switch released that packet long before: the record kept a clone.
 func TestElephantSweepEscalates(t *testing.T) {
 	eng, sw, c := newCache(t)
 	tbl := testTable(1)
 	tbl.ElephantPackets = 100
 	c.Apply(tbl)
+	var punted []netaddr.FlowKey
+	sw.SetController(func(_ uint64, b []byte) {
+		m, _, err := openflow.Unmarshal(b)
+		if pin, ok := m.(*openflow.PacketIn); err == nil && ok {
+			if p, err := packet.Parse(pin.Data); err == nil {
+				punted = append(punted, p.FlowKey())
+				p.Release()
+			}
+		}
+	})
 
 	pkt := packet.NewTCP(netaddr.MustParseIPv4("10.0.0.5"),
 		netaddr.MustParseIPv4("10.0.2.1"), 1000, 80, 0)
@@ -183,6 +195,9 @@ func TestElephantSweepEscalates(t *testing.T) {
 	}
 	if sw.Stats.PacketInSent != 1 {
 		t.Fatalf("PacketInSent = %d, want 1 (elephant re-punt)", sw.Stats.PacketInSent)
+	}
+	if want := key("10.0.0.5", "10.0.2.1", 1000, 80); len(punted) != 1 || punted[0] != want {
+		t.Fatalf("re-punted Packet-Ins carry %v, want one for %v", punted, want)
 	}
 	// Once escalated, further misses for the flow belong to the controller.
 	again := packet.NewTCP(netaddr.MustParseIPv4("10.0.0.5"),

@@ -35,13 +35,15 @@ func benchExperiment(b *testing.B, id string) {
 }
 
 // TestHotPathAllocBudget pins the allocation diet: each run sits ~15-20%
-// under its budget today (devolve-ablation ~262k, cluster-scale ~228k
-// allocs/run; ~480k each before control-channel frames were recycled and
+// under its budget today (devolve-ablation ~183k, cluster-scale ~143k
+// allocs/run; ~262k/~228k before data-plane packets were released to
+// their pool, ~480k each before control-channel frames were recycled and
 // decoded into scratch, ~1.77M/~1.68M before the diet), so a failure here
 // means a hot path regained a per-packet or per-message allocation — look
-// for a frame that is no longer recycled, a message decoded fresh instead
-// of into scratch, new closures over []byte, FlowMods built field-by-field
-// instead of via openflow.FlowMod1/Apply1, or lost arena/pool reuse.
+// for a packet that is no longer released where it dies, a frame that is
+// no longer recycled, a message decoded fresh instead of into scratch, new
+// closures over []byte, FlowMods built field-by-field instead of via
+// openflow.FlowMod1/Apply1, or lost arena/pool reuse.
 func TestHotPathAllocBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("alloc counts are only meaningful without -short/-race")
@@ -50,8 +52,8 @@ func TestHotPathAllocBudget(t *testing.T) {
 		id     string
 		budget int64 // allocs per full experiment run
 	}{
-		{"devolve-ablation", 310_000},
-		{"cluster-scale", 275_000},
+		{"devolve-ablation", 215_000},
+		{"cluster-scale", 170_000},
 	} {
 		e, ok := ByID(tc.id)
 		if !ok {

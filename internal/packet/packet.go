@@ -2,7 +2,9 @@ package packet
 
 import (
 	"fmt"
+	"sync"
 	"time"
+	"unsafe"
 
 	"scotch/internal/netaddr"
 )
@@ -17,6 +19,7 @@ type Meta struct {
 	TunnelID  uint64        // set when the packet leaves a tunnel
 	InnerKey  uint32        // inner MPLS label / GRE key popped at decap (ingress port id)
 	FirstOfFl bool          // first packet of its flow (drives flow-setup accounting)
+	pooled    bool          // the box came from the pool (see Release)
 	SentAt    time.Duration // virtual send time, for one-way delay measurement
 }
 
@@ -47,7 +50,10 @@ type Packet struct {
 // the constructors, Clone, and Parse cost one heap allocation instead of
 // one per present header. The Packet's pointer fields point into the same
 // box; a Packet built any other way still works, it just came from more
-// allocations.
+// allocations. The Packet is the box's first field, so a pooled packet's
+// pointer is its box's pointer (see Release). Meta.pooled fills padding
+// after FirstOfFl: a new field on Packet would take the box from the 240 B
+// size class to the 256 B one.
 type boxed struct {
 	p     Packet
 	outer IPv4
@@ -60,13 +66,26 @@ type boxed struct {
 	mpls [2]MPLSLabel
 }
 
-// NewTCP builds an IPv4/TCP packet with sensible defaults.
+// pool holds the boxes of released packets. A packet is born on one node
+// and dies on another, possibly on another lane of a sharded engine or in
+// another run of a parallel batch, so the free list cannot belong to a node
+// or an engine; sync.Pool is safe across all of them, and the GC trims it.
+var pool = sync.Pool{New: func() any { return new(boxed) }}
+
+// take returns a box from the pool. Its contents are stale: the caller
+// overwrites the whole box before use.
+func take() *boxed { return pool.Get().(*boxed) }
+
+// NewTCP builds an IPv4/TCP packet with sensible defaults. The packet
+// comes from the pool: see Release.
 func NewTCP(src, dst netaddr.IPv4, srcPort, dstPort uint16, flags uint8) *Packet {
-	bx := &boxed{
+	bx := take()
+	*bx = boxed{
 		p: Packet{
 			Eth:  Ethernet{EtherType: EtherTypeIPv4},
 			IP:   IPv4{TTL: 64, Protocol: netaddr.ProtoTCP, Src: src, Dst: dst},
 			Size: ethernetLen + ipv4Len + tcpLen,
+			Meta: Meta{pooled: true},
 		},
 		tcp: TCP{SrcPort: srcPort, DstPort: dstPort, Flags: flags, Window: 65535},
 	}
@@ -75,13 +94,16 @@ func NewTCP(src, dst netaddr.IPv4, srcPort, dstPort uint16, flags uint8) *Packet
 	return &bx.p
 }
 
-// NewUDP builds an IPv4/UDP packet with sensible defaults.
+// NewUDP builds an IPv4/UDP packet with sensible defaults. The packet
+// comes from the pool: see Release.
 func NewUDP(src, dst netaddr.IPv4, srcPort, dstPort uint16, payloadLen int) *Packet {
-	bx := &boxed{
+	bx := take()
+	*bx = boxed{
 		p: Packet{
 			Eth:  Ethernet{EtherType: EtherTypeIPv4},
 			IP:   IPv4{TTL: 64, Protocol: netaddr.ProtoUDP, Src: src, Dst: dst},
 			Size: ethernetLen + ipv4Len + udpLen + payloadLen,
+			Meta: Meta{pooled: true},
 		},
 		udp: UDP{SrcPort: srcPort, DstPort: dstPort},
 	}
@@ -89,6 +111,33 @@ func NewUDP(src, dst netaddr.IPv4, srcPort, dstPort uint16, payloadLen int) *Pac
 	bx.p.MPLS = bx.mpls[:0]
 	return &bx.p
 }
+
+// Release gives a dead packet back to the pool that NewTCP, NewUDP, Clone
+// and Parse take from. Only the owner calls it, once the packet can no
+// longer be read: the next constructor may hand the same memory out again.
+// Release ignores any packet that did not come from the pool (a Parser's
+// scratch, a literal, nil), and a second Release of one packet before it
+// is handed out again. A scotchpoison build overwrites the packet instead
+// of pooling it, so a holder that kept it reads garbage.
+func (p *Packet) Release() {
+	if p == nil || !p.Meta.pooled {
+		return
+	}
+	p.Meta.pooled = false
+	if poison {
+		p.IP.Src, p.IP.Dst = poisonAddr, poisonAddr
+		if p.Outer != nil {
+			p.Outer.Src, p.Outer.Dst = poisonAddr, poisonAddr
+		}
+		p.Size = -1
+		p.Meta.FlowID = ^uint64(0)
+		return
+	}
+	pool.Put((*boxed)(unsafe.Pointer(p)))
+}
+
+// poisonAddr is what a released packet's addresses read in a poison build.
+const poisonAddr netaddr.IPv4 = 0xABABABAB
 
 // FlowKey returns the 5-tuple of the *inner* packet (tunnel headers are
 // transparent to flow identity).
@@ -103,11 +152,15 @@ func (p *Packet) FlowKey() netaddr.FlowKey {
 	return k
 }
 
-// Clone returns a deep copy. Forwarding elements that duplicate a packet
-// (e.g. group buckets of type all) must clone before mutating.
+// Clone returns a deep copy, from the pool. Forwarding elements that
+// duplicate a packet (e.g. group buckets of type all) must clone before
+// mutating, and a holder that keeps a packet past the callback that lent
+// it clones it.
 func (p *Packet) Clone() *Packet {
-	bx := &boxed{p: *p}
+	bx := take()
+	*bx = boxed{p: *p}
 	q := &bx.p
+	q.Meta.pooled = true
 	// Copy the label stack into the new box's inline storage (spilling to
 	// the heap only past two labels) so the clone neither aliases the
 	// original's stack nor costs an extra allocation.
@@ -251,13 +304,16 @@ func (p *Packet) AppendMarshal(dst []byte) []byte {
 	return append(b, p.Payload...)
 }
 
-// Parse decodes wire bytes produced by Marshal. The returned packet has
-// zero Meta; Size is set to the wire length.
+// Parse decodes wire bytes produced by Marshal into a packet from the
+// pool. The returned packet has zero Meta; Size is set to the wire length.
 func Parse(b []byte) (*Packet, error) {
-	bx := &boxed{}
+	bx := take()
+	*bx = boxed{}
 	if err := parseInto(bx, b, nil); err != nil {
+		pool.Put(bx)
 		return nil, err
 	}
+	bx.p.Meta.pooled = true
 	return &bx.p, nil
 }
 

@@ -35,16 +35,21 @@ func NewEmitter(eng sim.Proc, host *device.Host, cap *capture.Capture) *Emitter 
 // emission is one flow's shared send state: every scheduled packet of the
 // flow references this single box (via DeferCall) instead of owning a
 // closure, so starting an n-packet flow costs one allocation, not n+1.
+// The events of one emission fire in the order they were scheduled (their
+// times never decrease, and ties fire first-scheduled first), so next
+// counts packet indices without each event carrying its own.
 type emission struct {
-	e  *Emitter
-	f  Flow
-	id uint64
+	e    *Emitter
+	f    Flow
+	id   uint64
+	next int // index of the next packet to send
 }
 
-// emitOne sends packet a2 (its index) of emission a1.
-func emitOne(a1, a2 any) {
+// emitOne sends the next packet of emission a1.
+func emitOne(a1, _ any) {
 	em := a1.(*emission)
-	i := a2.(int)
+	i := em.next
+	em.next++
 	e, f := em.e, em.f
 	flags := uint8(packet.FlagACK)
 	if i == 0 {
@@ -71,7 +76,7 @@ func (e *Emitter) Start(f Flow) {
 		em.id = e.Cap.NewFlow(f.Key, f.Class, f.Packets).ID
 	}
 	for i := 0; i < f.Packets; i++ {
-		e.Eng.DeferCall(e.Eng, time.Duration(i)*f.Interval, emitOne, em, i)
+		e.Eng.DeferCall(e.Eng, time.Duration(i)*f.Interval, emitOne, em, nil)
 	}
 }
 
