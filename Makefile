@@ -20,14 +20,17 @@ short:
 race:
 	$(GO) test -race ./...
 
-# Vet gate: go vet, and every Go file as gofmt prints it.
+# Vet gate: go vet, also over the scotchpoison-only files in sim and
+# packet, and every Go file as gofmt prints it.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags scotchpoison ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
-# Documentation gate: every internal package needs a package comment, and
-# the scotch/cluster/devolve/elastic/fault packages need docs on every
-# exported symbol.
+# Documentation gate: every internal package needs a package comment, the
+# scotch/cluster/devolve/elastic/fault/obs/balance packages need docs on
+# every exported symbol, and every exported top-level identifier under
+# internal/ needs a reference outside its own package's tests.
 doclint:
 	$(GO) run ./cmd/doclint
 

@@ -3,7 +3,8 @@
 // packages listed in strictPkgs every exported top-level declaration —
 // types, functions, methods on exported receivers, consts and vars —
 // must have a doc comment. A const/var block's doc comment covers all of
-// its specs.
+// its specs. Every exported top-level identifier under internal/ must
+// also be referenced outside its own package's tests (see unusedExports).
 //
 // Usage:
 //
@@ -20,7 +21,6 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -41,27 +41,10 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	var dirs []string
-	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
+	violations, err := run(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doclint:", err)
 		os.Exit(2)
-	}
-	sort.Strings(dirs)
-
-	var violations []string
-	for _, dir := range dirs {
-		rel, _ := filepath.Rel(root, dir)
-		rel = filepath.ToSlash(rel)
-		violations = append(violations, lintDir(dir, rel, strictPkgs[rel])...)
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -72,39 +55,76 @@ func main() {
 	}
 }
 
-// lintDir checks one package directory. Test files never count: a
-// package comment must live in shipping code, and test helpers are free
-// to be terse.
-func lintDir(dir, rel string, strict bool) []string {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		return []string{fmt.Sprintf("%s: %v", rel, err)}
-	}
-	var out []string
-	for _, pkg := range pkgs {
-		if !hasPackageComment(pkg) {
-			out = append(out, fmt.Sprintf("%s: package %s has no package comment", rel, pkg.Name))
-		}
-		if !strict {
-			continue
-		}
-		files := make([]string, 0, len(pkg.Files))
-		for name := range pkg.Files {
-			files = append(files, name)
-		}
-		sort.Strings(files)
-		for _, name := range files {
-			out = append(out, lintFile(fset, pkg.Files[name])...)
-		}
-	}
-	return out
+// srcFile is one parsed Go file of the module.
+type srcFile struct {
+	dir  string // relative to the module root, slash-separated
+	test bool
+	ast  *ast.File
 }
 
-func hasPackageComment(pkg *ast.Package) bool {
-	for _, f := range pkg.Files {
+// run applies every check to the module at root and returns the
+// violations: package and doc comments package by package, then unused
+// exports.
+func run(root string) ([]string, error) {
+	fset := token.NewFileSet()
+	files, err := parseModule(fset, root)
+	if err != nil {
+		return nil, err
+	}
+	var dirs []string
+	byDir := make(map[string][]*ast.File)
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		if byDir[f.dir] == nil {
+			dirs = append(dirs, f.dir)
+		}
+		byDir[f.dir] = append(byDir[f.dir], f.ast)
+	}
+	var out []string
+	for _, dir := range dirs {
+		// Test files never count: a package comment must live in
+		// shipping code, and test helpers are free to be terse.
+		if !hasPackageComment(byDir[dir]) {
+			out = append(out, fmt.Sprintf("%s: package %s has no package comment", dir, byDir[dir][0].Name.Name))
+		}
+		if strictPkgs[dir] {
+			for _, f := range byDir[dir] {
+				out = append(out, lintFile(fset, f)...)
+			}
+		}
+	}
+	return append(out, unusedExports(fset, files)...), nil
+}
+
+// parseModule parses every Go file under root in path order, skipping
+// testdata and hidden directories.
+func parseModule(fset *token.FileSet, root string) ([]srcFile, error) {
+	var files []srcFile
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			if err == nil && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, _ := filepath.Rel(root, filepath.Dir(path))
+		files = append(files, srcFile{filepath.ToSlash(dir), strings.HasSuffix(path, "_test.go"), f})
+		return nil
+	})
+	return files, err
+}
+
+func hasPackageComment(files []*ast.File) bool {
+	for _, f := range files {
 		if f.Doc != nil && len(strings.TrimSpace(f.Doc.Text())) > 0 {
 			return true
 		}

@@ -9,7 +9,7 @@
 //	             -health                     print per-rig end-of-run health digests
 //	             -health-json out.json       write the digests as JSON
 //	             -profile-dir DIR            pprof capture on SLO-breach transitions
-//	             -statusz-addr :9090         live /statusz + /metrics while running
+//	             -statusz-addr :9090         live /statusz + /debug/pprof while running
 //	             -balance                    advisory joint balancer per rig (decision log)
 //	scotchsim [-parallel N] all              run every experiment
 //
@@ -75,7 +75,7 @@ func runCmd(args []string, parallel int) {
 	health := fs.Bool("health", false, "print an end-of-run health digest (load timelines, SLO verdicts, burn peaks) per rig")
 	healthJSON := fs.String("health-json", "", "write the collected health digests as JSON to this file (implies observation)")
 	profileDir := fs.String("profile-dir", "", "capture heap+CPU pprof profiles into this directory on SLO-breach transitions")
-	statuszAddr := fs.String("statusz-addr", "", "serve a live /statusz (plus /metrics and /debug/pprof) on this address while experiments run")
+	statuszAddr := fs.String("statusz-addr", "", "serve a live /statusz (plus /debug/pprof) on this address while experiments run")
 	advise := fs.Bool("balance", false, "run an advisory joint balancer per rig and print its decision log (implies observation, never actuates)")
 	// The flag package stops at the first non-flag argument; re-parse so
 	// `scotchsim run fig14 -stages` works as naturally as the reverse order.
@@ -107,7 +107,7 @@ func runCmd(args []string, parallel int) {
 		// serves the newest one's view.
 		var newest atomic.Pointer[obs.Observatory]
 		arm.Observed = newest.Store
-		srv, err := telemetry.StartServer(*statuszAddr, telemetry.NewRegistry(),
+		srv, err := telemetry.StartServer(*statuszAddr, nil,
 			telemetry.WithHandler("/statusz", obs.Handler(func() *obs.ClusterView {
 				return newest.Load().Snapshot()
 			})))

@@ -139,47 +139,6 @@ func (b *Balancer) SetTracer(t *telemetry.Tracer) {
 	b.tracer = t
 }
 
-// BindMetrics registers the balancer's counters and gauges:
-// scotch_balance_ticks_total, scotch_balance_actions_total{action},
-// scotch_balance_suppressed_total{reason} and scotch_balance_max_burn.
-// No-op on a nil balancer or registry.
-func (b *Balancer) BindMetrics(reg *telemetry.Registry) {
-	if b == nil || reg == nil {
-		return
-	}
-	reg.CounterFunc("scotch_balance_ticks_total", func() uint64 { return b.Stats.Ticks })
-	actions := []struct {
-		name string
-		n    *uint64
-	}{
-		{"grow-pool", &b.Stats.Grows},
-		{"drain-pool", &b.Stats.Drains},
-		{"migrate", &b.Stats.Migrations},
-		{"spawn-replica", &b.Stats.Spawns},
-		{"retire-replica", &b.Stats.Retires},
-	}
-	for _, a := range actions {
-		n := a.n
-		reg.CounterFunc("scotch_balance_actions_total"+telemetry.Labels("action", a.name),
-			func() uint64 { return *n })
-	}
-	reasons := []struct {
-		name string
-		n    *uint64
-	}{
-		{"cooldown", &b.Stats.Cooldown},
-		{"bounds", &b.Stats.Bounds},
-		{"no-actuator", &b.Stats.NoActuator},
-		{"error", &b.Stats.Errors},
-	}
-	for _, r := range reasons {
-		n := r.n
-		reg.CounterFunc("scotch_balance_suppressed_total"+telemetry.Labels("reason", r.name),
-			func() uint64 { return *n })
-	}
-	reg.GaugeFunc("scotch_balance_max_burn", func() float64 { return b.lastSig.MaxBurn })
-}
-
 // Start begins policy ticks every cfg.Interval. It returns the balancer
 // for chaining; a nil balancer is a no-op, and a second Start panics.
 func (b *Balancer) Start() *Balancer {

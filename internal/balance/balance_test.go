@@ -230,8 +230,6 @@ func TestMarksAndMetrics(t *testing.T) {
 	b := New(eng, testCfg(), vs.signals, Actuators{Pool: pool})
 	tr := telemetry.NewTracer()
 	b.SetTracer(tr)
-	reg := telemetry.NewRegistry()
-	b.BindMetrics(reg)
 	b.Start()
 	eng.RunUntil(300 * time.Millisecond)
 	// Go cold: three cold ticks past the 250ms cooldown drain back.
@@ -251,19 +249,9 @@ func TestMarksAndMetrics(t *testing.T) {
 	if grow != "balance:grow-pool size=2" || drain != "balance:drain-pool size=1" {
 		t.Fatalf("resize marks grow=%q drain=%q in %+v", grow, drain, tr.Marks())
 	}
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"scotch_balance_ticks_total",
-		`scotch_balance_actions_total{action="grow-pool"} 1`,
-		`scotch_balance_actions_total{action="drain-pool"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
-		}
+	if b.Stats.Ticks == 0 || b.Stats.Grows != 1 || b.Stats.Drains != 1 {
+		t.Fatalf("ticks=%d grows=%d drains=%d, want ticks>0 and one grow and one drain",
+			b.Stats.Ticks, b.Stats.Grows, b.Stats.Drains)
 	}
 }
 
@@ -321,7 +309,6 @@ func TestNilBalancerAllocFree(t *testing.T) {
 	n := testing.AllocsPerRun(100, func() {
 		b.Start()
 		b.SetTracer(nil)
-		b.BindMetrics(nil)
 		_ = b.Log()
 		_ = b.Dropped()
 		_ = b.LastSignals()

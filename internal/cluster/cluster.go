@@ -152,26 +152,6 @@ func New(eng sim.Proc, cfg Config) *Coordinator {
 	}
 }
 
-// BindMetrics registers the coordinator's per-replica load signals and
-// handoff counters with a telemetry registry.
-func (co *Coordinator) BindMetrics(reg *telemetry.Registry) {
-	reg.CounterFunc("scotch_cluster_migrations_total", func() uint64 { return co.Stats.Migrations })
-	reg.CounterFunc("scotch_cluster_failovers_total", func() uint64 { return co.Stats.Failovers })
-	reg.CounterFunc("scotch_cluster_replicas_lost_total", func() uint64 { return co.Stats.ReplicasLost })
-	reg.CounterFunc("scotch_cluster_replicas_retired_total", func() uint64 { return co.Stats.Retired })
-	for _, r := range co.Replicas {
-		r := r
-		lbl := telemetry.Labels("replica", fmt.Sprint(r.ID))
-		reg.GaugeFunc("scotch_cluster_replica_load"+lbl, func() float64 { return co.Load(r) })
-		reg.GaugeFunc("scotch_cluster_replica_alive"+lbl, func() float64 {
-			if r.Alive() {
-				return 1
-			}
-			return 0
-		})
-	}
-}
-
 // AddReplica enrolls a controller as a cluster replica.
 func (co *Coordinator) AddReplica(c *controller.Controller) *Replica {
 	r := &Replica{ID: len(co.Replicas), C: c}

@@ -182,18 +182,6 @@ func (c *Controller) SetTracer(t *telemetry.Tracer) { c.trace = t }
 // Tracer returns the attached tracer (nil when tracing is off).
 func (c *Controller) Tracer() *telemetry.Tracer { return c.trace }
 
-// BindMetrics registers the controller's live counters and load signals
-// with a telemetry registry.
-func (c *Controller) BindMetrics(reg *telemetry.Registry) {
-	reg.CounterFunc("scotch_controller_packet_ins_total", func() uint64 { return c.Stats.PacketIns })
-	reg.CounterFunc("scotch_controller_packet_ins_dropped_total", func() uint64 { return c.Stats.PacketInsDropped })
-	reg.CounterFunc("scotch_controller_flow_mods_sent_total", func() uint64 { return c.Stats.FlowModsSent })
-	reg.CounterFunc("scotch_controller_packet_outs_sent_total", func() uint64 { return c.Stats.PacketOutsSent })
-	reg.CounterFunc("scotch_controller_errors_received_total", func() uint64 { return c.Stats.ErrorsReceived })
-	reg.GaugeFunc("scotch_controller_queue_depth", func() float64 { return float64(c.QueueDepth()) })
-	reg.GaugeFunc("scotch_controller_packet_in_rate", func() float64 { return c.InRate.Rate(c.Eng.Now()) })
-}
-
 // Register adds an application. Registration order is consultation order.
 func (c *Controller) Register(app App) { c.apps = append(c.apps, app) }
 

@@ -9,6 +9,5 @@
 // lower. Both are modelled as finite-queue servers on the simulation
 // engine, with per-model constants in profiles.go. Links and tunnels can
 // be forced administratively down and switches crashed/restarted by the
-// fault-injection harness (internal/fault); a switch can also carry a
-// message-level fault policy on its control channels.
+// fault-injection harness (internal/fault).
 package device

@@ -88,7 +88,7 @@ func (f *Firewall) Receive(pkt *packet.Packet, port *Port) {
 	f.proc.DeferCall(f.proc, f.Delay, sendOut, out, pkt)
 }
 
-// sendOut is the static callback a middlebox schedules to emit a packet
+// sendOut is the static callback the firewall schedules to emit a packet
 // after its processing delay: a1 is the out port, a2 the packet.
 func sendOut(a1, a2 any) {
 	a1.(*Port).Send(a2.(*packet.Packet), 0)
@@ -100,83 +100,6 @@ func (f *Firewall) other(p *Port) *Port {
 		return f.ports[1]
 	case f.ports[1]:
 		return f.ports[0]
-	}
-	return nil
-}
-
-// LoadBalancer is a stateful L4 load balancer middlebox: it maps each new
-// flow to a backend and rewrites the destination address. Like the
-// firewall it keeps per-flow state, so it participates in the same policy
-// consistency argument.
-type LoadBalancer struct {
-	name  string
-	proc  sim.Proc
-	ports [2]*Port
-	nport int
-
-	VIP      netaddr.IPv4
-	Backends []netaddr.IPv4
-	Delay    time.Duration
-
-	mapping map[netaddr.FlowKey]netaddr.IPv4
-	Passed  uint64
-}
-
-// NewLoadBalancer creates a load balancer for the given virtual IP.
-func NewLoadBalancer(eng sim.Proc, name string, vip netaddr.IPv4, backends []netaddr.IPv4, delay time.Duration) *LoadBalancer {
-	return &LoadBalancer{
-		name: name, proc: eng, VIP: vip, Backends: backends, Delay: delay,
-		mapping: make(map[netaddr.FlowKey]netaddr.IPv4),
-	}
-}
-
-// Name implements Node.
-func (lb *LoadBalancer) Name() string { return lb.name }
-
-// Proc implements Node.
-func (lb *LoadBalancer) Proc() sim.Proc { return lb.proc }
-
-func (lb *LoadBalancer) attachPort(p *Port) {
-	if lb.nport < 2 {
-		lb.ports[lb.nport] = p
-		lb.nport++
-	}
-}
-
-func (lb *LoadBalancer) detachPort(p *Port) {
-	for i := range lb.ports {
-		if lb.ports[i] == p {
-			lb.ports[i] = nil
-		}
-	}
-}
-
-// Receive implements Node.
-func (lb *LoadBalancer) Receive(pkt *packet.Packet, port *Port) {
-	key := pkt.FlowKey()
-	if pkt.IP.Dst == lb.VIP && len(lb.Backends) > 0 {
-		backend, ok := lb.mapping[key]
-		if !ok {
-			backend = lb.Backends[key.Hash()%uint64(len(lb.Backends))]
-			lb.mapping[key] = backend
-		}
-		pkt.IP.Dst = backend
-	}
-	lb.Passed++
-	out := lb.other(port)
-	if out == nil {
-		pkt.Release()
-		return
-	}
-	lb.proc.DeferCall(lb.proc, lb.Delay, sendOut, out, pkt)
-}
-
-func (lb *LoadBalancer) other(p *Port) *Port {
-	switch p {
-	case lb.ports[0]:
-		return lb.ports[1]
-	case lb.ports[1]:
-		return lb.ports[0]
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"scotch/internal/fault"
 	"scotch/internal/flowtable"
 	"scotch/internal/metrics"
 	"scotch/internal/netaddr"
@@ -83,11 +82,10 @@ type Switch struct {
 	genID    uint64 // newest generation id seen in a master/slave claim
 	genSeen  bool
 
-	xid      uint32
-	failed   bool
-	trace    *telemetry.Tracer
-	chFaults *fault.ChannelFaults
-	local    LocalAgent // nil = every miss escalates to the controller
+	xid    uint32
+	failed bool
+	trace  *telemetry.Tracer
+	local  LocalAgent // nil = every miss escalates to the controller
 
 	// pin and fr are the messages every punt and every flow-removed
 	// notice is built in (pin.Data is the buffer the punted packet is
@@ -253,17 +251,6 @@ func (sw *Switch) SetTracer(t *telemetry.Tracer) {
 	)
 }
 
-// BindMetrics registers this switch's live counters with a telemetry
-// registry under a dpid label. All series are evaluated at scrape time.
-func (sw *Switch) BindMetrics(reg *telemetry.Registry) {
-	lbl := telemetry.Labels("dpid", fmt.Sprint(sw.DPID))
-	reg.CounterFunc("scotch_switch_packet_in_sent_total"+lbl, func() uint64 { return sw.Stats.PacketInSent })
-	reg.CounterFunc("scotch_switch_packet_in_dropped_total"+lbl, func() uint64 { return sw.Stats.PacketInDropped })
-	reg.CounterFunc("scotch_switch_rules_installed_total"+lbl, func() uint64 { return sw.Stats.RulesInstalled })
-	reg.CounterFunc("scotch_switch_table_full_total"+lbl, func() uint64 { return sw.Stats.TableFull })
-	reg.GaugeFunc("scotch_switch_insert_backlog"+lbl, func() float64 { return float64(sw.InsertBacklog()) })
-}
-
 // Fail simulates a crash: the switch stops forwarding and stops answering
 // the controller (heartbeats included). Used by the vSwitch failover
 // experiments.
@@ -280,13 +267,6 @@ func (sw *Switch) Restart() {
 	sw.failed = false
 	sw.Pipeline = flowtable.NewPipeline(sw.Profile.NumTables, sw.Profile.TableCapacity)
 }
-
-// SetChannelFaults attaches a message-level fault policy to every control
-// connection of this switch: each control-channel message (both
-// directions) may be dropped, duplicated, or delayed per the policy. Nil
-// (the default) disables injection at the cost of one nil check per
-// message.
-func (sw *Switch) SetChannelFaults(cf *fault.ChannelFaults) { sw.chFaults = cf }
 
 // SetLocalAgent attaches (or, with nil, detaches) a local control agent
 // consulted on every table miss. The disabled path costs one nil check
@@ -490,15 +470,15 @@ func (sw *Switch) emitPacketIn(it dataItem) {
 func (sw *Switch) sendAsync(m openflow.Message) {
 	sw.xid++
 	var b []byte // marshalled for the first connection that gets it
-	handed := false
 	for _, c := range sw.conns {
 		if c.role == openflow.RoleSlave {
 			continue
 		}
-		if b == nil {
+		handed := b != nil
+		if !handed {
 			b = sw.marshal(m, sw.xid)
 		}
-		handed = post(sw.proc, c.proc, sw.chFaults, sw.Profile.CtrlDelay, deliverToConn, c.send, int(sw.DPID), b, handed)
+		post(sw.proc, c.proc, sw.Profile.CtrlDelay, deliverToConn, c.send, int(sw.DPID), b, handed)
 	}
 }
 
@@ -512,35 +492,16 @@ func (sw *Switch) marshal(m openflow.Message, xid uint32) []byte {
 }
 
 // post sends frame b from src to dst: fn(obj, id, frame) runs on dst
-// after delay plus whatever the fault policy adds, twice for a duplicated
-// message and never for a dropped one. Every delivery owns its frame. The
-// first takes b itself unless b is already handed off (handed), and every
-// further one gets a copy in a frame from src; copying b after handing it
-// off is safe because no delivery runs before the current event returns.
-// post reports whether b has been handed off.
-func post(src, dst sim.Proc, cf *fault.ChannelFaults, delay time.Duration,
-	fn func(obj any, id int, b []byte), obj any, id int, b []byte, handed bool) bool {
-	if cf != nil {
-		v := cf.Verdict()
-		if v.Drop {
-			return handed
-		}
-		delay += v.Delay
-		if v.Duplicate {
-			handed = postFrame(src, dst, delay, fn, obj, id, b, handed)
-		}
-	}
-	return postFrame(src, dst, delay, fn, obj, id, b, handed)
-}
-
-// postFrame is one delivery of post.
-func postFrame(src, dst sim.Proc, delay time.Duration,
-	fn func(obj any, id int, b []byte), obj any, id int, b []byte, handed bool) bool {
+// after delay. Every delivery owns its frame. The first takes b itself
+// unless b is already handed off (handed), and every further one gets a
+// copy in a frame from src; copying b after handing it off is safe
+// because no delivery runs before the current event returns.
+func post(src, dst sim.Proc, delay time.Duration,
+	fn func(obj any, id int, b []byte), obj any, id int, b []byte, handed bool) {
 	if handed {
 		b = append(src.Frame(len(b)), b...)
 	}
 	src.DeferBytes(dst, delay, fn, obj, id, b)
-	return true
 }
 
 // deliverToConn is the DeferBytes target for switch-to-controller sends:
@@ -562,7 +523,7 @@ func (sw *Switch) sendToConnXID(connID int, m openflow.Message, xid uint32) {
 	if c == nil {
 		return // connection closed since the request arrived
 	}
-	post(sw.proc, c.proc, sw.chFaults, sw.Profile.CtrlDelay, deliverToConn, c.send, int(sw.DPID), sw.marshal(m, xid), false)
+	post(sw.proc, c.proc, sw.Profile.CtrlDelay, deliverToConn, c.send, int(sw.DPID), sw.marshal(m, xid), false)
 }
 
 // DeliverControl accepts an encoded controller-to-switch message on the
@@ -580,7 +541,7 @@ func (sw *Switch) DeliverControlFrom(connID int, b []byte) {
 	if c := sw.conn(connID); c != nil && c.proc != nil {
 		src = c.proc
 	}
-	post(src, sw.proc, sw.chFaults, sw.Profile.CtrlDelay, deliverControl, sw, connID, b, true)
+	post(src, sw.proc, sw.Profile.CtrlDelay, deliverControl, sw, connID, b, true)
 }
 
 // ruleItem is a FlowMod or barrier queued at the OFA, tagged with its

@@ -6,17 +6,11 @@ import (
 	"time"
 
 	"scotch/internal/metrics"
-	"scotch/internal/telemetry"
 )
 
 // Metrics aggregates devolution counters and setup-latency histograms
 // across a pool of caches. All methods are nil-safe and safe for
-// concurrent use, so a disabled deployment pays nothing and a bound
-// telemetry registry exports:
-//
-//	scotch_devolve_hits_total{tenant=...}
-//	scotch_devolve_escalations_total{reason=...}
-//	scotch_devolve_setup_seconds / scotch_central_setup_seconds quantiles
+// concurrent use, so a disabled deployment pays nothing.
 type Metrics struct {
 	// DevolvedSetup observes first-packet-to-rule-applied latency for
 	// locally devolved flows; CentralSetup observes the same span for
@@ -26,15 +20,8 @@ type Metrics struct {
 	CentralSetup  *metrics.BucketHistogram
 
 	mu    sync.Mutex
-	reg   *telemetry.Registry
 	hits  map[string]uint64
 	escal map[string]uint64
-	// hitCtr/escalCtr cache the registry counter resolved for each
-	// tenant/reason so the data-path hot loop does not rebuild the label
-	// string (and walk the registry) on every event. Entries are nil
-	// until a registry is bound; Bind clears them so they re-resolve.
-	hitCtr   map[string]*telemetry.Counter
-	escalCtr map[string]*telemetry.Counter
 }
 
 // NewMetrics returns an empty aggregate with latency-bucketed
@@ -45,29 +32,7 @@ func NewMetrics() *Metrics {
 		CentralSetup:  metrics.NewBucketHistogram(nil),
 		hits:          make(map[string]uint64),
 		escal:         make(map[string]uint64),
-		hitCtr:        make(map[string]*telemetry.Counter),
-		escalCtr:      make(map[string]*telemetry.Counter),
 	}
-}
-
-// Bind exports the aggregate through a telemetry registry; tenant and
-// reason counters are mirrored lazily as they appear. Safe with a nil
-// registry (and a nil receiver).
-func (m *Metrics) Bind(reg *telemetry.Registry) {
-	if m == nil || reg == nil {
-		return
-	}
-	m.mu.Lock()
-	m.reg = reg
-	clear(m.hitCtr)
-	clear(m.escalCtr)
-	m.mu.Unlock()
-	reg.CounterFunc("scotch_devolve_setup_count", m.DevolvedSetup.Count)
-	reg.CounterFunc("scotch_central_setup_count", m.CentralSetup.Count)
-	reg.GaugeFunc("scotch_devolve_setup_seconds"+telemetry.Labels("quantile", "0.99"),
-		func() float64 { return m.DevolvedSetup.Quantile(0.99) })
-	reg.GaugeFunc("scotch_central_setup_seconds"+telemetry.Labels("quantile", "0.99"),
-		func() float64 { return m.CentralSetup.Quantile(0.99) })
 }
 
 // Hit counts one locally absorbed miss for a tenant.
@@ -77,13 +42,7 @@ func (m *Metrics) Hit(tenant string) {
 	}
 	m.mu.Lock()
 	m.hits[tenant]++
-	c, ok := m.hitCtr[tenant]
-	if !ok && m.reg != nil {
-		c = m.reg.Counter("scotch_devolve_hits_total" + telemetry.Labels("tenant", tenant))
-		m.hitCtr[tenant] = c
-	}
 	m.mu.Unlock()
-	c.Inc()
 }
 
 // Escalation counts one miss handed to the central controller, by
@@ -95,13 +54,7 @@ func (m *Metrics) Escalation(reason string) {
 	}
 	m.mu.Lock()
 	m.escal[reason]++
-	c, ok := m.escalCtr[reason]
-	if !ok && m.reg != nil {
-		c = m.reg.Counter("scotch_devolve_escalations_total" + telemetry.Labels("reason", reason))
-		m.escalCtr[reason] = c
-	}
 	m.mu.Unlock()
-	c.Inc()
 }
 
 // ObserveDevolvedSetup records a local-rule setup latency.

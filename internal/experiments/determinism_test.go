@@ -288,3 +288,14 @@ func TestRunAllErrorPropagation(t *testing.T) {
 		t.Fatal("failing experiment's result has nil Err")
 	}
 }
+
+// WriteResults writes the results' outputs to w in order, reproducing the
+// sequential byte stream.
+func WriteResults(w io.Writer, results []RunResult) error {
+	for i := range results {
+		if _, err := w.Write(results[i].Output); err != nil {
+			return err
+		}
+	}
+	return nil
+}

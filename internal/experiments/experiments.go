@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 )
 
@@ -40,13 +39,6 @@ func All() []Experiment {
 func ByID(id string) (Experiment, bool) {
 	e, ok := registry[id]
 	return e, ok
-}
-
-// IDs returns the sorted experiment ids.
-func IDs() []string {
-	ids := append([]string(nil), order...)
-	sort.Strings(ids)
-	return ids
 }
 
 // table is a small column-aligned printer for experiment output.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -110,4 +111,11 @@ func TestFig9ShapeMatchesPaper(t *testing.T) {
 			}
 		}
 	}
+}
+
+// IDs returns the sorted experiment ids.
+func IDs() []string {
+	ids := append([]string(nil), order...)
+	sort.Strings(ids)
+	return ids
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -113,15 +112,4 @@ func runCaptured(e Experiment, p *Probes) RunResult {
 		Err:    err,
 		Probes: p,
 	}
-}
-
-// WriteResults writes the results' outputs to w in order, reproducing the
-// sequential byte stream.
-func WriteResults(w io.Writer, results []RunResult) error {
-	for i := range results {
-		if _, err := w.Write(results[i].Output); err != nil {
-			return err
-		}
-	}
-	return nil
 }

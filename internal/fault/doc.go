@@ -10,14 +10,13 @@
 // partition/heal). A Runner schedules the plan on a sim.Engine and applies
 // each event through an Environment implemented by the experiment rig, so
 // this package never imports topology or device types and stays free of
-// import cycles. Message-level faults (drop, duplicate, extra delay on a
-// control channel) are modelled separately by ChannelFaults, which devices
-// consult through a nil-guarded pointer — the same zero-cost hook pattern
-// telemetry tracing uses, so a rig with no faults configured pays a single
-// nil check and allocates nothing.
+// import cycles. Faults act on links, switches and controller replicas,
+// never on single control messages: the OFA-controller channel is
+// OpenFlow over TCP, which does not drop, duplicate or reorder one message
+// and deliver the next.
 //
-// All randomness is drawn from private generators seeded by the plan or
-// policy, never from the engine's RNG: injecting (or not injecting) faults
+// All randomness is drawn from private generators seeded by the plan,
+// never from the engine's RNG: injecting (or not injecting) faults
 // therefore cannot perturb the random choices of the workload, and a
 // no-fault run remains byte-identical to a build without this package.
 package fault

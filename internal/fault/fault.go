@@ -150,9 +150,3 @@ func (r *Runner) Injected() uint64 { return r.injected }
 
 // Failed returns how many fired events the environment rejected.
 func (r *Runner) Failed() uint64 { return r.failed }
-
-// BindMetrics registers the runner's counters with a telemetry registry.
-func (r *Runner) BindMetrics(reg *telemetry.Registry) {
-	reg.CounterFunc("scotch_fault_injected_total", func() uint64 { return r.injected })
-	reg.CounterFunc("scotch_fault_apply_errors_total", func() uint64 { return r.failed })
-}

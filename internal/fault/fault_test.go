@@ -50,8 +50,6 @@ func TestRunnerCountsFailuresAndMarks(t *testing.T) {
 	env := &recordEnv{fail: map[Kind]bool{SwitchRestart: true}}
 	tr := telemetry.NewTracer()
 	r := NewRunner(eng, env, tr)
-	reg := telemetry.NewRegistry()
-	r.BindMetrics(reg)
 	r.Schedule(CrashRestart("vs1", 10*time.Millisecond, 20*time.Millisecond))
 	eng.RunUntil(time.Second)
 	if r.Injected() != 2 || r.Failed() != 1 {
@@ -88,53 +86,6 @@ func TestFlapDeterministicAndAlternating(t *testing.T) {
 		if ev.Kind != want {
 			t.Fatalf("event %d is %v, want %v", i, ev.Kind, want)
 		}
-	}
-}
-
-func TestChannelFaultsDeterministicAndCounted(t *testing.T) {
-	draw := func() ([]Verdict, ChannelStats) {
-		cf := NewChannelFaults(99)
-		cf.DropProb = 0.3
-		cf.DupProb = 0.3
-		cf.DelayProb = 0.5
-		cf.MaxDelay = 10 * time.Millisecond
-		out := make([]Verdict, 200)
-		for i := range out {
-			out[i] = cf.Verdict()
-		}
-		return out, cf.Stats
-	}
-	a, sa := draw()
-	b, sb := draw()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("verdict %d differs under same seed: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	if sa != sb {
-		t.Fatalf("stats differ: %+v vs %+v", sa, sb)
-	}
-	if sa.Dropped == 0 || sa.Duplicated == 0 || sa.Delayed == 0 {
-		t.Fatalf("expected all fault classes to occur over 200 draws: %+v", sa)
-	}
-	total := int(sa.Dropped)
-	for _, v := range a {
-		if v.Drop && (v.Duplicate || v.Delay != 0) {
-			t.Fatalf("dropped message also duplicated/delayed: %+v", v)
-		}
-		if v.Delay < 0 || v.Delay >= 10*time.Millisecond {
-			t.Fatalf("delay out of range: %v", v.Delay)
-		}
-	}
-	if total == 200 {
-		t.Fatal("every message dropped; probabilities not applied independently")
-	}
-}
-
-func TestChannelFaultsNilIsInert(t *testing.T) {
-	var cf *ChannelFaults
-	if v := cf.Verdict(); v != (Verdict{}) {
-		t.Fatalf("nil policy returned %+v", v)
 	}
 }
 

@@ -52,16 +52,3 @@ func PartitionHeal(target string, cutAt, healAt time.Duration) Plan {
 	}
 	return p
 }
-
-// Merge concatenates several plans into one schedule. The merged plan
-// keeps the first plan's seed.
-func Merge(plans ...Plan) Plan {
-	var out Plan
-	for i, p := range plans {
-		if i == 0 {
-			out.Seed = p.Seed
-		}
-		out.Events = append(out.Events, p.Events...)
-	}
-	return out
-}

@@ -1,5 +1,5 @@
 // Package metrics provides the measurement primitives the experiments
-// use: windowed rate meters, binned time series, and quantile histograms.
+// use: windowed rate meters and quantile histograms.
 // All of them are driven by the simulator's virtual clock, so measurement
 // never perturbs simulated time.
 package metrics

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -14,7 +13,7 @@ import (
 // buckets. It is the controller's tool for monitoring per-switch Packet-In
 // rates (the paper's congestion signal).
 //
-// Writers live on the simulation event loop, but telemetry scrapes read
+// Writers live on the simulation event loop, but /statusz snapshots read
 // concurrently from an HTTP goroutine, so all methods lock; reads (Rate,
 // Total) never mutate meter state.
 type RateMeter struct {
@@ -78,7 +77,7 @@ func (m *RateMeter) Total() float64 {
 // ending at now. It does not advance the meter: only buckets inside the
 // window (bucket indices in (now-window, now]) are summed, which is
 // numerically identical to advancing first, so interleaving extra Rate
-// calls (e.g. telemetry scrapes) can never change subsequent readings.
+// calls (e.g. /statusz snapshots) can never change subsequent readings.
 func (m *RateMeter) Rate(now sim.Time) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -93,70 +92,6 @@ func (m *RateMeter) Rate(now sim.Time) float64 {
 	}
 	window := m.bucket * time.Duration(n)
 	return sum / window.Seconds()
-}
-
-// TimeSeries accumulates values into fixed-duration bins, producing the
-// x/y series plotted in the paper's figures.
-//
-// Like RateMeter, writers live on the simulation event loop while
-// telemetry readers (scrapes, the observatory) may call Points
-// concurrently, so Add and the read methods lock.
-type TimeSeries struct {
-	Bin time.Duration
-
-	mu   sync.Mutex
-	bins map[int64]float64
-}
-
-// NewTimeSeries returns a series with the given bin width.
-func NewTimeSeries(bin time.Duration) *TimeSeries {
-	return &TimeSeries{Bin: bin, bins: make(map[int64]float64)}
-}
-
-// Add accumulates v into the bin containing now.
-func (ts *TimeSeries) Add(now sim.Time, v float64) {
-	ts.mu.Lock()
-	ts.bins[int64(now/ts.Bin)] += v
-	ts.mu.Unlock()
-}
-
-// Point is one (time, value) sample.
-type Point struct {
-	T time.Duration
-	V float64
-}
-
-// Points returns the binned samples in time order. Empty bins between the
-// first and last sample are included as zeros.
-func (ts *TimeSeries) Points() []Point {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if len(ts.bins) == 0 {
-		return nil
-	}
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for k := range ts.bins {
-		if k < lo {
-			lo = k
-		}
-		if k > hi {
-			hi = k
-		}
-	}
-	out := make([]Point, 0, hi-lo+1)
-	for k := lo; k <= hi; k++ {
-		out = append(out, Point{T: time.Duration(k) * ts.Bin, V: ts.bins[k]})
-	}
-	return out
-}
-
-// RatePoints converts binned counts to per-second rates.
-func (ts *TimeSeries) RatePoints() []Point {
-	pts := ts.Points()
-	for i := range pts {
-		pts[i].V /= ts.Bin.Seconds()
-	}
-	return pts
 }
 
 // Histogram collects samples for quantile queries (latency distributions).

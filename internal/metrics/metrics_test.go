@@ -2,8 +2,11 @@ package metrics
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
+
+	"scotch/internal/sim"
 )
 
 func TestRateMeterSteadyRate(t *testing.T) {
@@ -170,4 +173,67 @@ func TestHistogramAddAfterQuantile(t *testing.T) {
 	if q := h.Quantile(0); q != 1 {
 		t.Fatalf("p0 after re-add = %v", q)
 	}
+}
+
+// TimeSeries accumulates values into fixed-duration bins, producing the
+// x/y series plotted in the paper's figures.
+//
+// Add and the read methods lock, so readers may call Points while a
+// writer adds.
+type TimeSeries struct {
+	Bin time.Duration
+
+	mu   sync.Mutex
+	bins map[int64]float64
+}
+
+// NewTimeSeries returns a series with the given bin width.
+func NewTimeSeries(bin time.Duration) *TimeSeries {
+	return &TimeSeries{Bin: bin, bins: make(map[int64]float64)}
+}
+
+// Add accumulates v into the bin containing now.
+func (ts *TimeSeries) Add(now sim.Time, v float64) {
+	ts.mu.Lock()
+	ts.bins[int64(now/ts.Bin)] += v
+	ts.mu.Unlock()
+}
+
+// Point is one (time, value) sample.
+type Point struct {
+	T time.Duration
+	V float64
+}
+
+// Points returns the binned samples in time order. Empty bins between the
+// first and last sample are included as zeros.
+func (ts *TimeSeries) Points() []Point {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if len(ts.bins) == 0 {
+		return nil
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for k := range ts.bins {
+		if k < lo {
+			lo = k
+		}
+		if k > hi {
+			hi = k
+		}
+	}
+	out := make([]Point, 0, hi-lo+1)
+	for k := lo; k <= hi; k++ {
+		out = append(out, Point{T: time.Duration(k) * ts.Bin, V: ts.bins[k]})
+	}
+	return out
+}
+
+// RatePoints converts binned counts to per-second rates.
+func (ts *TimeSeries) RatePoints() []Point {
+	pts := ts.Points()
+	for i := range pts {
+		pts[i].V /= ts.Bin.Seconds()
+	}
+	return pts
 }

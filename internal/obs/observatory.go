@@ -15,8 +15,8 @@
 //
 //   - Snapshot() returns one consistent ClusterView — the input the
 //     joint-elasticity controller (ROADMAP item 3) will consume.
-//   - Handler() serves the view live as /statusz (JSON + HTML) next to
-//     /metrics, with optional pprof capture on SLO-breach transitions.
+//   - Handler() serves the view live as /statusz (JSON + HTML), with
+//     optional pprof capture on SLO-breach transitions.
 //   - Digest() renders a deterministic end-of-run health digest:
 //     per-component load timelines, SLO verdict paths, burn-rate peaks.
 //
@@ -348,7 +348,7 @@ func (o *Observatory) evalSLO(s *sloState, now sim.Time) {
 		s.windowQ = NewRing(o.cfg.RingSize)
 	}
 	s.samples++
-	s.snaps.push(now, s.hist.Counts())
+	s.snaps.push(countsSnap{t: now, counts: s.hist.Counts()})
 
 	target := s.def.Target.Seconds()
 	short := burnFromDelta(s.bounds, s.snaps.windowDelta(now, s.def.ShortWindow), target, s.def.Quantile)

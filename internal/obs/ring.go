@@ -12,23 +12,41 @@ type Point struct {
 	V float64  `json:"v"`
 }
 
+// ring is a fixed-capacity buffer: pushes past capacity overwrite the
+// oldest element. Ring and countsRing share its wrap logic.
+type ring[T any] struct {
+	buf  []T
+	head int // index of the oldest element
+	n    int
+}
+
+// push appends v, evicting the oldest element once full.
+func (r *ring[T]) push(v T) {
+	if r.n < len(r.buf) {
+		r.buf[(r.head+r.n)%len(r.buf)] = v
+		r.n++
+		return
+	}
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % len(r.buf)
+}
+
+// at returns the i-th stored element in push order (0 = oldest).
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
+
 // Ring is a fixed-capacity time-series buffer: pushes past capacity
 // overwrite the oldest sample. It is the observatory's storage primitive —
 // bounded memory no matter how long a run samples for. Methods are not
 // internally synchronized; the Observatory serializes access under its
 // own lock.
-type Ring struct {
-	pts  []Point
-	head int // index of the oldest sample
-	n    int
-}
+type Ring struct{ ring[Point] }
 
 // NewRing returns a ring holding at most capacity samples (minimum 1).
 func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{pts: make([]Point, capacity)}
+	return &Ring{ring[Point]{buf: make([]Point, capacity)}}
 }
 
 // Push appends a sample, evicting the oldest once full. Nil-safe.
@@ -36,13 +54,7 @@ func (r *Ring) Push(t sim.Time, v float64) {
 	if r == nil {
 		return
 	}
-	if r.n < len(r.pts) {
-		r.pts[(r.head+r.n)%len(r.pts)] = Point{T: t, V: v}
-		r.n++
-		return
-	}
-	r.pts[r.head] = Point{T: t, V: v}
-	r.head = (r.head + 1) % len(r.pts)
+	r.push(Point{T: t, V: v})
 }
 
 // Len returns the number of stored samples (0 for nil).
@@ -58,13 +70,11 @@ func (r *Ring) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.pts)
+	return len(r.buf)
 }
 
 // At returns the i-th stored sample in chronological order (0 = oldest).
-func (r *Ring) At(i int) Point {
-	return r.pts[(r.head+i)%len(r.pts)]
-}
+func (r *Ring) At(i int) Point { return r.at(i) }
 
 // Last returns the newest sample, or false when empty. Nil-safe.
 func (r *Ring) Last() (Point, bool) {

@@ -124,31 +124,14 @@ type countsSnap struct {
 // countsRing is a fixed ring of cumulative histogram snapshots; windowed
 // statistics come from differencing the newest snapshot against the
 // newest one at or before the window start.
-type countsRing struct {
-	snaps []countsSnap
-	head  int
-	n     int
-}
+type countsRing struct{ ring[countsSnap] }
 
 func newCountsRing(capacity int) *countsRing {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &countsRing{snaps: make([]countsSnap, capacity)}
+	return &countsRing{ring[countsSnap]{buf: make([]countsSnap, capacity)}}
 }
-
-func (r *countsRing) push(t sim.Time, counts []uint64) {
-	s := countsSnap{t: t, counts: counts}
-	if r.n < len(r.snaps) {
-		r.snaps[(r.head+r.n)%len(r.snaps)] = s
-		r.n++
-		return
-	}
-	r.snaps[r.head] = s
-	r.head = (r.head + 1) % len(r.snaps)
-}
-
-func (r *countsRing) at(i int) countsSnap { return r.snaps[(r.head+i)%len(r.snaps)] }
 
 // windowDelta returns the per-bucket sample counts that arrived in
 // (now-window, now]: newest snapshot minus the newest snapshot at or

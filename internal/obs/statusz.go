@@ -53,7 +53,7 @@ func writeHTML(w http.ResponseWriter, v *ClusterView) {
 		`th{background:#eee}td.l,th.l{text-align:left}`+
 		`.healthy{color:#0a0}.burning{color:#c00;font-weight:bold}`+
 		`</style></head><body>`)
-	fmt.Fprintf(w, "<h2>scotch statusz</h2><p>sim time %v &middot; <a href=\"?format=json\">json</a> &middot; <a href=\"/metrics\">metrics</a></p>", v.At)
+	fmt.Fprintf(w, "<h2>scotch statusz</h2><p>sim time %v &middot; <a href=\"?format=json\">json</a></p>", v.At)
 
 	if len(v.SLOs) > 0 {
 		fmt.Fprint(w, `<h3>SLOs</h3><table><tr><th class="l">slo</th><th class="l">tenant</th>`+

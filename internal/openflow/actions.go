@@ -60,9 +60,6 @@ func PushMPLSAction(label uint32) Action {
 	return Action{Type: ActionTypePushMPLS, EtherType: 0x8847, Field: oxmMPLSLabel, MPLSLabel: label}
 }
 
-// PopMPLSAction returns a pop_mpls action.
-func PopMPLSAction() Action { return Action{Type: ActionTypePopMPLS, EtherType: 0x0800} }
-
 // SetTunnelAction returns a set_field(tunnel_id) action, used before
 // outputting to a tunnel port to select the key/label on the wire.
 func SetTunnelAction(id uint64) Action {

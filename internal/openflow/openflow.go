@@ -247,16 +247,6 @@ func newMessage(t MsgType) (Message, error) {
 	return nil, fmt.Errorf("openflow: unknown message type %d", uint8(t))
 }
 
-// WriteMessage encodes m and writes it to w.
-func WriteMessage(w io.Writer, m Message, xid uint32) error {
-	b, err := Marshal(m, xid)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // ReadMessage reads exactly one framed message from r.
 func ReadMessage(r io.Reader) (Message, uint32, error) {
 	var hdr [headerLen]byte

@@ -3,6 +3,7 @@ package openflow
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -497,4 +498,14 @@ func BenchmarkPacketInMarshal(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// WriteMessage encodes m and writes it to w.
+func WriteMessage(w io.Writer, m Message, xid uint32) error {
+	b, err := Marshal(m, xid)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }

@@ -223,30 +223,6 @@ func New(c *controller.Controller, cfg Config) *App {
 // Name implements controller.App.
 func (a *App) Name() string { return "scotch" }
 
-// BindMetrics registers the app's decision counters and paced-install
-// backlog with a telemetry registry.
-func (a *App) BindMetrics(reg *telemetry.Registry) {
-	reg.CounterFunc("scotch_app_requests_total", func() uint64 { return a.Stats.Requests })
-	reg.CounterFunc("scotch_app_overlay_routed_total", func() uint64 { return a.Stats.OverlayRouted })
-	reg.CounterFunc("scotch_app_dropped_total", func() uint64 { return a.Stats.Dropped })
-	reg.CounterFunc("scotch_app_activations_total", func() uint64 { return a.Stats.Activations })
-	reg.CounterFunc("scotch_app_withdrawals_total", func() uint64 { return a.Stats.Withdrawals })
-	reg.CounterFunc("scotch_app_migrated_total", func() uint64 { return a.Stats.Migrated })
-	reg.GaugeFunc("scotch_app_install_backlog", func() float64 {
-		total := 0
-		for _, s := range a.physSched {
-			total += s.TotalBacklog()
-		}
-		for _, s := range a.ovlSched {
-			total += s.TotalBacklog()
-		}
-		return float64(total)
-	})
-	if a.devo != nil {
-		a.devo.metrics.Bind(reg)
-	}
-}
-
 // SetOwner restricts the app to punts from switches fn claims; punts from
 // other switches are declined so another app (or shard) can take them.
 func (a *App) SetOwner(fn func(dpid uint64) bool) { a.owns = fn }

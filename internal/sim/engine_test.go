@@ -173,27 +173,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestTokenBucket(t *testing.T) {
-	tb := NewTokenBucket(100, 10) // 100 tokens/s, burst 10
-	if !tb.Take(0, 10) {
-		t.Fatal("full bucket refused burst")
-	}
-	if tb.Take(0, 1) {
-		t.Fatal("empty bucket granted a token")
-	}
-	// After 50ms, 5 tokens should have accumulated.
-	if !tb.Take(50*time.Millisecond, 5) {
-		t.Fatal("bucket did not refill at rate")
-	}
-	if tb.Take(50*time.Millisecond, 1) {
-		t.Fatal("bucket over-refilled")
-	}
-	// Refill never exceeds burst.
-	if got := tb.Tokens(10 * time.Second); got != 10 {
-		t.Fatalf("tokens after long idle = %v, want burst 10", got)
-	}
-}
-
 func TestServerServesAtRate(t *testing.T) {
 	e := New(1)
 	var done []Time

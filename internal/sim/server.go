@@ -2,51 +2,6 @@ package sim
 
 import "time"
 
-// TokenBucket is a classic token-bucket rate limiter driven by the virtual
-// clock. Rate is in tokens per second; Burst is the bucket depth.
-type TokenBucket struct {
-	Rate   float64
-	Burst  float64
-	tokens float64
-	last   Time
-	primed bool
-}
-
-// NewTokenBucket returns a bucket that starts full.
-func NewTokenBucket(rate, burst float64) *TokenBucket {
-	return &TokenBucket{Rate: rate, Burst: burst, tokens: burst, primed: true}
-}
-
-func (tb *TokenBucket) refill(now Time) {
-	if !tb.primed {
-		tb.tokens = tb.Burst
-		tb.primed = true
-	} else if now > tb.last {
-		tb.tokens += tb.Rate * (now - tb.last).Seconds()
-		if tb.tokens > tb.Burst {
-			tb.tokens = tb.Burst
-		}
-	}
-	tb.last = now
-}
-
-// Take consumes n tokens if available at virtual time now and reports
-// whether it succeeded.
-func (tb *TokenBucket) Take(now Time, n float64) bool {
-	tb.refill(now)
-	if tb.tokens+1e-9 < n {
-		return false
-	}
-	tb.tokens -= n
-	return true
-}
-
-// Tokens returns the number of tokens available at virtual time now.
-func (tb *TokenBucket) Tokens(now Time) float64 {
-	tb.refill(now)
-	return tb.tokens
-}
-
 // ServerStats counts a Server's activity.
 type ServerStats struct {
 	Submitted uint64 // items offered to the server

@@ -1,7 +1,7 @@
 package telemetry
 
 // Prometheus text exposition encoding: real label pairs with proper value
-// escaping, plus a parser for round-trip tests and downstream tooling.
+// escaping.
 //
 // Historically the registry treated a full series string like
 // `family{tenant="x"}` as an opaque metric *name*: label values were
@@ -14,11 +14,8 @@ package telemetry
 // same underlying series.
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -164,71 +161,4 @@ func canonicalKey(series string) string {
 		return series
 	}
 	return FormatSeries(fam, labels)
-}
-
-// Sample is one parsed exposition sample: a family, its label pairs
-// (unescaped, in exposition order), and the sample value.
-type Sample struct {
-	Family string
-	Labels []Label
-	Value  float64
-}
-
-// Label returns the value of the named label ("" when absent).
-func (s Sample) Label(name string) string {
-	for _, l := range s.Labels {
-		if l.Name == name {
-			return l.Value
-		}
-	}
-	return ""
-}
-
-// ParseExposition parses the subset of the Prometheus text format that
-// WritePrometheus emits — `# TYPE` comments (skipped) and
-// `series value` sample lines — returning the samples in input order.
-// It exists for round-trip tests and for tools that diff scrapes.
-func ParseExposition(r io.Reader) ([]Sample, error) {
-	var out []Sample
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		// The series may contain spaces inside quoted label values; the
-		// value is everything after the last space outside the block.
-		// Values never contain '}', so the last '}' ends the block even
-		// when a quoted label value contains one.
-		sep := -1
-		if end := strings.LastIndexByte(text, '}'); end >= 0 {
-			rest := text[end+1:]
-			j := strings.LastIndexByte(rest, ' ')
-			if j >= 0 {
-				sep = end + 1 + j
-			}
-		} else {
-			sep = strings.LastIndexByte(text, ' ')
-		}
-		if sep < 0 {
-			return nil, fmt.Errorf("telemetry: line %d: no value in %q", line, text)
-		}
-		series := strings.TrimSpace(text[:sep])
-		v, err := strconv.ParseFloat(strings.TrimSpace(text[sep+1:]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: line %d: bad value: %v", line, err)
-		}
-		fam, labels, err := ParseSeries(series)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: line %d: %v", line, err)
-		}
-		out = append(out, Sample{Family: fam, Labels: labels, Value: v})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,7 +1,11 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -68,12 +72,8 @@ func TestParseSeriesMalformed(t *testing.T) {
 // resolve to one series, and the exposition emits it once.
 func TestRegistryCanonicalAlias(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter(`scotch_alias_total{x="1",a="2"}`)
-	b := r.Counter(`scotch_alias_total{a="2",x="1"}`)
-	if a != b {
-		t.Fatal("label order created two distinct series")
-	}
-	a.Add(3)
+	r.CounterFunc(`scotch_alias_total{x="1",a="2"}`, func() uint64 { return 1 })
+	r.CounterFunc(`scotch_alias_total{a="2",x="1"}`, func() uint64 { return 3 })
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -92,10 +92,9 @@ func TestRegistryCanonicalAlias(t *testing.T) {
 func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	hostile := `ten"ant\one` + "\nline2"
-	r.Counter("scotch_rt_total" + Labels("tenant", hostile)).Add(7)
-	r.Gauge("scotch_rt_depth" + Labels("dpid", "9", "role", "primary")).Set(2.5)
-	h := r.Histogram("scotch_rt_lat"+Labels("tenant", "base"), []float64{0.001, 1.5e-05 * 1000})
-	h.Observe(0.0005)
+	r.CounterFunc("scotch_rt_total"+Labels("tenant", hostile), func() uint64 { return 7 })
+	r.GaugeFunc("scotch_rt_depth"+Labels("dpid", "9", "role", "primary"), func() float64 { return 2.5 })
+	r.GaugeFunc("scotch_rt_depth"+Labels("dpid", "10", "role", "backup"), func() float64 { return 0.125 })
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -121,19 +120,11 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if !ok || g.Value != 2.5 {
 		t.Fatalf("gauge lost or mangled: %+v", g)
 	}
-	// Histogram series expand into _bucket/_sum/_count families with an
-	// le label merged in; spot-check the first bucket.
-	found := false
-	for _, s := range samples {
-		if s.Family == "scotch_rt_lat_bucket" && s.Label("le") == "0.001" {
-			found = true
-			if s.Label("tenant") != "base" || s.Value != 1 {
-				t.Fatalf("bucket mangled: %+v", s)
-			}
-		}
+	if b, ok := byKey[`scotch_rt_depth{dpid="10",role="backup"}`]; !ok || b.Value != 0.125 || b.Label("role") != "backup" {
+		t.Fatalf("second gauge lost or mangled: %+v", b)
 	}
-	if !found {
-		t.Fatalf("histogram bucket lost in round trip:\n%s", buf.String())
+	if len(samples) != 3 {
+		t.Fatalf("%d samples, want 3:\n%s", len(samples), buf.String())
 	}
 
 	// A second write parses to the identical sample set (determinism).
@@ -160,4 +151,70 @@ func TestParseExpositionErrors(t *testing.T) {
 	if err != nil || len(s) != 1 || s[0].Family != "x" || s[0].Value != 1 {
 		t.Fatalf("got %v, %v", s, err)
 	}
+}
+
+// Sample is one parsed exposition sample: a family, its label pairs
+// (unescaped, in exposition order), and the sample value.
+type Sample struct {
+	Family string
+	Labels []Label
+	Value  float64
+}
+
+// Label returns the value of the named label ("" when absent).
+func (s Sample) Label(name string) string {
+	for _, l := range s.Labels {
+		if l.Name == name {
+			return l.Value
+		}
+	}
+	return ""
+}
+
+// ParseExposition parses the subset of the Prometheus text format that
+// WritePrometheus emits — `# TYPE` comments (skipped) and
+// `series value` sample lines — returning the samples in input order.
+func ParseExposition(r io.Reader) ([]Sample, error) {
+	var out []Sample
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		// The series may contain spaces inside quoted label values; the
+		// value is everything after the last space outside the block.
+		// Values never contain '}', so the last '}' ends the block even
+		// when a quoted label value contains one.
+		sep := -1
+		if end := strings.LastIndexByte(text, '}'); end >= 0 {
+			rest := text[end+1:]
+			j := strings.LastIndexByte(rest, ' ')
+			if j >= 0 {
+				sep = end + 1 + j
+			}
+		} else {
+			sep = strings.LastIndexByte(text, ' ')
+		}
+		if sep < 0 {
+			return nil, fmt.Errorf("telemetry: line %d: no value in %q", line, text)
+		}
+		series := strings.TrimSpace(text[:sep])
+		v, err := strconv.ParseFloat(strings.TrimSpace(text[sep+1:]), 64)
+		if err != nil {
+			return nil, fmt.Errorf("telemetry: line %d: bad value: %v", line, err)
+		}
+		fam, labels, err := ParseSeries(series)
+		if err != nil {
+			return nil, fmt.Errorf("telemetry: line %d: %v", line, err)
+		}
+		out = append(out, Sample{Family: fam, Labels: labels, Value: v})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -7,16 +7,17 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 )
 
 // Server exposes a registry over HTTP: `/metrics` in Prometheus text
-// format and the standard `/debug/pprof` profiling handlers. It listens
-// on its own mux so enabling telemetry never touches http.DefaultServeMux.
+// format (only when it has a registry) and the standard `/debug/pprof`
+// profiling handlers. It listens on its own mux so enabling telemetry
+// never touches http.DefaultServeMux.
 type Server struct {
-	Registry *Registry
-	ln       net.Listener
-	srv      *http.Server
+	ln  net.Listener
+	srv *http.Server
 }
 
 // ServerOption customizes StartServer.
@@ -31,16 +32,10 @@ type serverConfig struct {
 // reserved and silently ignored.
 func WithHandler(path string, h http.Handler) ServerOption {
 	return func(c *serverConfig) {
-		if path == "" || path == "/" || h == nil {
-			return
+		if path != "" && path != "/" && h != nil &&
+			!strings.HasPrefix(path, "/metrics") && !strings.HasPrefix(path, "/debug") {
+			c.extra[path] = h
 		}
-		if len(path) >= 8 && path[:8] == "/metrics" {
-			return
-		}
-		if len(path) >= 6 && path[:6] == "/debug" {
-			return
-		}
-		c.extra[path] = h
 	}
 }
 
@@ -61,7 +56,9 @@ func EnableContentionProfiling(mutexFraction, blockRate int) {
 }
 
 // StartServer binds addr (e.g. "127.0.0.1:9090" or ":0") and serves the
-// registry in a background goroutine. Returns an error if the listen fails.
+// registry in a background goroutine. A nil registry mounts no /metrics:
+// the path answers 404 and the index does not list it. Returns an error
+// if the listen fails.
 func StartServer(addr string, reg *Registry, opts ...ServerOption) (*Server, error) {
 	cfg := serverConfig{extra: make(map[string]http.Handler)}
 	for _, o := range opts {
@@ -71,15 +68,20 @@ func StartServer(addr string, reg *Registry, opts ...ServerOption) (*Server, err
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	s := &Server{Registry: reg}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	index := []string{"/debug/pprof/"}
+	if reg != nil {
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			reg.WritePrometheus(w) //nolint:errcheck // headers are already sent
+		})
+		index = append(index, "/metrics")
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	index := []string{"/metrics", "/debug/pprof/"}
 	for path, h := range cfg.extra {
 		mux.Handle(path, h)
 		index = append(index, path)
@@ -96,8 +98,7 @@ func StartServer(addr string, reg *Registry, opts ...ServerOption) (*Server, err
 		}
 		fmt.Fprintln(w)
 	})
-	s.ln = ln
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	s := &Server{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
 }
@@ -116,12 +117,4 @@ func (s *Server) Close() error {
 		return nil
 	}
 	return s.srv.Close()
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.Registry.WritePrometheus(w); err != nil {
-		// Headers are already sent; nothing more to do.
-		return
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -23,7 +24,9 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 
 func TestServerMetricsEndpoint(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("scotch_requests_total").Add(3)
+	var requests atomic.Uint64
+	requests.Add(3)
+	reg.CounterFunc("scotch_requests_total", requests.Load)
 	reg.GaugeFunc("scotch_live_value", func() float64 { return 7 })
 
 	srv, err := StartServer("127.0.0.1:0", reg)
@@ -50,9 +53,8 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// Metrics move between scrapes: counters via their handle, gauge funcs
-	// at scrape time.
-	reg.Counter("scotch_requests_total").Add(2)
+	// Series are evaluated at scrape time, so they move between scrapes.
+	requests.Add(2)
 	_, body2, _ := get(t, base+"/metrics")
 	if !strings.Contains(body2, "scotch_requests_total 5\n") {
 		t.Fatalf("second scrape missing updated counter:\n%s", body2)
@@ -75,6 +77,30 @@ func TestServerPprofAndRoot(t *testing.T) {
 	}
 	if code, _, _ := get(t, base+"/nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown path code = %d", code)
+	}
+}
+
+// TestServerMetricsOnlyWithRegistry: a server started without a registry
+// has no /metrics, and its index does not advertise one.
+func TestServerMetricsOnlyWithRegistry(t *testing.T) {
+	for _, tc := range []struct {
+		reg  *Registry
+		code int
+	}{{nil, http.StatusNotFound}, {NewRegistry(), http.StatusOK}} {
+		srv, err := StartServer("127.0.0.1:0", tc.reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := "http://" + srv.Addr()
+		code, _, _ := get(t, base+"/metrics")
+		_, index, _ := get(t, base+"/")
+		srv.Close()
+		if code != tc.code {
+			t.Errorf("registry %v: /metrics status %d, want %d", tc.reg != nil, code, tc.code)
+		}
+		if listed := strings.Contains(index, "/metrics"); listed != (tc.reg != nil) {
+			t.Errorf("registry %v: index %q lists /metrics = %v", tc.reg != nil, index, listed)
+		}
 	}
 }
 

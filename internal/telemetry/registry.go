@@ -3,44 +3,33 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// Registry is a goroutine-safe collection of named metrics, scraped in
-// Prometheus text exposition format. Series names may carry a label block
-// (`name{label="v"}`); series of the same family share one # TYPE line.
-// Keys are canonicalized on every lookup — labels sorted by name, values
-// escaped per the exposition format — so the legacy label-in-name
-// spelling remains a readable alias for real label pairs (see
-// FormatSeries/ParseSeries).
-//
-// Instrument handles (Counter, Gauge, Histogram) are resolved once at wiring
-// time and then updated lock-free with atomics, so instrumented hot paths
-// never contend on the registry map. All lookup methods are nil-receiver
-// safe and return nil handles, whose update methods are in turn nil-safe:
-// code instruments unconditionally and a disabled registry costs one branch.
+// Registry is a goroutine-safe table of named series evaluated at scrape
+// time, written in Prometheus text exposition format. Each series is a
+// counter or gauge function over state its subsystem already keeps, so
+// registering costs nothing on the instrumented path. Series names may
+// carry a label block (`name{label="v"}`); series of the same family
+// share one # TYPE line. Keys are canonicalized on registration — labels
+// sorted by name, values escaped per the exposition format — so the
+// legacy label-in-name spelling remains a readable alias for real label
+// pairs (see FormatSeries/ParseSeries). A nil registry ignores every
+// registration and writes nothing.
 type Registry struct {
 	mu         sync.RWMutex
-	counters   map[string]*Counter
 	counterFns map[string]func() uint64
-	gauges     map[string]*Gauge
 	gaugeFns   map[string]func() float64
-	hists      map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
 		counterFns: make(map[string]func() uint64),
-		gauges:     make(map[string]*Gauge),
 		gaugeFns:   make(map[string]func() float64),
-		hists:      make(map[string]*Histogram),
 	}
 }
 
@@ -65,152 +54,6 @@ func Labels(kv ...string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Counter is a monotonically increasing counter.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one. Nil-safe.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add increases the counter by n. Nil-safe.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a settable float value (atomically stored as float bits).
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v. Nil-safe.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add increments the gauge by d (compare-and-swap loop). Nil-safe.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// DefBuckets are the default histogram bounds (seconds), spanning the
-// microsecond-to-second control-path latencies this repository measures.
-var DefBuckets = []float64{
-	1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1, 5,
-}
-
-// Histogram is a fixed-bucket cumulative histogram with atomic counters.
-type Histogram struct {
-	bounds  []float64
-	buckets []atomic.Uint64 // one per bound, plus +Inf at the end
-	count   atomic.Uint64
-	sumBits atomic.Uint64
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefBuckets
-	}
-	return &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
-}
-
-// Observe records one sample. Nil-safe.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of samples (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of samples (0 for nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Counter returns (creating if needed) the counter with the given series
-// name. Nil-safe: a nil registry returns a nil (no-op) handle. The key is
-// canonicalized (labels sorted, values escaped), so older label-in-name
-// spellings of the same series alias the same counter.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	name = canonicalKey(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating if needed) the gauge with the given series name.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	name = canonicalKey(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // CounterFunc registers a monotonic counter evaluated at scrape time, for
@@ -239,23 +82,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.gaugeFns[name] = fn
 }
 
-// Histogram returns (creating if needed) a histogram with the given bounds
-// (DefBuckets when bounds is nil). Bounds are fixed at first creation.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	name = canonicalKey(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
-}
-
 // family strips the label block from a series name.
 func family(series string) string {
 	if i := strings.IndexByte(series, '{'); i >= 0 {
@@ -264,76 +90,24 @@ func family(series string) string {
 	return series
 }
 
-// labelsOf returns the label block ("" or "{...}") of a series name.
-func labelsOf(series string) string {
-	if i := strings.IndexByte(series, '{'); i >= 0 {
-		return series[i:]
-	}
-	return ""
-}
-
-// WritePrometheus scrapes every metric in Prometheus text exposition
+// WritePrometheus scrapes every series in Prometheus text exposition
 // format, sorted by series name so output is deterministic.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	type series struct {
-		name string
-		typ  string
-		emit func(io.Writer, string) error
+		name  string
+		typ   string
+		value string
 	}
 	r.mu.RLock()
-	all := make([]series, 0, len(r.counters)+len(r.counterFns)+len(r.gauges)+len(r.gaugeFns)+len(r.hists))
-	for name, c := range r.counters {
-		c := c
-		all = append(all, series{name, "counter", func(w io.Writer, n string) error {
-			_, err := fmt.Fprintf(w, "%s %d\n", n, c.Value())
-			return err
-		}})
-	}
+	all := make([]series, 0, len(r.counterFns)+len(r.gaugeFns))
 	for name, fn := range r.counterFns {
-		fn := fn
-		all = append(all, series{name, "counter", func(w io.Writer, n string) error {
-			_, err := fmt.Fprintf(w, "%s %d\n", n, fn())
-			return err
-		}})
-	}
-	for name, g := range r.gauges {
-		g := g
-		all = append(all, series{name, "gauge", func(w io.Writer, n string) error {
-			_, err := fmt.Fprintf(w, "%s %v\n", n, g.Value())
-			return err
-		}})
+		all = append(all, series{name, "counter", strconv.FormatUint(fn(), 10)})
 	}
 	for name, fn := range r.gaugeFns {
-		fn := fn
-		all = append(all, series{name, "gauge", func(w io.Writer, n string) error {
-			_, err := fmt.Fprintf(w, "%s %v\n", n, fn())
-			return err
-		}})
-	}
-	for name, h := range r.hists {
-		h := h
-		all = append(all, series{name, "histogram", func(w io.Writer, n string) error {
-			fam, lbl := family(n), labelsOf(n)
-			var cum uint64
-			for i, b := range h.bounds {
-				cum += h.buckets[i].Load()
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", fam, mergeLabels(lbl, fmt.Sprintf("le=%q", fmtFloat(b))), cum); err != nil {
-					return err
-				}
-			}
-			cum += h.buckets[len(h.bounds)].Load()
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", fam, mergeLabels(lbl, `le="+Inf"`), cum); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %v\n", fam, lbl, h.Sum()); err != nil {
-				return err
-			}
-			_, err := fmt.Fprintf(w, "%s_count%s %d\n", fam, lbl, h.Count())
-			return err
-		}})
+		all = append(all, series{name, "gauge", fmt.Sprint(fn())})
 	}
 	r.mu.RUnlock()
 
@@ -347,21 +121,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		}
-		if err := s.emit(w, s.name); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %s\n", s.name, s.value); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// mergeLabels combines an existing label block with one extra label.
-func mergeLabels(block, extra string) string {
-	if block == "" {
-		return "{" + extra + "}"
-	}
-	return block[:len(block)-1] + "," + extra + "}"
-}
-
-func fmtFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -2,47 +2,51 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("scotch_test_total")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
+	var n atomic.Uint64
+	r.CounterFunc("scotch_test_total", n.Load)
+	depth := 2.5
+	r.GaugeFunc("scotch_test_depth", func() float64 { return depth })
+	n.Add(5)
+	depth = 4
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if again := r.Counter("scotch_test_total"); again != c {
-		t.Fatal("counter lookup not idempotent")
+	if want := "# TYPE scotch_test_depth gauge\nscotch_test_depth 4\n# TYPE scotch_test_total counter\nscotch_test_total 5\n"; buf.String() != want {
+		t.Fatalf("scrape = %q, want %q", buf.String(), want)
 	}
-
-	g := r.Gauge("scotch_test_depth")
-	g.Set(2.5)
-	g.Add(1.5)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %v", g.Value())
+	// Registering a name again replaces its function.
+	r.CounterFunc("scotch_test_total", func() uint64 { return 9 })
+	buf.Reset()
+	r.WritePrometheus(&buf)
+	if !strings.HasSuffix(buf.String(), "counter\nscotch_test_total 9\n") {
+		t.Fatalf("re-registration did not replace the series:\n%s", buf.String())
 	}
 }
 
 func TestNilHandlesAreSafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	g := r.Gauge("y")
-	h := r.Histogram("z", nil)
+	r.CounterFunc("c", func() uint64 { return 1 })
 	r.GaugeFunc("f", func() float64 { return 1 })
-	c.Inc()
-	c.Add(3)
-	g.Set(1)
-	g.Add(2)
-	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil handles recorded values")
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil registry wrote %q, %v", buf.String(), err)
 	}
-	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	// A nil function registers nothing.
+	live := NewRegistry()
+	live.CounterFunc("c", nil)
+	live.GaugeFunc("g", nil)
+	if err := live.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil functions wrote %q, %v", buf.String(), err)
 	}
 }
 
@@ -60,43 +64,30 @@ func TestLabels(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(`scotch_pkt_total{dpid="1"}`).Add(10)
-	r.Counter(`scotch_pkt_total{dpid="2"}`).Add(20)
-	r.Gauge("scotch_depth").Set(3)
-	r.GaugeFunc("scotch_live", func() float64 { return 42 })
+	r.CounterFunc(`scotch_pkt_total{dpid="1"}`, func() uint64 { return 10 })
+	r.CounterFunc(`scotch_pkt_total{dpid="2"}`, func() uint64 { return 20 })
+	r.GaugeFunc("scotch_depth", func() float64 { return 3 })
+	r.GaugeFunc("scotch_live", func() float64 { return 42.5 })
 	r.CounterFunc("scotch_ext_total", func() uint64 { return 99 })
-	h := r.Histogram("scotch_latency_seconds", []float64{0.001, 0.1})
-	h.Observe(0.0005)
-	h.Observe(0.05)
-	h.Observe(10)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-
-	// One TYPE line per family, even with multiple labeled series.
-	if n := strings.Count(out, "# TYPE scotch_pkt_total counter"); n != 1 {
-		t.Fatalf("TYPE lines for scotch_pkt_total = %d\n%s", n, out)
-	}
-	for _, want := range []string{
-		`scotch_pkt_total{dpid="1"} 10`,
-		`scotch_pkt_total{dpid="2"} 20`,
-		"# TYPE scotch_depth gauge",
-		"scotch_depth 3",
-		"scotch_live 42",
-		"# TYPE scotch_ext_total counter",
-		"scotch_ext_total 99",
-		"# TYPE scotch_latency_seconds histogram",
-		`scotch_latency_seconds_bucket{le="0.001"} 1`,
-		`scotch_latency_seconds_bucket{le="0.1"} 2`,
-		`scotch_latency_seconds_bucket{le="+Inf"} 3`,
-		"scotch_latency_seconds_count 3",
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
+	// Sorted by series, one TYPE line per family even with several
+	// labelled series.
+	want := `# TYPE scotch_depth gauge
+scotch_depth 3
+# TYPE scotch_ext_total counter
+scotch_ext_total 99
+# TYPE scotch_live gauge
+scotch_live 42.5
+# TYPE scotch_pkt_total counter
+scotch_pkt_total{dpid="1"} 10
+scotch_pkt_total{dpid="2"} 20
+`
+	if buf.String() != want {
+		t.Fatalf("scrape:\n%s\nwant:\n%s", buf.String(), want)
 	}
 	// Deterministic: a second scrape is byte-identical.
 	var buf2 bytes.Buffer
@@ -106,41 +97,20 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestHistogramLabeledBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram(`scotch_lat{dpid="7"}`, []float64{1})
-	h.Observe(0.5)
-	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		`scotch_lat_bucket{dpid="7",le="1"} 1`,
-		`scotch_lat_bucket{dpid="7",le="+Inf"} 1`,
-		`scotch_lat_sum{dpid="7"} 0.5`,
-		`scotch_lat_count{dpid="7"} 1`,
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Fatalf("missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestRegistryConcurrent hammers creation, updates, and scrapes from many
-// goroutines; run with -race.
+// TestRegistryConcurrent registers and scrapes from many goroutines while
+// the counted state moves; run with -race.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
+	var total atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := r.Counter("scotch_shared_total")
-			g := r.Gauge("scotch_shared_gauge")
-			h := r.Histogram("scotch_shared_hist", nil)
+			r.CounterFunc("scotch_shared_total", total.Load)
+			r.GaugeFunc(fmt.Sprintf(`scotch_worker_up{w="%d"}`, w), func() float64 { return 1 })
 			for i := 0; i < 1000; i++ {
-				c.Inc()
-				g.Add(1)
-				h.Observe(float64(i) * 1e-4)
+				total.Add(1)
 			}
 		}()
 	}
@@ -156,13 +126,14 @@ func TestRegistryConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if v := r.Counter("scotch_shared_total").Value(); v != 8000 {
-		t.Fatalf("counter = %d, want 8000", v)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if v := r.Gauge("scotch_shared_gauge").Value(); v != 8000 {
-		t.Fatalf("gauge = %v, want 8000", v)
+	if !strings.Contains(buf.String(), "scotch_shared_total 8000\n") {
+		t.Fatalf("counter after the workers finished:\n%s", buf.String())
 	}
-	if n := r.Histogram("scotch_shared_hist", nil).Count(); n != 8000 {
-		t.Fatalf("hist count = %d, want 8000", n)
+	if n := strings.Count(buf.String(), "scotch_worker_up{"); n != 8 {
+		t.Fatalf("%d worker gauges, want 8:\n%s", n, buf.String())
 	}
 }

@@ -84,19 +84,6 @@ func FatTreeHostIP(pod, edge, host int) netaddr.IPv4 {
 	return netaddr.MakeIPv4(10, byte(pod), byte(edge), byte(host+2))
 }
 
-// FatTreePrefix is the fabric's address plan: every FatTreeHostIP falls
-// inside it, and its 2^24 addresses comfortably cover the 10^6-host scale
-// target.
-func FatTreePrefix() netaddr.Prefix {
-	return netaddr.MustParsePrefix("10.0.0.0/8")
-}
-
-// FatTreeCapacity returns the switch and host-slot counts of a k-ary
-// fat-tree: 5k^2/4 switches and k^3/4 hosts.
-func FatTreeCapacity(k int) (switches, hosts int) {
-	return 5 * k * k / 4, k * k * k / 4
-}
-
 // NewFatTree builds the fabric. It panics on an odd or non-positive K, or
 // an oversized HostsPerEdge — a malformed fabric is a configuration bug.
 func NewFatTree(eng sim.Proc, cfg FatTreeConfig) *FatTree {

@@ -157,3 +157,16 @@ func TestFatTreeThousandSwitchBuild(t *testing.T) {
 		t.Fatal("no cross-pod path in k=16 fabric")
 	}
 }
+
+// FatTreePrefix is the fabric's address plan: every FatTreeHostIP falls
+// inside it, and its 2^24 addresses comfortably cover the 10^6-host scale
+// target.
+func FatTreePrefix() netaddr.Prefix {
+	return netaddr.MustParsePrefix("10.0.0.0/8")
+}
+
+// FatTreeCapacity returns the switch and host-slot counts of a k-ary
+// fat-tree: 5k^2/4 switches and k^3/4 hosts.
+func FatTreeCapacity(k int) (switches, hosts int) {
+	return 5 * k * k / 4, k * k * k / 4
+}

@@ -1,11 +1,6 @@
 package workload
 
-import (
-	"math"
-	"time"
-
-	"scotch/internal/sim"
-)
+import "scotch/internal/sim"
 
 // Curve maps virtual time to an instantaneous flow arrival rate
 // (flows/second). Curves are pure functions of time, so every tenant's
@@ -44,24 +39,6 @@ func (c TrapezoidCurve) RateAt(t sim.Time) float64 {
 	default:
 		return c.Base
 	}
-}
-
-// DiurnalCurve is a sinusoidal day/night load cycle oscillating between
-// Trough and Peak with the given period; Phase (radians) shifts where in
-// the cycle t=0 falls (0 starts at the mid-point heading up).
-type DiurnalCurve struct {
-	Trough, Peak float64
-	Period       time.Duration
-	Phase        float64
-}
-
-// RateAt returns the cycle's rate at t.
-func (c DiurnalCurve) RateAt(t sim.Time) float64 {
-	if c.Period <= 0 {
-		return c.Trough
-	}
-	s := math.Sin(2*math.Pi*float64(t)/float64(c.Period) + c.Phase)
-	return c.Trough + (c.Peak-c.Trough)*(1+s)/2
 }
 
 // OnOffCurve gates a rate to a window: Rate inside [Start, End), zero

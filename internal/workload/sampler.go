@@ -42,29 +42,6 @@ func (p ParetoSampler) Mean() float64 {
 	return xm*a/(a-1) - math.Pow(xm/xc, a)*xc/(a-1)
 }
 
-// LognormalSampler draws lognormal flow sizes (packets): the body-heavy
-// alternative to Pareto used by several trace studies. Mu and Sigma are
-// the mean and standard deviation of the underlying normal (i.e. of
-// ln(size)). Samples are clamped to [MinPkts, MaxPkts].
-type LognormalSampler struct {
-	Mu      float64
-	Sigma   float64
-	MinPkts int
-	MaxPkts int
-}
-
-// SamplePackets draws one flow size.
-func (l LognormalSampler) SamplePackets(rng *rand.Rand) int {
-	v := math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
-	if v < float64(l.MinPkts) {
-		return l.MinPkts
-	}
-	if v > float64(l.MaxPkts) {
-		return l.MaxPkts
-	}
-	return int(v)
-}
-
 // FixedSampler always returns the same size; Pkts < 1 is treated as 1
 // (single-packet flows, e.g. a spoofed DDoS source).
 type FixedSampler struct{ Pkts int }

@@ -234,3 +234,21 @@ func TestCurveShapes(t *testing.T) {
 		}
 	}
 }
+
+// DiurnalCurve is a sinusoidal day/night load cycle oscillating between
+// Trough and Peak with the given period; Phase (radians) shifts where in
+// the cycle t=0 falls (0 starts at the mid-point heading up).
+type DiurnalCurve struct {
+	Trough, Peak float64
+	Period       time.Duration
+	Phase        float64
+}
+
+// RateAt returns the cycle's rate at t.
+func (c DiurnalCurve) RateAt(t sim.Time) float64 {
+	if c.Period <= 0 {
+		return c.Trough
+	}
+	s := math.Sin(2*math.Pi*float64(t)/float64(c.Period) + c.Phase)
+	return c.Trough + (c.Peak-c.Trough)*(1+s)/2
+}

@@ -70,12 +70,6 @@ func parseSeconds(s string) (time.Duration, error) {
 	return d, nil
 }
 
-// formatSeconds renders a Duration as canonical decimal seconds with full
-// nanosecond precision, the inverse of parseSeconds.
-func formatSeconds(d time.Duration) string {
-	return fmt.Sprintf("%d.%09d", d/time.Second, d%time.Second)
-}
-
 // validate applies the invariants both codecs share.
 func (ev *TraceEvent) validate() error {
 	if ev.Start < 0 || ev.Start > maxTraceStart {
@@ -150,29 +144,6 @@ func parseCSVLine(line string) (TraceEvent, error) {
 	return ev, nil
 }
 
-// WriteTraceCSV writes events in the canonical CSV trace format (the
-// tenant column is emitted only for events that have one).
-func WriteTraceCSV(w io.Writer, events []TraceEvent) error {
-	for i := range events {
-		ev := &events[i]
-		if err := ev.validate(); err != nil {
-			return fmt.Errorf("trace event %d: %w", i, err)
-		}
-		var err error
-		if ev.Tenant != "" {
-			_, err = fmt.Fprintf(w, "%s,%v,%v,%d,%s\n",
-				formatSeconds(ev.Start), ev.Src, ev.Dst, ev.Bytes, ev.Tenant)
-		} else {
-			_, err = fmt.Fprintf(w, "%s,%v,%v,%d\n",
-				formatSeconds(ev.Start), ev.Src, ev.Dst, ev.Bytes)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // jsonTrace is the JSONL wire form. Start travels as a decimal-seconds
 // string so round trips stay exact (JSON numbers are float64).
 type jsonTrace struct {
@@ -229,28 +200,6 @@ func ParseTraceJSONL(r io.Reader) ([]TraceEvent, error) {
 		return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
 	}
 	return out, nil
-}
-
-// WriteTraceJSONL writes events in the canonical JSONL trace format.
-func WriteTraceJSONL(w io.Writer, events []TraceEvent) error {
-	enc := json.NewEncoder(w)
-	for i := range events {
-		ev := &events[i]
-		if err := ev.validate(); err != nil {
-			return fmt.Errorf("trace event %d: %w", i, err)
-		}
-		jt := jsonTrace{
-			Start:  formatSeconds(ev.Start),
-			Src:    ev.Src.String(),
-			Dst:    ev.Dst.String(),
-			Bytes:  ev.Bytes,
-			Tenant: ev.Tenant,
-		}
-		if err := enc.Encode(&jt); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ParseTrace dispatches on a file name's extension: ".jsonl" (or ".json")

@@ -2,8 +2,12 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzTraceCSV drives the CSV trace parser with arbitrary input, seeded
@@ -93,4 +97,55 @@ func FuzzTraceJSONL(f *testing.F) {
 			t.Fatalf("JSONL encoding is not a fixpoint:\n%q\n%q", first.String(), second.String())
 		}
 	})
+}
+
+// WriteTraceCSV writes events in the canonical CSV trace format (the
+// tenant column is emitted only for events that have one).
+func WriteTraceCSV(w io.Writer, events []TraceEvent) error {
+	for i := range events {
+		ev := &events[i]
+		if err := ev.validate(); err != nil {
+			return fmt.Errorf("trace event %d: %w", i, err)
+		}
+		var err error
+		if ev.Tenant != "" {
+			_, err = fmt.Fprintf(w, "%s,%v,%v,%d,%s\n",
+				formatSeconds(ev.Start), ev.Src, ev.Dst, ev.Bytes, ev.Tenant)
+		} else {
+			_, err = fmt.Fprintf(w, "%s,%v,%v,%d\n",
+				formatSeconds(ev.Start), ev.Src, ev.Dst, ev.Bytes)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteTraceJSONL writes events in the canonical JSONL trace format.
+func WriteTraceJSONL(w io.Writer, events []TraceEvent) error {
+	enc := json.NewEncoder(w)
+	for i := range events {
+		ev := &events[i]
+		if err := ev.validate(); err != nil {
+			return fmt.Errorf("trace event %d: %w", i, err)
+		}
+		jt := jsonTrace{
+			Start:  formatSeconds(ev.Start),
+			Src:    ev.Src.String(),
+			Dst:    ev.Dst.String(),
+			Bytes:  ev.Bytes,
+			Tenant: ev.Tenant,
+		}
+		if err := enc.Encode(&jt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// formatSeconds renders a Duration as canonical decimal seconds with full
+// nanosecond precision, the inverse of parseSeconds.
+func formatSeconds(d time.Duration) string {
+	return fmt.Sprintf("%d.%09d", d/time.Second, d%time.Second)
 }

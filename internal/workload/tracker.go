@@ -7,7 +7,6 @@ import (
 
 	"scotch/internal/capture"
 	"scotch/internal/metrics"
-	"scotch/internal/telemetry"
 )
 
 // LatencyTracker accumulates per-tenant flow-setup latencies — the
@@ -17,17 +16,14 @@ import (
 // Observe, quantiles come from bucket counts, and memory stays constant
 // no matter how many flows a scenario generates.
 //
-// Observe is safe for concurrent use (live telemetry scrapes read while
-// the simulation writes); within one single-threaded simulation run the
+// Observe is safe for concurrent use (readers may query while the
+// simulation writes); within one single-threaded simulation run the
 // resulting histograms are fully deterministic.
 type LatencyTracker struct {
 	bounds []float64
 
 	mu      sync.Mutex
 	tenants map[string]*metrics.BucketHistogram
-
-	reg    *telemetry.Registry
-	family string
 }
 
 // NewLatencyTracker returns a tracker whose per-tenant histograms use the
@@ -42,27 +38,9 @@ func NewLatencyTracker(bounds []float64) *LatencyTracker {
 	}
 }
 
-// Bind mirrors every tenant histogram into the registry as
-// family{tenant="name"} series (telemetry fixed-bucket histograms), so a
-// live run exposes per-tenant latency distributions on /metrics. Call
-// before the run; tenants observed later are bound as they appear.
-func (t *LatencyTracker) Bind(reg *telemetry.Registry, family string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.reg = reg
-	t.family = family
-}
-
 // Observe records one flow-setup latency for a tenant.
 func (t *LatencyTracker) Observe(tenant string, d time.Duration) {
 	t.hist(tenant).ObserveDuration(d)
-	t.mu.Lock()
-	reg, family := t.reg, t.family
-	t.mu.Unlock()
-	if reg != nil {
-		reg.Histogram(family+telemetry.Labels("tenant", tenant), t.bounds).
-			Observe(d.Seconds())
-	}
 }
 
 // hist returns (creating if needed) a tenant's histogram.

@@ -1,14 +1,13 @@
 package workload
 
 import (
-	"strings"
+	"sort"
 	"testing"
 	"time"
 
 	"scotch/internal/capture"
 	"scotch/internal/netaddr"
 	"scotch/internal/sim"
-	"scotch/internal/telemetry"
 )
 
 func TestLatencyTrackerPerTenant(t *testing.T) {
@@ -73,27 +72,20 @@ func TestLatencyTrackerCaptureHook(t *testing.T) {
 	}
 }
 
-// TestLatencyTrackerTelemetryBinding mirrors observations into a registry
-// and checks per-tenant series appear on the Prometheus scrape.
-func TestLatencyTrackerTelemetryBinding(t *testing.T) {
-	reg := telemetry.NewRegistry()
+// TestLatencyTrackerBucketsPerTenant keeps each tenant's samples in its
+// own histogram and places each sample in the bucket its latency names.
+func TestLatencyTrackerBucketsPerTenant(t *testing.T) {
 	tr := NewLatencyTracker(nil)
-	tr.Bind(reg, "scotch_flow_setup_seconds")
 	tr.Observe("base", 500*time.Microsecond)
 	tr.Observe("crowd", 5*time.Millisecond)
-
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`scotch_flow_setup_seconds_count{tenant="base"} 1`,
-		`scotch_flow_setup_seconds_count{tenant="crowd"} 1`,
-		`scotch_flow_setup_seconds_bucket{tenant="base",le="0.00068"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scrape missing %s:\n%s", want, out)
+	for _, tenant := range []string{"base", "crowd"} {
+		if n := tr.Tenant(tenant).Count(); n != 1 {
+			t.Errorf("%s count = %d, want 1", tenant, n)
 		}
+	}
+	h := tr.Tenant("base")
+	i := sort.SearchFloat64s(h.Bounds(), 0.00068)
+	if h.Bounds()[i] != 0.00068 || h.Counts()[i] != 1 {
+		t.Errorf("base bucket le=0.00068 holds %d, want 1 (bounds %v)", h.Counts()[i], h.Bounds())
 	}
 }

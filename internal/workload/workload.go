@@ -147,10 +147,6 @@ func (g *ClientGen) fire() {
 // Stop halts the generator.
 func (g *ClientGen) Stop() { g.proc.Stop() }
 
-func interval(rate float64) time.Duration {
-	return time.Duration(float64(time.Second) / rate)
-}
-
 // arrivals is a Poisson arrival process: exponential inter-arrival times
 // from the engine's seeded RNG. Deterministic periodic generators phase-
 // lock with each other and with queue service; real traffic does not.
