@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet doclint linkcheck golden golden-poison bench-smoke bench-compare trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
+.PHONY: all build test short race vet doclint linkcheck golden golden-poison examples bench-smoke bench-compare trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
 
 all: build test
 
@@ -58,6 +58,18 @@ golden:
 golden-poison:
 	$(GO) test -tags scotchpoison ./internal/experiments -run 'Golden'
 	$(GO) test -tags scotchpoison ./internal/sim ./internal/device ./internal/controller ./internal/scotch ./internal/cluster ./internal/packet ./internal/workload ./internal/devolve
+
+# Example gate: the four simulated examples must print their committed
+# examples/<name>/expected.txt byte for byte (a deliberate change
+# regenerates it with `go run ./examples/<name> > examples/<name>/expected.txt`);
+# overlaytcp runs over live loopback TCP and only has to exit 0.
+examples:
+	@for e in quickstart policychain ddosmitigation flashcrowd; do \
+		echo "examples/$$e"; \
+		$(GO) run ./examples/$$e > example_$$e.out || exit 1; \
+		diff -u examples/$$e/expected.txt example_$$e.out || exit 1; \
+	done
+	$(GO) run ./examples/overlaytcp
 
 # The chaos experiments (§5 reliability mechanisms under injected faults)
 # plus the elastic pool cycle (a pool-only balancer) and the devolution
@@ -130,4 +142,4 @@ cover:
 
 clean:
 	$(GO) clean ./...
-	rm -f coverage.out golden.out bench_smoke.json trace_fig14.json trace_chaos.json scenario_multitenant.txt devolve_ablation.txt obs_slo.txt health_obs_slo.json balance.txt health_balance.json
+	rm -f coverage.out golden.out example_*.out bench_smoke.json trace_fig14.json trace_chaos.json scenario_multitenant.txt devolve_ablation.txt obs_slo.txt health_obs_slo.json balance.txt health_balance.json

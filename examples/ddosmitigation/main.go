@@ -20,10 +20,9 @@ import (
 
 func main() {
 	eng := sim.New(7)
-	lsCfg := topo.DefaultLeafSpineConfig()
-	ls := topo.NewLeafSpine(eng, lsCfg)
+	ls := topo.NewLeafSpine(eng)
 
-	_, app, err := scotch.NewLeafSpineDeployment(ls, lsCfg, scotch.DefaultConfig())
+	_, app, err := scotch.NewLeafSpineDeployment(ls, scotch.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}

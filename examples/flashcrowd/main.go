@@ -54,7 +54,7 @@ func main() {
 	// The crowd: 50 flows/s baseline surging to 1500 flows/s. Most flows
 	// are mice; an occasional elephant gets migrated back to hardware.
 	n := 0
-	fc := workload.StartFlashCrowd(eng, workload.FlashCrowd{
+	fc := workload.StartFlashCrowd(eng, workload.TrapezoidCurve{
 		Base: 50, Peak: 1500,
 		RampStart: 5 * time.Second, PeakStart: 8 * time.Second,
 		PeakEnd: 20 * time.Second, RampEnd: 23 * time.Second,

@@ -47,7 +47,7 @@ func TestPoolSignalsReadOrder(t *testing.T) {
 func TestReplicaSignalsReadOrder(t *testing.T) {
 	eng := sim.New(1)
 	net := topo.New(eng)
-	co := cluster.New(eng, cluster.DefaultConfig())
+	co := cluster.New(eng)
 	var reps []*cluster.Replica
 	for i := 0; i < 3; i++ {
 		reps = append(reps, co.AddReplica(controller.New(eng, net)))
@@ -118,7 +118,7 @@ type podRig struct {
 func newPodRig(seed int64, replicas int, homes []int) *podRig {
 	eng := sim.New(seed)
 	net := topo.New(eng)
-	rg := &podRig{eng: eng, cap: capture.New(eng), co: cluster.New(eng, cluster.DefaultConfig())}
+	rg := &podRig{eng: eng, cap: capture.New(eng), co: cluster.New(eng)}
 	link := device.LinkConfig{Delay: 50 * time.Microsecond, RateBps: 1e9}
 	var edges []*device.Switch
 	for i := range homes {

@@ -31,24 +31,15 @@ type PolicyPusher interface {
 	RepublishPolicy()
 }
 
-// Config tunes the coordinator.
-type Config struct {
-	// HeartbeatInterval and HeartbeatMisses govern replica failure
-	// detection: a replica silent for Misses consecutive beats is declared
-	// dead. The defaults (100ms x 3) detect a controller crash well inside
-	// the Scotch app's own vSwitch-death window (500ms x 3), so switch
-	// liveness state is not poisoned while mastership is in limbo.
-	HeartbeatInterval time.Duration
-	HeartbeatMisses   int
-}
-
-// DefaultConfig returns the calibrated defaults.
-func DefaultConfig() Config {
-	return Config{
-		HeartbeatInterval: 100 * time.Millisecond,
-		HeartbeatMisses:   3,
-	}
-}
+// heartbeatInterval and heartbeatMisses govern replica failure detection:
+// a replica silent for heartbeatMisses consecutive beats is declared dead.
+// 100ms x 3 detects a controller crash well inside the Scotch app's own
+// vSwitch-death window (500ms x 3), so switch liveness state is not
+// poisoned while mastership is in limbo.
+const (
+	heartbeatInterval = 100 * time.Millisecond
+	heartbeatMisses   = 3
+)
 
 // Stats counts coordinator activity.
 type Stats struct {
@@ -124,7 +115,6 @@ func (p *Pod) Owns(dpid uint64) bool { return p.set[dpid] }
 // single-threaded event loop.
 type Coordinator struct {
 	Eng sim.Proc
-	Cfg Config
 
 	Replicas []*Replica
 	Stats    Stats
@@ -143,10 +133,9 @@ type Coordinator struct {
 }
 
 // New creates a coordinator on the simulation engine.
-func New(eng sim.Proc, cfg Config) *Coordinator {
+func New(eng sim.Proc) *Coordinator {
 	return &Coordinator{
 		Eng:    eng,
-		Cfg:    cfg,
 		byName: make(map[string]*Pod),
 		assign: make(map[string]int),
 	}
@@ -215,7 +204,7 @@ func (co *Coordinator) Start() {
 			}
 		}
 	}
-	co.Eng.Every(co.Cfg.HeartbeatInterval, co.heartbeat)
+	co.Eng.Every(heartbeatInterval, co.heartbeat)
 }
 
 // Enroll adds a controller to an already-running cluster as a fresh
@@ -391,7 +380,7 @@ func (co *Coordinator) migrate(p *Pod, to *Replica, failover bool) {
 }
 
 // heartbeat is the replica failure detector: killed replicas stop
-// beating, and after HeartbeatMisses silent intervals their pods are
+// beating, and after heartbeatMisses silent intervals their pods are
 // reassigned to the least-loaded survivors.
 func (co *Coordinator) heartbeat() {
 	for _, r := range co.Replicas {
@@ -403,7 +392,7 @@ func (co *Coordinator) heartbeat() {
 			continue
 		}
 		r.missed++
-		if r.missed >= co.Cfg.HeartbeatMisses {
+		if r.missed >= heartbeatMisses {
 			r.dead = true
 			co.Stats.ReplicasLost++
 			co.Stats.DetectedAt = co.Eng.Now()

@@ -84,7 +84,7 @@ type twoShardRig struct {
 	apps    [2]*reactiveApp
 }
 
-func newTwoShardRig(t *testing.T, cfg Config) *twoShardRig {
+func newTwoShardRig(t *testing.T) *twoShardRig {
 	t.Helper()
 	rg := &twoShardRig{eng: sim.New(1)}
 	rg.net = topo.New(rg.eng)
@@ -101,7 +101,7 @@ func newTwoShardRig(t *testing.T, cfg Config) *twoShardRig {
 		outPorts[i] = map[netaddr.IPv4]uint32{rg.servers[i].IP: srvPort}
 	}
 
-	rg.co = New(rg.eng, cfg)
+	rg.co = New(rg.eng)
 	for i := 0; i < 2; i++ {
 		c := controller.New(rg.eng, rg.net)
 		c.ConnectAll()
@@ -129,7 +129,7 @@ func (rg *twoShardRig) sendFlow(shard int, srcPort uint16) {
 }
 
 func TestShardedPuntRouting(t *testing.T) {
-	rg := newTwoShardRig(t, DefaultConfig())
+	rg := newTwoShardRig(t)
 	if got := rg.r[0].C.Switch(rg.sw[0].DPID).Role(); got != openflow.RoleMaster {
 		t.Fatalf("replica 0 role on own shard = %s", openflow.RoleName(got))
 	}
@@ -162,7 +162,7 @@ func TestShardedPuntRouting(t *testing.T) {
 }
 
 func TestCooperativeMigrationMovesMastershipAndState(t *testing.T) {
-	rg := newTwoShardRig(t, DefaultConfig())
+	rg := newTwoShardRig(t)
 	rg.sendFlow(0, 3000)
 	rg.eng.RunUntil(200 * time.Millisecond)
 	if rg.r[0].C.FlowDB.Len() != 1 {
@@ -211,8 +211,7 @@ func TestCooperativeMigrationMovesMastershipAndState(t *testing.T) {
 }
 
 func TestFailoverReassignsPodsAfterDetectionWindow(t *testing.T) {
-	cfg := DefaultConfig()
-	rg := newTwoShardRig(t, cfg)
+	rg := newTwoShardRig(t)
 
 	killAt := 1050 * time.Millisecond
 	rg.eng.Schedule(killAt-rg.eng.Now(), func() { rg.r[0].Kill() })
@@ -229,9 +228,9 @@ func TestFailoverReassignsPodsAfterDetectionWindow(t *testing.T) {
 			rg.co.Stats.Failovers, rg.co.Stats.ReplicasLost)
 	}
 	detect := rg.co.Stats.DetectedAt - sim.Time(killAt)
-	window := time.Duration(cfg.HeartbeatMisses) * cfg.HeartbeatInterval
-	if detect <= 0 || detect > window+cfg.HeartbeatInterval {
-		t.Fatalf("detection latency = %v, want within (0, %v]", detect, window+cfg.HeartbeatInterval)
+	window := time.Duration(heartbeatMisses) * heartbeatInterval
+	if detect <= 0 || detect > window+heartbeatInterval {
+		t.Fatalf("detection latency = %v, want within (0, %v]", detect, window+heartbeatInterval)
 	}
 
 	// The surviving replica serves the failed shard's new flows.
@@ -256,7 +255,7 @@ type pusherApp struct {
 func (p *pusherApp) RepublishPolicy() { p.republished++ }
 
 func TestMigrationRepublishesDevolvedPolicy(t *testing.T) {
-	rg := newTwoShardRig(t, DefaultConfig())
+	rg := newTwoShardRig(t)
 	app := &pusherApp{reactiveApp: *rg.apps[0]}
 	// Swap the pod's app for the policy-pushing variant.
 	rg.co.byName["pod-a"].App = app

@@ -42,12 +42,10 @@ type Port struct {
 func (p *Port) Peer() *Port { return p.peer }
 
 // Send transmits a packet out of this port, taking ownership of it.
-// tunnelKey is the pending set_field(tunnel_id) value and is only
-// meaningful for tunnel ports.
-func (p *Port) Send(pkt *packet.Packet, tunnelKey uint64) {
+func (p *Port) Send(pkt *packet.Packet) {
 	switch {
 	case p.Tunnel != nil:
-		p.Tunnel.transmit(pkt, p, tunnelKey)
+		p.Tunnel.transmit(pkt, p)
 	case p.Link != nil:
 		p.Link.transmit(pkt, p)
 	}
@@ -59,14 +57,16 @@ func (p *Port) String() string {
 }
 
 // LinkConfig sets a link's characteristics. The zero value means a fast,
-// zero-delay, loss-free link.
+// zero-delay, loss-free link. A rate-limited link queues up to 256 KiB per
+// direction.
 type LinkConfig struct {
-	Delay      time.Duration
-	RateBps    float64 // 0 = infinite
-	QueueBytes int     // per direction; 0 = 256 KiB default
+	Delay   time.Duration
+	RateBps float64 // 0 = infinite
 }
 
-const defaultQueueBytes = 256 << 10
+// queueBytes bounds each direction's backlog on a rate-limited link or
+// tunnel.
+const queueBytes = 256 << 10
 
 // Link is a full-duplex point-to-point link with serialization delay,
 // propagation delay, and a finite per-direction queue. All per-link state
@@ -86,9 +86,6 @@ type Link struct {
 // Packets are timed against the sender's clock and delivered on the
 // receiver's Proc, so the link itself needs no engine reference.
 func Connect(a Node, aPort uint32, b Node, bPort uint32, cfg LinkConfig) *Link {
-	if cfg.QueueBytes == 0 {
-		cfg.QueueBytes = defaultQueueBytes
-	}
 	l := &Link{cfg: cfg}
 	pa := &Port{ID: aPort, Owner: a, Link: l}
 	pb := &Port{ID: bPort, Owner: b, Link: l}
@@ -138,7 +135,7 @@ func (l *Link) transmit(pkt *packet.Packet, from *Port) {
 		txTime = time.Duration(float64(pkt.Size*8) / l.cfg.RateBps * float64(time.Second))
 		// Backlog check: bytes already committed but not yet on the wire.
 		backlog := float64((start - now).Seconds()) * l.cfg.RateBps / 8
-		if int(backlog) > l.cfg.QueueBytes {
+		if int(backlog) > queueBytes {
 			l.drops[d]++
 			pkt.Release()
 			return

@@ -1,6 +1,6 @@
 // Package device models the network elements of a Scotch deployment: SDN
 // switches (hardware and virtual) with rate-limited OpenFlow Agents,
-// links, MPLS/GRE tunnels, end hosts, and stateful middleboxes.
+// links, MPLS tunnels, end hosts, and stateful middleboxes.
 //
 // The central fidelity point, taken from the paper's measurements (§3.1),
 // is that a switch is *two* machines: a fast data plane (flow-table

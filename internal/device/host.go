@@ -79,5 +79,5 @@ func (h *Host) Send(pkt *packet.Packet) {
 	}
 	pkt.Eth.Src = h.MAC
 	h.Sent++
-	h.ports[0].Send(pkt, 0)
+	h.ports[0].Send(pkt)
 }

@@ -91,7 +91,7 @@ func (f *Firewall) Receive(pkt *packet.Packet, port *Port) {
 // sendOut is the static callback the firewall schedules to emit a packet
 // after its processing delay: a1 is the out port, a2 the packet.
 func sendOut(a1, a2 any) {
-	a1.(*Port).Send(a2.(*packet.Packet), 0)
+	a1.(*Port).Send(a2.(*packet.Packet))
 }
 
 func (f *Firewall) other(p *Port) *Port {

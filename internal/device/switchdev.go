@@ -6,7 +6,6 @@ import (
 
 	"scotch/internal/flowtable"
 	"scotch/internal/metrics"
-	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
 	"scotch/internal/packet"
 	"scotch/internal/sim"
@@ -60,7 +59,6 @@ type Switch struct {
 
 	Pipeline *flowtable.Pipeline
 	ports    map[uint32]*Port
-	LocalIP  netaddr.IPv4 // tunnel endpoint address (GRE outer)
 
 	dataSrv     *sim.Server[dataItem]
 	pktInSrv    *sim.Server[dataItem]
@@ -361,7 +359,7 @@ func (sw *Switch) processData(it dataItem) {
 // the list's final output transfers it, and a list that ends any other way
 // releases it.
 func (sw *Switch) execute(pkt *packet.Packet, inPort uint32, actions []openflow.Action) {
-	if !sw.executeCtx(pkt, inPort, actions, 0, 0) {
+	if !sw.executeCtx(pkt, inPort, actions, 0) {
 		pkt.Release()
 	}
 }
@@ -369,7 +367,7 @@ func (sw *Switch) execute(pkt *packet.Packet, inPort uint32, actions []openflow.
 // executeCtx runs actions on pkt and reports whether an output took the
 // packet itself rather than a clone; only the final output of a top-level
 // list (depth 0) does.
-func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openflow.Action, tunnelKey uint64, depth int) bool {
+func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openflow.Action, depth int) bool {
 	if depth > 4 {
 		return false // group recursion guard
 	}
@@ -383,13 +381,8 @@ func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openfl
 				return false
 			}
 		case openflow.ActionTypeSetField:
-			switch a.Field {
-			case 34: // MPLS label
-				if len(pkt.MPLS) > 0 {
-					pkt.MPLS[0].Label = a.MPLSLabel
-				}
-			case 38: // tunnel id
-				tunnelKey = a.TunnelID
+			if a.Field == 34 && len(pkt.MPLS) > 0 { // MPLS label
+				pkt.MPLS[0].Label = a.MPLSLabel
 			}
 		case openflow.ActionTypeGroup:
 			g := sw.Pipeline.Groups.Get(a.GroupID)
@@ -399,7 +392,7 @@ func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openfl
 			switch g.Type {
 			case openflow.GroupTypeSelect:
 				if b := g.SelectBucket(pkt.FlowKey().Hash()); b != nil {
-					sw.executeCtx(pkt, inPort, b.Actions, tunnelKey, depth+1)
+					sw.executeCtx(pkt, inPort, b.Actions, depth+1)
 				}
 			case openflow.GroupTypeAll:
 				for j := range g.Buckets {
@@ -407,7 +400,7 @@ func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openfl
 					// in it sends a clone of its own: the bucket's copy
 					// dies here.
 					c := pkt.Clone()
-					sw.executeCtx(c, inPort, g.Buckets[j].Actions, tunnelKey, depth+1)
+					sw.executeCtx(c, inPort, g.Buckets[j].Actions, depth+1)
 					c.Release()
 				}
 			}
@@ -432,7 +425,7 @@ func (sw *Switch) executeCtx(pkt *packet.Packet, inPort uint32, actions []openfl
 			if sw.OnForward != nil {
 				sw.OnForward(sent, out)
 			}
-			out.Send(sent, tunnelKey)
+			out.Send(sent)
 			if sent == pkt {
 				return true
 			}
@@ -457,7 +450,7 @@ func (sw *Switch) emitPacketIn(it dataItem) {
 		TotalLen: uint16(it.pkt.Size),
 		Reason:   openflow.ReasonNoMatch,
 		TableID:  0,
-		Cookie:   uint64(it.pkt.Meta.InnerKey), // Scotch inner label / GRE key
+		Cookie:   uint64(it.pkt.Meta.InnerKey), // Scotch inner label
 		Match:    m,
 		Data:     data,
 	}

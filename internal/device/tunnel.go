@@ -3,43 +3,23 @@ package device
 import (
 	"time"
 
-	"scotch/internal/netaddr"
 	"scotch/internal/packet"
 	"scotch/internal/sim"
 )
 
-// TunnelType selects the encapsulation used by a tunnel.
-type TunnelType int
-
-// Supported encapsulations.
-const (
-	TunnelMPLS TunnelType = iota
-	TunnelGRE
-)
-
-func (t TunnelType) String() string {
-	if t == TunnelGRE {
-		return "gre"
-	}
-	return "mpls"
-}
-
 // TunnelConfig describes one overlay tunnel. Tunnels ride the underlying
 // data plane; the simulator models that path as an aggregate delay and
 // bandwidth (the sum over the physical hops computed at setup time), while
-// still performing real encapsulation and decapsulation at the endpoints.
+// still performing real MPLS encapsulation and decapsulation at the
+// endpoints. Each direction queues up to 256 KiB, as a link does.
 type TunnelConfig struct {
-	Type       TunnelType
-	ID         uint64 // outer MPLS label / GRE tunnel identity at the receiver
-	Delay      time.Duration
-	RateBps    float64
-	QueueBytes int
-	// LocalIP/RemoteIP are the GRE outer addresses (A side is Local).
-	LocalIP, RemoteIP netaddr.IPv4
-	// StripInnerA/StripInnerB make the endpoint pop the *inner* MPLS
-	// label (the Scotch ingress-port tag) into packet metadata at decap,
-	// as the paper's mesh vSwitches do before emitting Packet-In.
-	StripInnerA, StripInnerB bool
+	ID      uint64 // outer MPLS label, the tunnel's identity at the receiver
+	Delay   time.Duration
+	RateBps float64
+	// StripInnerB makes the B endpoint pop the *inner* MPLS label (the
+	// Scotch ingress-port tag) into packet metadata at decap, as the
+	// paper's mesh vSwitches do before emitting Packet-In.
+	StripInnerB bool
 }
 
 // Tunnel is a point-to-point overlay tunnel between two switch ports.
@@ -62,9 +42,6 @@ type Tunnel struct {
 
 // ConnectTunnel creates a tunnel between new logical ports on a and b.
 func ConnectTunnel(a Node, aPort uint32, b Node, bPort uint32, cfg TunnelConfig) *Tunnel {
-	if cfg.QueueBytes == 0 {
-		cfg.QueueBytes = defaultQueueBytes
-	}
 	t := &Tunnel{Cfg: cfg}
 	pa := &Port{ID: aPort, Owner: a, Tunnel: t}
 	pb := &Port{ID: bPort, Owner: b, Tunnel: t}
@@ -117,29 +94,16 @@ func (t *Tunnel) dir(from *Port) int {
 
 // transmit encapsulates and carries the packet to the far end, where it is
 // decapsulated before delivery.
-func (t *Tunnel) transmit(pkt *packet.Packet, from *Port, tunnelKey uint64) {
+func (t *Tunnel) transmit(pkt *packet.Packet, from *Port) {
 	d := t.dir(from)
 	if t.down {
 		t.dropsTx[d]++
 		pkt.Release()
 		return
 	}
-	switch t.Cfg.Type {
-	case TunnelMPLS:
-		// The inner (ingress port) label, if any, was pushed by the flow
-		// rule; the tunnel port pushes the outer transport label.
-		pkt.PushMPLS(uint32(t.Cfg.ID))
-	case TunnelGRE:
-		local, remote := t.Cfg.LocalIP, t.Cfg.RemoteIP
-		if from == t.b {
-			local, remote = remote, local
-		}
-		if err := pkt.EncapGRE(local, remote, uint32(tunnelKey)); err != nil {
-			t.dropsTx[d]++
-			pkt.Release()
-			return
-		}
-	}
+	// The inner (ingress port) label, if any, was pushed by the flow rule;
+	// the tunnel port pushes the outer transport label.
+	pkt.PushMPLS(uint32(t.Cfg.ID))
 	t.encapped[d]++
 
 	src := from.Owner.Proc()
@@ -152,7 +116,7 @@ func (t *Tunnel) transmit(pkt *packet.Packet, from *Port, tunnelKey uint64) {
 	if t.Cfg.RateBps > 0 {
 		txTime = time.Duration(float64(pkt.Size*8) / t.Cfg.RateBps * float64(time.Second))
 		backlog := (start - now).Seconds() * t.Cfg.RateBps / 8
-		if int(backlog) > t.Cfg.QueueBytes {
+		if int(backlog) > queueBytes {
 			t.dropsTx[d]++
 			pkt.Release()
 			return
@@ -182,33 +146,15 @@ func (t *Tunnel) deliver(pkt *packet.Packet, to *Port, d int) {
 		pkt.Release()
 		return
 	}
-	stripInner := t.Cfg.StripInnerB
-	if to == t.a {
-		stripInner = t.Cfg.StripInnerA
+	if _, err := pkt.PopMPLS(); err != nil {
+		t.dropsRx[d]++
+		pkt.Release()
+		return
 	}
-	switch t.Cfg.Type {
-	case TunnelMPLS:
-		if _, err := pkt.PopMPLS(); err != nil {
-			t.dropsRx[d]++
-			pkt.Release()
-			return
-		}
-		pkt.Meta.TunnelID = t.Cfg.ID
-		if stripInner && len(pkt.MPLS) > 0 {
-			inner, _ := pkt.PopMPLS()
-			pkt.Meta.InnerKey = inner
-		}
-	case TunnelGRE:
-		key, err := pkt.DecapGRE()
-		if err != nil {
-			t.dropsRx[d]++
-			pkt.Release()
-			return
-		}
-		pkt.Meta.TunnelID = t.Cfg.ID
-		if stripInner {
-			pkt.Meta.InnerKey = key
-		}
+	pkt.Meta.TunnelID = t.Cfg.ID
+	if to == t.b && t.Cfg.StripInnerB && len(pkt.MPLS) > 0 {
+		inner, _ := pkt.PopMPLS()
+		pkt.Meta.InnerKey = inner
 	}
 	t.decapped[d]++
 	to.Owner.Receive(pkt, to)

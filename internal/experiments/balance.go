@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scotch/internal/balance"
-	"scotch/internal/cluster"
 	"scotch/internal/controller"
 	"scotch/internal/elastic"
 	"scotch/internal/obs"
@@ -110,7 +109,6 @@ func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResu
 		pods:        2,
 		replicas:    2,
 		scfg:        scfg,
-		ccfg:        cluster.DefaultConfig(),
 		homes:       []int{0, 0},
 		standby:     3,
 		ownBalancer: true,
@@ -145,7 +143,7 @@ func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResu
 		r.pods[0].server.IP, 40, 4, 10*time.Millisecond)
 	cli1 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[1].client, r.cap),
 		r.pods[1].server.IP, 40, 4, 10*time.Millisecond)
-	surge := r.startCrowd(0, workload.FlashCrowd{
+	surge := r.startCrowd(0, workload.TrapezoidCurve{
 		Base: 0, Peak: 1200,
 		RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
 		PeakEnd: 10 * time.Second, RampEnd: 12 * time.Second,
@@ -153,7 +151,7 @@ func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResu
 	// Ramped, not instant: a cold pod cannot absorb 600/s before its
 	// overlay activates, and early punt loss would pollute the zero-loss
 	// assertion this experiment makes about the balancer's actions.
-	steady := r.startCrowd(1, workload.FlashCrowd{
+	steady := r.startCrowd(1, workload.TrapezoidCurve{
 		Base: 20, Peak: 600,
 		RampStart: time.Second, PeakStart: 3 * time.Second,
 		PeakEnd: 16 * time.Second, RampEnd: 17 * time.Second,
@@ -270,7 +268,6 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 		capacity:    capacity,
 		queue:       queue,
 		scfg:        scotch.DefaultConfig(),
-		ccfg:        cluster.DefaultConfig(),
 		homes:       []int{0, 1, 0, 1, 0, 1},
 		ownBalancer: true,
 		probes:      p,
@@ -324,7 +321,7 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 		clients = append(clients, workload.StartClient(
 			workload.NewEmitter(r.eng, r.pods[p].client, r.cap),
 			r.pods[p].server.IP, 20, 4, 10*time.Millisecond))
-		crowds = append(crowds, r.startCrowd(p, workload.FlashCrowd{
+		crowds = append(crowds, r.startCrowd(p, workload.TrapezoidCurve{
 			Base: 10, Peak: 150,
 			RampStart: 2 * time.Second, PeakStart: 5 * time.Second,
 			PeakEnd: 12 * time.Second, RampEnd: 13 * time.Second,

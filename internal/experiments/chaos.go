@@ -170,7 +170,6 @@ func chaosPartitionPoint(p *Probes, seed int64) chaosPartitionResult {
 		capacity: 800,
 		queue:    512,
 		scfg:     scotch.DefaultConfig(),
-		ccfg:     cluster.DefaultConfig(),
 		probes:   p,
 	})
 	env := &chaosEnv{replicas: map[string]*cluster.Replica{"replica0": r.replicas[0]}}

@@ -70,7 +70,6 @@ type clusterRigConfig struct {
 	capacity float64 // per-replica Packet-In processing rate (0 = infinite)
 	queue    int
 	scfg     scotch.Config
-	ccfg     cluster.Config
 	homes    []int // pod -> initial replica index; nil = round robin
 	standby  int   // standby vSwitches on pod 0 (elastic growth headroom)
 	// ownBalancer is set by experiments that wire their own joint
@@ -108,7 +107,7 @@ func newClusterRig(cc clusterRigConfig) *clusterRig {
 		r.pods = append(r.pods, pod)
 	}
 
-	r.co = cluster.New(eng, cc.ccfg)
+	r.co = cluster.New(eng)
 	for i := 0; i < cc.replicas; i++ {
 		c := controller.New(eng, r.net)
 		if cc.capacity > 0 {
@@ -188,7 +187,7 @@ func newClusterRig(cc clusterRigConfig) *clusterRig {
 // startCrowd drives a flash-crowd arrival process of single-packet
 // spoofed-source flows (each one a brand-new flow to the network, as in
 // the paper's §3.2 workload) from the pod's client toward its server.
-func (r *clusterRig) startCrowd(p int, fc workload.FlashCrowd, class string) *workload.FlashCrowd {
+func (r *clusterRig) startCrowd(p int, fc workload.TrapezoidCurve, class string) *workload.FlashCrowd {
 	pod := r.pods[p]
 	em := workload.NewEmitter(r.eng, pod.client, r.cap)
 	var n uint32
@@ -217,12 +216,11 @@ func clusterScalePoint(p *Probes, replicas int, seed int64) (offered, delivered 
 		capacity: 500,
 		queue:    256,
 		scfg:     scotch.DefaultConfig(),
-		ccfg:     cluster.DefaultConfig(),
 		probes:   p,
 	})
 	var crowds []*workload.FlashCrowd
 	for p := range r.pods {
-		crowds = append(crowds, r.startCrowd(p, workload.FlashCrowd{
+		crowds = append(crowds, r.startCrowd(p, workload.TrapezoidCurve{
 			Base: 20, Peak: 350,
 			RampStart: time.Second, PeakStart: 2 * time.Second,
 			PeakEnd: 9 * time.Second, RampEnd: 9500 * time.Millisecond,
@@ -270,7 +268,6 @@ type clusterMigrateResult struct {
 // master and are re-admitted.
 func clusterMigratePoint(p *Probes, seed int64) clusterMigrateResult {
 	const dur = 8 * time.Second
-	ccfg := cluster.DefaultConfig()
 	r := newClusterRig(clusterRigConfig{
 		seed:     seed,
 		pods:     2,
@@ -278,7 +275,6 @@ func clusterMigratePoint(p *Probes, seed int64) clusterMigrateResult {
 		capacity: 800,
 		queue:    512,
 		scfg:     scotch.DefaultConfig(),
-		ccfg:     ccfg,
 		homes:    []int{0, 0},
 		probes:   p,
 	})
@@ -292,7 +288,7 @@ func clusterMigratePoint(p *Probes, seed int64) clusterMigrateResult {
 
 	cli0 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[0].client, r.cap), r.pods[0].server.IP, 60, 4, 10*time.Millisecond)
 	cli1 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[1].client, r.cap), r.pods[1].server.IP, 30, 4, 10*time.Millisecond)
-	crowd := r.startCrowd(0, workload.FlashCrowd{
+	crowd := r.startCrowd(0, workload.TrapezoidCurve{
 		Base: 0, Peak: 300,
 		RampStart: 2 * time.Second, PeakStart: 2500 * time.Millisecond,
 		PeakEnd: 6 * time.Second, RampEnd: 6500 * time.Millisecond,
@@ -337,7 +333,6 @@ type clusterFailoverResult struct {
 func clusterFailoverPoint(p *Probes, seed int64) clusterFailoverResult {
 	const dur = 8 * time.Second
 	killAt := 5050 * time.Millisecond
-	ccfg := cluster.DefaultConfig()
 	r := newClusterRig(clusterRigConfig{
 		seed:     seed,
 		pods:     2,
@@ -345,7 +340,6 @@ func clusterFailoverPoint(p *Probes, seed int64) clusterFailoverResult {
 		capacity: 800,
 		queue:    512,
 		scfg:     scotch.DefaultConfig(),
-		ccfg:     ccfg,
 		probes:   p,
 	})
 	cli0 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[0].client, r.cap), r.pods[0].server.IP, 50, 8, 50*time.Millisecond)

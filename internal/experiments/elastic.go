@@ -65,7 +65,7 @@ func elasticPoint(p *Probes, seed int64) elasticResult {
 
 	atkEm := r.emitter(r.clients[0])
 	var n uint64
-	fc := workload.StartFlashCrowd(r.eng, workload.FlashCrowd{
+	fc := workload.StartFlashCrowd(r.eng, workload.TrapezoidCurve{
 		Base: 0, Peak: 3000,
 		RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
 		PeakEnd: 12 * time.Second, RampEnd: 14 * time.Second,

@@ -33,8 +33,7 @@ type dcRig struct {
 
 func newDCRig(seed int64, cfg scotch.Config, baseline bool) *dcRig {
 	eng := sim.New(seed)
-	lsCfg := topo.DefaultLeafSpineConfig()
-	ls := topo.NewLeafSpine(eng, lsCfg)
+	ls := topo.NewLeafSpine(eng)
 	r := &dcRig{eng: eng, ls: ls}
 	if baseline {
 		r.c = controller.New(eng, ls.Net)
@@ -42,7 +41,7 @@ func newDCRig(seed int64, cfg scotch.Config, baseline bool) *dcRig {
 		r.c.ConnectAll()
 	} else {
 		var err error
-		r.c, r.app, err = scotch.NewLeafSpineDeployment(ls, lsCfg, cfg)
+		r.c, r.app, err = scotch.NewLeafSpineDeployment(ls, cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -83,7 +82,7 @@ func runFig15(w io.Writer, _ *Probes) error {
 		// spike far beyond its leaf's OFA capacity.
 		target := topo.HostIP(0, 0)
 		n := 0
-		fc := workload.StartFlashCrowd(r.eng, workload.FlashCrowd{
+		fc := workload.StartFlashCrowd(r.eng, workload.TrapezoidCurve{
 			Base: 50, Peak: 2500,
 			RampStart: 5 * time.Second, PeakStart: 7 * time.Second,
 			PeakEnd: 15 * time.Second, RampEnd: 17 * time.Second,

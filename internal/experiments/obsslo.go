@@ -70,7 +70,7 @@ func obsSLOPoint(p *Probes, seed int64) obsSLOResult {
 
 	crowdEm := r.emitter(r.clients[1])
 	var n uint64
-	fc := workload.StartFlashCrowd(r.eng, workload.FlashCrowd{
+	fc := workload.StartFlashCrowd(r.eng, workload.TrapezoidCurve{
 		Base: 0, Peak: 6000,
 		RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
 		PeakEnd: 10 * time.Second, RampEnd: 12 * time.Second,

@@ -50,13 +50,15 @@ import (
 	"scotch/internal/workload"
 )
 
+// sampleInterval is the sampling period on the simulation clock, and
+// ringSize bounds each series' retained samples.
+const (
+	sampleInterval = 250 * time.Millisecond
+	ringSize       = 512
+)
+
 // Config shapes an Observatory.
 type Config struct {
-	// SampleInterval is the sampling period on the simulation clock
-	// (default 250ms).
-	SampleInterval time.Duration
-	// RingSize bounds each series' retained samples (default 512).
-	RingSize int
 	// SLOs are the latency objectives to evaluate; tenants resolve
 	// against the tracker passed to WatchLatency.
 	SLOs []SLO
@@ -67,16 +69,6 @@ type Config struct {
 	// default) disables all profile I/O, keeping simulation runs free of
 	// side effects.
 	ProfileDir string
-}
-
-func (c Config) withDefaults() Config {
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = 250 * time.Millisecond
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 512
-	}
-	return c
 }
 
 // series is one sampled signal: a read-only probe and its ring.
@@ -121,7 +113,7 @@ type Observatory struct {
 func New(eng sim.Proc, cfg Config) *Observatory {
 	o := &Observatory{
 		eng:    eng,
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		byName: make(map[string]*component),
 	}
 	for _, def := range o.cfg.SLOs {
@@ -150,7 +142,7 @@ func (o *Observatory) Series(comp, name string, fn func() float64) {
 		s.fn = fn
 		return
 	}
-	s := &series{name: name, fn: fn, ring: NewRing(o.cfg.RingSize)}
+	s := &series{name: name, fn: fn, ring: NewRing(ringSize)}
 	c.byName[name] = s
 	c.series = append(c.series, s)
 }
@@ -277,7 +269,7 @@ func (o *Observatory) WatchLatency(t *workload.LatencyTracker) {
 	o.tracker = t
 }
 
-// Start begins sampling every SampleInterval of simulation time.
+// Start begins sampling every 250ms of simulation time.
 // Nil-safe; starting twice is a no-op.
 func (o *Observatory) Start() {
 	if o == nil {
@@ -288,7 +280,7 @@ func (o *Observatory) Start() {
 	if o.ticker != nil {
 		return
 	}
-	o.ticker = o.eng.Every(o.cfg.SampleInterval, o.sample)
+	o.ticker = o.eng.Every(sampleInterval, o.sample)
 }
 
 // Stop halts sampling and closes any in-flight breach CPU profile.
@@ -341,11 +333,11 @@ func (o *Observatory) evalSLO(s *sloState, now sim.Time) {
 		s.bounds = s.hist.Bounds()
 		// Retain enough snapshots to look back one long window, plus
 		// slack for the boundary search.
-		n := int(s.def.LongWindow/o.cfg.SampleInterval) + 4
+		n := int(s.def.LongWindow/sampleInterval) + 4
 		s.snaps = newCountsRing(n)
-		s.burnShort = NewRing(o.cfg.RingSize)
-		s.burnLong = NewRing(o.cfg.RingSize)
-		s.windowQ = NewRing(o.cfg.RingSize)
+		s.burnShort = NewRing(ringSize)
+		s.burnLong = NewRing(ringSize)
+		s.windowQ = NewRing(ringSize)
 	}
 	s.samples++
 	s.snaps.push(countsSnap{t: now, counts: s.hist.Counts()})

@@ -60,12 +60,6 @@ func PushMPLSAction(label uint32) Action {
 	return Action{Type: ActionTypePushMPLS, EtherType: 0x8847, Field: oxmMPLSLabel, MPLSLabel: label}
 }
 
-// SetTunnelAction returns a set_field(tunnel_id) action, used before
-// outputting to a tunnel port to select the key/label on the wire.
-func SetTunnelAction(id uint64) Action {
-	return Action{Type: ActionTypeSetField, Field: oxmTunnelID, TunnelID: id}
-}
-
 func (a *Action) marshal(b []byte) ([]byte, error) {
 	start := len(b)
 	b = binary.BigEndian.AppendUint16(b, a.Type)

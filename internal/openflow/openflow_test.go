@@ -11,6 +11,12 @@ import (
 	"scotch/internal/netaddr"
 )
 
+// SetTunnelAction returns a set_field(tunnel_id) action: the codec still
+// carries tunnel_id though the simulated switches ignore it.
+func SetTunnelAction(id uint64) Action {
+	return Action{Type: ActionTypeSetField, Field: oxmTunnelID, TunnelID: id}
+}
+
 func roundTrip(t *testing.T, m Message, xid uint32) Message {
 	t.Helper()
 	b, err := Marshal(m, xid)

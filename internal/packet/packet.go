@@ -17,7 +17,7 @@ type Meta struct {
 	FlowID    uint64        // generator-assigned flow identity (0 = unset)
 	Seq       int           // packet index within its flow
 	TunnelID  uint64        // set when the packet leaves a tunnel
-	InnerKey  uint32        // inner MPLS label / GRE key popped at decap (ingress port id)
+	InnerKey  uint32        // inner MPLS label popped at decap (ingress port id)
 	FirstOfFl bool          // first packet of its flow (drives flow-setup accounting)
 	pooled    bool          // the box came from the pool (see Release)
 	SentAt    time.Duration // virtual send time, for one-way delay measurement

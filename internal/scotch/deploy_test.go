@@ -12,9 +12,8 @@ import (
 
 func TestLeafSpineDeployment(t *testing.T) {
 	eng := sim.New(6)
-	lsCfg := topo.DefaultLeafSpineConfig()
-	ls := topo.NewLeafSpine(eng, lsCfg)
-	_, app, err := NewLeafSpineDeployment(ls, lsCfg, DefaultConfig())
+	ls := topo.NewLeafSpine(eng)
+	_, app, err := NewLeafSpineDeployment(ls, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +43,8 @@ func TestLeafSpineCrossRackUnderAttack(t *testing.T) {
 	// Full-fabric integration: an attack out of rack 0 toward rack 3 must
 	// not starve a cross-rack tenant flow out of the same rack.
 	eng := sim.New(6)
-	lsCfg := topo.DefaultLeafSpineConfig()
-	ls := topo.NewLeafSpine(eng, lsCfg)
-	_, app, err := NewLeafSpineDeployment(ls, lsCfg, DefaultConfig())
+	ls := topo.NewLeafSpine(eng)
+	_, app, err := NewLeafSpineDeployment(ls, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func (a *App) devoAttach(dpid uint64) {
 	if h == nil || h.Dev == nil {
 		return
 	}
-	a.devo.caches[dpid] = devolve.New(a.C.Eng, h.Dev, a.Cfg.StatsInterval, a.devo.metrics)
+	a.devo.caches[dpid] = devolve.New(a.C.Eng, h.Dev, statsInterval, a.devo.metrics)
 }
 
 // devoDropMember flushes and detaches a departing member's cache

@@ -214,18 +214,11 @@ func (o *Overlay) buildMeshTunnel(va, vb uint64) error {
 	delay, _ := net.PathDelay(va, vb)
 	pa, pb := o.allocPort(va), o.allocPort(vb)
 	id := o.allocTunnelID()
-	t := device.ConnectTunnel(da, pa, db, pb, device.TunnelConfig{
-		Type:    a.Cfg.TunnelType,
-		ID:      id,
-		Delay:   delay + 20*time.Microsecond,
-		RateBps: a.Cfg.TunnelBps,
-		LocalIP: da.LocalIP, RemoteIP: db.LocalIP,
-	})
+	connectTunnel(o, da, pa, db, pb, id, delay)
 	o.meshPort[[2]uint64{va, vb}] = pa
 	o.meshPort[[2]uint64{vb, va}] = pb
 	o.meshID[[2]uint64{va, vb}] = id
 	o.meshID[[2]uint64{vb, va}] = id
-	o.tunnels[id] = t
 	return nil
 }
 
@@ -242,37 +235,24 @@ func (o *Overlay) buildFanoutTunnel(dpid, vs uint64) {
 	delay, _ := net.PathDelay(dpid, vs)
 	sp, vp := o.allocPort(dpid), o.allocPort(vs)
 	id := o.allocTunnelID()
-	t := device.ConnectTunnel(sw, sp, vdev, vp, device.TunnelConfig{
-		Type:    a.Cfg.TunnelType,
-		ID:      id,
-		Delay:   delay + 20*time.Microsecond,
-		RateBps: a.Cfg.TunnelBps,
-		LocalIP: sw.LocalIP, RemoteIP: vdev.LocalIP,
-		StripInnerB: true,
-	})
+	cfg := tunnelConfig(id, delay)
+	cfg.StripInnerB = true
+	t := device.ConnectTunnel(sw, sp, vdev, vp, cfg)
 	o.phys[dpid] = append(o.phys[dpid], physTunnel{vs: vs, physPort: sp, vsPort: vp, id: id})
 	o.tunnelOrigin[id] = dpid
 	o.tunnels[id] = t
 }
 
+// tunnelConfig is the app's standard tunnel over an underlay path of the
+// given delay.
+func tunnelConfig(id uint64, delay time.Duration) device.TunnelConfig {
+	return device.TunnelConfig{ID: id, Delay: delay + 20*time.Microsecond, RateBps: tunnelBps}
+}
+
 // connectTunnel creates one overlay tunnel with the app's standard
-// parameters.
+// parameters and records it under its id.
 func connectTunnel(o *Overlay, a device.Node, ap uint32, b device.Node, bp uint32, id uint64, delay time.Duration) {
-	var la, lb netaddr.IPv4
-	if sw, ok := a.(*device.Switch); ok {
-		la = sw.LocalIP
-	}
-	if sw, ok := b.(*device.Switch); ok {
-		lb = sw.LocalIP
-	}
-	t := device.ConnectTunnel(a, ap, b, bp, device.TunnelConfig{
-		Type:    o.app.Cfg.TunnelType,
-		ID:      id,
-		Delay:   delay + 20*time.Microsecond,
-		RateBps: o.app.Cfg.TunnelBps,
-		LocalIP: la, RemoteIP: lb,
-	})
-	o.tunnels[id] = t
+	o.tunnels[id] = device.ConnectTunnel(a, ap, b, bp, tunnelConfig(id, delay))
 }
 
 func (o *Overlay) buildDelivery(ip netaddr.IPv4, vs uint64) error {
@@ -287,13 +267,7 @@ func (o *Overlay) buildDelivery(ip netaddr.IPv4, vs uint64) error {
 	delay, _ := net.PathDelay(vs, at.DPID)
 	vp := o.allocPort(vs)
 	hp := o.allocPort(0) // host-side logical port id space is per-host anyway
-	t := device.ConnectTunnel(vdev, vp, host, hp, device.TunnelConfig{
-		Type:    a.Cfg.TunnelType,
-		ID:      o.allocTunnelID(),
-		Delay:   delay + 20*time.Microsecond,
-		RateBps: a.Cfg.TunnelBps,
-		LocalIP: vdev.LocalIP, RemoteIP: ip,
-	})
+	t := device.ConnectTunnel(vdev, vp, host, hp, tunnelConfig(o.allocTunnelID(), delay))
 	o.hostPorts[ip] = vp
 	o.deliveryPort[[2]uint64{vs, uint64(ip)}] = vp
 	o.deliveryTun[[2]uint64{vs, uint64(ip)}] = t
@@ -440,21 +414,6 @@ func (o *Overlay) deliveryFor(ip netaddr.IPv4) (uint64, uint32, bool) {
 	return vs, port, ok
 }
 
-// offloadActions returns the action list that sends a packet arriving on
-// ingressPort of switch dpid into the overlay, tagging it with the port.
-func (o *Overlay) offloadActions(ingressPort uint32) []openflow.Action {
-	if o.app.Cfg.TunnelType == device.TunnelGRE {
-		return []openflow.Action{
-			openflow.SetTunnelAction(uint64(ingressPort)),
-			openflow.GroupAction(offloadGroupID),
-		}
-	}
-	return []openflow.Action{
-		openflow.PushMPLSAction(ingressPort),
-		openflow.GroupAction(offloadGroupID),
-	}
-}
-
 // activate installs the offload rules at a congested switch (paper §5.1):
 // table 0 tags each ingress port with an inner label and continues to
 // table 1, whose default rule hands the packet to the select group. The
@@ -489,17 +448,11 @@ func (o *Overlay) activate(dpid uint64) {
 			if h == nil {
 				return
 			}
-			var acts []openflow.Action
-			if o.app.Cfg.TunnelType == device.TunnelGRE {
-				acts = []openflow.Action{openflow.SetTunnelAction(uint64(port))}
-			} else {
-				acts = []openflow.Action{openflow.PushMPLSAction(port)}
-			}
 			h.InstallFlow(&openflow.FlowMod{
 				Command: openflow.FlowAdd, TableID: 0, Priority: prioOffloadPortTag,
 				Match: openflow.Match{Fields: openflow.FieldInPort, InPort: port},
 				Instructions: []openflow.Instruction{
-					openflow.ApplyActions(acts...),
+					openflow.ApplyActions(openflow.PushMPLSAction(port)),
 					openflow.GotoTable(1),
 				},
 			})
@@ -698,7 +651,7 @@ func (o *Overlay) buildChainEntry(vs uint64) {
 // reverse of addLive): the member stops taking new assignments (select
 // groups and delivery lookups exclude it immediately), its established
 // flows are handed to the elephant-migration path, and once its flow
-// table is empty of per-flow rules — or DrainTimeout expires — the
+// table is empty of per-flow rules — or drainTimeout expires — the
 // tunnels are torn down. A member that dies mid-drain is torn down
 // immediately by failover.
 func (o *Overlay) drain(dpid uint64) error {
@@ -754,7 +707,7 @@ func (o *Overlay) drain(dpid uint64) error {
 			a.migrateOut(fi)
 		}
 	}
-	o.pollDrain(dpid, a.C.Eng.Now()+sim.Time(a.Cfg.DrainTimeout))
+	o.pollDrain(dpid, a.C.Eng.Now()+sim.Time(drainTimeout))
 	return nil
 }
 

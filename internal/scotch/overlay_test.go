@@ -128,19 +128,6 @@ func TestDeliveryFallsBackToBackup(t *testing.T) {
 	}
 }
 
-func TestOffloadActionsGRE(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TunnelType = device.TunnelGRE
-	f := newFixture(t, cfg, 1, 0)
-	acts := f.app.ov.offloadActions(7)
-	if len(acts) != 2 || acts[0].Type != openflow.ActionTypeSetField || acts[0].TunnelID != 7 {
-		t.Fatalf("GRE offload actions = %+v", acts)
-	}
-	if acts[1].Type != openflow.ActionTypeGroup {
-		t.Fatalf("second action = %+v", acts[1])
-	}
-}
-
 func TestTunnelOriginResolution(t *testing.T) {
 	f := newFixture(t, DefaultConfig(), 2, 0)
 	for _, pt := range f.app.ov.phys[f.edge.DPID] {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scotch/internal/controller"
-	"scotch/internal/device"
 	"scotch/internal/metrics"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
@@ -27,10 +26,9 @@ type Config struct {
 	// protected switch.
 	OverlayInstallRate float64
 
-	// OverlayThreshold and DropThreshold act on the per-ingress-port
-	// backlog (paper Fig. 7).
+	// OverlayThreshold acts on the per-ingress-port backlog (paper
+	// Fig. 7); past it new flows ride the overlay.
 	OverlayThreshold int
-	DropThreshold    int
 
 	// ActivateRate is the Packet-In rate (per switch) above which the
 	// control path is deemed congested and the overlay engages;
@@ -39,31 +37,19 @@ type Config struct {
 	ActivateRate     float64
 	DeactivateRate   float64
 	DeactivateChecks int
-	MonitorInterval  time.Duration
 
 	// Elephant migration (§5.3): a flow is an elephant once its byte
 	// count crosses ElephantBytes, or — when ElephantPackets is non-zero
 	// — once its packet count crosses ElephantPackets. The packet
 	// threshold defaults to off so byte-only deployments are unchanged.
-	StatsInterval   time.Duration
 	ElephantBytes   uint64
 	ElephantPackets uint64
 
-	// Overlay plumbing.
-	TunnelType device.TunnelType
-	FanOut     int // tunnels per protected switch into the mesh
-	TunnelBps  float64
-
-	// vSwitch liveness.
-	HeartbeatInterval time.Duration
-	HeartbeatMisses   int
+	// FanOut is the number of tunnels per protected switch into the mesh.
+	FanOut int
 
 	// RuleIdleTimeout is applied to per-flow rules everywhere.
 	RuleIdleTimeout time.Duration
-
-	// DrainTimeout bounds how long DrainVSwitch waits for a member's
-	// flow table to empty before tearing its tunnels down anyway.
-	DrainTimeout time.Duration
 
 	// Policy returns the middlebox chain a flow must traverse (nil for
 	// none); see AddMiddlebox.
@@ -93,22 +79,35 @@ func DefaultConfig() Config {
 		InstallRate:        1000,
 		OverlayInstallRate: 4000,
 		OverlayThreshold:   20,
-		DropThreshold:      200,
 		ActivateRate:       150,
 		DeactivateRate:     50,
 		DeactivateChecks:   10,
-		MonitorInterval:    100 * time.Millisecond,
-		StatsInterval:      time.Second,
 		ElephantBytes:      20 << 10,
-		TunnelType:         device.TunnelMPLS,
 		FanOut:             2,
-		TunnelBps:          1e9,
-		HeartbeatInterval:  500 * time.Millisecond,
-		HeartbeatMisses:    3,
 		RuleIdleTimeout:    10 * time.Second,
-		DrainTimeout:       30 * time.Second,
 	}
 }
+
+// The app's fixed timing and plumbing.
+const (
+	// dropThreshold is the per-group backlog past which new-flow requests
+	// are dropped: neither path can absorb the group (paper Fig. 7).
+	dropThreshold = 200
+	// monitorInterval is the congestion monitor's period.
+	monitorInterval = 100 * time.Millisecond
+	// statsInterval is the elephant poll's period (§5.3), also the
+	// devolution caches' sweep period.
+	statsInterval = time.Second
+	// tunnelBps is every overlay tunnel's rate.
+	tunnelBps = 1e9
+	// heartbeatInterval and heartbeatMisses govern vSwitch liveness: a
+	// member silent for heartbeatMisses consecutive probes is dead.
+	heartbeatInterval = 500 * time.Millisecond
+	heartbeatMisses   = 3
+	// drainTimeout bounds how long DrainVSwitch waits for a member's
+	// flow table to empty before tearing its tunnels down anyway.
+	drainTimeout = 30 * time.Second
+)
 
 // Stats counts Scotch decisions.
 type Stats struct {
@@ -279,8 +278,8 @@ func (a *App) AddVSwitch(dpid uint64, backup bool) error {
 // DrainVSwitch gracefully removes a mesh member from a built overlay:
 // the member immediately stops receiving new flow assignments, its
 // established flows migrate to physical paths (or idle out), and its
-// tunnels are torn down once its flow table empties or
-// Config.DrainTimeout passes. Draining the last live primary or a
+// tunnels are torn down once its flow table empties or a 30s drain
+// timeout passes. Draining the last live primary or a
 // chain-aggregation vSwitch is refused.
 func (a *App) DrainVSwitch(dpid uint64) error {
 	if !a.built {
@@ -328,16 +327,16 @@ func (a *App) Build() error {
 	if err := a.ov.build(); err != nil {
 		return err
 	}
-	a.C.Eng.Every(a.Cfg.MonitorInterval, a.monitor)
-	a.C.Eng.Every(a.Cfg.StatsInterval, a.pollElephants)
+	a.C.Eng.Every(monitorInterval, a.monitor)
+	a.C.Eng.Every(statsInterval, a.pollElephants)
 	a.installDeadHook()
 	// The heartbeat acts through the app's *current* controller each tick,
 	// so after a Rebind probing continues from the new master and a dead
 	// replica's stale connection cannot poison liveness state. Membership
 	// is re-read each tick: live-added members join the probe set and
 	// drained members leave it.
-	a.C.Eng.Every(a.Cfg.HeartbeatInterval, func() {
-		a.C.HeartbeatTick(a.MeshMembers(), a.Cfg.HeartbeatMisses)
+	a.C.Eng.Every(heartbeatInterval, func() {
+		a.C.HeartbeatTick(a.MeshMembers(), heartbeatMisses)
 	})
 	a.built = true
 	if a.devo != nil {
@@ -526,7 +525,7 @@ func (a *App) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.PacketIn
 	ovl := a.ovlSchedFor(origin)
 	backlog := phys.IngressLen(group) + ovl.IngressLen(group)
 	switch {
-	case backlog >= a.Cfg.DropThreshold:
+	case backlog >= dropThreshold:
 		// Beyond the dropping threshold neither the physical network nor
 		// the overlay can absorb the group's arrival rate (paper §5.2).
 		a.Stats.Dropped++
@@ -795,13 +794,6 @@ func (a *App) withdraw(dpid uint64) {
 			if h == nil {
 				return
 			}
-			acts := make([]openflow.Action, 0, 2)
-			if a.Cfg.TunnelType == device.TunnelGRE {
-				acts = append(acts, openflow.SetTunnelAction(uint64(fi.IngressPort)))
-			} else {
-				acts = append(acts, openflow.PushMPLSAction(fi.IngressPort))
-			}
-			acts = append(acts, openflow.GroupAction(offloadGroupID))
 			h.InstallFlow(&openflow.FlowMod{
 				Command:     openflow.FlowAdd,
 				TableID:     0,
@@ -809,7 +801,8 @@ func (a *App) withdraw(dpid uint64) {
 				IdleTimeout: uint16(a.Cfg.RuleIdleTimeout / time.Second),
 				Match:       exactMatch(fi.Key),
 				Instructions: []openflow.Instruction{
-					openflow.ApplyActions(acts...),
+					openflow.ApplyActions(openflow.PushMPLSAction(fi.IngressPort),
+						openflow.GroupAction(offloadGroupID)),
 				},
 			})
 			a.Stats.Pinned++

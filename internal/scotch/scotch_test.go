@@ -322,9 +322,10 @@ func TestSelectVSwitchMirrorsGroupHash(t *testing.T) {
 
 func TestDropThresholdEngages(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.OverlayInstallRate = 50 // strangle the overlay path
+	// Strangle the overlay path so the attacker's ingress backlog grows
+	// past dropThreshold (200) within the run.
+	cfg.OverlayInstallRate = 50
 	cfg.OverlayThreshold = 5
-	cfg.DropThreshold = 20
 	f := newFixture(t, cfg, 2, 0)
 	d := workload.StartDDoS(f.atkEm, f.server.IP, 3000)
 	f.eng.RunUntil(10 * time.Second)
@@ -402,23 +403,5 @@ func TestKeyFromMatchRoundTrip(t *testing.T) {
 	empty.Fields = 0
 	if _, ok := keyFromMatch(&empty); ok {
 		t.Fatal("keyFromMatch accepted a wildcard")
-	}
-}
-
-func TestGREVariantEndToEnd(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TunnelType = device.TunnelGRE
-	f := newFixture(t, cfg, 2, 0)
-	d := workload.StartDDoS(f.atkEm, f.server.IP, 2000)
-	cl := workload.StartClient(f.cliEm, f.server.IP, 100, 1, 0)
-	f.eng.RunUntil(10 * time.Second)
-	d.Stop()
-	cl.Stop()
-	f.eng.RunUntil(11 * time.Second)
-	if !f.app.Active(f.edge.DPID) {
-		t.Fatal("GRE overlay never activated")
-	}
-	if failure := f.cap.FailureFraction("client"); failure > 0.2 {
-		t.Fatalf("client failure with GRE overlay = %.2f", failure)
 	}
 }

@@ -37,42 +37,20 @@ func NewTestbed(eng sim.Proc, prof device.Profile) *Testbed {
 	return tb
 }
 
-// LeafSpineConfig shapes a data-center fabric.
-type LeafSpineConfig struct {
-	Spines       int
-	Leaves       int
-	HostsPerLeaf int
-	// VSwitchesPerLeaf is the size of the per-rack Scotch vSwitch pool
-	// (the paper suggests "two Scotch vswitches at each rack").
-	VSwitchesPerLeaf int
-
-	LeafProfile    device.Profile // hardware ToR switches
-	SpineProfile   device.Profile
-	VSwitchProfile device.Profile
-
-	FabricDelay time.Duration // leaf-spine link delay
-	EdgeDelay   time.Duration // host/vswitch attachment delay
-	FabricBps   float64
-	EdgeBps     float64
-}
-
-// DefaultLeafSpineConfig returns the configuration used by the paper-scale
-// experiments: Pica8 ToRs, OVS vSwitch pool, 10G fabric.
-func DefaultLeafSpineConfig() LeafSpineConfig {
-	return LeafSpineConfig{
-		Spines:           2,
-		Leaves:           4,
-		HostsPerLeaf:     4,
-		VSwitchesPerLeaf: 2,
-		LeafProfile:      device.Pica8Profile(),
-		SpineProfile:     device.Pica8Profile(),
-		VSwitchProfile:   device.OVSProfile(),
-		FabricDelay:      100 * time.Microsecond,
-		EdgeDelay:        20 * time.Microsecond,
-		FabricBps:        10e9,
-		EdgeBps:          1e9,
-	}
-}
+// The leaf-spine fabric the paper-scale experiments use: two spines, four
+// leaves with four hosts each, and a per-rack Scotch vSwitch pool of two
+// (the paper suggests "two Scotch vswitches at each rack"). Pica8 ToRs and
+// spines, OVS vSwitches, a 10G fabric and 1G edge links.
+const (
+	lsSpines           = 2
+	lsLeaves           = 4
+	lsHostsPerLeaf     = 4
+	lsVSwitchesPerLeaf = 2
+	lsFabricDelay      = 100 * time.Microsecond // leaf-spine link delay
+	lsEdgeDelay        = 20 * time.Microsecond  // host/vSwitch attachment delay
+	lsFabricBps        = 10e9
+	lsEdgeBps          = 1e9
+)
 
 // LeafSpine is a built data-center fabric.
 type LeafSpine struct {
@@ -91,26 +69,26 @@ func HostIP(leaf, i int) netaddr.IPv4 {
 }
 
 // NewLeafSpine builds the fabric.
-func NewLeafSpine(eng sim.Proc, cfg LeafSpineConfig) *LeafSpine {
+func NewLeafSpine(eng sim.Proc) *LeafSpine {
 	n := New(eng)
 	ls := &LeafSpine{
 		Net:       n,
 		VSwitchAt: make(map[uint64]int),
 		HostLeaf:  make(map[netaddr.IPv4]int),
 	}
-	for s := 0; s < cfg.Spines; s++ {
-		ls.Spines = append(ls.Spines, n.AddSwitch(fmt.Sprintf("spine%d", s), cfg.SpineProfile))
+	for s := 0; s < lsSpines; s++ {
+		ls.Spines = append(ls.Spines, n.AddSwitch(fmt.Sprintf("spine%d", s), device.Pica8Profile()))
 	}
-	fabric := device.LinkConfig{Delay: cfg.FabricDelay, RateBps: cfg.FabricBps}
-	edge := device.LinkConfig{Delay: cfg.EdgeDelay, RateBps: cfg.EdgeBps}
-	for l := 0; l < cfg.Leaves; l++ {
-		leaf := n.AddSwitch(fmt.Sprintf("leaf%d", l), cfg.LeafProfile)
+	fabric := device.LinkConfig{Delay: lsFabricDelay, RateBps: lsFabricBps}
+	edge := device.LinkConfig{Delay: lsEdgeDelay, RateBps: lsEdgeBps}
+	for l := 0; l < lsLeaves; l++ {
+		leaf := n.AddSwitch(fmt.Sprintf("leaf%d", l), device.Pica8Profile())
 		ls.Leaves = append(ls.Leaves, leaf)
 		for _, sp := range ls.Spines {
 			n.LinkSwitches(leaf, sp, fabric)
 		}
 		var hosts []*device.Host
-		for i := 0; i < cfg.HostsPerLeaf; i++ {
+		for i := 0; i < lsHostsPerLeaf; i++ {
 			ip := HostIP(l, i)
 			h := n.AddHost(fmt.Sprintf("h%d-%d", l, i), ip)
 			n.AttachHost(h, leaf, edge)
@@ -118,8 +96,8 @@ func NewLeafSpine(eng sim.Proc, cfg LeafSpineConfig) *LeafSpine {
 			ls.HostLeaf[ip] = l
 		}
 		ls.Hosts = append(ls.Hosts, hosts)
-		for v := 0; v < cfg.VSwitchesPerLeaf; v++ {
-			vs := n.AddSwitch(fmt.Sprintf("vs%d-%d", l, v), cfg.VSwitchProfile)
+		for v := 0; v < lsVSwitchesPerLeaf; v++ {
+			vs := n.AddSwitch(fmt.Sprintf("vs%d-%d", l, v), device.OVSProfile())
 			n.LinkSwitches(leaf, vs, edge)
 			ls.VSwitches = append(ls.VSwitches, vs)
 			ls.VSwitchAt[vs.DPID] = l

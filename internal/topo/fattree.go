@@ -22,37 +22,23 @@ type FatTreeConfig struct {
 	// subsampling keeps huge fabrics simulable while every host slot
 	// remains addressable through FatTreeHostIP.
 	HostsPerEdge int
-	// VSwitchesPerPod is the per-pod Scotch vSwitch pool, attached
-	// round-robin to the pod's edge switches.
-	VSwitchesPerPod int
-
-	CoreProfile    device.Profile
-	AggProfile     device.Profile
-	EdgeProfile    device.Profile
-	VSwitchProfile device.Profile
-
-	FabricDelay time.Duration // core-agg and agg-edge link delay
-	EdgeDelay   time.Duration // host and vSwitch attachment delay
-	FabricBps   float64
-	EdgeBps     float64
 }
 
+// The rest of the fat-tree's shape is fixed: a per-pod Scotch vSwitch
+// pool of two, attached round-robin to the pod's edge switches; Pica8
+// hardware switches and OVS vSwitches; a 10G fabric and 1G edge links.
+const (
+	ftVSwitchesPerPod = 2
+	ftFabricDelay     = 100 * time.Microsecond // core-agg and agg-edge link delay
+	ftEdgeDelay       = 20 * time.Microsecond  // host and vSwitch attachment delay
+	ftFabricBps       = 10e9
+	ftEdgeBps         = 1e9
+)
+
 // DefaultFatTreeConfig returns the configuration the scenario experiments
-// use: Pica8 hardware switches, OVS vSwitch pool, 10G fabric.
+// use: a k-ary tree with every host slot instantiated.
 func DefaultFatTreeConfig(k int) FatTreeConfig {
-	return FatTreeConfig{
-		K:               k,
-		HostsPerEdge:    k / 2,
-		VSwitchesPerPod: 2,
-		CoreProfile:     device.Pica8Profile(),
-		AggProfile:      device.Pica8Profile(),
-		EdgeProfile:     device.Pica8Profile(),
-		VSwitchProfile:  device.OVSProfile(),
-		FabricDelay:     100 * time.Microsecond,
-		EdgeDelay:       20 * time.Microsecond,
-		FabricBps:       10e9,
-		EdgeBps:         1e9,
-	}
+	return FatTreeConfig{K: k, HostsPerEdge: k / 2}
 }
 
 // FatTree is a built fat-tree fabric plus the indexes Scotch deployment
@@ -111,16 +97,16 @@ func NewFatTree(eng sim.Proc, cfg FatTreeConfig) *FatTree {
 		EdgeOf:     make(map[netaddr.IPv4]uint64),
 	}
 
-	fabric := device.LinkConfig{Delay: cfg.FabricDelay, RateBps: cfg.FabricBps}
-	edge := device.LinkConfig{Delay: cfg.EdgeDelay, RateBps: cfg.EdgeBps}
+	fabric := device.LinkConfig{Delay: ftFabricDelay, RateBps: ftFabricBps}
+	edge := device.LinkConfig{Delay: ftEdgeDelay, RateBps: ftEdgeBps}
 
 	for c := 0; c < half*half; c++ {
-		ft.Core = append(ft.Core, n.AddSwitch(fmt.Sprintf("core%d", c), cfg.CoreProfile))
+		ft.Core = append(ft.Core, n.AddSwitch(fmt.Sprintf("core%d", c), device.Pica8Profile()))
 	}
 	for p := 0; p < k; p++ {
 		var aggs, edges []*device.Switch
 		for a := 0; a < half; a++ {
-			ag := n.AddSwitch(fmt.Sprintf("agg%d-%d", p, a), cfg.AggProfile)
+			ag := n.AddSwitch(fmt.Sprintf("agg%d-%d", p, a), device.Pica8Profile())
 			aggs = append(aggs, ag)
 			// Aggregation switch a of every pod uplinks to the same core
 			// stripe: cores a*k/2 .. a*k/2+k/2-1.
@@ -130,7 +116,7 @@ func NewFatTree(eng sim.Proc, cfg FatTreeConfig) *FatTree {
 		}
 		var hosts []*device.Host
 		for e := 0; e < half; e++ {
-			ed := n.AddSwitch(fmt.Sprintf("edge%d-%d", p, e), cfg.EdgeProfile)
+			ed := n.AddSwitch(fmt.Sprintf("edge%d-%d", p, e), device.Pica8Profile())
 			edges = append(edges, ed)
 			for _, ag := range aggs {
 				n.LinkSwitches(ed, ag, fabric)
@@ -144,8 +130,8 @@ func NewFatTree(eng sim.Proc, cfg FatTreeConfig) *FatTree {
 				ft.EdgeOf[ip] = ed.DPID
 			}
 		}
-		for v := 0; v < cfg.VSwitchesPerPod; v++ {
-			vs := n.AddSwitch(fmt.Sprintf("vs%d-%d", p, v), cfg.VSwitchProfile)
+		for v := 0; v < ftVSwitchesPerPod; v++ {
+			vs := n.AddSwitch(fmt.Sprintf("vs%d-%d", p, v), device.OVSProfile())
 			n.LinkSwitches(edges[v%half], vs, edge)
 			ft.VSwitches = append(ft.VSwitches, vs)
 			ft.VSwitchPod[vs.DPID] = p
@@ -160,8 +146,7 @@ func NewFatTree(eng sim.Proc, cfg FatTreeConfig) *FatTree {
 
 // PodVSwitches returns pod p's slice of the vSwitch pool.
 func (ft *FatTree) PodVSwitches(p int) []*device.Switch {
-	per := ft.Cfg.VSwitchesPerPod
-	return ft.VSwitches[p*per : (p+1)*per]
+	return ft.VSwitches[p*ftVSwitchesPerPod : (p+1)*ftVSwitchesPerPod]
 }
 
 // AllHosts returns every instantiated host in pod order.

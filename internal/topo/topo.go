@@ -92,7 +92,6 @@ func (n *Network) AddSwitch(name string, prof device.Profile) *device.Switch {
 	}
 	n.nextDPID++
 	sw := device.NewSwitch(n.cur(), name, n.nextDPID, prof)
-	sw.LocalIP = netaddr.MakeIPv4(192, 168, byte(n.nextDPID>>8), byte(n.nextDPID))
 	n.switches[sw.DPID] = sw
 	n.byName[name] = sw
 	n.nextPort[sw.DPID] = 1

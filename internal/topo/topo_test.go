@@ -148,13 +148,12 @@ func TestTestbedEndToEnd(t *testing.T) {
 
 func TestLeafSpineShape(t *testing.T) {
 	eng := sim.New(1)
-	cfg := DefaultLeafSpineConfig()
-	ls := NewLeafSpine(eng, cfg)
-	if len(ls.Spines) != cfg.Spines || len(ls.Leaves) != cfg.Leaves {
-		t.Fatalf("fabric %dx%d", len(ls.Spines), len(ls.Leaves))
+	ls := NewLeafSpine(eng)
+	if len(ls.Spines) != 2 || len(ls.Leaves) != 4 {
+		t.Fatalf("fabric %dx%d, want 2x4", len(ls.Spines), len(ls.Leaves))
 	}
-	if len(ls.VSwitches) != cfg.Leaves*cfg.VSwitchesPerLeaf {
-		t.Fatalf("vswitches = %d", len(ls.VSwitches))
+	if len(ls.VSwitches) != 8 {
+		t.Fatalf("vswitches = %d, want 8", len(ls.VSwitches))
 	}
 	// Any leaf can reach any host; paths between different leaves cross a
 	// spine.
@@ -181,7 +180,7 @@ func TestLeafSpineShape(t *testing.T) {
 
 func TestLeafSpineHostIPsDistinct(t *testing.T) {
 	eng := sim.New(1)
-	ls := NewLeafSpine(eng, DefaultLeafSpineConfig())
+	ls := NewLeafSpine(eng)
 	seen := map[netaddr.IPv4]bool{}
 	for _, hosts := range ls.Hosts {
 		for _, h := range hosts {

@@ -1,12 +1,51 @@
 package workload
 
-import "scotch/internal/sim"
+import (
+	"time"
+
+	"scotch/internal/sim"
+)
 
 // Curve maps virtual time to an instantaneous flow arrival rate
 // (flows/second). Curves are pure functions of time, so every tenant's
 // load trajectory is reproducible and independent of evaluation order.
 type Curve interface {
 	RateAt(t sim.Time) float64
+}
+
+// integrator turns a Curve into discrete arrivals with a fractional
+// accumulator advanced every millisecond of virtual time: arrivals are
+// deterministic, and sub-tick rate changes integrate exactly rather than
+// aliasing. Scenario tenants and flash crowds both run on one.
+type integrator struct {
+	eng    sim.Proc
+	curve  Curve
+	spawn  func()
+	acc    float64
+	last   sim.Time
+	ticker *sim.Ticker
+}
+
+func (in *integrator) start() {
+	in.last = in.eng.Now()
+	in.ticker = in.eng.Every(time.Millisecond, in.step)
+}
+
+func (in *integrator) step() {
+	now := in.eng.Now()
+	in.acc += in.curve.RateAt(now) * (now - in.last).Seconds()
+	in.last = now
+	for in.acc >= 1 {
+		in.acc--
+		in.spawn()
+	}
+}
+
+// stop halts the arrivals; stopping one never started is a no-op.
+func (in *integrator) stop() {
+	if in.ticker != nil {
+		in.ticker.Stop()
+	}
 }
 
 // ConstantCurve is a flat arrival rate: the baseline tenant.

@@ -48,8 +48,6 @@ type TenantSpec struct {
 type Scenario struct {
 	Eng  sim.Proc
 	Seed int64
-	// Tick is the arrival-accumulator resolution (default 1ms).
-	Tick time.Duration
 	// Emit launches one generated flow; the default is (*Emitter).Start.
 	// Tests substitute a recorder to observe the generated sequence.
 	Emit func(tenant string, em *Emitter, f Flow)
@@ -63,10 +61,8 @@ type tenantRun struct {
 	s    *Scenario
 	spec TenantSpec
 	rng  *rand.Rand
-	acc  float64
-	last sim.Time
 	n    uint64
-	tick *sim.Ticker
+	arr  integrator
 }
 
 // NewScenario returns an empty scenario on the engine with the given seed.
@@ -132,38 +128,19 @@ func (s *Scenario) Start() {
 		panic("workload: scenario started twice")
 	}
 	s.started = true
-	if s.Tick == 0 {
-		s.Tick = time.Millisecond
-	}
 	if s.Emit == nil {
 		s.Emit = func(_ string, em *Emitter, f Flow) { em.Start(f) }
 	}
 	for _, tr := range s.tenants {
-		tr := tr
-		tr.last = s.Eng.Now()
-		tr.tick = s.Eng.Every(s.Tick, tr.step)
+		tr.arr = integrator{eng: s.Eng, curve: tr.spec.Curve, spawn: tr.spawn}
+		tr.arr.start()
 	}
 }
 
 // Stop halts every tenant's arrival process.
 func (s *Scenario) Stop() {
 	for _, tr := range s.tenants {
-		if tr.tick != nil {
-			tr.tick.Stop()
-		}
-	}
-}
-
-// step integrates the tenant's rate curve with a fractional accumulator
-// (the FlashCrowd scheme): arrivals are deterministic in virtual time, and
-// sub-tick rate changes integrate exactly rather than aliasing.
-func (tr *tenantRun) step() {
-	now := tr.s.Eng.Now()
-	tr.acc += tr.spec.Curve.RateAt(now) * (now - tr.last).Seconds()
-	tr.last = now
-	for tr.acc >= 1 {
-		tr.acc--
-		tr.spawn()
+		tr.arr.stop()
 	}
 }
 

@@ -178,61 +178,19 @@ func (a *arrivals) arm() {
 
 func (a *arrivals) Stop() { a.stopped = true }
 
-// FlashCrowd modulates a flow arrival rate over time: Base until RampStart,
-// a linear climb to Peak by PeakStart, sustained until PeakEnd, then a
-// linear fall back to Base by RampEnd. It drives a callback with each new
-// flow arrival, using a deterministic fractional accumulator.
-type FlashCrowd struct {
-	Base, Peak                             float64
-	RampStart, PeakStart, PeakEnd, RampEnd sim.Time
+// FlashCrowd drives a callback with each new flow arrival, at the rate a
+// TrapezoidCurve envelope gives over time.
+type FlashCrowd struct{ arr integrator }
 
-	eng    sim.Proc
-	spawn  func()
-	acc    float64
-	last   sim.Time
-	ticker *sim.Ticker
-}
-
-// StartFlashCrowd begins driving spawn with the modulated arrival process.
-func StartFlashCrowd(eng sim.Proc, fc FlashCrowd, spawn func()) *FlashCrowd {
-	f := fc
-	f.eng = eng
-	f.spawn = spawn
-	f.last = eng.Now()
-	f.ticker = eng.Every(time.Millisecond, f.tick)
-	return &f
-}
-
-// RateAt returns the instantaneous arrival rate at virtual time t.
-func (f *FlashCrowd) RateAt(t sim.Time) float64 {
-	switch {
-	case t < f.RampStart:
-		return f.Base
-	case t < f.PeakStart:
-		frac := float64(t-f.RampStart) / float64(f.PeakStart-f.RampStart)
-		return f.Base + frac*(f.Peak-f.Base)
-	case t < f.PeakEnd:
-		return f.Peak
-	case t < f.RampEnd:
-		frac := float64(t-f.PeakEnd) / float64(f.RampEnd-f.PeakEnd)
-		return f.Peak - frac*(f.Peak-f.Base)
-	default:
-		return f.Base
-	}
-}
-
-func (f *FlashCrowd) tick() {
-	now := f.eng.Now()
-	f.acc += f.RateAt(now) * (now - f.last).Seconds()
-	f.last = now
-	for f.acc >= 1 {
-		f.acc--
-		f.spawn()
-	}
+// StartFlashCrowd begins driving spawn with arrivals at the envelope's rate.
+func StartFlashCrowd(eng sim.Proc, c TrapezoidCurve, spawn func()) *FlashCrowd {
+	f := &FlashCrowd{arr: integrator{eng: eng, curve: c, spawn: spawn}}
+	f.arr.start()
+	return f
 }
 
 // Stop halts the arrival process.
-func (f *FlashCrowd) Stop() { f.ticker.Stop() }
+func (f *FlashCrowd) Stop() { f.arr.stop() }
 
 // ParetoSize samples a bounded Pareto flow size in packets: heavy-tailed,
 // reproducing the measurement literature's "majority of bytes belong to a
@@ -249,19 +207,17 @@ func ParetoSize(u float64, alpha float64, minPkts, maxPkts int) int {
 }
 
 // TraceGen synthesizes a realistic workload: Poisson-ish flow arrivals
-// spread over a set of source hosts, bounded-Pareto flow sizes, uniform
-// destination choice. It is the stand-in for the paper's trace-driven
-// experiment input.
+// spread over a set of source hosts, bounded-Pareto flow sizes (shape 1.2,
+// typical for DC flows, from one packet up), uniform destination choice.
+// It is the stand-in for the paper's trace-driven experiment input; its
+// flows carry the capture class "trace".
 type TraceGen struct {
 	Eng     sim.Proc
 	Sources []*Emitter
 	Dsts    []netaddr.IPv4
 	Rate    float64 // aggregate new flows per second
-	Alpha   float64 // Pareto shape (1.2 is typical for DC flows)
-	MinPkts int
 	MaxPkts int
 	PktIval time.Duration
-	Class   string
 
 	n    uint32
 	proc *arrivals
@@ -269,15 +225,6 @@ type TraceGen struct {
 
 // Start begins the trace playback.
 func (tg *TraceGen) Start() {
-	if tg.Class == "" {
-		tg.Class = "trace"
-	}
-	if tg.Alpha == 0 {
-		tg.Alpha = 1.2
-	}
-	if tg.MinPkts == 0 {
-		tg.MinPkts = 1
-	}
 	if tg.MaxPkts == 0 {
 		tg.MaxPkts = 2000
 	}
@@ -295,11 +242,11 @@ func (tg *TraceGen) fire() {
 	if dst == src.Host.IP {
 		dst = tg.Dsts[(rng.Intn(len(tg.Dsts))+1)%len(tg.Dsts)]
 	}
-	pkts := ParetoSize(rng.Float64(), tg.Alpha, tg.MinPkts, tg.MaxPkts)
+	pkts := ParetoSize(rng.Float64(), 1.2, 1, tg.MaxPkts)
 	src.Start(Flow{
 		Key: netaddr.FlowKey{Src: src.Host.IP, Dst: dst, Proto: netaddr.ProtoTCP,
 			SrcPort: uint16(1024 + tg.n%60000), DstPort: 80},
-		Packets: pkts, Interval: tg.PktIval, Size: 1000, Class: tg.Class,
+		Packets: pkts, Interval: tg.PktIval, Size: 1000, Class: "trace",
 	})
 }
 

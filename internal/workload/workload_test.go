@@ -105,26 +105,26 @@ func TestClientGenClass(t *testing.T) {
 
 func TestFlashCrowdEnvelope(t *testing.T) {
 	eng := sim.New(1)
-	fc := FlashCrowd{
+	fc := TrapezoidCurve{
 		Base: 100, Peak: 1000,
 		RampStart: 2 * time.Second, PeakStart: 4 * time.Second,
 		PeakEnd: 6 * time.Second, RampEnd: 8 * time.Second,
 	}
 	count := 0
 	f := StartFlashCrowd(eng, fc, func() { count++ })
-	if r := f.RateAt(0); r != 100 {
+	if r := fc.RateAt(0); r != 100 {
 		t.Fatalf("rate(0) = %v", r)
 	}
-	if r := f.RateAt(3 * time.Second); math.Abs(r-550) > 1 {
+	if r := fc.RateAt(3 * time.Second); math.Abs(r-550) > 1 {
 		t.Fatalf("rate(3s) = %v, want 550", r)
 	}
-	if r := f.RateAt(5 * time.Second); r != 1000 {
+	if r := fc.RateAt(5 * time.Second); r != 1000 {
 		t.Fatalf("rate(5s) = %v", r)
 	}
-	if r := f.RateAt(7 * time.Second); math.Abs(r-550) > 1 {
+	if r := fc.RateAt(7 * time.Second); math.Abs(r-550) > 1 {
 		t.Fatalf("rate(7s) = %v", r)
 	}
-	if r := f.RateAt(10 * time.Second); r != 100 {
+	if r := fc.RateAt(10 * time.Second); r != 100 {
 		t.Fatalf("rate(10s) = %v", r)
 	}
 	eng.RunUntil(10 * time.Second)
