@@ -7,7 +7,11 @@ import (
 	"fixture/internal/scotch"
 )
 
+// sizer is satisfied by lib.Counter; calling through it is a use of Size.
+type sizer interface{ Size() int }
+
 func main() {
 	nocomment.Used()
-	_ = lib.UsedByCode() + scotch.Undocumented() + scotch.Documented()
+	var s sizer = &lib.Counter{}
+	_ = lib.UsedByCode() + scotch.Undocumented() + scotch.Documented() + s.Size()
 }

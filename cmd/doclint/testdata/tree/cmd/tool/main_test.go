@@ -7,7 +7,7 @@ import (
 )
 
 func TestFixture(t *testing.T) {
-	if lib.Fixture() != 2 {
+	if lib.Fixture() != 2 || (&lib.Counter{}).FromOtherTest() != 0 {
 		t.Fatal("fixture")
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestExtOnly(t *testing.T) {
-	if lib.ExtOnly() != 4 {
+	if lib.ExtOnly() != 4 || (&lib.Counter{}).OnlyTests() != 0 {
 		t.Fatal("fixture")
 	}
 }

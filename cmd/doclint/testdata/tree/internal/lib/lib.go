@@ -21,3 +21,28 @@ type Orphan struct{ n int }
 
 // Self returns the receiver.
 func (o *Orphan) Self() *Orphan { return o }
+
+// Counter is referenced from cmd/tool, so only its methods are judged.
+type Counter struct{ n int }
+
+// OnlyTests is called only from this package's internal and external
+// tests.
+func (c *Counter) OnlyTests() int { return c.n }
+
+// Countdown calls itself, and otherwise only this package's tests call
+// it: a selection inside its own body does not count.
+func (c *Counter) Countdown(n int) int {
+	if n == 0 {
+		return c.n
+	}
+	return c.Countdown(n - 1)
+}
+
+// Size is called through an interface in cmd/tool's non-test code.
+func (c *Counter) Size() int { return c.n }
+
+// FromOtherTest is called only from cmd/tool's test.
+func (c *Counter) FromOtherTest() int { return c.n }
+
+// String is exempt: a standard interface fixes its name.
+func (c *Counter) String() string { return "counter" }

@@ -3,7 +3,8 @@ package lib
 import "testing"
 
 func TestOnlyOwnTests(t *testing.T) {
-	if OnlyOwnTests() != 3 || (&Orphan{}).Self() == nil {
+	c := &Counter{}
+	if OnlyOwnTests() != 3 || (&Orphan{}).Self() == nil || c.OnlyTests() != 0 || c.Countdown(2) != 0 {
 		t.Fatal("fixture")
 	}
 }

@@ -100,8 +100,104 @@ func unusedExports(fset *token.FileSet, files []srcFile) []string {
 			}
 		}
 	}
+	out = append(out, unusedMethods(fset, files)...)
 	sort.Strings(out)
 	return out
+}
+
+// interfaceMethods are method names a standard interface fixes; a type
+// implements them for fmt, errors, encoding/json, net/http or sort and
+// container/heap, so their callers live in the standard library.
+var interfaceMethods = map[string]bool{
+	"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+}
+
+// unusedMethods reports every exported method of an exported type under
+// internal/ whose name no non-test file selects (x.Name) outside the
+// method's own body, and no other package's test selects either. The
+// match is by name alone, like unusedExports: a call through an interface
+// or on another type with the same method name keeps the method.
+func unusedMethods(fset *token.FileSet, files []srcFile) []string {
+	type method struct {
+		dir  string
+		decl *ast.FuncDecl
+	}
+	var methods []method
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() || interfaceMethods[fd.Name.Name] {
+				continue
+			}
+			if _, exported := receiverName(fd.Recv); exported {
+				methods = append(methods, method{f.dir, fd})
+			}
+		}
+	}
+
+	selected := make(map[string]*selection)
+	for _, f := range files {
+		for _, d := range f.ast.Decls {
+			ast.Inspect(d, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				s := selected[sel.Sel.Name]
+				if s == nil {
+					s = &selection{make(map[ast.Decl]bool), make(map[string]bool)}
+					selected[sel.Sel.Name] = s
+				}
+				if f.test {
+					s.testDirs[f.dir] = true
+				} else {
+					s.decls[d] = true
+				}
+				return true
+			})
+		}
+	}
+
+	var out []string
+	for _, m := range methods {
+		if s := selected[m.decl.Name.Name]; s != nil && s.reaches(m.decl, m.dir) {
+			continue
+		}
+		recv, _ := receiverName(m.decl.Recv)
+		p := fset.Position(m.decl.Name.Pos())
+		out = append(out, fmt.Sprintf("%s:%d: exported method %s.%s has no caller outside its own package's tests",
+			filepath.ToSlash(p.Filename), p.Line, recv, m.decl.Name.Name))
+	}
+	return out
+}
+
+// selection records where one name is selected (x.Name): the enclosing
+// declaration of each selection in non-test code, and the directories of
+// the tests that select it.
+type selection struct {
+	decls    map[ast.Decl]bool
+	testDirs map[string]bool
+}
+
+// reaches reports whether the name is selected in non-test code outside
+// self, the method's own declaration, or in a test outside dir, the
+// method's own package.
+func (s *selection) reaches(self ast.Decl, dir string) bool {
+	for d := range s.decls {
+		if d != self {
+			return true
+		}
+	}
+	for td := range s.testDirs {
+		if td != dir {
+			return true
+		}
+	}
+	return false
 }
 
 // declNames lists the top-level names a declaration introduces; a method

@@ -54,7 +54,7 @@ func main() {
 		telemetry.EnableContentionProfiling(*mutexFrac, *blockRate)
 		reg := telemetry.NewRegistry()
 		ls.BindMetrics(reg)
-		tel, err := telemetry.StartServer(*telAddr, reg)
+		tel, err := telemetry.StartServer(*telAddr, reg, nil)
 		if err != nil {
 			log.Fatalf("telemetry: %v", err)
 		}
@@ -71,7 +71,7 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- ls.DialAndServeRetry(ctx, *addr, nil, func(err error, next time.Duration) {
+		done <- ls.DialAndServeRetry(ctx, *addr, func(err error, next time.Duration) {
 			log.Printf("controller connection lost (%v); retrying in %v", err, next.Round(time.Millisecond))
 		})
 	}()

@@ -103,7 +103,6 @@ func liveView(ctrl *ofnet.Controller, start time.Time) *obs.ClusterView {
 			Name: fmt.Sprintf("switch/%#x", sw.DPID),
 			Series: []obs.SeriesView{
 				liveSeries("packet_ins_total", float64(sw.PacketIns.Load())),
-				liveSeries("install_retries_total", float64(sw.InstallRetries.Load())),
 				liveSeries("slave_suppressed_total", float64(sw.SlaveSuppressed.Load())),
 			},
 		})
@@ -131,9 +130,9 @@ func main() {
 		ctrl.BindMetrics(reg)
 		start := time.Now()
 		tel, err := telemetry.StartServer(*telAddr, reg,
-			telemetry.WithHandler("/statusz", obs.Handler(func() *obs.ClusterView {
+			obs.Handler(func() *obs.ClusterView {
 				return liveView(ctrl, start)
-			})))
+			}))
 		if err != nil {
 			log.Fatalf("telemetry: %v", err)
 		}

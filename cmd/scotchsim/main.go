@@ -98,6 +98,9 @@ func runCmd(args []string, parallel int) {
 		arm.Obs = &obs.Config{ProfileDir: *profileDir}
 	}
 	if *profileDir != "" {
+		if err := os.MkdirAll(*profileDir, 0o755); err != nil {
+			fail(err)
+		}
 		// Go's CPU profiler is process-wide: only one breach capture can
 		// profile at a time, so experiments run one after another.
 		parallel = 1
@@ -108,9 +111,9 @@ func runCmd(args []string, parallel int) {
 		var newest atomic.Pointer[obs.Observatory]
 		arm.Observed = newest.Store
 		srv, err := telemetry.StartServer(*statuszAddr, nil,
-			telemetry.WithHandler("/statusz", obs.Handler(func() *obs.ClusterView {
+			obs.Handler(func() *obs.ClusterView {
 				return newest.Load().Snapshot()
-			})))
+			}))
 		if err != nil {
 			fail(err)
 		}

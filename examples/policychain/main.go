@@ -35,8 +35,8 @@ func run(naive bool) {
 
 	slow := device.LinkConfig{Delay: 500 * time.Microsecond, RateBps: 1e9}
 	fast := device.LinkConfig{Delay: 100 * time.Microsecond, RateBps: 1e9}
-	fwA := device.NewFirewall(eng, "fw-a", 50*time.Microsecond)
-	fwB := device.NewFirewall(eng, "fw-b", 50*time.Microsecond)
+	fwA := device.NewFirewall(eng, "fw-a")
+	fwB := device.NewFirewall(eng, "fw-b")
 
 	// Branch A (policy branch, longer): s0 - sa-u =FW-A= sa-d - s3.
 	net.LinkSwitches(s0, sau, slow)

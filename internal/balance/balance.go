@@ -3,7 +3,6 @@ package balance
 import (
 	"fmt"
 
-	"scotch/internal/elastic"
 	"scotch/internal/sim"
 	"scotch/internal/telemetry"
 )
@@ -50,11 +49,26 @@ func (r ReplicaFuncs) Retire(id int) error {
 	return r.RetireFn(id)
 }
 
+// Pool is a resizable resource: the pool actuator of a Balancer. The
+// Scotch adapter is scotch.VSwitchPool; tests substitute fakes.
+type Pool interface {
+	// Size returns the number of members currently taking new
+	// assignments (draining members do not count).
+	Size() int
+	// Grow adds one member. An error means no growth happened (for
+	// example, no standby capacity); the balancer keeps its streak and
+	// retries on its next tick.
+	Grow() error
+	// Shrink begins gracefully removing one member. An error means no
+	// shrink started.
+	Shrink() error
+}
+
 // Actuators bundles the balancer's three outputs. A nil field disables
 // that action class: its decisions are recorded as suppressed with
 // reason "no-actuator" rather than applied.
 type Actuators struct {
-	Pool     elastic.Pool
+	Pool     Pool
 	Migrator Migrator
 	Replicas ReplicaActuator
 }
@@ -177,21 +191,11 @@ func (b *Balancer) Dropped() uint64 {
 	return b.dropped
 }
 
-// LastSignals returns the signals extracted by the most recent tick
-// (zero before the first). Nil-safe.
-func (b *Balancer) LastSignals() Signals {
-	if b == nil {
-		return Signals{}
-	}
-	return b.lastSig
-}
-
 // tick is one control-loop evaluation: read the signals, run the pure
 // policy, and apply (or advise) its decision.
 func (b *Balancer) tick() {
 	b.Stats.Ticks++
 	sig := b.signals()
-	b.lastSig = sig
 	now := b.eng.Now()
 	d, sups := decide(b.cfg, &b.st, sig, now)
 	for _, s := range sups {

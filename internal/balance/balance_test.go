@@ -11,7 +11,7 @@ import (
 	"scotch/internal/telemetry"
 )
 
-// fakePool is a scripted elastic.Pool.
+// fakePool is a scripted Pool.
 type fakePool struct {
 	size    int
 	growErr error
@@ -311,7 +311,6 @@ func TestNilBalancerAllocFree(t *testing.T) {
 		b.SetTracer(nil)
 		_ = b.Log()
 		_ = b.Dropped()
-		_ = b.LastSignals()
 		b.Stop()
 	})
 	if n != 0 {

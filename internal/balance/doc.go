@@ -6,7 +6,8 @@
 // snapshot digested by ExtractSignals (DESIGN.md §12) — and its outputs
 // are three actuator interfaces:
 //
-//   - grow/drain the overlay vSwitch pool (elastic.Pool),
+//   - grow/drain the overlay vSwitch pool (Pool, satisfied by
+//     scotch.VSwitchPool),
 //   - migrate switch pods between controller replicas (Migrator,
 //     satisfied by cluster.Coordinator.MigratePod), and
 //   - spawn/retire controller replicas (ReplicaActuator).

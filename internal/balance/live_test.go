@@ -9,6 +9,7 @@ import (
 	"scotch/internal/cluster"
 	"scotch/internal/controller"
 	"scotch/internal/device"
+	"scotch/internal/metrics"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
 	"scotch/internal/packet"
@@ -44,6 +45,13 @@ func TestPoolSignalsReadOrder(t *testing.T) {
 	}
 }
 
+// addEvents records n events on a rate meter at now.
+func addEvents(m *metrics.RateMeter, now sim.Time, n int) {
+	for i := 0; i < n; i++ {
+		m.Add(now)
+	}
+}
+
 func TestReplicaSignalsReadOrder(t *testing.T) {
 	eng := sim.New(1)
 	net := topo.New(eng)
@@ -57,12 +65,12 @@ func TestReplicaSignalsReadOrder(t *testing.T) {
 
 	// Loads fall with the ID, so a source that sorted by load would show.
 	for i, r := range reps {
-		r.C.InRate.Add(eng.Now(), float64(30-10*i))
+		addEvents(r.C.InRate, eng.Now(), 30-10*i)
 	}
 	reps[1].Kill()
 	eng.RunUntil(500 * time.Millisecond) // past the 300ms detection window
 	for i, r := range reps {
-		r.C.InRate.Add(eng.Now(), float64(300-100*i))
+		addEvents(r.C.InRate, eng.Now(), 300-100*i)
 	}
 	late := co.Enroll(controller.New(eng, net))
 

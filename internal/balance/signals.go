@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"scotch/internal/cluster"
-	"scotch/internal/elastic"
 	"scotch/internal/obs"
 	"scotch/internal/sim"
 )
@@ -34,7 +33,7 @@ type Signals struct {
 	HasPool  bool
 	PoolSize int
 	// PoolLoad is the pool's scalar load signal (overlay-routed flows/s
-	// per member when wired via elastic.OverlayRate).
+	// per member when wired via scotch.OverlayRate).
 	PoolLoad float64
 	// Replicas holds per-replica signals in replica-ID order.
 	Replicas []ReplicaSignal
@@ -46,11 +45,17 @@ type Signals struct {
 	BurnSLO string
 }
 
+// LoadFunc samples the scalar load signal driving pool decisions, in the
+// unit of the balancer's pool band (Config.PoolGrowLoad and
+// PoolDrainLoad). It is called once per balancer tick, on the
+// simulation clock.
+type LoadFunc func() float64
+
 // PoolSignals is the live input of a balancer that only resizes a
 // vSwitch pool. Each call samples load() before pool.Size(): the load
-// function may read the pool itself (elastic.OverlayRate divides by its
+// function may read the pool itself (scotch.OverlayRate divides by its
 // size), so the order is part of the signal.
-func PoolSignals(pool elastic.Pool, load elastic.LoadFunc) func() Signals {
+func PoolSignals(pool Pool, load LoadFunc) func() Signals {
 	return func() Signals {
 		l := load()
 		return Signals{HasPool: true, PoolSize: pool.Size(), PoolLoad: l}

@@ -1,7 +1,6 @@
 package capture
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -173,40 +172,5 @@ func TestFlowsByClass(t *testing.T) {
 	}
 	if got := len(c.Flows("")); got != 3 {
 		t.Fatalf("all flows = %d", got)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	eng := sim.New(1)
-	c := New(eng)
-	f := c.NewFlow(key(1), "client", 1)
-	p := packet.NewTCP(srcIP, dstIP, 1, 80, 0)
-	p.Meta.FlowID = f.ID
-	c.RecordSend(p)
-	c.RecordRecv(p, 3*time.Millisecond)
-	c.NewFlow(key(2), "attack", 1)
-
-	var buf strings.Builder
-	if err := c.WriteCSV(&buf, ""); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // header + 2 flows
-		t.Fatalf("csv lines = %d:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "id,class,src") {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "10.0.0.1") || !strings.Contains(lines[1], "true") {
-		t.Fatalf("row = %q", lines[1])
-	}
-	// Class filter.
-	buf.Reset()
-	if err := c.WriteCSV(&buf, "attack"); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 2 {
-		t.Fatalf("filtered csv lines = %d", got)
 	}
 }

@@ -173,9 +173,6 @@ func (co *Coordinator) Owner(name string) int {
 	return co.assign[name]
 }
 
-// Pod returns a pod by name, or nil.
-func (co *Coordinator) Pod(name string) *Pod { return co.byName[name] }
-
 // Load is a replica's scalar load signal: aggregate Packet-In arrival
 // rate plus punts queued behind its processing capacity.
 func (co *Coordinator) Load(r *Replica) float64 {
@@ -197,9 +194,9 @@ func (co *Coordinator) Start() {
 					continue
 				}
 				if r.ID == owner {
-					h.RequestRole(openflow.RoleMaster, gen, nil)
+					h.RequestRole(openflow.RoleMaster, gen)
 				} else {
-					h.RequestRole(openflow.RoleSlave, gen, nil)
+					h.RequestRole(openflow.RoleSlave, gen)
 				}
 			}
 		}
@@ -219,7 +216,7 @@ func (co *Coordinator) Enroll(c *controller.Controller) *Replica {
 	for _, p := range co.pods {
 		for _, dpid := range p.DPIDs {
 			if h := c.Switch(dpid); h != nil {
-				h.RequestRole(openflow.RoleSlave, gen, nil)
+				h.RequestRole(openflow.RoleSlave, gen)
 			}
 		}
 	}
@@ -285,13 +282,6 @@ func (co *Coordinator) MigratePod(from, to int) (pod string, ok bool) {
 	return best.Name, true
 }
 
-// Migrate performs an explicit cooperative migration of a pod.
-func (co *Coordinator) Migrate(name string, to *Replica) {
-	if p := co.byName[name]; p != nil {
-		co.migrate(p, to, false)
-	}
-}
-
 func (co *Coordinator) nextGen() uint64 {
 	co.gen++
 	return co.gen
@@ -341,7 +331,7 @@ func (co *Coordinator) migrate(p *Pod, to *Replica, failover bool) {
 			continue
 		}
 		pending++
-		h.RequestRole(openflow.RoleMaster, gen, nil)
+		h.RequestRole(openflow.RoleMaster, gen)
 		// The barrier confirms the switch processed the role claim (and
 		// everything queued before it); when the last one drains, the
 		// handoff is complete.

@@ -119,6 +119,11 @@ func newTwoShardRig(t *testing.T) *twoShardRig {
 }
 
 // sendFlow emits one 3-packet client flow toward the shard's server.
+// migrate cooperatively moves a named pod, as Retire and MigratePod do.
+func (rg *twoShardRig) migrate(pod string, to *Replica) {
+	rg.co.migrate(rg.co.byName[pod], to, false)
+}
+
 func (rg *twoShardRig) sendFlow(shard int, srcPort uint16) {
 	em := workload.NewEmitter(rg.eng, rg.clients[shard], rg.cap)
 	em.Start(workload.Flow{
@@ -169,7 +174,7 @@ func TestCooperativeMigrationMovesMastershipAndState(t *testing.T) {
 		t.Fatalf("flow state on home replica = %d", rg.r[0].C.FlowDB.Len())
 	}
 
-	rg.co.Migrate("pod-a", rg.r[1])
+	rg.migrate("pod-a", rg.r[1])
 	rg.eng.RunUntil(300 * time.Millisecond)
 
 	if got := rg.co.Owner("pod-a"); got != rg.r[1].ID {
@@ -260,7 +265,7 @@ func TestMigrationRepublishesDevolvedPolicy(t *testing.T) {
 	// Swap the pod's app for the policy-pushing variant.
 	rg.co.byName["pod-a"].App = app
 
-	rg.co.Migrate("pod-a", rg.r[1])
+	rg.migrate("pod-a", rg.r[1])
 	if app.republished != 0 {
 		t.Fatal("policy republished before the role handoff was confirmed")
 	}
@@ -271,7 +276,7 @@ func TestMigrationRepublishesDevolvedPolicy(t *testing.T) {
 
 	// A pod without PolicyPusher must keep migrating fine (interface is
 	// optional): move pod-b cooperatively too.
-	rg.co.Migrate("pod-b", rg.r[0])
+	rg.migrate("pod-b", rg.r[0])
 	rg.eng.RunUntil(600 * time.Millisecond)
 	if rg.co.Stats.Migrations != 2 {
 		t.Fatalf("Migrations = %d, want 2", rg.co.Stats.Migrations)

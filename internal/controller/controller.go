@@ -2,7 +2,6 @@ package controller
 
 import (
 	"sort"
-	"time"
 
 	"scotch/internal/device"
 	"scotch/internal/metrics"
@@ -75,7 +74,6 @@ type SwitchHandle struct {
 	xid          uint32
 	statsCB      map[uint32]func(*openflow.MultipartReply)
 	barrierCB    map[uint32]func()
-	roleCB       map[uint32]func(*openflow.RoleReply)
 	echoPending  int
 	lastEchoSent sim.Time
 	echoReq      *openflow.EchoRequest // reusable heartbeat probe
@@ -150,7 +148,7 @@ func New(eng sim.Proc, net *topo.Network) *Controller {
 		Net:      net,
 		switches: make(map[uint64]*SwitchHandle),
 		FlowDB:   NewFlowInfoDB(),
-		InRate:   metrics.NewRateMeter(time.Second, 10),
+		InRate:   metrics.NewRateMeter(),
 	}
 }
 
@@ -202,12 +200,11 @@ func (c *Controller) Connect(sw *device.Switch) *SwitchHandle {
 	h := &SwitchHandle{
 		DPID:         sw.DPID,
 		Dev:          sw,
-		PacketInRate: metrics.NewRateMeter(time.Second, 10),
+		PacketInRate: metrics.NewRateMeter(),
 		ctrl:         c,
 		role:         openflow.RoleEqual,
 		statsCB:      make(map[uint32]func(*openflow.MultipartReply)),
 		barrierCB:    make(map[uint32]func()),
-		roleCB:       make(map[uint32]func(*openflow.RoleReply)),
 	}
 	c.switches[sw.DPID] = h
 	h.connID = sw.AttachControllerOn(c.Eng, c.receive)
@@ -274,9 +271,6 @@ func (c *Controller) Reconnect() {
 
 // Switch returns the handle for a datapath id, or nil.
 func (c *Controller) Switch(dpid uint64) *SwitchHandle { return c.switches[dpid] }
-
-// Switches returns all connected switch handles.
-func (c *Controller) Switches() map[uint64]*SwitchHandle { return c.switches }
 
 // send marshals m into the controller's scratch buffer; the switch copies
 // it into a frame of its own per delivery.
@@ -350,13 +344,10 @@ func (h *SwitchHandle) Role() uint32 { return h.role }
 // coordinator tells the previous master directly.
 func (h *SwitchHandle) NoteRole(role uint32) { h.role = role }
 
-// RequestRole sends a RoleRequest; cb (optional) runs on the RoleReply.
-// The local role is updated when the reply arrives.
-func (h *SwitchHandle) RequestRole(role uint32, generation uint64, cb func(*openflow.RoleReply)) {
-	xid := h.send(&openflow.RoleRequest{Role: role, GenerationID: generation})
-	if cb != nil {
-		h.roleCB[xid] = cb
-	}
+// RequestRole sends a RoleRequest. The local role is updated when the
+// reply arrives.
+func (h *SwitchHandle) RequestRole(role uint32, generation uint64) {
+	h.send(&openflow.RoleRequest{Role: role, GenerationID: generation})
 }
 
 // RequestFlowStats queries the switch's flow statistics. cb runs once per
@@ -407,12 +398,8 @@ func (c *Controller) handle(h *SwitchHandle, raw []byte) {
 	case openflow.TypeMultipartReply:
 		c.receiveStatsPart(h, raw)
 	case openflow.TypeRoleReply:
-		if xid, err := openflow.UnmarshalInto(raw, &rx.role); err == nil {
+		if _, err := openflow.UnmarshalInto(raw, &rx.role); err == nil {
 			h.role = rx.role.Role
-			if cb, ok := h.roleCB[xid]; ok {
-				delete(h.roleCB, xid)
-				cb(&rx.role)
-			}
 		}
 	case openflow.TypeEchoReply:
 		if _, err := openflow.UnmarshalInto(raw, &rx.echo); err == nil {
@@ -453,8 +440,8 @@ func (c *Controller) handle(h *SwitchHandle, raw []byte) {
 func (c *Controller) receivePacketIn(h *SwitchHandle, m *openflow.PacketIn) {
 	now := c.Eng.Now()
 	c.Stats.PacketIns++
-	c.InRate.Add(now, 1)
-	h.PacketInRate.Add(now, 1)
+	c.InRate.Add(now)
+	h.PacketInRate.Add(now)
 	var pkt *packet.Packet
 	if c.pinSrv == nil || c.trace != nil {
 		pkt, _ = c.rx.pkt.Parse(m.Data)
@@ -553,11 +540,6 @@ func (c *Controller) HeartbeatTick(dpids []uint64, misses int) {
 		}
 		h.send(h.echoReq)
 	}
-}
-
-// StartHeartbeat begins periodic ECHO probing of the given switches.
-func (c *Controller) StartHeartbeat(dpids []uint64, interval time.Duration, misses int) *sim.Ticker {
-	return c.Eng.Every(interval, func() { c.HeartbeatTick(dpids, misses) })
 }
 
 // InstallPath installs forwarding rules along hops in reverse order so the

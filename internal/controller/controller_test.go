@@ -123,6 +123,13 @@ func TestBarrierCallback(t *testing.T) {
 	}
 }
 
+// startHeartbeat probes one switch every 100ms and declares it dead after
+// three unanswered probes, as the Scotch app's monitor does on its own
+// cadence.
+func startHeartbeat(c *Controller, dpid uint64) {
+	c.Eng.Every(100*time.Millisecond, func() { c.HeartbeatTick([]uint64{dpid}, 3) })
+}
+
 func TestHeartbeatDetectsDeadSwitch(t *testing.T) {
 	eng := sim.New(1)
 	tb := topo.NewTestbed(eng, fastProfile())
@@ -131,7 +138,7 @@ func TestHeartbeatDetectsDeadSwitch(t *testing.T) {
 
 	var dead []uint64
 	c.OnSwitchDead = func(sw *SwitchHandle) { dead = append(dead, sw.DPID) }
-	c.StartHeartbeat([]uint64{tb.Switch.DPID}, 100*time.Millisecond, 3)
+	startHeartbeat(c, tb.Switch.DPID)
 
 	// Healthy switch: no death.
 	eng.RunUntil(2 * time.Second)
@@ -220,7 +227,7 @@ func TestHeartbeatThresholdPrecision(t *testing.T) {
 
 	deaths := 0
 	c.OnSwitchDead = func(*SwitchHandle) { deaths++ }
-	c.StartHeartbeat([]uint64{tb.Switch.DPID}, 100*time.Millisecond, 3)
+	startHeartbeat(c, tb.Switch.DPID)
 
 	eng.At(50*time.Millisecond, tb.Switch.Fail)
 	// Tick 3 (300ms) sends the third unanswered probe but must not kill.
@@ -246,7 +253,7 @@ func TestHeartbeatRecoveryAtBrink(t *testing.T) {
 		c := New(eng, tb.Net)
 		hh := c.Connect(tb.Switch)
 		c.OnSwitchDead = func(*SwitchHandle) { t.Error("recovered switch declared dead") }
-		c.StartHeartbeat([]uint64{tb.Switch.DPID}, 100*time.Millisecond, 3)
+		startHeartbeat(c, tb.Switch.DPID)
 		return hh
 	}()
 

@@ -38,9 +38,6 @@ type Port struct {
 	peer   *Port
 }
 
-// Peer returns the port at the other end of the link or tunnel.
-func (p *Port) Peer() *Port { return p.peer }
-
 // Send transmits a packet out of this port, taking ownership of it.
 func (p *Port) Send(pkt *packet.Packet) {
 	switch {
@@ -96,19 +93,10 @@ func Connect(a Node, aPort uint32, b Node, bPort uint32, cfg LinkConfig) *Link {
 	return l
 }
 
-// Ports returns the link's two endpoints.
-func (l *Link) Ports() (*Port, *Port) { return l.a, l.b }
-
 // SetDown forces the link out of (or back into) service. While down,
-// every packet offered in either direction is counted in Drops and
+// every packet offered in either direction is counted as a drop and
 // discarded; packets already in flight still arrive.
 func (l *Link) SetDown(down bool) { l.down = down }
-
-// Down reports whether the link is currently forced down.
-func (l *Link) Down() bool { return l.down }
-
-// Drops returns the total packets discarded in both directions.
-func (l *Link) Drops() uint64 { return l.drops[0] + l.drops[1] }
 
 func (l *Link) dir(from *Port) int {
 	if from == l.a {

@@ -35,8 +35,8 @@ func TestEveryDeliveryOwnsItsFrame(t *testing.T) {
 		}
 		keys = append(keys, pkt.FlowKey())
 	}
-	sw.AttachController(recv)
-	sw.AttachController(recv)
+	sw.AttachControllerOn(sw.Proc(), recv)
+	sw.AttachControllerOn(sw.Proc(), recv)
 	p := packet.NewTCP(ipA, ipB, 1000, 80, packet.FlagSYN)
 	want := p.FlowKey()
 	h1.Send(p)

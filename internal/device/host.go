@@ -45,15 +45,6 @@ func (h *Host) detachPort(p *Port) {
 	}
 }
 
-// Port returns the host's primary attachment port (the first connected),
-// or nil. Additional ports terminate Scotch delivery tunnels.
-func (h *Host) Port() *Port {
-	if len(h.ports) == 0 {
-		return nil
-	}
-	return h.ports[0]
-}
-
 // Receive implements Node. The host is where a data packet dies: it is
 // released once OnReceive returns.
 func (h *Host) Receive(pkt *packet.Packet, _ *Port) {

@@ -20,21 +20,21 @@ type Firewall struct {
 	ports [2]*Port
 	nport int
 
-	Delay time.Duration // per-packet processing latency
-
 	established map[netaddr.FlowKey]bool
 	Passed      uint64
 	Rejected    uint64
 }
 
+// firewallDelay is a firewall's per-packet processing latency.
+const firewallDelay = 50 * time.Microsecond
+
 // NewFirewall creates a firewall. Connect its two ports with Connect; the
 // first connected port is "upstream" (S_U side), the second "downstream"
 // (S_D side).
-func NewFirewall(eng sim.Proc, name string, delay time.Duration) *Firewall {
+func NewFirewall(eng sim.Proc, name string) *Firewall {
 	return &Firewall{
 		name:        name,
 		proc:        eng,
-		Delay:       delay,
 		established: make(map[netaddr.FlowKey]bool),
 	}
 }
@@ -60,9 +60,6 @@ func (f *Firewall) detachPort(p *Port) {
 	}
 }
 
-// StateCount returns the number of established flow entries.
-func (f *Firewall) StateCount() int { return len(f.established) }
-
 // Receive implements Node: check/establish flow state, then forward out of
 // the other port after the processing delay.
 func (f *Firewall) Receive(pkt *packet.Packet, port *Port) {
@@ -85,7 +82,7 @@ func (f *Firewall) Receive(pkt *packet.Packet, port *Port) {
 		pkt.Release()
 		return
 	}
-	f.proc.DeferCall(f.proc, f.Delay, sendOut, out, pkt)
+	f.proc.DeferCall(f.proc, firewallDelay, sendOut, out, pkt)
 }
 
 // sendOut is the static callback the firewall schedules to emit a packet

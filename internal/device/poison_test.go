@@ -42,10 +42,10 @@ func TestDropsReleasePacket(t *testing.T) {
 	}{
 		{"stray at host", func(t *testing.T, r *hitRig, p *packet.Packet) {
 			p.IP.Dst = elsewhere
-			r.b.Receive(p, r.b.Port())
+			r.b.Receive(p, r.b.ports[0])
 		}},
 		{"link down", func(t *testing.T, r *hitRig, p *packet.Packet) {
-			r.a.Port().Link.SetDown(true)
+			r.a.ports[0].Link.SetDown(true)
 			r.a.Send(p)
 		}},
 		{"failed switch", func(t *testing.T, r *hitRig, p *packet.Packet) {
@@ -65,7 +65,7 @@ func TestDropsReleasePacket(t *testing.T) {
 			r.a.Send(p)
 		}},
 		{"firewall reject", func(t *testing.T, r *hitRig, p *packet.Packet) {
-			NewFirewall(r.eng, "fw", 0).Receive(p, nil) // mid-flow, no state
+			NewFirewall(r.eng, "fw").Receive(p, nil) // mid-flow, no state
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

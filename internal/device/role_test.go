@@ -15,8 +15,11 @@ import (
 func roleConn(t *testing.T, sw *Switch) (int, *ctrlSink) {
 	t.Helper()
 	sink := &ctrlSink{t: t}
-	return sw.AttachController(sink.fn), sink
+	return sw.AttachControllerOn(sw.Proc(), sink.fn), sink
 }
+
+// controllerRole returns the role the switch holds for a connection.
+func controllerRole(sw *Switch, id int) uint32 { return sw.conn(id).role }
 
 func sendFrom(t *testing.T, sw *Switch, conn int, m openflow.Message, xid uint32) {
 	t.Helper()
@@ -35,16 +38,16 @@ func TestRoleMasterClaimDemotesPreviousMaster(t *testing.T) {
 
 	sendFrom(t, sw, c1, &openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: 1}, 10)
 	eng.RunUntil(10 * time.Millisecond)
-	if r, _ := sw.ControllerRole(c1); r != openflow.RoleMaster {
+	if r := controllerRole(sw, c1); r != openflow.RoleMaster {
 		t.Fatalf("conn1 role = %s, want master", openflow.RoleName(r))
 	}
 
 	sendFrom(t, sw, c2, &openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: 2}, 11)
 	eng.RunUntil(20 * time.Millisecond)
-	if r, _ := sw.ControllerRole(c2); r != openflow.RoleMaster {
+	if r := controllerRole(sw, c2); r != openflow.RoleMaster {
 		t.Fatalf("conn2 role = %s, want master", openflow.RoleName(r))
 	}
-	if r, _ := sw.ControllerRole(c1); r != openflow.RoleSlave {
+	if r := controllerRole(sw, c1); r != openflow.RoleSlave {
 		t.Fatalf("conn1 role after second claim = %s, want slave", openflow.RoleName(r))
 	}
 	if s1.count(openflow.TypeRoleReply) != 1 || s2.count(openflow.TypeRoleReply) != 1 {
@@ -64,7 +67,7 @@ func TestRoleStaleGenerationFenced(t *testing.T) {
 	sendFrom(t, sw, c2, &openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: 4}, 2)
 	eng.RunUntil(10 * time.Millisecond)
 
-	if r, _ := sw.ControllerRole(c1); r != openflow.RoleMaster {
+	if r := controllerRole(sw, c1); r != openflow.RoleMaster {
 		t.Fatalf("conn1 lost mastership to a stale claim (role=%s)", openflow.RoleName(r))
 	}
 	if sw.Stats.RoleStale != 1 {

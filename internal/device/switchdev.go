@@ -122,7 +122,7 @@ func NewSwitch(eng sim.Proc, name string, dpid uint64, prof Profile) *Switch {
 		Profile:     prof,
 		Pipeline:    flowtable.NewPipeline(prof.NumTables, prof.TableCapacity),
 		ports:       make(map[uint32]*Port),
-		insertMeter: metrics.NewRateMeter(time.Second, 10),
+		insertMeter: metrics.NewRateMeter(),
 	}
 	sw.dataSrv = sim.NewServer(eng, prof.DataPlanePPS, prof.DataQueue, sw.processData)
 	sw.dataSrv.OnDrop(func(it dataItem) {
@@ -171,28 +171,16 @@ type ctrlConn struct {
 
 // SetController installs fn as the switch's only controller connection
 // (id 0, equal role), replacing any existing connections. This is the
-// single-controller fast path; clustered controllers use AttachController.
-// The connection's far end is assumed to share the switch's Proc — use
-// SetControllerOn when the controller runs elsewhere.
+// single-controller fast path; clustered controllers use
+// AttachControllerOn. The connection's far end shares the switch's Proc.
 func (sw *Switch) SetController(fn func(dpid uint64, msg []byte)) {
-	sw.SetControllerOn(sw.proc, fn)
-}
-
-// SetControllerOn is SetController with an explicit controller-side Proc.
-func (sw *Switch) SetControllerOn(proc sim.Proc, fn func(dpid uint64, msg []byte)) {
-	sw.conns = []*ctrlConn{{id: 0, send: fn, role: openflow.RoleEqual, proc: proc}}
+	sw.conns = []*ctrlConn{{id: 0, send: fn, role: openflow.RoleEqual, proc: sw.proc}}
 	sw.nextConn = 1
 }
 
-// AttachController adds a controller connection (equal role until a
-// RoleRequest changes it) whose far end shares the switch's Proc, and
-// returns its connection id.
-func (sw *Switch) AttachController(fn func(dpid uint64, msg []byte)) int {
-	return sw.AttachControllerOn(sw.proc, fn)
-}
-
-// AttachControllerOn is AttachController with an explicit controller-side
-// Proc.
+// AttachControllerOn adds a controller connection (equal role until a
+// RoleRequest changes it) whose far end runs on proc, and returns its
+// connection id.
 func (sw *Switch) AttachControllerOn(proc sim.Proc, fn func(dpid uint64, msg []byte)) int {
 	id := sw.nextConn
 	sw.nextConn++
@@ -209,14 +197,6 @@ func (sw *Switch) DetachController(id int) {
 			return
 		}
 	}
-}
-
-// ControllerRole returns the role of a connection (ok=false if unknown).
-func (sw *Switch) ControllerRole(id int) (uint32, bool) {
-	if c := sw.conn(id); c != nil {
-		return c.role, true
-	}
-	return 0, false
 }
 
 func (sw *Switch) conn(id int) *ctrlConn {
@@ -254,9 +234,6 @@ func (sw *Switch) SetTracer(t *telemetry.Tracer) {
 // experiments.
 func (sw *Switch) Fail() { sw.failed = true }
 
-// Failed reports whether Fail was called.
-func (sw *Switch) Failed() bool { return sw.failed }
-
 // Restart recovers a failed switch as a cold boot: forwarding and control
 // processing resume, but all dynamically installed flow and group state is
 // gone, as when a crashed vSwitch process comes back up. Controller
@@ -277,14 +254,14 @@ func (sw *Switch) LocalAgentAttached() bool { return sw.local != nil }
 // InstallLocal queues a FlowMod originated by the switch's own local
 // agent through the OFA's paced rule-install stage, so locally devolved
 // rules contend for the same insertion budget as controller installs.
-// applied, when non-nil, runs once the rule has actually landed in (or
+// n, when non-nil, is notified once the rule has actually landed in (or
 // been deleted from) the table. No controller connection is involved and
 // errors are swallowed, as for a process-internal caller.
-func (sw *Switch) InstallLocal(fm *openflow.FlowMod, applied func()) {
+func (sw *Switch) InstallLocal(fm *openflow.FlowMod, n RuleNotify) {
 	if sw.failed {
 		return
 	}
-	sw.ruleSrv.Submit(ruleItem{conn: -1, fm: fm, applied: applied})
+	sw.ruleSrv.Submit(ruleItem{conn: -1, fm: fm, notify: n})
 	sw.updateRuleRate()
 }
 
@@ -540,7 +517,7 @@ func (sw *Switch) DeliverControlFrom(connID int, b []byte) {
 // ruleItem is a FlowMod or barrier queued at the OFA, tagged with its
 // originating connection so errors and barrier replies can be routed back
 // to the sender. conn -1 marks a local-agent install (no connection;
-// applied, when set, runs after the mod takes effect). barrier marks a
+// notify, when set, fires after the mod takes effect). barrier marks a
 // BarrierRequest placeholder (fm nil), answered when it drains. The queue
 // used to be Server[any]; the typed item avoids boxing every FlowMod into
 // an interface on the install hot path.
@@ -549,23 +526,13 @@ type ruleItem struct {
 	xid     uint32
 	barrier bool
 	fm      *openflow.FlowMod
-	applied func()
 	notify  RuleNotify
 }
 
-// RuleNotify is the object form of InstallLocal's applied callback: the
-// local agent passes a value whose RuleApplied method fires once the mod
-// takes effect, costing no closure allocation on the devolved hot path.
+// RuleNotify is InstallLocal's completion callback: the local agent
+// passes a value whose RuleApplied method fires once the mod takes
+// effect, costing no closure allocation on the devolved hot path.
 type RuleNotify interface{ RuleApplied() }
-
-// InstallLocalNotify is InstallLocal with an object callback.
-func (sw *Switch) InstallLocalNotify(fm *openflow.FlowMod, n RuleNotify) {
-	if sw.failed {
-		return
-	}
-	sw.ruleSrv.Submit(ruleItem{conn: -1, fm: fm, notify: n})
-	sw.updateRuleRate()
-}
 
 func (sw *Switch) handleControl(connID int, b []byte) {
 	if sw.failed {
@@ -694,7 +661,7 @@ func (sw *Switch) processRule(it ruleItem) {
 		return
 	}
 	m := it.fm
-	sw.insertMeter.Add(now, 1)
+	sw.insertMeter.Add(now)
 	tbl := sw.Pipeline.Table(m.TableID)
 	if tbl == nil {
 		return
@@ -733,9 +700,6 @@ func (sw *Switch) processRule(it ruleItem) {
 				sw.trace.Point(telemetry.PointRuleApplied, key, sw.DPID, now)
 			}
 		}
-		if it.applied != nil {
-			it.applied()
-		}
 		if it.notify != nil {
 			it.notify.RuleApplied()
 		}
@@ -744,9 +708,6 @@ func (sw *Switch) processRule(it ruleItem) {
 		sw.Stats.RulesDeleted += uint64(len(removed))
 		for _, r := range removed {
 			sw.notifyRemoved(r, openflow.RemovedDelete, now)
-		}
-		if it.applied != nil {
-			it.applied()
 		}
 		if it.notify != nil {
 			it.notify.RuleApplied()

@@ -23,20 +23,16 @@ type TunnelConfig struct {
 }
 
 // Tunnel is a point-to-point overlay tunnel between two switch ports.
-// Like Link, all mutable state is split per direction (transmit-side
-// counters indexed by direction, receive-side counters likewise) so the
-// endpoints can live on different partition lanes: each counter slot has
+// Like Link, all mutable state is split per direction (the transmit-side
+// busy clock and the receive-side decap count, each indexed by direction)
+// so the endpoints can live on different partition lanes: each slot has
 // exactly one writing lane.
 type Tunnel struct {
 	Cfg  TunnelConfig
 	a, b *Port
 
 	busyUntil [2]sim.Time
-	down      bool
 	dead      bool
-	dropsTx   [2]uint64 // discarded at the sending endpoint
-	dropsRx   [2]uint64 // discarded at the receiving endpoint
-	encapped  [2]uint64
 	decapped  [2]uint64
 }
 
@@ -52,35 +48,15 @@ func ConnectTunnel(a Node, aPort uint32, b Node, bPort uint32, cfg TunnelConfig)
 	return t
 }
 
-// Ports returns the tunnel's two endpoints (A side first).
-func (t *Tunnel) Ports() (*Port, *Port) { return t.a, t.b }
-
-// SetDown forces the tunnel out of (or back into) service, as when the
-// underlay path it rides is partitioned. While down, packets offered at
-// either endpoint are counted in Drops and discarded.
-func (t *Tunnel) SetDown(down bool) { t.down = down }
-
 // Teardown permanently removes the tunnel from the live topology: both
 // endpoint ports are detached from their owners and the tunnel is forced
 // down, so in-flight packets arriving after teardown are dropped rather
 // than delivered to a port that no longer exists. Teardown is idempotent.
 func (t *Tunnel) Teardown() {
-	t.down = true
 	t.dead = true
 	t.a.Owner.detachPort(t.a)
 	t.b.Owner.detachPort(t.b)
 }
-
-// Down reports whether the tunnel is currently forced down.
-func (t *Tunnel) Down() bool { return t.down }
-
-// Drops returns the total packets discarded at either endpoint.
-func (t *Tunnel) Drops() uint64 {
-	return t.dropsTx[0] + t.dropsTx[1] + t.dropsRx[0] + t.dropsRx[1]
-}
-
-// Encapped returns the total packets encapsulated into the tunnel.
-func (t *Tunnel) Encapped() uint64 { return t.encapped[0] + t.encapped[1] }
 
 // Decapped returns the total packets decapsulated out of the tunnel.
 func (t *Tunnel) Decapped() uint64 { return t.decapped[0] + t.decapped[1] }
@@ -96,15 +72,13 @@ func (t *Tunnel) dir(from *Port) int {
 // decapsulated before delivery.
 func (t *Tunnel) transmit(pkt *packet.Packet, from *Port) {
 	d := t.dir(from)
-	if t.down {
-		t.dropsTx[d]++
+	if t.dead {
 		pkt.Release()
 		return
 	}
 	// The inner (ingress port) label, if any, was pushed by the flow rule;
 	// the tunnel port pushes the outer transport label.
 	pkt.PushMPLS(uint32(t.Cfg.ID))
-	t.encapped[d]++
 
 	src := from.Owner.Proc()
 	now := src.Now()
@@ -117,7 +91,6 @@ func (t *Tunnel) transmit(pkt *packet.Packet, from *Port) {
 		txTime = time.Duration(float64(pkt.Size*8) / t.Cfg.RateBps * float64(time.Second))
 		backlog := (start - now).Seconds() * t.Cfg.RateBps / 8
 		if int(backlog) > queueBytes {
-			t.dropsTx[d]++
 			pkt.Release()
 			return
 		}
@@ -142,12 +115,10 @@ func deliverTunnelPkt(a1, a2 any) {
 
 func (t *Tunnel) deliver(pkt *packet.Packet, to *Port, d int) {
 	if t.dead {
-		t.dropsRx[d]++
 		pkt.Release()
 		return
 	}
 	if _, err := pkt.PopMPLS(); err != nil {
-		t.dropsRx[d]++
 		pkt.Release()
 		return
 	}

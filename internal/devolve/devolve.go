@@ -165,15 +165,14 @@ type Cache struct {
 	eng sim.Proc
 	m   *Metrics
 
-	mu           sync.RWMutex
-	table        *Table
-	gen          uint64 // newest generation seen; survives Flush (fencing memory)
-	genSeen      bool
-	records      map[netaddr.FlowKey]*record
-	hitsByTenant map[string]uint64
-	originHits   map[uint64]*metrics.RateMeter
-	stats        CacheStats
-	sweeper      *sim.Ticker
+	mu         sync.RWMutex
+	table      *Table
+	gen        uint64 // newest generation seen; survives Flush (fencing memory)
+	genSeen    bool
+	records    map[netaddr.FlowKey]*record
+	originHits map[uint64]*metrics.RateMeter
+	stats      CacheStats
+	sweeper    *sim.Ticker
 }
 
 // New attaches a policy cache to a mesh vSwitch as its local agent and
@@ -181,12 +180,11 @@ type Cache struct {
 // interval). m (optional) aggregates metrics across a pool of caches.
 func New(eng sim.Proc, sw *device.Switch, sweepEvery time.Duration, m *Metrics) *Cache {
 	c := &Cache{
-		sw:           sw,
-		eng:          eng,
-		m:            m,
-		records:      make(map[netaddr.FlowKey]*record),
-		hitsByTenant: make(map[string]uint64),
-		originHits:   make(map[uint64]*metrics.RateMeter),
+		sw:         sw,
+		eng:        eng,
+		m:          m,
+		records:    make(map[netaddr.FlowKey]*record),
+		originHits: make(map[uint64]*metrics.RateMeter),
 	}
 	sw.SetLocalAgent(c)
 	c.sweeper = eng.Every(sweepEvery, c.sweepTick)
@@ -200,9 +198,6 @@ func (c *Cache) Detach() {
 	c.sw.SetLocalAgent(nil)
 	c.sweeper.Stop()
 }
-
-// Switch returns the vSwitch this cache is attached to.
-func (c *Cache) Switch() *device.Switch { return c.sw }
 
 // Apply installs a policy table snapshot, rejecting stale generations:
 // a push whose generation is below the newest one ever seen — even
@@ -335,17 +330,6 @@ func (c *Cache) Stats() CacheStats {
 	return c.stats
 }
 
-// HitsByTenant returns a copy of the per-tenant local-hit counters.
-func (c *Cache) HitsByTenant() map[string]uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]uint64, len(c.hitsByTenant))
-	for k, v := range c.hitsByTenant {
-		out[k] = v
-	}
-	return out
-}
-
 // OriginRate returns the recent rate of locally absorbed misses
 // attributed to one protected origin switch — the offered load the
 // central monitor no longer sees as Packet-Ins and must add back to its
@@ -413,7 +397,7 @@ func (c *Cache) HandleMiss(pkt *packet.Packet, inPort uint32) bool {
 	rec := &bx.record
 	c.records[key] = rec
 	c.stats.Installs++
-	c.sw.InstallLocalNotify(&bx.fm, bx)
+	c.sw.InstallLocal(&bx.fm, bx)
 	c.noteHitLocked(rec.tenant, pkt.Meta.TunnelID, now)
 	c.sw.ForwardLocal(pkt, inPort, []openflow.Action{openflow.OutputAction(out)})
 	return true
@@ -421,16 +405,15 @@ func (c *Cache) HandleMiss(pkt *packet.Packet, inPort uint32) bool {
 
 func (c *Cache) noteHitLocked(tenant string, tunnelID uint64, now sim.Time) {
 	c.stats.Hits++
-	c.hitsByTenant[tenant]++
 	c.m.Hit(tenant)
 	if t := c.table; t != nil {
 		if origin, ok := t.Origins[tunnelID]; ok {
 			rm := c.originHits[origin]
 			if rm == nil {
-				rm = metrics.NewRateMeter(time.Second, 10)
+				rm = metrics.NewRateMeter()
 				c.originHits[origin] = rm
 			}
-			rm.Add(now, 1)
+			rm.Add(now)
 		}
 	}
 }

@@ -111,7 +111,10 @@ func TestDecide(t *testing.T) {
 // with the devolve cookie in table 0, and hit accounting per tenant and
 // per origin.
 func TestHandleMissDevolves(t *testing.T) {
-	eng, sw, c := newCache(t)
+	eng := sim.New(1)
+	sw := device.NewSwitch(eng, "vs", 100, device.OVSProfile())
+	m := devolve.NewMetrics()
+	c := devolve.New(eng, sw, 100*time.Millisecond, m)
 	c.Apply(testTable(1))
 
 	pkt := packet.NewTCP(netaddr.MustParseIPv4("10.0.0.5"),
@@ -139,8 +142,8 @@ func TestHandleMissDevolves(t *testing.T) {
 	if !found {
 		t.Fatal("no rule with devolve cookie in table 0")
 	}
-	if got := c.HitsByTenant()["legit"]; got != 1 {
-		t.Fatalf("HitsByTenant[legit] = %d, want 1", got)
+	if got := m.Hits("legit"); got != 1 {
+		t.Fatalf("Hits(legit) = %d, want 1", got)
 	}
 	if rate := c.OriginRate(1, eng.Now()); rate <= 0 {
 		t.Fatalf("OriginRate(origin 1) = %v, want > 0", rate)
@@ -270,7 +273,6 @@ func TestConcurrentPushLookup(t *testing.T) {
 			c.Generation()
 			c.Active()
 			_ = c.Stats()
-			_ = c.HitsByTenant()
 		}
 	}()
 	go func() { // metrics aggregation (shared across caches in production)
@@ -288,8 +290,8 @@ func TestConcurrentPushLookup(t *testing.T) {
 	if gen, seen := c.Generation(); !seen || gen < 1 {
 		t.Fatalf("Generation() = %d,%v after concurrent pushes", gen, seen)
 	}
-	if m.Hits("legit") != 2000 || m.Escalations("first-contact") != 2000 {
+	if m.Hits("legit") != 2000 || m.TotalEscalations() != 2000 {
 		t.Fatalf("metrics lost updates: hits=%d escal=%d",
-			m.Hits("legit"), m.Escalations("first-contact"))
+			m.Hits("legit"), m.TotalEscalations())
 	}
 }

@@ -1,7 +1,6 @@
 package devolve
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -83,16 +82,6 @@ func (m *Metrics) Hits(tenant string) uint64 {
 	return m.hits[tenant]
 }
 
-// Escalations returns the total escalations recorded for one reason.
-func (m *Metrics) Escalations(reason string) uint64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.escal[reason]
-}
-
 // TotalHits sums local hits across all tenants.
 func (m *Metrics) TotalHits() uint64 {
 	if m == nil {
@@ -119,19 +108,4 @@ func (m *Metrics) TotalEscalations() uint64 {
 		n += v
 	}
 	return n
-}
-
-// EscalationReasons returns the recorded reason labels, sorted.
-func (m *Metrics) EscalationReasons() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.escal))
-	for r := range m.escal {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -7,7 +7,6 @@ import (
 
 	"scotch/internal/balance"
 	"scotch/internal/controller"
-	"scotch/internal/elastic"
 	"scotch/internal/obs"
 	"scotch/internal/scotch"
 	"scotch/internal/sim"
@@ -124,9 +123,9 @@ func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResu
 	for _, sb := range r.pods[0].standby {
 		standby = append(standby, sb.DPID)
 	}
-	pool := elastic.NewVSwitchPool(r.pods[0].app, standby)
+	pool := scotch.NewVSwitchPool(r.pods[0].app, standby)
 	o.WatchPool(pool)
-	o.Series("elastic", "load", elastic.OverlayRate(r.eng, r.pods[0].app, pool))
+	o.Series("elastic", "load", scotch.OverlayRate(r.eng, r.pods[0].app, pool))
 	o.Start()
 
 	bcfg := balance.DefaultConfig()
@@ -282,7 +281,7 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 		Target: 50 * time.Millisecond,
 	}}})
 	o.WatchCoordinator(r.co)
-	lt := workload.NewLatencyTracker(nil)
+	lt := workload.NewLatencyTracker()
 	lt.AttachCapture(r.cap)
 	o.WatchLatency(lt)
 	o.Start()

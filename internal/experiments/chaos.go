@@ -190,7 +190,7 @@ func chaosPartitionPoint(p *Probes, seed int64) chaosPartitionResult {
 	r.eng.At(7*time.Second, func() {
 		for _, dpid := range pod0DPIDs {
 			if h := r.replicas[0].C.Switch(dpid); h != nil {
-				h.RequestRole(openflow.RoleMaster, 1, nil)
+				h.RequestRole(openflow.RoleMaster, 1)
 			}
 		}
 	})

@@ -57,7 +57,7 @@ func devolveRun(p *Probes, seed int64, devolved bool) devolveRunResult {
 		r.app.DevolveTenant("ddos", netaddr.MustParsePrefix("172.16.0.0/12"), false)
 	}
 
-	lat := workload.NewLatencyTracker(nil)
+	lat := workload.NewLatencyTracker()
 	lat.AttachCapture(r.cap)
 
 	dsts := []netaddr.IPv4{r.servers[0].IP, r.servers[1].IP}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scotch/internal/balance"
-	"scotch/internal/elastic"
 	"scotch/internal/netaddr"
 	"scotch/internal/scotch"
 	"scotch/internal/workload"
@@ -56,9 +55,9 @@ func elasticPoint(p *Probes, seed int64) elasticResult {
 	for _, sb := range r.standby {
 		standby = append(standby, sb.DPID)
 	}
-	pool := elastic.NewVSwitchPool(r.app, standby)
+	pool := scotch.NewVSwitchPool(r.app, standby)
 	b := balance.New(r.eng, balance.DefaultConfig(),
-		balance.PoolSignals(pool, elastic.OverlayRate(r.eng, r.app, pool)),
+		balance.PoolSignals(pool, scotch.OverlayRate(r.eng, r.app, pool)),
 		balance.Actuators{Pool: pool})
 	b.SetTracer(r.c.Tracer())
 	b.Start()

@@ -48,7 +48,7 @@ func obsSLOPoint(p *Probes, seed int64) obsSLOResult {
 	// The experiment carries its own always-on observatory with the SLOs
 	// under test; armed probes (-health) layer a second, independent one
 	// over the same rig when requested.
-	lt := workload.NewLatencyTracker(nil)
+	lt := workload.NewLatencyTracker()
 	lt.AttachCapture(r.cap)
 	o := obs.New(r.eng, obs.Config{
 		SLOs: []obs.SLO{

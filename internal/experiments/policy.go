@@ -59,8 +59,8 @@ func newPolicyRig(seed int64, naive bool) *policyRig {
 	slow := device.LinkConfig{Delay: 500 * time.Microsecond, RateBps: 1e9}
 	fast := device.LinkConfig{Delay: 100 * time.Microsecond, RateBps: 1e9}
 
-	r.fwA = device.NewFirewall(eng, "fw-a", 50*time.Microsecond)
-	r.fwB = device.NewFirewall(eng, "fw-b", 50*time.Microsecond)
+	r.fwA = device.NewFirewall(eng, "fw-a")
+	r.fwB = device.NewFirewall(eng, "fw-b")
 
 	// Branch A (longer): s0 - sa-u =FW_A= sa-d - s3.
 	net.LinkSwitches(r.s0, sau, slow)

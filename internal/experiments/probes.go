@@ -106,7 +106,7 @@ func (p *Probes) attach(eng *sim.Engine, cap *capture.Capture, trace func(*telem
 	}
 	o := obs.New(eng, cfg)
 	watch(o)
-	lt := workload.NewLatencyTracker(nil)
+	lt := workload.NewLatencyTracker()
 	lt.AttachCapture(cap)
 	o.WatchLatency(lt)
 	o.Start()

@@ -9,7 +9,6 @@ import (
 
 	"scotch/internal/balance"
 	"scotch/internal/capture"
-	"scotch/internal/elastic"
 	"scotch/internal/metrics"
 	"scotch/internal/netaddr"
 	"scotch/internal/scotch"
@@ -91,12 +90,12 @@ func multitenantRun(p *Probes, seed int64, withDDoS bool) ([]latRow, int) {
 	for _, sb := range r.standby {
 		standby = append(standby, sb.DPID)
 	}
-	pool := elastic.NewVSwitchPool(r.app, standby)
+	pool := scotch.NewVSwitchPool(r.app, standby)
 	b := balance.New(r.eng, balance.DefaultConfig(),
-		balance.PoolSignals(pool, elastic.OverlayRate(r.eng, r.app, pool)),
+		balance.PoolSignals(pool, scotch.OverlayRate(r.eng, r.app, pool)),
 		balance.Actuators{Pool: pool}).Start()
 
-	lat := workload.NewLatencyTracker(nil)
+	lat := workload.NewLatencyTracker()
 	lat.AttachCapture(r.cap)
 
 	dsts := []netaddr.IPv4{r.servers[0].IP, r.servers[1].IP}
@@ -195,7 +194,7 @@ func fattreePoint(seed int64) fattreeResult {
 	for _, h := range ft.AllHosts() {
 		cap.Attach(h)
 	}
-	lat := workload.NewLatencyTracker(nil)
+	lat := workload.NewLatencyTracker()
 	lat.AttachCapture(cap)
 
 	var sources []*workload.Emitter
@@ -268,11 +267,10 @@ func replayPoint(p *Probes, seed int64) replayResult {
 	const dur = 8 * time.Second
 	r := newRig(rigConfig{seed: seed, cfg: scotch.DefaultConfig(),
 		nClients: 2, nServers: 2, nPrimary: 1, nBackup: 1, probes: p})
-	lat := workload.NewLatencyTracker(nil)
+	lat := workload.NewLatencyTracker()
 	lat.AttachCapture(r.cap)
 
-	events, err := workload.ParseTrace("scenario_replay.csv",
-		bytes.NewReader(scenarioReplayTrace))
+	events, err := workload.ParseTraceCSV(bytes.NewReader(scenarioReplayTrace))
 	if err != nil {
 		panic(err)
 	}

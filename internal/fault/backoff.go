@@ -5,63 +5,47 @@ import (
 	"time"
 )
 
+// The reconnect schedule: the first interval, the cap on the un-jittered
+// interval, the growth factor per attempt, and the jitter that spreads
+// each interval uniformly over [d·(1−backoffJitter), d·(1+backoffJitter)].
+const (
+	backoffBase   = 100 * time.Millisecond
+	backoffMax    = 30 * time.Second
+	backoffFactor = 2
+	backoffJitter = 0.2
+)
+
 // Backoff is an exponential backoff schedule with multiplicative jitter,
 // used by the live path (cmd/ofagent, internal/ofnet) to pace reconnect
-// attempts. It is pure arithmetic over an attempt counter — it never
-// reads a clock — so its full schedule is unit-testable without sleeping.
+// attempts: 100ms doubling to 30s, ±20%. It is pure arithmetic over an
+// attempt counter — it never reads a clock — so its full schedule is
+// unit-testable without sleeping.
 type Backoff struct {
-	// Base is the first interval.
-	Base time.Duration
-	// Max caps the un-jittered interval.
-	Max time.Duration
-	// Factor multiplies the interval after each attempt (≥ 1).
-	Factor float64
-	// Jitter spreads each interval uniformly over
-	// [d·(1−Jitter), d·(1+Jitter)]; zero disables jitter.
-	Jitter float64
-
 	rng     *rand.Rand
 	attempt int
 }
 
-// NewBackoff returns a schedule with the conventional shape — doubling
-// from base up to max with ±20% jitter — drawing jitter from a private
-// generator seeded with seed.
-func NewBackoff(base, max time.Duration, seed int64) *Backoff {
-	return &Backoff{
-		Base:   base,
-		Max:    max,
-		Factor: 2,
-		Jitter: 0.2,
-		rng:    rand.New(rand.NewSource(seed)),
-	}
+// NewBackoff returns the reconnect schedule, drawing jitter from a
+// private generator seeded with seed.
+func NewBackoff(seed int64) *Backoff {
+	return &Backoff{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Next returns the wait before the next attempt and advances the
-// schedule: Base·Factorⁿ capped at Max, then jittered.
+// schedule: base·factorⁿ capped at the maximum, then jittered.
 func (b *Backoff) Next() time.Duration {
-	d := float64(b.Base)
+	d := float64(backoffBase)
 	for i := 0; i < b.attempt; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
+		d *= backoffFactor
+		if d >= float64(backoffMax) {
+			d = float64(backoffMax)
 			break
 		}
 	}
 	b.attempt++
-	if b.Jitter > 0 && b.rng != nil {
-		d *= 1 + b.Jitter*(2*b.rng.Float64()-1)
-	}
-	if max := float64(b.Max) * (1 + b.Jitter); d > max {
-		d = max
-	}
-	return time.Duration(d)
+	return time.Duration(d * (1 + backoffJitter*(2*b.rng.Float64()-1)))
 }
 
-// Reset rewinds the schedule to Base, as after a connection that proved
-// stable.
+// Reset rewinds the schedule to its first interval, as after a
+// connection that proved stable.
 func (b *Backoff) Reset() { b.attempt = 0 }
-
-// Attempts returns how many intervals have been handed out since the
-// last Reset.
-func (b *Backoff) Attempts() int { return b.attempt }

@@ -147,6 +147,3 @@ func (r *Runner) fire(ev Event) {
 
 // Injected returns how many events have fired so far.
 func (r *Runner) Injected() uint64 { return r.injected }
-
-// Failed returns how many fired events the environment rejected.
-func (r *Runner) Failed() uint64 { return r.failed }

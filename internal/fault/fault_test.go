@@ -40,8 +40,8 @@ func TestRunnerFiresInOrder(t *testing.T) {
 	if env.got[0].Kind != LinkDown || env.got[1].Kind != SwitchCrash || env.got[2].Kind != LinkUp {
 		t.Fatalf("wrong order: %+v", env.got)
 	}
-	if r.Injected() != 3 || r.Failed() != 0 {
-		t.Fatalf("injected=%d failed=%d", r.Injected(), r.Failed())
+	if r.Injected() != 3 || r.failed != 0 {
+		t.Fatalf("injected=%d failed=%d", r.Injected(), r.failed)
 	}
 }
 
@@ -52,8 +52,8 @@ func TestRunnerCountsFailuresAndMarks(t *testing.T) {
 	r := NewRunner(eng, env, tr)
 	r.Schedule(CrashRestart("vs1", 10*time.Millisecond, 20*time.Millisecond))
 	eng.RunUntil(time.Second)
-	if r.Injected() != 2 || r.Failed() != 1 {
-		t.Fatalf("injected=%d failed=%d, want 2/1", r.Injected(), r.Failed())
+	if r.Injected() != 2 || r.failed != 1 {
+		t.Fatalf("injected=%d failed=%d, want 2/1", r.Injected(), r.failed)
 	}
 	marks := tr.Marks()
 	if len(marks) != 2 {
@@ -89,36 +89,50 @@ func TestFlapDeterministicAndAlternating(t *testing.T) {
 	}
 }
 
-func TestBackoffScheduleCapAndReset(t *testing.T) {
-	b := &Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second, Factor: 2}
-	want := []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, 1600 * time.Millisecond, 2 * time.Second, 2 * time.Second,
+// unjittered is the schedule's n-th interval before jitter.
+func unjittered(n int) float64 {
+	d := float64(backoffBase) * pow2(n)
+	if d > float64(backoffMax) {
+		d = float64(backoffMax)
 	}
-	for i, w := range want {
-		if got := b.Next(); got != w {
-			t.Fatalf("attempt %d: got %v, want %v", i, got, w)
+	return d
+}
+
+// inJitter reports whether d lies within the jitter band around the
+// schedule's n-th interval.
+func inJitter(d time.Duration, n int) bool {
+	base := unjittered(n)
+	return d >= time.Duration(base*(1-backoffJitter)) && d <= time.Duration(base*(1+backoffJitter))
+}
+
+func TestBackoffScheduleCapAndReset(t *testing.T) {
+	b := NewBackoff(7)
+	// 100ms doubling reaches the 30s cap at the tenth attempt.
+	const attempts = 12
+	for i := 0; i < attempts; i++ {
+		if got := b.Next(); !inJitter(got, i) {
+			t.Fatalf("attempt %d: got %v, want within ±20%% of %v", i, got, time.Duration(unjittered(i)))
 		}
 	}
-	if b.Attempts() != len(want) {
-		t.Fatalf("attempts=%d, want %d", b.Attempts(), len(want))
+	if unjittered(attempts-1) != float64(30*time.Second) {
+		t.Fatalf("schedule not capped at 30s: %v", time.Duration(unjittered(attempts-1)))
+	}
+	if b.attempt != attempts {
+		t.Fatalf("attempts=%d, want %d", b.attempt, attempts)
 	}
 	b.Reset()
-	if got := b.Next(); got != 100*time.Millisecond {
+	if got := b.Next(); !inJitter(got, 0) {
 		t.Fatalf("after reset got %v, want base", got)
 	}
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	b := NewBackoff(100*time.Millisecond, time.Second, 42)
+	b := NewBackoff(42)
 	prevLo := time.Duration(0)
+	jittered := false
 	for i := 0; i < 20; i++ {
-		base := float64(100*time.Millisecond) * pow2(i)
-		if base > float64(time.Second) {
-			base = float64(time.Second)
-		}
-		lo := time.Duration(base * (1 - b.Jitter))
-		hi := time.Duration(base * (1 + b.Jitter))
+		lo := time.Duration(unjittered(i) * (1 - backoffJitter))
+		hi := time.Duration(unjittered(i) * (1 + backoffJitter))
 		got := b.Next()
 		if got < lo || got > hi {
 			t.Fatalf("attempt %d: %v outside [%v, %v]", i, got, lo, hi)
@@ -126,7 +140,11 @@ func TestBackoffJitterBounds(t *testing.T) {
 		if lo < prevLo {
 			t.Fatalf("schedule not monotone before cap")
 		}
+		jittered = jittered || got != time.Duration(unjittered(i))
 		prevLo = lo
+	}
+	if !jittered {
+		t.Fatal("no interval was jittered")
 	}
 }
 

@@ -534,9 +534,6 @@ func (gt *GroupTable) Apply(m *openflow.GroupMod) error {
 // Get returns the group with the given id, or nil.
 func (gt *GroupTable) Get(id uint32) *Group { return gt.groups[id] }
 
-// Len returns the number of groups.
-func (gt *GroupTable) Len() int { return len(gt.groups) }
-
 // Pipeline is the multi-table match pipeline of one switch.
 type Pipeline struct {
 	Tables []*Table

@@ -269,7 +269,7 @@ func TestGroupTableCommands(t *testing.T) {
 	if err := gt.Apply(del); err != nil {
 		t.Fatal(err)
 	}
-	if gt.Get(7) != nil || gt.Len() != 0 {
+	if gt.Get(7) != nil || len(gt.groups) != 0 {
 		t.Fatal("delete ineffective")
 	}
 	bad := &openflow.GroupMod{Command: openflow.GroupModify, GroupID: 9}

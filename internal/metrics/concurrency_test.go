@@ -12,15 +12,15 @@ import (
 // Adds must not change any subsequent reading compared to a meter that was
 // never scraped.
 func TestRateMeterRateDoesNotMutate(t *testing.T) {
-	scraped := NewRateMeter(time.Second, 10)
-	clean := NewRateMeter(time.Second, 10)
+	scraped := NewRateMeter()
+	clean := NewRateMeter()
 	times := []time.Duration{
 		0, 50 * time.Millisecond, 400 * time.Millisecond,
 		time.Second, 2500 * time.Millisecond, time.Minute, time.Hour,
 	}
 	for i, now := range times {
-		scraped.Add(now, float64(i+1))
-		clean.Add(now, float64(i+1))
+		addN(scraped, now, i+1)
+		addN(clean, now, i+1)
 		// Scrape the first meter aggressively, including far-future
 		// queries that would roll every bucket out if Rate advanced.
 		scraped.Rate(now)
@@ -37,7 +37,7 @@ func TestRateMeterRateDoesNotMutate(t *testing.T) {
 // TestRateMeterConcurrentReaders runs writers on one goroutine against
 // telemetry readers on others; run with -race.
 func TestRateMeterConcurrentReaders(t *testing.T) {
-	m := NewRateMeter(time.Second, 10)
+	m := NewRateMeter()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -56,7 +56,7 @@ func TestRateMeterConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 5000; i++ {
-		m.Add(time.Duration(i)*time.Millisecond, 1)
+		m.Add(time.Duration(i) * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
@@ -129,22 +129,22 @@ func TestHistogramSnapshot(t *testing.T) {
 		h.Add(v)
 	}
 	s := h.Snapshot()
-	if s.Count() != 4 {
-		t.Fatalf("snapshot count = %d", s.Count())
+	if len(s) != 4 {
+		t.Fatalf("snapshot count = %d", len(s))
 	}
-	if q := s.Quantile(0); q != 1 {
+	if q := quantileSorted(s, 0); q != 1 {
 		t.Fatalf("snapshot min = %v", q)
 	}
-	if q := s.Quantile(1); q != 9 {
+	if q := quantileSorted(s, 1); q != 9 {
 		t.Fatalf("snapshot max = %v", q)
 	}
 	// The snapshot is immutable: later Adds don't change it.
 	h.Add(100)
-	if s.Count() != 4 || s.Quantile(1) != 9 {
+	if len(s) != 4 || quantileSorted(s, 1) != 9 {
 		t.Fatal("snapshot mutated by later Add")
 	}
 	var empty Histogram
-	if s := empty.Snapshot(); s.Count() != 0 || s.Quantile(0.5) != 0 {
+	if s := empty.Snapshot(); len(s) != 0 || quantileSorted(s, 0.5) != 0 {
 		t.Fatal("empty snapshot not zero")
 	}
 }

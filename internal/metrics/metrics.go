@@ -18,22 +18,22 @@ import (
 // Total) never mutate meter state.
 type RateMeter struct {
 	mu      sync.Mutex
-	bucket  time.Duration
-	buckets []float64
-	base    int64 // index of buckets[0] in units of bucket since t=0
+	buckets [rateBuckets]float64
+	base    int64 // index of buckets[0] in units of rateBucket since t=0
 	total   float64
 }
 
-// NewRateMeter returns a meter with the given window, divided into n
-// buckets.
-func NewRateMeter(window time.Duration, n int) *RateMeter {
-	if n <= 0 || window <= 0 {
-		panic("metrics: invalid rate meter shape")
-	}
-	return &RateMeter{bucket: window / time.Duration(n), buckets: make([]float64, n)}
-}
+// A RateMeter's window is one second, divided into ten buckets.
+const (
+	rateWindow  = time.Second
+	rateBuckets = 10
+	rateBucket  = rateWindow / rateBuckets
+)
 
-func (m *RateMeter) idx(now sim.Time) int64 { return int64(now / m.bucket) }
+// NewRateMeter returns a meter over a one-second sliding window.
+func NewRateMeter() *RateMeter { return &RateMeter{} }
+
+func (m *RateMeter) idx(now sim.Time) int64 { return int64(now / rateBucket) }
 
 func (m *RateMeter) advance(now sim.Time) {
 	cur := m.idx(now)
@@ -42,11 +42,9 @@ func (m *RateMeter) advance(now sim.Time) {
 		return
 	}
 	if shift >= int64(len(m.buckets)) {
-		for i := range m.buckets {
-			m.buckets[i] = 0
-		}
+		m.buckets = [rateBuckets]float64{}
 	} else {
-		copy(m.buckets, m.buckets[shift:])
+		copy(m.buckets[:], m.buckets[shift:])
 		for i := len(m.buckets) - int(shift); i < len(m.buckets); i++ {
 			m.buckets[i] = 0
 		}
@@ -54,16 +52,16 @@ func (m *RateMeter) advance(now sim.Time) {
 	m.base = cur - int64(len(m.buckets)) + 1
 }
 
-// Add records n events at virtual time now.
-func (m *RateMeter) Add(now sim.Time, n float64) {
+// Add records one event at virtual time now.
+func (m *RateMeter) Add(now sim.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.advance(now)
 	i := m.idx(now) - m.base
 	if i >= 0 && i < int64(len(m.buckets)) {
-		m.buckets[i] += n
+		m.buckets[i]++
 	}
-	m.total += n
+	m.total++
 }
 
 // Total returns the lifetime event count, independent of the window.
@@ -90,8 +88,7 @@ func (m *RateMeter) Rate(now sim.Time) float64 {
 			sum += v
 		}
 	}
-	window := m.bucket * time.Duration(n)
-	return sum / window.Seconds()
+	return sum / rateWindow.Seconds()
 }
 
 // Histogram collects samples for quantile queries (latency distributions).
@@ -161,12 +158,6 @@ func (h *Histogram) sortedLocked() []float64 {
 
 // Snapshot is a sorted, point-in-time copy of a histogram's samples.
 type Snapshot []float64
-
-// Count returns the number of samples in the snapshot.
-func (s Snapshot) Count() int { return len(s) }
-
-// Quantile returns the q-quantile of the snapshot.
-func (s Snapshot) Quantile(q float64) float64 { return quantileSorted(s, q) }
 
 func quantileSorted(samples []float64, q float64) float64 {
 	if len(samples) == 0 {

@@ -9,11 +9,18 @@ import (
 	"scotch/internal/sim"
 )
 
+// addN records n events at now.
+func addN(m *RateMeter, now sim.Time, n int) {
+	for i := 0; i < n; i++ {
+		m.Add(now)
+	}
+}
+
 func TestRateMeterSteadyRate(t *testing.T) {
-	m := NewRateMeter(time.Second, 10)
+	m := NewRateMeter()
 	// 200 events/s for 2 seconds.
 	for i := 0; i < 400; i++ {
-		m.Add(time.Duration(i)*5*time.Millisecond, 1)
+		m.Add(time.Duration(i) * 5 * time.Millisecond)
 	}
 	got := m.Rate(2 * time.Second)
 	if math.Abs(got-200) > 20 {
@@ -22,8 +29,8 @@ func TestRateMeterSteadyRate(t *testing.T) {
 }
 
 func TestRateMeterDecays(t *testing.T) {
-	m := NewRateMeter(time.Second, 10)
-	m.Add(0, 100)
+	m := NewRateMeter()
+	addN(m, 0, 100)
 	if r := m.Rate(100 * time.Millisecond); r < 90 {
 		t.Fatalf("fresh rate = %v", r)
 	}
@@ -33,9 +40,9 @@ func TestRateMeterDecays(t *testing.T) {
 }
 
 func TestRateMeterPartialWindow(t *testing.T) {
-	m := NewRateMeter(time.Second, 4)
-	m.Add(0, 50)
-	m.Add(600*time.Millisecond, 50)
+	m := NewRateMeter()
+	addN(m, 0, 50)
+	addN(m, 600*time.Millisecond, 50)
 	// Just before t=1s the window still covers both bursts; by 1.3s the
 	// first bucket has rolled out.
 	if r := m.Rate(999 * time.Millisecond); math.Abs(r-100) > 1 {
@@ -50,15 +57,15 @@ func TestRateMeterWindowWrapAfterLongIdle(t *testing.T) {
 	// An idle gap far longer than the window must fully reset the buckets
 	// (the advance() shift exceeds the bucket count), so old events cannot
 	// leak into the new window.
-	m := NewRateMeter(time.Second, 10)
-	m.Add(0, 500)
-	m.Add(time.Hour, 10)
+	m := NewRateMeter()
+	addN(m, 0, 500)
+	addN(m, time.Hour, 10)
 	if r := m.Rate(time.Hour); math.Abs(r-10) > 1e-9 {
 		t.Fatalf("rate after hour-long idle = %v, want 10", r)
 	}
 	// The next event after the wrap lands in the right bucket relative to
 	// the rebased window.
-	m.Add(time.Hour+500*time.Millisecond, 10)
+	addN(m, time.Hour+500*time.Millisecond, 10)
 	if r := m.Rate(time.Hour + 500*time.Millisecond); math.Abs(r-20) > 1e-9 {
 		t.Fatalf("rate after post-wrap add = %v, want 20", r)
 	}
@@ -67,14 +74,14 @@ func TestRateMeterWindowWrapAfterLongIdle(t *testing.T) {
 func TestRateMeterZeroEventWindow(t *testing.T) {
 	// Querying a window that never saw an event reports zero, both on a
 	// fresh meter and after prior activity has rolled out bucket by bucket.
-	m := NewRateMeter(time.Second, 10)
+	m := NewRateMeter()
 	if r := m.Rate(0); r != 0 {
 		t.Fatalf("fresh meter rate = %v, want 0", r)
 	}
 	if r := m.Rate(10 * time.Second); r != 0 {
 		t.Fatalf("idle meter rate = %v, want 0", r)
 	}
-	m.Add(10*time.Second, 7)
+	addN(m, 10*time.Second, 7)
 	// Walk the window forward one bucket at a time past the event: a
 	// shift < len(buckets) each step exercises the copy path, and the
 	// rate must reach exactly zero once the event ages out.
@@ -93,13 +100,13 @@ func TestRateMeterZeroEventWindow(t *testing.T) {
 func TestRateMeterTotalLifetime(t *testing.T) {
 	// Total is a lifetime counter: unaffected by window roll-out or the
 	// full reset after a long idle gap.
-	m := NewRateMeter(time.Second, 10)
+	m := NewRateMeter()
 	if m.Total() != 0 {
 		t.Fatalf("fresh total = %v", m.Total())
 	}
-	m.Add(0, 3)
-	m.Add(500*time.Millisecond, 4)
-	m.Add(time.Hour, 5)
+	addN(m, 0, 3)
+	addN(m, 500*time.Millisecond, 4)
+	addN(m, time.Hour, 5)
 	if m.Total() != 12 {
 		t.Fatalf("total = %v, want 12", m.Total())
 	}

@@ -91,7 +91,7 @@ func TestBucketHistogramConcurrentScrape(t *testing.T) {
 // wrap path (advances far beyond the bucket count) while concurrent
 // readers call Rate; run with -race.
 func TestRateMeterConcurrentWrap(t *testing.T) {
-	m := NewRateMeter(time.Second, 10)
+	m := NewRateMeter()
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -103,7 +103,7 @@ func TestRateMeterConcurrentWrap(t *testing.T) {
 			if i%7 == 0 {
 				now += 3 * time.Second
 			}
-			m.Add(now, 1)
+			m.Add(now)
 		}
 	}()
 	go func() {

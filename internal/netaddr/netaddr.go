@@ -45,11 +45,6 @@ func (ip IPv4) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 }
 
-// Octets returns the address as four bytes in network order.
-func (ip IPv4) Octets() [4]byte {
-	return [4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}
-}
-
 // In reports whether the address matches prefix under mask (both in host
 // order; mask 0xffffffff is an exact match, mask 0 matches everything).
 func (ip IPv4) In(prefix IPv4, mask uint32) bool {
@@ -135,15 +130,4 @@ func (k FlowKey) Hash() uint64 {
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return h
-}
-
-// SymHash returns a direction-independent hash: both directions of a flow
-// hash identically (like gopacket's Flow.FastHash), so bidirectional
-// traffic always selects the same ECMP bucket.
-func (k FlowKey) SymHash() uint64 {
-	a, b := k.Hash(), k.Reverse().Hash()
-	if a < b {
-		return a*fnvPrime ^ b
-	}
-	return b*fnvPrime ^ a
 }

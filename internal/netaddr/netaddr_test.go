@@ -101,16 +101,6 @@ func TestFlowKeyHashDistinct(t *testing.T) {
 	}
 }
 
-func TestSymHashSymmetric(t *testing.T) {
-	f := func(src, dst uint32, proto uint8, sp, dp uint16) bool {
-		k := FlowKey{Src: IPv4(src), Dst: IPv4(dst), Proto: proto, SrcPort: sp, DstPort: dp}
-		return k.SymHash() == k.Reverse().SymHash()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHashUniformity(t *testing.T) {
 	// ECMP bucket selection must spread sequentially numbered flows evenly.
 	const buckets, flows = 8, 8000

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -111,7 +110,7 @@ func (o *Observatory) Digest(name string) *Digest {
 			Quantile:                  s.def.Quantile,
 			TargetSeconds:             s.def.Target.Seconds(),
 			Final:                     s.verdict,
-			VerdictPath:               VerdictPath(Healthy, s.transitions),
+			VerdictPath:               VerdictPath(s.transitions),
 			Transitions:               append([]Transition(nil), s.transitions...),
 			PeakBurnShort:             s.peakShort,
 			PeakBurnLong:              s.peakLong,
@@ -137,13 +136,6 @@ func (d *Digest) SLO(name string) *SLODigest {
 		}
 	}
 	return nil
-}
-
-// WriteJSON marshals the digest as indented JSON.
-func (d *Digest) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
 }
 
 // WriteText renders the digest as a fixed-width report: SLO verdicts
@@ -179,7 +171,7 @@ func (d *Digest) WriteText(w io.Writer) error {
 	for _, c := range d.Components {
 		for _, s := range c.Series {
 			if _, err := fmt.Fprintf(w, "  %-18s %-22s [%-*s] last=%-10.4g max=%-10.4g mean=%.4g\n",
-				c.Name, s.Name, sparkWidth, Spark(s.Points, sparkWidth),
+				c.Name, s.Name, sparkWidth, Spark(s.Points),
 				s.Summary.Last, s.Summary.Max, s.Summary.Mean); err != nil {
 				return err
 			}

@@ -6,7 +6,7 @@
 // backlogs (internal/scotch), per-vSwitch queue depth and rule counts
 // (internal/device), per-replica Packet-In/FlowMod rates
 // (internal/cluster), devolve hit/escalation totals (internal/devolve),
-// vSwitch pool size (internal/elastic), and per-tenant flow-setup
+// vSwitch pool size (scotch.VSwitchPool), and per-tenant flow-setup
 // latency distributions (internal/workload) — into fixed-size ring-buffer
 // time series keyed to the simulation clock, and evaluates declarative
 // latency SLOs with multi-window error-budget burn rates.
@@ -43,7 +43,6 @@ import (
 	"scotch/internal/controller"
 	"scotch/internal/device"
 	"scotch/internal/devolve"
-	"scotch/internal/elastic"
 	"scotch/internal/metrics"
 	"scotch/internal/scotch"
 	"scotch/internal/sim"
@@ -142,7 +141,7 @@ func (o *Observatory) Series(comp, name string, fn func() float64) {
 		s.fn = fn
 		return
 	}
-	s := &series{name: name, fn: fn, ring: NewRing(ringSize)}
+	s := &series{name: name, fn: fn, ring: NewRing()}
 	c.byName[name] = s
 	c.series = append(c.series, s)
 }
@@ -240,7 +239,7 @@ func (o *Observatory) WatchCoordinator(co *cluster.Coordinator) {
 // component "elastic"; a rig that balances on the view adds the pool's
 // load signal as series "load" of the same component. Nil-safe on both
 // sides.
-func (o *Observatory) WatchPool(pool elastic.Pool) {
+func (o *Observatory) WatchPool(pool *scotch.VSwitchPool) {
 	if o == nil || pool == nil {
 		return
 	}
@@ -298,16 +297,6 @@ func (o *Observatory) Stop() {
 	o.stopCPUProfileLocked()
 }
 
-// Sample takes one sample immediately (normally driven by Start's
-// ticker; exported for tests and for digest-at-end completeness).
-// Nil-safe.
-func (o *Observatory) Sample() {
-	if o == nil {
-		return
-	}
-	o.sample()
-}
-
 func (o *Observatory) sample() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -335,9 +324,9 @@ func (o *Observatory) evalSLO(s *sloState, now sim.Time) {
 		// slack for the boundary search.
 		n := int(s.def.LongWindow/sampleInterval) + 4
 		s.snaps = newCountsRing(n)
-		s.burnShort = NewRing(ringSize)
-		s.burnLong = NewRing(ringSize)
-		s.windowQ = NewRing(ringSize)
+		s.burnShort = NewRing()
+		s.burnLong = NewRing()
+		s.windowQ = NewRing()
 	}
 	s.samples++
 	s.snaps.push(countsSnap{t: now, counts: s.hist.Counts()})
@@ -394,22 +383,26 @@ func (o *Observatory) onTransitionLocked(s *sloState, to Verdict) {
 	}
 	switch to {
 	case Burning:
-		o.captures++
 		// Observatories sharing a ProfileDir (one per rig of a run) count
-		// their captures separately: take the first number from ours on
+		// their captures separately: take the first number past ours
 		// whose heap file is still free, so no capture overwrites another.
+		// A capture counts only once its heap profile is on disk.
 		var base string
-		for n := o.captures; ; n++ {
+		for n := o.captures + 1; ; n++ {
 			base = filepath.Join(o.cfg.ProfileDir,
 				fmt.Sprintf("breach_%s_%d", sanitize(s.def.Name), n))
 			f, err := os.OpenFile(base+"_heap.pprof", os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 			if errors.Is(err, fs.ErrExist) {
 				continue
 			}
-			if err == nil {
-				_ = pprof.WriteHeapProfile(f)
-				_ = f.Close()
+			if err != nil {
+				return
 			}
+			werr := pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); werr != nil || cerr != nil {
+				return
+			}
+			o.captures++
 			break
 		}
 		if o.cpuFile == nil {
@@ -433,17 +426,6 @@ func (o *Observatory) stopCPUProfileLocked() {
 	pprof.StopCPUProfile()
 	_ = o.cpuFile.Close()
 	o.cpuFile = nil
-}
-
-// Captures returns how many breach profile captures fired (0 for nil or
-// when ProfileDir is unset).
-func (o *Observatory) Captures() int {
-	if o == nil {
-		return 0
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.captures
 }
 
 // sanitize maps an SLO name onto a safe filename fragment.

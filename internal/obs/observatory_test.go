@@ -18,7 +18,7 @@ import (
 // whole run, plus 200ms flows at 100/s inside [5s, 10s).
 func burnRig() (*sim.Engine, *Observatory) {
 	eng := sim.New(1)
-	lt := workload.NewLatencyTracker(nil)
+	lt := workload.NewLatencyTracker()
 	o := New(eng, Config{SLOs: []SLO{{
 		Name: "t-p99", Tenant: "t", Target: 50 * time.Millisecond,
 	}}})
@@ -101,7 +101,7 @@ func TestSnapshotMidBurn(t *testing.T) {
 // breaches once and never recovers.
 func breachRun(dir string) *Observatory {
 	eng := sim.New(1)
-	lt := workload.NewLatencyTracker(nil)
+	lt := workload.NewLatencyTracker()
 	o := New(eng, Config{
 		ProfileDir: dir,
 		SLOs:       []SLO{{Name: "t-p99", Tenant: "t"}},
@@ -114,11 +114,14 @@ func breachRun(dir string) *Observatory {
 	return o
 }
 
+// captures is the breach profile count a run's digest reports.
+func captures(o *Observatory) int { return o.Digest("run").Captures }
+
 func TestBreachProfileCapture(t *testing.T) {
 	dir := t.TempDir()
 	o := breachRun(dir)
-	if o.Captures() != 1 {
-		t.Fatalf("captures = %d, want 1", o.Captures())
+	if n := captures(o); n != 1 {
+		t.Fatalf("captures = %d, want 1", n)
 	}
 	for _, name := range []string{"breach_t-p99_1_heap.pprof", "breach_t-p99_1_cpu.pprof"} {
 		fi, err := os.Stat(filepath.Join(dir, name))
@@ -136,13 +139,25 @@ func TestBreachProfileCapture(t *testing.T) {
 // overwrite another's files.
 func TestBreachProfilesShareDir(t *testing.T) {
 	dir := t.TempDir()
-	captures := breachRun(dir).Captures() + breachRun(dir).Captures()
+	n := captures(breachRun(dir)) + captures(breachRun(dir))
 	heaps, err := filepath.Glob(filepath.Join(dir, "breach_t-p99_*_heap.pprof"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if captures != 2 || len(heaps) != captures {
-		t.Fatalf("%d captures left %d heap profiles %v, want one each", captures, len(heaps), heaps)
+	if n != 2 || len(heaps) != n {
+		t.Fatalf("%d captures left %d heap profiles %v, want one each", n, len(heaps), heaps)
+	}
+}
+
+// TestBreachProfileUnwritableDir: a breach whose heap profile cannot be
+// written is not counted as a capture.
+func TestBreachProfileUnwritableDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing", "dir")
+	if n := captures(breachRun(dir)); n != 0 {
+		t.Fatalf("captures = %d with no profile written, want 0", n)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("profile dir was created: %v", err)
 	}
 }
 
@@ -157,11 +172,7 @@ func TestNilObservatorySafe(t *testing.T) {
 	o.WatchDevolve(nil)
 	o.WatchLatency(nil)
 	o.Start()
-	o.Sample()
 	o.Stop()
-	if n := o.Captures(); n != 0 {
-		t.Fatalf("nil captures = %d", n)
-	}
 	if v := o.Snapshot(); v == nil || len(v.Components) != 0 {
 		t.Fatalf("nil snapshot = %+v", v)
 	}
@@ -184,11 +195,9 @@ func TestDisabledObservatoryAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		o.Series("c", "s", probe)
 		o.Start()
-		o.Sample()
 		o.Stop()
 		o.WatchLatency(nil)
 		o.WatchDevolve(nil)
-		_ = o.Captures()
 	}); n != 0 {
 		t.Fatalf("disabled observatory allocates %v allocs/op, want 0", n)
 	}
@@ -248,9 +257,9 @@ func TestSeriesReregisterKeepsRing(t *testing.T) {
 	eng := sim.New(1)
 	o := New(eng, Config{})
 	o.Series("c", "s", func() float64 { return 1 })
-	o.Sample()
+	o.sample()
 	o.Series("c", "s", func() float64 { return 2 })
-	o.Sample()
+	o.sample()
 	v := o.Snapshot()
 	if len(v.Components) != 1 || len(v.Components[0].Series) != 1 {
 		t.Fatalf("re-registering duplicated the series: %+v", v.Components)

@@ -41,12 +41,9 @@ func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
 // own lock.
 type Ring struct{ ring[Point] }
 
-// NewRing returns a ring holding at most capacity samples (minimum 1).
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{ring[Point]{buf: make([]Point, capacity)}}
+// NewRing returns a ring holding at most ringSize samples.
+func NewRing() *Ring {
+	return &Ring{ring[Point]{buf: make([]Point, ringSize)}}
 }
 
 // Push appends a sample, evicting the oldest once full. Nil-safe.
@@ -63,14 +60,6 @@ func (r *Ring) Len() int {
 		return 0
 	}
 	return r.n
-}
-
-// Cap returns the ring's capacity (0 for nil).
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
 }
 
 // At returns the i-th stored sample in chronological order (0 = oldest).
@@ -92,22 +81,6 @@ func (r *Ring) Points() []Point {
 	out := make([]Point, r.n)
 	for i := 0; i < r.n; i++ {
 		out[i] = r.At(i)
-	}
-	return out
-}
-
-// Since returns a chronological copy of the samples with T >= t. Nil-safe.
-func (r *Ring) Since(t sim.Time) []Point {
-	if r.Len() == 0 {
-		return nil
-	}
-	// Samples are pushed in time order; binary search would work, but the
-	// ring is small and a scan keeps the wrap arithmetic obvious.
-	var out []Point
-	for i := 0; i < r.n; i++ {
-		if p := r.At(i); p.T >= t {
-			out = append(out, p)
-		}
 	}
 	return out
 }
@@ -169,13 +142,14 @@ func Downsample(pts []Point, n int) []Point {
 // terminals).
 const sparkLevels = " .:-=+*#%@"
 
-// Spark renders pts as a fixed-width ASCII sparkline scaled between the
-// series' min and max (a flat series renders at the lowest level).
-func Spark(pts []Point, width int) string {
-	if len(pts) == 0 || width <= 0 {
+// Spark renders pts as an ASCII sparkline at most sparkWidth cells wide,
+// scaled between the series' min and max (a flat series renders at the
+// lowest level).
+func Spark(pts []Point) string {
+	if len(pts) == 0 {
 		return ""
 	}
-	pts = Downsample(pts, width)
+	pts = Downsample(pts, sparkWidth)
 	s := Summarize(pts)
 	var b strings.Builder
 	for _, p := range pts {

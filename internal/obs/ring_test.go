@@ -10,18 +10,19 @@ import (
 func at(ms int) sim.Time { return sim.Time(ms) * sim.Time(time.Millisecond) }
 
 func TestRingWrap(t *testing.T) {
-	r := NewRing(4)
-	if r.Cap() != 4 || r.Len() != 0 {
-		t.Fatalf("fresh ring cap=%d len=%d", r.Cap(), r.Len())
+	r := NewRing()
+	if r.Len() != 0 {
+		t.Fatalf("fresh ring len=%d", r.Len())
 	}
 	if _, ok := r.Last(); ok {
 		t.Fatal("empty ring reported a last sample")
 	}
-	for i := 0; i < 10; i++ {
+	const pushed = ringSize + 6
+	for i := 0; i < pushed; i++ {
 		r.Push(at(i), float64(i))
 	}
-	if r.Len() != 4 {
-		t.Fatalf("len after wrap = %d, want 4", r.Len())
+	if r.Len() != ringSize {
+		t.Fatalf("len after wrap = %d, want %d", r.Len(), ringSize)
 	}
 	pts := r.Points()
 	for i, p := range pts {
@@ -30,35 +31,19 @@ func TestRingWrap(t *testing.T) {
 			t.Fatalf("pts[%d] = %+v, want t=%v v=%g", i, p, at(6+i), want)
 		}
 	}
-	if last, ok := r.Last(); !ok || last.V != 9 {
-		t.Fatalf("last = %+v ok=%v, want v=9", last, ok)
-	}
-	since := r.Since(at(8))
-	if len(since) != 2 || since[0].V != 8 {
-		t.Fatalf("since(8ms) = %+v, want samples 8 and 9", since)
+	if last, ok := r.Last(); !ok || last.V != pushed-1 {
+		t.Fatalf("last = %+v ok=%v, want v=%d", last, ok, pushed-1)
 	}
 }
 
 func TestRingNilSafe(t *testing.T) {
 	var r *Ring
 	r.Push(0, 1)
-	if r.Len() != 0 || r.Cap() != 0 || r.Points() != nil || r.Since(0) != nil {
+	if r.Len() != 0 || r.Points() != nil {
 		t.Fatal("nil ring not inert")
 	}
 	if _, ok := r.Last(); ok {
 		t.Fatal("nil ring reported a last sample")
-	}
-}
-
-func TestNewRingMinimumCapacity(t *testing.T) {
-	r := NewRing(0)
-	if r.Cap() != 1 {
-		t.Fatalf("cap = %d, want clamp to 1", r.Cap())
-	}
-	r.Push(at(1), 1)
-	r.Push(at(2), 2)
-	if last, _ := r.Last(); last.V != 2 || r.Len() != 1 {
-		t.Fatalf("single-slot ring kept %+v len=%d", last, r.Len())
 	}
 }
 
@@ -90,28 +75,31 @@ func TestSummarizeAndDownsample(t *testing.T) {
 }
 
 func TestSpark(t *testing.T) {
-	if Spark(nil, 10) != "" || Spark([]Point{{0, 1}}, 0) != "" {
-		t.Fatal("degenerate spark inputs must render empty")
+	if Spark(nil) != "" {
+		t.Fatal("an empty series must render empty")
 	}
-	flat := Spark([]Point{{at(1), 5}, {at(2), 5}}, 2)
+	flat := Spark([]Point{{at(1), 5}, {at(2), 5}})
 	if flat != "  " {
 		t.Fatalf("flat series = %q, want two low cells", flat)
 	}
-	ramp := Spark([]Point{{at(1), 0}, {at(2), 1}}, 2)
+	ramp := Spark([]Point{{at(1), 0}, {at(2), 1}})
 	if ramp != " @" {
 		t.Fatalf("ramp = %q, want low then high", ramp)
+	}
+	if long := Spark(make([]Point, 3*sparkWidth)); len(long) != sparkWidth {
+		t.Fatalf("long series rendered %d cells, want %d", len(long), sparkWidth)
 	}
 }
 
 func TestVerdictPath(t *testing.T) {
-	if got := VerdictPath(Healthy, nil); got != "healthy" {
+	if got := VerdictPath(nil); got != "healthy" {
 		t.Fatalf("path = %q", got)
 	}
 	trs := []Transition{
 		{At: at(1), From: Healthy, To: Burning},
 		{At: at(2), From: Burning, To: Healthy},
 	}
-	if got := VerdictPath(Healthy, trs); got != "healthy->burning->healthy" {
+	if got := VerdictPath(trs); got != "healthy->burning->healthy" {
 		t.Fatalf("path = %q", got)
 	}
 }

@@ -103,11 +103,11 @@ type Transition struct {
 	To   Verdict  `json:"to"`
 }
 
-// VerdictPath renders an initial verdict plus its transitions as a
-// readable sequence, e.g. "healthy->burning->healthy". The digest
+// VerdictPath renders the verdict sequence from the initial Healthy
+// through each transition, e.g. "healthy->burning->healthy". The digest
 // assertions in the obs-slo experiment compare against exactly this form.
-func VerdictPath(initial Verdict, transitions []Transition) string {
-	path := initial.String()
+func VerdictPath(transitions []Transition) string {
+	path := Healthy.String()
 	for _, tr := range transitions {
 		path += "->" + tr.To.String()
 	}

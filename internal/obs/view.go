@@ -63,21 +63,6 @@ type SLOView struct {
 	Samples uint64 `json:"samples"`
 }
 
-// Component returns the named component view, or nil when the view (or
-// the component) is absent. Views are plain data, so the result may be
-// retained freely.
-func (v *ClusterView) Component(name string) *ComponentView {
-	if v == nil {
-		return nil
-	}
-	for i := range v.Components {
-		if v.Components[i].Name == name {
-			return &v.Components[i]
-		}
-	}
-	return nil
-}
-
 // Last returns the newest sampled value of the named series, with
 // ok=false when the component is nil, the series is unknown, or it has
 // no samples yet. This is the accessor signal extractors (the joint

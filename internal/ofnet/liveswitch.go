@@ -238,16 +238,13 @@ func (ls *LiveSwitch) DialAndServe(ctx context.Context, addr string) error {
 const connStableAfter = 10 * time.Second
 
 // DialAndServeRetry runs DialAndServe in a loop, reconnecting after each
-// failure with exponential backoff and jitter from bo (a conventional
-// 100ms→30s schedule when nil). A connection that stays up for at least
-// connStableAfter resets the schedule, so a controller that crash-loops
-// hourly is not punished for last month's outage. notify, when non-nil,
-// observes each failure and the wait before the next attempt. Returns
-// only when the context is canceled.
-func (ls *LiveSwitch) DialAndServeRetry(ctx context.Context, addr string, bo *fault.Backoff, notify func(err error, next time.Duration)) error {
-	if bo == nil {
-		bo = fault.NewBackoff(100*time.Millisecond, 30*time.Second, time.Now().UnixNano())
-	}
+// failure on fault.Backoff's jittered 100ms→30s schedule. A connection
+// that stays up for at least connStableAfter resets the schedule, so a
+// controller that crash-loops hourly is not punished for last month's
+// outage. notify, when non-nil, observes each failure and the wait before
+// the next attempt. Returns only when the context is canceled.
+func (ls *LiveSwitch) DialAndServeRetry(ctx context.Context, addr string, notify func(err error, next time.Duration)) error {
+	bo := fault.NewBackoff(time.Now().UnixNano())
 	for {
 		started := time.Now()
 		err := ls.DialAndServe(ctx, addr)

@@ -88,13 +88,10 @@ type SwitchConn struct {
 
 	PacketIns       atomic.Uint64
 	SlaveSuppressed atomic.Uint64
-	// InstallRetries counts FlowMod+Barrier pairs that had to be resent
-	// because the barrier reply did not arrive in time.
-	InstallRetries atomic.Uint64
 }
 
-// ErrBarrierTimeout is returned by Barrier and InstallReliable when the
-// switch does not acknowledge the barrier within the deadline.
+// ErrBarrierTimeout is returned by Barrier when the switch does not
+// acknowledge the barrier within the deadline.
 var ErrBarrierTimeout = errors.New("ofnet: barrier reply timeout")
 
 // Install sends a FlowMod to the switch.
@@ -148,27 +145,6 @@ func (s *SwitchConn) barrierDone(xid uint32) {
 	}
 }
 
-// InstallReliable sends a FlowMod and confirms it with a barrier,
-// resending the pair when the barrier times out — the retry discipline a
-// faulty control channel (message loss, a switch mid-restart) demands.
-// retries is the number of additional attempts after the first; the last
-// barrier error is returned when all attempts fail.
-func (s *SwitchConn) InstallReliable(fm *openflow.FlowMod, timeout time.Duration, retries int) error {
-	var err error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			s.InstallRetries.Add(1)
-		}
-		if err = s.Install(fm); err != nil {
-			continue
-		}
-		if err = s.Barrier(timeout); err == nil {
-			return nil
-		}
-	}
-	return err
-}
-
 // PacketOut injects a packet at the switch.
 func (s *SwitchConn) PacketOut(po *openflow.PacketOut) error {
 	_, err := s.conn.Send(po)
@@ -178,25 +154,6 @@ func (s *SwitchConn) PacketOut(po *openflow.PacketOut) error {
 // GroupMod installs or modifies a group at the switch.
 func (s *SwitchConn) GroupMod(gm *openflow.GroupMod) error {
 	_, err := s.conn.Send(gm)
-	return err
-}
-
-// LastEcho returns the time of the last heartbeat reply.
-func (s *SwitchConn) LastEcho() time.Time {
-	return time.Unix(0, s.lastEcho.Load())
-}
-
-// Role returns the controller's role on this switch as last confirmed
-// by a RoleReply. Connections start out Equal (OF 1.3 §6.3).
-func (s *SwitchConn) Role() uint32 { return s.role.Load() }
-
-// RequestRole asks the switch for a role change. Master and slave
-// claims must carry a generation id no older than the switch's highest
-// seen; stale claims are answered with a RoleRequestFailed error and
-// the local role is left unchanged. The confirmed role is applied when
-// the RoleReply arrives on the read loop.
-func (s *SwitchConn) RequestRole(role uint32, generation uint64) error {
-	_, err := s.conn.Send(&openflow.RoleRequest{Role: role, GenerationID: generation})
 	return err
 }
 

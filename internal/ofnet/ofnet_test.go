@@ -202,7 +202,7 @@ func TestEchoKeepalive(t *testing.T) {
 	go ls.DialAndServe(ctx, ctrl.Addr())
 	<-h.ready
 	sw := ctrl.Switch(9)
-	waitFor(t, func() bool { return sw.LastEcho().After(time.Time{}.Add(time.Nanosecond)) }, "echo reply")
+	waitFor(t, func() bool { return sw.lastEcho.Load() != 0 }, "echo reply")
 }
 
 func TestGroupAndStatsOverTCP(t *testing.T) {

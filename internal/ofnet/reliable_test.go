@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"scotch/internal/fault"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
 	"scotch/internal/packet"
@@ -30,13 +29,12 @@ func TestDialAndServeRetryReconnects(t *testing.T) {
 	addr := freeAddr(t)
 
 	ls := NewLiveSwitch(0xfa, 1)
-	bo := &fault.Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond, Factor: 2}
 	var attempts atomic.Int32
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- ls.DialAndServeRetry(ctx, addr, bo, func(err error, next time.Duration) {
+		done <- ls.DialAndServeRetry(ctx, addr, func(err error, next time.Duration) {
 			attempts.Add(1)
 		})
 	}()
@@ -112,6 +110,8 @@ func TestDefaultActionsFallbackWhileDisconnected(t *testing.T) {
 	}
 }
 
+// TestInstallReliableOverTCP installs a FlowMod and confirms it with a
+// barrier: once the barrier returns, the rule is in the table.
 func TestInstallReliableOverTCP(t *testing.T) {
 	h := newReactiveHandler(2)
 	ctrl, err := NewController("127.0.0.1:0", h)
@@ -140,14 +140,14 @@ func TestInstallReliableOverTCP(t *testing.T) {
 			Actions: []openflow.Action{openflow.OutputAction(2)},
 		}},
 	}
-	if err := sw.InstallReliable(fm, 2*time.Second, 2); err != nil {
-		t.Fatalf("InstallReliable: %v", err)
+	if err := sw.Install(fm); err != nil {
+		t.Fatalf("Install: %v", err)
+	}
+	if err := sw.Barrier(2 * time.Second); err != nil {
+		t.Fatalf("Barrier: %v", err)
 	}
 	if got := ls.RuleCount(); got != 1 {
 		t.Fatalf("RuleCount=%d, want 1", got)
-	}
-	if sw.InstallRetries.Load() != 0 {
-		t.Fatalf("healthy path recorded %d retries", sw.InstallRetries.Load())
 	}
 }
 
@@ -175,12 +175,11 @@ func TestBarrierTimeoutAndRetry(t *testing.T) {
 		t.Fatalf("Barrier returned after %v, before the deadline", elapsed)
 	}
 
-	fm := &openflow.FlowMod{Command: openflow.FlowAdd, Priority: 1}
-	if err := sw.InstallReliable(fm, 20*time.Millisecond, 2); err != ErrBarrierTimeout {
-		t.Fatalf("InstallReliable returned %v, want ErrBarrierTimeout", err)
-	}
-	if got := sw.InstallRetries.Load(); got != 2 {
-		t.Fatalf("InstallRetries=%d, want 2", got)
+	// A caller retrying a timed-out barrier leaves no waiter behind.
+	for retry := 0; retry < 2; retry++ {
+		if err := sw.Barrier(20 * time.Millisecond); err != ErrBarrierTimeout {
+			t.Fatalf("retry %d: Barrier returned %v, want ErrBarrierTimeout", retry, err)
+		}
 	}
 	if len(sw.barriers) != 0 {
 		t.Fatalf("%d leaked barrier waiters", len(sw.barriers))

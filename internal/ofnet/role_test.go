@@ -27,6 +27,20 @@ func (h *countingHandler) PacketIn(sw *SwitchConn, pin *openflow.PacketIn) {
 	h.packetIns <- sw.DPID
 }
 
+// Role returns the controller's role on this switch as last confirmed
+// by a RoleReply. Connections start out Equal (OF 1.3 §6.3).
+func (s *SwitchConn) Role() uint32 { return s.role.Load() }
+
+// RequestRole asks the switch for a role change. Master and slave
+// claims must carry a generation id no older than the switch's highest
+// seen; stale claims are answered with a RoleRequestFailed error and
+// the local role is left unchanged. The confirmed role is applied when
+// the RoleReply arrives on the read loop.
+func (s *SwitchConn) RequestRole(role uint32, generation uint64) error {
+	_, err := s.conn.Send(&openflow.RoleRequest{Role: role, GenerationID: generation})
+	return err
+}
+
 // TestRoleHandoffOverTCP drives the full master/slave life cycle over
 // real TCP: two controllers share one switch, the master handoff moves
 // Packet-In delivery, slave writes bounce, and a stale generation id

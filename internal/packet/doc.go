@@ -4,7 +4,7 @@
 // SerializeTo/DecodeFromBytes methods, and a Packet bundles a decoded
 // layer stack. The simulator passes *Packet values between nodes; the
 // wire codec is exercised whenever packets cross an encapsulation
-// boundary (the MPLS/GRE overlay tunnels of §4.1) or are embedded into
+// boundary (the MPLS overlay tunnels of §4.1) or are embedded into
 // OpenFlow Packet-In messages. Constructors take packets from a pool, and
 // the node where a packet dies gives it back with Release (DESIGN.md §14,
 // "The data-plane packet").

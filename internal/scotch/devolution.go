@@ -48,9 +48,6 @@ func (a *App) EnableDevolution() {
 	}
 }
 
-// DevolutionEnabled reports whether EnableDevolution has run.
-func (a *App) DevolutionEnabled() bool { return a.devo != nil }
-
 // DevolveTenant authors (or updates) a tenant's devolution policy:
 // flows sourced in prefix belong to the tenant, and sensitive tenants
 // (middlebox-chained) always escalate centrally. On a built overlay the

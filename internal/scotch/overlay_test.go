@@ -251,8 +251,8 @@ func buildPolicyFixture(t *testing.T, naive bool) *policyFixture {
 
 	slow := device.LinkConfig{Delay: 500 * time.Microsecond, RateBps: 1e9}
 	fast := device.LinkConfig{Delay: 100 * time.Microsecond, RateBps: 1e9}
-	fw := device.NewFirewall(eng, "fw-a", 50*time.Microsecond)
-	fw2 := device.NewFirewall(eng, "fw-b", 50*time.Microsecond)
+	fw := device.NewFirewall(eng, "fw-a")
+	fw2 := device.NewFirewall(eng, "fw-b")
 
 	net.LinkSwitches(s0, sau, slow)
 	suOut, sdIn := net.LinkSwitchesVia(sau, fw, sad, slow)

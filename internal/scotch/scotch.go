@@ -317,7 +317,7 @@ func (a *App) Protect(dpid uint64, ingressPorts ...uint32) {
 	a.protected[dpid] = &protState{
 		dpid:         dpid,
 		ingressPorts: ingressPorts,
-		reqRate:      metrics.NewRateMeter(time.Second, 10),
+		reqRate:      metrics.NewRateMeter(),
 	}
 }
 
@@ -355,9 +355,6 @@ func (a *App) Active(dpid uint64) bool {
 	st := a.protected[dpid]
 	return st != nil && st.active
 }
-
-// Overlay exposes the overlay manager (read-only use in experiments).
-func (a *App) Overlay() *Overlay { return a.ov }
 
 // ProtectedDPIDs returns the protected physical switches, sorted. The
 // observatory iterates this once at wiring time to register per-switch
@@ -497,7 +494,7 @@ func (a *App) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.PacketIn
 	}
 
 	if st := a.protected[origin]; st != nil {
-		st.reqRate.Add(a.C.Eng.Now(), 1)
+		st.reqRate.Add(a.C.Eng.Now())
 	}
 
 	tr := a.C.Tracer()

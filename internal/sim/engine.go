@@ -45,13 +45,12 @@ type eventNode struct {
 // instant run first.
 //
 // Handles stay safe after the event fires: the underlying node may be
-// recycled for a later event, and a stale Cancel or Canceled call on the
-// old handle is a no-op (the generation check prevents it from touching
-// the node's new occupant).
+// recycled for a later event, and a stale Cancel on the old handle is a
+// no-op (the generation check prevents it from touching the node's new
+// occupant).
 type Event struct {
 	n   *eventNode
 	seq uint64
-	at  Time
 }
 
 // Cancel prevents the event's callback from running. Canceling an event
@@ -61,19 +60,6 @@ func (ev Event) Cancel() {
 		ev.n.canceled = true
 	}
 }
-
-// Canceled reports whether Cancel was called on the event and its node has
-// not yet been recycled. A handle whose event fired normally reports
-// false; once a canceled event's scheduled time passes and the engine
-// reclaims its node (bumping the node's generation), the stale handle also
-// reports false — the generation check keeps it from ever observing the
-// node's next occupant.
-func (ev Event) Canceled() bool {
-	return ev.n != nil && ev.n.seq == ev.seq && ev.n.canceled
-}
-
-// At returns the virtual time the event was scheduled for.
-func (ev Event) At() Time { return ev.at }
 
 type eventHeap []*eventNode
 
@@ -163,7 +149,7 @@ func (e *Engine) At(t Time, fn func()) Event {
 	ev.seq = e.seq
 	ev.fn = fn
 	heap.Push(&e.events, ev)
-	return Event{n: ev, seq: e.seq, at: t}
+	return Event{n: ev, seq: e.seq}
 }
 
 // at2 is At for the argument-carrying event form; it supports no cancel
@@ -237,8 +223,7 @@ func (e *Engine) release(ev *eventNode) {
 
 // reclaim recycles a canceled node as its (never-run) event is popped.
 // Bumping the generation invalidates every outstanding handle: a stale
-// Cancel becomes a no-op and a stale Canceled reads false, so the node is
-// safe to hand to the next At call. Without this, cancel-heavy patterns
+// Cancel becomes a no-op, so the node is safe to hand to the next At call. Without this, cancel-heavy patterns
 // (elephant sweep timers, Ticker.Stop) would allocate a fresh node per
 // reschedule because canceled nodes never re-entered the free list.
 func (e *Engine) reclaim(ev *eventNode) {

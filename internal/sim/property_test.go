@@ -82,9 +82,5 @@ func TestServerConservation(t *testing.T) {
 			t.Fatalf("conservation violated: %d served + %d dropped != %d submitted",
 				served, dropped, submitted)
 		}
-		st := s.Stats()
-		if st.Served != uint64(served) || st.Dropped != uint64(dropped) || st.Submitted != uint64(submitted) {
-			t.Fatalf("stats mismatch: %+v", st)
-		}
 	}
 }

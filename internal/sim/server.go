@@ -2,13 +2,6 @@ package sim
 
 import "time"
 
-// ServerStats counts a Server's activity.
-type ServerStats struct {
-	Submitted uint64 // items offered to the server
-	Served    uint64 // items whose processing completed
-	Dropped   uint64 // items rejected because the queue was full
-}
-
 // maxServerRate caps service rates at one item per nanosecond, the clock's
 // resolution. A faster configured rate would truncate to zero-duration
 // service, so rates above the cap are clamped to it.
@@ -40,7 +33,6 @@ type Server[T any] struct {
 	fire    func()
 	process func(v T)
 	onDrop  func(v T)
-	stats   ServerStats
 
 	// Observation hooks (Trace). Nil when unobserved: the nil checks on
 	// the submit/serve paths are the entire disabled-tracing cost.
@@ -97,22 +89,12 @@ func (s *Server[T]) setRate(rate float64) {
 	}
 }
 
-// Rate returns the current service rate in items per second.
-func (s *Server[T]) Rate() float64 { return s.rate }
-
 // QueueLen returns the number of queued items (excluding any in service).
 func (s *Server[T]) QueueLen() int { return s.qlen }
 
-// Busy reports whether an item is currently in service.
-func (s *Server[T]) Busy() bool { return s.busy }
-
-// Stats returns a snapshot of the server's counters.
-func (s *Server[T]) Stats() ServerStats { return s.stats }
-
-// Submit offers an item to the server. It returns false (and counts a drop)
-// if the queue is full.
+// Submit offers an item to the server. It returns false (and reports the
+// drop to the OnDrop callback) if the queue is full.
 func (s *Server[T]) Submit(v T) bool {
-	s.stats.Submitted++
 	if s.onSubmit != nil {
 		s.onSubmit(v, s.eng.Now())
 	}
@@ -121,7 +103,6 @@ func (s *Server[T]) Submit(v T) bool {
 		return true
 	}
 	if s.qlen >= s.cap {
-		s.stats.Dropped++
 		if s.onDrop != nil {
 			s.onDrop(v)
 		}
@@ -175,7 +156,6 @@ func (s *Server[T]) completeService() {
 	v := s.current
 	var zero T
 	s.current = zero // don't retain served items
-	s.stats.Served++
 	if s.onServe != nil {
 		s.onServe(v, s.eng.Now())
 	}

@@ -43,10 +43,13 @@ func TestServerTraceHooks(t *testing.T) {
 
 	// The submit hook observes drops too (the item was offered).
 	s.Trace(func(v int, now Time) { submits = append(submits, obs{v, now}) }, nil)
+	dropped := 0
 	for i := 0; i < 10; i++ {
-		s.Submit(100 + i)
+		if !s.Submit(100 + i) {
+			dropped++
+		}
 	}
-	if dropped := s.Stats().Dropped; dropped == 0 {
+	if dropped == 0 {
 		t.Fatal("expected drops with a full queue")
 	}
 	if len(submits) != 12 {

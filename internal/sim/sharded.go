@@ -108,12 +108,6 @@ func NewSharded(seed int64, lanes int, lookahead time.Duration, workers int) *Sh
 // Lane returns lane i, the Proc to hand to components of partition i.
 func (s *Sharded) Lane(i int) *Lane { return s.lanes[i] }
 
-// Lanes returns the number of lanes.
-func (s *Sharded) Lanes() int { return len(s.lanes) }
-
-// Lookahead returns the engine's lookahead window.
-func (s *Sharded) Lookahead() time.Duration { return s.lookahead }
-
 // Now returns the global virtual time: the point every lane has reached at
 // the last window boundary.
 func (s *Sharded) Now() Time { return s.now }

@@ -7,36 +7,16 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 )
 
 // Server exposes a registry over HTTP: `/metrics` in Prometheus text
-// format (only when it has a registry) and the standard `/debug/pprof`
-// profiling handlers. It listens on its own mux so enabling telemetry
+// format (only when it has a registry), `/statusz` (only when it has a
+// handler) and the standard `/debug/pprof` profiling handlers. It listens on its own mux so enabling telemetry
 // never touches http.DefaultServeMux.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
-}
-
-// ServerOption customizes StartServer.
-type ServerOption func(*serverConfig)
-
-type serverConfig struct {
-	extra map[string]http.Handler
-}
-
-// WithHandler mounts an extra handler on the telemetry mux (e.g. the
-// observatory's /statusz). Paths starting with /metrics or /debug are
-// reserved and silently ignored.
-func WithHandler(path string, h http.Handler) ServerOption {
-	return func(c *serverConfig) {
-		if path != "" && path != "/" && h != nil &&
-			!strings.HasPrefix(path, "/metrics") && !strings.HasPrefix(path, "/debug") {
-			c.extra[path] = h
-		}
-	}
 }
 
 // EnableContentionProfiling turns on runtime mutex and block profiling so
@@ -57,13 +37,10 @@ func EnableContentionProfiling(mutexFraction, blockRate int) {
 
 // StartServer binds addr (e.g. "127.0.0.1:9090" or ":0") and serves the
 // registry in a background goroutine. A nil registry mounts no /metrics:
-// the path answers 404 and the index does not list it. Returns an error
-// if the listen fails.
-func StartServer(addr string, reg *Registry, opts ...ServerOption) (*Server, error) {
-	cfg := serverConfig{extra: make(map[string]http.Handler)}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// the path answers 404 and the index does not list it. A non-nil statusz
+// handler (the observatory's view) is mounted at /statusz. Returns an
+// error if the listen fails.
+func StartServer(addr string, reg *Registry, statusz http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
@@ -82,9 +59,9 @@ func StartServer(addr string, reg *Registry, opts ...ServerOption) (*Server, err
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	for path, h := range cfg.extra {
-		mux.Handle(path, h)
-		index = append(index, path)
+	if statusz != nil {
+		mux.Handle("/statusz", statusz)
+		index = append(index, "/statusz")
 	}
 	sort.Strings(index)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -29,7 +30,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	reg.CounterFunc("scotch_requests_total", requests.Load)
 	reg.GaugeFunc("scotch_live_value", func() float64 { return 7 })
 
-	srv, err := StartServer("127.0.0.1:0", reg)
+	srv, err := StartServer("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 }
 
 func TestServerPprofAndRoot(t *testing.T) {
-	srv, err := StartServer("127.0.0.1:0", NewRegistry())
+	srv, err := StartServer("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestServerMetricsOnlyWithRegistry(t *testing.T) {
 		reg  *Registry
 		code int
 	}{{nil, http.StatusNotFound}, {NewRegistry(), http.StatusOK}} {
-		srv, err := StartServer("127.0.0.1:0", tc.reg)
+		srv, err := StartServer("127.0.0.1:0", tc.reg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,6 +101,32 @@ func TestServerMetricsOnlyWithRegistry(t *testing.T) {
 		}
 		if listed := strings.Contains(index, "/metrics"); listed != (tc.reg != nil) {
 			t.Errorf("registry %v: index %q lists /metrics = %v", tc.reg != nil, index, listed)
+		}
+	}
+}
+
+// TestServerStatuszOnlyWithHandler: /statusz is mounted and listed only
+// when a handler is passed.
+func TestServerStatuszOnlyWithHandler(t *testing.T) {
+	statusz := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, "view") })
+	for _, h := range []http.Handler{nil, statusz} {
+		srv, err := StartServer("127.0.0.1:0", nil, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := "http://" + srv.Addr()
+		code, body, _ := get(t, base+"/statusz")
+		_, index, _ := get(t, base+"/")
+		srv.Close()
+		want := http.StatusNotFound
+		if h != nil {
+			want = http.StatusOK
+		}
+		if code != want || (h != nil && body != "view") {
+			t.Errorf("handler %v: /statusz status %d body %q, want %d", h != nil, code, body, want)
+		}
+		if listed := strings.Contains(index, "/statusz"); listed != (h != nil) {
+			t.Errorf("handler %v: index %q lists /statusz = %v", h != nil, index, listed)
 		}
 	}
 }

@@ -114,9 +114,6 @@ func NewTracer() *Tracer {
 	return &Tracer{flows: make(map[netaddr.FlowKey]*flowTrace)}
 }
 
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Point records an instant in a flow's lifecycle. Nil-safe; the first
 // occurrence of each point kind per flow wins.
 func (t *Tracer) Point(kind Point, key netaddr.FlowKey, dpid uint64, now sim.Time) {
@@ -172,14 +169,6 @@ func (t *Tracer) Marks() []MarkEvent {
 		out[i] = MarkEvent{Name: m.name, At: m.at}
 	}
 	return out
-}
-
-// Flows returns the number of distinct flows traced.
-func (t *Tracer) Flows() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.order)
 }
 
 // Span is one reconstructed control-path stage of one flow.

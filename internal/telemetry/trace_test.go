@@ -104,8 +104,8 @@ func TestTracerMaxFlows(t *testing.T) {
 	for i := byte(1); i <= 5; i++ {
 		tr.Point(PointMiss, testKey(i), 1, 0)
 	}
-	if tr.Flows() != 2 {
-		t.Fatalf("flows = %d, want 2", tr.Flows())
+	if len(tr.order) != 2 {
+		t.Fatalf("flows = %d, want 2", len(tr.order))
 	}
 	// Existing flows keep recording past the cap.
 	tr.Point(PointPacketInEmit, testKey(1), 1, time.Millisecond)
@@ -116,13 +116,10 @@ func TestTracerMaxFlows(t *testing.T) {
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer enabled")
-	}
 	tr.Point(PointMiss, testKey(1), 1, 0)
 	tr.PointTag(PointClassified, testKey(1), 1, 0, "overlay")
 	tr.Mark("event", 0)
-	if tr.Flows() != 0 || tr.Spans() != nil || tr.StageSummary() != nil {
+	if tr.Spans() != nil || tr.StageSummary() != nil {
 		t.Fatal("nil tracer recorded something")
 	}
 }

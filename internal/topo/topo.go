@@ -39,9 +39,8 @@ type Network struct {
 	attach   map[netaddr.IPv4]Attach
 	adj      map[uint64][]edge
 
-	// Link registries for fault injection: direct switch-switch links
-	// keyed by both dpid orders, and host access links keyed by host IP.
-	swLinks   map[[2]uint64]*device.Link
+	// hostLinks registers host access links by host IP for fault
+	// injection.
 	hostLinks map[netaddr.IPv4]*device.Link
 
 	nextDPID uint64
@@ -65,7 +64,6 @@ func New(eng sim.Proc) *Network {
 		hosts:     make(map[netaddr.IPv4]*device.Host),
 		attach:    make(map[netaddr.IPv4]Attach),
 		adj:       make(map[uint64][]edge),
-		swLinks:   make(map[[2]uint64]*device.Link),
 		hostLinks: make(map[netaddr.IPv4]*device.Link),
 		nextPort:  make(map[uint64]uint32),
 	}
@@ -109,17 +107,11 @@ func (n *Network) AddHost(name string, ip netaddr.IPv4) *device.Host {
 // Switch looks a switch up by datapath id.
 func (n *Network) Switch(dpid uint64) *device.Switch { return n.switches[dpid] }
 
-// SwitchByName looks a switch up by name.
-func (n *Network) SwitchByName(name string) *device.Switch { return n.byName[name] }
-
 // Switches returns all switches keyed by datapath id.
 func (n *Network) Switches() map[uint64]*device.Switch { return n.switches }
 
 // Host looks a host up by IP.
 func (n *Network) Host(ip netaddr.IPv4) *device.Host { return n.hosts[ip] }
-
-// Hosts returns all hosts keyed by IP.
-func (n *Network) Hosts() map[netaddr.IPv4]*device.Host { return n.hosts }
 
 // HostAttach returns where the host with the given IP attaches.
 func (n *Network) HostAttach(ip netaddr.IPv4) (Attach, bool) {
@@ -151,20 +143,11 @@ func (n *Network) LinkSwitchesVia(a *device.Switch, via device.Node, b *device.S
 // records the adjacency for path computation. It returns the two port ids.
 func (n *Network) LinkSwitches(a, b *device.Switch, cfg device.LinkConfig) (uint32, uint32) {
 	pa, pb := n.allocPort(a), n.allocPort(b)
-	l := device.Connect(a, pa, b, pb, cfg)
-	n.swLinks[[2]uint64{a.DPID, b.DPID}] = l
-	n.swLinks[[2]uint64{b.DPID, a.DPID}] = l
+	device.Connect(a, pa, b, pb, cfg)
 	cost := linkCost(cfg)
 	n.adj[a.DPID] = append(n.adj[a.DPID], edge{to: b.DPID, outPort: pa, cost: cost})
 	n.adj[b.DPID] = append(n.adj[b.DPID], edge{to: a.DPID, outPort: pb, cost: cost})
 	return pa, pb
-}
-
-// SwitchLink returns the direct link between two switches created by
-// LinkSwitches, in either order, or nil when the switches are not
-// directly linked (links through a via node are not registered).
-func (n *Network) SwitchLink(a, b uint64) *device.Link {
-	return n.swLinks[[2]uint64{a, b}]
 }
 
 // HostLink returns the access link of the host with the given IP, or nil.
@@ -225,31 +208,6 @@ func (n *Network) Path(from uint64, dstIP netaddr.IPv4) ([]Hop, bool) {
 		return nil, false
 	}
 	return append(hops, Hop{DPID: at.DPID, OutPort: at.Port}), true
-}
-
-// PathVia computes a path from switch from to dstIP that traverses the
-// given waypoint switches in order (the policy-consistency constraint of
-// paper §5.4: the physical path must cross the same middlebox-attached
-// switches as the overlay path).
-func (n *Network) PathVia(from uint64, via []uint64, dstIP netaddr.IPv4) ([]Hop, bool) {
-	cur := from
-	var out []Hop
-	for _, w := range via {
-		if cur == w {
-			continue
-		}
-		seg, ok := n.switchPath(cur, w)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, seg...)
-		cur = w
-	}
-	tail, ok := n.Path(cur, dstIP)
-	if !ok {
-		return nil, false
-	}
-	return append(out, tail...), true
 }
 
 // SwitchPath returns hops from switch a through the fabric, ending with

@@ -73,25 +73,6 @@ func TestPathPicksShorterDelay(t *testing.T) {
 	}
 }
 
-func TestPathVia(t *testing.T) {
-	eng := sim.New(1)
-	ln := NewLinear(eng, 5, fastProfile(), time.Millisecond)
-	mid := ln.Switches[2].DPID
-	hops, ok := ln.Net.PathVia(ln.Switches[0].DPID, []uint64{mid}, ln.Right.IP)
-	if !ok {
-		t.Fatal("no via path")
-	}
-	seen := false
-	for _, h := range hops {
-		if h.DPID == mid {
-			seen = true
-		}
-	}
-	if !seen {
-		t.Fatalf("waypoint not on path: %v", hops)
-	}
-}
-
 func TestPathUnknownHost(t *testing.T) {
 	eng := sim.New(1)
 	n := New(eng)
@@ -197,7 +178,7 @@ func TestLinkSwitchesViaInlineNode(t *testing.T) {
 	n := New(eng)
 	a := n.AddSwitch("a", fastProfile())
 	b := n.AddSwitch("b", fastProfile())
-	fw := device.NewFirewall(eng, "fw", 0)
+	fw := device.NewFirewall(eng, "fw")
 	pa, pb := n.LinkSwitchesVia(a, fw, b, device.LinkConfig{Delay: time.Millisecond})
 	if pa == 0 || pb == 0 {
 		t.Fatal("ports not allocated")

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 )
 
@@ -26,20 +25,6 @@ type ParetoSampler struct {
 // SamplePackets draws one flow size.
 func (p ParetoSampler) SamplePackets(rng *rand.Rand) int {
 	return ParetoSize(rng.Float64(), p.Alpha, p.MinPkts, p.MaxPkts)
-}
-
-// Mean returns the analytic mean of the unbounded Pareto truncated at
-// MaxPkts — the reference value the sampler property tests check the
-// empirical mean against. Valid for Alpha != 1.
-func (p ParetoSampler) Mean() float64 {
-	a := p.Alpha
-	xm := float64(p.MinPkts)
-	xc := float64(p.MaxPkts)
-	if a == 1 {
-		return xm * (1 + math.Log(xc/xm))
-	}
-	// E[min(X, xc)] for X ~ Pareto(xm, a): integrate the tail.
-	return xm*a/(a-1) - math.Pow(xm/xc, a)*xc/(a-1)
 }
 
 // FixedSampler always returns the same size; Pkts < 1 is treated as 1

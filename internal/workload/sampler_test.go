@@ -71,6 +71,20 @@ func TestParetoTailExponent(t *testing.T) {
 	}
 }
 
+// Mean returns the analytic mean of the unbounded Pareto truncated at
+// MaxPkts — the reference value the sampler property tests check the
+// empirical mean against. Valid for Alpha != 1.
+func (p ParetoSampler) Mean() float64 {
+	a := p.Alpha
+	xm := float64(p.MinPkts)
+	xc := float64(p.MaxPkts)
+	if a == 1 {
+		return xm * (1 + math.Log(xc/xm))
+	}
+	// E[min(X, xc)] for X ~ Pareto(xm, a): integrate the tail.
+	return xm*a/(a-1) - math.Pow(xm/xc, a)*xc/(a-1)
+}
+
 // TestParetoBoundedMean checks the empirical mean of the bounded sampler
 // against the analytic truncated mean over 10^5 draws. Integer flooring
 // shifts the mean down by at most one packet, hence the asymmetric band.

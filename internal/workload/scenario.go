@@ -113,15 +113,6 @@ func (s *Scenario) Add(spec TenantSpec) {
 	})
 }
 
-// Tenants returns the registered tenant names in composition order.
-func (s *Scenario) Tenants() []string {
-	out := make([]string, len(s.tenants))
-	for i, tr := range s.tenants {
-		out[i] = tr.spec.Name
-	}
-	return out
-}
-
 // Start begins every tenant's arrival process.
 func (s *Scenario) Start() {
 	if s.started {
@@ -170,14 +161,4 @@ func (tr *tenantRun) spawn() {
 		Size:     spec.PktSize,
 		Class:    spec.Name,
 	})
-}
-
-// Generated returns how many flows the named tenant has spawned so far.
-func (s *Scenario) Generated(tenant string) uint64 {
-	for _, tr := range s.tenants {
-		if tr.spec.Name == tenant {
-			return tr.n
-		}
-	}
-	return 0
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -26,7 +25,7 @@ type TraceEvent struct {
 
 // maxTraceStart bounds trace timestamps (10^6 seconds ≈ 11 days of virtual
 // time): large enough for any simulated run, small enough that the
-// nanosecond count stays exactly representable through the text codecs.
+// nanosecond count stays exactly representable through the CSV codec.
 const maxTraceStart = 1_000_000 * time.Second
 
 // parseSeconds parses a nonnegative decimal-seconds literal ("12", "1.5",
@@ -70,7 +69,7 @@ func parseSeconds(s string) (time.Duration, error) {
 	return d, nil
 }
 
-// validate applies the invariants both codecs share.
+// validate applies the invariants every trace event satisfies.
 func (ev *TraceEvent) validate() error {
 	if ev.Start < 0 || ev.Start > maxTraceStart {
 		return fmt.Errorf("start %v outside [0, %v]", ev.Start, maxTraceStart)
@@ -142,73 +141,6 @@ func parseCSVLine(line string) (TraceEvent, error) {
 		return TraceEvent{}, err
 	}
 	return ev, nil
-}
-
-// jsonTrace is the JSONL wire form. Start travels as a decimal-seconds
-// string so round trips stay exact (JSON numbers are float64).
-type jsonTrace struct {
-	Start  string `json:"start_s"`
-	Src    string `json:"src"`
-	Dst    string `json:"dst"`
-	Bytes  int    `json:"bytes"`
-	Tenant string `json:"tenant,omitempty"`
-}
-
-// ParseTraceJSONL reads the JSONL trace format: one object per line,
-// {"start_s":"1.500000000","src":"10.0.0.1","dst":"10.0.1.2","bytes":4000,
-// "tenant":"web"}. Blank lines are skipped; any malformed line fails the
-// parse with its line number.
-func ParseTraceJSONL(r io.Reader) ([]TraceEvent, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	var out []TraceEvent
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var jt jsonTrace
-		dec := json.NewDecoder(strings.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&jt); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("trace line %d: trailing data after object", lineNo)
-		}
-		var ev TraceEvent
-		var err error
-		if ev.Start, err = parseSeconds(jt.Start); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
-		}
-		if ev.Src, err = netaddr.ParseIPv4(jt.Src); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
-		}
-		if ev.Dst, err = netaddr.ParseIPv4(jt.Dst); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
-		}
-		ev.Bytes = jt.Bytes
-		ev.Tenant = jt.Tenant
-		if err := ev.validate(); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
-	}
-	return out, nil
-}
-
-// ParseTrace dispatches on a file name's extension: ".jsonl" (or ".json")
-// selects JSONL, anything else the CSV format.
-func ParseTrace(name string, r io.Reader) ([]TraceEvent, error) {
-	if strings.HasSuffix(name, ".jsonl") || strings.HasSuffix(name, ".json") {
-		return ParseTraceJSONL(r)
-	}
-	return ParseTraceCSV(r)
 }
 
 // ReplayConfig shapes how trace events become simulated flows.

@@ -65,39 +65,7 @@ func TestParseTraceCSVMalformed(t *testing.T) {
 	}
 }
 
-func TestParseTraceJSONL(t *testing.T) {
-	in := `{"start_s":"1.500000000","src":"10.0.0.1","dst":"10.0.1.2","bytes":4000,"tenant":"web"}
-
-{"start_s":"0.000000001","src":"10.0.0.2","dst":"10.0.1.2","bytes":1}
-`
-	events, err := ParseTraceJSONL(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("parsed %d events, want 2", len(events))
-	}
-	if events[0].Tenant != "web" || events[0].Start != 1500*time.Millisecond {
-		t.Errorf("event 0 = %+v", events[0])
-	}
-	if events[1].Start != time.Nanosecond || events[1].Tenant != "" {
-		t.Errorf("event 1 = %+v", events[1])
-	}
-	bad := []string{
-		`{"start_s":"1","src":"10.0.0.1","dst":"10.0.1.2","bytes":1,"extra":true}`,
-		`{"start_s":"1","src":"10.0.0.1","dst":"10.0.1.2","bytes":1} trailing`,
-		`{"start_s":1.5,"src":"10.0.0.1","dst":"10.0.1.2","bytes":1}`,
-		`not json at all`,
-		`{"start_s":"1","src":"10.0.0.1","dst":"10.0.1.2","bytes":1,"tenant":"a,b"}`,
-	}
-	for _, line := range bad {
-		if _, err := ParseTraceJSONL(strings.NewReader(line)); err == nil {
-			t.Errorf("accepted %q", line)
-		}
-	}
-}
-
-// TestTraceRoundTrip: write → parse is the identity for both codecs, at
+// TestTraceRoundTrip: write → parse is the identity for the CSV codec, at
 // nanosecond timestamp resolution.
 func TestTraceRoundTrip(t *testing.T) {
 	events := []TraceEvent{
@@ -107,18 +75,11 @@ func TestTraceRoundTrip(t *testing.T) {
 		{Start: maxTraceStart, Src: netaddr.MakeIPv4(255, 255, 255, 255),
 			Dst: netaddr.MakeIPv4(0, 0, 0, 0), Bytes: 0, Tenant: "batch"},
 	}
-	var csv, jsonl bytes.Buffer
+	var csv bytes.Buffer
 	if err := WriteTraceCSV(&csv, events); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTraceJSONL(&jsonl, events); err != nil {
-		t.Fatal(err)
-	}
-	fromCSV, err := ParseTrace("t.csv", bytes.NewReader(csv.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSONL, err := ParseTrace("t.jsonl", bytes.NewReader(jsonl.Bytes()))
+	fromCSV, err := ParseTraceCSV(bytes.NewReader(csv.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,16 +87,14 @@ func TestTraceRoundTrip(t *testing.T) {
 		if fromCSV[i] != events[i] {
 			t.Errorf("CSV round trip event %d: %+v != %+v", i, fromCSV[i], events[i])
 		}
-		if fromJSONL[i] != events[i] {
-			t.Errorf("JSONL round trip event %d: %+v != %+v", i, fromJSONL[i], events[i])
-		}
 	}
-	// Writers refuse invalid events rather than emitting unparseable lines.
+	// The writer refuses invalid events rather than emitting unparseable
+	// lines.
 	if err := WriteTraceCSV(&csv, []TraceEvent{{Start: -time.Second}}); err == nil {
 		t.Error("WriteTraceCSV accepted a negative start")
 	}
-	if err := WriteTraceJSONL(&jsonl, []TraceEvent{{Tenant: "a\nb"}}); err == nil {
-		t.Error("WriteTraceJSONL accepted a tenant with a newline")
+	if err := WriteTraceCSV(&csv, []TraceEvent{{Tenant: "a\nb"}}); err == nil {
+		t.Error("WriteTraceCSV accepted a tenant with a newline")
 	}
 }
 

@@ -20,22 +20,14 @@ import (
 // simulation writes); within one single-threaded simulation run the
 // resulting histograms are fully deterministic.
 type LatencyTracker struct {
-	bounds []float64
-
 	mu      sync.Mutex
 	tenants map[string]*metrics.BucketHistogram
 }
 
-// NewLatencyTracker returns a tracker whose per-tenant histograms use the
-// given bucket bounds (nil selects metrics.LatencyBuckets).
-func NewLatencyTracker(bounds []float64) *LatencyTracker {
-	if bounds == nil {
-		bounds = metrics.LatencyBuckets()
-	}
-	return &LatencyTracker{
-		bounds:  bounds,
-		tenants: make(map[string]*metrics.BucketHistogram),
-	}
+// NewLatencyTracker returns a tracker whose per-tenant histograms use
+// metrics.LatencyBuckets.
+func NewLatencyTracker() *LatencyTracker {
+	return &LatencyTracker{tenants: make(map[string]*metrics.BucketHistogram)}
 }
 
 // Observe records one flow-setup latency for a tenant.
@@ -49,7 +41,7 @@ func (t *LatencyTracker) hist(tenant string) *metrics.BucketHistogram {
 	defer t.mu.Unlock()
 	h, ok := t.tenants[tenant]
 	if !ok {
-		h = metrics.NewBucketHistogram(t.bounds)
+		h = metrics.NewBucketHistogram(nil)
 		t.tenants[tenant] = h
 	}
 	return h
@@ -76,7 +68,7 @@ func (t *LatencyTracker) TenantNames() []string {
 // Merged returns one histogram aggregating every tenant — the scenario's
 // overall latency CDF.
 func (t *LatencyTracker) Merged() *metrics.BucketHistogram {
-	all := metrics.NewBucketHistogram(t.bounds)
+	all := metrics.NewBucketHistogram(nil)
 	for _, name := range t.TenantNames() {
 		// Merge cannot fail: every tenant shares the tracker's bounds.
 		_ = all.Merge(t.Tenant(name))

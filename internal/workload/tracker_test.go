@@ -11,7 +11,7 @@ import (
 )
 
 func TestLatencyTrackerPerTenant(t *testing.T) {
-	tr := NewLatencyTracker(nil)
+	tr := NewLatencyTracker()
 	tr.Observe("base", 200*time.Microsecond)
 	tr.Observe("base", 300*time.Microsecond)
 	tr.Observe("ddos", 2*time.Second)
@@ -44,7 +44,7 @@ func TestLatencyTrackerCaptureHook(t *testing.T) {
 	cap.Attach(h2)
 	chained := 0
 	cap.OnFirstDelivery = func(*capture.FlowRecord, sim.Time) { chained++ }
-	tr := NewLatencyTracker(nil)
+	tr := NewLatencyTracker()
 	tr.AttachCapture(cap)
 
 	em := NewEmitter(eng, h1, cap)
@@ -75,7 +75,7 @@ func TestLatencyTrackerCaptureHook(t *testing.T) {
 // TestLatencyTrackerBucketsPerTenant keeps each tenant's samples in its
 // own histogram and places each sample in the bucket its latency names.
 func TestLatencyTrackerBucketsPerTenant(t *testing.T) {
-	tr := NewLatencyTracker(nil)
+	tr := NewLatencyTracker()
 	tr.Observe("base", 500*time.Microsecond)
 	tr.Observe("crowd", 5*time.Millisecond)
 	for _, tenant := range []string{"base", "crowd"} {
