@@ -32,6 +32,28 @@ func BenchmarkScheduleFireDepth8(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleFireDepth4k fires one event per op from a queue held at
+// 4096 events (about twice ddos-overlay's peak), each firing re-queueing
+// itself a pseudo-random 1-4096 us ahead: the heap's sift depth, not the
+// free list, sets the cost.
+func BenchmarkScheduleFireDepth4k(b *testing.B) {
+	e := New(1)
+	rng := e.Rand()
+	var fn func()
+	fn = func() {
+		e.Schedule(time.Duration(1+rng.Intn(4096))*time.Microsecond, fn)
+		e.Stop()
+	}
+	for i := 0; i < 4096; i++ {
+		e.Schedule(time.Duration(1+rng.Intn(4096))*time.Microsecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Run()
+	}
+}
+
 // TestScheduleFireAllocFree pins the pooling win down as a regression test:
 // after warm-up, a schedule-and-fire cycle must not allocate.
 func TestScheduleFireAllocFree(t *testing.T) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -32,10 +31,12 @@ type eventNode struct {
 	// receiver), so control-channel deliveries cost no closure and no
 	// interface-boxing of the slice header. At most one of fn, fn2, fnB
 	// is set. b belongs to the engine: it is recycled once fnB returns.
-	fnB      func(obj any, id int, b []byte)
+	fnB func(obj any, id int, b []byte)
+	// id is fnB's integer; on an fn2 node it counts the train firings
+	// still to come after this one (DeferTrain), each gap after the last.
 	id       int
+	gap      time.Duration
 	b        []byte
-	index    int // heap index, -1 when not queued
 	canceled bool
 }
 
@@ -61,33 +62,64 @@ func (ev Event) Cancel() {
 	}
 }
 
+// eventHeap is a binary min-heap on (at, seq). push and pop move a hole
+// down or up and write each displaced node once, instead of swapping
+// through an interface as container/heap does. (at, seq) is a strict
+// total order, so the pop order is the same whatever the heap's shape.
 type eventHeap []*eventNode
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *eventNode) before(b *eventNode) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+func (h *eventHeap) push(ev *eventNode) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// pop removes the earliest node; the heap must not be empty.
+func (h *eventHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	*h = q[:n]
+	if n > 0 {
+		h.down(last)
+	}
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*eventNode)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// down fills the hole at the root with ev: it moves the earlier child up
+// until ev goes before both children. Besides pop, RunUntil uses it to
+// re-queue a train's node in place after its key grew.
+func (h eventHeap) down(ev *eventNode) {
+	n := len(h)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = ev
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -119,7 +151,8 @@ func (e *Engine) Now() Time { return e.now }
 // come from here to keep runs reproducible.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Pending returns the number of queued (possibly canceled) events.
+// Pending returns the number of queued (possibly canceled) events. A
+// train (DeferTrain) counts once, however many firings it has left.
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Fired returns the number of events executed so far.
@@ -148,13 +181,14 @@ func (e *Engine) At(t Time, fn func()) Event {
 	ev.at = t
 	ev.seq = e.seq
 	ev.fn = fn
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return Event{n: ev, seq: e.seq}
 }
 
 // at2 is At for the argument-carrying event form; it supports no cancel
-// handle, which delivery events never need.
-func (e *Engine) at2(t Time, fn func(a1, a2 any), a1, a2 any) {
+// handle, which delivery events never need. It returns the queued node so
+// DeferTrain can make it a train.
+func (e *Engine) at2(t Time, fn func(a1, a2 any), a1, a2 any) *eventNode {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, e.now))
 	}
@@ -167,7 +201,9 @@ func (e *Engine) at2(t Time, fn func(a1, a2 any), a1, a2 any) {
 	ev.seq = e.seq
 	ev.fn2 = fn
 	ev.a1, ev.a2 = a1, a2
-	heap.Push(&e.events, ev)
+	ev.id = 0 // takeNode leaves fnB's id behind; here it counts train firings
+	e.events.push(ev)
+	return ev
 }
 
 // atB is At for the wire-delivery event form (DeferBytes); like at2 it
@@ -187,7 +223,7 @@ func (e *Engine) atB(t Time, fn func(obj any, id int, b []byte), obj any, id int
 	ev.a1 = obj
 	ev.id = id
 	ev.b = b
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 // takeNode pops a recycled node or allocates a fresh one; the caller sets
@@ -201,7 +237,6 @@ func (e *Engine) takeNode() *eventNode {
 	} else {
 		ev = &eventNode{}
 	}
-	ev.index = -1
 	ev.canceled = false
 	return ev
 }
@@ -256,8 +291,20 @@ func (e *Engine) RunUntil(end Time) uint64 {
 		if next.at > end {
 			break
 		}
-		heap.Pop(&e.events)
 		e.now = next.at
+		if next.fn2 != nil && next.id > 0 {
+			// A train firing with more to come: re-queue the node for the
+			// next one before running this one, so a Stop inside fn2
+			// leaves the rest of the train queued.
+			next.id--
+			next.at += next.gap
+			next.seq++
+			e.events.down(next)
+			e.fired++
+			next.fn2(next.a1, next.a2)
+			continue
+		}
+		e.events.pop()
 		if next.canceled {
 			e.reclaim(next)
 			continue
