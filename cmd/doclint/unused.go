@@ -106,11 +106,10 @@ func unusedExports(fset *token.FileSet, files []srcFile) []string {
 }
 
 // interfaceMethods are method names a standard interface fixes; a type
-// implements them for fmt, errors, encoding/json, net/http or sort and
-// container/heap, so their callers live in the standard library.
+// implements them for fmt, errors, encoding/json or net/http, so their
+// callers live in the standard library.
 var interfaceMethods = map[string]bool{
 	"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 }
 
 // unusedMethods reports every exported method of an exported type under
