@@ -7,8 +7,8 @@ all: build test
 build:
 	$(GO) build ./...
 
-# Tier-1 gate: the full test suite (TestGolden checks the fast experiments
-# against the golden file; set SCOTCH_DETERMINISM_ALL=1 to check every one).
+# Tier-1 gate: the full test suite (TestGolden checks every experiment
+# against the golden file).
 test:
 	$(GO) test ./...
 

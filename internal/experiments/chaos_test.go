@@ -6,27 +6,6 @@ import (
 	"scotch/internal/fault"
 )
 
-var chaosIDs = []string{"chaos-vswitch", "chaos-partition", "chaos-churn"}
-
-// chaosTestIDs trims the set under -short / -race, where the 6×15s
-// chaos-vswitch sweep dominates the package's wall time; the two cheap
-// runs still exercise every fault kind.
-func chaosTestIDs(t *testing.T) []string {
-	t.Helper()
-	if testing.Short() || raceEnabled {
-		return []string{"chaos-partition", "chaos-churn"}
-	}
-	return chaosIDs
-}
-
-// TestChaosDeterministic requires the chaos experiments to be as
-// reproducible as the fault-free ones: the fault plans are seeded and the
-// runner schedules events on the sim clock, so a run under the parallel
-// runner must reproduce the golden file byte for byte.
-func TestChaosDeterministic(t *testing.T) {
-	checkGolden(t, chaosTestIDs(t), 4, nil)
-}
-
 // TestChaosVSwitchBound is the experiment's acceptance bound: with a
 // primary mesh vSwitch dead from 4s onward, client failure must stay
 // within 2× of the fault-free Scotch curve — client flows never depended

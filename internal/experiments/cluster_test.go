@@ -69,13 +69,3 @@ func TestClusterFailoverDetection(t *testing.T) {
 		t.Errorf("client failure fraction = %.4f across the failover, want 0", res.clientFailFrac)
 	}
 }
-
-// TestClusterDeterminism runs the cluster experiments once under the
-// parallel runner and requires each one's section of the golden file byte
-// for byte.
-func TestClusterDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second cluster runs")
-	}
-	checkGolden(t, []string{"cluster-scale", "cluster-migrate", "cluster-failover"}, 3, nil)
-}

@@ -11,43 +11,34 @@ import (
 	"testing"
 )
 
-// fastIDs are the experiments cheap enough to run in the normal test cycle
-// (each well under ~5s). Set SCOTCH_DETERMINISM_ALL=1 to check every
-// registered experiment against the golden file (a few minutes).
-var fastIDs = []string{"table1", "fig4", "fig8", "fig9", "fig14", "elastic",
-	"scenario-multitenant", "scenario-fattree", "scenario-replay",
-	"devolve-ablation", "devolve-invalidate", "obs-slo",
-	"elastic-under-migration", "replica-scale-out"}
+// shortIDs are what the golden and rerun tests cover under -short and the
+// race detector, which slows these sim-heavy runs 10-20x; two experiments
+// still exercise the parallel runner.
+var shortIDs = []string{"table1", "fig4"}
 
-func determinismIDs(t *testing.T) []string {
-	t.Helper()
-	if os.Getenv("SCOTCH_DETERMINISM_ALL") != "" {
-		var ids []string
-		for _, e := range All() {
-			ids = append(ids, e.ID)
-		}
-		return ids
-	}
+// goldenIDs are the experiments TestGolden checks: every registered one,
+// or shortIDs under -short or the race detector.
+func goldenIDs() []string {
 	if testing.Short() || raceEnabled {
-		// The race detector slows these sim-heavy runs 10-20x; two
-		// experiments still exercise the parallel runner.
-		return fastIDs[:2]
+		return shortIDs
 	}
-	return fastIDs
+	var ids []string
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+	}
+	return ids
 }
 
-// rerunIDs are the fastIDs members that finish in well under 200ms, so
-// the two tests below can repeat them for about a second in total;
-// TestGolden checks every fastIDs member against the golden file. Under
-// -short, the race detector or SCOTCH_DETERMINISM_ALL=1 they cover
-// determinismIDs instead.
+// rerunIDs are experiments that finish in well under 200ms, so the two
+// tests below can repeat them for about a second in total; TestGolden
+// checks every experiment against the golden file. Under -short or the
+// race detector they cover shortIDs instead.
 var rerunIDs = []string{"table1", "fig4", "fig14", "scenario-replay",
 	"devolve-invalidate", "replica-scale-out"}
 
-func repeatIDs(t *testing.T) []string {
-	t.Helper()
-	if os.Getenv("SCOTCH_DETERMINISM_ALL") != "" || testing.Short() || raceEnabled {
-		return determinismIDs(t)
+func repeatIDs() []string {
+	if testing.Short() || raceEnabled {
+		return shortIDs
 	}
 	return rerunIDs
 }
@@ -58,7 +49,7 @@ func repeatIDs(t *testing.T) []string {
 // bytes. Any divergence means nondeterminism leaked into a model (map
 // iteration, wall-clock reads, shared state across runs).
 func TestSameSeedByteIdentical(t *testing.T) {
-	for _, id := range repeatIDs(t) {
+	for _, id := range repeatIDs() {
 		t.Run(id, func(t *testing.T) {
 			e, ok := ByID(id)
 			if !ok {
@@ -83,7 +74,7 @@ func TestSameSeedByteIdentical(t *testing.T) {
 // output to be byte-identical to a serial run of the same ids, for several
 // parallelism degrees. Goroutine interleaving must not be observable.
 func TestSerialParallelIdentical(t *testing.T) {
-	ids := repeatIDs(t)
+	ids := repeatIDs()
 	serial, err := RunAll(context.Background(), ids, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +180,7 @@ func lineDiff(path, want, got string) string {
 	return sb.String()
 }
 
-// TestGolden runs the determinism set once through the parallel runner
+// TestGolden runs every experiment once through the parallel runner
 // and compares each experiment's output with its section of the golden
 // file. Every experiment builds its world on a freshly seeded sim.Engine
 // and the file was recorded by an earlier process, so a match pins both
@@ -198,7 +189,7 @@ func lineDiff(path, want, got string) string {
 // nondeterminism leaked in (map iteration, wall-clock reads, state shared
 // across runs).
 func TestGolden(t *testing.T) {
-	checkGolden(t, determinismIDs(t), 4, nil)
+	checkGolden(t, goldenIDs(), 4, nil)
 }
 
 // checkGolden runs ids once through RunAll at the given parallelism and
