@@ -4,28 +4,9 @@ import (
 	"io"
 	"time"
 
-	"scotch/internal/netaddr"
 	"scotch/internal/scotch"
 	"scotch/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "ablation-fanout",
-		Title: "Ablation: select-group fan-out width (1 vSwitch vs load-balanced mesh)",
-		Run:   runAblationFanout,
-	})
-	register(Experiment{
-		ID:    "ablation-elephant-threshold",
-		Title: "Ablation: elephant migration threshold sweep",
-		Run:   runAblationElephant,
-	})
-	register(Experiment{
-		ID:    "ablation-scheduler",
-		Title: "Ablation: install pacing rate R vs insertion failures and data-path stall",
-		Run:   runAblationScheduler,
-	})
-}
 
 // runAblationFanout compares tunneling all offloaded flows to a single
 // vSwitch against hashing them across the mesh (paper §5.1's select
@@ -39,19 +20,15 @@ func runAblationFanout(w io.Writer, p *Probes) error {
 		cfg := scotch.DefaultConfig()
 		cfg.FanOut = fan
 		cfg.OverlayInstallRate = 1e6
-		r := newRig(rigConfig{seed: 21, cfg: cfg, nClients: 2, nServers: 4, nPrimary: 4, probes: p})
-		var gens []*workload.DDoS
+		r := build(spec{cfg: &cfg, clients: 2, servers: 4, primary: 4, seed: 21, probes: p})
+		var stops []func()
 		for i, cl := range r.clients {
 			for j := 0; j < 2; j++ {
 				srv := r.servers[(2*i+j)%len(r.servers)]
-				gens = append(gens, workload.StartDDoS(r.emitter(cl), srv.IP, offered/4))
+				stops = append(stops, workload.StartDDoS(r.emitter(cl), srv.IP, offered/4).Stop)
 			}
 		}
-		r.eng.RunUntil(dur)
-		for _, g := range gens {
-			g.Stop()
-		}
-		r.eng.RunUntil(dur + time.Second)
+		r.drive(dur, time.Second, stops...)
 		sent, delivered := r.cap.Counts("attack")
 		var total, max uint64
 		for _, vs := range r.vs {
@@ -79,27 +56,11 @@ func runAblationElephant(w io.Writer, p *Probes) error {
 	for _, kb := range []int{5, 20, 100, 1 << 20} {
 		cfg := scotch.DefaultConfig()
 		cfg.ElephantBytes = uint64(kb) << 10
-		r := newRig(rigConfig{seed: 22, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
+		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: 22, probes: p})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2000)
-		em := r.emitter(r.clients[1])
-		r.eng.Schedule(time.Second, func() {
-			for i := 0; i < 30; i++ {
-				em.Start(workload.Flow{Key: netaddr.FlowKey{
-					Src: r.clients[1].IP, Dst: r.servers[0].IP, Proto: netaddr.ProtoTCP,
-					SrcPort: uint16(2000 + i), DstPort: 80}, Packets: 1, Class: "filler"})
-			}
-			for i := 0; i < 4; i++ {
-				em.Start(workload.Flow{Key: netaddr.FlowKey{
-					Src: r.clients[1].IP, Dst: r.servers[0].IP, Proto: netaddr.ProtoTCP,
-					SrcPort: uint16(5000 + i), DstPort: 80},
-					Packets: 5000, Interval: 2 * time.Millisecond, Size: 1000, Class: "elephant"})
-			}
-		})
-		r.eng.RunUntil(dur)
-		atk.Stop()
-		r.eng.RunUntil(dur + time.Second)
-		label := kb
-		t.row(label, r.app.Stats.Migrated, r.cap.DeliveryRatio("elephant"))
+		r.elephantBurst(30, 4, 5000)
+		r.drive(dur, time.Second, atk.Stop)
+		t.row(kb, r.app.Stats.Migrated, r.cap.DeliveryRatio("elephant"))
 	}
 	t.flush()
 	return nil
@@ -114,13 +75,10 @@ func runAblationScheduler(w io.Writer, p *Probes) error {
 	for _, rate := range []float64{100, 500, 1000, 1500, 2500} {
 		cfg := scotch.DefaultConfig()
 		cfg.InstallRate = rate
-		r := newRig(rigConfig{seed: 23, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
+		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: 23, probes: p})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
 		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
-		r.eng.RunUntil(dur)
-		atk.Stop()
-		cli.Stop()
-		r.eng.RunUntil(dur + time.Second)
+		r.drive(dur, time.Second, atk.Stop, cli.Stop)
 		t.row(int(rate), r.cap.FailureFraction("client"),
 			r.edge.Stats.InsertQueueDrop, r.edge.Stats.StallDrops)
 	}

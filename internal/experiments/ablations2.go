@@ -8,19 +8,6 @@ import (
 	"scotch/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "ablation-fifo-scheduler",
-		Title: "Ablation: priority classes + per-port RR vs a single FIFO install queue",
-		Run:   runAblationFIFO,
-	})
-	register(Experiment{
-		ID:    "ablation-withdrawal",
-		Title: "Ablation: automatic withdrawal vs leaving the overlay engaged forever",
-		Run:   runAblationWithdrawal,
-	})
-}
-
 // runAblationFIFO shows why the paper's scheduler has per-port round robin
 // and priority classes: with a single FIFO, the attacker's request flood
 // sits in front of the client's requests, so the client's flow setup
@@ -31,13 +18,10 @@ func runAblationFIFO(w io.Writer, p *Probes) error {
 	for _, fifo := range []bool{false, true} {
 		cfg := scotch.DefaultConfig()
 		cfg.FIFOScheduler = fifo
-		r := newRig(rigConfig{seed: 24, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
+		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: 24, probes: p})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
 		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
-		r.eng.RunUntil(dur)
-		atk.Stop()
-		cli.Stop()
-		r.eng.RunUntil(dur + time.Second)
+		r.drive(dur, time.Second, atk.Stop, cli.Stop)
 		name := "priority+rr"
 		if fifo {
 			name = "fifo"
@@ -67,10 +51,10 @@ func runAblationWithdrawal(w io.Writer, p *Probes) error {
 		if !enabled {
 			cfg.DeactivateRate = 0 // rate never falls below zero: no withdrawal
 		}
-		r := newRig(rigConfig{seed: 25, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
+		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: 25, probes: p})
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
 		r.eng.Schedule(surgeEnd, atk.Stop)
-		r.eng.RunUntil(quietEnd)
+		r.drive(quietEnd, 0)
 
 		// Post-surge workload: a modest client that the hardware path can
 		// serve reactively. With withdrawal the punts return to the edge
@@ -84,9 +68,7 @@ func runAblationWithdrawal(w io.Writer, p *Probes) error {
 		}
 		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 50, 1, 0)
 		cli.Class = "postsurge"
-		r.eng.RunUntil(measureEnd)
-		cli.Stop()
-		r.eng.RunUntil(measureEnd + time.Second)
+		r.drive(measureEnd, time.Second, cli.Stop)
 
 		name := "on"
 		if !enabled {

@@ -13,19 +13,6 @@ import (
 	"scotch/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "elastic-under-migration",
-		Title: "Joint balancer: vSwitch pool grows while a pod migration is in flight, zero client-flow loss (beyond paper, §3+§7)",
-		Run:   runElasticUnderMigration,
-	})
-	register(Experiment{
-		ID:    "replica-scale-out",
-		Title: "Joint balancer: flash crowd saturates the cluster, SLO burn escalates to a replica spawn, burn recovers (beyond paper, §7)",
-		Run:   runReplicaScaleOut,
-	})
-}
-
 // viewSignals is the input of a balancer fed by an observatory: one
 // ClusterView snapshot per tick, digested by balance.ExtractSignals.
 func viewSignals(o *obs.Observatory) func() balance.Signals {
@@ -103,29 +90,17 @@ func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResu
 	// flows/s — the surge is control-plane pressure on the pool, not on
 	// the physical install path.
 	scfg.InstallRate = 200
-	r := newClusterRig(clusterRigConfig{
-		seed:        seed,
-		pods:        2,
-		replicas:    2,
-		scfg:        scfg,
-		homes:       []int{0, 0},
-		standby:     3,
-		ownBalancer: true,
-		probes:      p,
-	})
+	r := build(spec{pods: 2, replicas: 2, cfg: &scfg, clients: 1, servers: 1, primary: 2, standby: 3,
+		homes: []int{0, 0}, ownBalancer: true, seed: seed, probes: p})
 
 	// The balancer's only input is a ClusterView, so the experiment owns
 	// an observatory over the rig: coordinator (replica loads/liveness)
 	// plus pod 0's vSwitch pool and its overlay-rate load signal.
 	o := obs.New(r.eng, obs.Config{})
 	o.WatchCoordinator(r.co)
-	standby := make([]uint64, 0, len(r.pods[0].standby))
-	for _, sb := range r.pods[0].standby {
-		standby = append(standby, sb.DPID)
-	}
-	pool := scotch.NewVSwitchPool(r.pods[0].app, standby)
+	pool := r.pool()
 	o.WatchPool(pool)
-	o.Series("elastic", "load", scotch.OverlayRate(r.eng, r.pods[0].app, pool))
+	o.Series("elastic", "load", scotch.OverlayRate(r.eng, r.app, pool))
 	o.Start()
 
 	bcfg := balance.DefaultConfig()
@@ -138,10 +113,8 @@ func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResu
 		Migrator: r.co,
 	}).Start()
 
-	cli0 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[0].client, r.cap),
-		r.pods[0].server.IP, 40, 4, 10*time.Millisecond)
-	cli1 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[1].client, r.cap),
-		r.pods[1].server.IP, 40, 4, 10*time.Millisecond)
+	cli0 := r.startClient(0, 40, 4, 10*time.Millisecond)
+	cli1 := r.startClient(1, 40, 4, 10*time.Millisecond)
 	surge := r.startCrowd(0, workload.TrapezoidCurve{
 		Base: 0, Peak: 1200,
 		RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
@@ -162,13 +135,8 @@ func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResu
 		res.owners = append(res.owners, r.co.Owner("pod0"))
 	})
 
-	r.eng.RunUntil(dur)
-	surge.Stop()
-	steady.Stop()
-	cli0.Stop()
-	cli1.Stop()
 	// Let in-flight flows land and the last drains finish.
-	r.eng.RunUntil(dur + 2*time.Second)
+	r.drive(dur, 2*time.Second, surge.Stop, steady.Stop, cli0.Stop, cli1.Stop)
 	b.Stop()
 	o.Stop()
 
@@ -260,17 +228,9 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 		capacity = 450
 		queue    = 256
 	)
-	r := newClusterRig(clusterRigConfig{
-		seed:        seed,
-		pods:        6,
-		replicas:    2,
-		capacity:    capacity,
-		queue:       queue,
-		scfg:        scotch.DefaultConfig(),
-		homes:       []int{0, 1, 0, 1, 0, 1},
-		ownBalancer: true,
-		probes:      p,
-	})
+	cfg := scotch.DefaultConfig()
+	r := build(spec{pods: 6, replicas: 2, cfg: &cfg, clients: 1, servers: 1, primary: 2,
+		capacity: capacity, queue: queue, ownBalancer: true, seed: seed, probes: p})
 
 	// Experiment-owned observatory: replica loads/liveness for the
 	// policy, plus the client flow-setup SLO whose burn rate is the
@@ -314,17 +274,14 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 		},
 	}).Start()
 
-	var clients []*workload.ClientGen
-	var crowds []*workload.FlashCrowd
+	var crowds, clients []func()
 	for p := range r.pods {
-		clients = append(clients, workload.StartClient(
-			workload.NewEmitter(r.eng, r.pods[p].client, r.cap),
-			r.pods[p].server.IP, 20, 4, 10*time.Millisecond))
+		clients = append(clients, r.startClient(p, 20, 4, 10*time.Millisecond).Stop)
 		crowds = append(crowds, r.startCrowd(p, workload.TrapezoidCurve{
 			Base: 10, Peak: 150,
 			RampStart: 2 * time.Second, PeakStart: 5 * time.Second,
 			PeakEnd: 12 * time.Second, RampEnd: 13 * time.Second,
-		}, "crowd"))
+		}, "crowd").Stop)
 	}
 
 	var res replicaScaleOutResult
@@ -347,14 +304,7 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 		res.podSplit = append(res.podSplit, counts...)
 	})
 
-	r.eng.RunUntil(dur)
-	for _, c := range crowds {
-		c.Stop()
-	}
-	for _, c := range clients {
-		c.Stop()
-	}
-	r.eng.RunUntil(dur + time.Second)
+	r.drive(dur, time.Second, append(crowds, clients...)...)
 	b.Stop()
 	o.Stop()
 

@@ -1,79 +1,15 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"time"
 
-	"scotch/internal/cluster"
-	"scotch/internal/device"
 	"scotch/internal/fault"
 	"scotch/internal/openflow"
 	"scotch/internal/scotch"
 	"scotch/internal/sim"
 	"scotch/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "chaos-vswitch",
-		Title: "Mesh vSwitch crashes mid-attack: backup promotion bounds client damage (§5.6)",
-		Run:   runChaosVSwitch,
-	})
-	register(Experiment{
-		ID:    "chaos-partition",
-		Title: "Controller partition and heal: failover detection bound and stale-master fencing (§5, OF 1.3 §6.3)",
-		Run:   runChaosPartition,
-	})
-	register(Experiment{
-		ID:    "chaos-churn",
-		Title: "Continuous access-link flaps: overlay deploy/withdraw converges (§5.5)",
-		Run:   runChaosChurn,
-	})
-}
-
-// chaosEnv adapts an experiment rig to fault.Environment: the experiment
-// registers the named switches, links, and controller replicas its plan
-// targets, and events resolve against those maps.
-type chaosEnv struct {
-	switches map[string]*device.Switch
-	links    map[string]*device.Link
-	replicas map[string]*cluster.Replica
-}
-
-func (e *chaosEnv) ApplyFault(ev fault.Event) error {
-	switch ev.Kind {
-	case fault.SwitchCrash, fault.SwitchRestart:
-		sw := e.switches[ev.Target]
-		if sw == nil {
-			return fmt.Errorf("chaos: unknown switch %q", ev.Target)
-		}
-		if ev.Kind == fault.SwitchCrash {
-			sw.Fail()
-		} else {
-			sw.Restart()
-		}
-	case fault.LinkDown, fault.LinkUp:
-		l := e.links[ev.Target]
-		if l == nil {
-			return fmt.Errorf("chaos: unknown link %q", ev.Target)
-		}
-		l.SetDown(ev.Kind == fault.LinkDown)
-	case fault.ControllerPartition, fault.ControllerHeal:
-		rep := e.replicas[ev.Target]
-		if rep == nil {
-			return fmt.Errorf("chaos: unknown replica %q", ev.Target)
-		}
-		if ev.Kind == fault.ControllerPartition {
-			rep.Partition()
-		} else {
-			rep.Heal()
-		}
-	default:
-		return fmt.Errorf("chaos: unsupported fault kind %v", ev.Kind)
-	}
-	return nil
-}
 
 // chaosVSwitchPlan kills one primary mesh vSwitch mid-attack (4s into
 // the run) and cold-restarts it at 10s. The restart deliberately does
@@ -99,21 +35,14 @@ type chaosVSwitchResult struct {
 // and §5.6 promotion decides how much attack traffic survives.
 func chaosVSwitchPoint(p *Probes, attackRate float64, plan fault.Plan) chaosVSwitchResult {
 	const dur = 15 * time.Second
-	r := newRig(rigConfig{seed: 41, cfg: scotch.DefaultConfig(),
-		nClients: 2, nServers: 1, nPrimary: 2, nBackup: 2, probes: p})
-	env := &chaosEnv{switches: make(map[string]*device.Switch)}
-	for _, vs := range r.vs {
-		env.switches[vs.Name()] = vs
-	}
-	fr := fault.NewRunner(r.eng, env, r.c.Tracer())
+	cfg := scotch.DefaultConfig()
+	r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, backup: 2, seed: 41, probes: p})
+	fr := fault.NewRunner(r.eng, r, r.c.Tracer())
 	fr.Schedule(plan)
 
 	atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, attackRate)
 	cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 20, 1, 0)
-	r.eng.RunUntil(dur)
-	atk.Stop()
-	cli.Stop()
-	r.eng.RunUntil(dur + time.Second)
+	r.drive(dur, time.Second, atk.Stop, cli.Stop)
 	return chaosVSwitchResult{
 		clientFail: r.cap.FailureFraction("client"),
 		atkFail:    r.cap.FailureFraction("attack"),
@@ -163,22 +92,14 @@ func chaosPartitionPoint(p *Probes, seed int64) chaosPartitionResult {
 	const dur = 9 * time.Second
 	cutAt := 5050 * time.Millisecond
 	healAt := 6500 * time.Millisecond
-	r := newClusterRig(clusterRigConfig{
-		seed:     seed,
-		pods:     2,
-		replicas: 2,
-		capacity: 800,
-		queue:    512,
-		scfg:     scotch.DefaultConfig(),
-		probes:   p,
-	})
-	env := &chaosEnv{replicas: map[string]*cluster.Replica{"replica0": r.replicas[0]}}
-	fr := fault.NewRunner(r.eng, env, r.replicas[0].C.Tracer())
+	cfg := scotch.DefaultConfig()
+	r := build(spec{pods: 2, replicas: 2, cfg: &cfg, clients: 1, servers: 1, primary: 2,
+		capacity: 800, queue: 512, seed: seed, probes: p})
+	fr := fault.NewRunner(r.eng, r, r.replicas[0].C.Tracer())
 	fr.Schedule(fault.PartitionHeal("replica0", cutAt, healAt))
 
-	pod0 := r.pods[0]
-	pod0DPIDs := []uint64{pod0.edge.DPID}
-	for _, vs := range pod0.vs {
+	pod0DPIDs := []uint64{r.edge.DPID}
+	for _, vs := range r.vs {
 		pod0DPIDs = append(pod0DPIDs, vs.DPID)
 	}
 	staleBefore := uint64(0)
@@ -195,12 +116,9 @@ func chaosPartitionPoint(p *Probes, seed int64) chaosPartitionResult {
 		}
 	})
 
-	cli0 := workload.StartClient(workload.NewEmitter(r.eng, pod0.client, r.cap), pod0.server.IP, 50, 8, 50*time.Millisecond)
-	cli1 := workload.StartClient(workload.NewEmitter(r.eng, r.pods[1].client, r.cap), r.pods[1].server.IP, 50, 8, 50*time.Millisecond)
-	r.eng.RunUntil(dur)
-	cli0.Stop()
-	cli1.Stop()
-	r.eng.RunUntil(dur + time.Second)
+	cli0 := r.startClient(0, 50, 8, 50*time.Millisecond)
+	cli1 := r.startClient(1, 50, 8, 50*time.Millisecond)
+	r.drive(dur, time.Second, cli0.Stop, cli1.Stop)
 
 	res := chaosPartitionResult{
 		failovers:      r.co.Stats.Failovers,
@@ -255,11 +173,8 @@ func chaosChurnPoint(p *Probes, seed int64) chaosChurnResult {
 	// Let offload rules idle out between flaps so each cycle starts from
 	// a clean table instead of accumulating dead state.
 	cfg.RuleIdleTimeout = 2 * time.Second
-	r := newRig(rigConfig{seed: seed, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
-	env := &chaosEnv{links: map[string]*device.Link{
-		"link:c0": r.net.HostLink(r.clients[0].IP),
-	}}
-	fr := fault.NewRunner(r.eng, env, r.c.Tracer())
+	r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: seed, probes: p})
+	fr := fault.NewRunner(r.eng, r, r.c.Tracer())
 	plan := fault.Flap(seed, "link:c0", 3*time.Second, 13*time.Second, 3*time.Second, 2*time.Second, 0.05)
 	fr.Schedule(plan)
 	flaps := 0
@@ -271,10 +186,7 @@ func chaosChurnPoint(p *Probes, seed int64) chaosChurnResult {
 
 	atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 3000)
 	cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 20, 1, 0)
-	r.eng.RunUntil(dur)
-	atk.Stop()
-	cli.Stop()
-	r.eng.RunUntil(dur + 3*time.Second)
+	r.drive(dur, 3*time.Second, atk.Stop, cli.Stop)
 
 	return chaosChurnResult{
 		flaps:          flaps,

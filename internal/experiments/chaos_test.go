@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scotch/internal/fault"
+	"scotch/internal/scotch"
 )
 
 // TestChaosVSwitchBound is the experiment's acceptance bound: with a
@@ -78,9 +79,10 @@ func TestChaosChurnConverges(t *testing.T) {
 }
 
 // TestChaosEnvUnknownTargets verifies fault application fails loudly on
-// typos instead of silently skipping events.
+// targets the rig did not build instead of silently skipping events.
 func TestChaosEnvUnknownTargets(t *testing.T) {
-	env := &chaosEnv{}
+	cfg := scotch.DefaultConfig()
+	env := build(spec{pods: 2, replicas: 1, cfg: &cfg, clients: 1, servers: 1, primary: 2})
 	for _, ev := range []fault.Event{
 		{Kind: fault.SwitchCrash, Target: "nope"},
 		{Kind: fault.LinkDown, Target: "nope"},

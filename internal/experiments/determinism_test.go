@@ -258,15 +258,12 @@ func TestRunAllCancellation(t *testing.T) {
 // healthy experiments before it in the id list still produce output.
 func TestRunAllErrorPropagation(t *testing.T) {
 	const id = "test-failing-experiment"
-	register(Experiment{
+	registry = append(registry, Experiment{
 		ID:    id,
 		Title: "always fails (test only)",
 		Run:   func(io.Writer, *Probes) error { return errors.New("boom") },
 	})
-	defer func() {
-		delete(registry, id)
-		order = order[:len(order)-1]
-	}()
+	defer func() { registry = registry[:len(registry)-1] }()
 
 	results, err := RunAll(context.Background(), []string{"table1", id}, 1, nil)
 	if err == nil || !strings.Contains(err.Error(), id) || !strings.Contains(err.Error(), "boom") {

@@ -11,19 +11,6 @@ import (
 	"scotch/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "devolve-ablation",
-		Title: "Control devolution ablation: devolved vs centralized under the multi-tenant DDoS mix",
-		Run:   runDevolveAblation,
-	})
-	register(Experiment{
-		ID:    "devolve-invalidate",
-		Title: "Devolution policy invalidation: live revoke, stale-generation fencing, and drain flush deliver no stale policy",
-		Run:   runDevolveInvalidate,
-	})
-}
-
 // devolvePool is the mesh size of the ablation rig; the acceptance bound
 // scales with it (devolved Packet-Ins <= centralized/pool * 1.25).
 const devolvePool = 4
@@ -47,8 +34,7 @@ func devolveRun(p *Probes, seed int64, devolved bool) devolveRunResult {
 	cfg.RuleIdleTimeout = 2 * time.Second
 	cfg.FanOut = 4
 	cfg.ElephantBytes = 1 << 30
-	r := newRig(rigConfig{seed: seed, cfg: cfg,
-		nClients: 3, nServers: 2, nPrimary: devolvePool, probes: p})
+	r := build(spec{cfg: &cfg, clients: 3, servers: 2, primary: devolvePool, seed: seed, probes: p})
 
 	if devolved {
 		r.app.EnableDevolution()
@@ -60,33 +46,11 @@ func devolveRun(p *Probes, seed int64, devolved bool) devolveRunResult {
 	lat := workload.NewLatencyTracker()
 	lat.AttachCapture(r.cap)
 
-	dsts := []netaddr.IPv4{r.servers[0].IP, r.servers[1].IP}
-	spoof := netaddr.MustParsePrefix("172.16.0.0/12")
-	sc := workload.NewScenario(r.eng, seed)
-	sc.Add(workload.TenantSpec{
-		Name: "base", Curve: workload.ConstantCurve(120),
-		Size:    workload.ParetoSampler{Alpha: 1.2, MinPkts: 1, MaxPkts: 20},
-		PktIval: time.Millisecond,
-		Sources: []*workload.Emitter{r.emitter(r.clients[0])}, Dsts: dsts,
-	})
-	sc.Add(workload.TenantSpec{
-		Name: "crowd",
-		Curve: workload.TrapezoidCurve{Base: 0, Peak: 600,
-			RampStart: 2 * time.Second, PeakStart: 4 * time.Second,
-			PeakEnd: 7 * time.Second, RampEnd: 9 * time.Second},
-		Sources: []*workload.Emitter{r.emitter(r.clients[1])}, Dsts: dsts[:1],
-	})
-	sc.Add(workload.TenantSpec{
-		Name: "ddos",
-		Curve: workload.OnOffCurve{Rate: 1500,
-			Start: 2 * time.Second, End: 8 * time.Second},
-		Sources: []*workload.Emitter{r.emitter(r.clients[2])}, Dsts: dsts[:1],
-		Spoof: &spoof,
-	})
-	sc.Start()
-	r.eng.RunUntil(dur)
-	sc.Stop()
-	r.eng.RunUntil(dur + 2*time.Second)
+	sc := r.tenantMix(seed, 120, workload.TrapezoidCurve{Base: 0, Peak: 600,
+		RampStart: 2 * time.Second, PeakStart: 4 * time.Second,
+		PeakEnd: 7 * time.Second, RampEnd: 9 * time.Second},
+		&workload.OnOffCurve{Rate: 1500, Start: 2 * time.Second, End: 8 * time.Second})
+	r.drive(dur, 2*time.Second, sc.Stop)
 
 	res := devolveRunResult{
 		rows:      latencyRows(lat),
@@ -109,15 +73,6 @@ type devolveAblationResult struct {
 	// p99Ratio is the base (legitimate) tenant's devolved p99 over its
 	// centralized p99; devolution must keep it within 1.1x.
 	p99Ratio float64
-}
-
-func baseP99(rows []latRow) float64 {
-	for _, r := range rows {
-		if r.tenant == "base" {
-			return r.p99ms
-		}
-	}
-	return 0
 }
 
 func devolveAblationPoint(p *Probes, seed int64) devolveAblationResult {
@@ -173,8 +128,7 @@ func devolveInvalidatePoint(p *Probes, seed int64) devolveInvalidateResult {
 	cfg := scotch.DefaultConfig()
 	cfg.ActivateRate = 20 // engage the overlay promptly
 	cfg.RuleIdleTimeout = time.Second
-	r := newRig(rigConfig{seed: seed, cfg: cfg,
-		nClients: 2, nServers: 1, nPrimary: 2, probes: p})
+	r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: seed, probes: p})
 	r.app.EnableDevolution()
 	r.app.DevolveTenant("web", netaddr.MakePrefix(r.clients[0].IP, 32), false)
 	r.app.DevolveTenant("bulk", netaddr.MakePrefix(r.clients[1].IP, 32), false)
@@ -219,9 +173,7 @@ func devolveInvalidatePoint(p *Probes, seed int64) devolveInvalidateResult {
 		res.drainFlushed = drainedCache != nil && !drainedCache.Active()
 		res.drainStaleOK = drainedCache != nil && !drainedCache.Apply(&devolve.Table{Gen: 2})
 	})
-	r.eng.RunUntil(dur)
-	sc.Stop()
-	r.eng.RunUntil(dur + 2*time.Second)
+	r.drive(dur, 2*time.Second, sc.Stop)
 
 	res.webHitsFinal = m.Hits("web")
 	res.bulkHitsFinal = m.Hits("bulk")

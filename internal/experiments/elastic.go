@@ -5,19 +5,10 @@ import (
 	"io"
 	"time"
 
-	"scotch/internal/balance"
 	"scotch/internal/netaddr"
 	"scotch/internal/scotch"
 	"scotch/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "elastic",
-		Title: "Elastic vSwitch pool: a pool-only balancer grows the mesh under a ramping attack and drains it back (§3)",
-		Run:   runElastic,
-	})
-}
 
 // elasticResult is one full autoscaling run: the pool-size trajectory
 // sampled once per second plus the resize and loss accounting. The
@@ -48,37 +39,16 @@ func elasticPoint(p *Probes, seed int64) elasticResult {
 	// Fast rule idle-out so the drained members' flow tables quiesce
 	// within the run (the same trick chaos-churn uses).
 	cfg.RuleIdleTimeout = 2 * time.Second
-	r := newRig(rigConfig{seed: seed, cfg: cfg,
-		nClients: 2, nServers: 1, nPrimary: 1, nStandby: 3, probes: p})
+	r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 1, standby: 3, seed: seed, probes: p})
+	pool, b := r.poolBalancer()
 
-	standby := make([]uint64, 0, len(r.standby))
-	for _, sb := range r.standby {
-		standby = append(standby, sb.DPID)
-	}
-	pool := scotch.NewVSwitchPool(r.app, standby)
-	b := balance.New(r.eng, balance.DefaultConfig(),
-		balance.PoolSignals(pool, scotch.OverlayRate(r.eng, r.app, pool)),
-		balance.Actuators{Pool: pool})
-	b.SetTracer(r.c.Tracer())
-	b.Start()
-
-	atkEm := r.emitter(r.clients[0])
-	var n uint64
-	fc := workload.StartFlashCrowd(r.eng, workload.TrapezoidCurve{
-		Base: 0, Peak: 3000,
-		RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
-		PeakEnd: 12 * time.Second, RampEnd: 14 * time.Second,
-	}, func() {
-		n++
-		// Spoofed source walk, as StartDDoS does: every arrival is a
-		// distinct one-packet flow, i.e. pure control-plane load.
-		src := netaddr.MakeIPv4(172, byte(16+(n>>16)&0x0f), byte(n>>8), byte(n))
-		atkEm.Start(workload.Flow{
-			Key: netaddr.FlowKey{Src: src, Dst: r.servers[0].IP,
-				Proto: netaddr.ProtoTCP, SrcPort: uint16(1024 + n%50000), DstPort: 80},
-			Packets: 1, Size: 64, Class: "attack",
-		})
-	})
+	// Spoofed source walk, as StartDDoS does.
+	fc := spoofCrowd(r.emitter(r.clients[0]), r.servers[0].IP, netaddr.MustParsePrefix("172.16.0.0/12"),
+		workload.TrapezoidCurve{
+			Base: 0, Peak: 3000,
+			RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
+			PeakEnd: 12 * time.Second, RampEnd: 14 * time.Second,
+		}, "attack")
 	cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 20, 1, 0)
 
 	var res elasticResult
@@ -92,12 +62,9 @@ func elasticPoint(p *Probes, seed int64) elasticResult {
 	})
 	r.eng.Schedule(22*time.Second, func() { probe.Stop() })
 
-	r.eng.RunUntil(dur)
-	fc.Stop()
-	cli.Stop()
 	// Let in-flight flows land and the last drains finish before the
 	// final size sample.
-	r.eng.RunUntil(dur + 2*time.Second)
+	r.drive(dur, 2*time.Second, fc.Stop, cli.Stop)
 	b.Stop()
 
 	for _, s := range res.sizes {

@@ -15,30 +15,53 @@ type Experiment struct {
 	Run func(w io.Writer, p *Probes) error
 }
 
-var registry = map[string]Experiment{}
-var order []string
-
-func register(e Experiment) {
-	if _, dup := registry[e.ID]; dup {
-		panic("experiments: duplicate id " + e.ID)
-	}
-	registry[e.ID] = e
-	order = append(order, e.ID)
+// registry lists every experiment in the order All returns them: the
+// order scotchsim all prints and testdata/all.golden records.
+var registry = []Experiment{
+	{"ablation-fanout", "Ablation: select-group fan-out width (1 vSwitch vs load-balanced mesh)", runAblationFanout},
+	{"ablation-elephant-threshold", "Ablation: elephant migration threshold sweep", runAblationElephant},
+	{"ablation-scheduler", "Ablation: install pacing rate R vs insertion failures and data-path stall", runAblationScheduler},
+	{"ablation-fifo-scheduler", "Ablation: priority classes + per-port RR vs a single FIFO install queue", runAblationFIFO},
+	{"ablation-withdrawal", "Ablation: automatic withdrawal vs leaving the overlay engaged forever", runAblationWithdrawal},
+	{"elastic-under-migration", "Joint balancer: vSwitch pool grows while a pod migration is in flight, zero client-flow loss (beyond paper, §3+§7)", runElasticUnderMigration},
+	{"replica-scale-out", "Joint balancer: flash crowd saturates the cluster, SLO burn escalates to a replica spawn, burn recovers (beyond paper, §7)", runReplicaScaleOut},
+	{"chaos-vswitch", "Mesh vSwitch crashes mid-attack: backup promotion bounds client damage (§5.6)", runChaosVSwitch},
+	{"chaos-partition", "Controller partition and heal: failover detection bound and stale-master fencing (§5, OF 1.3 §6.3)", runChaosPartition},
+	{"chaos-churn", "Continuous access-link flaps: overlay deploy/withdraw converges (§5.5)", runChaosChurn},
+	{"cluster-scale", "Controller cluster: successful-flow rate vs replica count under a flash crowd (beyond paper, §7)", runClusterScale},
+	{"cluster-migrate", "Controller cluster: load-triggered switch migration during a surge, client flow loss (beyond paper, §7)", runClusterMigrate},
+	{"cluster-failover", "Controller cluster: replica kill, failure detection and mastership failover time (beyond paper, §7)", runClusterFailover},
+	{"devolve-ablation", "Control devolution ablation: devolved vs centralized under the multi-tenant DDoS mix", runDevolveAblation},
+	{"devolve-invalidate", "Devolution policy invalidation: live revoke, stale-generation fencing, and drain flush deliver no stale policy", runDevolveInvalidate},
+	{"elastic", "Elastic vSwitch pool: a pool-only balancer grows the mesh under a ramping attack and drains it back (§3)", runElastic},
+	{"fig15", "Trace-driven flash crowd on a leaf-spine DC: application performance (reconstructed)", runFig15},
+	{"obs-slo", "Observatory SLO burn: a flash crowd drives a tenant's error budget through burning and back", runObsSLO},
+	{"fig8", "Policy consistency across migration (§5.4): same-middlebox vs naive rerouting", runFig8},
+	{"scenario-multitenant", "Multi-tenant scenario: DDoS tenant must not shift the baseline tenant's latency CDF (§3, §5)", runScenarioMultitenant},
+	{"scenario-fattree", "Flash crowd on a k=8 fat-tree: per-tenant flow-setup latency CDFs under Scotch (§5.6)", runScenarioFattree},
+	{"scenario-replay", "Trace-file replay: external CSV trace drives the rig, per-tenant latency CDFs (§6)", runScenarioReplay},
+	{"fig3", "Client flow failure fraction vs attack rate (HP Procurve, Pica8, OVS)", runFig3},
+	{"fig4", "Control path profiling: Packet-In rate = rule install rate = success rate (Pica8)", runFig4},
+	{"table1", "Calibrated switch profiles (testbed equipment stand-ins)", runTable1},
+	{"fig9", "Maximum flow rule insertion rate at the Pica8 switch", runFig9},
+	{"fig10", "Interaction of the data path and the control path (loss vs insertion rate)", runFig10},
+	{"fig11", "Ingress-port differentiation under attack (reconstructed from §6 roadmap)", runFig11},
+	{"fig12", "Overlay control-plane capacity vs vSwitch pool size (reconstructed)", runFig12},
+	{"fig13", "Large-flow migration moves bytes back to the physical network (reconstructed)", runFig13},
+	{"fig14", "Extra relay delay of the overlay path (reconstructed)", runFig14},
 }
 
-// All returns every experiment in registration order.
-func All() []Experiment {
-	out := make([]Experiment, 0, len(order))
-	for _, id := range order {
-		out = append(out, registry[id])
-	}
-	return out
-}
+// All returns every experiment in registry order.
+func All() []Experiment { return append([]Experiment(nil), registry...) }
 
 // ByID returns the experiment with the given id.
 func ByID(id string) (Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
+	for _, e := range registry {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
 // table is a small column-aligned printer for experiment output.

@@ -74,20 +74,15 @@ func TestFig14Runs(t *testing.T) {
 
 func TestFig9ShapeMatchesPaper(t *testing.T) {
 	// The paper's §6.1 result: insertion is loss-free to the maximum, then
-	// the successful rate falls and flattens. Parse our own table and
-	// assert the shape.
-	if testing.Short() {
-		t.Skip("short mode")
+	// the successful rate falls and flattens. Parse the golden table,
+	// which TestGolden holds the code to, and assert the shape.
+	lines := strings.Split(strings.TrimSpace(goldenSections(t)["fig9"]), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("%s has no fig9 table", goldenPath)
 	}
-	e, _ := ByID("fig9")
-	var buf bytes.Buffer
-	if err := e.Run(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	type pt struct{ attempted, successful float64 }
 	var pts []pt
-	for _, ln := range lines[1:] {
+	for _, ln := range lines[2:] {
 		fields := strings.Fields(ln)
 		if len(fields) < 2 {
 			t.Fatalf("unparseable row %q", ln)
@@ -115,7 +110,10 @@ func TestFig9ShapeMatchesPaper(t *testing.T) {
 
 // IDs returns the sorted experiment ids.
 func IDs() []string {
-	ids := append([]string(nil), order...)
+	var ids []string
+	for _, e := range registry {
+		ids = append(ids, e.ID)
+	}
 	sort.Strings(ids)
 	return ids
 }

@@ -4,73 +4,26 @@ import (
 	"io"
 	"time"
 
-	"scotch/internal/capture"
-	"scotch/internal/controller"
 	"scotch/internal/netaddr"
 	"scotch/internal/scotch"
-	"scotch/internal/sim"
 	"scotch/internal/topo"
 	"scotch/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig15",
-		Title: "Trace-driven flash crowd on a leaf-spine DC: application performance (reconstructed)",
-		Run:   runFig15,
-	})
-}
-
-// dcRig deploys Scotch (or the reactive baseline) over a leaf-spine data
-// center with per-rack vSwitch pools.
-type dcRig struct {
-	eng *sim.Engine
-	ls  *topo.LeafSpine
-	c   *controller.Controller
-	app *scotch.App
-	cap *capture.Capture
-}
-
-func newDCRig(seed int64, cfg scotch.Config, baseline bool) *dcRig {
-	eng := sim.New(seed)
-	ls := topo.NewLeafSpine(eng)
-	r := &dcRig{eng: eng, ls: ls}
-	if baseline {
-		r.c = controller.New(eng, ls.Net)
-		controller.NewReactiveRouter(r.c)
-		r.c.ConnectAll()
-	} else {
-		var err error
-		r.c, r.app, err = scotch.NewLeafSpineDeployment(ls, cfg)
-		if err != nil {
-			panic(err)
-		}
-	}
-	r.cap = capture.New(eng)
-	for _, hosts := range ls.Hosts {
-		for _, h := range hosts {
-			r.cap.Attach(h)
-		}
-	}
-	return r
-}
-
-func runFig15(w io.Writer, _ *Probes) error {
+func runFig15(w io.Writer, p *Probes) error {
 	t := newTable(w, "controller", "flows", "failure_fraction", "completion_fraction",
 		"fct_ms_p50", "fct_ms_p99")
 	const dur = 25 * time.Second
-	for _, baseline := range []bool{true, false} {
-		r := newDCRig(15, scotch.DefaultConfig(), baseline)
-		ls := r.ls
+	cfg := scotch.DefaultConfig()
+	for _, c := range []*scotch.Config{nil, &cfg} {
+		r := build(spec{fabric: leafSpine, cfg: c, seed: 15, probes: p})
 
 		// Background: steady all-to-all trace with heavy-tailed sizes.
 		var sources []*workload.Emitter
 		var dsts []netaddr.IPv4
-		for _, hosts := range ls.Hosts {
-			for _, h := range hosts {
-				sources = append(sources, workload.NewEmitter(r.eng, h, r.cap))
-				dsts = append(dsts, h.IP)
-			}
+		for _, h := range r.servers {
+			sources = append(sources, r.emitter(h))
+			dsts = append(dsts, h.IP)
 		}
 		tg := &workload.TraceGen{
 			Eng: r.eng, Sources: sources, Dsts: dsts,
@@ -99,13 +52,10 @@ func runFig15(w io.Writer, _ *Probes) error {
 			})
 		})
 
-		r.eng.RunUntil(dur)
-		tg.Stop()
-		fc.Stop()
-		r.eng.RunUntil(dur + 2*time.Second)
+		r.drive(dur, 2*time.Second, tg.Stop, fc.Stop)
 
 		name := "scotch"
-		if baseline {
+		if c == nil {
 			name = "baseline"
 		}
 		sent, _ := r.cap.Counts("crowd")

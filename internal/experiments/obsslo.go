@@ -11,14 +11,6 @@ import (
 	"scotch/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "obs-slo",
-		Title: "Observatory SLO burn: a flash crowd drives a tenant's error budget through burning and back",
-		Run:   runObsSLO,
-	})
-}
-
 // obsSLOResult is one observatory run over the flash-crowd rig: the
 // digest plus the two SLO reports the table and the acceptance test
 // both read.
@@ -42,8 +34,8 @@ type obsSLOResult struct {
 // both verdicts end healthy: healthy -> burning -> healthy.
 func obsSLOPoint(p *Probes, seed int64) obsSLOResult {
 	const dur = 20 * time.Second
-	r := newRig(rigConfig{seed: seed, cfg: scotch.DefaultConfig(),
-		nClients: 2, nServers: 1, nPrimary: 2, nBackup: 1, probes: p})
+	cfg := scotch.DefaultConfig()
+	r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, backup: 1, seed: seed, probes: p})
 
 	// The experiment carries its own always-on observatory with the SLOs
 	// under test; armed probes (-health) layer a second, independent one
@@ -68,29 +60,16 @@ func obsSLOPoint(p *Probes, seed int64) obsSLOResult {
 	base := workload.StartClient(r.emitter(r.clients[0]), r.servers[0].IP, 20, 1, 0)
 	base.Class = "base"
 
-	crowdEm := r.emitter(r.clients[1])
-	var n uint64
-	fc := workload.StartFlashCrowd(r.eng, workload.TrapezoidCurve{
-		Base: 0, Peak: 6000,
-		RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
-		PeakEnd: 10 * time.Second, RampEnd: 12 * time.Second,
-	}, func() {
-		n++
-		// Distinct sources: every arrival is a fresh flow setup.
-		src := netaddr.MakeIPv4(172, byte(16+(n>>16)&0x0f), byte(n>>8), byte(n))
-		crowdEm.Start(workload.Flow{
-			Key: netaddr.FlowKey{Src: src, Dst: r.servers[0].IP,
-				Proto: netaddr.ProtoTCP, SrcPort: uint16(1024 + n%50000), DstPort: 80},
-			Packets: 1, Size: 64, Class: "crowd",
-		})
-	})
+	fc := spoofCrowd(r.emitter(r.clients[1]), r.servers[0].IP, netaddr.MustParsePrefix("172.16.0.0/12"),
+		workload.TrapezoidCurve{
+			Base: 0, Peak: 6000,
+			RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
+			PeakEnd: 10 * time.Second, RampEnd: 12 * time.Second,
+		}, "crowd")
 
-	r.eng.RunUntil(dur)
-	fc.Stop()
-	base.Stop()
 	// Let the install backlog drain and the burn windows empty so the
 	// crowd SLO's recovery transition lands before the digest.
-	r.eng.RunUntil(dur + 4*time.Second)
+	r.drive(dur, 4*time.Second, fc.Stop, base.Stop)
 	o.Stop()
 
 	d := o.Digest("obs-slo")

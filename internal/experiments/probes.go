@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scotch/internal/balance"
-	"scotch/internal/capture"
 	"scotch/internal/device"
 	"scotch/internal/obs"
 	"scotch/internal/packet"
@@ -26,9 +25,8 @@ import (
 type Probes struct {
 	// Trace gives every rig a private control-path tracer.
 	Trace bool
-	// Obs, when non-nil, gives every rig except fig4's testbed a private
-	// health observatory with this config; nil SLOs select the default
-	// rig objectives.
+	// Obs, when non-nil, gives every rig a private health observatory
+	// with this config; nil SLOs select the default rig objectives.
 	Obs *obs.Config
 	// Advise adds an Advise-mode joint balancer reading each rig's
 	// observatory; it needs Obs, the advisor's only input.
@@ -83,31 +81,59 @@ func defaultRigSLOs() []obs.SLO {
 	return out
 }
 
-// attach arms a freshly built rig: trace hands its traced components a
-// new tracer, and watch registers its observed components on a new
-// observatory, which samples them plus the flow-setup latency of the
-// rig's capture by flow class (how experiment workloads name tenants).
-// A nil watch leaves the rig unobserved.
-func (p *Probes) attach(eng *sim.Engine, cap *capture.Capture, trace func(*telemetry.Tracer), watch func(*obs.Observatory)) {
+// arm gives a freshly built rig p's instruments. A tracer goes to its
+// balancer, coordinator, every controller and switch, and every server's
+// deliveries. An observatory watches its coordinator, controller, every
+// app and switch, and the flow-setup latency of its capture by flow class
+// (how experiment workloads name tenants).
+func (r *rig) arm(p *Probes) {
 	if p == nil {
 		return
 	}
 	if p.Trace {
 		tr := telemetry.NewTracer()
-		trace(tr)
+		r.bal.SetTracer(tr)
+		if r.co != nil {
+			r.co.Trace = tr
+		}
+		if r.c != nil {
+			r.c.SetTracer(tr)
+		}
+		for _, rep := range r.replicas {
+			rep.C.SetTracer(tr)
+		}
+		for _, sw := range r.switches() {
+			sw.SetTracer(tr)
+		}
+		for _, pd := range r.pods {
+			for _, srv := range pd.servers {
+				traceDelivery(tr, srv)
+			}
+		}
 		p.Traces = append(p.Traces, telemetry.NamedTrace{Name: runName(len(p.Traces)), Tracer: tr})
 	}
-	if p.Obs == nil || watch == nil {
+	if p.Obs == nil {
 		return
 	}
 	cfg := *p.Obs
 	if cfg.SLOs == nil {
 		cfg.SLOs = defaultRigSLOs()
 	}
-	o := obs.New(eng, cfg)
-	watch(o)
+	o := obs.New(r.eng, cfg)
+	o.WatchCoordinator(r.co)
+	o.WatchController("controller", r.c)
+	for _, pd := range r.pods {
+		comp := "scotch"
+		if len(r.pods) > 1 {
+			comp += "/" + pd.name
+		}
+		o.WatchAppAs(comp, pd.app)
+	}
+	for _, sw := range r.switches() {
+		o.WatchSwitch(sw)
+	}
 	lt := workload.NewLatencyTracker()
-	lt.AttachCapture(cap)
+	lt.AttachCapture(r.cap)
 	o.WatchLatency(lt)
 	o.Start()
 	p.Health = append(p.Health, NamedHealth{Name: runName(len(p.Health)), Obs: o})
@@ -117,7 +143,7 @@ func (p *Probes) attach(eng *sim.Engine, cap *capture.Capture, trace func(*telem
 	if p.Advise {
 		bcfg := balance.DefaultConfig()
 		bcfg.Advise = true
-		b := balance.New(eng, bcfg, viewSignals(o), balance.Actuators{}).Start()
+		b := balance.New(r.eng, bcfg, viewSignals(o), balance.Actuators{}).Start()
 		p.Advice = append(p.Advice, NamedBalance{Name: runName(len(p.Advice)), B: b})
 	}
 }

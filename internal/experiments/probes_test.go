@@ -47,12 +47,18 @@ func TestTracingDoesNotChangeOutput(t *testing.T) {
 
 // TestObservatoryDoesNotChangeOutput: observation adds sampling events to
 // the engine but reads model state strictly read-only, so observed runs
-// keep their golden bytes, and every rig's digest carries data.
+// keep their golden bytes, every experiment collects health, and every
+// rig's digest carries data.
 func TestObservatoryDoesNotChangeOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	results := checkGolden(t, []string{"fig14", "elastic"}, 4, &Probes{Obs: &obs.Config{}})
+	results := checkGolden(t, []string{"fig14", "elastic", "scenario-fattree"}, 4, &Probes{Obs: &obs.Config{}})
+	for _, r := range results {
+		if len(r.Probes.Health) == 0 {
+			t.Errorf("%s collected no health runs", r.ID)
+		}
+	}
 	runs := CollectProbes(results).Health
 	if len(runs) == 0 {
 		t.Fatal("no health runs collected")
@@ -100,9 +106,9 @@ func TestArmedRunAllSharesNoState(t *testing.T) {
 	var newest atomic.Pointer[obs.Observatory]
 	arm := &Probes{Trace: true, Obs: &obs.Config{}, Advise: true, Observed: newest.Store}
 	p := CollectProbes(checkGolden(t, []string{"table1", "fig4", "fig14"}, 2, arm))
-	// fig4 traces one testbed per offered rate; fig14 builds two rigs.
-	if len(p.Traces) != 9 || len(p.Health) != 2 || len(p.Advice) != 2 {
-		t.Errorf("collected %d traces, %d health, %d advice runs; want 9, 2, 2",
+	// fig4 builds one testbed per offered rate; fig14 builds two rigs.
+	if len(p.Traces) != 9 || len(p.Health) != 9 || len(p.Advice) != 9 {
+		t.Errorf("collected %d traces, %d health, %d advice runs; want 9, 9, 9",
 			len(p.Traces), len(p.Health), len(p.Advice))
 	}
 	if v := newest.Load().Snapshot(); len(v.Components) == 0 || v.At == 0 {

@@ -2,135 +2,470 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
+	"scotch/internal/balance"
 	"scotch/internal/capture"
+	"scotch/internal/cluster"
 	"scotch/internal/controller"
 	"scotch/internal/device"
+	"scotch/internal/fault"
 	"scotch/internal/netaddr"
-	"scotch/internal/obs"
 	"scotch/internal/scotch"
 	"scotch/internal/sim"
-	"scotch/internal/telemetry"
 	"scotch/internal/topo"
 	"scotch/internal/workload"
 )
 
-// rig is a single-edge-switch Scotch deployment: the paper's testbed plus
-// a vSwitch pool, with any number of client-side hosts (each on its own
-// ingress port) and servers (spread across delivery vSwitches).
+// fabric is the topology a spec builds.
+type fabric int
+
+const (
+	// edgePods repeats the paper's §6 shape once per pod: a Pica8 edge
+	// switch whose protected client ports punt to a pool of OVS
+	// vSwitches. One pod is the single-edge rig; several are the shards
+	// of a controller cluster.
+	edgePods fabric = iota
+	// testbed is §3.2's one switch under test (spec.profile) with an
+	// attacker, a client and a server.
+	testbed
+	// leafSpine is topo.NewLeafSpine's data center with per-rack pools.
+	leafSpine
+	// fatTree is a k=8 fat-tree with two hosts per edge switch.
+	fatTree
+	// diamond is fig8's two-firewall diamond.
+	diamond
+)
+
+// spec describes one rig. Experiments write it as a Go literal; build
+// turns it into a running world.
+type spec struct {
+	fabric  fabric
+	profile device.Profile // testbed: the switch under test
+	// pods is the number of edgePods shards (0 or 1: the single-edge
+	// rig). More than one run behind a cluster of replicas controllers.
+	pods, replicas int
+	cfg            *scotch.Config // nil: the reactive baseline
+	// The pod shape: client hosts on protected ports, server hosts,
+	// primary and backup mesh vSwitches, and standbys that pod 0 links
+	// and connects but leaves out of the mesh (pool growth headroom).
+	clients, servers, primary, backup, standby int
+	// capacity and queue bound each cluster replica's Packet-In
+	// processing (0: unlimited).
+	capacity float64
+	queue    int
+	homes    []int // cluster: pod -> initial replica; nil: round robin
+	// ownBalancer is set by experiments that wire their own joint
+	// balancer; the cluster then starts no migrate-only one.
+	ownBalancer bool
+	seed        int64
+	probes      *Probes
+}
+
+// pod is one edge switch with its hosts, its vSwitches and the Scotch app
+// managing them. A data-center fabric is one pod whose clients and
+// servers are all its hosts.
+type pod struct {
+	name        string
+	edge        *device.Switch
+	clients     []*device.Host
+	clientPorts []uint32
+	servers     []*device.Host
+	vs          []*device.Switch
+	standby     []*device.Switch
+	app         *scotch.App
+}
+
+// rig is a built world: a seeded engine, its topology, its controllers and
+// a capture on every server. The embedded pod is pod 0, the whole of a
+// one-pod rig.
 type rig struct {
-	eng     *sim.Engine
-	net     *topo.Network
-	edge    *device.Switch
-	clients []*device.Host
-	servers []*device.Host
-	vs      []*device.Switch
-	standby []*device.Switch
-	c       *controller.Controller
-	app     *scotch.App
-	cap     *capture.Capture
+	*pod
+	eng  *sim.Engine
+	net  *topo.Network
+	cap  *capture.Capture
+	pods []*pod
+	c    *controller.Controller // the one controller of a one-pod rig
+	// A multi-pod rig's control plane: its replicas and, unless the spec
+	// owns its balancer, the migrate-only balancer.
+	co       *cluster.Coordinator
+	replicas []*cluster.Replica
+	bal      *balance.Balancer
+	fw       []*device.Firewall // diamond: FW_A, FW_B
 }
 
-type rigConfig struct {
-	seed     int64
-	cfg      scotch.Config
-	nClients int
-	nServers int
-	nPrimary int
-	nBackup  int
-	// nStandby provisions extra vSwitches that are linked and connected
-	// to the controller but left out of the mesh: spare capacity for the
-	// pool-only balancer to grow into.
-	nStandby  int
-	noOverlay bool    // run the plain reactive baseline instead of Scotch
-	probes    *Probes // instrumentation the rig attaches (nil: none)
-}
+// deployment wires a Scotch app over a built topology, connects it and
+// builds its overlay.
+type deployment func(scotch.Config) (*controller.Controller, *scotch.App, error)
 
-func newRig(rc rigConfig) *rig {
-	eng := sim.New(rc.seed)
-	net := topo.New(eng)
-	edge := net.AddSwitch("edge", device.Pica8Profile())
-	r := &rig{eng: eng, net: net, edge: edge}
-	link := device.LinkConfig{Delay: 50 * time.Microsecond, RateBps: 1e9}
+// build constructs the rig s describes. Creation order sets DPIDs and port
+// numbers, so it is part of every experiment's output.
+func build(s spec) *rig {
+	eng := sim.New(s.seed)
+	r := &rig{eng: eng, cap: capture.New(eng)}
+	var deploy deployment
+	switch s.fabric {
+	case testbed:
+		tb := topo.NewTestbed(eng, s.profile)
+		r.net = tb.Net
+		r.pods = []*pod{{edge: tb.Switch, clients: []*device.Host{tb.Attacker, tb.Client},
+			servers: []*device.Host{tb.Server}}}
+	case leafSpine:
+		ls := topo.NewLeafSpine(eng)
+		r.net = ls.Net
+		var hosts []*device.Host
+		for _, rack := range ls.Hosts {
+			hosts = append(hosts, rack...)
+		}
+		r.pods = []*pod{{clients: hosts, servers: hosts}}
+		deploy = func(cfg scotch.Config) (*controller.Controller, *scotch.App, error) {
+			return scotch.NewLeafSpineDeployment(ls, cfg)
+		}
+	case fatTree:
+		ftCfg := topo.DefaultFatTreeConfig(8)
+		ftCfg.HostsPerEdge = 2
+		ft := topo.NewFatTree(eng, ftCfg)
+		r.net = ft.Net
+		hosts := ft.AllHosts()
+		r.pods = []*pod{{clients: hosts, servers: hosts}}
+		deploy = func(cfg scotch.Config) (*controller.Controller, *scotch.App, error) {
+			return scotch.NewFatTreeDeployment(ft, cfg)
+		}
+	case diamond:
+		r.net = topo.New(eng)
+		deploy = r.buildDiamond()
+	default:
+		r.net = topo.New(eng)
+		r.buildPods(s)
+	}
+	r.pod = r.pods[0]
 
-	var clientPorts []uint32
-	for i := 0; i < rc.nClients; i++ {
-		h := net.AddHost(fmt.Sprintf("c%d", i), netaddr.MakeIPv4(10, 0, 0, byte(10+i)))
-		clientPorts = append(clientPorts, net.AttachHost(h, edge, link))
-		r.clients = append(r.clients, h)
-	}
-	for i := 0; i < rc.nServers; i++ {
-		h := net.AddHost(fmt.Sprintf("srv%d", i), netaddr.MakeIPv4(10, 0, 1, byte(10+i)))
-		net.AttachHost(h, edge, link)
-		r.servers = append(r.servers, h)
-	}
-	vsLink := device.LinkConfig{Delay: 20 * time.Microsecond, RateBps: 1e9}
-	for i := 0; i < rc.nPrimary+rc.nBackup; i++ {
-		vs := net.AddSwitch(fmt.Sprintf("vs%d", i), device.OVSProfile())
-		net.LinkSwitches(edge, vs, vsLink)
-		r.vs = append(r.vs, vs)
-	}
-	for i := 0; i < rc.nStandby; i++ {
-		sb := net.AddSwitch(fmt.Sprintf("sb%d", i), device.OVSProfile())
-		net.LinkSwitches(edge, sb, vsLink)
-		r.standby = append(r.standby, sb)
-	}
-
-	r.c = controller.New(eng, net)
-	if rc.noOverlay {
+	switch {
+	case len(r.pods) > 1:
+		r.deployCluster(s)
+	case s.cfg == nil:
+		r.c = controller.New(eng, r.net)
 		controller.NewReactiveRouter(r.c)
 		r.c.ConnectAll()
-	} else {
-		r.app = scotch.New(r.c, rc.cfg)
-		for i, vs := range r.vs {
-			r.app.AddVSwitch(vs.DPID, i >= rc.nPrimary)
-		}
-		for i, srv := range r.servers {
-			primary := r.vs[i%rc.nPrimary].DPID
-			var backup uint64
-			if rc.nBackup > 0 {
-				backup = r.vs[rc.nPrimary+(i%rc.nBackup)].DPID
+	default:
+		if deploy == nil {
+			deploy = func(cfg scotch.Config) (*controller.Controller, *scotch.App, error) {
+				c := controller.New(eng, r.net)
+				app := scotch.New(c, cfg)
+				r.wire(app, s, false)
+				c.ConnectAll()
+				return c, app, app.Build()
 			}
-			r.app.AssignHost(srv.IP, primary, backup)
 		}
-		r.app.Protect(edge.DPID, clientPorts...)
-		r.c.ConnectAll()
-		if err := r.app.Build(); err != nil {
+		var err error
+		if r.c, r.app, err = deploy(*s.cfg); err != nil {
 			panic(err)
 		}
 	}
-
-	r.cap = capture.New(eng)
-	for _, srv := range r.servers {
-		r.cap.Attach(srv)
+	for _, p := range r.pods {
+		for _, srv := range p.servers {
+			r.cap.Attach(srv)
+		}
 	}
-	rc.probes.attach(eng, r.cap, func(tr *telemetry.Tracer) {
-		r.c.SetTracer(tr)
-		edge.SetTracer(tr)
-		for _, vs := range r.vs {
-			vs.SetTracer(tr)
-		}
-		for _, sb := range r.standby {
-			sb.SetTracer(tr)
-		}
-		for _, srv := range r.servers {
-			traceDelivery(tr, srv)
-		}
-	}, func(o *obs.Observatory) {
-		o.WatchApp(r.app)
-		o.WatchController("controller", r.c)
-		o.WatchSwitch(edge)
-		for _, vs := range r.vs {
-			o.WatchSwitch(vs)
-		}
-		for _, sb := range r.standby {
-			o.WatchSwitch(sb)
-		}
-	})
+	r.arm(s.probes)
 	return r
+}
+
+// buildPods lays out s.pods edge pods. A one-pod rig names its switches
+// edge, vsJ and sbJ; a multi-pod rig edgeP, vsP-J and sbP-J. Hosts are
+// numbered across pods.
+func (r *rig) buildPods(s spec) {
+	hostLink := device.LinkConfig{Delay: 50 * time.Microsecond, RateBps: 1e9}
+	meshLink := device.LinkConfig{Delay: 20 * time.Microsecond, RateBps: 1e9}
+	multi := s.pods > 1
+	member := func(base string, p, j int) *device.Switch {
+		name := fmt.Sprintf("%s%d", base, j)
+		if multi {
+			name = fmt.Sprintf("%s%d-%d", base, p, j)
+		}
+		sw := r.net.AddSwitch(name, device.OVSProfile())
+		r.net.LinkSwitches(r.pods[p].edge, sw, meshLink)
+		return sw
+	}
+	for p := 0; p < max(s.pods, 1); p++ {
+		pd := &pod{name: fmt.Sprintf("pod%d", p)}
+		r.pods = append(r.pods, pd)
+		edge := "edge"
+		if multi {
+			edge = fmt.Sprintf("edge%d", p)
+		}
+		pd.edge = r.net.AddSwitch(edge, device.Pica8Profile())
+		for i := 0; i < s.clients; i++ {
+			h := r.net.AddHost(fmt.Sprintf("c%d", p*s.clients+i), netaddr.MakeIPv4(10, byte(p), 0, byte(10+i)))
+			pd.clientPorts = append(pd.clientPorts, r.net.AttachHost(h, pd.edge, hostLink))
+			pd.clients = append(pd.clients, h)
+		}
+		for i := 0; i < s.servers; i++ {
+			h := r.net.AddHost(fmt.Sprintf("srv%d", p*s.servers+i), netaddr.MakeIPv4(10, byte(p), 1, byte(10+i)))
+			r.net.AttachHost(h, pd.edge, hostLink)
+			pd.servers = append(pd.servers, h)
+		}
+		for j := 0; j < s.primary+s.backup; j++ {
+			pd.vs = append(pd.vs, member("vs", p, j))
+		}
+		if p == 0 {
+			for j := 0; j < s.standby; j++ {
+				pd.standby = append(pd.standby, member("sb", p, j))
+			}
+		}
+	}
+}
+
+// wire enrolls the pod's mesh on app, assigns each server a primary and a
+// backup delivery vSwitch, and protects the client ports. Backups come
+// from the backup members; a cluster pod without any backs each server
+// with the next primary instead.
+func (p *pod) wire(app *scotch.App, s spec, cluster bool) {
+	for i, vs := range p.vs {
+		app.AddVSwitch(vs.DPID, i >= s.primary)
+	}
+	for i, srv := range p.servers {
+		var backup uint64
+		switch {
+		case s.backup > 0:
+			backup = p.vs[s.primary+i%s.backup].DPID
+		case cluster:
+			backup = p.vs[(i+1)%s.primary].DPID
+		}
+		app.AssignHost(srv.IP, p.vs[i%s.primary].DPID, backup)
+	}
+	app.Protect(p.edge.DPID, p.clientPorts...)
+}
+
+// deployCluster puts the pods behind s.replicas controller replicas. Each
+// replica connects to every switch before any app is built; mastership
+// over a pod's switches, standbys included, follows its home replica.
+func (r *rig) deployCluster(s spec) {
+	r.co = cluster.New(r.eng)
+	for i := 0; i < s.replicas; i++ {
+		c := controller.New(r.eng, r.net)
+		if s.capacity > 0 {
+			c.SetCapacity(s.capacity, s.queue)
+		}
+		c.ConnectAll()
+		r.replicas = append(r.replicas, r.co.AddReplica(c))
+	}
+	for p, pd := range r.pods {
+		home := r.replicas[p%s.replicas]
+		if s.homes != nil {
+			home = r.replicas[s.homes[p]]
+		}
+		pd.app = scotch.New(home.C, *s.cfg)
+		pd.wire(pd.app, s, true)
+		if err := pd.app.Build(); err != nil {
+			panic(err)
+		}
+		dpids := []uint64{pd.edge.DPID}
+		for _, vs := range pd.vs {
+			dpids = append(dpids, vs.DPID)
+		}
+		for _, sb := range pd.standby {
+			dpids = append(dpids, sb.DPID)
+		}
+		r.co.AddPod(pd.name, pd.app, home, dpids...)
+	}
+	r.co.Start()
+	// Load-triggered migration: a migrate-only balancer whose ticker is
+	// registered right behind the coordinator's heartbeat, so same-instant
+	// events keep their order. The replica count is fixed, so no spawn or
+	// retire rung can fire.
+	if !s.ownBalancer {
+		bcfg := balance.DefaultConfig()
+		bcfg.MinReplicas, bcfg.MaxReplicas = s.replicas, s.replicas
+		r.bal = balance.New(r.eng, bcfg, balance.ReplicaSignals(r.co),
+			balance.Actuators{Migrator: r.co}).Start()
+	}
+}
+
+// buildDiamond lays out fig8's diamond with two stateful firewalls inline
+// on its two branches and returns its deployment:
+//
+//	           +--(SA_u)==FW_A==(SA_d)--+        <- longer branch
+//	client--S0-+                        +-S3--server
+//	           +--(SB_u)==FW_B==(SB_d)--+        <- shortest path
+//
+// The Scotch overlay chain pins flows through FW_A; the plain shortest
+// path crosses FW_B. A naive migrator therefore reroutes established flows
+// through a firewall with no state for them.
+func (r *rig) buildDiamond() deployment {
+	net := r.net
+	prof := device.Pica8Profile()
+	s0 := net.AddSwitch("s0", prof)
+	sau := net.AddSwitch("sa-u", prof)
+	sad := net.AddSwitch("sa-d", prof)
+	sbu := net.AddSwitch("sb-u", prof)
+	sbd := net.AddSwitch("sb-d", prof)
+	s3 := net.AddSwitch("s3", prof)
+
+	slow := device.LinkConfig{Delay: 500 * time.Microsecond, RateBps: 1e9}
+	fast := device.LinkConfig{Delay: 100 * time.Microsecond, RateBps: 1e9}
+	r.fw = []*device.Firewall{device.NewFirewall(r.eng, "fw-a"), device.NewFirewall(r.eng, "fw-b")}
+
+	// Branch A (longer): s0 - sa-u =FW_A= sa-d - s3.
+	net.LinkSwitches(s0, sau, slow)
+	suOutA, sdInA := net.LinkSwitchesVia(sau, r.fw[0], sad, slow)
+	net.LinkSwitches(sad, s3, slow)
+	// Branch B (shortest): s0 - sb-u =FW_B= sb-d - s3.
+	net.LinkSwitches(s0, sbu, fast)
+	net.LinkSwitchesVia(sbu, r.fw[1], sbd, fast)
+	net.LinkSwitches(sbd, s3, fast)
+
+	client := net.AddHost("client", netaddr.MakeIPv4(10, 0, 0, 1))
+	server := net.AddHost("server", netaddr.MakeIPv4(10, 0, 1, 1))
+	cliPort := net.AttachHost(client, s0, fast)
+	net.AttachHost(server, s3, fast)
+
+	// Two vSwitches off s0's rack and one near s3 for delivery.
+	vs1 := net.AddSwitch("vs1", device.OVSProfile())
+	vs2 := net.AddSwitch("vs2", device.OVSProfile())
+	net.LinkSwitches(s0, vs1, fast)
+	net.LinkSwitches(s3, vs2, fast)
+	r.pods = []*pod{{edge: s0, clients: []*device.Host{client}, servers: []*device.Host{server},
+		vs: []*device.Switch{vs1, vs2}}}
+
+	return func(cfg scotch.Config) (*controller.Controller, *scotch.App, error) {
+		c := controller.New(r.eng, net)
+		app := scotch.New(c, cfg)
+		app.AddVSwitch(vs1.DPID, false)
+		app.AddVSwitch(vs2.DPID, false)
+		app.AssignHost(server.IP, vs2.DPID, 0)
+		app.Protect(s0.DPID, cliPort)
+		app.AddMiddlebox("fw-a", sau.DPID, sad.DPID, suOutA, sdInA)
+		c.ConnectAll()
+		return c, app, app.Build()
+	}
 }
 
 func (r *rig) emitter(h *device.Host) *workload.Emitter {
 	return workload.NewEmitter(r.eng, h, r.cap)
+}
+
+// spoofCrowd starts a flash crowd of one-packet flows from em's host to
+// dst, each from the next address of spoof: every arrival is a brand-new
+// flow to the network, pure control-plane load as in §3.2's workload.
+func spoofCrowd(em *workload.Emitter, dst netaddr.IPv4, spoof netaddr.Prefix, fc workload.TrapezoidCurve, class string) *workload.FlashCrowd {
+	var n uint64
+	return workload.StartFlashCrowd(em.Eng, fc, func() {
+		n++
+		em.Start(workload.Flow{
+			Key: netaddr.FlowKey{Src: spoof.Addr(n), Dst: dst, Proto: netaddr.ProtoTCP,
+				SrcPort: uint16(1024 + n%50000), DstPort: 80},
+			Packets: 1, Size: 64, Class: class,
+		})
+	})
+}
+
+// pool is pod 0's elastic vSwitch pool: its mesh plus the standbys it may
+// grow into.
+func (r *rig) pool() *scotch.VSwitchPool {
+	standby := make([]uint64, 0, len(r.standby))
+	for _, sb := range r.standby {
+		standby = append(standby, sb.DPID)
+	}
+	return scotch.NewVSwitchPool(r.app, standby)
+}
+
+// poolBalancer starts a pool-only balancer that grows the rig's mesh into
+// its standbys on the overlay-routed rate per member and drains it back.
+func (r *rig) poolBalancer() (*scotch.VSwitchPool, *balance.Balancer) {
+	pool := r.pool()
+	b := balance.New(r.eng, balance.DefaultConfig(),
+		balance.PoolSignals(pool, scotch.OverlayRate(r.eng, r.app, pool)),
+		balance.Actuators{Pool: pool})
+	b.SetTracer(r.c.Tracer())
+	return pool, b.Start()
+}
+
+// elephantBurst has client 1 start, one second in, fillers one-packet
+// flows and then elephants flows of pkts 1000-byte packets 2ms apart, all
+// toward server 0.
+func (r *rig) elephantBurst(fillers, elephants, pkts int) {
+	em := r.emitter(r.clients[1])
+	key := func(port int) netaddr.FlowKey {
+		return netaddr.FlowKey{Src: r.clients[1].IP, Dst: r.servers[0].IP,
+			Proto: netaddr.ProtoTCP, SrcPort: uint16(port), DstPort: 80}
+	}
+	r.eng.Schedule(time.Second, func() {
+		for i := 0; i < fillers; i++ {
+			em.Start(workload.Flow{Key: key(2000 + i), Packets: 1, Class: "filler"})
+		}
+		for i := 0; i < elephants; i++ {
+			em.Start(workload.Flow{Key: key(5000 + i), Packets: pkts,
+				Interval: 2 * time.Millisecond, Size: 1000, Class: "elephant"})
+		}
+	})
+}
+
+// drive runs the rig to until, stops each workload, then runs drain more
+// so the packets in flight land.
+func (r *rig) drive(until, drain time.Duration, stops ...func()) {
+	r.eng.RunUntil(until)
+	for _, stop := range stops {
+		stop()
+	}
+	if drain > 0 {
+		r.eng.RunUntil(until + drain)
+	}
+}
+
+// switches returns every switch of the rig's network in creation order.
+func (r *rig) switches() []*device.Switch {
+	out := make([]*device.Switch, 0, len(r.net.Switches()))
+	for dpid := uint64(1); dpid <= uint64(len(r.net.Switches())); dpid++ {
+		out = append(out, r.net.Switch(dpid))
+	}
+	return out
+}
+
+// ApplyFault implements fault.Environment against what the rig built:
+// switches by name, "link:<host name>" as the host's access link, and
+// "replica<i>" as cluster replica i.
+func (r *rig) ApplyFault(ev fault.Event) error {
+	switch ev.Kind {
+	case fault.SwitchCrash, fault.SwitchRestart:
+		for _, sw := range r.switches() {
+			if sw.Name() != ev.Target {
+				continue
+			}
+			if ev.Kind == fault.SwitchCrash {
+				sw.Fail()
+			} else {
+				sw.Restart()
+			}
+			return nil
+		}
+		return fmt.Errorf("chaos: unknown switch %q", ev.Target)
+	case fault.LinkDown, fault.LinkUp:
+		name, ok := strings.CutPrefix(ev.Target, "link:")
+		for _, p := range r.pods {
+			for _, h := range p.clients {
+				if ok && h.Name() == name {
+					r.net.HostLink(h.IP).SetDown(ev.Kind == fault.LinkDown)
+					return nil
+				}
+			}
+		}
+		return fmt.Errorf("chaos: unknown link %q", ev.Target)
+	case fault.ControllerPartition, fault.ControllerHeal:
+		idx, ok := strings.CutPrefix(ev.Target, "replica")
+		i, err := strconv.Atoi(idx)
+		if !ok || err != nil || i < 0 || i >= len(r.replicas) {
+			return fmt.Errorf("chaos: unknown replica %q", ev.Target)
+		}
+		if ev.Kind == fault.ControllerPartition {
+			r.replicas[i].Partition()
+		} else {
+			r.replicas[i].Heal()
+		}
+	default:
+		return fmt.Errorf("chaos: unsupported fault kind %v", ev.Kind)
+	}
+	return nil
 }

@@ -11,8 +11,7 @@ import (
 
 // RunResult is the outcome of one experiment executed by the runner.
 type RunResult struct {
-	ID    string
-	Title string
+	ID string
 	// Output is the experiment's complete byte output: the banner line
 	// followed by its result table. Concatenating the outputs of a RunAll
 	// call in order reproduces, byte for byte, what a sequential run of
@@ -106,7 +105,6 @@ func runCaptured(e Experiment, p *Probes) RunResult {
 	err := e.Run(&buf, p)
 	return RunResult{
 		ID:     e.ID,
-		Title:  e.Title,
 		Output: buf.Bytes(),
 		Wall:   time.Since(start),
 		Err:    err,

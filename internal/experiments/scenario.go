@@ -7,33 +7,12 @@ import (
 	"io"
 	"time"
 
-	"scotch/internal/balance"
-	"scotch/internal/capture"
 	"scotch/internal/metrics"
 	"scotch/internal/netaddr"
 	"scotch/internal/scotch"
-	"scotch/internal/sim"
 	"scotch/internal/topo"
 	"scotch/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "scenario-multitenant",
-		Title: "Multi-tenant scenario: DDoS tenant must not shift the baseline tenant's latency CDF (§3, §5)",
-		Run:   runScenarioMultitenant,
-	})
-	register(Experiment{
-		ID:    "scenario-fattree",
-		Title: "Flash crowd on a k=8 fat-tree: per-tenant flow-setup latency CDFs under Scotch (§5.6)",
-		Run:   runScenarioFattree,
-	})
-	register(Experiment{
-		ID:    "scenario-replay",
-		Title: "Trace-file replay: external CSV trace drives the rig, per-tenant latency CDFs (§6)",
-		Run:   runScenarioReplay,
-	})
-}
 
 // latRow condenses one tenant's latency histogram for a results table.
 type latRow struct {
@@ -55,6 +34,16 @@ func latencyRows(tr *workload.LatencyTracker) []latRow {
 		})
 	}
 	return rows
+}
+
+// baseP99 is the base tenant's p99 setup latency in rows (0: none).
+func baseP99(rows []latRow) float64 {
+	for _, r := range rows {
+		if r.tenant == "base" {
+			return r.p99ms
+		}
+	}
+	return 0
 }
 
 func latencyTable(w io.Writer, rows []latRow) {
@@ -83,47 +72,19 @@ func multitenantRun(p *Probes, seed int64, withDDoS bool) ([]latRow, int) {
 	const dur = 12 * time.Second
 	cfg := scotch.DefaultConfig()
 	cfg.RuleIdleTimeout = 2 * time.Second
-	r := newRig(rigConfig{seed: seed, cfg: cfg,
-		nClients: 3, nServers: 2, nPrimary: 1, nStandby: 3, probes: p})
-
-	standby := make([]uint64, 0, len(r.standby))
-	for _, sb := range r.standby {
-		standby = append(standby, sb.DPID)
-	}
-	pool := scotch.NewVSwitchPool(r.app, standby)
-	b := balance.New(r.eng, balance.DefaultConfig(),
-		balance.PoolSignals(pool, scotch.OverlayRate(r.eng, r.app, pool)),
-		balance.Actuators{Pool: pool}).Start()
+	r := build(spec{cfg: &cfg, clients: 3, servers: 2, primary: 1, standby: 3, seed: seed, probes: p})
+	pool, b := r.poolBalancer()
 
 	lat := workload.NewLatencyTracker()
 	lat.AttachCapture(r.cap)
 
-	dsts := []netaddr.IPv4{r.servers[0].IP, r.servers[1].IP}
-	spoof := netaddr.MustParsePrefix("172.16.0.0/12")
-	sc := workload.NewScenario(r.eng, seed)
-	sc.Add(workload.TenantSpec{
-		Name: "base", Curve: workload.ConstantCurve(100),
-		Size:    workload.ParetoSampler{Alpha: 1.2, MinPkts: 1, MaxPkts: 20},
-		PktIval: time.Millisecond,
-		Sources: []*workload.Emitter{r.emitter(r.clients[0])}, Dsts: dsts,
-	})
-	sc.Add(workload.TenantSpec{
-		Name: "crowd",
-		Curve: workload.TrapezoidCurve{Base: 0, Peak: 800,
-			RampStart: 2 * time.Second, PeakStart: 4 * time.Second,
-			PeakEnd: 8 * time.Second, RampEnd: 10 * time.Second},
-		Sources: []*workload.Emitter{r.emitter(r.clients[1])}, Dsts: dsts[:1],
-	})
+	var ddos *workload.OnOffCurve
 	if withDDoS {
-		sc.Add(workload.TenantSpec{
-			Name: "ddos",
-			Curve: workload.OnOffCurve{Rate: 1500,
-				Start: 3 * time.Second, End: 9 * time.Second},
-			Sources: []*workload.Emitter{r.emitter(r.clients[2])}, Dsts: dsts[:1],
-			Spoof: &spoof,
-		})
+		ddos = &workload.OnOffCurve{Rate: 1500, Start: 3 * time.Second, End: 9 * time.Second}
 	}
-	sc.Start()
+	sc := r.tenantMix(seed, 100, workload.TrapezoidCurve{Base: 0, Peak: 800,
+		RampStart: 2 * time.Second, PeakStart: 4 * time.Second,
+		PeakEnd: 8 * time.Second, RampEnd: 10 * time.Second}, ddos)
 
 	peak := 0
 	r.eng.Every(time.Second, func() {
@@ -131,30 +92,41 @@ func multitenantRun(p *Probes, seed int64, withDDoS bool) ([]latRow, int) {
 			peak = s
 		}
 	})
-	r.eng.RunUntil(dur)
-	sc.Stop()
-	r.eng.RunUntil(dur + 2*time.Second)
+	r.drive(dur, 2*time.Second, sc.Stop)
 	b.Stop()
 	return latencyRows(lat), peak
+}
+
+// tenantMix starts the multi-tenant DDoS mix on a rig of three clients and
+// two servers: base mice at baseRate flows/s from client 0 to both
+// servers, a flash crowd from client 1 and, unless ddos is nil, a
+// spoofed-source DDoS from client 2, both at server 0.
+func (r *rig) tenantMix(seed int64, baseRate float64, crowd workload.TrapezoidCurve, ddos *workload.OnOffCurve) *workload.Scenario {
+	dsts := []netaddr.IPv4{r.servers[0].IP, r.servers[1].IP}
+	sc := workload.NewScenario(r.eng, seed)
+	sc.Add(workload.TenantSpec{
+		Name: "base", Curve: workload.ConstantCurve(baseRate),
+		Size:    workload.ParetoSampler{Alpha: 1.2, MinPkts: 1, MaxPkts: 20},
+		PktIval: time.Millisecond,
+		Sources: []*workload.Emitter{r.emitter(r.clients[0])}, Dsts: dsts,
+	})
+	sc.Add(workload.TenantSpec{Name: "crowd", Curve: crowd,
+		Sources: []*workload.Emitter{r.emitter(r.clients[1])}, Dsts: dsts[:1]})
+	if ddos != nil {
+		spoof := netaddr.MustParsePrefix("172.16.0.0/12")
+		sc.Add(workload.TenantSpec{Name: "ddos", Curve: *ddos,
+			Sources: []*workload.Emitter{r.emitter(r.clients[2])}, Dsts: dsts[:1], Spoof: &spoof})
+	}
+	sc.Start()
+	return sc
 }
 
 func multitenantPoint(p *Probes, seed int64) multitenantResult {
 	var res multitenantResult
 	res.quiet, _ = multitenantRun(p, seed, false)
 	res.attacked, res.peakPool = multitenantRun(p, seed, true)
-	var quietP99, attackedP99 float64
-	for _, r := range res.quiet {
-		if r.tenant == "base" {
-			quietP99 = r.p99ms
-		}
-	}
-	for _, r := range res.attacked {
-		if r.tenant == "base" {
-			attackedP99 = r.p99ms
-		}
-	}
-	if quietP99 > 0 {
-		res.p99Ratio = attackedP99 / quietP99
+	if q := baseP99(res.quiet); q > 0 {
+		res.p99Ratio = baseP99(res.attacked) / q
 	}
 	return res
 }
@@ -180,39 +152,27 @@ type fattreeResult struct {
 // fattreePoint drives a flash crowd against one pod of a k=8 fat-tree
 // (80 switches, hosts subsampled to two per edge) deployed under Scotch,
 // with a steady all-to-all baseline tenant underneath.
-func fattreePoint(seed int64) fattreeResult {
+func fattreePoint(p *Probes, seed int64) fattreeResult {
 	const dur = 10 * time.Second
-	ftCfg := topo.DefaultFatTreeConfig(8)
-	ftCfg.HostsPerEdge = 2
-	eng := sim.New(seed)
-	ft := topo.NewFatTree(eng, ftCfg)
-	_, _, err := scotch.NewFatTreeDeployment(ft, scotch.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
-	cap := capture.New(eng)
-	for _, h := range ft.AllHosts() {
-		cap.Attach(h)
-	}
+	cfg := scotch.DefaultConfig()
+	r := build(spec{fabric: fatTree, cfg: &cfg, seed: seed, probes: p})
 	lat := workload.NewLatencyTracker()
-	lat.AttachCapture(cap)
+	lat.AttachCapture(r.cap)
 
 	var sources []*workload.Emitter
 	var dsts []netaddr.IPv4
 	target := topo.FatTreeHostIP(0, 0, 0)
 	var crowdSources []*workload.Emitter
-	for _, hosts := range ft.Hosts {
-		for _, h := range hosts {
-			em := workload.NewEmitter(eng, h, cap)
-			sources = append(sources, em)
-			dsts = append(dsts, h.IP)
-			if h.IP != target {
-				crowdSources = append(crowdSources, em)
-			}
+	for _, h := range r.servers {
+		em := r.emitter(h)
+		sources = append(sources, em)
+		dsts = append(dsts, h.IP)
+		if h.IP != target {
+			crowdSources = append(crowdSources, em)
 		}
 	}
 
-	sc := workload.NewScenario(eng, seed)
+	sc := workload.NewScenario(r.eng, seed)
 	sc.Add(workload.TenantSpec{
 		Name: "base", Curve: workload.ConstantCurve(50),
 		Size:    workload.ParetoSampler{Alpha: 1.2, MinPkts: 1, MaxPkts: 50},
@@ -229,19 +189,17 @@ func fattreePoint(seed int64) fattreeResult {
 		Sources: crowdSources, Dsts: []netaddr.IPv4{target},
 	})
 	sc.Start()
-	eng.RunUntil(dur)
-	sc.Stop()
-	eng.RunUntil(dur + 2*time.Second)
+	r.drive(dur, 2*time.Second, sc.Stop)
 
 	return fattreeResult{
 		rows:            latencyRows(lat),
-		crowdCompletion: cap.CompletionFraction("crowd"),
-		baseCompletion:  cap.CompletionFraction("base"),
+		crowdCompletion: r.cap.CompletionFraction("crowd"),
+		baseCompletion:  r.cap.CompletionFraction("base"),
 	}
 }
 
-func runScenarioFattree(w io.Writer, _ *Probes) error {
-	res := fattreePoint(62)
+func runScenarioFattree(w io.Writer, p *Probes) error {
+	res := fattreePoint(p, 62)
 	latencyTable(w, res.rows)
 	fmt.Fprintf(w, "base_completion=%.3f crowd_completion=%.3f\n",
 		res.baseCompletion, res.crowdCompletion)
@@ -265,8 +223,8 @@ type replayResult struct {
 // per-tenant latency CDFs.
 func replayPoint(p *Probes, seed int64) replayResult {
 	const dur = 8 * time.Second
-	r := newRig(rigConfig{seed: seed, cfg: scotch.DefaultConfig(),
-		nClients: 2, nServers: 2, nPrimary: 1, nBackup: 1, probes: p})
+	cfg := scotch.DefaultConfig()
+	r := build(spec{cfg: &cfg, clients: 2, servers: 2, primary: 1, backup: 1, seed: seed, probes: p})
 	lat := workload.NewLatencyTracker()
 	lat.AttachCapture(r.cap)
 
@@ -284,7 +242,7 @@ func replayPoint(p *Probes, seed int64) replayResult {
 			return em, srv.IP
 		},
 	})
-	r.eng.RunUntil(dur)
+	r.drive(dur, 0)
 	return replayResult{
 		events:    len(events),
 		scheduled: n,

@@ -51,7 +51,7 @@ func TestFattreeScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 96-switch fat-tree scenario")
 	}
-	res := fattreePoint(62)
+	res := fattreePoint(nil, 62)
 	if res.baseCompletion < 0.9 {
 		t.Errorf("base completion %.3f, want >= 0.9", res.baseCompletion)
 	}

@@ -4,55 +4,22 @@ import (
 	"io"
 	"time"
 
-	"scotch/internal/capture"
-	"scotch/internal/controller"
 	"scotch/internal/device"
-	"scotch/internal/sim"
-	"scotch/internal/telemetry"
-	"scotch/internal/topo"
 	"scotch/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "fig3",
-		Title: "Client flow failure fraction vs attack rate (HP Procurve, Pica8, OVS)",
-		Run:   runFig3,
-	})
-	register(Experiment{
-		ID:    "fig4",
-		Title: "Control path profiling: Packet-In rate = rule install rate = success rate (Pica8)",
-		Run:   runFig4,
-	})
-	register(Experiment{
-		ID:    "table1",
-		Title: "Calibrated switch profiles (testbed equipment stand-ins)",
-		Run:   runTable1,
-	})
-}
 
 // fig3Point runs the paper's §3.2 measurement once: a reactive baseline
 // controller on a single switch, a 100 flows/s client, and an attacker at
 // the given rate. Returns the client flow failure fraction.
-func fig3Point(prof device.Profile, attackRate float64, dur time.Duration, seed int64) float64 {
-	eng := sim.New(seed)
-	tb := topo.NewTestbed(eng, prof)
-	c := controller.New(eng, tb.Net)
-	controller.NewReactiveRouter(c)
-	c.ConnectAll()
-	cap := capture.New(eng)
-	cap.Attach(tb.Server)
-
-	atk := workload.StartDDoS(workload.NewEmitter(eng, tb.Attacker, cap), tb.Server.IP, attackRate)
-	cli := workload.StartClient(workload.NewEmitter(eng, tb.Client, cap), tb.Server.IP, 100, 1, 0)
-	eng.RunUntil(dur)
-	atk.Stop()
-	cli.Stop()
-	eng.RunUntil(dur + time.Second) // drain in-flight packets
-	return cap.FailureFraction("client")
+func fig3Point(p *Probes, prof device.Profile, attackRate float64, dur time.Duration, seed int64) float64 {
+	r := build(spec{fabric: testbed, profile: prof, seed: seed, probes: p})
+	atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, attackRate)
+	cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
+	r.drive(dur, time.Second, atk.Stop, cli.Stop)
+	return r.cap.FailureFraction("client")
 }
 
-func runFig3(w io.Writer, _ *Probes) error {
+func runFig3(w io.Writer, p *Probes) error {
 	rates := []float64{100, 500, 1000, 1500, 2000, 2500, 3000, 3800}
 	profiles := []device.Profile{
 		device.ProcurveProfile(),
@@ -62,8 +29,8 @@ func runFig3(w io.Writer, _ *Probes) error {
 	t := newTable(w, "attack_flows_per_s", "hp_procurve", "pica8_pronto", "open_vswitch")
 	for _, r := range rates {
 		row := []any{int(r)}
-		for _, p := range profiles {
-			row = append(row, fig3Point(p, r, 8*time.Second, 3))
+		for _, prof := range profiles {
+			row = append(row, fig3Point(p, prof, r, 8*time.Second, 3))
 		}
 		t.row(row...)
 	}
@@ -74,32 +41,17 @@ func runFig3(w io.Writer, _ *Probes) error {
 func runFig4(w io.Writer, p *Probes) error {
 	rates := []float64{50, 100, 150, 200, 300, 500, 1000}
 	t := newTable(w, "offered_new_flows_per_s", "packet_in_per_s", "rule_install_per_s", "success_flows_per_s")
-	for _, r := range rates {
-		eng := sim.New(5)
-		tb := topo.NewTestbed(eng, device.Pica8Profile())
-		c := controller.New(eng, tb.Net)
-		controller.NewReactiveRouter(c)
-		c.ConnectAll()
-		cap := capture.New(eng)
-		cap.Attach(tb.Server)
-		// Traced but not observed.
-		p.attach(eng, cap, func(tr *telemetry.Tracer) {
-			c.SetTracer(tr)
-			tb.Switch.SetTracer(tr)
-			traceDelivery(tr, tb.Server)
-		}, nil)
-		const dur = 10 * time.Second
-		cli := workload.StartClient(workload.NewEmitter(eng, tb.Client, cap), tb.Server.IP, r, 1, 0)
-		eng.RunUntil(dur)
-		cli.Stop()
-		eng.RunUntil(dur + time.Second)
+	const dur = 10 * time.Second
+	for _, rate := range rates {
+		r := build(spec{fabric: testbed, profile: device.Pica8Profile(), seed: 5, probes: p})
+		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, rate, 1, 0)
+		r.drive(dur, time.Second, cli.Stop)
 
 		secs := dur.Seconds()
-		sent, delivered := cap.Counts("client")
-		_ = sent
-		t.row(int(r),
-			float64(tb.Switch.Stats.PacketInSent)/secs,
-			float64(tb.Switch.Stats.RulesInstalled)/secs,
+		_, delivered := r.cap.Counts("client")
+		t.row(int(rate),
+			float64(r.edge.Stats.PacketInSent)/secs,
+			float64(r.edge.Stats.RulesInstalled)/secs,
 			float64(delivered)/secs)
 	}
 	t.flush()

@@ -13,19 +13,6 @@ import (
 	"scotch/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig9",
-		Title: "Maximum flow rule insertion rate at the Pica8 switch",
-		Run:   runFig9,
-	})
-	register(Experiment{
-		ID:    "fig10",
-		Title: "Interaction of the data path and the control path (loss vs insertion rate)",
-		Run:   runFig10,
-	})
-}
-
 // driveInserts sends distinct FlowMods to the switch at the attempted rate
 // for dur. Rules carry the paper's 10-second timeout.
 func driveInserts(eng *sim.Engine, sw *device.Switch, rate float64, dur time.Duration) {
@@ -53,26 +40,34 @@ func driveInserts(eng *sim.Engine, sw *device.Switch, rate float64, dur time.Dur
 	eng.Schedule(dur, tick.Stop)
 }
 
-func runFig9(w io.Writer, _ *Probes) error {
+// switchRig is a rig of bare switches without a controller: what fig9 and
+// fig10 drive with FlowMods directly.
+func switchRig(seed int64) *rig {
+	eng := sim.New(seed)
+	return &rig{eng: eng, net: topo.New(eng), cap: capture.New(eng)}
+}
+
+func runFig9(w io.Writer, p *Probes) error {
 	// "We let the Ryu controller generate flow rules at a constant rate
 	// and send them to the Pica8 switch... there is no data traffic."
 	rates := []float64{250, 500, 1000, 1500, 2000, 2250, 2500, 3000}
 	t := newTable(w, "attempted_insert_per_s", "successful_insert_per_s")
 	const dur = 10 * time.Second
 	for _, r := range rates {
-		eng := sim.New(9)
+		rg := switchRig(9)
 		prof := device.Pica8Profile()
 		prof.TableCapacity = 0 // isolate OFA throughput from TCAM size
-		sw := device.NewSwitch(eng, "pica8", 1, prof)
-		driveInserts(eng, sw, r, dur)
-		eng.RunUntil(dur)
+		sw := rg.net.AddSwitch("pica8", prof)
+		rg.arm(p)
+		driveInserts(rg.eng, sw, r, dur)
+		rg.drive(dur, 0)
 		t.row(int(r), float64(sw.Stats.RulesInstalled)/dur.Seconds())
 	}
 	t.flush()
 	return nil
 }
 
-func runFig10(w io.Writer, _ *Probes) error {
+func runFig10(w io.Writer, p *Probes) error {
 	// Data traffic through a pre-installed rule while the controller
 	// inserts unrelated rules at a given rate; measure data-path loss.
 	insertRates := []float64{100, 400, 800, 1200, 1300, 1400, 1600, 2000}
@@ -82,8 +77,8 @@ func runFig10(w io.Writer, _ *Probes) error {
 	for _, ir := range insertRates {
 		row := []any{int(ir)}
 		for _, dr := range dataRates {
-			eng := sim.New(10)
-			net := topo.New(eng)
+			r := switchRig(10)
+			net := r.net
 			prof := device.Pica8Profile()
 			prof.TableCapacity = 0
 			sw := net.AddSwitch("pica8", prof)
@@ -91,6 +86,9 @@ func runFig10(w io.Writer, _ *Probes) error {
 			dst := net.AddHost("dst", netaddr.MakeIPv4(10, 0, 1, 1))
 			net.AttachHost(src, sw, device.LinkConfig{})
 			dstPort := net.AttachHost(dst, sw, device.LinkConfig{})
+			r.pods = []*pod{{edge: sw, clients: []*device.Host{src}, servers: []*device.Host{dst}}}
+			r.cap.Attach(dst)
+			r.arm(p)
 
 			// Pre-install the forwarding rule for the measured flow.
 			pre := &openflow.FlowMod{
@@ -103,15 +101,13 @@ func runFig10(w io.Writer, _ *Probes) error {
 				return err
 			}
 			sw.DeliverControl(b)
-			eng.RunUntil(100 * time.Millisecond)
+			r.drive(100*time.Millisecond, 0)
 
-			cap := capture.New(eng)
-			cap.Attach(dst)
-			em := workload.NewEmitter(eng, src, cap)
+			em := r.emitter(src)
 			// Let the insertion load reach steady state before measuring
 			// data-path loss (the paper measures steady state).
-			driveInserts(eng, sw, ir, 2*time.Second+dur)
-			eng.Schedule(2*time.Second, func() {
+			driveInserts(r.eng, sw, ir, 2*time.Second+dur)
+			r.eng.Schedule(2*time.Second, func() {
 				em.Start(workload.Flow{
 					Key: netaddr.FlowKey{Src: src.IP, Dst: dst.IP, Proto: netaddr.ProtoTCP,
 						SrcPort: 9000, DstPort: 80},
@@ -120,8 +116,8 @@ func runFig10(w io.Writer, _ *Probes) error {
 					Class:    "data",
 				})
 			})
-			eng.RunUntil(2*time.Second + dur + time.Second)
-			row = append(row, 1-cap.DeliveryRatio("data"))
+			r.drive(2*time.Second+dur, time.Second)
+			row = append(row, 1-r.cap.DeliveryRatio("data"))
 		}
 		t.row(row...)
 	}

@@ -9,29 +9,6 @@ import (
 	"scotch/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig11",
-		Title: "Ingress-port differentiation under attack (reconstructed from §6 roadmap)",
-		Run:   runFig11,
-	})
-	register(Experiment{
-		ID:    "fig12",
-		Title: "Overlay control-plane capacity vs vSwitch pool size (reconstructed)",
-		Run:   runFig12,
-	})
-	register(Experiment{
-		ID:    "fig13",
-		Title: "Large-flow migration moves bytes back to the physical network (reconstructed)",
-		Run:   runFig13,
-	})
-	register(Experiment{
-		ID:    "fig14",
-		Title: "Extra relay delay of the overlay path (reconstructed)",
-		Run:   runFig14,
-	})
-}
-
 // runFig11 compares the client flow failure fraction with and without
 // Scotch while an attacker on a different ingress port sweeps its rate.
 // With Scotch, per-port queues isolate the attack (paper §5.2).
@@ -40,19 +17,16 @@ func runFig11(w io.Writer, p *Probes) error {
 	t := newTable(w, "attack_flows_per_s", "baseline_client_failure", "scotch_client_failure", "scotch_attack_failure")
 	const dur = 15 * time.Second
 	for _, ar := range rates {
-		run := func(noOverlay bool) (float64, float64) {
-			r := newRig(rigConfig{seed: 11, cfg: scotch.DefaultConfig(),
-				nClients: 2, nServers: 1, nPrimary: 2, noOverlay: noOverlay, probes: p})
+		run := func(cfg *scotch.Config) (float64, float64) {
+			r := build(spec{cfg: cfg, clients: 2, servers: 1, primary: 2, seed: 11, probes: p})
 			atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, ar)
 			cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
-			r.eng.RunUntil(dur)
-			atk.Stop()
-			cli.Stop()
-			r.eng.RunUntil(dur + time.Second)
+			r.drive(dur, time.Second, atk.Stop, cli.Stop)
 			return r.cap.FailureFraction("client"), r.cap.FailureFraction("attack")
 		}
-		base, _ := run(true)
-		sc, scAtk := run(false)
+		cfg := scotch.DefaultConfig()
+		base, _ := run(nil)
+		sc, scAtk := run(&cfg)
 		t.row(int(ar), base, sc, scAtk)
 	}
 	t.flush()
@@ -72,21 +46,17 @@ func runFig12(w io.Writer, p *Probes) error {
 		// per-switch pacing.
 		cfg.OverlayInstallRate = 1e6
 		cfg.FanOut = n
-		r := newRig(rigConfig{seed: 12, cfg: cfg, nClients: 2, nServers: 8, nPrimary: n, probes: p})
+		r := build(spec{cfg: &cfg, clients: 2, servers: 8, primary: n, seed: 12, probes: p})
 		// Two attackers spread over the servers to exercise every
 		// delivery vSwitch.
-		var gens []*workload.DDoS
+		var stops []func()
 		for i, cl := range r.clients {
 			for j := 0; j < 4; j++ {
 				srv := r.servers[(i*4+j)%len(r.servers)]
-				gens = append(gens, workload.StartDDoS(r.emitter(cl), srv.IP, offered/8))
+				stops = append(stops, workload.StartDDoS(r.emitter(cl), srv.IP, offered/8).Stop)
 			}
 		}
-		r.eng.RunUntil(dur)
-		for _, g := range gens {
-			g.Stop()
-		}
-		r.eng.RunUntil(dur + time.Second)
+		r.drive(dur, time.Second, stops...)
 		sent, delivered := r.cap.Counts("attack")
 		handled := r.app.Stats.OverlayRouted + r.app.Stats.PhysicalAdmitted
 		t.row(n, float64(sent)/dur.Seconds(), float64(handled)/dur.Seconds(),
@@ -108,27 +78,13 @@ func runFig13(w io.Writer, p *Probes) error {
 		if !enabled {
 			cfg.ElephantBytes = 1 << 40
 		}
-		r := newRig(rigConfig{seed: 13, cfg: cfg, nClients: 2, nServers: 1, nPrimary: 2, probes: p})
+		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: 13, probes: p})
 		// Attack keeps the control path saturated so new flows take the
 		// overlay.
 		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2000)
 		// Five elephants from the client port; the port backlog pushes
 		// them onto the overlay.
-		em := r.emitter(r.clients[1])
-		r.eng.Schedule(time.Second, func() {
-			for i := 0; i < 40; i++ {
-				em.Start(workload.Flow{Key: netaddr.FlowKey{
-					Src: r.clients[1].IP, Dst: r.servers[0].IP, Proto: netaddr.ProtoTCP,
-					SrcPort: uint16(2000 + i), DstPort: 80},
-					Packets: 1, Class: "filler"})
-			}
-			for i := 0; i < 5; i++ {
-				em.Start(workload.Flow{Key: netaddr.FlowKey{
-					Src: r.clients[1].IP, Dst: r.servers[0].IP, Proto: netaddr.ProtoTCP,
-					SrcPort: uint16(5000 + i), DstPort: 80},
-					Packets: 6000, Interval: 2 * time.Millisecond, Size: 1000, Class: "elephant"})
-			}
-		})
+		r.elephantBurst(40, 5, 6000)
 		// Sample each elephant's delivered bytes every 100ms and attribute
 		// the delta to the path the flow was on at that instant.
 		var ovBytes, physBytes uint64
@@ -145,9 +101,7 @@ func runFig13(w io.Writer, p *Probes) error {
 				}
 			}
 		})
-		r.eng.RunUntil(dur)
-		atk.Stop()
-		r.eng.RunUntil(dur + time.Second)
+		r.drive(dur, time.Second, atk.Stop)
 		sampler.Stop()
 
 		frac := 0.0
@@ -180,18 +134,18 @@ func runFig14(w io.Writer, p *Probes) error {
 			cfg.ActivateRate = 0.1
 			cfg.DeactivateRate = 0
 		}
-		r := newRig(rigConfig{seed: 14, cfg: cfg, nClients: 1, nServers: 1, nPrimary: 2, probes: p})
+		r := build(spec{cfg: &cfg, clients: 1, servers: 1, primary: 2, seed: 14, probes: p})
 		em := r.emitter(r.clients[0])
 		// A warm-up flow triggers overlay activation when forced.
 		if forceOverlay {
 			workload.StartClient(em, r.servers[0].IP, 50, 1, 0)
-			r.eng.RunUntil(2 * time.Second)
+			r.drive(2*time.Second, 0)
 		}
 		em.Start(workload.Flow{Key: netaddr.FlowKey{
 			Src: r.clients[0].IP, Dst: r.servers[0].IP, Proto: netaddr.ProtoTCP,
 			SrcPort: 7000, DstPort: 80},
 			Packets: 2000, Interval: 2 * time.Millisecond, Class: "probe"})
-		r.eng.RunUntil(r.eng.Now() + dur)
+		r.drive(r.eng.Now()+dur, 0)
 		fp := r.cap.FirstPacketLatency("probe").Quantile(0.5) * 1000
 		lat := r.cap.PacketLatency("probe")
 		return fp, lat.Quantile(0.5) * 1000, lat.Quantile(0.99) * 1000
