@@ -220,9 +220,9 @@ func (r *rig) buildPods(s spec) {
 
 // wire enrolls the pod's mesh on app, assigns each server a primary and a
 // backup delivery vSwitch, and protects the client ports. Backups come
-// from the backup members; a cluster pod without any backs each server
-// with the next primary instead.
-func (p *pod) wire(app *scotch.App, s spec, cluster bool) {
+// from the backup members; a pod of a multi-pod rig without any backs
+// each server with the next primary instead.
+func (p *pod) wire(app *scotch.App, s spec, multi bool) {
 	for i, vs := range p.vs {
 		app.AddVSwitch(vs.DPID, i >= s.primary)
 	}
@@ -231,7 +231,7 @@ func (p *pod) wire(app *scotch.App, s spec, cluster bool) {
 		switch {
 		case s.backup > 0:
 			backup = p.vs[s.primary+i%s.backup].DPID
-		case cluster:
+		case multi:
 			backup = p.vs[(i+1)%s.primary].DPID
 		}
 		app.AssignHost(srv.IP, p.vs[i%s.primary].DPID, backup)
@@ -443,12 +443,15 @@ func (r *rig) ApplyFault(ev fault.Event) error {
 		}
 		return fmt.Errorf("chaos: unknown switch %q", ev.Target)
 	case fault.LinkDown, fault.LinkUp:
-		name, ok := strings.CutPrefix(ev.Target, "link:")
-		for _, p := range r.pods {
-			for _, h := range p.clients {
-				if ok && h.Name() == name {
-					r.net.HostLink(h.IP).SetDown(ev.Kind == fault.LinkDown)
-					return nil
+		if name, ok := strings.CutPrefix(ev.Target, "link:"); ok {
+			for _, p := range r.pods {
+				for _, hosts := range [][]*device.Host{p.clients, p.servers} {
+					for _, h := range hosts {
+						if h.Name() == name {
+							r.net.HostLink(h.IP).SetDown(ev.Kind == fault.LinkDown)
+							return nil
+						}
+					}
 				}
 			}
 		}
