@@ -27,7 +27,7 @@ type TenantSpec struct {
 	// the tenant's private generator.
 	Sources []*Emitter
 	// Dsts are the candidate destinations, chosen per flow; a draw equal
-	// to the flow's source address is skipped to the next candidate.
+	// to the flow's source address is redrawn among the other candidates.
 	Dsts []netaddr.IPv4
 	// DstPort is the flows' destination port (default 80).
 	DstPort uint16
@@ -145,10 +145,7 @@ func (tr *tenantRun) spawn() {
 	if spec.Spoof != nil {
 		src = spec.Spoof.Addr(tr.n)
 	}
-	dst := spec.Dsts[rng.Intn(len(spec.Dsts))]
-	if dst == src {
-		dst = spec.Dsts[(rng.Intn(len(spec.Dsts))+1)%len(spec.Dsts)]
-	}
+	dst := pickDst(rng, spec.Dsts, src)
 	pkts := 1
 	if spec.Size != nil {
 		pkts = spec.Size.SamplePackets(rng)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"time"
 
 	"scotch/internal/capture"
@@ -236,20 +237,26 @@ func (tg *TraceGen) fire() {
 	tg.n++
 	rng := tg.Eng.Rand()
 	src := tg.Sources[rng.Intn(len(tg.Sources))]
-	n := len(tg.Dsts)
-	i := rng.Intn(n)
-	if tg.Dsts[i] == src.Host.IP {
-		// Redraw uniformly among the other n-1 destinations. A single
-		// destination leaves no other, and the draw keeps it.
-		i = (i + 1 + rng.Intn(max(n-1, 1))) % n
-	}
-	dst := tg.Dsts[i]
+	dst := pickDst(rng, tg.Dsts, src.Host.IP)
 	pkts := ParetoSize(rng.Float64(), 1.2, 1, tg.MaxPkts)
 	src.Start(Flow{
 		Key: netaddr.FlowKey{Src: src.Host.IP, Dst: dst, Proto: netaddr.ProtoTCP,
 			SrcPort: uint16(1024 + tg.n%60000), DstPort: 80},
 		Packets: pkts, Interval: tg.PktIval, Size: 1000, Class: "trace",
 	})
+}
+
+// pickDst draws a flow's destination uniformly from dsts. A draw equal to
+// src is redrawn uniformly among the other n-1 destinations, so no flow
+// is addressed to its own source; a single destination leaves no other,
+// and the draw keeps it.
+func pickDst(rng *rand.Rand, dsts []netaddr.IPv4, src netaddr.IPv4) netaddr.IPv4 {
+	n := len(dsts)
+	i := rng.Intn(n)
+	if dsts[i] == src {
+		i = (i + 1 + rng.Intn(max(n-1, 1))) % n
+	}
+	return dsts[i]
 }
 
 // Stop halts the playback.

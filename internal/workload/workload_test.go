@@ -204,7 +204,8 @@ func TestTraceGen(t *testing.T) {
 // TestTraceGenNeverSelfAddressed: with the same hosts as sources and
 // destinations, a destination drawn equal to the source is redrawn among
 // the other hosts only, so no flow is sent to its own source, and every
-// source reaches every other host.
+// source reaches every other host. It covers TraceGen and a one-tenant
+// Scenario, which share the draw.
 func TestTraceGenNeverSelfAddressed(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		eng := sim.New(5)
@@ -215,18 +216,25 @@ func TestTraceGenNeverSelfAddressed(t *testing.T) {
 			tg.Sources = append(tg.Sources, NewEmitter(eng, h, cap))
 			tg.Dsts = append(tg.Dsts, h.IP)
 		}
+		sc := NewScenario(eng, 5)
+		sc.Add(TenantSpec{Name: "tenant", Curve: ConstantCurve(1), Sources: tg.Sources, Dsts: tg.Dsts})
+		sc.Start()
+		sc.Stop()
 		for i := 0; i < 3000; i++ {
 			tg.fire()
+			sc.tenants[0].spawn()
 		}
-		pairs := map[netaddr.FlowKey]bool{}
-		for _, f := range cap.Flows("trace") {
-			if f.Key.Src == f.Key.Dst {
-				t.Fatalf("%d hosts: flow sent to its own source %v", n, f.Key.Src)
+		for _, class := range []string{"trace", "tenant"} {
+			pairs := map[netaddr.FlowKey]bool{}
+			for _, f := range cap.Flows(class) {
+				if f.Key.Src == f.Key.Dst {
+					t.Fatalf("%s, %d hosts: flow sent to its own source %v", class, n, f.Key.Src)
+				}
+				pairs[netaddr.FlowKey{Src: f.Key.Src, Dst: f.Key.Dst}] = true
 			}
-			pairs[netaddr.FlowKey{Src: f.Key.Src, Dst: f.Key.Dst}] = true
-		}
-		if len(pairs) != n*(n-1) {
-			t.Fatalf("%d hosts: flows reach %d source/destination pairs, want %d", n, len(pairs), n*(n-1))
+			if len(pairs) != n*(n-1) {
+				t.Fatalf("%s, %d hosts: flows reach %d source/destination pairs, want %d", class, n, len(pairs), n*(n-1))
+			}
 		}
 	}
 }
