@@ -35,3 +35,11 @@ func TestElasticGrowsAndDrains(t *testing.T) {
 		t.Fatalf("client loss across the whole run = %.3f", res.clientFail)
 	}
 }
+
+// TestElasticDeterministic locks the elastic experiment's byte output to
+// the golden file under the parallel runner, paired with another
+// experiment so the parallelism is real: balancer decisions ride the sim
+// clock only.
+func TestElasticDeterministic(t *testing.T) {
+	checkGolden(t, []string{"elastic", "fig4"}, 2, nil)
+}

@@ -56,3 +56,13 @@ func TestObsSLOBurnAndRecover(t *testing.T) {
 		}
 	}
 }
+
+// TestObsSLOTableDeterministic runs the experiment once and requires its
+// section of the golden file byte for byte: the digest path itself (not
+// just the underlying simulation) must be deterministic.
+func TestObsSLOTableDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	checkGolden(t, []string{"obs-slo"}, 1, nil)
+}
