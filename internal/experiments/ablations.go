@@ -12,7 +12,7 @@ import (
 // vSwitch against hashing them across the mesh (paper §5.1's select
 // group). With one bucket, the single vSwitch OFA becomes the new
 // bottleneck.
-func runAblationFanout(w io.Writer, p *Probes) error {
+func runAblationFanout(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "fanout", "offered_flows_per_s", "delivered_fraction", "max_vswitch_punt_share")
 	const offered = 16000.0
 	const dur = 5 * time.Second
@@ -44,13 +44,13 @@ func runAblationFanout(w io.Writer, p *Probes) error {
 		t.row(fan, offered, float64(delivered)/float64(sent), share)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }
 
 // runAblationElephant sweeps the migration byte threshold and reports how
 // many flows migrate and how much elephant traffic stays on the (slower)
 // overlay data plane.
-func runAblationElephant(w io.Writer, p *Probes) error {
+func runAblationElephant(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "threshold_kb", "migrated", "elephant_delivery_ratio")
 	const dur = 15 * time.Second
 	for _, kb := range []int{5, 20, 100, 1 << 20} {
@@ -63,13 +63,13 @@ func runAblationElephant(w io.Writer, p *Probes) error {
 		t.row(kb, r.app.Stats.Migrated, r.cap.DeliveryRatio("elephant"))
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }
 
 // runAblationScheduler sweeps Scotch's install pacing R. Too low wastes
 // physical capacity; too high drives the switch into the Fig. 9/10
 // regimes (insertion failures and data-path stall drops).
-func runAblationScheduler(w io.Writer, p *Probes) error {
+func runAblationScheduler(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "install_rate_R", "client_failure", "insert_failures", "stall_drops")
 	const dur = 10 * time.Second
 	for _, rate := range []float64{100, 500, 1000, 1500, 2500} {
@@ -83,5 +83,5 @@ func runAblationScheduler(w io.Writer, p *Probes) error {
 			r.edge.Stats.InsertQueueDrop, r.edge.Stats.StallDrops)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }

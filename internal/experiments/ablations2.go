@@ -12,7 +12,7 @@ import (
 // and priority classes: with a single FIFO, the attacker's request flood
 // sits in front of the client's requests, so the client's flow setup
 // starves even though Scotch is otherwise active.
-func runAblationFIFO(w io.Writer, p *Probes) error {
+func runAblationFIFO(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "scheduler", "client_failure", "client_first_packet_ms_p50", "client_first_packet_ms_p99")
 	const dur = 15 * time.Second
 	for _, fifo := range []bool{false, true} {
@@ -31,7 +31,7 @@ func runAblationFIFO(w io.Writer, p *Probes) error {
 			lat.Quantile(0.5)*1000, lat.Quantile(0.99)*1000)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }
 
 // runAblationWithdrawal compares the paper's automatic withdrawal (§5.5)
@@ -39,7 +39,7 @@ func runAblationFIFO(w io.Writer, p *Probes) error {
 // withdrawal, new flows keep detouring through the vSwitch mesh long
 // after the hardware control path has recovered, paying the overlay's
 // relay delay for nothing.
-func runAblationWithdrawal(w io.Writer, p *Probes) error {
+func runAblationWithdrawal(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "withdrawal", "active_after_quiet", "postsurge_edge_punts",
 		"postsurge_vswitch_punts", "postsurge_first_packet_ms_p50")
 	const surgeEnd = 5 * time.Second
@@ -85,5 +85,5 @@ func runAblationWithdrawal(w io.Writer, p *Probes) error {
 			lat.Quantile(0.5)*1000)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -28,7 +29,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, nil); err != nil {
+		if _, err := e.Run(io.Discard, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,14 +44,16 @@ func benchExperiment(b *testing.B, id string) {
 // for a packet that is no longer released where it dies, a frame that is
 // no longer recycled, a message decoded fresh instead of into scratch, new
 // closures over []byte, FlowMods built field-by-field instead of via
-// openflow.FlowMod1/Apply1, or lost arena/pool reuse.
+// openflow.FlowMod1/Apply1, or lost arena/pool reuse. Each id runs once,
+// alone, between two process-wide malloc counts, and its run goes into
+// the memo for the tests that read its output.
 func TestHotPathAllocBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("alloc counts are only meaningful without -short/-race")
 	}
 	for _, tc := range []struct {
 		id     string
-		budget int64 // allocs per full experiment run
+		budget uint64 // allocs per full experiment run
 	}{
 		{"devolve-ablation", 215_000},
 		{"cluster-scale", 170_000},
@@ -59,15 +62,17 @@ func TestHotPathAllocBudget(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %q not registered", tc.id)
 		}
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := e.Run(io.Discard, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if allocs := res.AllocsPerOp(); allocs > tc.budget {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := runCaptured(e, nil)
+		runtime.ReadMemStats(&after)
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		memo.Lock()
+		memo.runs[r.ID] = r
+		memo.Unlock()
+		if allocs := after.Mallocs - before.Mallocs; allocs > tc.budget {
 			t.Errorf("%s: %d allocs/run exceeds budget %d", tc.id, allocs, tc.budget)
 		} else {
 			t.Logf("%s: %d allocs/run (budget %d)", tc.id, allocs, tc.budget)

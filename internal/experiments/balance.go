@@ -168,7 +168,7 @@ func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResu
 	return res
 }
 
-func runElasticUnderMigration(w io.Writer, p *Probes) error {
+func runElasticUnderMigration(w io.Writer, p *Probes) (any, error) {
 	res := elasticUnderMigrationPoint(p, 23)
 	t := newTable(w, "t_s", "pool_size", "pod0_owner")
 	for i := range res.sizes {
@@ -182,7 +182,7 @@ func runElasticUnderMigration(w io.Writer, p *Probes) error {
 	fmt.Fprintf(w, "first_grow=%.2fs first_migrate=%.2fs grow_after_migrate=%.2fs\n",
 		res.firstGrow.Seconds(), res.firstMigrate.Seconds(), res.growAfterMigrate.Seconds())
 	fmt.Fprintf(w, "client_flows=%d client_fail=%.3f\n", res.clientSent, res.clientFail)
-	return nil
+	return res, nil
 }
 
 // replicaScaleOutResult is one burn-driven replica scale-out run: the
@@ -325,7 +325,7 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 	return res
 }
 
-func runReplicaScaleOut(w io.Writer, p *Probes) error {
+func runReplicaScaleOut(w io.Writer, p *Probes) (any, error) {
 	res := replicaScaleOutPoint(p, 31)
 	t := newTable(w, "t_s", "alive", "pods_r0", "pods_r1", "pods_r2", "queue_sum")
 	for i := range res.alive {
@@ -339,5 +339,5 @@ func runReplicaScaleOut(w io.Writer, p *Probes) error {
 		res.spawns, res.retires, res.migrations, res.finalAlive)
 	fmt.Fprintf(w, "client-p99: verdict_path=%s peak_burn_long=%.1f client_flows=%d\n",
 		res.verdictPath, res.peakBurnLong, res.clientSent)
-	return nil
+	return res, nil
 }

@@ -51,25 +51,33 @@ func chaosVSwitchPoint(p *Probes, attackRate float64, plan fault.Plan) chaosVSwi
 	}
 }
 
+// chaosVSwitchRow is one attack rate without and with the kill plan.
+type chaosVSwitchRow struct {
+	rate        float64
+	base, chaos chaosVSwitchResult
+}
+
 // runChaosVSwitch compares each attack rate with and without the kill
 // plan. The acceptance bound: with ≥1 mesh vSwitch down from 4s onward,
 // the chaos client failure fraction stays within 2× of the no-fault
 // Scotch curve, because client flows never depended on the dead overlay
 // nodes and the promoted backups absorb the attack-side load.
-func runChaosVSwitch(w io.Writer, p *Probes) error {
+func runChaosVSwitch(w io.Writer, p *Probes) (any, error) {
 	rates := []float64{1000, 2000, 3000}
 	t := newTable(w, "attack_flows_per_s",
 		"nofault_client_fail", "chaos_client_fail",
 		"nofault_attack_fail", "chaos_attack_fail",
 		"failover_swaps", "faults_injected")
+	var rows []chaosVSwitchRow
 	for _, ar := range rates {
 		base := chaosVSwitchPoint(p, ar, fault.Plan{})
 		ch := chaosVSwitchPoint(p, ar, chaosVSwitchPlan())
 		t.row(int(ar), base.clientFail, ch.clientFail,
 			base.atkFail, ch.atkFail, int(ch.swaps), int(ch.injected))
+		rows = append(rows, chaosVSwitchRow{ar, base, ch})
 	}
 	t.flush()
-	return nil
+	return rows, nil
 }
 
 // chaosPartitionResult is what the partition/heal run reports.
@@ -138,14 +146,14 @@ func chaosPartitionPoint(p *Probes, seed int64) chaosPartitionResult {
 	return res
 }
 
-func runChaosPartition(w io.Writer, p *Probes) error {
+func runChaosPartition(w io.Writer, p *Probes) (any, error) {
 	res := chaosPartitionPoint(p, 43)
 	t := newTable(w, "failovers", "detect_ms", "handoff_ms",
 		"stale_claims_fenced", "client_fail_frac", "faults_injected")
 	t.row(int(res.failovers), res.detectMs, res.handoffMs,
 		int(res.staleFenced), res.clientFailFrac, int(res.injected))
 	t.flush()
-	return nil
+	return res, nil
 }
 
 // chaosChurnResult is what the link-flap run reports.
@@ -198,12 +206,12 @@ func chaosChurnPoint(p *Probes, seed int64) chaosChurnResult {
 	}
 }
 
-func runChaosChurn(w io.Writer, p *Probes) error {
+func runChaosChurn(w io.Writer, p *Probes) (any, error) {
 	res := chaosChurnPoint(p, 47)
 	t := newTable(w, "link_flaps", "activations", "withdrawals",
 		"overlay_active_at_end", "client_fail_frac", "faults_injected")
 	t.row(res.flaps, int(res.activations), int(res.withdrawals),
 		res.finalActive, res.clientFailFrac, int(res.injected))
 	t.flush()
-	return nil
+	return res, nil
 }

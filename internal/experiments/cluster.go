@@ -26,12 +26,19 @@ func (r *rig) startClient(p int, rate float64, pkts int, ival time.Duration) *wo
 	return workload.StartClient(r.emitter(pd.clients[0]), pd.servers[0].IP, rate, pkts, ival)
 }
 
+// clusterScaleRow is one replica count's offered and delivered crowd
+// flows, the per-second successful-flow rate over the crowd span, and
+// total punts dropped at replica ingress queues.
+type clusterScaleRow struct {
+	replicas, offered, delivered int
+	successRate                  float64
+	drops                        uint64
+}
+
 // clusterScalePoint measures one replica count: 4 pods, each ramping to a
 // 350 flows/s crowd peak (1400/s aggregate), against replicas of 500
-// Packet-Ins/s processing capacity each. Returns offered and delivered
-// crowd flows, the per-second successful-flow rate over the crowd span,
-// and total punts dropped at replica ingress queues.
-func clusterScalePoint(p *Probes, replicas int, seed int64) (offered, delivered int, successRate float64, drops uint64) {
+// Packet-Ins/s processing capacity each.
+func clusterScalePoint(p *Probes, replicas int, seed int64) clusterScaleRow {
 	const dur = 10 * time.Second
 	cfg := scotch.DefaultConfig()
 	r := build(spec{pods: 4, replicas: replicas, cfg: &cfg,
@@ -46,22 +53,25 @@ func clusterScalePoint(p *Probes, replicas int, seed int64) (offered, delivered 
 	}
 	r.drive(dur, time.Second, stops...)
 
-	offered, delivered = r.cap.Counts("crowd")
-	successRate = float64(delivered) / dur.Seconds()
+	row := clusterScaleRow{replicas: replicas}
+	row.offered, row.delivered = r.cap.Counts("crowd")
+	row.successRate = float64(row.delivered) / dur.Seconds()
 	for _, rep := range r.replicas {
-		drops += rep.C.Stats.PacketInsDropped
+		row.drops += rep.C.Stats.PacketInsDropped
 	}
-	return offered, delivered, successRate, drops
+	return row
 }
 
-func runClusterScale(w io.Writer, p *Probes) error {
+func runClusterScale(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "replicas", "offered_flows", "delivered_flows", "success_flows_per_s", "replica_queue_drops")
+	var rows []clusterScaleRow
 	for _, n := range []int{1, 2, 4} {
-		offered, delivered, rate, drops := clusterScalePoint(p, n, 11)
-		t.row(n, offered, delivered, rate, drops)
+		row := clusterScalePoint(p, n, 11)
+		t.row(n, row.offered, row.delivered, row.successRate, row.drops)
+		rows = append(rows, row)
 	}
 	t.flush()
-	return nil
+	return rows, nil
 }
 
 // clusterMigrateResult is what the migration-under-surge run reports.
@@ -112,12 +122,12 @@ func clusterMigratePoint(p *Probes, seed int64) clusterMigrateResult {
 	return res
 }
 
-func runClusterMigrate(w io.Writer, p *Probes) error {
+func runClusterMigrate(w io.Writer, p *Probes) (any, error) {
 	res := clusterMigratePoint(p, 13)
 	t := newTable(w, "migrations", "owner_before", "owner_after", "handoff_ms", "client_flows", "client_fail_frac")
 	t.row(int(res.migrations), res.ownerBefore, res.ownerAfter, res.handoffMs, res.clientSent, res.clientFailFrac)
 	t.flush()
-	return nil
+	return res, nil
 }
 
 // clusterFailoverResult is what the replica-kill run reports.
@@ -157,10 +167,10 @@ func clusterFailoverPoint(p *Probes, seed int64) clusterFailoverResult {
 	return res
 }
 
-func runClusterFailover(w io.Writer, p *Probes) error {
+func runClusterFailover(w io.Writer, p *Probes) (any, error) {
 	res := clusterFailoverPoint(p, 17)
 	t := newTable(w, "failovers", "detect_ms", "handoff_ms", "client_fail_frac")
 	t.row(int(res.failovers), res.detectMs, res.handoffMs, res.clientFailFrac)
 	t.flush()
-	return nil
+	return res, nil
 }

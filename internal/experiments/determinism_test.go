@@ -7,14 +7,17 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// shortIDs are what the golden and rerun tests cover under -short and the
-// race detector, which slows these sim-heavy runs 10-20x; two experiments
-// still exercise the parallel runner.
-var shortIDs = []string{"table1", "fig4"}
+// shortIDs are what TestGolden and TestClaims cover under -short and the
+// race detector, which slows these sim-heavy runs 10-20x: two fast
+// experiments, which still exercise the parallel runner, and the four
+// whose claims CI's race step checks.
+var shortIDs = []string{"table1", "fig4", "chaos-partition", "chaos-churn", "elastic", "scenario-replay"}
 
 // goldenIDs are the experiments TestGolden checks: every registered one,
 // or shortIDs under -short or the race detector.
@@ -29,84 +32,139 @@ func goldenIDs() []string {
 	return ids
 }
 
-// rerunIDs are experiments that finish in well under 200ms, so the two
-// tests below can repeat them for about a second in total; TestGolden
-// checks every experiment against the golden file. Under -short or the
-// race detector they cover shortIDs instead.
-var rerunIDs = []string{"table1", "fig4", "fig14", "scenario-replay",
-	"devolve-invalidate", "replica-scale-out"}
+// memo holds each experiment's unarmed run, made at most once per test
+// binary: every test that reads an experiment's output or typed result
+// reads it here.
+var memo = struct {
+	sync.Mutex
+	runs map[string]RunResult
+}{runs: make(map[string]RunResult)}
 
-func repeatIDs() []string {
-	if testing.Short() || raceEnabled {
-		return shortIDs
+// memoRuns returns the memoized run of each id, first running the ids not
+// yet memoized in one unarmed RunAll at parallelism 4.
+func memoRuns(t *testing.T, ids ...string) []RunResult {
+	t.Helper()
+	memo.Lock()
+	defer memo.Unlock()
+	var missing []string
+	for _, id := range ids {
+		if _, ok := memo.runs[id]; !ok && !slices.Contains(missing, id) {
+			missing = append(missing, id)
+		}
 	}
-	return rerunIDs
+	if len(missing) > 0 {
+		for _, r := range runIDs(t, missing, 4, nil) {
+			memo.runs[r.ID] = r
+		}
+	}
+	out := make([]RunResult, len(ids))
+	for i, id := range ids {
+		out[i] = memo.runs[id]
+	}
+	return out
 }
 
-// TestSameSeedByteIdentical runs each experiment twice in one process and
-// requires byte-identical output: every experiment builds its world on a
-// freshly seeded sim.Engine, so a repeat run must reproduce the exact same
-// bytes. Any divergence means nondeterminism leaked into a model (map
-// iteration, wall-clock reads, shared state across runs).
-func TestSameSeedByteIdentical(t *testing.T) {
-	for _, id := range repeatIDs() {
-		t.Run(id, func(t *testing.T) {
-			e, ok := ByID(id)
-			if !ok {
-				t.Fatalf("experiment %q not registered", id)
+// runIDs runs ids once through RunAll at the given parallelism and arm
+// and fails the test on an error or a result out of place.
+func runIDs(t *testing.T, ids []string, parallelism int, arm *Probes) []RunResult {
+	t.Helper()
+	results, err := RunAll(context.Background(), ids, parallelism, arm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.ID != ids[i] {
+			t.Errorf("result %d is %q, want %q", i, r.ID, ids[i])
+		}
+		if r.Wall <= 0 {
+			t.Errorf("%s reported non-positive wall time", r.ID)
+		}
+	}
+	return results
+}
+
+// sameAsMemo requires each deliberate re-run's output to equal the bytes
+// of its id's memoized run, in one subtest per id.
+func sameAsMemo(t *testing.T, reruns []RunResult) {
+	t.Helper()
+	var ids []string
+	for _, r := range reruns {
+		ids = append(ids, r.ID)
+	}
+	for i, want := range memoRuns(t, ids...) {
+		got := reruns[i]
+		t.Run(got.ID, func(t *testing.T) {
+			if got.Err != nil {
+				t.Fatal(got.Err)
 			}
-			var a, b bytes.Buffer
-			if err := e.Run(&a, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Run(&b, nil); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Errorf("two runs of %s diverged:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-					id, a.String(), b.String())
+			if !bytes.Equal(got.Output, want.Output) {
+				t.Errorf("a re-run of %s diverged from its memoized run:\n%s",
+					got.ID, lineDiff("memoized run", string(want.Output), string(got.Output)))
 			}
 		})
 	}
 }
 
-// TestSerialParallelIdentical requires the parallel runner's concatenated
-// output to be byte-identical to a serial run of the same ids, for several
-// parallelism degrees. Goroutine interleaving must not be observable.
+// rerunIDs are experiments that finish in well under 200ms, so the two
+// tests below can repeat them for about a second in total. Under -short
+// or the race detector they re-run shortIDs' first two instead.
+var rerunIDs = []string{"table1", "fig4", "fig14", "scenario-replay",
+	"devolve-invalidate", "replica-scale-out"}
+
+func repeatIDs() []string {
+	if testing.Short() || raceEnabled {
+		return shortIDs[:2]
+	}
+	return rerunIDs
+}
+
+// TestSameSeedByteIdentical runs each experiment again, serially and
+// outside the runner, and requires the bytes of its memoized run: every
+// experiment builds its world on a freshly seeded sim.Engine, so a repeat
+// run in the same process must reproduce them. Any divergence means
+// nondeterminism leaked into a model (map iteration, wall-clock reads,
+// shared state across runs).
+func TestSameSeedByteIdentical(t *testing.T) {
+	var reruns []RunResult
+	for _, id := range repeatIDs() {
+		e, _ := ByID(id)
+		reruns = append(reruns, runCaptured(e, nil))
+	}
+	sameAsMemo(t, reruns)
+}
+
+// TestSerialParallelIdentical re-runs the same ids through the runner
+// serially and at parallelism 2 and one worker per id, and requires each
+// output to equal the memoized parallelism-4 run's. Goroutine
+// interleaving must not be observable.
 func TestSerialParallelIdentical(t *testing.T) {
 	ids := repeatIDs()
-	serial, err := RunAll(context.Background(), ids, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := WriteResults(&want, serial); err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 {
-		t.Fatal("serial run produced no output")
-	}
-	for _, par := range []int{2, 4, len(ids)} {
-		results, err := RunAll(context.Background(), ids, par, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := WriteResults(&got, results); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Errorf("parallelism %d: concatenated output differs from serial run", par)
-		}
-		for i, r := range results {
-			if r.ID != ids[i] {
-				t.Errorf("parallelism %d: result %d is %q, want %q", par, i, r.ID, ids[i])
-			}
-			if r.Wall <= 0 {
-				t.Errorf("parallelism %d: %s reported non-positive wall time", par, r.ID)
+	want := memoRuns(t, ids...)
+	for _, par := range []int{1, 2, len(ids)} {
+		for i, r := range runIDs(t, ids, par, nil) {
+			if !bytes.Equal(r.Output, want[i].Output) {
+				t.Errorf("parallelism %d: %s differs from its memoized parallelism-4 run", par, r.ID)
 			}
 		}
 	}
+}
+
+// TestElasticDeterministic re-runs the elastic experiment under the
+// parallel runner, paired with another experiment so the parallelism is
+// real, and requires the memoized bytes: balancer decisions ride the sim
+// clock only.
+func TestElasticDeterministic(t *testing.T) {
+	sameAsMemo(t, runIDs(t, []string{"elastic", "fig4"}, 2, nil))
+}
+
+// TestObsSLOTableDeterministic re-runs obs-slo serially and requires the
+// memoized bytes: the digest path itself (not just the underlying
+// simulation) must be deterministic.
+func TestObsSLOTableDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	sameAsMemo(t, runIDs(t, []string{"obs-slo"}, 1, nil))
 }
 
 // goldenPath is the file holding every experiment's output as
@@ -180,49 +238,35 @@ func lineDiff(path, want, got string) string {
 	return sb.String()
 }
 
-// TestGolden runs every experiment once through the parallel runner
-// and compares each experiment's output with its section of the golden
-// file. Every experiment builds its world on a freshly seeded sim.Engine
-// and the file was recorded by an earlier process, so a match pins both
-// that a seed reproduces its bytes and that worker interleaving is not
-// observable. A mismatch means a model changed behaviour or
-// nondeterminism leaked in (map iteration, wall-clock reads, state shared
-// across runs).
+// TestGolden compares each experiment's memoized output with its section
+// of the golden file. Every experiment builds its world on a freshly
+// seeded sim.Engine and the file was recorded by an earlier process, so a
+// match pins both that a seed reproduces its bytes and that worker
+// interleaving is not observable. A mismatch means a model changed
+// behaviour or nondeterminism leaked in (map iteration, wall-clock reads,
+// state shared across runs).
 func TestGolden(t *testing.T) {
-	checkGolden(t, goldenIDs(), 4, nil)
+	checkGolden(t, memoRuns(t, goldenIDs()...))
 }
 
-// checkGolden runs ids once through RunAll at the given parallelism and
-// arm and compares each experiment's output with its section of the
-// golden file, in one subtest per id. Probes only read the simulation, so
-// armed output must match the clean bytes too. It returns the results
-// for checks on what the probes collected.
-func checkGolden(t *testing.T, ids []string, parallelism int, arm *Probes) []RunResult {
+// checkGolden compares each result's output with its section of the
+// golden file, in one subtest per id, and returns the results. Probes
+// only read the simulation, so armed output must match the clean bytes
+// too.
+func checkGolden(t *testing.T, results []RunResult) []RunResult {
 	t.Helper()
-	results, err := RunAll(context.Background(), ids, parallelism, arm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.ID != ids[i] {
-			t.Errorf("result %d is %q, want %q", i, r.ID, ids[i])
-		}
-		if r.Wall <= 0 {
-			t.Errorf("%s reported non-positive wall time", r.ID)
-		}
-	}
 	sections := goldenSections(t)
-	for i, id := range ids {
-		got := string(results[i].Output) + "\n"
-		t.Run(id, func(t *testing.T) {
-			want, ok := sections[id]
+	for _, r := range results {
+		got := string(r.Output) + "\n"
+		t.Run(r.ID, func(t *testing.T) {
+			want, ok := sections[r.ID]
 			if !ok {
 				t.Fatalf("%s has no section in %s; regenerate it from the repo root with\n  %s",
-					id, goldenPath, goldenRegen)
+					r.ID, goldenPath, goldenRegen)
 			}
 			if got != want {
 				t.Errorf("%s differs from %s:\n%s\nIf the shift is intended, document it in EXPERIMENTS.md and regenerate the file from the repo root with\n  %s",
-					id, goldenPath, lineDiff(goldenPath, want, got), goldenRegen)
+					r.ID, goldenPath, lineDiff(goldenPath, want, got), goldenRegen)
 			}
 		})
 	}
@@ -261,7 +305,7 @@ func TestRunAllErrorPropagation(t *testing.T) {
 	registry = append(registry, Experiment{
 		ID:    id,
 		Title: "always fails (test only)",
-		Run:   func(io.Writer, *Probes) error { return errors.New("boom") },
+		Run:   func(io.Writer, *Probes) (any, error) { return nil, errors.New("boom") },
 	})
 	defer func() { registry = registry[:len(registry)-1] }()
 
@@ -275,15 +319,4 @@ func TestRunAllErrorPropagation(t *testing.T) {
 	if results[1].Err == nil {
 		t.Fatal("failing experiment's result has nil Err")
 	}
-}
-
-// WriteResults writes the results' outputs to w in order, reproducing the
-// sequential byte stream.
-func WriteResults(w io.Writer, results []RunResult) error {
-	for i := range results {
-		if _, err := w.Write(results[i].Output); err != nil {
-			return err
-		}
-	}
-	return nil
 }

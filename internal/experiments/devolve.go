@@ -89,7 +89,7 @@ func devolveAblationPoint(p *Probes, seed int64) devolveAblationResult {
 	return res
 }
 
-func runDevolveAblation(w io.Writer, p *Probes) error {
+func runDevolveAblation(w io.Writer, p *Probes) (any, error) {
 	res := devolveAblationPoint(p, 71)
 	fmt.Fprintln(w, "centralized (every miss punts to the controller):")
 	latencyTable(w, res.centralized.rows)
@@ -100,7 +100,7 @@ func runDevolveAblation(w io.Writer, p *Probes) error {
 		res.devolved.hits, res.devolved.escal)
 	fmt.Fprintf(w, "pi_ratio=%.4f (bound <= %.4f) base_p99_ratio=%.3f (bound <= 1.1)\n",
 		res.piRatio, 1.25/float64(devolvePool), res.p99Ratio)
-	return nil
+	return res, nil
 }
 
 // devolveInvalidateResult is one devolve-invalidate run.
@@ -189,7 +189,7 @@ func devolveInvalidatePoint(p *Probes, seed int64) devolveInvalidateResult {
 	return res
 }
 
-func runDevolveInvalidate(w io.Writer, p *Probes) error {
+func runDevolveInvalidate(w io.Writer, p *Probes) (any, error) {
 	res := devolveInvalidatePoint(p, 72)
 	t := newTable(w, "tenant", "hits_at_revoke", "hits_final", "completion")
 	t.row("web", res.webHitsAtRevoke, res.webHitsFinal, res.webCompletion)
@@ -199,5 +199,5 @@ func runDevolveInvalidate(w io.Writer, p *Probes) error {
 		res.staleRejected, res.drainFlushed, res.drainStaleOK, res.finalGen)
 	fmt.Fprintf(w, "web_frozen_after_revoke=%v bulk_kept_devolving=%v\n",
 		res.webHitsFinal == res.webHitsAtRevoke, res.bulkHitsFinal > 0)
-	return nil
+	return res, nil
 }

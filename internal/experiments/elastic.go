@@ -82,7 +82,7 @@ func elasticPoint(p *Probes, seed int64) elasticResult {
 	return res
 }
 
-func runElastic(w io.Writer, p *Probes) error {
+func runElastic(w io.Writer, p *Probes) (any, error) {
 	res := elasticPoint(p, 47)
 	fmt.Fprintln(w, "t(s)  pool_size")
 	for i, s := range res.sizes {
@@ -92,5 +92,5 @@ func runElastic(w io.Writer, p *Probes) error {
 		res.peak, res.final, res.ups, res.downs, res.added, res.drained)
 	fmt.Fprintf(w, "client_fail=%.3f drain_window_fail=%.3f\n",
 		res.clientFail, res.probeFail)
-	return nil
+	return res, nil
 }

@@ -11,8 +11,9 @@ type Experiment struct {
 	ID    string
 	Title string
 	// Run executes the experiment, writing its result table to w; every
-	// rig it builds attaches p's instruments (nil p: none).
-	Run func(w io.Writer, p *Probes) error
+	// rig it builds attaches p's instruments (nil p: none). It returns
+	// the typed result the table was printed from (nil: table only).
+	Run func(w io.Writer, p *Probes) (any, error)
 }
 
 // registry lists every experiment in the order All returns them: the

@@ -10,7 +10,7 @@ import (
 	"scotch/internal/workload"
 )
 
-func runFig15(w io.Writer, p *Probes) error {
+func runFig15(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "controller", "flows", "failure_fraction", "completion_fraction",
 		"fct_ms_p50", "fct_ms_p99")
 	const dur = 25 * time.Second
@@ -67,5 +67,5 @@ func runFig15(w io.Writer, p *Probes) error {
 			fct.Quantile(0.99)*1000)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }

@@ -76,7 +76,7 @@ func obsSLOPoint(p *Probes, seed int64) obsSLOResult {
 	return obsSLOResult{digest: d, base: d.SLO("base-p99"), crowd: d.SLO("crowd-p99")}
 }
 
-func runObsSLO(w io.Writer, p *Probes) error {
+func runObsSLO(w io.Writer, p *Probes) (any, error) {
 	res := obsSLOPoint(p, 47)
 	fmt.Fprintln(w, "slo        tenant  verdict_path               peak_burn_short  peak_burn_long  peak_window_p99(s)")
 	for _, s := range []*obs.SLODigest{res.base, res.crowd} {
@@ -87,5 +87,5 @@ func runObsSLO(w io.Writer, p *Probes) error {
 	for _, tr := range res.crowd.Transitions {
 		fmt.Fprintf(w, "crowd transition t=%-6v %s -> %s\n", tr.At, tr.From, tr.To)
 	}
-	return res.digest.WriteText(w)
+	return res, res.digest.WriteText(w)
 }

@@ -9,7 +9,7 @@ import (
 	"scotch/internal/workload"
 )
 
-func runFig8(w io.Writer, p *Probes) error {
+func runFig8(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "migration_mode", "migrated", "fwA_passed", "fwB_rejected",
 		"elephant_delivery_ratio", "elephant_stalled")
 	const dur = 20 * time.Second
@@ -56,5 +56,5 @@ func runFig8(w io.Writer, p *Probes) error {
 		t.row(mode, r.app.Stats.Migrated, r.fw[0].Passed, r.fw[1].Rejected, ratio, stalled)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }

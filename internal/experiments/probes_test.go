@@ -2,8 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"os"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -11,14 +12,48 @@ import (
 	"scotch/internal/telemetry"
 )
 
+// armedGolden holds what `scotchsim run -stages -health -balance` prints
+// for armedIDs, minus the wall-time lines; armedRegen rewrites it from
+// the repo root.
+const (
+	armedGolden = "testdata/armed.golden"
+	armedRegen  = `go run ./cmd/scotchsim run -stages -health -balance fig14 elastic cluster-migrate obs-slo | grep -v ' wall time)$' > internal/experiments/testdata/armed.golden`
+)
+
+var armedIDs = []string{"fig14", "elastic", "cluster-migrate", "obs-slo"}
+
+// armed holds the one run of armedIDs, then scenario-fattree, under every
+// probe at parallelism 4, made at most once per test binary.
+var armed struct {
+	sync.Mutex
+	runs []RunResult
+}
+
+// armedRuns returns the armed run of each id, making the armed run first
+// if it has not been made; it skips the test under -short.
+func armedRuns(t *testing.T, ids ...string) []RunResult {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	armed.Lock()
+	defer armed.Unlock()
+	if armed.runs == nil {
+		armed.runs = runIDs(t, append(slices.Clone(armedIDs), "scenario-fattree"), 4,
+			&Probes{Trace: true, Obs: &obs.Config{}, Advise: true})
+	}
+	var out []RunResult
+	for _, id := range ids {
+		out = append(out, armed.runs[slices.IndexFunc(armed.runs, func(r RunResult) bool { return r.ID == id })])
+	}
+	return out
+}
+
 // TestTracingDoesNotChangeOutput: a traced run keeps its golden bytes, and
 // the collected traces cover the full control path (>= 5 distinct stages)
 // and export as Chrome trace JSON.
 func TestTracingDoesNotChangeOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	traces := CollectProbes(checkGolden(t, []string{"fig14"}, 4, &Probes{Trace: true})).Traces
+	traces := CollectProbes(checkGolden(t, armedRuns(t, "fig14"))).Traces
 	if len(traces) == 0 {
 		t.Fatal("no traces collected")
 	}
@@ -50,10 +85,7 @@ func TestTracingDoesNotChangeOutput(t *testing.T) {
 // keep their golden bytes, every experiment collects health, and every
 // rig's digest carries data.
 func TestObservatoryDoesNotChangeOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	results := checkGolden(t, []string{"fig14", "elastic", "scenario-fattree"}, 4, &Probes{Obs: &obs.Config{}})
+	results := checkGolden(t, armedRuns(t, "fig14", "elastic", "scenario-fattree"))
 	for _, r := range results {
 		if len(r.Probes.Health) == 0 {
 			t.Errorf("%s collected no health runs", r.ID)
@@ -78,12 +110,7 @@ func TestObservatoryDoesNotChangeOutput(t *testing.T) {
 // policy ticks to the engine but never actuates, so advised runs keep
 // their golden bytes.
 func TestBalanceAdvisorDoesNotChangeOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	results := checkGolden(t, []string{"elastic", "cluster-migrate"}, 4,
-		&Probes{Obs: &obs.Config{}, Advise: true})
-	runs := CollectProbes(results).Advice
+	runs := CollectProbes(checkGolden(t, armedRuns(t, "elastic", "cluster-migrate"))).Advice
 	if len(runs) == 0 {
 		t.Fatal("no advisory balancers collected")
 	}
@@ -105,7 +132,7 @@ func TestBalanceAdvisorDoesNotChangeOutput(t *testing.T) {
 func TestArmedRunAllSharesNoState(t *testing.T) {
 	var newest atomic.Pointer[obs.Observatory]
 	arm := &Probes{Trace: true, Obs: &obs.Config{}, Advise: true, Observed: newest.Store}
-	p := CollectProbes(checkGolden(t, []string{"table1", "fig4", "fig14"}, 2, arm))
+	p := CollectProbes(checkGolden(t, runIDs(t, []string{"table1", "fig4", "fig14"}, 2, arm)))
 	// fig4 builds one testbed per offered rate; fig14 builds two rigs.
 	if len(p.Traces) != 9 || len(p.Health) != 9 || len(p.Advice) != 9 {
 		t.Errorf("collected %d traces, %d health, %d advice runs; want 9, 9, 9",
@@ -116,28 +143,11 @@ func TestArmedRunAllSharesNoState(t *testing.T) {
 	}
 }
 
-// armedGolden holds what `scotchsim run -stages -health -balance` prints
-// for armedIDs, minus the wall-time lines; armedRegen rewrites it from
-// the repo root.
-const (
-	armedGolden = "testdata/armed.golden"
-	armedRegen  = `go run ./cmd/scotchsim run -stages -health -balance fig14 elastic cluster-migrate obs-slo | grep -v ' wall time)$' > internal/experiments/testdata/armed.golden`
-)
-
-var armedIDs = []string{"fig14", "elastic", "cluster-migrate", "obs-slo"}
-
 // TestArmedGolden: built at parallelism 4, the experiments' output
 // followed by WriteProbes' advice, health and stage blocks must match the
 // bytes a serial run printed.
 func TestArmedGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	results, err := RunAll(context.Background(), armedIDs, 4,
-		&Probes{Trace: true, Obs: &obs.Config{}, Advise: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := armedRuns(t, armedIDs...)
 	var got bytes.Buffer
 	for _, r := range results {
 		got.Write(r.Output)

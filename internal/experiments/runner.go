@@ -25,6 +25,8 @@ type RunResult struct {
 	// Probes holds what the experiment's rigs collected under RunAll's
 	// arm (nil when unarmed).
 	Probes *Probes
+	// result is what the experiment's Run returned with its output.
+	result any
 }
 
 // RunAll executes the experiments with the given ids on a pool of
@@ -102,12 +104,13 @@ func runCaptured(e Experiment, p *Probes) RunResult {
 	var buf bytes.Buffer
 	banner(&buf, e)
 	start := time.Now()
-	err := e.Run(&buf, p)
+	res, err := e.Run(&buf, p)
 	return RunResult{
 		ID:     e.ID,
 		Output: buf.Bytes(),
 		Wall:   time.Since(start),
 		Err:    err,
 		Probes: p,
+		result: res,
 	}
 }

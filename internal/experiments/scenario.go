@@ -131,7 +131,7 @@ func multitenantPoint(p *Probes, seed int64) multitenantResult {
 	return res
 }
 
-func runScenarioMultitenant(w io.Writer, p *Probes) error {
+func runScenarioMultitenant(w io.Writer, p *Probes) (any, error) {
 	res := multitenantPoint(p, 61)
 	fmt.Fprintln(w, "quiet run (base + crowd, overlay + balancer):")
 	latencyTable(w, res.quiet)
@@ -139,7 +139,7 @@ func runScenarioMultitenant(w io.Writer, p *Probes) error {
 	latencyTable(w, res.attacked)
 	fmt.Fprintf(w, "pool_peak=%d base_p99_ratio=%.3f (bound < 2.0)\n",
 		res.peakPool, res.p99Ratio)
-	return nil
+	return res, nil
 }
 
 // fattreeResult is one scenario-fattree run.
@@ -198,12 +198,12 @@ func fattreePoint(p *Probes, seed int64) fattreeResult {
 	}
 }
 
-func runScenarioFattree(w io.Writer, p *Probes) error {
+func runScenarioFattree(w io.Writer, p *Probes) (any, error) {
 	res := fattreePoint(p, 62)
 	latencyTable(w, res.rows)
 	fmt.Fprintf(w, "base_completion=%.3f crowd_completion=%.3f\n",
 		res.baseCompletion, res.crowdCompletion)
-	return nil
+	return res, nil
 }
 
 //go:embed testdata/scenario_replay.csv
@@ -251,12 +251,12 @@ func replayPoint(p *Probes, seed int64) replayResult {
 	}
 }
 
-func runScenarioReplay(w io.Writer, p *Probes) error {
+func runScenarioReplay(w io.Writer, p *Probes) (any, error) {
 	res := replayPoint(p, 63)
 	fmt.Fprintf(w, "trace_events=%d scheduled=%d\n", res.events, res.scheduled)
 	latencyTable(w, res.rows)
 	fmt.Fprintf(w, "all_tenants: n=%d p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f\n",
 		res.merged.Count(), res.merged.Quantile(0.5)*1000,
 		res.merged.Quantile(0.95)*1000, res.merged.Quantile(0.99)*1000)
-	return nil
+	return res, nil
 }

@@ -19,7 +19,7 @@ func fig3Point(p *Probes, prof device.Profile, attackRate float64, dur time.Dura
 	return r.cap.FailureFraction("client")
 }
 
-func runFig3(w io.Writer, p *Probes) error {
+func runFig3(w io.Writer, p *Probes) (any, error) {
 	rates := []float64{100, 500, 1000, 1500, 2000, 2500, 3000, 3800}
 	profiles := []device.Profile{
 		device.ProcurveProfile(),
@@ -35,10 +35,10 @@ func runFig3(w io.Writer, p *Probes) error {
 		t.row(row...)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }
 
-func runFig4(w io.Writer, p *Probes) error {
+func runFig4(w io.Writer, p *Probes) (any, error) {
 	rates := []float64{50, 100, 150, 200, 300, 500, 1000}
 	t := newTable(w, "offered_new_flows_per_s", "packet_in_per_s", "rule_install_per_s", "success_flows_per_s")
 	const dur = 10 * time.Second
@@ -55,10 +55,10 @@ func runFig4(w io.Writer, p *Probes) error {
 			float64(delivered)/secs)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }
 
-func runTable1(w io.Writer, _ *Probes) error {
+func runTable1(w io.Writer, _ *Probes) (any, error) {
 	t := newTable(w, "profile", "packet_in_per_s", "insert_lossfree_per_s",
 		"insert_overload_per_s", "stall_knee_per_s", "dataplane_pps", "tcam")
 	for _, name := range []string{"pica8", "procurve", "ovs"} {
@@ -67,5 +67,5 @@ func runTable1(w io.Writer, _ *Probes) error {
 			p.StallKnee, p.DataPlanePPS, p.TableCapacity)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }

@@ -47,12 +47,16 @@ func switchRig(seed int64) *rig {
 	return &rig{eng: eng, net: topo.New(eng), cap: capture.New(eng)}
 }
 
-func runFig9(w io.Writer, p *Probes) error {
+// fig9Row is one attempted insertion rate and the rate that succeeded.
+type fig9Row struct{ attempted, successful float64 }
+
+func runFig9(w io.Writer, p *Probes) (any, error) {
 	// "We let the Ryu controller generate flow rules at a constant rate
 	// and send them to the Pica8 switch... there is no data traffic."
 	rates := []float64{250, 500, 1000, 1500, 2000, 2250, 2500, 3000}
 	t := newTable(w, "attempted_insert_per_s", "successful_insert_per_s")
 	const dur = 10 * time.Second
+	var rows []fig9Row
 	for _, r := range rates {
 		rg := switchRig(9)
 		prof := device.Pica8Profile()
@@ -61,13 +65,15 @@ func runFig9(w io.Writer, p *Probes) error {
 		rg.arm(p)
 		driveInserts(rg.eng, sw, r, dur)
 		rg.drive(dur, 0)
-		t.row(int(r), float64(sw.Stats.RulesInstalled)/dur.Seconds())
+		row := fig9Row{r, float64(sw.Stats.RulesInstalled) / dur.Seconds()}
+		t.row(int(r), row.successful)
+		rows = append(rows, row)
 	}
 	t.flush()
-	return nil
+	return rows, nil
 }
 
-func runFig10(w io.Writer, p *Probes) error {
+func runFig10(w io.Writer, p *Probes) (any, error) {
 	// Data traffic through a pre-installed rule while the controller
 	// inserts unrelated rules at a given rate; measure data-path loss.
 	insertRates := []float64{100, 400, 800, 1200, 1300, 1400, 1600, 2000}
@@ -98,7 +104,7 @@ func runFig10(w io.Writer, p *Probes) error {
 			}
 			b, err := openflow.Marshal(pre, 1)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			sw.DeliverControl(b)
 			r.drive(100*time.Millisecond, 0)
@@ -122,5 +128,5 @@ func runFig10(w io.Writer, p *Probes) error {
 		t.row(row...)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }

@@ -12,7 +12,7 @@ import (
 // runFig11 compares the client flow failure fraction with and without
 // Scotch while an attacker on a different ingress port sweeps its rate.
 // With Scotch, per-port queues isolate the attack (paper §5.2).
-func runFig11(w io.Writer, p *Probes) error {
+func runFig11(w io.Writer, p *Probes) (any, error) {
 	rates := []float64{500, 1000, 2000, 3000, 3800}
 	t := newTable(w, "attack_flows_per_s", "baseline_client_failure", "scotch_client_failure", "scotch_attack_failure")
 	const dur = 15 * time.Second
@@ -30,13 +30,13 @@ func runFig11(w io.Writer, p *Probes) error {
 		t.row(int(ar), base, sc, scAtk)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }
 
 // runFig12 grows the vSwitch pool under a fixed control-plane overload and
 // reports the aggregate rate of successfully handled new flows: Scotch's
 // elastic capacity scaling.
-func runFig12(w io.Writer, p *Probes) error {
+func runFig12(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "vswitches", "offered_flows_per_s", "handled_flows_per_s", "delivered_flows_per_s")
 	const offered = 25000.0
 	const dur = 5 * time.Second
@@ -63,13 +63,13 @@ func runFig12(w io.Writer, p *Probes) error {
 			float64(delivered)/dur.Seconds())
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }
 
 // runFig13 measures where an elephant's bytes land with and without
 // migration: with the migrator on, the bulk of the bytes return to the
 // physical network shortly after detection.
-func runFig13(w io.Writer, p *Probes) error {
+func runFig13(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "migration", "elephant_bytes_overlay", "elephant_bytes_physical",
 		"physical_fraction", "elephants_migrated")
 	const dur = 20 * time.Second
@@ -115,12 +115,12 @@ func runFig13(w io.Writer, p *Probes) error {
 		t.row(mode, ovBytes, physBytes, frac, r.app.Stats.Migrated)
 	}
 	t.flush()
-	return nil
+	return nil, nil
 }
 
 // runFig14 compares flow-setup latency and steady-state per-packet delay
 // on the physical path versus the three-tunnel overlay path.
-func runFig14(w io.Writer, p *Probes) error {
+func runFig14(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "path", "first_packet_ms_p50", "steady_delay_ms_p50", "steady_delay_ms_p99")
 	const dur = 10 * time.Second
 
@@ -156,5 +156,5 @@ func runFig14(w io.Writer, p *Probes) error {
 	f, p50, p99 = run(true)
 	t.row("overlay", f, p50, p99)
 	t.flush()
-	return nil
+	return nil, nil
 }
