@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -39,5 +40,28 @@ func TestRegistryComplete(t *testing.T) {
 		if ids[i-1] >= ids[i] {
 			t.Fatalf("ids not unique: %v", ids)
 		}
+	}
+}
+
+// TestTable1Runs reads table1's memoized run, so it costs no run of its
+// own.
+func TestTable1Runs(t *testing.T) {
+	out := string(memoRuns(t, "table1")[0].Output)
+	for _, want := range []string{"pica8-pronto-3780", "hp-procurve-6600", "open-vswitch"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table1 output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFig14Runs is a smoke test of the rig builder on the fastest full
+// experiment; it reads fig14's memoized run.
+func TestFig14Runs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	out := string(memoRuns(t, "fig14")[0].Output)
+	if !strings.Contains(out, "physical") || !strings.Contains(out, "overlay") {
+		t.Fatalf("fig14 output incomplete:\n%s", out)
 	}
 }
