@@ -52,16 +52,16 @@ golden:
 	$(GO) run ./cmd/scotchsim -parallel 2 all > golden.out
 	grep -v ' wall time)$$' golden.out | diff -u internal/experiments/testdata/all.golden -
 
-# Poison gate (DESIGN.md §14, "The control-channel frame" and "The
-# data-plane packet"): with the scotchpoison tag every recycled
-# control-channel frame is overwritten with 0xAB, the receivers' scratch
-# messages are zeroed after each callback, and every released data-plane
-# packet is overwritten instead of pooled, so anything that keeps a frame,
-# a decoded message or a packet past its callback without copying shifts a
-# golden output or fails a package test.
+# Poison gate (DESIGN.md §14, "The control-channel frame", "The live
+# connection" and "The data-plane packet"): with the scotchpoison tag every
+# recycled control-channel frame is overwritten with 0xAB, the receivers'
+# scratch messages are zeroed after each callback, and every released
+# data-plane packet is overwritten instead of pooled, so anything that keeps
+# a frame, a decoded message or a packet past its callback without copying
+# shifts a golden output or fails a package test.
 golden-poison:
 	$(GO) test -tags scotchpoison ./internal/experiments -run 'Golden'
-	$(GO) test -tags scotchpoison ./internal/sim ./internal/device ./internal/controller ./internal/scotch ./internal/cluster ./internal/packet ./internal/workload ./internal/devolve
+	$(GO) test -tags scotchpoison ./internal/sim ./internal/device ./internal/controller ./internal/scotch ./internal/cluster ./internal/packet ./internal/workload ./internal/devolve ./internal/ofnet
 
 # Example gate: the four simulated examples must print their committed
 # examples/<name>/expected.txt byte for byte (a deliberate change
@@ -111,14 +111,16 @@ trace-sample:
 	$(GO) run ./cmd/scotchsim run fig14 -trace trace_fig14.json
 
 # Short fuzz pass over every native fuzz target (the CSV trace parser, the
-# OpenFlow codec and the flow table against its linear reference), a few
-# seconds each; new findings land in the build cache,
+# OpenFlow codec, the live connection's frame reader and the flow table
+# against its linear reference), a few seconds each; new findings land in
+# the build cache,
 # reproducers in testdata/fuzz/.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzTraceCSV -fuzztime 5s ./internal/workload/
 	$(GO) test -run xxx -fuzz FuzzMessageRoundTrip -fuzztime 5s ./internal/openflow/
 	$(GO) test -run xxx -fuzz FuzzMatchRoundTrip -fuzztime 5s ./internal/openflow/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalIntoReuse -fuzztime 5s ./internal/openflow/
+	$(GO) test -run xxx -fuzz FuzzConnRecv -fuzztime 5s ./internal/ofnet/
 	$(GO) test -run xxx -fuzz FuzzTableOps -fuzztime 5s ./internal/flowtable/
 
 # Per-tenant flow-setup latency CDF table from the multi-tenant scenario

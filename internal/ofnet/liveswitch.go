@@ -219,18 +219,13 @@ func (ls *LiveSwitch) DialAndServe(ctx context.Context, addr string) error {
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	for {
-		msg, xid, err := conn.Recv()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return err
-		}
-		if err := ls.handle(conn, msg, xid); err != nil {
-			return err
-		}
+	err = conn.serve(func(msg openflow.Message, xid uint32) error {
+		return ls.handle(conn, msg, xid)
+	})
+	if ctx.Err() != nil {
+		return ctx.Err()
 	}
+	return err
 }
 
 // connStableAfter is how long a connection must survive before the next
@@ -305,8 +300,11 @@ func (ls *LiveSwitch) handle(conn *Conn, msg openflow.Message, xid uint32) error
 	case *openflow.FlowMod:
 		return ls.applyFlowMod(conn, m, xid)
 	case *openflow.GroupMod:
+		// The group table keeps the buckets; m is the connection's scratch.
+		gm := *m
+		gm.Buckets = cloneBuckets(m.Buckets)
 		ls.mu.Lock()
-		err := ls.pipeline.Groups.Apply(m)
+		err := ls.pipeline.Groups.Apply(&gm)
 		ls.mu.Unlock()
 		if err != nil {
 			return conn.SendXID(&openflow.Error{ErrType: openflow.ErrTypeGroupModFailed}, xid)
@@ -378,7 +376,7 @@ func (ls *LiveSwitch) applyFlowMod(conn *Conn, m *openflow.FlowMod, xid uint32) 
 			rule := &flowtable.Rule{
 				Priority:     m.Priority,
 				Match:        m.Match,
-				Instructions: m.Instructions,
+				Instructions: cloneInstructions(m.Instructions),
 				IdleTimeout:  time.Duration(m.IdleTimeout) * time.Second,
 				HardTimeout:  time.Duration(m.HardTimeout) * time.Second,
 				Cookie:       m.Cookie,
@@ -425,12 +423,40 @@ func (ls *LiveSwitch) replyStats(conn *Conn, req *openflow.MultipartRequest, xid
 	if err != nil {
 		return err
 	}
-	for _, b := range frames {
-		if err := conn.write(b); err != nil {
-			return err
+	return conn.writeFrames(frames)
+}
+
+// cloneInstructions copies a FlowMod's instructions for the rule that
+// keeps them: the common one-action shape in one allocation, any other in
+// two (the instructions, and every action list in one block).
+func cloneInstructions(ins []openflow.Instruction) []openflow.Instruction {
+	if len(ins) == 1 && ins[0].Type == openflow.InstrApplyActions && len(ins[0].Actions) == 1 {
+		return openflow.Apply1(ins[0].Actions[0])
+	}
+	n := 0
+	for i := range ins {
+		n += len(ins[i].Actions)
+	}
+	out := append([]openflow.Instruction(nil), ins...)
+	actions := make([]openflow.Action, 0, n)
+	for i := range out {
+		if out[i].Actions != nil {
+			at := len(actions)
+			actions = append(actions, out[i].Actions...)
+			out[i].Actions = actions[at:len(actions):len(actions)]
 		}
 	}
-	return nil
+	return out
+}
+
+// cloneBuckets copies a GroupMod's buckets for the group table, which
+// keeps them.
+func cloneBuckets(bks []openflow.Bucket) []openflow.Bucket {
+	out := append([]openflow.Bucket(nil), bks...)
+	for i := range out {
+		out[i].Actions = append([]openflow.Action(nil), out[i].Actions...)
+	}
+	return out
 }
 
 // RuleCount returns the number of installed rules across tables.

@@ -2,52 +2,140 @@ package ofnet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"scotch/internal/openflow"
+	"scotch/internal/sim"
 	"scotch/internal/telemetry"
 )
 
-// Conn is a framed, write-locked OpenFlow connection.
+// Sizes of a connection's buffers (DESIGN.md §14, "The live connection").
+const (
+	// readBufSize is the read buffer. A frame that fits is decoded where
+	// it lies, and one read(2) takes in several back-to-back small frames.
+	readBufSize = 512
+	// outBufSize is the outbound buffer's capacity. Held frames are
+	// written before a frame that might not fit is added, and a buffer a
+	// larger frame grew is dropped once written.
+	outBufSize = 512
+)
+
+// Conn is a framed OpenFlow connection with one read path and one write
+// path, neither of which allocates per message once warm. Recv is for one
+// goroutine at a time; Send and SendXID are safe from any.
 type Conn struct {
 	c    net.Conn
-	wmu  sync.Mutex
 	xid  atomic.Uint32
 	once sync.Once
 
 	// errCounter, when set, is shared with the owning endpoint and counts
 	// failed writes across all of its connections.
 	errCounter *atomic.Uint64
+
+	// Read side, touched only by the goroutine in Recv. rbuf[r:w] is
+	// received and not yet consumed; frame assembles a frame larger than
+	// rbuf and grows to the largest one seen; cur is the frame the last
+	// Recv decoded.
+	rbuf  []byte
+	r, w  int
+	frame []byte
+	cur   []byte
+	rx    rxScratch
+
+	wmu sync.Mutex
+	// out holds frames marshalled and not yet written.
+	out []byte
+	// holding is set while serve dispatches a message: Sends then stay
+	// in out until serve is about to block on a read.
+	holding bool
+	// writes counts Write calls on c.
+	writes uint64
 }
 
-// NewConn wraps a net.Conn.
+// NewConn wraps a net.Conn. On the Send and Recv paths the Conn calls
+// only its Read, Write and Close methods.
 func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 
-// Send marshals and writes a message with a fresh transaction id,
-// returning that id.
+// Send marshals m with a fresh transaction id, returning that id, and
+// writes it as SendXID does.
 func (c *Conn) Send(m openflow.Message) (uint32, error) {
 	xid := c.xid.Add(1)
 	return xid, c.SendXID(m, xid)
 }
 
-// SendXID marshals and writes a message with the given transaction id.
+// SendXID marshals m with the given transaction id into the connection's
+// outbound buffer; m is not referenced after it returns. Outside the read
+// loop's dispatch the frame is written at once and a write error is
+// returned. While the read loop is dispatching a message, from whatever
+// goroutine, the frame is held, and the loop writes every held frame in
+// one write(2) before it next waits for input.
 func (c *Conn) SendXID(m openflow.Message, xid uint32) error {
-	b, err := openflow.Marshal(m, xid)
+	return c.send(m, xid, false)
+}
+
+// send appends one frame to out and writes out unless it is held; flush
+// writes it even then.
+func (c *Conn) send(m openflow.Message, xid uint32, flush bool) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if hint := openflow.SizeHint(m); len(c.out)+hint > cap(c.out) {
+		if err := c.flushLocked(); err != nil {
+			return err
+		}
+		if c.out == nil {
+			c.out = make([]byte, 0, max(outBufSize, hint))
+		}
+	}
+	out, err := openflow.MarshalAppend(c.out, m, xid)
 	if err != nil {
 		return err
 	}
-	return c.write(b)
+	c.out = out
+	if c.holding && !flush {
+		return nil
+	}
+	return c.flushLocked()
 }
 
-// write sends one already-marshalled frame.
-func (c *Conn) write(b []byte) error {
+// writeFrames writes frames already marshalled, after any held ones.
+func (c *Conn) writeFrames(frames [][]byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if err := c.flushLocked(); err != nil {
+		return err
+	}
+	for _, b := range frames {
+		if err := c.writeLocked(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flushLocked writes the held frames. Called with wmu held.
+func (c *Conn) flushLocked() error {
+	if len(c.out) == 0 {
+		return nil
+	}
+	err := c.writeLocked(c.out)
+	if cap(c.out) > outBufSize {
+		c.out = nil
+	} else {
+		c.out = c.out[:0]
+	}
+	return err
+}
+
+// writeLocked is the one place a Conn writes. Called with wmu held.
+func (c *Conn) writeLocked(b []byte) error {
+	c.writes++
 	_, err := c.c.Write(b)
 	if err != nil && c.errCounter != nil {
 		c.errCounter.Add(1)
@@ -59,9 +147,128 @@ func (c *Conn) write(b []byte) error {
 // register reply routing before the request hits the wire.
 func (c *Conn) NextXID() uint32 { return c.xid.Add(1) }
 
-// Recv reads one framed message.
+// Recv reads and decodes one framed message. The message is the
+// connection's scratch for its type, and its Data fields alias the
+// connection's read buffers: it is valid only until the next Recv on this
+// connection. A caller that keeps any part of it copies that part.
 func (c *Conn) Recv() (openflow.Message, uint32, error) {
-	return openflow.ReadMessage(c.c)
+	if c.rbuf == nil {
+		c.rbuf = make([]byte, readBufSize)
+	}
+	if err := c.fill(headerLen); err != nil {
+		return nil, 0, err
+	}
+	n := int(binary.BigEndian.Uint16(c.rbuf[c.r+2:]))
+	if n < headerLen {
+		return nil, 0, fmt.Errorf("ofnet: bad framed length %d", n)
+	}
+	if n <= len(c.rbuf) {
+		if err := c.fill(n); err != nil {
+			return nil, 0, err
+		}
+		c.cur = c.rbuf[c.r : c.r+n]
+		c.r += n
+	} else {
+		if cap(c.frame) < n {
+			c.frame = make([]byte, n)
+		}
+		c.cur = c.frame[:n]
+		k := copy(c.cur, c.rbuf[c.r:c.w])
+		c.r += k
+		if _, err := io.ReadFull(c.c, c.cur[k:]); err != nil {
+			return nil, 0, unexpectedEOF(err)
+		}
+	}
+	m := c.rx.target(openflow.MsgType(c.cur[1]))
+	if m == nil {
+		return nil, 0, fmt.Errorf("ofnet: unknown message type %d", c.cur[1])
+	}
+	xid, err := openflow.UnmarshalInto(c.cur, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, xid, nil
+}
+
+// headerLen is the length of the OpenFlow header, which carries the
+// frame's length.
+const headerLen = 8
+
+// fill reads until at least n bytes are buffered unconsumed, first moving
+// them to the front of rbuf so that each read(2) can fill the rest.
+func (c *Conn) fill(n int) error {
+	if c.w-c.r >= n {
+		return nil
+	}
+	c.w = copy(c.rbuf, c.rbuf[c.r:c.w])
+	c.r = 0
+	for c.w < n {
+		k, err := c.c.Read(c.rbuf[c.w:])
+		c.w += k
+		if err != nil && c.w < n {
+			if c.w > 0 {
+				return unexpectedEOF(err)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// unexpectedEOF reports a stream that ends inside a frame.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// buffered reports whether a whole frame is already in rbuf, so that the
+// next Recv will not block.
+func (c *Conn) buffered() bool {
+	b := c.rbuf[c.r:c.w]
+	return len(b) >= headerLen && int(binary.BigEndian.Uint16(b[2:])) <= len(b)
+}
+
+// serve is a read loop: it receives messages and dispatches each one
+// while holding the Sends made meanwhile. It writes the held frames
+// before any Recv that could block, and when dispatch or Recv fails. It
+// returns the first error.
+func (c *Conn) serve(dispatch func(openflow.Message, uint32) error) error {
+	defer c.release()
+	for {
+		if !c.buffered() {
+			if err := c.release(); err != nil {
+				return err
+			}
+		}
+		msg, xid, err := c.Recv()
+		if err != nil {
+			return err
+		}
+		c.wmu.Lock()
+		c.holding = true
+		c.wmu.Unlock()
+		err = dispatch(msg, xid)
+		if sim.Poison {
+			for i := range c.cur {
+				c.cur[i] = 0xAB
+			}
+			c.rx = rxScratch{}
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// release ends a hold: it writes the held frames, and later Sends write
+// through until the next dispatch.
+func (c *Conn) release() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.holding = false
+	return c.flushLocked()
 }
 
 // Close closes the underlying connection once.
@@ -73,6 +280,69 @@ func (c *Conn) Close() error {
 
 // RemoteAddr returns the peer address.
 func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
+
+// rxScratch holds the message each Recv decodes into, one per type.
+type rxScratch struct {
+	hello   openflow.Hello
+	errMsg  openflow.Error
+	echoReq openflow.EchoRequest
+	echoRep openflow.EchoReply
+	featReq openflow.FeaturesRequest
+	featRep openflow.FeaturesReply
+	pin     openflow.PacketIn
+	fr      openflow.FlowRemoved
+	po      openflow.PacketOut
+	fm      openflow.FlowMod
+	gm      openflow.GroupMod
+	mpReq   openflow.MultipartRequest
+	mpRep   openflow.MultipartReply
+	barReq  openflow.BarrierRequest
+	barRep  openflow.BarrierReply
+	roleReq openflow.RoleRequest
+	roleRep openflow.RoleReply
+}
+
+// target returns the scratch message for type t, or nil for an unknown
+// type.
+func (s *rxScratch) target(t openflow.MsgType) openflow.Message {
+	switch t {
+	case openflow.TypeHello:
+		return &s.hello
+	case openflow.TypeError:
+		return &s.errMsg
+	case openflow.TypeEchoRequest:
+		return &s.echoReq
+	case openflow.TypeEchoReply:
+		return &s.echoRep
+	case openflow.TypeFeaturesRequest:
+		return &s.featReq
+	case openflow.TypeFeaturesReply:
+		return &s.featRep
+	case openflow.TypePacketIn:
+		return &s.pin
+	case openflow.TypeFlowRemoved:
+		return &s.fr
+	case openflow.TypePacketOut:
+		return &s.po
+	case openflow.TypeFlowMod:
+		return &s.fm
+	case openflow.TypeGroupMod:
+		return &s.gm
+	case openflow.TypeMultipartRequest:
+		return &s.mpReq
+	case openflow.TypeMultipartReply:
+		return &s.mpRep
+	case openflow.TypeBarrierRequest:
+		return &s.barReq
+	case openflow.TypeBarrierReply:
+		return &s.barRep
+	case openflow.TypeRoleRequest:
+		return &s.roleReq
+	case openflow.TypeRoleReply:
+		return &s.roleRep
+	}
+	return nil
+}
 
 // SwitchConn is the controller's handle on one connected switch.
 type SwitchConn struct {
@@ -100,9 +370,10 @@ func (s *SwitchConn) Install(fm *openflow.FlowMod) error {
 	return err
 }
 
-// Barrier sends a BarrierRequest and blocks until the matching
-// BarrierReply arrives on the read loop, confirming every earlier message
-// on this connection has been processed (OF 1.3 §6.2). Returns
+// Barrier writes a BarrierRequest, with any frames held before it, and
+// blocks until the matching BarrierReply arrives on the read loop,
+// confirming every earlier message on this connection has been processed
+// (OF 1.3 §6.2). Returns
 // ErrBarrierTimeout when no reply lands within timeout.
 func (s *SwitchConn) Barrier(timeout time.Duration) error {
 	xid := s.conn.NextXID()
@@ -113,7 +384,7 @@ func (s *SwitchConn) Barrier(timeout time.Duration) error {
 	}
 	s.barriers[xid] = ch
 	s.bmu.Unlock()
-	if err := s.conn.SendXID(&openflow.BarrierRequest{}, xid); err != nil {
+	if err := s.conn.send(&openflow.BarrierRequest{}, xid, true); err != nil {
 		s.dropBarrier(xid)
 		return err
 	}
@@ -162,7 +433,11 @@ func (s *SwitchConn) GroupMod(gm *openflow.GroupMod) error {
 type Handler interface {
 	// SwitchConnected fires after the Hello/Features handshake.
 	SwitchConnected(sw *SwitchConn)
-	// PacketIn delivers a punted packet.
+	// PacketIn delivers a punted packet. pin and pin.Data are the
+	// connection's scratch and read buffer, valid only during the call: a
+	// handler that keeps either copies it. Messages the handler sends to
+	// sw during the call are written together, in one write(2), when the
+	// connection's read loop next waits for input.
 	PacketIn(sw *SwitchConn, pin *openflow.PacketIn)
 	// SwitchGone fires when the connection drops.
 	SwitchGone(sw *SwitchConn)
@@ -302,11 +577,7 @@ func (c *Controller) serveSwitch(conn *Conn) {
 		c.handler.SwitchGone(sw)
 	}()
 
-	for {
-		msg, xid, err := conn.Recv()
-		if err != nil {
-			return
-		}
+	conn.serve(func(msg openflow.Message, xid uint32) error {
 		c.MsgsReceived.Add(1)
 		switch m := msg.(type) {
 		case *openflow.PacketIn:
@@ -315,15 +586,13 @@ func (c *Controller) serveSwitch(conn *Conn) {
 			// punt raced with our own demotion.
 			if sw.role.Load() == openflow.RoleSlave {
 				sw.SlaveSuppressed.Add(1)
-				continue
+				return nil
 			}
 			sw.PacketIns.Add(1)
 			c.PacketInsRecv.Add(1)
 			c.handler.PacketIn(sw, m)
 		case *openflow.EchoRequest:
-			if err := conn.SendXID(&openflow.EchoReply{Data: m.Data}, xid); err != nil {
-				return
-			}
+			return conn.SendXID(&openflow.EchoReply{Data: m.Data}, xid)
 		case *openflow.EchoReply:
 			sw.lastEcho.Store(time.Now().UnixNano())
 		case *openflow.RoleReply:
@@ -333,7 +602,8 @@ func (c *Controller) serveSwitch(conn *Conn) {
 		case *openflow.Error, *openflow.FlowRemoved, *openflow.MultipartReply:
 			// Accepted silently; extend Handler as needed.
 		}
-	}
+		return nil
+	})
 }
 
 func (c *Controller) handshake(conn *Conn) (*SwitchConn, error) {

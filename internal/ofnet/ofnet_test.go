@@ -298,7 +298,7 @@ func TestFlowStatsOverTCP(t *testing.T) {
 		defer b.Close()
 		conn := NewConn(a)
 		go func() {
-			msg, _, err := openflow.ReadMessage(b)
+			msg, _, err := NewConn(b).Recv()
 			if err != nil {
 				done <- -1
 				return
@@ -355,8 +355,9 @@ func TestLiveFlowStatsDumpInParts(t *testing.T) {
 		go func() {
 			errc <- ls.handle(NewConn(a), &openflow.MultipartRequest{MPType: openflow.MultipartFlow, Flow: req}, 77)
 		}()
+		peer := NewConn(b)
 		for {
-			msg, xid, err := openflow.ReadMessage(b)
+			msg, xid, err := peer.Recv()
 			if err != nil {
 				t.Fatalf("after %v: %v", sizes, err)
 			}

@@ -276,7 +276,10 @@ func (in *Instruction) marshal(b []byte) ([]byte, error) {
 	return b, nil
 }
 
+// unmarshal decodes one instruction into in, reusing the storage of its
+// action list.
 func (in *Instruction) unmarshal(b []byte) ([]byte, error) {
+	actions := in.Actions[:0]
 	*in = Instruction{}
 	if len(b) < 4 {
 		return nil, fmt.Errorf("openflow: instruction truncated")
@@ -291,11 +294,10 @@ func (in *Instruction) unmarshal(b []byte) ([]byte, error) {
 	case InstrGotoTable:
 		in.TableID = body[0]
 	case InstrApplyActions:
-		actions, err := unmarshalActions(nil, body[4:])
-		if err != nil {
+		var err error
+		if in.Actions, err = unmarshalActions(actions, body[4:]); err != nil {
 			return nil, err
 		}
-		in.Actions = actions
 	default:
 		return nil, fmt.Errorf("openflow: cannot unmarshal instruction type %d", in.Type)
 	}
@@ -312,12 +314,15 @@ func marshalInstructions(b []byte, ins []Instruction) ([]byte, error) {
 	return b, nil
 }
 
-func unmarshalInstructions(b []byte) ([]Instruction, error) {
-	// Fast path: exactly one apply-actions instruction carrying exactly one
-	// action — the shape of every single-output rule, i.e. nearly all rules
-	// the controller installs. Decode it into one combined allocation
-	// (instruction slice + action slice) instead of two.
-	if len(b) >= 12 &&
+// unmarshalInstructions decodes the instructions in b into out's storage:
+// a reused list, and each reused instruction's action list, are
+// overwritten in place.
+func unmarshalInstructions(out []Instruction, b []byte) ([]Instruction, error) {
+	// Fast path for a fresh list: exactly one apply-actions instruction
+	// carrying exactly one action — the shape of every single-output rule,
+	// i.e. nearly all rules the controller installs. Decode it into one
+	// combined allocation (instruction slice + action slice) instead of two.
+	if cap(out) == 0 && len(b) >= 12 &&
 		binary.BigEndian.Uint16(b) == InstrApplyActions &&
 		int(binary.BigEndian.Uint16(b[2:])) == len(b) &&
 		int(binary.BigEndian.Uint16(b[10:])) == len(b)-8 {
@@ -333,14 +338,18 @@ func unmarshalInstructions(b []byte) ([]Instruction, error) {
 		// Malformed single action: fall through so the generic loop reports
 		// the same error the slow path always has.
 	}
-	var out []Instruction
+	out = out[:0]
 	for len(b) > 0 {
-		var in Instruction
+		n := len(out)
+		if n < cap(out) {
+			out = out[:n+1]
+		} else {
+			out = append(out, Instruction{})
+		}
 		var err error
-		if b, err = in.unmarshal(b); err != nil {
+		if b, err = out[n].unmarshal(b); err != nil {
 			return nil, err
 		}
-		out = append(out, in)
 	}
 	return out, nil
 }

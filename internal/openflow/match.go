@@ -156,7 +156,7 @@ func (m *Match) Marshal(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, 0) // length placeholder
 	b = m.marshalOXM(b)
 	binary.BigEndian.PutUint16(b[start+2:], uint16(len(b)-start))
-	for len(b)%8 != 0 {
+	for (len(b)-start)%8 != 0 {
 		b = append(b, 0)
 	}
 	return b

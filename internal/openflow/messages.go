@@ -252,7 +252,7 @@ func (m *FlowMod) unmarshalBody(b []byte) error {
 	if err != nil {
 		return err
 	}
-	ins, err := unmarshalInstructions(rest)
+	ins, err := unmarshalInstructions(m.Instructions, rest)
 	if err != nil {
 		return err
 	}
@@ -373,7 +373,7 @@ func (m *GroupMod) unmarshalBody(b []byte) error {
 	m.GroupType = b[2]
 	m.GroupID = binary.BigEndian.Uint32(b[4:])
 	b = b[8:]
-	m.Buckets = nil
+	m.Buckets = m.Buckets[:0] // nil for a fresh group-mod; reused storage otherwise
 	for len(b) > 0 {
 		if len(b) < 16 {
 			return fmt.Errorf("openflow: bucket truncated")
@@ -382,16 +382,20 @@ func (m *GroupMod) unmarshalBody(b []byte) error {
 		if blen < 16 || blen > len(b) {
 			return fmt.Errorf("openflow: bad bucket length %d", blen)
 		}
-		var bk Bucket
+		n := len(m.Buckets)
+		if n < cap(m.Buckets) {
+			m.Buckets = m.Buckets[:n+1]
+		} else {
+			m.Buckets = append(m.Buckets, Bucket{})
+		}
+		bk := &m.Buckets[n]
 		bk.Weight = binary.BigEndian.Uint16(b[2:])
 		bk.WatchPort = binary.BigEndian.Uint32(b[4:])
 		bk.WatchGroup = binary.BigEndian.Uint32(b[8:])
-		actions, err := unmarshalActions(nil, b[16:blen])
-		if err != nil {
+		var err error
+		if bk.Actions, err = unmarshalActions(bk.Actions[:0], b[16:blen]); err != nil {
 			return err
 		}
-		bk.Actions = actions
-		m.Buckets = append(m.Buckets, bk)
 		b = b[blen:]
 	}
 	return nil

@@ -3,7 +3,6 @@ package openflow
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Version is the only protocol version spoken: OpenFlow 1.3.
@@ -245,22 +244,4 @@ func newMessage(t MsgType) (Message, error) {
 		return &RoleReply{}, nil
 	}
 	return nil, fmt.Errorf("openflow: unknown message type %d", uint8(t))
-}
-
-// ReadMessage reads exactly one framed message from r.
-func ReadMessage(r io.Reader) (Message, uint32, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	length := int(binary.BigEndian.Uint16(hdr[2:]))
-	if length < headerLen || length > MaxMessageLen {
-		return nil, 0, fmt.Errorf("openflow: bad framed length %d", length)
-	}
-	buf := make([]byte, length)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
-		return nil, 0, err
-	}
-	return Unmarshal(buf)
 }

@@ -3,7 +3,6 @@ package openflow
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -345,31 +344,32 @@ func TestBarrierRoundTrip(t *testing.T) {
 	roundTrip(t, &BarrierReply{}, 16)
 }
 
-func TestReadWriteMessage(t *testing.T) {
-	var buf bytes.Buffer
-	msgs := []Message{
-		&Hello{},
-		&EchoRequest{Data: []byte("x")},
-		&FlowMod{Command: FlowAdd, Priority: 5, Match: sampleMatch(),
-			Instructions: []Instruction{ApplyActions(OutputAction(1))}},
-		&PacketIn{BufferID: 1, Match: Match{Fields: FieldInPort, InPort: 4}, Data: []byte("d")},
-	}
-	for i, m := range msgs {
-		if err := WriteMessage(&buf, m, uint32(i)); err != nil {
+// TestMarshalAppendUnaligned appends frames that carry a match after a
+// frame whose length is not a multiple of 8, as a connection's outbound
+// buffer does: each must encode exactly as it does alone, so the match's
+// padding counts from the match, not from the start of the buffer.
+func TestMarshalAppendUnaligned(t *testing.T) {
+	for _, m := range []Message{
+		&FlowMod{Command: FlowAdd, Match: sampleMatch(), Instructions: []Instruction{ApplyActions(OutputAction(1))}},
+		&PacketIn{Match: sampleMatch(), Data: []byte{1, 2, 3}},
+		&FlowRemoved{Match: sampleMatch()},
+		&MultipartRequest{MPType: MultipartFlow, Flow: &FlowStatsRequest{Match: sampleMatch()}},
+	} {
+		alone, err := Marshal(m, 2)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i, want := range msgs {
-		m, xid, err := ReadMessage(&buf)
+		b, err := Marshal(&EchoRequest{Data: []byte("odd")}, 1)
 		if err != nil {
-			t.Fatalf("ReadMessage %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if xid != uint32(i) || m.Type() != want.Type() {
-			t.Fatalf("message %d: type %v xid %d", i, m.Type(), xid)
+		at := len(b)
+		if b, err = MarshalAppend(b, m, 2); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, _, err := ReadMessage(&buf); err == nil {
-		t.Fatal("ReadMessage on empty stream succeeded")
+		if !bytes.Equal(b[at:], alone) {
+			t.Fatalf("%v after an 11-byte frame:\n% x\nalone:\n% x", m.Type(), b[at:], alone)
+		}
 	}
 }
 
@@ -504,14 +504,4 @@ func BenchmarkPacketInMarshal(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// WriteMessage encodes m and writes it to w.
-func WriteMessage(w io.Writer, m Message, xid uint32) error {
-	b, err := Marshal(m, xid)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }
