@@ -309,7 +309,8 @@ func (h *SwitchHandle) PushPolicy(apply func()) {
 	h.ctrl.Eng.Defer(h.Dev.Proc(), h.Dev.Profile.CtrlDelay, apply)
 }
 
-// InstallFlow sends a FlowMod to the switch.
+// InstallFlow sends a FlowMod to the switch. fm is marshalled before
+// InstallFlow returns, so the caller may reuse it for the next message.
 func (h *SwitchHandle) InstallFlow(fm *openflow.FlowMod) {
 	if h.slave() {
 		return
@@ -318,7 +319,8 @@ func (h *SwitchHandle) InstallFlow(fm *openflow.FlowMod) {
 	h.send(fm)
 }
 
-// SendPacketOut injects a packet at the switch.
+// SendPacketOut injects a packet at the switch. po and po.Data are
+// marshalled before SendPacketOut returns, so the caller may reuse both.
 func (h *SwitchHandle) SendPacketOut(po *openflow.PacketOut) {
 	if h.slave() {
 		return
@@ -327,7 +329,8 @@ func (h *SwitchHandle) SendPacketOut(po *openflow.PacketOut) {
 	h.send(po)
 }
 
-// SendGroupMod installs or modifies a group.
+// SendGroupMod installs or modifies a group. gm is marshalled before
+// SendGroupMod returns, so the caller may reuse it.
 func (h *SwitchHandle) SendGroupMod(gm *openflow.GroupMod) {
 	if h.slave() {
 		return

@@ -70,6 +70,10 @@ type Switch struct {
 	// and it keeps removed-rule references (flow-removed notifications,
 	// stats snapshots) valid without lifetime tracking.
 	ruleArena []flowtable.Rule
+	// insArena is the block the one-action instruction lists of rules
+	// installed from decoded FlowMods are carved from, on the same terms
+	// as ruleArena (see keepInstructions).
+	insArena []apply1
 
 	// conns are the switch's controller connections in attach order. Each
 	// has an OpenFlow role: asynchronous messages (Packet-In, Flow-Removed,
@@ -85,16 +89,17 @@ type Switch struct {
 	trace  *telemetry.Tracer
 	local  LocalAgent // nil = every miss escalates to the controller
 
-	// pin and fr are the messages every punt and every flow-removed
-	// notice is built in (pin.Data is the buffer the punted packet is
-	// serialized into); both are dead once marshalled. rx holds the
-	// controller-to-switch messages decoded into scratch (see decode).
-	pin openflow.PacketIn
-	fr  openflow.FlowRemoved
-	rx  struct {
-		po   openflow.PacketOut
-		echo openflow.EchoRequest
-	}
+	// pin, fr and errMsg are the messages every punt, every flow-removed
+	// notice and every error reply is built in (pin.Data is the buffer the
+	// punted packet is serialized into); each is dead once marshalled. rx
+	// holds the controller-to-switch messages decoded into scratch, dead
+	// once handleControl returns; fmFree holds the FlowMod boxes, which
+	// outlive it on the OFA queue (see decode).
+	pin    openflow.PacketIn
+	fr     openflow.FlowRemoved
+	errMsg openflow.Error
+	rx     rxScratch
+	fmFree []*openflow.FlowMod
 
 	Stats SwitchStats
 
@@ -135,7 +140,10 @@ func NewSwitch(eng sim.Proc, name string, dpid uint64, prof Profile) *Switch {
 		it.pkt.Release()
 	})
 	sw.ruleSrv = sim.NewServer(eng, prof.RuleInsertRate, prof.RuleQueue, sw.processRule)
-	sw.ruleSrv.OnDrop(func(ruleItem) { sw.Stats.InsertQueueDrop++ })
+	sw.ruleSrv.OnDrop(func(it ruleItem) {
+		sw.Stats.InsertQueueDrop++
+		sw.doneWith(it)
+	})
 	eng.Every(time.Second, sw.sweepExpired)
 	return sw
 }
@@ -518,13 +526,16 @@ func (sw *Switch) DeliverControlFrom(connID int, b []byte) {
 // originating connection so errors and barrier replies can be routed back
 // to the sender. conn -1 marks a local-agent install (no connection;
 // notify, when set, fires after the mod takes effect). barrier marks a
-// BarrierRequest placeholder (fm nil), answered when it drains. The queue
-// used to be Server[any]; the typed item avoids boxing every FlowMod into
-// an interface on the install hot path.
+// BarrierRequest placeholder (fm nil), answered when it drains. own marks
+// a FlowMod decoded into a box from fmFree, which goes back there once
+// the item is served or dropped; a local agent's FlowMod is its own. The
+// queue used to be Server[any]; the typed item avoids boxing every
+// FlowMod into an interface on the install hot path.
 type ruleItem struct {
 	conn    int
 	xid     uint32
 	barrier bool
+	own     bool
 	fm      *openflow.FlowMod
 	notify  RuleNotify
 }
@@ -549,18 +560,36 @@ func (sw *Switch) handleControl(connID int, b []byte) {
 	}
 	msg, xid, err := sw.decode(b)
 	if err != nil {
+		if fm, ok := msg.(*openflow.FlowMod); ok {
+			sw.putFlowMod(fm)
+		}
 		return
 	}
 	sw.handleMessage(c, connID, msg, xid)
 	if sim.Poison {
-		sw.rx.po, sw.rx.echo = openflow.PacketOut{}, openflow.EchoRequest{}
+		sw.rx = rxScratch{}
 	}
 }
 
-// decode decodes a controller-to-switch frame. A Packet-Out or an Echo
-// request goes into the switch's scratch, dead once handleControl
-// returns; a message whose parts the switch keeps (a FlowMod's
-// instructions, a group's buckets) is decoded fresh.
+// rxScratch holds one decode target per controller-to-switch message
+// type that the switch decodes in place.
+type rxScratch struct {
+	po   openflow.PacketOut
+	echo openflow.EchoRequest
+	gm   openflow.GroupMod
+	mp   openflow.MultipartRequest
+}
+
+// decode decodes a controller-to-switch frame without allocating once
+// warm. A Packet-Out, an Echo request, a GroupMod or a MultipartRequest
+// goes into the switch's rx scratch, dead once handleControl returns: the
+// group table copies the buckets it keeps, and a flow-stats reply reads
+// its request only during the call. A FlowMod goes into a box from
+// fmFree, which rides the OFA queue and is put back once the rule stage
+// or the queue's drop is done with it (doneWith); the rule copies the
+// instructions it keeps (keepInstructions). Any other message is decoded
+// fresh. On an error the message is returned as well, so a FlowMod's box
+// can go back.
 func (sw *Switch) decode(b []byte) (openflow.Message, uint32, error) {
 	var m openflow.Message
 	switch t, _ := openflow.PeekType(b); t {
@@ -568,11 +597,50 @@ func (sw *Switch) decode(b []byte) (openflow.Message, uint32, error) {
 		m = &sw.rx.po
 	case openflow.TypeEchoRequest:
 		m = &sw.rx.echo
+	case openflow.TypeGroupMod:
+		m = &sw.rx.gm
+	case openflow.TypeMultipartRequest:
+		m = &sw.rx.mp
+	case openflow.TypeFlowMod:
+		m = sw.getFlowMod()
 	default:
 		return openflow.Unmarshal(b)
 	}
 	xid, err := openflow.UnmarshalInto(b, m)
 	return m, xid, err
+}
+
+// getFlowMod takes a FlowMod box from the free list, or allocates one.
+func (sw *Switch) getFlowMod() *openflow.FlowMod {
+	n := len(sw.fmFree)
+	if n == 0 {
+		return new(openflow.FlowMod)
+	}
+	fm := sw.fmFree[n-1]
+	sw.fmFree = sw.fmFree[:n-1]
+	return fm
+}
+
+// putFlowMod puts a decoded FlowMod's box back on the free list, where
+// the next decode reuses it, instruction and action lists included. A
+// Poison build zeroes those lists and the box first, so a rule that kept
+// them instead of its own copy loses its actions.
+func (sw *Switch) putFlowMod(fm *openflow.FlowMod) {
+	if sim.Poison {
+		for i := range fm.Instructions {
+			clear(fm.Instructions[i].Actions)
+		}
+		clear(fm.Instructions)
+		*fm = openflow.FlowMod{}
+	}
+	sw.fmFree = append(sw.fmFree, fm)
+}
+
+// doneWith releases what a served or dropped OFA queue item owns.
+func (sw *Switch) doneWith(it ruleItem) {
+	if it.own {
+		sw.putFlowMod(it.fm)
+	}
 }
 
 func (sw *Switch) handleMessage(c *ctrlConn, connID int, msg openflow.Message, xid uint32) {
@@ -582,10 +650,10 @@ func (sw *Switch) handleMessage(c *ctrlConn, connID int, msg openflow.Message, x
 		switch msg.(type) {
 		case *openflow.FlowMod, *openflow.GroupMod, *openflow.PacketOut:
 			sw.Stats.SlaveDenied++
-			sw.sendToConnXID(connID, &openflow.Error{
-				ErrType: openflow.ErrTypeBadRequest,
-				Code:    openflow.ErrCodeIsSlave,
-			}, xid)
+			sw.sendError(connID, openflow.ErrTypeBadRequest, openflow.ErrCodeIsSlave, xid)
+			if fm, ok := msg.(*openflow.FlowMod); ok {
+				sw.putFlowMod(fm)
+			}
 			return
 		}
 	}
@@ -603,12 +671,15 @@ func (sw *Switch) handleMessage(c *ctrlConn, connID int, msg openflow.Message, x
 		sw.handleRoleRequest(c, m, xid)
 	case *openflow.FlowMod:
 		sw.Stats.FlowModReceived++
-		sw.ruleSrv.Submit(ruleItem{conn: connID, xid: xid, fm: m})
+		sw.ruleSrv.Submit(ruleItem{conn: connID, xid: xid, own: true, fm: m})
 		sw.updateRuleRate()
 	case *openflow.GroupMod:
 		// Group churn is rare (overlay reconfiguration); apply directly.
-		if err := sw.Pipeline.Groups.Apply(m); err != nil {
-			sw.sendToConnXID(connID, &openflow.Error{ErrType: openflow.ErrTypeGroupModFailed}, xid)
+		// m is scratch: the group table keeps a copy of the buckets.
+		gm := *m
+		gm.Buckets = openflow.CloneBuckets(m.Buckets)
+		if err := sw.Pipeline.Groups.Apply(&gm); err != nil {
+			sw.sendError(connID, openflow.ErrTypeGroupModFailed, 0, xid)
 		}
 	case *openflow.PacketOut:
 		if pkt, err := packet.Parse(m.Data); err == nil {
@@ -629,10 +700,7 @@ func (sw *Switch) handleRoleRequest(c *ctrlConn, m *openflow.RoleRequest, xid ui
 	case openflow.RoleMaster, openflow.RoleSlave:
 		if sw.genSeen && int64(m.GenerationID-sw.genID) < 0 {
 			sw.Stats.RoleStale++
-			sw.sendToConnXID(c.id, &openflow.Error{
-				ErrType: openflow.ErrTypeRoleRequestFailed,
-				Code:    openflow.ErrCodeRoleStale,
-			}, xid)
+			sw.sendError(c.id, openflow.ErrTypeRoleRequestFailed, openflow.ErrCodeRoleStale, xid)
 			return
 		}
 		sw.genSeen = true
@@ -652,14 +720,27 @@ func (sw *Switch) handleRoleRequest(c *ctrlConn, m *openflow.RoleRequest, xid ui
 	sw.sendToConnXID(c.id, &openflow.RoleReply{Role: c.role, GenerationID: sw.genID}, xid)
 }
 
+// sendError replies to one connection with an Error built in the
+// switch's errMsg.
+func (sw *Switch) sendError(connID int, errType, code uint16, xid uint32) {
+	sw.errMsg = openflow.Error{ErrType: errType, Code: code}
+	sw.sendToConnXID(connID, &sw.errMsg, xid)
+}
+
 // processRule is the OFA's rule-installation stage.
 func (sw *Switch) processRule(it ruleItem) {
-	defer sw.updateRuleRate()
-	now := sw.proc.Now()
 	if it.barrier {
 		sw.sendToConnXID(it.conn, &openflow.BarrierReply{}, it.xid)
-		return
+	} else {
+		sw.applyRule(it)
+		sw.doneWith(it)
 	}
+	sw.updateRuleRate()
+}
+
+// applyRule applies a queued FlowMod to the pipeline.
+func (sw *Switch) applyRule(it ruleItem) {
+	now := sw.proc.Now()
 	m := it.fm
 	sw.insertMeter.Add(now)
 	tbl := sw.Pipeline.Table(m.TableID)
@@ -671,14 +752,19 @@ func (sw *Switch) processRule(it ruleItem) {
 		if len(sw.ruleArena) == 0 {
 			sw.ruleArena = make([]flowtable.Rule, 128)
 		}
-		// The slot is consumed only once the table keeps the rule: a
-		// refused insert holds no reference to it, and the next FlowMod
-		// overwrites it.
+		// The slots are consumed only once the table keeps the rule: a
+		// refused insert holds no reference to them, and the next FlowMod
+		// overwrites them. The copy is set before Insert, since a replace
+		// swaps the new rule into the old one's place.
+		ins, carved := m.Instructions, false
+		if it.own {
+			ins, carved = sw.keepInstructions(m.Instructions)
+		}
 		rule := &sw.ruleArena[0]
 		*rule = flowtable.Rule{
 			Priority:     m.Priority,
 			Match:        m.Match,
-			Instructions: m.Instructions,
+			Instructions: ins,
 			IdleTimeout:  time.Duration(m.IdleTimeout) * time.Second,
 			HardTimeout:  time.Duration(m.HardTimeout) * time.Second,
 			Cookie:       m.Cookie,
@@ -687,13 +773,13 @@ func (sw *Switch) processRule(it ruleItem) {
 		}
 		if err := tbl.Insert(rule); err != nil {
 			sw.Stats.TableFull++
-			sw.sendToConnXID(it.conn, &openflow.Error{
-				ErrType: openflow.ErrTypeFlowModFailed,
-				Code:    openflow.ErrCodeTableFull,
-			}, it.xid)
+			sw.sendError(it.conn, openflow.ErrTypeFlowModFailed, openflow.ErrCodeTableFull, it.xid)
 			return
 		}
 		sw.ruleArena = sw.ruleArena[1:]
+		if carved {
+			sw.insArena = sw.insArena[1:]
+		}
 		sw.Stats.RulesInstalled++
 		if sw.trace != nil {
 			if key, ok := telemetry.FlowKeyFromMatch(&m.Match); ok {
@@ -713,6 +799,30 @@ func (sw *Switch) processRule(it ruleItem) {
 			it.notify.RuleApplied()
 		}
 	}
+}
+
+// apply1 is one rule's copy of the openflow.Apply1 instruction shape.
+type apply1 struct {
+	inst [1]openflow.Instruction
+	act  [1]openflow.Action
+}
+
+// keepInstructions copies the instructions of a FlowMod decoded into a
+// reused box, for the rule that keeps them. The Apply1 shape, nearly
+// every rule, is carved from insArena's next slot; carved reports it, and
+// the caller consumes the slot only once the table keeps the rule. Any
+// other shape is cloned.
+func (sw *Switch) keepInstructions(ins []openflow.Instruction) (kept []openflow.Instruction, carved bool) {
+	if !openflow.IsApply1(ins) {
+		return openflow.CloneInstructions(ins), false
+	}
+	if len(sw.insArena) == 0 {
+		sw.insArena = make([]apply1, 128)
+	}
+	s := &sw.insArena[0]
+	s.act[0] = ins[0].Actions[0]
+	s.inst[0] = openflow.Instruction{Type: openflow.InstrApplyActions, Actions: s.act[:]}
+	return s.inst[:], true
 }
 
 // updateRuleRate switches the OFA between its loss-free and overloaded

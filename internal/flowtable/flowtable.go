@@ -163,6 +163,7 @@ type Table struct {
 	exact   map[netaddr.FlowKey]*Rule // head of each flow key's exact-rule chain
 	wild    []*Rule                   // non-exact rules, in match order
 	removed int                       // keys deleted from exact since it was last copied
+	deleted []*Rule                   // Delete's result, reused by the next Delete
 }
 
 // Len returns the number of installed rules.
@@ -404,13 +405,17 @@ func (t *Table) Lookup(p *packet.Packet, inPort uint32) *Rule {
 // delete also removes rules more specific than m; taking only the equal
 // ones is a deliberate simplification (no caller sends a non-strict
 // delete; DESIGN.md §7). Removed rules are returned in match order so the
-// switch can emit flow-removed notifications.
+// switch can emit flow-removed notifications. The returned slice is the
+// table's own, reused by its next Delete: it is valid until the table's
+// next mutating call (Insert, Delete, Expire), and a caller that needs
+// the rules longer copies it.
 func (t *Table) Delete(m *openflow.Match, priority uint16, strict bool) []*Rule {
-	var removed []*Rule
+	clear(t.deleted) // a slot past this call's result pins no rule
+	removed := t.deleted[:0]
 	switch key, exact := exactKey(m); {
 	case strict:
 		if r := t.find(m, priority); r != nil {
-			removed = []*Rule{r}
+			removed = append(removed, r)
 		}
 	case exact:
 		for r := t.exact[key]; r != nil; r = r.next {
@@ -429,6 +434,7 @@ func (t *Table) Delete(m *openflow.Match, priority uint16, strict bool) []*Rule 
 		t.remove(r)
 	}
 	t.rightSize()
+	t.deleted = removed
 	return removed
 }
 

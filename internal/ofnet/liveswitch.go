@@ -37,6 +37,13 @@ type LiveSwitch struct {
 	// while the controller is unreachable.
 	defaultActions []openflow.Action
 
+	// pinMu guards pin, the Packet-In every miss is punted in (pin.Data is
+	// the buffer the missed packet is serialized into). It is held across
+	// the punt's Sends, each of which copies the message into its
+	// connection's outbound buffer before returning.
+	pinMu sync.Mutex
+	pin   openflow.PacketIn
+
 	// Stats. Atomics, not mu-guarded fields: the data plane (Inject, any
 	// goroutine) and the control loop (DialAndServe's goroutine) both
 	// update them, and monitors read them without stalling either.
@@ -108,7 +115,8 @@ func (ls *LiveSwitch) SetDefaultActions(actions ...openflow.Action) {
 func (ls *LiveSwitch) Inject(pkt *packet.Packet, inPort uint32) {
 	ls.mu.Lock()
 	res := ls.pipeline.Process(pkt, inPort, ls.now())
-	var punt []*Conn
+	var puntBuf [4]*Conn // room for the usual few controllers, on the stack
+	punt := puntBuf[:0]
 	if res.Miss {
 		ls.Misses.Add(1)
 		for c, r := range ls.conns {
@@ -127,18 +135,20 @@ func (ls *LiveSwitch) Inject(pkt *packet.Packet, inPort uint32) {
 
 	if res.Miss {
 		if len(punt) > 0 {
-			pin := &openflow.PacketIn{
+			ls.pinMu.Lock()
+			ls.pin = openflow.PacketIn{
 				BufferID: 0xffffffff,
 				TotalLen: uint16(pkt.Size),
 				Reason:   openflow.ReasonNoMatch,
 				Match:    openflow.Match{Fields: openflow.FieldInPort, InPort: inPort},
-				Data:     pkt.Marshal(),
+				Data:     pkt.AppendMarshal(ls.pin.Data[:0]),
 			}
 			for _, conn := range punt {
 				// A send failure here means that control connection
 				// dropped; its DialAndServe read loop surfaces it.
-				conn.Send(pin)
+				conn.Send(&ls.pin)
 			}
+			ls.pinMu.Unlock()
 			return
 		}
 		if fallback != nil {
@@ -302,7 +312,7 @@ func (ls *LiveSwitch) handle(conn *Conn, msg openflow.Message, xid uint32) error
 	case *openflow.GroupMod:
 		// The group table keeps the buckets; m is the connection's scratch.
 		gm := *m
-		gm.Buckets = cloneBuckets(m.Buckets)
+		gm.Buckets = openflow.CloneBuckets(m.Buckets)
 		ls.mu.Lock()
 		err := ls.pipeline.Groups.Apply(&gm)
 		ls.mu.Unlock()
@@ -376,7 +386,7 @@ func (ls *LiveSwitch) applyFlowMod(conn *Conn, m *openflow.FlowMod, xid uint32) 
 			rule := &flowtable.Rule{
 				Priority:     m.Priority,
 				Match:        m.Match,
-				Instructions: cloneInstructions(m.Instructions),
+				Instructions: openflow.CloneInstructions(m.Instructions),
 				IdleTimeout:  time.Duration(m.IdleTimeout) * time.Second,
 				HardTimeout:  time.Duration(m.HardTimeout) * time.Second,
 				Cookie:       m.Cookie,
@@ -424,39 +434,6 @@ func (ls *LiveSwitch) replyStats(conn *Conn, req *openflow.MultipartRequest, xid
 		return err
 	}
 	return conn.writeFrames(frames)
-}
-
-// cloneInstructions copies a FlowMod's instructions for the rule that
-// keeps them: the common one-action shape in one allocation, any other in
-// two (the instructions, and every action list in one block).
-func cloneInstructions(ins []openflow.Instruction) []openflow.Instruction {
-	if len(ins) == 1 && ins[0].Type == openflow.InstrApplyActions && len(ins[0].Actions) == 1 {
-		return openflow.Apply1(ins[0].Actions[0])
-	}
-	n := 0
-	for i := range ins {
-		n += len(ins[i].Actions)
-	}
-	out := append([]openflow.Instruction(nil), ins...)
-	actions := make([]openflow.Action, 0, n)
-	for i := range out {
-		if out[i].Actions != nil {
-			at := len(actions)
-			actions = append(actions, out[i].Actions...)
-			out[i].Actions = actions[at:len(actions):len(actions)]
-		}
-	}
-	return out
-}
-
-// cloneBuckets copies a GroupMod's buckets for the group table, which
-// keeps them.
-func cloneBuckets(bks []openflow.Bucket) []openflow.Bucket {
-	out := append([]openflow.Bucket(nil), bks...)
-	for i := range out {
-		out[i].Actions = append([]openflow.Action(nil), out[i].Actions...)
-	}
-	return out
 }
 
 // RuleCount returns the number of installed rules across tables.

@@ -209,10 +209,6 @@ func ApplyActions(actions ...Action) Instruction {
 	return Instruction{Type: InstrApplyActions, Actions: actions}
 }
 
-// Apply1 returns a one-entry instruction list applying a single action,
-// with the list, instruction, and action in one allocation. This is the
-// dominant rule shape on the admission hot paths; the composite-literal
-// equivalent costs two allocations (the variadic slice plus the list).
 // FlowMod1 returns a FlowMod whose instruction block is a single
 // apply-actions of one action — the shape of nearly every rule the
 // controller installs. The message, its instruction list, and its action
@@ -242,6 +238,10 @@ func PacketOut1(inPort uint32, a Action, data []byte) *PacketOut {
 	return &bx.po
 }
 
+// Apply1 returns a one-entry instruction list applying a single action,
+// with the list, instruction, and action in one allocation. This is the
+// dominant rule shape on the admission hot paths; the composite-literal
+// equivalent costs two allocations (the variadic slice plus the list).
 func Apply1(a Action) []Instruction {
 	bx := &struct {
 		inst [1]Instruction
@@ -249,6 +249,36 @@ func Apply1(a Action) []Instruction {
 	}{act: [1]Action{a}}
 	bx.inst[0] = Instruction{Type: InstrApplyActions, Actions: bx.act[:]}
 	return bx.inst[:]
+}
+
+// IsApply1 reports whether ins has the shape Apply1 builds: one
+// apply-actions instruction carrying one action.
+func IsApply1(ins []Instruction) bool {
+	return len(ins) == 1 && ins[0].Type == InstrApplyActions && len(ins[0].Actions) == 1
+}
+
+// CloneInstructions returns a copy of ins that shares no storage with it,
+// for a flow table that keeps a rule decoded into a reused message: the
+// Apply1 shape in one allocation, any other in two (the instructions, and
+// every action list in one block).
+func CloneInstructions(ins []Instruction) []Instruction {
+	if IsApply1(ins) {
+		return Apply1(ins[0].Actions[0])
+	}
+	n := 0
+	for i := range ins {
+		n += len(ins[i].Actions)
+	}
+	out := append([]Instruction(nil), ins...)
+	actions := make([]Action, 0, n)
+	for i := range out {
+		if out[i].Actions != nil {
+			at := len(actions)
+			actions = append(actions, out[i].Actions...)
+			out[i].Actions = actions[at:len(actions):len(actions)]
+		}
+	}
+	return out
 }
 
 // GotoTable returns a goto-table instruction.

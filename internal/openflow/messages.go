@@ -334,6 +334,17 @@ type Bucket struct {
 	Actions    []Action
 }
 
+// CloneBuckets returns a copy of bks that shares no storage with it, for
+// a group table that keeps the buckets of a GroupMod decoded into a
+// reused message.
+func CloneBuckets(bks []Bucket) []Bucket {
+	out := append([]Bucket(nil), bks...)
+	for i := range out {
+		out[i].Actions = append([]Action(nil), out[i].Actions...)
+	}
+	return out
+}
+
 // GroupMod installs or modifies a group. Scotch uses a select group whose
 // buckets each tunnel to one mesh vSwitch (paper §5.1).
 type GroupMod struct {
@@ -452,7 +463,12 @@ func (m *MultipartRequest) unmarshalBody(b []byte) error {
 	if len(b) < 32 {
 		return fmt.Errorf("openflow: flow stats request truncated")
 	}
-	f := &FlowStatsRequest{}
+	f := m.Flow // a reused message decodes into the request it holds
+	if f == nil {
+		f = &FlowStatsRequest{}
+	} else {
+		*f = FlowStatsRequest{}
+	}
 	f.TableID = b[0]
 	f.OutPort = binary.BigEndian.Uint32(b[4:])
 	f.OutGroup = binary.BigEndian.Uint32(b[8:])

@@ -149,8 +149,9 @@ func SizeHint(m Message) int {
 // UnmarshalInto decodes one complete frame into m, whose type must match
 // the frame's, and returns the frame's xid. Every field of m is
 // overwritten, so frame after frame can be decoded into one message: its
-// slices are reused and its Data fields alias b. What m holds is thus
-// valid only until the next decode into it, and only while b is unchanged.
+// slices (and a MultipartRequest's Flow) are reused and its Data fields
+// alias b. What m holds is thus valid only until the next decode into it,
+// and only while b is unchanged.
 func UnmarshalInto(b []byte, m Message) (uint32, error) {
 	body, xid, err := frameBody(b)
 	if err != nil {

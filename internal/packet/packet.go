@@ -345,9 +345,7 @@ func parseInto(bx *boxed, b, payload []byte) error {
 		return err
 	}
 	et := p.Eth.EtherType
-	if et == EtherTypeMPLS {
-		p.MPLS = bx.mpls[:0]
-	}
+	p.MPLS = bx.mpls[:0] // a later PushMPLS appends in place
 	for et == EtherTypeMPLS {
 		var m MPLSLabel
 		if rest, err = m.DecodeFromBytes(rest); err != nil {

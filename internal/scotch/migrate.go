@@ -277,7 +277,7 @@ func (a *App) migrate(fi *controller.FlowInfo) {
 			return
 		}
 		a.sched(hops[0].DPID).SubmitAdmitted(func() {
-			h.InstallFlow(a.redRuleFor(match, hops[0]))
+			a.install(h, a.redRuleFor(match, hops[0]))
 			fi.OnOverlay = false
 			fi.Migrated = true
 			a.Stats.Migrated++
@@ -299,7 +299,7 @@ func (a *App) migrate(fi *controller.FlowInfo) {
 		}
 		a.sched(hop.DPID).SubmitAdmitted(func() {
 			if h := a.C.Switch(hop.DPID); h != nil {
-				h.InstallFlow(a.redRuleFor(match, hop))
+				a.install(h, a.redRuleFor(match, hop))
 			}
 			pending--
 			if pending == 0 {
@@ -311,7 +311,7 @@ func (a *App) migrate(fi *controller.FlowInfo) {
 
 // redRuleFor builds the red rule for one hop; hops downstream of a
 // middlebox carry an in-port constraint and slightly higher priority so
-// they only catch middlebox output.
+// they only catch middlebox output. It is built in the app's FlowMod box.
 func (a *App) redRuleFor(match openflow.Match, hop topo.Hop) *openflow.FlowMod {
 	prio := uint16(prioRed)
 	if hop.InPort != 0 {
@@ -319,7 +319,7 @@ func (a *App) redRuleFor(match openflow.Match, hop topo.Hop) *openflow.FlowMod {
 		match.InPort = hop.InPort
 		prio = prioRed + 1
 	}
-	fm := openflow.FlowMod1(openflow.OutputAction(hop.OutPort))
+	fm := a.flowMod1(openflow.OutputAction(hop.OutPort))
 	fm.Command = openflow.FlowAdd
 	fm.Priority = prio
 	fm.IdleTimeout = uint16(a.Cfg.RuleIdleTimeout / time.Second)

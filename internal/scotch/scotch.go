@@ -201,7 +201,57 @@ type App struct {
 	// controller distributes to them.
 	devo *devolution
 
+	// tx holds the boxes every per-flow FlowMod and every first-packet
+	// Packet-Out is built in (see flowMod1 and packetOut).
+	tx txBoxes
+
 	Stats Stats
+}
+
+// txBoxes is a one-action FlowMod and a one-action PacketOut, each with its
+// lists, reused for every message the admission paths send. The
+// SwitchHandle marshals a message before its send returns, so a box is
+// free again as soon as install or packetOut returns; a Poison build then
+// zeroes it, so a holder that kept a reference reads zeros.
+type txBoxes struct {
+	fm    openflow.FlowMod
+	ins   [1]openflow.Instruction
+	act   [1]openflow.Action
+	po    openflow.PacketOut
+	poAct [1]openflow.Action
+}
+
+// flowMod1 fills the app's FlowMod box with a rule whose instructions
+// apply the one action act, and returns it for the caller to finish and
+// send with install.
+func (a *App) flowMod1(act openflow.Action) *openflow.FlowMod {
+	t := &a.tx
+	t.act[0] = act
+	t.ins[0] = openflow.Instruction{Type: openflow.InstrApplyActions, Actions: t.act[:]}
+	t.fm = openflow.FlowMod{Instructions: t.ins[:]}
+	return &t.fm
+}
+
+// install sends fm, built by flowMod1, to h.
+func (a *App) install(h *controller.SwitchHandle, fm *openflow.FlowMod) {
+	h.InstallFlow(fm)
+	if sim.Poison {
+		a.tx.fm, a.tx.ins, a.tx.act = openflow.FlowMod{}, [1]openflow.Instruction{}, [1]openflow.Action{}
+	}
+}
+
+// packetOut has h forward data as if it came from the controller port,
+// with the one action act, from the app's PacketOut box.
+func (a *App) packetOut(h *controller.SwitchHandle, act openflow.Action, data []byte) {
+	t := &a.tx
+	t.poAct[0] = act
+	t.po = openflow.PacketOut{BufferID: 0xffffffff, InPort: openflow.PortController,
+		Actions: t.poAct[:], Data: data}
+	h.SendPacketOut(&t.po)
+	t.po.Data = nil // the box keeps no caller's buffer alive
+	if sim.Poison {
+		t.po, t.poAct = openflow.PacketOut{}, [1]openflow.Action{}
+	}
 }
 
 // New creates the app and registers it with the controller.
@@ -609,7 +659,7 @@ func (a *App) admitPhysical(r *flowReq) {
 	match := exactMatch(r.key)
 	first := hops[0]
 	if h := a.C.Switch(first.DPID); h != nil {
-		h.InstallFlow(a.redRuleFor(match, first))
+		a.install(h, a.redRuleFor(match, first))
 	}
 	for _, hop := range hops[1:] {
 		hop := hop
@@ -621,7 +671,7 @@ func (a *App) admitPhysical(r *flowReq) {
 		// out on the new master's connection.
 		a.sched(hop.DPID).SubmitAdmitted(func() {
 			if h := a.C.Switch(hop.DPID); h != nil {
-				h.InstallFlow(a.redRuleFor(match, hop))
+				a.install(h, a.redRuleFor(match, hop))
 			}
 		})
 	}
@@ -635,8 +685,7 @@ func (a *App) admitPhysical(r *flowReq) {
 	// Forward the triggering packet from the origin switch along the new
 	// path (the controller holds the full packet).
 	if h := a.C.Switch(r.origin); h != nil && len(r.data) > 0 {
-		h.SendPacketOut(openflow.PacketOut1(openflow.PortController,
-			openflow.OutputAction(first.OutPort), r.data))
+		a.packetOut(h, openflow.OutputAction(first.OutPort), r.data)
 	}
 }
 
@@ -694,10 +743,9 @@ func (a *App) admitOverlay(r *flowReq) {
 		if h == nil {
 			continue
 		}
-		h.InstallFlow(a.vsRuleTun(match, hops[i].out, hops[i].tunnelID))
+		a.install(h, a.vsRuleTun(match, hops[i].out, hops[i].tunnelID))
 		if i == 0 && len(r.data) > 0 {
-			h.SendPacketOut(openflow.PacketOut1(openflow.PortController,
-				openflow.OutputAction(hops[i].out), r.data))
+			a.packetOut(h, openflow.OutputAction(hops[i].out), r.data)
 		}
 	}
 	a.C.FlowDB.Store(controller.FlowInfo{
@@ -734,7 +782,7 @@ func (a *App) reforward(punter *controller.SwitchHandle, fi *controller.FlowInfo
 		}
 		action = openflow.OutputAction(hops[0].OutPort)
 	}
-	punter.SendPacketOut(openflow.PacketOut1(openflow.PortController, action, pin.Data))
+	a.packetOut(punter, action, pin.Data)
 }
 
 // repairOverlay handles a miss at a mesh vSwitch that is not a fan-out
@@ -754,13 +802,12 @@ func (a *App) repairOverlay(sw *controller.SwitchHandle, pin *openflow.PacketIn,
 	} else {
 		out = a.ov.meshPort[[2]uint64{sw.DPID, v2}]
 		if h := a.C.Switch(v2); h != nil {
-			h.InstallFlow(a.vsRule(exactMatch(key), deliverPort))
+			a.install(h, a.vsRule(exactMatch(key), deliverPort))
 		}
 	}
-	sw.InstallFlow(a.vsRule(exactMatch(key), out))
+	a.install(sw, a.vsRule(exactMatch(key), out))
 	if len(pin.Data) > 0 {
-		sw.SendPacketOut(openflow.PacketOut1(openflow.PortController,
-			openflow.OutputAction(out), pin.Data))
+		a.packetOut(sw, openflow.OutputAction(out), pin.Data)
 	}
 	if fi != nil && fi.OnOverlay {
 		fi.OverlayVSwitch = sw.DPID
@@ -809,13 +856,15 @@ func (a *App) withdraw(dpid uint64) {
 	st.belowCount = 0
 }
 
-// vsRule builds a per-flow rule at a mesh vSwitch.
+// vsRule builds a per-flow rule at a mesh vSwitch, in the app's FlowMod
+// box.
 func (a *App) vsRule(match openflow.Match, outPort uint32) *openflow.FlowMod {
 	return a.vsRuleTun(match, outPort, 0)
 }
 
 // vsRuleTun builds a per-flow vSwitch rule additionally constrained to
-// packets arriving from a specific tunnel (used on middlebox chains).
+// packets arriving from a specific tunnel (used on middlebox chains), in
+// the app's FlowMod box.
 func (a *App) vsRuleTun(match openflow.Match, outPort uint32, tunnelID uint64) *openflow.FlowMod {
 	prio := uint16(prioVSwitch)
 	if tunnelID != 0 {
@@ -823,7 +872,7 @@ func (a *App) vsRuleTun(match openflow.Match, outPort uint32, tunnelID uint64) *
 		match.TunnelID = tunnelID
 		prio = prioVSwitch + 1
 	}
-	fm := openflow.FlowMod1(openflow.OutputAction(outPort))
+	fm := a.flowMod1(openflow.OutputAction(outPort))
 	fm.Command = openflow.FlowAdd
 	fm.Priority = prio
 	fm.IdleTimeout = uint16(a.Cfg.RuleIdleTimeout / time.Second)

@@ -163,15 +163,23 @@ func startArrivals(eng sim.Proc, rate float64, fire func()) *arrivals {
 	return a
 }
 
+// arm queues the next arrival. The event is a static function with the
+// process as its operand, so an arrival costs no closure; it takes its
+// sequence number from the same counter Schedule does, so event order is
+// what a Schedule would give.
 func (a *arrivals) arm() {
 	gap := time.Duration(a.eng.Rand().ExpFloat64() / a.rate * float64(time.Second))
-	a.eng.Schedule(gap, func() {
-		if a.stopped {
-			return
-		}
-		a.fire()
-		a.arm()
-	})
+	a.eng.DeferCall(a.eng, gap, arrivalFire, a, nil)
+}
+
+// arrivalFire is arm's event: one arrival, then the next is armed.
+func arrivalFire(p, _ any) {
+	a := p.(*arrivals)
+	if a.stopped {
+		return
+	}
+	a.fire()
+	a.arm()
 }
 
 func (a *arrivals) Stop() { a.stopped = true }
