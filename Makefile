@@ -56,12 +56,13 @@ golden:
 # connection" and "The data-plane packet"): with the scotchpoison tag every
 # recycled control-channel frame is overwritten with 0xAB, the receivers'
 # scratch messages are zeroed after each callback, and every released
-# data-plane packet is overwritten instead of pooled, so anything that keeps
-# a frame, a decoded message or a packet past its callback without copying
-# shifts a golden output or fails a package test.
+# data-plane packet and finished emitter box is overwritten instead of
+# pooled, so anything that keeps a frame, a decoded message or a packet past
+# its callback without copying shifts a golden output or fails a package
+# test. The flowtable tests check the table's reused Expire result.
 golden-poison:
 	$(GO) test -tags scotchpoison ./internal/experiments -run 'Golden'
-	$(GO) test -tags scotchpoison ./internal/sim ./internal/device ./internal/controller ./internal/scotch ./internal/cluster ./internal/packet ./internal/workload ./internal/devolve ./internal/ofnet
+	$(GO) test -tags scotchpoison ./internal/sim ./internal/flowtable ./internal/device ./internal/controller ./internal/scotch ./internal/cluster ./internal/packet ./internal/workload ./internal/devolve ./internal/ofnet
 
 # Example gate: the four simulated examples must print their committed
 # examples/<name>/expected.txt byte for byte (a deliberate change

@@ -842,6 +842,10 @@ func (sw *Switch) sweepExpired() {
 		for i, r := range rules {
 			sw.notifyRemoved(r, reasons[i], now)
 		}
+		// The table keeps the slice for its next sweep: empty it now, or
+		// these rules (and the arena blocks they sit in) stay reachable
+		// until then.
+		clear(rules)
 	}
 }
 

@@ -35,21 +35,23 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// TestHotPathAllocBudget pins the allocation diet: each run sits ~13%
-// under its budget today (devolve-ablation ~84.6k, cluster-scale ~46.5k,
-// fig12 ~0.90M allocs/run; ~183k/~143k/~6.62M before the Scotch app built
-// its messages in reused boxes, the switch recycled the FlowMods it
-// decodes and Poisson arrivals lost their closure; ~262k/~228k before
-// data-plane packets were released to their pool, ~480k each before
-// control-channel frames were recycled and decoded into scratch,
-// ~1.77M/~1.68M before the diet), so a failure here means a hot path
-// regained a per-packet or per-message allocation — look for a packet
-// that is no longer released where it dies, a frame or a FlowMod box that
-// is no longer recycled, a message decoded fresh instead of into scratch,
-// a message built in a fresh box instead of the app's, new closures over
-// []byte, or lost arena/pool reuse. Each id runs once, alone, between two
-// process-wide malloc counts, and its run goes into the memo for the
-// tests that read its output.
+// TestHotPathAllocBudget pins the allocation diet: each run sits ~12-15%
+// under its budget today (devolve-ablation ~57.1k, cluster-scale ~13.4k,
+// fig12 ~146k allocs/run; ~84.6k/~46.5k/~0.90M before emitters recycled
+// their per-flow emission and the expiry sweep its result slices;
+// ~183k/~143k/~6.62M before the Scotch app built its messages in reused
+// boxes, the switch recycled the FlowMods it decodes and Poisson arrivals
+// lost their closure; ~262k/~228k before data-plane packets were released
+// to their pool, ~480k each before control-channel frames were recycled
+// and decoded into scratch, ~1.77M/~1.68M before the diet), so a failure
+// here means a hot path regained a per-packet or per-message allocation —
+// look for a packet that is no longer released where it dies, a frame or a
+// FlowMod box that is no longer recycled, a message decoded fresh instead
+// of into scratch, a message built in a fresh box instead of the app's, an
+// emission or an expiry result no longer reused, new closures over []byte,
+// or lost arena/pool reuse. Each id runs once, alone, between two
+// process-wide malloc counts, and its run goes into the memo for the tests
+// that read its output.
 func TestHotPathAllocBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("alloc counts are only meaningful without -short/-race")
@@ -58,9 +60,9 @@ func TestHotPathAllocBudget(t *testing.T) {
 		id     string
 		budget uint64 // allocs per full experiment run
 	}{
-		{"devolve-ablation", 97_000},
-		{"cluster-scale", 53_500},
-		{"fig12", 1_040_000}, // the overlay's admission path at scale
+		{"devolve-ablation", 65_000},
+		{"cluster-scale", 15_500},
+		{"fig12", 172_000}, // the overlay's admission path at scale
 	} {
 		e, ok := ByID(tc.id)
 		if !ok {

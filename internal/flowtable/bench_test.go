@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -100,6 +101,47 @@ func TestTableMutationAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(500, func() { tbl.Expire(time.Hour) }); avg != 0 {
 		t.Errorf("an Expire that removes nothing allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestExpireReusesResult: Expire returns the table's own two slices, so a
+// sweep after the first that removes no more rules than it did allocates
+// nothing, and its result holds only this sweep's rules.
+func TestExpireReusesResult(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tbl := benchTable(64)
+	short := make([]*Rule, 8)
+	for i := range short {
+		short[i] = exactRule(200, newKey(i), 1)
+		short[i].HardTimeout = time.Second
+		tbl.Insert(short[i])
+	}
+	first, _ := tbl.Expire(time.Second)
+	if len(first) != len(short) {
+		t.Fatalf("first sweep removed %d rules, want %d", len(first), len(short))
+	}
+	for _, r := range short[:4] {
+		r.Installed = time.Second
+		tbl.Insert(r)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rules, reasons := tbl.Expire(2 * time.Second)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("second sweep allocated %d objects, want 0", n)
+	}
+	if len(rules) != 4 || len(reasons) != 4 || &rules[0] != &first[0] {
+		t.Fatalf("second sweep returned %d rules and %d reasons (shared array %v), want 4, 4, true",
+			len(rules), len(reasons), &rules[0] == &first[0])
+	}
+	for i, r := range rules {
+		if r != short[i] || reasons[i] != openflow.RemovedHardTimeout {
+			t.Errorf("rules[%d] = %p (reason %d), want short rule %d (%p) by hard timeout", i, r, reasons[i], i, short[i])
+		}
+	}
+	if first[4] != nil {
+		t.Error("a slot past the second sweep's result still holds a rule")
 	}
 }
 

@@ -164,6 +164,8 @@ type Table struct {
 	wild    []*Rule                   // non-exact rules, in match order
 	removed int                       // keys deleted from exact since it was last copied
 	deleted []*Rule                   // Delete's result, reused by the next Delete
+	expired []*Rule                   // Expire's rules, reused by the next Expire
+	reasons []uint8                   // Expire's reasons, reused by the next Expire
 }
 
 // Len returns the number of installed rules.
@@ -439,10 +441,14 @@ func (t *Table) Delete(m *openflow.Match, priority uint16, strict bool) []*Rule 
 }
 
 // Expire removes timed-out rules at virtual time now, returning them
-// paired with their removal reasons.
+// paired with their removal reasons. Both slices are the table's own,
+// reused by its next Expire: they are valid until then, and a caller that
+// needs the rules longer copies them (one that is done with them early
+// can clear the rules slice, so it pins none of them until that Expire).
 func (t *Table) Expire(now sim.Time) ([]*Rule, []uint8) {
-	var rules []*Rule
-	var reasons []uint8
+	clear(t.expired) // a slot past this call's result pins no rule
+	rules := t.expired[:0]
+	reasons := t.reasons[:0]
 	wild := false
 	keep := t.rules[:0]
 	for _, r := range t.rules {
@@ -465,6 +471,7 @@ func (t *Table) Expire(now sim.Time) ([]*Rule, []uint8) {
 		})
 	}
 	t.rightSize()
+	t.expired, t.reasons = rules, reasons
 	return rules, reasons
 }
 

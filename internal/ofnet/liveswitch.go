@@ -88,7 +88,10 @@ func (ls *LiveSwitch) BindMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("scotch_agent_rule_count"+lbl, func() float64 { return float64(ls.RuleCount()) })
 }
 
-// RegisterPort wires an output port to a delivery function.
+// RegisterPort wires an output port to a delivery function. The function
+// borrows the packet for the call: the switch releases it once deliver
+// returns (DESIGN.md §14, "The data-plane packet"), so a deliver that
+// keeps it, or hands it to anything that outlives the call, clones it.
 func (ls *LiveSwitch) RegisterPort(id uint32, deliver func(*packet.Packet)) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -197,7 +200,9 @@ func (ls *LiveSwitch) executeActions(pkt *packet.Packet, inPort uint32, actions 
 			out := ls.outputs[a.Port]
 			ls.mu.Unlock()
 			if out != nil {
-				out(pkt.Clone())
+				q := pkt.Clone()
+				out(q)
+				q.Release()
 			}
 		}
 	}
@@ -326,6 +331,7 @@ func (ls *LiveSwitch) handle(conn *Conn, msg openflow.Message, xid uint32) error
 			return nil // tolerate malformed injected data
 		}
 		ls.executeActions(pkt, m.InPort, m.Actions, 0)
+		pkt.Release()
 		return nil
 	case *openflow.BarrierRequest:
 		return conn.SendXID(&openflow.BarrierReply{}, xid)

@@ -13,6 +13,7 @@ import (
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
 	"scotch/internal/packet"
+	"scotch/internal/sim"
 )
 
 // reactiveHandler is a minimal reactive controller for tests: every
@@ -94,7 +95,7 @@ func TestHandshakeAndReactiveForwardingOverTCP(t *testing.T) {
 	var delivered []*packet.Packet
 	ls.RegisterPort(2, func(p *packet.Packet) {
 		mu.Lock()
-		delivered = append(delivered, p)
+		delivered = append(delivered, p.Clone()) // p is only lent for the call
 		mu.Unlock()
 	})
 
@@ -497,13 +498,76 @@ func TestConcurrentDataPlaneAndGroupMods(t *testing.T) {
 	}
 }
 
+// liveOutRig is a live switch with one rule sending everything out of
+// port 9, and a Packet-Out of one TCP packet to the same port.
+func liveOutRig(t *testing.T, deliver func(*packet.Packet)) (*LiveSwitch, *Conn, *openflow.PacketOut) {
+	t.Helper()
+	ls := NewLiveSwitch(4, 1)
+	ls.RegisterPort(9, deliver)
+	conn := NewConn(&memConn{})
+	if err := ls.handle(conn, &openflow.FlowMod{
+		Command: openflow.FlowAdd, Priority: 1,
+		Instructions: []openflow.Instruction{openflow.ApplyActions(openflow.OutputAction(9))},
+	}, 1); err != nil {
+		t.Fatal(err)
+	}
+	data := packet.NewTCP(netaddr.MakeIPv4(1, 1, 1, 1), netaddr.MakeIPv4(2, 2, 2, 2), 1, 2, 0).Marshal()
+	return ls, conn, openflow.PacketOut1(1, openflow.OutputAction(9), data)
+}
+
+// TestLiveSwitchPacketOutAllocFree: a Packet-Out to a port takes its parsed
+// packet and the port's clone from the packet pool and gives both back, so
+// once warm it allocates nothing (two packet boxes per Packet-Out when
+// neither went back).
+func TestLiveSwitchPacketOutAllocFree(t *testing.T) {
+	if raceEnabled || sim.Poison {
+		t.Skip("race builds add allocations; poison builds pool no released packet")
+	}
+	delivered := 0
+	ls, conn, po := liveOutRig(t, func(*packet.Packet) { delivered++ })
+	if n := testing.AllocsPerRun(200, func() { ls.handle(conn, po, 2) }); n != 0 {
+		t.Errorf("Packet-Out to one port: %v allocs/op, want 0", n)
+	}
+	if delivered != 201 {
+		t.Fatalf("delivered %d packets, want 201", delivered)
+	}
+}
+
+// TestLiveSwitchLentPacketPoisoned: a port callback only borrows its
+// packet. One that keeps it past the call reads a released packet, which
+// a Poison build overwrites, on both the data-plane and the Packet-Out
+// path.
+func TestLiveSwitchLentPacketPoisoned(t *testing.T) {
+	if !sim.Poison {
+		t.Skip("only a scotchpoison build overwrites released packets")
+	}
+	var kept *packet.Packet
+	ls, conn, po := liveOutRig(t, func(p *packet.Packet) { kept = p })
+	check := func(path string) {
+		t.Helper()
+		if kept == nil {
+			t.Fatalf("%s: nothing delivered", path)
+		}
+		if kept.Size != -1 {
+			t.Fatalf("%s: a packet kept past its callback reads size %d, want the poison -1", path, kept.Size)
+		}
+		kept = nil
+	}
+	ls.Inject(packet.NewTCP(netaddr.MakeIPv4(1, 1, 1, 1), netaddr.MakeIPv4(2, 2, 2, 2), 1, 2, 0), 1)
+	check("forwarded packet")
+	if err := ls.handle(conn, po, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("Packet-Out")
+}
+
 func TestLiveSwitchMPLSActions(t *testing.T) {
 	ls := NewLiveSwitch(3, 1)
 	var got []*packet.Packet
 	var mu sync.Mutex
 	ls.RegisterPort(9, func(p *packet.Packet) {
 		mu.Lock()
-		got = append(got, p)
+		got = append(got, p.Clone()) // p is only lent for the call
 		mu.Unlock()
 	})
 	// Install a rule directly (no controller): push a label then output.

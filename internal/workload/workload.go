@@ -26,6 +26,10 @@ type Emitter struct {
 	Eng  sim.Proc
 	Host *device.Host
 	Cap  *capture.Capture // may be nil
+
+	// free holds the emission boxes of flows that have sent their last
+	// packet, for the next Start to reuse (see emission).
+	free []*emission
 }
 
 // NewEmitter binds a host to a capture.
@@ -35,9 +39,14 @@ func NewEmitter(eng sim.Proc, host *device.Host, cap *capture.Capture) *Emitter 
 
 // emission is one flow's shared send state: the flow's packets are one
 // train event (sim.Proc.DeferTrain) whose every firing passes this single
-// box, so starting an n-packet flow costs the emission and one event node
-// however large n is. A train fires in order, so next counts packet
-// indices without each firing carrying its own.
+// box, so starting an n-packet flow costs at most the emission and one
+// event node however large n is. A train fires in order, so next counts
+// packet indices without each firing carrying its own. The box's holder
+// is its train until the last firing: the engine lets go of a train's
+// node before running that firing, so once emitOne has sent the flow's
+// last packet nothing refers to the box, and it goes back on the
+// emitter's free list for the next Start. A Poison build overwrites it
+// instead (next -1, no emitter), so a train that fired again would panic.
 type emission struct {
 	e    *Emitter
 	f    Flow
@@ -45,9 +54,13 @@ type emission struct {
 	next int // index of the next packet to send
 }
 
-// emitOne sends the next packet of emission a1.
+// emitOne sends the next packet of emission a1, and releases the box
+// after the last one.
 func emitOne(a1, _ any) {
 	em := a1.(*emission)
+	if sim.Poison && em.next < 0 {
+		panic("workload: emission fired after its last packet")
+	}
 	i := em.next
 	em.next++
 	e, f := em.e, em.f
@@ -67,15 +80,37 @@ func emitOne(a1, _ any) {
 		e.Cap.RecordSend(p)
 	}
 	e.Host.Send(p)
+	if em.next == f.Packets {
+		e.release(em)
+	}
 }
 
 // Start begins emitting the flow's packets, the first immediately.
 func (e *Emitter) Start(f Flow) {
-	em := &emission{e: e, f: f}
+	var id uint64
 	if e.Cap != nil {
-		em.id = e.Cap.NewFlow(f.Key, f.Class, f.Packets).ID
+		id = e.Cap.NewFlow(f.Key, f.Class, f.Packets).ID
 	}
+	var em *emission
+	if n := len(e.free); n > 0 {
+		em = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		em = new(emission)
+	}
+	*em = emission{e: e, f: f, id: id}
 	e.Eng.DeferTrain(f.Interval, f.Packets, emitOne, em, nil)
+}
+
+// release puts a finished flow's box back on the free list, zeroed so a
+// listed box pins nothing of its last flow.
+func (e *Emitter) release(em *emission) {
+	if sim.Poison {
+		*em = emission{next: -1}
+		return
+	}
+	*em = emission{}
+	e.free = append(e.free, em)
 }
 
 // DDoS emits spoofed-source single-packet flows at a configurable rate —

@@ -300,11 +300,12 @@ func TestEmitterBackToBackSeq(t *testing.T) {
 	}
 }
 
-// TestEmitterStartAllocs: starting a flow queues one event and costs the
-// emission and one event node, however many packets it has (over 1000
-// when each packet was its own queued event). The first Start also grows
-// the fresh engine's empty heap array. On a drained engine the node comes
-// off the free list, so every later Start costs the emission alone.
+// TestEmitterStartAllocs: starting a flow queues one event and costs at
+// most the emission and one event node, however many packets it has (over
+// 1000 when each packet was its own queued event). The first Start also
+// grows the fresh engine's empty heap array. On a drained engine the node
+// and the emission both come off free lists, so every later Start costs
+// nothing.
 func TestEmitterStartAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	eng := sim.New(1)
@@ -322,13 +323,89 @@ func TestEmitterStartAllocs(t *testing.T) {
 			t.Fatalf("round %d: Start of a 1000-packet flow queued %d events, want 1", round, got)
 		}
 		eng.RunUntil(eng.Now() + 2*time.Second)
-		want := uint64(1)
-		if round == 0 {
+		want := uint64(0)
+		switch {
+		case round == 0:
 			want = 3 // emission, node, the heap's first array
+		case sim.Poison:
+			want = 1 // a Poison build lists no finished emission
 		}
 		if n := after.Mallocs - before.Mallocs; n != want {
 			t.Fatalf("round %d: Start of a 1000-packet flow costs %d allocations, want %d", round, n, want)
 		}
+	}
+}
+
+// TestEmitterRecyclesEmission: one emitter runs overlapping 1-packet and
+// 50-packet flows, so boxes of finished flows go back on the free list
+// while longer trains are still queued and new flows take them. Every
+// packet must carry its own flow's FlowID and its next Seq, and between
+// events the free list must hold only zeroed, distinct boxes: a box whose
+// train is still queued would be mid-flow, so not zero. A Poison build
+// lists no box, and a released one fires only by panicking.
+func TestEmitterRecyclesEmission(t *testing.T) {
+	eng := sim.New(1)
+	h1, h2 := pair(eng)
+	cap := capture.New(eng)
+	em := NewEmitter(eng, h1, cap)
+
+	keyOf := map[uint64]netaddr.FlowKey{} // FlowID -> key
+	nextSeq := map[uint64]int{}
+	h2.OnReceive = func(p *packet.Packet, _ sim.Time) {
+		id := p.Meta.FlowID
+		key, ok := keyOf[id]
+		if !ok {
+			t.Fatalf("packet %v carries unknown FlowID %d", p.FlowKey(), id)
+		}
+		if p.FlowKey() != key {
+			t.Fatalf("FlowID %d is flow %v, packet is %v", id, key, p.FlowKey())
+		}
+		if p.Meta.Seq != nextSeq[id] {
+			t.Fatalf("flow %d: packet Seq %d, want %d", id, p.Meta.Seq, nextSeq[id])
+		}
+		nextSeq[id]++
+	}
+
+	const flows = 200
+	for i := 0; i < flows; i++ {
+		f := Flow{
+			Key:     netaddr.FlowKey{Src: h1.IP, Dst: h2.IP, Proto: netaddr.ProtoTCP, SrcPort: uint16(1000 + i), DstPort: 80},
+			Packets: 1, Interval: time.Millisecond, Class: "short",
+		}
+		if i%4 == 0 {
+			f.Packets, f.Class = 50, "long"
+		}
+		eng.Schedule(time.Duration(i)*3*time.Millisecond, func() {
+			em.Start(f)
+			rec := cap.Flows("")
+			keyOf[rec[len(rec)-1].ID] = f.Key
+		})
+	}
+	for end := sim.Time(0); end <= time.Second; end += 500 * time.Microsecond {
+		eng.RunUntil(end)
+		seen := map[*emission]bool{}
+		for _, b := range em.free {
+			if *b != (emission{}) {
+				t.Fatalf("t=%v: free list holds a box in use: %+v", end, *b)
+			}
+			if seen[b] {
+				t.Fatalf("t=%v: box %p listed twice", end, b)
+			}
+			seen[b] = true
+		}
+	}
+	for _, f := range cap.Flows("") {
+		if n := nextSeq[f.ID]; n != f.Expected {
+			t.Errorf("flow %d received %d packets, want %d", f.ID, n, f.Expected)
+		}
+	}
+	switch {
+	case sim.Poison && len(em.free) != 0:
+		t.Fatalf("a Poison build listed %d boxes, want none", len(em.free))
+	case !sim.Poison && (len(em.free) == 0 || len(em.free) > 6):
+		// A long train starts every 12 ms and lasts 49 ms, so at most
+		// five overlap, and a short flow's box is back at once.
+		t.Fatalf("free list holds %d boxes after %d flows, want 1 to 6", len(em.free), flows)
 	}
 }
 
