@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet doclint linkcheck golden golden-poison examples microbench bench-smoke bench-compare trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
+.PHONY: all build test short race vet doclint linkcheck golden golden-poison claims examples microbench bench-smoke bench-compare trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
 
 all: build test
 
@@ -63,6 +63,11 @@ golden:
 golden-poison:
 	$(GO) test -tags scotchpoison ./internal/experiments -run 'Golden'
 	$(GO) test -tags scotchpoison ./internal/sim ./internal/flowtable ./internal/device ./internal/controller ./internal/scotch ./internal/cluster ./internal/packet ./internal/workload ./internal/devolve ./internal/ofnet
+
+# Claims table: every claim's value, bound and margin, including the
+# rows checked at more than one seed (one subtest per seed), as claims.txt.
+claims:
+	$(GO) test -count=1 -v -run TestClaims ./internal/experiments > claims.txt || { cat claims.txt; exit 1; }
 
 # Example gate: the four simulated examples must print their committed
 # examples/<name>/expected.txt byte for byte (a deliberate change
@@ -155,4 +160,4 @@ cover:
 
 clean:
 	$(GO) clean ./...
-	rm -f coverage.out golden.out example_*.out bench_smoke.json trace_fig14.json trace_chaos.json scenario_multitenant.txt devolve_ablation.txt obs_slo.txt health_obs_slo.json balance.txt health_balance.json
+	rm -f coverage.out golden.out claims.txt example_*.out bench_smoke.json trace_fig14.json trace_chaos.json scenario_multitenant.txt devolve_ablation.txt obs_slo.txt health_obs_slo.json balance.txt health_balance.json

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"scotch/internal/scotch"
-	"scotch/internal/workload"
 )
 
 // runAblationFanout compares tunneling all offloaded flows to a single
@@ -14,21 +13,13 @@ import (
 // bottleneck.
 func runAblationFanout(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "fanout", "offered_flows_per_s", "delivered_fraction", "max_vswitch_punt_share")
-	const offered = 16000.0
-	const dur = 5 * time.Second
 	for _, fan := range []int{1, 2, 4} {
 		cfg := scotch.DefaultConfig()
 		cfg.FanOut = fan
 		cfg.OverlayInstallRate = 1e6
-		r := build(spec{cfg: &cfg, clients: 2, servers: 4, primary: 4, seed: 21, probes: p})
-		var stops []func()
-		for i, cl := range r.clients {
-			for j := 0; j < 2; j++ {
-				srv := r.servers[(2*i+j)%len(r.servers)]
-				stops = append(stops, workload.StartDDoS(r.emitter(cl), srv.IP, offered/4).Stop)
-			}
-		}
-		r.drive(dur, time.Second, stops...)
+		r := build(spec{cfg: &cfg, clients: 2, servers: 4, primary: 4, attack: 16000,
+			horizon: 5 * time.Second, drain: time.Second, seed: 21, probes: p})
+		r.drive()
 		sent, delivered := r.cap.Counts("attack")
 		var total, max uint64
 		for _, vs := range r.vs {
@@ -41,7 +32,7 @@ func runAblationFanout(w io.Writer, p *Probes) (any, error) {
 		if total > 0 {
 			share = float64(max) / float64(total)
 		}
-		t.row(fan, offered, float64(delivered)/float64(sent), share)
+		t.row(fan, r.spec.attack, float64(delivered)/float64(sent), share)
 	}
 	t.flush()
 	return nil, nil
@@ -52,14 +43,13 @@ func runAblationFanout(w io.Writer, p *Probes) (any, error) {
 // overlay data plane.
 func runAblationElephant(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "threshold_kb", "migrated", "elephant_delivery_ratio")
-	const dur = 15 * time.Second
 	for _, kb := range []int{5, 20, 100, 1 << 20} {
 		cfg := scotch.DefaultConfig()
 		cfg.ElephantBytes = uint64(kb) << 10
-		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: 22, probes: p})
-		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2000)
+		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, attack: 2000,
+			horizon: 15 * time.Second, drain: time.Second, seed: 22, probes: p})
 		r.elephantBurst(30, 4, 5000)
-		r.drive(dur, time.Second, atk.Stop)
+		r.drive()
 		t.row(kb, r.app.Stats.Migrated, r.cap.DeliveryRatio("elephant"))
 	}
 	t.flush()
@@ -71,14 +61,12 @@ func runAblationElephant(w io.Writer, p *Probes) (any, error) {
 // regimes (insertion failures and data-path stall drops).
 func runAblationScheduler(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "install_rate_R", "client_failure", "insert_failures", "stall_drops")
-	const dur = 10 * time.Second
 	for _, rate := range []float64{100, 500, 1000, 1500, 2500} {
 		cfg := scotch.DefaultConfig()
 		cfg.InstallRate = rate
-		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: 23, probes: p})
-		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
-		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
-		r.drive(dur, time.Second, atk.Stop, cli.Stop)
+		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, attack: 2500, steady: 100,
+			horizon: 10 * time.Second, drain: time.Second, seed: 23, probes: p})
+		r.drive()
 		t.row(int(rate), r.cap.FailureFraction("client"),
 			r.edge.Stats.InsertQueueDrop, r.edge.Stats.StallDrops)
 	}

@@ -14,14 +14,12 @@ import (
 // starves even though Scotch is otherwise active.
 func runAblationFIFO(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "scheduler", "client_failure", "client_first_packet_ms_p50", "client_first_packet_ms_p99")
-	const dur = 15 * time.Second
 	for _, fifo := range []bool{false, true} {
 		cfg := scotch.DefaultConfig()
 		cfg.FIFOScheduler = fifo
-		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: 24, probes: p})
-		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
-		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
-		r.drive(dur, time.Second, atk.Stop, cli.Stop)
+		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, attack: 2500, steady: 100,
+			horizon: 15 * time.Second, drain: time.Second, seed: 24, probes: p})
+		r.drive()
 		name := "priority+rr"
 		if fifo {
 			name = "fifo"
@@ -42,19 +40,17 @@ func runAblationFIFO(w io.Writer, p *Probes) (any, error) {
 func runAblationWithdrawal(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "withdrawal", "active_after_quiet", "postsurge_edge_punts",
 		"postsurge_vswitch_punts", "postsurge_first_packet_ms_p50")
-	const surgeEnd = 5 * time.Second
-	const quietEnd = 15 * time.Second
-	const measureEnd = 25 * time.Second
+	const surgeEnd, quietEnd = 5 * time.Second, 15 * time.Second
 	for _, enabled := range []bool{true, false} {
 		cfg := scotch.DefaultConfig()
 		cfg.DeactivateChecks = 5
 		if !enabled {
 			cfg.DeactivateRate = 0 // rate never falls below zero: no withdrawal
 		}
-		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: 25, probes: p})
-		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2500)
-		r.eng.Schedule(surgeEnd, atk.Stop)
-		r.drive(quietEnd, 0)
+		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, attack: 2500,
+			horizon: 25 * time.Second, drain: time.Second, seed: 25, probes: p})
+		r.eng.Schedule(surgeEnd, r.traffic[0]) // the attack's stop
+		r.eng.RunUntil(quietEnd)
 
 		// Post-surge workload: a modest client that the hardware path can
 		// serve reactively. With withdrawal the punts return to the edge
@@ -68,7 +64,7 @@ func runAblationWithdrawal(w io.Writer, p *Probes) (any, error) {
 		}
 		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 50, 1, 0)
 		cli.Class = "postsurge"
-		r.drive(measureEnd, time.Second, cli.Stop)
+		r.drive(cli.Stop)
 
 		name := "on"
 		if !enabled {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scotch/internal/balance"
-	"scotch/internal/controller"
 	"scotch/internal/obs"
 	"scotch/internal/scotch"
 	"scotch/internal/sim"
@@ -80,18 +79,8 @@ type elasticUnderMigrationResult struct {
 // balancer of its own. Replica capacity is infinite, so any client-flow
 // loss would be attributable to the growth/drain/migration machinery
 // itself — the experiment asserts there is none.
-func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResult {
-	const dur = 18 * time.Second
-	scfg := scotch.DefaultConfig()
-	// Fast rule idle-out so drained members' flow tables quiesce within
-	// the run, as the elastic experiment does.
-	scfg.RuleIdleTimeout = 2 * time.Second
-	// Slow TCAM pacing makes the overlay carry everything beyond 200
-	// flows/s — the surge is control-plane pressure on the pool, not on
-	// the physical install path.
-	scfg.InstallRate = 200
-	r := build(spec{pods: 2, replicas: 2, cfg: &scfg, clients: 1, servers: 1, primary: 2, standby: 3,
-		homes: []int{0, 0}, ownBalancer: true, seed: seed, probes: p})
+func elasticUnderMigrationPoint(s spec) elasticUnderMigrationResult {
+	r := build(s)
 
 	// The balancer's only input is a ClusterView, so the experiment owns
 	// an observatory over the rig: coordinator (replica loads/liveness)
@@ -113,30 +102,13 @@ func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResu
 		Migrator: r.co,
 	}).Start()
 
-	cli0 := r.startClient(0, 40, 4, 10*time.Millisecond)
-	cli1 := r.startClient(1, 40, 4, 10*time.Millisecond)
-	surge := r.startCrowd(0, workload.TrapezoidCurve{
-		Base: 0, Peak: 1200,
-		RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
-		PeakEnd: 10 * time.Second, RampEnd: 12 * time.Second,
-	}, "crowd")
-	// Ramped, not instant: a cold pod cannot absorb 600/s before its
-	// overlay activates, and early punt loss would pollute the zero-loss
-	// assertion this experiment makes about the balancer's actions.
-	steady := r.startCrowd(1, workload.TrapezoidCurve{
-		Base: 20, Peak: 600,
-		RampStart: time.Second, PeakStart: 3 * time.Second,
-		PeakEnd: 16 * time.Second, RampEnd: 17 * time.Second,
-	}, "crowd")
-
 	var res elasticUnderMigrationResult
 	r.eng.Every(time.Second, func() {
 		res.sizes = append(res.sizes, pool.Size())
 		res.owners = append(res.owners, r.co.Owner("pod0"))
 	})
 
-	// Let in-flight flows land and the last drains finish.
-	r.drive(dur, 2*time.Second, surge.Stop, steady.Stop, cli0.Stop, cli1.Stop)
+	r.drive()
 	b.Stop()
 	o.Stop()
 
@@ -169,7 +141,27 @@ func elasticUnderMigrationPoint(p *Probes, seed int64) elasticUnderMigrationResu
 }
 
 func runElasticUnderMigration(w io.Writer, p *Probes) (any, error) {
-	res := elasticUnderMigrationPoint(p, 23)
+	cfg := scotch.DefaultConfig()
+	// Fast rule idle-out so drained members' flow tables quiesce within
+	// the run, as the elastic experiment does.
+	cfg.RuleIdleTimeout = 2 * time.Second
+	// Slow TCAM pacing makes the overlay carry everything beyond 200
+	// flows/s — the surge is control-plane pressure on the pool, not on
+	// the physical install path.
+	cfg.InstallRate = 200
+	res := elasticUnderMigrationPoint(spec{pods: 2, replicas: 2, cfg: &cfg, clients: 1, servers: 1,
+		primary: 2, standby: 3, homes: []int{0, 0}, ownBalancer: true,
+		load: []float64{40}, loadPkts: 4, loadIval: 10 * time.Millisecond,
+		crowd: []workload.TrapezoidCurve{
+			{Base: 0, Peak: 1200, RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
+				PeakEnd: 10 * time.Second, RampEnd: 12 * time.Second},
+			// Ramped, not instant: a cold pod cannot absorb 600/s before
+			// its overlay activates, and early punt loss would pollute the
+			// zero-loss claim this experiment makes about the balancer.
+			{Base: 20, Peak: 600, RampStart: time.Second, PeakStart: 3 * time.Second,
+				PeakEnd: 16 * time.Second, RampEnd: 17 * time.Second}},
+		// The drain lets in-flight flows land and the last drains finish.
+		horizon: 18 * time.Second, drain: 2 * time.Second, seed: 23, probes: p})
 	t := newTable(w, "t_s", "pool_size", "pod0_owner")
 	for i := range res.sizes {
 		t.row(i+1, res.sizes[i], res.owners[i])
@@ -222,15 +214,8 @@ const replicaScaleOutMaxReplicas = 3
 // coldest replica back to the floor of two. Six pods matter: an odd pod
 // count per replica leaves a visible imbalance after the spawn, which is
 // exactly what the migration rung exists to fix.
-func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
-	const (
-		dur      = 18 * time.Second
-		capacity = 450
-		queue    = 256
-	)
-	cfg := scotch.DefaultConfig()
-	r := build(spec{pods: 6, replicas: 2, cfg: &cfg, clients: 1, servers: 1, primary: 2,
-		capacity: capacity, queue: queue, ownBalancer: true, seed: seed, probes: p})
+func replicaScaleOutPoint(s spec) replicaScaleOutResult {
+	r := build(s)
 
 	// Experiment-owned observatory: replica loads/liveness for the
 	// policy, plus the client flow-setup SLO whose burn rate is the
@@ -256,10 +241,7 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 		Migrator: r.co,
 		Replicas: balance.ReplicaFuncs{
 			SpawnFn: func() error {
-				c := controller.New(r.eng, r.net)
-				c.SetCapacity(capacity, queue)
-				c.ConnectAll()
-				r.replicas = append(r.replicas, r.co.Enroll(c))
+				r.addReplica(r.co.Enroll)
 				// Re-watching the coordinator picks the new replica up;
 				// existing series keep their rings.
 				o.WatchCoordinator(r.co)
@@ -273,16 +255,6 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 			},
 		},
 	}).Start()
-
-	var crowds, clients []func()
-	for p := range r.pods {
-		clients = append(clients, r.startClient(p, 20, 4, 10*time.Millisecond).Stop)
-		crowds = append(crowds, r.startCrowd(p, workload.TrapezoidCurve{
-			Base: 10, Peak: 150,
-			RampStart: 2 * time.Second, PeakStart: 5 * time.Second,
-			PeakEnd: 12 * time.Second, RampEnd: 13 * time.Second,
-		}, "crowd").Stop)
-	}
 
 	var res replicaScaleOutResult
 	r.eng.Every(time.Second, func() {
@@ -304,7 +276,7 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 		res.podSplit = append(res.podSplit, counts...)
 	})
 
-	r.drive(dur, time.Second, append(crowds, clients...)...)
+	r.drive()
 	b.Stop()
 	o.Stop()
 
@@ -326,7 +298,13 @@ func replicaScaleOutPoint(p *Probes, seed int64) replicaScaleOutResult {
 }
 
 func runReplicaScaleOut(w io.Writer, p *Probes) (any, error) {
-	res := replicaScaleOutPoint(p, 31)
+	cfg := scotch.DefaultConfig()
+	res := replicaScaleOutPoint(spec{pods: 6, replicas: 2, cfg: &cfg, clients: 1, servers: 1, primary: 2,
+		capacity: 450, queue: 256, ownBalancer: true,
+		load: []float64{20}, loadPkts: 4, loadIval: 10 * time.Millisecond,
+		crowd: []workload.TrapezoidCurve{{Base: 10, Peak: 150, RampStart: 2 * time.Second,
+			PeakStart: 5 * time.Second, PeakEnd: 12 * time.Second, RampEnd: 13 * time.Second}},
+		horizon: 18 * time.Second, drain: time.Second, seed: 31, probes: p})
 	t := newTable(w, "t_s", "alive", "pods_r0", "pods_r1", "pods_r2", "queue_sum")
 	for i := range res.alive {
 		row := res.podSplit[i*replicaScaleOutMaxReplicas : (i+1)*replicaScaleOutMaxReplicas]

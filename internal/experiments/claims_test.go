@@ -21,6 +21,25 @@ type claim struct {
 	check  func(t *testing.T, res any)
 }
 
+// sweepSeeds are the fresh seeds the rows in reruns are checked at too,
+// beyond the seed their experiment runs.
+var sweepSeeds = []int64{100, 101, 102, 103, 104, 105}
+
+// reruns holds, by row name, a run of the row's point on the spec its
+// memoized result ran, at another seed.
+var reruns = map[string]func(res any, seed int64) any{
+	"ChaosPartitionBound": func(res any, seed int64) any {
+		s := res.(chaosPartitionResult).spec
+		s.seed = seed
+		return chaosPartitionPoint(s)
+	},
+	"ClusterFailoverDetection": func(res any, seed int64) any {
+		s := res.(clusterFailoverResult).spec
+		s.seed = seed
+		return clusterFailoverPoint(s)
+	},
+}
+
 // claims is the one-seed claims table. Every check logs its measured
 // value, bound and margin, so `go test -v -run TestClaims` prints it.
 var claims = []claim{
@@ -294,9 +313,11 @@ var claims = []claim{
 // selected row adds its id to one batch and pauses in t.Parallel until
 // TestClaims returns; the first to resume has the memo run the whole
 // batch. So a full run runs each id once, and `-run TestClaims/<row>`
-// runs only that row's experiment. Under -short only the rows whose ids
-// are in shortIDs run, and under the race detector chaos-vswitch's six
-// 15s runs are skipped.
+// runs only that row's experiment. A row in reruns is then checked
+// again at each of sweepSeeds, in a subtest named for the seed. Under
+// -short only the rows whose ids are in shortIDs run, without their
+// sweeps, and under the race detector chaos-vswitch's six 15s runs are
+// skipped.
 func TestClaims(t *testing.T) {
 	var (
 		batch []string
@@ -310,10 +331,22 @@ func TestClaims(t *testing.T) {
 			batch = append(batch, c.id)
 			t.Parallel()
 			res := memoRuns(t, batch...)[slices.Index(batch, c.id)].result
-			mu.Lock()
-			defer mu.Unlock()
-			t.Logf("%s [%s]: %s", c.id, c.source, c.text)
-			c.check(t, res)
+			check := func(t *testing.T, res any, at string) {
+				mu.Lock()
+				defer mu.Unlock()
+				t.Logf("%s [%s] at %s: %s", c.id, c.source, at, c.text)
+				c.check(t, res)
+			}
+			check(t, res, "its own seed")
+			rerun := reruns[c.name]
+			if rerun == nil || testing.Short() {
+				return
+			}
+			for _, seed := range sweepSeeds {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					check(t, rerun(res, seed), fmt.Sprintf("seed %d", seed))
+				})
+			}
 		})
 	}
 }

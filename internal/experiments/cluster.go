@@ -4,27 +4,10 @@ import (
 	"io"
 	"time"
 
-	"scotch/internal/netaddr"
 	"scotch/internal/scotch"
 	"scotch/internal/sim"
 	"scotch/internal/workload"
 )
-
-// startCrowd drives a flash crowd of spoofed-source single-packet flows
-// from pod p's client toward its server, each source drawn from
-// 172.(16+p).0.0/16.
-func (r *rig) startCrowd(p int, fc workload.TrapezoidCurve, class string) *workload.FlashCrowd {
-	pd := r.pods[p]
-	spoof := netaddr.MakePrefix(netaddr.MakeIPv4(172, byte(16+p), 0, 0), 16)
-	return spoofCrowd(r.emitter(pd.clients[0]), pd.servers[0].IP, spoof, fc, class)
-}
-
-// startClient starts pod p's steady client: rate flows/s of pkts packets,
-// ival apart, toward the pod's server.
-func (r *rig) startClient(p int, rate float64, pkts int, ival time.Duration) *workload.ClientGen {
-	pd := r.pods[p]
-	return workload.StartClient(r.emitter(pd.clients[0]), pd.servers[0].IP, rate, pkts, ival)
-}
 
 // clusterScaleRow is one replica count's offered and delivered crowd
 // flows, the per-second successful-flow rate over the crowd span, and
@@ -35,27 +18,16 @@ type clusterScaleRow struct {
 	drops                        uint64
 }
 
-// clusterScalePoint measures one replica count: 4 pods, each ramping to a
+// clusterScalePoint measures s's replica count: 4 pods, each ramping to a
 // 350 flows/s crowd peak (1400/s aggregate), against replicas of 500
 // Packet-Ins/s processing capacity each.
-func clusterScalePoint(p *Probes, replicas int, seed int64) clusterScaleRow {
-	const dur = 10 * time.Second
-	cfg := scotch.DefaultConfig()
-	r := build(spec{pods: 4, replicas: replicas, cfg: &cfg,
-		clients: 1, servers: 1, primary: 2, capacity: 500, queue: 256, seed: seed, probes: p})
-	var stops []func()
-	for p := range r.pods {
-		stops = append(stops, r.startCrowd(p, workload.TrapezoidCurve{
-			Base: 20, Peak: 350,
-			RampStart: time.Second, PeakStart: 2 * time.Second,
-			PeakEnd: 9 * time.Second, RampEnd: 9500 * time.Millisecond,
-		}, "crowd").Stop)
-	}
-	r.drive(dur, time.Second, stops...)
+func clusterScalePoint(s spec) clusterScaleRow {
+	r := build(s)
+	r.drive()
 
-	row := clusterScaleRow{replicas: replicas}
+	row := clusterScaleRow{replicas: s.replicas}
 	row.offered, row.delivered = r.cap.Counts("crowd")
-	row.successRate = float64(row.delivered) / dur.Seconds()
+	row.successRate = float64(row.delivered) / s.horizon.Seconds()
 	for _, rep := range r.replicas {
 		row.drops += rep.C.Stats.PacketInsDropped
 	}
@@ -65,8 +37,13 @@ func clusterScalePoint(p *Probes, replicas int, seed int64) clusterScaleRow {
 func runClusterScale(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "replicas", "offered_flows", "delivered_flows", "success_flows_per_s", "replica_queue_drops")
 	var rows []clusterScaleRow
+	cfg := scotch.DefaultConfig()
 	for _, n := range []int{1, 2, 4} {
-		row := clusterScalePoint(p, n, 11)
+		row := clusterScalePoint(spec{pods: 4, replicas: n, cfg: &cfg, clients: 1, servers: 1, primary: 2,
+			capacity: 500, queue: 256, crowd: []workload.TrapezoidCurve{{Base: 20, Peak: 350,
+				RampStart: time.Second, PeakStart: 2 * time.Second,
+				PeakEnd: 9 * time.Second, RampEnd: 9500 * time.Millisecond}},
+			horizon: 10 * time.Second, drain: time.Second, seed: 11, probes: p})
 		t.row(n, row.offered, row.delivered, row.successRate, row.drops)
 		rows = append(rows, row)
 	}
@@ -90,11 +67,8 @@ type clusterMigrateResult struct {
 // the spare; client flows (4 packets each) must all survive the handoff
 // — packets in flight during the mastership change re-punt to the new
 // master and are re-admitted.
-func clusterMigratePoint(p *Probes, seed int64) clusterMigrateResult {
-	const dur = 8 * time.Second
-	cfg := scotch.DefaultConfig()
-	r := build(spec{pods: 2, replicas: 2, cfg: &cfg, clients: 1, servers: 1, primary: 2,
-		capacity: 800, queue: 512, homes: []int{0, 0}, seed: seed, probes: p})
+func clusterMigratePoint(s spec) clusterMigrateResult {
+	r := build(s)
 	res := clusterMigrateResult{ownerBefore: r.co.Owner("pod0"), ownerAfter: -1}
 	var migratedAt sim.Time
 	r.co.OnMigrate = func(pod string, from, to int, failover bool) {
@@ -102,15 +76,7 @@ func clusterMigratePoint(p *Probes, seed int64) clusterMigrateResult {
 			migratedAt = r.eng.Now()
 		}
 	}
-
-	cli0 := r.startClient(0, 60, 4, 10*time.Millisecond)
-	cli1 := r.startClient(1, 30, 4, 10*time.Millisecond)
-	crowd := r.startCrowd(0, workload.TrapezoidCurve{
-		Base: 0, Peak: 300,
-		RampStart: 2 * time.Second, PeakStart: 2500 * time.Millisecond,
-		PeakEnd: 6 * time.Second, RampEnd: 6500 * time.Millisecond,
-	}, "crowd")
-	r.drive(dur, time.Second, cli0.Stop, cli1.Stop, crowd.Stop)
+	r.drive()
 
 	res.migrations = r.co.Stats.Migrations
 	res.ownerAfter = r.co.Owner("pod0")
@@ -123,7 +89,14 @@ func clusterMigratePoint(p *Probes, seed int64) clusterMigrateResult {
 }
 
 func runClusterMigrate(w io.Writer, p *Probes) (any, error) {
-	res := clusterMigratePoint(p, 13)
+	cfg := scotch.DefaultConfig()
+	res := clusterMigratePoint(spec{pods: 2, replicas: 2, cfg: &cfg, clients: 1, servers: 1, primary: 2,
+		capacity: 800, queue: 512, homes: []int{0, 0},
+		load: []float64{60, 30}, loadPkts: 4, loadIval: 10 * time.Millisecond,
+		crowd: []workload.TrapezoidCurve{{Base: 0, Peak: 300,
+			RampStart: 2 * time.Second, PeakStart: 2500 * time.Millisecond,
+			PeakEnd: 6 * time.Second, RampEnd: 6500 * time.Millisecond}, {}},
+		horizon: 8 * time.Second, drain: time.Second, seed: 13, probes: p})
 	t := newTable(w, "migrations", "owner_before", "owner_after", "handoff_ms", "client_flows", "client_fail_frac")
 	t.row(int(res.migrations), res.ownerBefore, res.ownerAfter, res.handoffMs, res.clientSent, res.clientFailFrac)
 	t.flush()
@@ -132,6 +105,7 @@ func runClusterMigrate(w io.Writer, p *Probes) (any, error) {
 
 // clusterFailoverResult is what the replica-kill run reports.
 type clusterFailoverResult struct {
+	spec           spec    // what ran, which seed sweeps rerun at other seeds
 	detectMs       float64 // kill to heartbeat-based death declaration
 	handoffMs      float64 // kill to the last role-claim barrier draining
 	failovers      uint64
@@ -139,36 +113,35 @@ type clusterFailoverResult struct {
 }
 
 // clusterFailoverPoint runs two pods split across two replicas under
-// steady client load, kills replica 0 mid-run, and measures how long the
+// steady client load, kills replica 0 at killAt, and measures how long the
 // coordinator takes to detect the death and re-master the orphaned shard
 // on the survivor. Client flows are long enough (8 packets over 350ms) to
 // straddle the outage window, so most survive the failover.
-func clusterFailoverPoint(p *Probes, seed int64) clusterFailoverResult {
-	const dur = 8 * time.Second
-	killAt := 5050 * time.Millisecond
-	cfg := scotch.DefaultConfig()
-	r := build(spec{pods: 2, replicas: 2, cfg: &cfg, clients: 1, servers: 1, primary: 2,
-		capacity: 800, queue: 512, seed: seed, probes: p})
-	cli0 := r.startClient(0, 50, 8, 50*time.Millisecond)
-	cli1 := r.startClient(1, 50, 8, 50*time.Millisecond)
+func clusterFailoverPoint(s spec) clusterFailoverResult {
+	const killAt = 5050 * time.Millisecond
+	r := build(s)
 	r.eng.Schedule(killAt, func() { r.replicas[0].Kill() })
-	r.drive(dur, time.Second, cli0.Stop, cli1.Stop)
+	r.drive()
 
 	res := clusterFailoverResult{
+		spec:           s,
 		failovers:      r.co.Stats.Failovers,
 		clientFailFrac: r.cap.FailureFraction("client"),
 	}
 	if r.co.Stats.DetectedAt > 0 {
-		res.detectMs = float64(r.co.Stats.DetectedAt-sim.Time(killAt)) / float64(time.Millisecond)
+		res.detectMs = float64(r.co.Stats.DetectedAt-killAt) / float64(time.Millisecond)
 	}
 	if r.co.Stats.HandoffDoneAt > 0 {
-		res.handoffMs = float64(r.co.Stats.HandoffDoneAt-sim.Time(killAt)) / float64(time.Millisecond)
+		res.handoffMs = float64(r.co.Stats.HandoffDoneAt-killAt) / float64(time.Millisecond)
 	}
 	return res
 }
 
 func runClusterFailover(w io.Writer, p *Probes) (any, error) {
-	res := clusterFailoverPoint(p, 17)
+	cfg := scotch.DefaultConfig()
+	res := clusterFailoverPoint(spec{pods: 2, replicas: 2, cfg: &cfg, clients: 1, servers: 1, primary: 2,
+		capacity: 800, queue: 512, load: []float64{50}, loadPkts: 8, loadIval: 50 * time.Millisecond,
+		horizon: 8 * time.Second, drain: time.Second, seed: 17, probes: p})
 	t := newTable(w, "failovers", "detect_ms", "handoff_ms", "client_fail_frac")
 	t.row(int(res.failovers), res.detectMs, res.handoffMs, res.clientFailFrac)
 	t.flush()

@@ -23,18 +23,11 @@ type devolveRunResult struct {
 	escal     uint64 // misses escalated to the controller by the caches
 }
 
-// devolveRun drives the three-tenant DDoS mix over a four-primary mesh,
-// either centralized (every miss punts to the controller) or devolved
-// (per-tenant policies absorb mice at the vSwitch tier). The elephant
-// byte threshold is raised out of reach so the ablation isolates the
-// mice fast path; elephant escalation has its own unit tests.
-func devolveRun(p *Probes, seed int64, devolved bool) devolveRunResult {
-	const dur = 10 * time.Second
-	cfg := scotch.DefaultConfig()
-	cfg.RuleIdleTimeout = 2 * time.Second
-	cfg.FanOut = 4
-	cfg.ElephantBytes = 1 << 30
-	r := build(spec{cfg: &cfg, clients: 3, servers: 2, primary: devolvePool, seed: seed, probes: p})
+// devolveRun drives the three-tenant DDoS mix over s's mesh, either
+// centralized (every miss punts to the controller) or devolved
+// (per-tenant policies absorb mice at the vSwitch tier).
+func devolveRun(s spec, devolved bool) devolveRunResult {
+	r := build(s)
 
 	if devolved {
 		r.app.EnableDevolution()
@@ -46,11 +39,11 @@ func devolveRun(p *Probes, seed int64, devolved bool) devolveRunResult {
 	lat := workload.NewLatencyTracker()
 	lat.AttachCapture(r.cap)
 
-	sc := r.tenantMix(seed, 120, workload.TrapezoidCurve{Base: 0, Peak: 600,
+	sc := r.tenantMix(120, workload.TrapezoidCurve{Base: 0, Peak: 600,
 		RampStart: 2 * time.Second, PeakStart: 4 * time.Second,
 		PeakEnd: 7 * time.Second, RampEnd: 9 * time.Second},
 		&workload.OnOffCurve{Rate: 1500, Start: 2 * time.Second, End: 8 * time.Second})
-	r.drive(dur, 2*time.Second, sc.Stop)
+	r.drive(sc.Stop)
 
 	res := devolveRunResult{
 		rows:      latencyRows(lat),
@@ -75,10 +68,10 @@ type devolveAblationResult struct {
 	p99Ratio float64
 }
 
-func devolveAblationPoint(p *Probes, seed int64) devolveAblationResult {
+func devolveAblationPoint(s spec) devolveAblationResult {
 	res := devolveAblationResult{
-		centralized: devolveRun(p, seed, false),
-		devolved:    devolveRun(p, seed, true),
+		centralized: devolveRun(s, false),
+		devolved:    devolveRun(s, true),
 	}
 	if res.centralized.packetIns > 0 {
 		res.piRatio = float64(res.devolved.packetIns) / float64(res.centralized.packetIns)
@@ -90,7 +83,14 @@ func devolveAblationPoint(p *Probes, seed int64) devolveAblationResult {
 }
 
 func runDevolveAblation(w io.Writer, p *Probes) (any, error) {
-	res := devolveAblationPoint(p, 71)
+	cfg := scotch.DefaultConfig()
+	cfg.RuleIdleTimeout = 2 * time.Second
+	cfg.FanOut = 4
+	// The elephant byte threshold is out of reach so the ablation isolates
+	// the mice fast path; elephant escalation has its own unit tests.
+	cfg.ElephantBytes = 1 << 30
+	res := devolveAblationPoint(spec{cfg: &cfg, clients: 3, servers: 2, primary: devolvePool,
+		horizon: 10 * time.Second, drain: 2 * time.Second, seed: 71, probes: p})
 	fmt.Fprintln(w, "centralized (every miss punts to the controller):")
 	latencyTable(w, res.centralized.rows)
 	fmt.Fprintln(w, "devolved (per-tenant policy caches at the mesh vSwitches):")
@@ -123,17 +123,13 @@ type devolveInvalidateResult struct {
 // cache must flush and keep fencing afterwards). Traffic continues
 // throughout; revoked-tenant flows fall back to central admission, so
 // completions stay high.
-func devolveInvalidatePoint(p *Probes, seed int64) devolveInvalidateResult {
-	const dur = 8 * time.Second
-	cfg := scotch.DefaultConfig()
-	cfg.ActivateRate = 20 // engage the overlay promptly
-	cfg.RuleIdleTimeout = time.Second
-	r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: seed, probes: p})
+func devolveInvalidatePoint(s spec) devolveInvalidateResult {
+	r := build(s)
 	r.app.EnableDevolution()
 	r.app.DevolveTenant("web", netaddr.MakePrefix(r.clients[0].IP, 32), false)
 	r.app.DevolveTenant("bulk", netaddr.MakePrefix(r.clients[1].IP, 32), false)
 
-	sc := workload.NewScenario(r.eng, seed)
+	sc := workload.NewScenario(r.eng, s.seed)
 	sc.Add(workload.TenantSpec{
 		Name: "web", Curve: workload.ConstantCurve(150),
 		Sources: []*workload.Emitter{r.emitter(r.clients[0])},
@@ -173,7 +169,7 @@ func devolveInvalidatePoint(p *Probes, seed int64) devolveInvalidateResult {
 		res.drainFlushed = drainedCache != nil && !drainedCache.Active()
 		res.drainStaleOK = drainedCache != nil && !drainedCache.Apply(&devolve.Table{Gen: 2})
 	})
-	r.drive(dur, 2*time.Second, sc.Stop)
+	r.drive(sc.Stop)
 
 	res.webHitsFinal = m.Hits("web")
 	res.bulkHitsFinal = m.Hits("bulk")
@@ -190,7 +186,11 @@ func devolveInvalidatePoint(p *Probes, seed int64) devolveInvalidateResult {
 }
 
 func runDevolveInvalidate(w io.Writer, p *Probes) (any, error) {
-	res := devolveInvalidatePoint(p, 72)
+	cfg := scotch.DefaultConfig()
+	cfg.ActivateRate = 20 // engage the overlay promptly
+	cfg.RuleIdleTimeout = time.Second
+	res := devolveInvalidatePoint(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2,
+		horizon: 8 * time.Second, drain: 2 * time.Second, seed: 72, probes: p})
 	t := newTable(w, "tenant", "hits_at_revoke", "hits_final", "completion")
 	t.row("web", res.webHitsAtRevoke, res.webHitsFinal, res.webCompletion)
 	t.row("bulk", uint64(0), res.bulkHitsFinal, res.bulkCompletion)

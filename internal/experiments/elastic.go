@@ -27,19 +27,14 @@ type elasticResult struct {
 
 // elasticPoint drives the paper's single-edge rig through one load
 // cycle: a flash-crowd attack ramps from nothing to 3000 spoofed
-// flows/s and back, while a steady 20 flows/s client shares the switch.
+// flows/s and back, while s's steady client shares the switch.
 // A pool-only balancer watches the overlay-routed rate per member and
 // must grow the one-primary mesh into the standby pool during the ramp, then
 // drain back down to the floor after the attack subsides. A second
 // client ("drain probe") runs only inside the drain window: any loss
 // there would be attributable to the scale-down path.
-func elasticPoint(p *Probes, seed int64) elasticResult {
-	const dur = 24 * time.Second
-	cfg := scotch.DefaultConfig()
-	// Fast rule idle-out so the drained members' flow tables quiesce
-	// within the run (the same trick chaos-churn uses).
-	cfg.RuleIdleTimeout = 2 * time.Second
-	r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 1, standby: 3, seed: seed, probes: p})
+func elasticPoint(s spec) elasticResult {
+	r := build(s)
 	pool, b := r.poolBalancer()
 
 	// Spoofed source walk, as StartDDoS does.
@@ -49,7 +44,6 @@ func elasticPoint(p *Probes, seed int64) elasticResult {
 			RampStart: 2 * time.Second, PeakStart: 6 * time.Second,
 			PeakEnd: 12 * time.Second, RampEnd: 14 * time.Second,
 		}, "attack")
-	cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 20, 1, 0)
 
 	var res elasticResult
 	r.eng.Every(time.Second, func() {
@@ -62,15 +56,11 @@ func elasticPoint(p *Probes, seed int64) elasticResult {
 	})
 	r.eng.Schedule(22*time.Second, func() { probe.Stop() })
 
-	// Let in-flight flows land and the last drains finish before the
-	// final size sample.
-	r.drive(dur, 2*time.Second, fc.Stop, cli.Stop)
+	r.drive(fc.Stop)
 	b.Stop()
 
-	for _, s := range res.sizes {
-		if s > res.peak {
-			res.peak = s
-		}
+	for _, n := range res.sizes {
+		res.peak = max(res.peak, n)
 	}
 	res.final = pool.Size()
 	res.ups = b.Stats.Grows
@@ -83,7 +73,14 @@ func elasticPoint(p *Probes, seed int64) elasticResult {
 }
 
 func runElastic(w io.Writer, p *Probes) (any, error) {
-	res := elasticPoint(p, 47)
+	cfg := scotch.DefaultConfig()
+	// Fast rule idle-out so the drained members' flow tables quiesce
+	// within the run (the same trick chaos-churn uses).
+	cfg.RuleIdleTimeout = 2 * time.Second
+	// The drain lets in-flight flows land and the last drains finish
+	// before the final size sample.
+	res := elasticPoint(spec{cfg: &cfg, clients: 2, servers: 1, primary: 1, standby: 3, steady: 20,
+		horizon: 24 * time.Second, drain: 2 * time.Second, seed: 47, probes: p})
 	fmt.Fprintln(w, "t(s)  pool_size")
 	for i, s := range res.sizes {
 		fmt.Fprintf(w, "%-5d %d\n", i+1, s)

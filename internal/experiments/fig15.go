@@ -13,10 +13,10 @@ import (
 func runFig15(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "controller", "flows", "failure_fraction", "completion_fraction",
 		"fct_ms_p50", "fct_ms_p99")
-	const dur = 25 * time.Second
 	cfg := scotch.DefaultConfig()
 	for _, c := range []*scotch.Config{nil, &cfg} {
-		r := build(spec{fabric: leafSpine, cfg: c, seed: 15, probes: p})
+		r := build(spec{fabric: leafSpine, cfg: c, horizon: 25 * time.Second, drain: 2 * time.Second,
+			seed: 15, probes: p})
 
 		// Background: steady all-to-all trace with heavy-tailed sizes.
 		var sources []*workload.Emitter
@@ -52,7 +52,7 @@ func runFig15(w io.Writer, p *Probes) (any, error) {
 			})
 		})
 
-		r.drive(dur, 2*time.Second, tg.Stop, fc.Stop)
+		r.drive(tg.Stop, fc.Stop)
 
 		name := "scotch"
 		if c == nil {

@@ -32,30 +32,16 @@ type obsSLOResult struct {
 // recovers quickly once Scotch diverts the crowd, long before the
 // crowd itself recovers. After the ramp subsides the windows empty and
 // both verdicts end healthy: healthy -> burning -> healthy.
-func obsSLOPoint(p *Probes, seed int64) obsSLOResult {
-	const dur = 20 * time.Second
-	cfg := scotch.DefaultConfig()
-	r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, backup: 1, seed: seed, probes: p})
+func obsSLOPoint(s spec) obsSLOResult {
+	r := build(s)
 
 	// The experiment carries its own always-on observatory with the SLOs
 	// under test; armed probes (-health) layer a second, independent one
 	// over the same rig when requested.
-	lt := workload.NewLatencyTracker()
-	lt.AttachCapture(r.cap)
-	o := obs.New(r.eng, obs.Config{
-		SLOs: []obs.SLO{
-			{Name: "base-p99", Tenant: "base", Target: 50 * time.Millisecond},
-			{Name: "crowd-p99", Tenant: "crowd", Target: 50 * time.Millisecond},
-		},
-	})
-	o.WatchApp(r.app)
-	o.WatchController("controller", r.c)
-	o.WatchSwitch(r.edge)
-	for _, vs := range r.vs {
-		o.WatchSwitch(vs)
-	}
-	o.WatchLatency(lt)
-	o.Start()
+	o := r.observe(obs.Config{SLOs: []obs.SLO{
+		{Name: "base-p99", Tenant: "base", Target: 50 * time.Millisecond},
+		{Name: "crowd-p99", Tenant: "crowd", Target: 50 * time.Millisecond},
+	}})
 
 	base := workload.StartClient(r.emitter(r.clients[0]), r.servers[0].IP, 20, 1, 0)
 	base.Class = "base"
@@ -67,9 +53,7 @@ func obsSLOPoint(p *Probes, seed int64) obsSLOResult {
 			PeakEnd: 10 * time.Second, RampEnd: 12 * time.Second,
 		}, "crowd")
 
-	// Let the install backlog drain and the burn windows empty so the
-	// crowd SLO's recovery transition lands before the digest.
-	r.drive(dur, 4*time.Second, fc.Stop, base.Stop)
+	r.drive(fc.Stop, base.Stop)
 	o.Stop()
 
 	d := o.Digest("obs-slo")
@@ -77,7 +61,11 @@ func obsSLOPoint(p *Probes, seed int64) obsSLOResult {
 }
 
 func runObsSLO(w io.Writer, p *Probes) (any, error) {
-	res := obsSLOPoint(p, 47)
+	cfg := scotch.DefaultConfig()
+	// The drain lets the install backlog drain and the burn windows empty
+	// so the crowd SLO's recovery transition lands before the digest.
+	res := obsSLOPoint(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, backup: 1,
+		horizon: 20 * time.Second, drain: 4 * time.Second, seed: 47, probes: p})
 	fmt.Fprintln(w, "slo        tenant  verdict_path               peak_burn_short  peak_burn_long  peak_window_p99(s)")
 	for _, s := range []*obs.SLODigest{res.base, res.crowd} {
 		fmt.Fprintf(w, "%-10s %-7s %-26s %-16.1f %-15.1f %.4f\n",

@@ -12,7 +12,6 @@ import (
 func runFig8(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "migration_mode", "migrated", "fwA_passed", "fwB_rejected",
 		"elephant_delivery_ratio", "elephant_stalled")
-	const dur = 20 * time.Second
 	for _, naive := range []bool{false, true} {
 		cfg := scotch.DefaultConfig()
 		cfg.NaiveMigration = naive
@@ -20,7 +19,8 @@ func runFig8(w io.Writer, p *Probes) (any, error) {
 		cfg.OverlayThreshold = 0 // force all congested-switch flows onto the overlay
 		cfg.ActivateRate = 50
 		cfg.DeactivateRate = 0 // never withdraw during the run
-		r := build(spec{fabric: diamond, cfg: &cfg, seed: 8, probes: p})
+		r := build(spec{fabric: diamond, cfg: &cfg, horizon: 20 * time.Second, drain: time.Second,
+			seed: 8, probes: p})
 		client, server := r.clients[0], r.servers[0]
 		r.app.Cfg.Policy = func(key netaddr.FlowKey) []string {
 			if key.Dst == server.IP {
@@ -40,7 +40,7 @@ func runFig8(w io.Writer, p *Probes) (any, error) {
 			em.Start(workload.Flow{Key: key, Packets: 7000, Interval: 2 * time.Millisecond,
 				Size: 1000, Class: "elephant"})
 		})
-		r.drive(dur, time.Second, atk.Stop)
+		r.drive(atk.Stop)
 
 		fl := r.cap.Flows("elephant")
 		ratio := 0.0

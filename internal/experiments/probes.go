@@ -81,17 +81,17 @@ func defaultRigSLOs() []obs.SLO {
 	return out
 }
 
-// arm gives a freshly built rig p's instruments. A tracer goes to its
+// arm gives a freshly built rig p's instruments: a tracer on its
 // balancer, coordinator, every controller and switch, and every server's
-// deliveries. An observatory watches its coordinator, controller, every
-// app and switch, and the flow-setup latency of its capture by flow class
-// (how experiment workloads name tenants).
+// deliveries, and an observatory (observe). The rig keeps both for the
+// replicas that join it later (addReplica).
 func (r *rig) arm(p *Probes) {
 	if p == nil {
 		return
 	}
 	if p.Trace {
 		tr := telemetry.NewTracer()
+		r.tr = tr
 		r.bal.SetTracer(tr)
 		if r.co != nil {
 			r.co.Trace = tr
@@ -119,23 +119,8 @@ func (r *rig) arm(p *Probes) {
 	if cfg.SLOs == nil {
 		cfg.SLOs = defaultRigSLOs()
 	}
-	o := obs.New(r.eng, cfg)
-	o.WatchCoordinator(r.co)
-	o.WatchController("controller", r.c)
-	for _, pd := range r.pods {
-		comp := "scotch"
-		if len(r.pods) > 1 {
-			comp += "/" + pd.name
-		}
-		o.WatchAppAs(comp, pd.app)
-	}
-	for _, sw := range r.switches() {
-		o.WatchSwitch(sw)
-	}
-	lt := workload.NewLatencyTracker()
-	lt.AttachCapture(r.cap)
-	o.WatchLatency(lt)
-	o.Start()
+	o := r.observe(cfg)
+	r.obs = o
 	p.Health = append(p.Health, NamedHealth{Name: runName(len(p.Health)), Obs: o})
 	if p.Observed != nil {
 		p.Observed(o)
@@ -146,6 +131,30 @@ func (r *rig) arm(p *Probes) {
 		b := balance.New(r.eng, bcfg, viewSignals(o), balance.Actuators{}).Start()
 		p.Advice = append(p.Advice, NamedBalance{Name: runName(len(p.Advice)), B: b})
 	}
+}
+
+// observe starts an observatory with cfg over the rig: its coordinator,
+// controller, every app and switch, and the flow-setup latency of its
+// capture by flow class (how experiment workloads name tenants).
+func (r *rig) observe(cfg obs.Config) *obs.Observatory {
+	o := obs.New(r.eng, cfg)
+	o.WatchCoordinator(r.co)
+	o.WatchController("controller", r.c)
+	for _, pd := range r.pods {
+		if len(r.pods) == 1 {
+			o.WatchApp(pd.app)
+		} else {
+			o.WatchAppAs("scotch/"+pd.name, pd.app)
+		}
+	}
+	for _, sw := range r.switches() {
+		o.WatchSwitch(sw)
+	}
+	lt := workload.NewLatencyTracker()
+	lt.AttachCapture(r.cap)
+	o.WatchLatency(lt)
+	o.Start()
+	return o
 }
 
 // traceDelivery chains a first-packet-delivery trace point onto a host's

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"scotch/internal/netaddr"
 	"scotch/internal/obs"
 	"scotch/internal/telemetry"
 )
@@ -163,5 +164,37 @@ func TestArmedGolden(t *testing.T) {
 	if got.String() != string(want) {
 		t.Errorf("armed artifacts differ from %s:\n%s\nIf the shift is intended, regenerate the file from the repo root with\n  %s",
 			armedGolden, lineDiff(armedGolden, string(want), got.String()), armedRegen)
+	}
+}
+
+// TestSpawnedReplicaArmed: the replica replica-scale-out's balancer spawns
+// mid-run gets the rig's armed instruments like the two built with the
+// rig, so the health digest has its replica2 series and every flow whose
+// Packet-In a switch emitted has its control-channel span, whichever
+// replica took it. The armed run keeps its golden bytes.
+func TestSpawnedReplicaArmed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	p := checkGolden(t, runIDs(t, []string{"replica-scale-out"}, 1,
+		&Probes{Trace: true, Obs: &obs.Config{}}))[0].Probes
+	d := p.Health[0].Obs.Digest(p.Health[0].Name)
+	if !slices.ContainsFunc(d.Components, func(c obs.ComponentDigest) bool { return c.Name == "replica2" }) {
+		t.Error("health digest has no replica2 component")
+	}
+	stages := map[string]map[netaddr.FlowKey]bool{"ofa-queue": {}, "control-channel": {}}
+	for _, s := range p.Traces[0].Tracer.Spans() {
+		if flows, ok := stages[s.Stage]; ok {
+			flows[s.Flow] = true
+		}
+	}
+	missing := 0
+	for f := range stages["ofa-queue"] {
+		if !stages["control-channel"][f] {
+			missing++
+		}
+	}
+	if len(stages["ofa-queue"]) == 0 || missing > 0 {
+		t.Errorf("%d of %d punted flows have no control-channel span", missing, len(stages["ofa-queue"]))
 	}
 }

@@ -13,8 +13,10 @@ import (
 	"scotch/internal/device"
 	"scotch/internal/fault"
 	"scotch/internal/netaddr"
+	"scotch/internal/obs"
 	"scotch/internal/scotch"
 	"scotch/internal/sim"
+	"scotch/internal/telemetry"
 	"scotch/internal/topo"
 	"scotch/internal/workload"
 )
@@ -31,6 +33,10 @@ const (
 	// testbed is §3.2's one switch under test (spec.profile) with an
 	// attacker, a client and a server.
 	testbed
+	// bareSwitch is one switch (spec.profile) with no controller, which
+	// fig9 and fig10 program with FlowMods directly; with a server it
+	// carries fig10's measured flow from a src host to a dst host.
+	bareSwitch
 	// leafSpine is topo.NewLeafSpine's data center with per-rack pools.
 	leafSpine
 	// fatTree is a k=8 fat-tree with two hosts per edge switch.
@@ -39,11 +45,12 @@ const (
 	diamond
 )
 
-// spec describes one rig. Experiments write it as a Go literal; build
-// turns it into a running world.
+// spec describes one experiment point: the rig, its seed and horizon, its
+// standard traffic and its fault plan. Experiments write it as a Go
+// literal; build turns it into a running world and drive runs it.
 type spec struct {
 	fabric  fabric
-	profile device.Profile // testbed: the switch under test
+	profile device.Profile // testbed, bareSwitch: the switch under test
 	// pods is the number of edgePods shards (0 or 1: the single-edge
 	// rig). More than one run behind a cluster of replicas controllers.
 	pods, replicas int
@@ -61,7 +68,26 @@ type spec struct {
 	// balancer; the cluster then starts no migrate-only one.
 	ownBalancer bool
 	seed        int64
-	probes      *Probes
+	// drive runs the rig to horizon, stops the traffic, then runs drain
+	// more so the packets in flight land.
+	horizon, drain time.Duration
+	// plan is scheduled on the rig's fault runner at build.
+	plan fault.Plan
+	// The §3.2 shape: spoofed-source attack flows/s, split evenly over
+	// the servers with server k's share sent from client
+	// k*clients/servers (one server: all from client 0), and a steady
+	// client of steady one-packet flows/s on client 1 toward server 0
+	// (0: none).
+	attack, steady float64
+	// The multi-pod shape: pod p runs a steady client of load[p%len(load)]
+	// flows/s of loadPkts packets loadIval apart (0: none) and a crowd of
+	// spoofed one-packet flows along crowd[p%len(crowd)] (a zero curve:
+	// none), both from its client toward its server.
+	load     []float64
+	loadPkts int
+	loadIval time.Duration
+	crowd    []workload.TrapezoidCurve
+	probes   *Probes
 }
 
 // pod is one edge switch with its hosts, its vSwitches and the Scotch app
@@ -78,11 +104,12 @@ type pod struct {
 	app         *scotch.App
 }
 
-// rig is a built world: a seeded engine, its topology, its controllers and
-// a capture on every server. The embedded pod is pod 0, the whole of a
-// one-pod rig.
+// rig is a built world: a seeded engine, its topology, its controllers, a
+// capture on every server, a fault runner and the spec's traffic. The
+// embedded pod is pod 0, the whole of a one-pod rig.
 type rig struct {
 	*pod
+	spec spec
 	eng  *sim.Engine
 	net  *topo.Network
 	cap  *capture.Capture
@@ -94,17 +121,24 @@ type rig struct {
 	replicas []*cluster.Replica
 	bal      *balance.Balancer
 	fw       []*device.Firewall // diamond: FW_A, FW_B
+	faults   *fault.Runner
+	traffic  []func() // the stops of the spec's traffic
+	// The armed probes' instruments (nil when unarmed), which a replica
+	// joining mid-run also gets.
+	tr  *telemetry.Tracer
+	obs *obs.Observatory
 }
 
 // deployment wires a Scotch app over a built topology, connects it and
 // builds its overlay.
 type deployment func(scotch.Config) (*controller.Controller, *scotch.App, error)
 
-// build constructs the rig s describes. Creation order sets DPIDs and port
-// numbers, so it is part of every experiment's output.
+// build constructs the rig s describes, arms it, schedules s.plan and
+// starts s's traffic. Creation order sets DPIDs and port numbers, so it is
+// part of every experiment's output.
 func build(s spec) *rig {
 	eng := sim.New(s.seed)
-	r := &rig{eng: eng, cap: capture.New(eng)}
+	r := &rig{spec: s, eng: eng, cap: capture.New(eng)}
 	var deploy deployment
 	switch s.fabric {
 	case testbed:
@@ -112,6 +146,16 @@ func build(s spec) *rig {
 		r.net = tb.Net
 		r.pods = []*pod{{edge: tb.Switch, clients: []*device.Host{tb.Attacker, tb.Client},
 			servers: []*device.Host{tb.Server}}}
+	case bareSwitch:
+		r.net = topo.New(eng)
+		pd := &pod{edge: r.net.AddSwitch("pica8", s.profile)}
+		if s.servers > 0 {
+			pd.clients = []*device.Host{r.net.AddHost("src", netaddr.MakeIPv4(10, 0, 0, 1))}
+			pd.servers = []*device.Host{r.net.AddHost("dst", netaddr.MakeIPv4(10, 0, 1, 1))}
+			r.net.AttachHost(pd.clients[0], pd.edge, device.LinkConfig{})
+			r.net.AttachHost(pd.servers[0], pd.edge, device.LinkConfig{})
+		}
+		r.pods = []*pod{pd}
 	case leafSpine:
 		ls := topo.NewLeafSpine(eng)
 		r.net = ls.Net
@@ -143,6 +187,7 @@ func build(s spec) *rig {
 	r.pod = r.pods[0]
 
 	switch {
+	case s.fabric == bareSwitch:
 	case len(r.pods) > 1:
 		r.deployCluster(s)
 	case s.cfg == nil:
@@ -170,6 +215,9 @@ func build(s spec) *rig {
 		}
 	}
 	r.arm(s.probes)
+	r.faults = fault.NewRunner(eng, r, r.tr)
+	r.faults.Schedule(s.plan)
+	r.startTraffic(s)
 	return r
 }
 
@@ -245,12 +293,7 @@ func (p *pod) wire(app *scotch.App, s spec, multi bool) {
 func (r *rig) deployCluster(s spec) {
 	r.co = cluster.New(r.eng)
 	for i := 0; i < s.replicas; i++ {
-		c := controller.New(r.eng, r.net)
-		if s.capacity > 0 {
-			c.SetCapacity(s.capacity, s.queue)
-		}
-		c.ConnectAll()
-		r.replicas = append(r.replicas, r.co.AddReplica(c))
+		r.addReplica(r.co.AddReplica)
 	}
 	for p, pd := range r.pods {
 		home := r.replicas[p%s.replicas]
@@ -282,6 +325,23 @@ func (r *rig) deployCluster(s spec) {
 		r.bal = balance.New(r.eng, bcfg, balance.ReplicaSignals(r.co),
 			balance.Actuators{Migrator: r.co}).Start()
 	}
+}
+
+// addReplica starts a controller replica, connects it to every switch,
+// joins it to the cluster with join (AddReplica while the cluster deploys,
+// Enroll once it runs) and gives it the rig's armed tracer and a watch on
+// the armed observatory.
+func (r *rig) addReplica(join func(*controller.Controller) *cluster.Replica) *cluster.Replica {
+	c := controller.New(r.eng, r.net)
+	if r.spec.capacity > 0 {
+		c.SetCapacity(r.spec.capacity, r.spec.queue)
+	}
+	c.ConnectAll()
+	rep := join(c)
+	r.replicas = append(r.replicas, rep)
+	c.SetTracer(r.tr)
+	r.obs.WatchCoordinator(r.co)
+	return rep
 }
 
 // buildDiamond lays out fig8's diamond with two stateful firewalls inline
@@ -362,6 +422,40 @@ func spoofCrowd(em *workload.Emitter, dst netaddr.IPv4, spoof netaddr.Prefix, fc
 	})
 }
 
+// startTraffic starts s's standard traffic, every steady client before any
+// crowd, and keeps the stops for drive.
+func (r *rig) startTraffic(s spec) {
+	for k, srv := range r.servers {
+		if s.attack > 0 {
+			cl := r.clients[k*len(r.clients)/len(r.servers)]
+			r.traffic = append(r.traffic, workload.StartDDoS(r.emitter(cl), srv.IP, s.attack/float64(len(r.servers))).Stop)
+		}
+	}
+	if s.steady > 0 {
+		r.traffic = append(r.traffic, workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, s.steady, 1, 0).Stop)
+	}
+	for p, pd := range r.pods {
+		if rate := nth(s.load, p); rate > 0 {
+			cli := workload.StartClient(r.emitter(pd.clients[0]), pd.servers[0].IP, rate, s.loadPkts, s.loadIval)
+			r.traffic = append(r.traffic, cli.Stop)
+		}
+	}
+	for p, pd := range r.pods {
+		if fc := nth(s.crowd, p); fc != (workload.TrapezoidCurve{}) {
+			spoof := netaddr.MakePrefix(netaddr.MakeIPv4(172, byte(16+p), 0, 0), 16)
+			r.traffic = append(r.traffic, spoofCrowd(r.emitter(pd.clients[0]), pd.servers[0].IP, spoof, fc, "crowd").Stop)
+		}
+	}
+}
+
+// nth is xs[i%len(xs)], or the zero value when xs is empty.
+func nth[T any](xs []T, i int) (v T) {
+	if len(xs) > 0 {
+		v = xs[i%len(xs)]
+	}
+	return v
+}
+
 // pool is pod 0's elastic vSwitch pool: its mesh plus the standbys it may
 // grow into.
 func (r *rig) pool() *scotch.VSwitchPool {
@@ -403,15 +497,15 @@ func (r *rig) elephantBurst(fillers, elephants, pkts int) {
 	})
 }
 
-// drive runs the rig to until, stops each workload, then runs drain more
-// so the packets in flight land.
-func (r *rig) drive(until, drain time.Duration, stops ...func()) {
-	r.eng.RunUntil(until)
-	for _, stop := range stops {
+// drive runs the rig to its horizon, stops the spec's traffic and each of
+// stops, then runs the drain so the packets in flight land.
+func (r *rig) drive(stops ...func()) {
+	r.eng.RunUntil(r.spec.horizon)
+	for _, stop := range append(r.traffic, stops...) {
 		stop()
 	}
-	if drain > 0 {
-		r.eng.RunUntil(until + drain)
+	if r.spec.drain > 0 {
+		r.eng.RunUntil(r.spec.horizon + r.spec.drain)
 	}
 }
 

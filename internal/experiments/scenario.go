@@ -65,14 +65,11 @@ type multitenantResult struct {
 	p99Ratio float64
 }
 
-// multitenantRun composes the three-tenant mix on the single-edge rig with
+// multitenantRun composes the three-tenant mix on s's single-edge rig with
 // a pool-only balancer resizing the overlay and returns the per-tenant
 // latency rows.
-func multitenantRun(p *Probes, seed int64, withDDoS bool) ([]latRow, int) {
-	const dur = 12 * time.Second
-	cfg := scotch.DefaultConfig()
-	cfg.RuleIdleTimeout = 2 * time.Second
-	r := build(spec{cfg: &cfg, clients: 3, servers: 2, primary: 1, standby: 3, seed: seed, probes: p})
+func multitenantRun(s spec, withDDoS bool) ([]latRow, int) {
+	r := build(s)
 	pool, b := r.poolBalancer()
 
 	lat := workload.NewLatencyTracker()
@@ -82,17 +79,15 @@ func multitenantRun(p *Probes, seed int64, withDDoS bool) ([]latRow, int) {
 	if withDDoS {
 		ddos = &workload.OnOffCurve{Rate: 1500, Start: 3 * time.Second, End: 9 * time.Second}
 	}
-	sc := r.tenantMix(seed, 100, workload.TrapezoidCurve{Base: 0, Peak: 800,
+	sc := r.tenantMix(100, workload.TrapezoidCurve{Base: 0, Peak: 800,
 		RampStart: 2 * time.Second, PeakStart: 4 * time.Second,
 		PeakEnd: 8 * time.Second, RampEnd: 10 * time.Second}, ddos)
 
 	peak := 0
 	r.eng.Every(time.Second, func() {
-		if s := pool.Size(); s > peak {
-			peak = s
-		}
+		peak = max(peak, pool.Size())
 	})
-	r.drive(dur, 2*time.Second, sc.Stop)
+	r.drive(sc.Stop)
 	b.Stop()
 	return latencyRows(lat), peak
 }
@@ -101,9 +96,9 @@ func multitenantRun(p *Probes, seed int64, withDDoS bool) ([]latRow, int) {
 // two servers: base mice at baseRate flows/s from client 0 to both
 // servers, a flash crowd from client 1 and, unless ddos is nil, a
 // spoofed-source DDoS from client 2, both at server 0.
-func (r *rig) tenantMix(seed int64, baseRate float64, crowd workload.TrapezoidCurve, ddos *workload.OnOffCurve) *workload.Scenario {
+func (r *rig) tenantMix(baseRate float64, crowd workload.TrapezoidCurve, ddos *workload.OnOffCurve) *workload.Scenario {
 	dsts := []netaddr.IPv4{r.servers[0].IP, r.servers[1].IP}
-	sc := workload.NewScenario(r.eng, seed)
+	sc := workload.NewScenario(r.eng, r.spec.seed)
 	sc.Add(workload.TenantSpec{
 		Name: "base", Curve: workload.ConstantCurve(baseRate),
 		Size:    workload.ParetoSampler{Alpha: 1.2, MinPkts: 1, MaxPkts: 20},
@@ -121,10 +116,10 @@ func (r *rig) tenantMix(seed int64, baseRate float64, crowd workload.TrapezoidCu
 	return sc
 }
 
-func multitenantPoint(p *Probes, seed int64) multitenantResult {
+func multitenantPoint(s spec) multitenantResult {
 	var res multitenantResult
-	res.quiet, _ = multitenantRun(p, seed, false)
-	res.attacked, res.peakPool = multitenantRun(p, seed, true)
+	res.quiet, _ = multitenantRun(s, false)
+	res.attacked, res.peakPool = multitenantRun(s, true)
 	if q := baseP99(res.quiet); q > 0 {
 		res.p99Ratio = baseP99(res.attacked) / q
 	}
@@ -132,7 +127,10 @@ func multitenantPoint(p *Probes, seed int64) multitenantResult {
 }
 
 func runScenarioMultitenant(w io.Writer, p *Probes) (any, error) {
-	res := multitenantPoint(p, 61)
+	cfg := scotch.DefaultConfig()
+	cfg.RuleIdleTimeout = 2 * time.Second
+	res := multitenantPoint(spec{cfg: &cfg, clients: 3, servers: 2, primary: 1, standby: 3,
+		horizon: 12 * time.Second, drain: 2 * time.Second, seed: 61, probes: p})
 	fmt.Fprintln(w, "quiet run (base + crowd, overlay + balancer):")
 	latencyTable(w, res.quiet)
 	fmt.Fprintln(w, "attacked run (base + crowd + ddos):")
@@ -152,10 +150,8 @@ type fattreeResult struct {
 // fattreePoint drives a flash crowd against one pod of a k=8 fat-tree
 // (80 switches, hosts subsampled to two per edge) deployed under Scotch,
 // with a steady all-to-all baseline tenant underneath.
-func fattreePoint(p *Probes, seed int64) fattreeResult {
-	const dur = 10 * time.Second
-	cfg := scotch.DefaultConfig()
-	r := build(spec{fabric: fatTree, cfg: &cfg, seed: seed, probes: p})
+func fattreePoint(s spec) fattreeResult {
+	r := build(s)
 	lat := workload.NewLatencyTracker()
 	lat.AttachCapture(r.cap)
 
@@ -172,7 +168,7 @@ func fattreePoint(p *Probes, seed int64) fattreeResult {
 		}
 	}
 
-	sc := workload.NewScenario(r.eng, seed)
+	sc := workload.NewScenario(r.eng, s.seed)
 	sc.Add(workload.TenantSpec{
 		Name: "base", Curve: workload.ConstantCurve(50),
 		Size:    workload.ParetoSampler{Alpha: 1.2, MinPkts: 1, MaxPkts: 50},
@@ -189,7 +185,7 @@ func fattreePoint(p *Probes, seed int64) fattreeResult {
 		Sources: crowdSources, Dsts: []netaddr.IPv4{target},
 	})
 	sc.Start()
-	r.drive(dur, 2*time.Second, sc.Stop)
+	r.drive(sc.Stop)
 
 	return fattreeResult{
 		rows:            latencyRows(lat),
@@ -199,7 +195,9 @@ func fattreePoint(p *Probes, seed int64) fattreeResult {
 }
 
 func runScenarioFattree(w io.Writer, p *Probes) (any, error) {
-	res := fattreePoint(p, 62)
+	cfg := scotch.DefaultConfig()
+	res := fattreePoint(spec{fabric: fatTree, cfg: &cfg, horizon: 10 * time.Second, drain: 2 * time.Second,
+		seed: 62, probes: p})
 	latencyTable(w, res.rows)
 	fmt.Fprintf(w, "base_completion=%.3f crowd_completion=%.3f\n",
 		res.baseCompletion, res.crowdCompletion)
@@ -221,10 +219,8 @@ type replayResult struct {
 // hashing trace endpoints onto the rig's clients and servers. The trace's
 // tenant column ("web", "batch", and unlabeled → "replay") drives the
 // per-tenant latency CDFs.
-func replayPoint(p *Probes, seed int64) replayResult {
-	const dur = 8 * time.Second
-	cfg := scotch.DefaultConfig()
-	r := build(spec{cfg: &cfg, clients: 2, servers: 2, primary: 1, backup: 1, seed: seed, probes: p})
+func replayPoint(s spec) replayResult {
+	r := build(s)
 	lat := workload.NewLatencyTracker()
 	lat.AttachCapture(r.cap)
 
@@ -242,7 +238,7 @@ func replayPoint(p *Probes, seed int64) replayResult {
 			return em, srv.IP
 		},
 	})
-	r.drive(dur, 0)
+	r.drive()
 	return replayResult{
 		events:    len(events),
 		scheduled: n,
@@ -252,7 +248,9 @@ func replayPoint(p *Probes, seed int64) replayResult {
 }
 
 func runScenarioReplay(w io.Writer, p *Probes) (any, error) {
-	res := replayPoint(p, 63)
+	cfg := scotch.DefaultConfig()
+	res := replayPoint(spec{cfg: &cfg, clients: 2, servers: 2, primary: 1, backup: 1,
+		horizon: 8 * time.Second, seed: 63, probes: p})
 	fmt.Fprintf(w, "trace_events=%d scheduled=%d\n", res.events, res.scheduled)
 	latencyTable(w, res.rows)
 	fmt.Fprintf(w, "all_tenants: n=%d p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f\n",

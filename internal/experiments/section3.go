@@ -5,17 +5,14 @@ import (
 	"time"
 
 	"scotch/internal/device"
-	"scotch/internal/workload"
 )
 
 // fig3Point runs the paper's §3.2 measurement once: a reactive baseline
-// controller on a single switch, a 100 flows/s client, and an attacker at
-// the given rate. Returns the client flow failure fraction.
-func fig3Point(p *Probes, prof device.Profile, attackRate float64, dur time.Duration, seed int64) float64 {
-	r := build(spec{fabric: testbed, profile: prof, seed: seed, probes: p})
-	atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, attackRate)
-	cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
-	r.drive(dur, time.Second, atk.Stop, cli.Stop)
+// controller on s's switch, with s's attacker and steady client. Returns
+// the client flow failure fraction.
+func fig3Point(s spec) float64 {
+	r := build(s)
+	r.drive()
 	return r.cap.FailureFraction("client")
 }
 
@@ -30,7 +27,8 @@ func runFig3(w io.Writer, p *Probes) (any, error) {
 	for _, r := range rates {
 		row := []any{int(r)}
 		for _, prof := range profiles {
-			row = append(row, fig3Point(p, prof, r, 8*time.Second, 3))
+			row = append(row, fig3Point(spec{fabric: testbed, profile: prof, attack: r, steady: 100,
+				horizon: 8 * time.Second, drain: time.Second, seed: 3, probes: p}))
 		}
 		t.row(row...)
 	}
@@ -39,15 +37,12 @@ func runFig3(w io.Writer, p *Probes) (any, error) {
 }
 
 func runFig4(w io.Writer, p *Probes) (any, error) {
-	rates := []float64{50, 100, 150, 200, 300, 500, 1000}
 	t := newTable(w, "offered_new_flows_per_s", "packet_in_per_s", "rule_install_per_s", "success_flows_per_s")
-	const dur = 10 * time.Second
-	for _, rate := range rates {
-		r := build(spec{fabric: testbed, profile: device.Pica8Profile(), seed: 5, probes: p})
-		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, rate, 1, 0)
-		r.drive(dur, time.Second, cli.Stop)
-
-		secs := dur.Seconds()
+	for _, rate := range []float64{50, 100, 150, 200, 300, 500, 1000} {
+		r := build(spec{fabric: testbed, profile: device.Pica8Profile(), steady: rate,
+			horizon: 10 * time.Second, drain: time.Second, seed: 5, probes: p})
+		r.drive()
+		secs := r.spec.horizon.Seconds()
 		_, delivered := r.cap.Counts("client")
 		t.row(int(rate),
 			float64(r.edge.Stats.PacketInSent)/secs,

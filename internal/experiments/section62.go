@@ -15,13 +15,11 @@ import (
 func runFig11(w io.Writer, p *Probes) (any, error) {
 	rates := []float64{500, 1000, 2000, 3000, 3800}
 	t := newTable(w, "attack_flows_per_s", "baseline_client_failure", "scotch_client_failure", "scotch_attack_failure")
-	const dur = 15 * time.Second
 	for _, ar := range rates {
 		run := func(cfg *scotch.Config) (float64, float64) {
-			r := build(spec{cfg: cfg, clients: 2, servers: 1, primary: 2, seed: 11, probes: p})
-			atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, ar)
-			cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 100, 1, 0)
-			r.drive(dur, time.Second, atk.Stop, cli.Stop)
+			r := build(spec{cfg: cfg, clients: 2, servers: 1, primary: 2, attack: ar, steady: 100,
+				horizon: 15 * time.Second, drain: time.Second, seed: 11, probes: p})
+			r.drive()
 			return r.cap.FailureFraction("client"), r.cap.FailureFraction("attack")
 		}
 		cfg := scotch.DefaultConfig()
@@ -38,29 +36,21 @@ func runFig11(w io.Writer, p *Probes) (any, error) {
 // elastic capacity scaling.
 func runFig12(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "vswitches", "offered_flows_per_s", "handled_flows_per_s", "delivered_flows_per_s")
-	const offered = 25000.0
-	const dur = 5 * time.Second
 	for _, n := range []int{1, 2, 3, 4, 6, 8} {
 		cfg := scotch.DefaultConfig()
 		// Expose the vSwitch OFA limit rather than the controller's own
 		// per-switch pacing.
 		cfg.OverlayInstallRate = 1e6
 		cfg.FanOut = n
-		r := build(spec{cfg: &cfg, clients: 2, servers: 8, primary: n, seed: 12, probes: p})
-		// Two attackers spread over the servers to exercise every
-		// delivery vSwitch.
-		var stops []func()
-		for i, cl := range r.clients {
-			for j := 0; j < 4; j++ {
-				srv := r.servers[(i*4+j)%len(r.servers)]
-				stops = append(stops, workload.StartDDoS(r.emitter(cl), srv.IP, offered/8).Stop)
-			}
-		}
-		r.drive(dur, time.Second, stops...)
+		// Two attackers spread over eight servers exercise every delivery
+		// vSwitch.
+		r := build(spec{cfg: &cfg, clients: 2, servers: 8, primary: n, attack: 25000,
+			horizon: 5 * time.Second, drain: time.Second, seed: 12, probes: p})
+		r.drive()
 		sent, delivered := r.cap.Counts("attack")
 		handled := r.app.Stats.OverlayRouted + r.app.Stats.PhysicalAdmitted
-		t.row(n, float64(sent)/dur.Seconds(), float64(handled)/dur.Seconds(),
-			float64(delivered)/dur.Seconds())
+		secs := r.spec.horizon.Seconds()
+		t.row(n, float64(sent)/secs, float64(handled)/secs, float64(delivered)/secs)
 	}
 	t.flush()
 	return nil, nil
@@ -72,16 +62,15 @@ func runFig12(w io.Writer, p *Probes) (any, error) {
 func runFig13(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "migration", "elephant_bytes_overlay", "elephant_bytes_physical",
 		"physical_fraction", "elephants_migrated")
-	const dur = 20 * time.Second
 	for _, enabled := range []bool{false, true} {
 		cfg := scotch.DefaultConfig()
 		if !enabled {
 			cfg.ElephantBytes = 1 << 40
 		}
-		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, seed: 13, probes: p})
-		// Attack keeps the control path saturated so new flows take the
-		// overlay.
-		atk := workload.StartDDoS(r.emitter(r.clients[0]), r.servers[0].IP, 2000)
+		// The attack keeps the control path saturated so new flows take
+		// the overlay.
+		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, attack: 2000,
+			horizon: 20 * time.Second, drain: time.Second, seed: 13, probes: p})
 		// Five elephants from the client port; the port backlog pushes
 		// them onto the overlay.
 		r.elephantBurst(40, 5, 6000)
@@ -101,7 +90,7 @@ func runFig13(w io.Writer, p *Probes) (any, error) {
 				}
 			}
 		})
-		r.drive(dur, time.Second, atk.Stop)
+		r.drive()
 		sampler.Stop()
 
 		frac := 0.0
@@ -122,10 +111,11 @@ func runFig13(w io.Writer, p *Probes) (any, error) {
 // on the physical path versus the three-tunnel overlay path.
 func runFig14(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "path", "first_packet_ms_p50", "steady_delay_ms_p50", "steady_delay_ms_p99")
-	const dur = 10 * time.Second
-
 	run := func(forceOverlay bool) (first, p50, p99 float64) {
 		cfg := scotch.DefaultConfig()
+		// The probe flow runs 10s, after a 2s warm-up when forced.
+		s := spec{cfg: &cfg, clients: 1, servers: 1, primary: 2,
+			horizon: 10 * time.Second, seed: 14, probes: p}
 		if forceOverlay {
 			// Route everything over the overlay: zero overlay threshold
 			// and no migration.
@@ -133,19 +123,20 @@ func runFig14(w io.Writer, p *Probes) (any, error) {
 			cfg.ElephantBytes = 1 << 40
 			cfg.ActivateRate = 0.1
 			cfg.DeactivateRate = 0
+			s.horizon += 2 * time.Second
 		}
-		r := build(spec{cfg: &cfg, clients: 1, servers: 1, primary: 2, seed: 14, probes: p})
+		r := build(s)
 		em := r.emitter(r.clients[0])
 		// A warm-up flow triggers overlay activation when forced.
 		if forceOverlay {
 			workload.StartClient(em, r.servers[0].IP, 50, 1, 0)
-			r.drive(2*time.Second, 0)
+			r.eng.RunUntil(2 * time.Second)
 		}
 		em.Start(workload.Flow{Key: netaddr.FlowKey{
 			Src: r.clients[0].IP, Dst: r.servers[0].IP, Proto: netaddr.ProtoTCP,
 			SrcPort: 7000, DstPort: 80},
 			Packets: 2000, Interval: 2 * time.Millisecond, Class: "probe"})
-		r.drive(r.eng.Now()+dur, 0)
+		r.drive()
 		fp := r.cap.FirstPacketLatency("probe").Quantile(0.5) * 1000
 		lat := r.cap.PacketLatency("probe")
 		return fp, lat.Quantile(0.5) * 1000, lat.Quantile(0.99) * 1000
