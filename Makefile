@@ -29,12 +29,14 @@ vet:
 
 # Documentation gate: every internal package needs a package comment, the
 # scotch/cluster/devolve/fault/obs/balance packages need docs on every
-# exported symbol, every exported top-level identifier under internal/
-# needs a reference outside its own package's tests, and every exported
-# method of an exported type there needs a caller outside them: its name
-# selected (x.Name) in a non-test file outside its own body, or in another
-# package's test (String, Error, MarshalJSON, UnmarshalJSON and ServeHTTP
-# are exempt).
+# exported symbol, every exported type, constant and variable under
+# internal/ needs a reference outside its own package's tests, and every
+# function and method declared under internal/ must be linked into a
+# binary: doclint builds every main package that imports internal/ in one
+# `go build -gcflags=all=-l` and reads their symbols with `go tool nm`
+# (internal/testsupport is exempt; a binary linking reflect.Value.Method
+# or MethodByName fails it). It prints, as notes, the functions only the
+# benchmark links.
 doclint:
 	$(GO) run ./cmd/doclint
 

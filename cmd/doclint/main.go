@@ -3,10 +3,11 @@
 // packages listed in strictPkgs every exported top-level declaration —
 // types, functions, methods on exported receivers, consts and vars —
 // must have a doc comment. A const/var block's doc comment covers all of
-// its specs. Every exported top-level identifier under internal/, and
-// every exported method of an exported type there, must also be reached
-// from outside its own package's tests (see unusedExports and
-// unusedMethods).
+// its specs. Every exported type, constant and variable under internal/
+// must also be referenced from outside its own package's tests (see
+// unusedExports), and every function and method declared there must be
+// linked into one of the module's binaries (see linkCheck), which also
+// prints, as notes, the functions only the benchmark harness links.
 //
 // Usage:
 //
@@ -42,10 +43,13 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	violations, err := run(root)
+	violations, notes, err := run(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doclint:", err)
 		os.Exit(2)
+	}
+	for _, n := range notes {
+		fmt.Println("note:", n)
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -59,18 +63,19 @@ func main() {
 // srcFile is one parsed Go file of the module.
 type srcFile struct {
 	dir  string // relative to the module root, slash-separated
+	base string // file name
 	test bool
 	ast  *ast.File
 }
 
 // run applies every check to the module at root and returns the
-// violations: package and doc comments package by package, then unused
-// exports.
-func run(root string) ([]string, error) {
+// violations, package and doc comments package by package, then unused
+// exports, then unlinked functions, and the link check's notes.
+func run(root string) (violations, notes []string, err error) {
 	fset := token.NewFileSet()
 	files, err := parseModule(fset, root)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var dirs []string
 	byDir := make(map[string][]*ast.File)
@@ -96,7 +101,12 @@ func run(root string) ([]string, error) {
 			}
 		}
 	}
-	return append(out, unusedExports(fset, files)...), nil
+	out = append(out, unusedExports(fset, files)...)
+	unlinked, notes, err := linkCheck(fset, root, files)
+	if err != nil {
+		return nil, nil, err
+	}
+	return append(out, unlinked...), notes, nil
 }
 
 // parseModule parses every Go file under root in path order, skipping
@@ -118,7 +128,7 @@ func parseModule(fset *token.FileSet, root string) ([]srcFile, error) {
 			return err
 		}
 		dir, _ := filepath.Rel(root, filepath.Dir(path))
-		files = append(files, srcFile{filepath.ToSlash(dir), strings.HasSuffix(path, "_test.go"), f})
+		files = append(files, srcFile{filepath.ToSlash(dir), d.Name(), strings.HasSuffix(path, "_test.go"), f})
 		return nil
 	})
 	return files, err
@@ -149,11 +159,10 @@ func lintFile(fset *token.FileSet, f *ast.File) []string {
 				continue
 			}
 			if d.Recv != nil {
-				recv, exported := receiverName(d.Recv)
-				if !exported {
-					continue
+				// Methods on unexported types are not part of the API surface.
+				if recv := declOwner(d); token.IsExported(recv) {
+					report(d.Pos(), "method", recv+"."+d.Name.Name)
 				}
-				report(d.Pos(), "method", recv+"."+d.Name.Name)
 			} else {
 				report(d.Pos(), "function", d.Name.Name)
 			}
@@ -183,25 +192,4 @@ func lintFile(fset *token.FileSet, f *ast.File) []string {
 		}
 	}
 	return out
-}
-
-// receiverName extracts the receiver's base type name and whether it is
-// exported; methods on unexported types are not part of the API surface.
-func receiverName(recv *ast.FieldList) (string, bool) {
-	if len(recv.List) == 0 {
-		return "", false
-	}
-	t := recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr:
-			t = tt.X
-		case *ast.Ident:
-			return tt.Name, tt.IsExported()
-		default:
-			return "", false
-		}
-	}
 }

@@ -13,5 +13,7 @@ type sizer interface{ Size() int }
 func main() {
 	nocomment.Used()
 	var s sizer = &lib.Counter{}
+	var g lib.Gauge
+	g.Set(1)
 	_ = lib.UsedByCode() + scotch.Undocumented() + scotch.Documented() + s.Size()
 }

@@ -1,8 +1,14 @@
-// Package lib holds one export of each kind the unused check judges.
+// Package lib holds one case of each kind the unused checks judge.
 package lib
 
 // UsedByCode is called from cmd/tool's non-test code.
-func UsedByCode() int { return Internal() }
+func UsedByCode() int {
+	r := &ring[struct{ A [2]int }]{}
+	r.push(struct{ A [2]int }{})
+	n := 0
+	each(func() { n += visit() })
+	return Internal() + n + len(r.buf)
+}
 
 // Internal is called from this package's non-test code.
 func Internal() int { return 1 }
@@ -16,10 +22,28 @@ func OnlyOwnTests() int { return 3 }
 // ExtOnly is called only from this package's external tests.
 func ExtOnly() int { return 4 }
 
-// Orphan is mentioned only by its own methods.
+// helper is unexported and called only from this package's tests.
+func helper() int { return 5 }
+
+// BenchOnly is called only from the bench harness.
+func BenchOnly() int { return 6 }
+
+// ring is generic; UsedByCode instantiates it with a struct shape, whose
+// symbol holds spaces and nested brackets.
+type ring[T any] struct{ buf []T }
+
+func (r *ring[T]) push(v T) { r.buf = append(r.buf, v) }
+
+// each runs fn.
+func each(fn func()) { fn() }
+
+// visit is called only from the closure UsedByCode hands to each.
+func visit() int { return 1 }
+
+// Orphan is mentioned only by its own methods and by lib_test.go.
 type Orphan struct{ n int }
 
-// Self returns the receiver.
+// Self is called only from lib_test.go.
 func (o *Orphan) Self() *Orphan { return o }
 
 // Counter is referenced from cmd/tool, so only its methods are judged.
@@ -29,20 +53,18 @@ type Counter struct{ n int }
 // tests.
 func (c *Counter) OnlyTests() int { return c.n }
 
-// Countdown calls itself, and otherwise only this package's tests call
-// it: a selection inside its own body does not count.
-func (c *Counter) Countdown(n int) int {
-	if n == 0 {
-		return c.n
-	}
-	return c.Countdown(n - 1)
-}
-
 // Size is called through an interface in cmd/tool's non-test code.
 func (c *Counter) Size() int { return c.n }
 
 // FromOtherTest is called only from cmd/tool's test.
 func (c *Counter) FromOtherTest() int { return c.n }
 
-// String is exempt: a standard interface fixes its name.
-func (c *Counter) String() string { return "counter" }
+// Gauge is used by cmd/tool.
+type Gauge struct{ n int }
+
+// Set is called from cmd/tool.
+func (g *Gauge) Set(n int) { g.n = n }
+
+// Size is called only from lib_test.go, though Counter.Size, which
+// cmd/tool calls, shares its name.
+func (g *Gauge) Size() int { return g.n }

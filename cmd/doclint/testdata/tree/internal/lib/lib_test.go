@@ -1,10 +1,15 @@
 package lib
 
-import "testing"
+import (
+	"testing"
+
+	"fixture/internal/testsupport"
+)
 
 func TestOnlyOwnTests(t *testing.T) {
 	c := &Counter{}
-	if OnlyOwnTests() != 3 || (&Orphan{}).Self() == nil || c.OnlyTests() != 0 || c.Countdown(2) != 0 {
+	if OnlyOwnTests() != 3 || helper() != 5 || (&Orphan{}).Self() == nil || c.OnlyTests() != 0 ||
+		(&Gauge{}).Size() != 0 || testsupport.Helper() != 7 {
 		t.Fatal("fixture")
 	}
 }

@@ -1,10 +1,17 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
+	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,18 +21,20 @@ import (
 // constants naming a value a peer may send, keyed "dir.Name".
 var unusedAllowed = map[string]bool{
 	"internal/openflow.ReasonAction": true,
+	"internal/openflow.RoleNoChange": true,
 	"internal/packet.FlagFIN":        true,
 	"internal/packet.FlagRST":        true,
 	"internal/packet.FlagPSH":        true,
 }
 
-// unusedExports reports every exported top-level identifier under
-// internal/ that no non-test file and no other package's test
-// references: an export only its own package's tests reach is deleted or
-// moved into a _test.go file. References are found syntactically — a bare
-// identifier in the declaring package's own files, or pkg.Name through an
-// import — and a declaration never references itself, nor a type its own
-// methods, so a type only its methods mention is reported too.
+// unusedExports reports every exported type, constant and variable under
+// internal/ that no non-test file and no other package's test references:
+// an export only its own package's tests reach is deleted or moved into a
+// _test.go file. Functions and methods are judged by the linker instead
+// (linkCheck). References are found syntactically — a bare identifier in
+// the declaring package's own files, or pkg.Name through an import — and
+// a declaration never references itself, nor a type its own methods, so
+// a type only its methods mention is reported too.
 func unusedExports(fset *token.FileSet, files []srcFile) []string {
 	exports := make(map[string]map[string]*ast.Ident) // dir -> name -> declaration
 	for _, f := range files {
@@ -100,122 +109,24 @@ func unusedExports(fset *token.FileSet, files []srcFile) []string {
 			}
 		}
 	}
-	out = append(out, unusedMethods(fset, files)...)
 	sort.Strings(out)
 	return out
 }
 
-// interfaceMethods are method names a standard interface fixes; a type
-// implements them for fmt, errors, encoding/json or net/http, so their
-// callers live in the standard library.
-var interfaceMethods = map[string]bool{
-	"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
-}
-
-// unusedMethods reports every exported method of an exported type under
-// internal/ whose name no non-test file selects (x.Name) outside the
-// method's own body, and no other package's test selects either. The
-// match is by name alone, like unusedExports: a call through an interface
-// or on another type with the same method name keeps the method.
-func unusedMethods(fset *token.FileSet, files []srcFile) []string {
-	type method struct {
-		dir  string
-		decl *ast.FuncDecl
-	}
-	var methods []method
-	for _, f := range files {
-		if f.test || !strings.HasPrefix(f.dir, "internal/") {
-			continue
-		}
-		for _, d := range f.ast.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || !fd.Name.IsExported() || interfaceMethods[fd.Name.Name] {
-				continue
-			}
-			if _, exported := receiverName(fd.Recv); exported {
-				methods = append(methods, method{f.dir, fd})
-			}
-		}
-	}
-
-	selected := make(map[string]*selection)
-	for _, f := range files {
-		for _, d := range f.ast.Decls {
-			ast.Inspect(d, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				s := selected[sel.Sel.Name]
-				if s == nil {
-					s = &selection{make(map[ast.Decl]bool), make(map[string]bool)}
-					selected[sel.Sel.Name] = s
-				}
-				if f.test {
-					s.testDirs[f.dir] = true
-				} else {
-					s.decls[d] = true
-				}
-				return true
-			})
-		}
-	}
-
-	var out []string
-	for _, m := range methods {
-		if s := selected[m.decl.Name.Name]; s != nil && s.reaches(m.decl, m.dir) {
-			continue
-		}
-		recv, _ := receiverName(m.decl.Recv)
-		p := fset.Position(m.decl.Name.Pos())
-		out = append(out, fmt.Sprintf("%s:%d: exported method %s.%s has no caller outside its own package's tests",
-			filepath.ToSlash(p.Filename), p.Line, recv, m.decl.Name.Name))
-	}
-	return out
-}
-
-// selection records where one name is selected (x.Name): the enclosing
-// declaration of each selection in non-test code, and the directories of
-// the tests that select it.
-type selection struct {
-	decls    map[ast.Decl]bool
-	testDirs map[string]bool
-}
-
-// reaches reports whether the name is selected in non-test code outside
-// self, the method's own declaration, or in a test outside dir, the
-// method's own package.
-func (s *selection) reaches(self ast.Decl, dir string) bool {
-	for d := range s.decls {
-		if d != self {
-			return true
-		}
-	}
-	for td := range s.testDirs {
-		if td != dir {
-			return true
-		}
-	}
-	return false
-}
-
-// declNames lists the top-level names a declaration introduces; a method
-// introduces none.
+// declNames lists the types, constants and variables a top-level
+// declaration introduces.
 func declNames(d ast.Decl) []*ast.Ident {
+	g, ok := d.(*ast.GenDecl)
+	if !ok {
+		return nil
+	}
 	var out []*ast.Ident
-	switch d := d.(type) {
-	case *ast.FuncDecl:
-		if d.Recv == nil {
-			out = append(out, d.Name)
-		}
-	case *ast.GenDecl:
-		for _, spec := range d.Specs {
-			switch s := spec.(type) {
-			case *ast.TypeSpec:
-				out = append(out, s.Name)
-			case *ast.ValueSpec:
-				out = append(out, s.Names...)
-			}
+	for _, spec := range g.Specs {
+		switch s := spec.(type) {
+		case *ast.TypeSpec:
+			out = append(out, s.Name)
+		case *ast.ValueSpec:
+			out = append(out, s.Names...)
 		}
 	}
 	return out
@@ -245,4 +156,152 @@ func declOwner(d ast.Decl) string {
 		return id.Name
 	}
 	return ""
+}
+
+// testSupportDir is the one package under internal/ that holds helpers
+// only tests call, which the link check therefore skips.
+const testSupportDir = "internal/testsupport"
+
+// linkCheck reports every function and method that a non-test,
+// default-tag file under internal/ (testSupportDir aside) declares and no
+// binary of the module links. It builds every main package that imports
+// internal/ in one `go build` with inlining off and reads the binaries'
+// text symbols with `go tool nm`. The linker drops whatever nothing
+// reachable calls, whatever names other types share with it, but keeps a
+// method matching a called interface method by name and signature once
+// its type is converted to an interface. A binary linking
+// reflect.Value.Method or MethodByName keeps every exported method, which
+// would blind the check, so that is a violation too. The notes list what
+// only binaries outside cmd/ and examples/, the shipped programs, link.
+func linkCheck(fset *token.FileSet, root string, files []srcFile) (violations, notes []string, err error) {
+	out, err := goOutput(root, "list", "-json=ImportPath,Name,GoFiles,Deps,Module", "./...")
+	if err != nil {
+		return nil, nil, err
+	}
+	type goPackage struct {
+		ImportPath, Name string
+		GoFiles, Deps    []string // GoFiles: default-tag non-test files
+		Module           struct{ Path string }
+	}
+	var pkgs []goPackage
+	for dec := json.NewDecoder(strings.NewReader(out)); dec.More(); {
+		var p goPackage
+		if err := dec.Decode(&p); err != nil {
+			return nil, nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	module := pkgs[0].Module.Path
+	goFiles := make(map[string]bool) // dir/base of every default-tag non-test file
+	var mains []string
+	for _, p := range pkgs {
+		dir, _ := strings.CutPrefix(p.ImportPath, module+"/")
+		for _, f := range p.GoFiles {
+			goFiles[dir+"/"+f] = true
+		}
+		if p.Name == "main" && slices.ContainsFunc(p.Deps, func(d string) bool { return strings.HasPrefix(d, module+"/internal/") }) {
+			mains = append(mains, p.ImportPath)
+		}
+	}
+	if len(mains) == 0 {
+		return nil, nil, fmt.Errorf("no main package imports %s/internal/", module)
+	}
+
+	bin, err := os.MkdirTemp("", "doclint-")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer os.RemoveAll(bin)
+	if _, err := goOutput(root, append([]string{"build", "-gcflags=all=-l", "-o", bin + string(filepath.Separator)}, mains...)...); err != nil {
+		return nil, nil, err
+	}
+	linkedBy := make(map[string][]string) // function key -> binaries linking it
+	for _, m := range mains {
+		syms, err := goOutput(root, "tool", "nm", filepath.Join(bin, path.Base(m)))
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, line := range strings.Split(syms, "\n") {
+			// "addr type name": the name may hold spaces (struct shapes).
+			_, rest, _ := strings.Cut(strings.TrimLeft(line, " "), " ")
+			typ, sym, _ := strings.Cut(rest, " ")
+			if typ != "T" && typ != "t" {
+				continue
+			}
+			if sym == "reflect.Value.Method" || sym == "reflect.Value.MethodByName" {
+				violations = append(violations, m+": links "+sym+", which keeps every exported method and blinds the link check")
+			}
+			if k, by := funcKey(sym), linkedBy[funcKey(sym)]; len(by) == 0 || by[len(by)-1] != m {
+				linkedBy[k] = append(by, m)
+			}
+		}
+	}
+
+	for _, f := range files {
+		if !strings.HasPrefix(f.dir, "internal/") || f.dir == testSupportDir || !goFiles[f.dir+"/"+f.base] {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || (fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "_")) {
+				continue
+			}
+			what, name := "func", fd.Name.Name
+			if fd.Recv != nil {
+				what, name = "method", declOwner(fd)+"."+name
+			}
+			p := fset.Position(fd.Name.Pos())
+			at := fmt.Sprintf("%s:%d: %s %s", filepath.ToSlash(p.Filename), p.Line, what, name)
+			by := linkedBy[module+"/"+f.dir+"."+name]
+			shipped := slices.ContainsFunc(by, func(b string) bool {
+				return strings.HasPrefix(b, module+"/cmd/") || strings.HasPrefix(b, module+"/examples/")
+			})
+			switch {
+			case len(by) == 0:
+				violations = append(violations, at+" is linked into no binary")
+			case !shipped:
+				notes = append(notes, at+" is linked only into "+strings.Join(by, ", "))
+			}
+		}
+	}
+	return violations, notes, nil
+}
+
+// shape matches an innermost generic shape bracket, which may hold spaces,
+// dots and slashes; compilerSuffix matches what the compiler appends to a
+// function's name: closures (.func1.2), go and defer wrappers (.gowrap1,
+// .deferwrap1), method values (-fm) and range-over-func bodies (-range1).
+var (
+	shape          = regexp.MustCompile(`\[[^][]*\]`)
+	compilerSuffix = regexp.MustCompile(`-\w+|(\.((func|gowrap|deferwrap)?\d+)?)+$`)
+)
+
+// funcKey maps a text symbol to the declaration it belongs to, as
+// "import/path.Func" or "import/path.Recv.Method", or "" for a symbol
+// with no package-qualified name.
+func funcKey(sym string) string {
+	for shape.MatchString(sym) {
+		sym = shape.ReplaceAllString(sym, "")
+	}
+	slash := strings.LastIndexByte(sym, '/') + 1
+	pkg, name, ok := strings.Cut(sym[slash:], ".")
+	if !ok {
+		return ""
+	}
+	name = strings.NewReplacer("(*", "", ")", "").Replace(name)
+	return sym[:slash] + pkg + "." + compilerSuffix.ReplaceAllString(name, "")
+}
+
+// goOutput runs the go command in dir and returns its standard output.
+func goOutput(dir string, args ...string) (string, error) {
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		err = fmt.Errorf("go %s: %v\n%s", args[0], err, exit.Stderr)
+	} else if err != nil {
+		err = fmt.Errorf("go %s: %w", args[0], err)
+	}
+	return string(out), err
 }

@@ -106,8 +106,8 @@ type DecisionRecord struct {
 	Err     string
 }
 
-// maxLog bounds the decision log; past it, records are dropped and
-// counted so a runaway policy cannot grow memory without bound.
+// maxLog bounds the decision log; records past it are dropped so a
+// runaway policy cannot grow memory without bound.
 const maxLog = 512
 
 // Balancer runs the elasticity control loop over whichever actuators it
@@ -124,7 +124,6 @@ type Balancer struct {
 	st      state
 	lastSig Signals
 	log     []DecisionRecord
-	dropped uint64
 
 	// Stats is read-only for callers.
 	Stats Stats
@@ -181,14 +180,6 @@ func (b *Balancer) Log() []DecisionRecord {
 		return nil
 	}
 	return append([]DecisionRecord(nil), b.log...)
-}
-
-// Dropped reports decision records discarded past the log bound.
-func (b *Balancer) Dropped() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.dropped
 }
 
 // tick is one control-loop evaluation: read the signals, run the pure
@@ -343,7 +334,6 @@ func (b *Balancer) fail(rec DecisionRecord, reason, errText string) {
 
 func (b *Balancer) record(rec DecisionRecord) {
 	if len(b.log) >= maxLog {
-		b.dropped++
 		return
 	}
 	b.log = append(b.log, rec)

@@ -9,6 +9,7 @@ import (
 	"scotch/internal/obs"
 	"scotch/internal/sim"
 	"scotch/internal/telemetry"
+	"scotch/internal/testsupport"
 )
 
 // fakePool is a scripted Pool.
@@ -238,7 +239,7 @@ func TestMarksAndMetrics(t *testing.T) {
 	b.Stop()
 
 	var grow, drain string
-	for _, m := range tr.Marks() {
+	for _, m := range testsupport.Marks(t, tr) {
 		if strings.HasPrefix(m.Name, "balance:grow-pool") {
 			grow = m.Name
 		}
@@ -247,7 +248,7 @@ func TestMarksAndMetrics(t *testing.T) {
 		}
 	}
 	if grow != "balance:grow-pool size=2" || drain != "balance:drain-pool size=1" {
-		t.Fatalf("resize marks grow=%q drain=%q in %+v", grow, drain, tr.Marks())
+		t.Fatalf("resize marks grow=%q drain=%q in %+v", grow, drain, testsupport.Marks(t, tr))
 	}
 	if b.Stats.Ticks == 0 || b.Stats.Grows != 1 || b.Stats.Drains != 1 {
 		t.Fatalf("ticks=%d grows=%d drains=%d, want ticks>0 and one grow and one drain",
@@ -310,7 +311,6 @@ func TestNilBalancerAllocFree(t *testing.T) {
 		b.Start()
 		b.SetTracer(nil)
 		_ = b.Log()
-		_ = b.Dropped()
 		b.Stop()
 	})
 	if n != 0 {
@@ -322,9 +322,11 @@ func TestLogBound(t *testing.T) {
 	eng := sim.New(1)
 	b := New(eng, testCfg(), func() Signals { return Signals{} }, Actuators{})
 	for i := 0; i < maxLog+10; i++ {
-		b.record(DecisionRecord{})
+		b.record(DecisionRecord{At: sim.Time(i)})
 	}
-	if len(b.Log()) != maxLog || b.Dropped() != 10 {
-		t.Fatalf("log=%d dropped=%d", len(b.Log()), b.Dropped())
+	// The log keeps the first maxLog records and drops the 10 past it.
+	log := b.Log()
+	if len(log) != maxLog || log[0].At != 0 || log[maxLog-1].At != maxLog-1 {
+		t.Fatalf("log holds %d records, want the first %d", len(log), maxLog)
 	}
 }

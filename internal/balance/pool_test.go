@@ -9,6 +9,7 @@ import (
 	"scotch/internal/balance"
 	"scotch/internal/sim"
 	"scotch/internal/telemetry"
+	"scotch/internal/testsupport"
 )
 
 // The pool is autoscaled by a balance.Balancer that holds only the pool
@@ -175,7 +176,7 @@ func TestMetricsAndMarks(t *testing.T) {
 		t.Errorf("grows=%d drains=%d, want one of each", b.Stats.Grows, b.Stats.Drains)
 	}
 	var marks []string
-	for _, m := range tr.Marks() {
+	for _, m := range testsupport.Marks(t, tr) {
 		marks = append(marks, m.Name)
 	}
 	if got := strings.Join(marks, ", "); got != "balance:grow-pool size=2, balance:drain-pool size=1" {

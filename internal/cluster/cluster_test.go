@@ -118,6 +118,15 @@ func newTwoShardRig(t *testing.T) *twoShardRig {
 	return rg
 }
 
+// slave reports whether r's connection to the switch holds the slave
+// role, through what the role changes in the controller: a slave's writes,
+// policy pushes included, are suppressed and counted.
+func slave(r *Replica, dpid uint64) bool {
+	n := r.C.Stats.SlaveSuppressed
+	r.C.Switch(dpid).PushPolicy(func() {})
+	return r.C.Stats.SlaveSuppressed > n
+}
+
 // sendFlow emits one 3-packet client flow toward the shard's server.
 // migrate cooperatively moves a named pod, as Retire and MigratePod do.
 func (rg *twoShardRig) migrate(pod string, to *Replica) {
@@ -135,11 +144,11 @@ func (rg *twoShardRig) sendFlow(shard int, srcPort uint16) {
 
 func TestShardedPuntRouting(t *testing.T) {
 	rg := newTwoShardRig(t)
-	if got := rg.r[0].C.Switch(rg.sw[0].DPID).Role(); got != openflow.RoleMaster {
-		t.Fatalf("replica 0 role on own shard = %s", openflow.RoleName(got))
+	if slave(rg.r[0], rg.sw[0].DPID) {
+		t.Fatal("replica 0 is slave on its own shard, want master")
 	}
-	if got := rg.r[0].C.Switch(rg.sw[1].DPID).Role(); got != openflow.RoleSlave {
-		t.Fatalf("replica 0 role on other shard = %s", openflow.RoleName(got))
+	if !slave(rg.r[0], rg.sw[1].DPID) {
+		t.Fatal("replica 0 is not slave on the other shard")
 	}
 
 	rg.sendFlow(0, 2000)
@@ -152,8 +161,9 @@ func TestShardedPuntRouting(t *testing.T) {
 	// Each replica saw punts only from its own shard: the switch withholds
 	// Packet-Ins from slave connections.
 	for i := 0; i < 2; i++ {
-		own := rg.r[i].C.Switch(rg.sw[i].DPID).PacketInRate.Total()
-		cross := rg.r[i].C.Switch(rg.sw[1-i].DPID).PacketInRate.Total()
+		// Every punt so far lies inside the meters' one-second window.
+		own := rg.r[i].C.Switch(rg.sw[i].DPID).PacketInRate.Rate(rg.eng.Now())
+		cross := rg.r[i].C.Switch(rg.sw[1-i].DPID).PacketInRate.Rate(rg.eng.Now())
 		if own == 0 {
 			t.Fatalf("replica %d saw no punts from its own shard", i)
 		}
@@ -163,6 +173,17 @@ func TestShardedPuntRouting(t *testing.T) {
 	}
 	if f := rg.cap.FailureFraction("client"); f != 0 {
 		t.Fatalf("client flow failure fraction = %v", f)
+	}
+
+	// Replica 0 holds its own shard as master, not equal: a newer master
+	// claim by replica 1 demotes it at the switch, so punts stop reaching it.
+	rg.r[1].C.Switch(rg.sw[0].DPID).RequestRole(openflow.RoleMaster, 99)
+	rg.eng.RunUntil(250 * time.Millisecond)
+	before := rg.r[0].C.Stats.PacketIns
+	rg.sendFlow(0, 2002)
+	rg.eng.RunUntil(300 * time.Millisecond)
+	if got := rg.r[0].C.Stats.PacketIns - before; got != 0 {
+		t.Fatalf("replica 0 got %d punts after a newer master claim, so it was not master", got)
 	}
 }
 
@@ -180,11 +201,11 @@ func TestCooperativeMigrationMovesMastershipAndState(t *testing.T) {
 	if got := rg.co.Owner("pod-a"); got != rg.r[1].ID {
 		t.Fatalf("owner after migrate = %d", got)
 	}
-	if got := rg.r[1].C.Switch(rg.sw[0].DPID).Role(); got != openflow.RoleMaster {
-		t.Fatalf("new master role = %s", openflow.RoleName(got))
+	if slave(rg.r[1], rg.sw[0].DPID) {
+		t.Fatal("new master is still slave on the migrated shard")
 	}
-	if got := rg.r[0].C.Switch(rg.sw[0].DPID).Role(); got != openflow.RoleSlave {
-		t.Fatalf("old master role = %s", openflow.RoleName(got))
+	if !slave(rg.r[0], rg.sw[0].DPID) {
+		t.Fatal("old master is not slave on the migrated shard")
 	}
 	if rg.r[0].C.FlowDB.Len() != 0 || rg.r[1].C.FlowDB.Len() != 1 {
 		t.Fatalf("flow state after migrate = %d/%d, want 0/1",

@@ -339,9 +339,6 @@ func (h *SwitchHandle) SendGroupMod(gm *openflow.GroupMod) {
 	h.send(gm)
 }
 
-// Role returns this controller's role on the switch connection.
-func (h *SwitchHandle) Role() uint32 { return h.role }
-
 // NoteRole records a role learned out of band. OpenFlow 1.3 has no
 // demotion notification: when a new master claims a switch, the cluster
 // coordinator tells the previous master directly.

@@ -9,6 +9,7 @@ import (
 	"scotch/internal/openflow"
 	"scotch/internal/packet"
 	"scotch/internal/sim"
+	"scotch/internal/testsupport"
 	"scotch/internal/topo"
 )
 
@@ -23,7 +24,7 @@ func fastProfile() device.Profile {
 
 func TestReactiveRoutingEndToEnd(t *testing.T) {
 	eng := sim.New(1)
-	ln := topo.NewLinear(eng, 3, fastProfile(), 100*time.Microsecond)
+	ln := testsupport.NewLinear(eng, 3, fastProfile(), 100*time.Microsecond)
 	c := New(eng, ln.Net)
 	r := NewReactiveRouter(c)
 	c.ConnectAll()
@@ -161,7 +162,7 @@ func TestHeartbeatDetectsDeadSwitch(t *testing.T) {
 
 func TestInstallPathOrdersFirstHopLast(t *testing.T) {
 	eng := sim.New(1)
-	ln := topo.NewLinear(eng, 3, fastProfile(), 0)
+	ln := testsupport.NewLinear(eng, 3, fastProfile(), 0)
 	c := New(eng, ln.Net)
 	c.ConnectAll()
 	hops, ok := ln.Net.Path(ln.Switches[0].DPID, ln.Right.IP)

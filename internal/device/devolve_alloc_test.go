@@ -57,7 +57,7 @@ func TestMissPathAllocFreeWithoutAgent(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("miss path allocates %.2f objects/packet with devolution off, want 0", avg)
 	}
-	if sw.LocalAgentAttached() {
+	if sw.local != nil {
 		t.Fatal("no agent was attached")
 	}
 	if sw.Stats.Misses == 0 {

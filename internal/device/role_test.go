@@ -39,16 +39,16 @@ func TestRoleMasterClaimDemotesPreviousMaster(t *testing.T) {
 	sendFrom(t, sw, c1, &openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: 1}, 10)
 	eng.RunUntil(10 * time.Millisecond)
 	if r := controllerRole(sw, c1); r != openflow.RoleMaster {
-		t.Fatalf("conn1 role = %s, want master", openflow.RoleName(r))
+		t.Fatalf("conn1 role = %d, want master", r)
 	}
 
 	sendFrom(t, sw, c2, &openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: 2}, 11)
 	eng.RunUntil(20 * time.Millisecond)
 	if r := controllerRole(sw, c2); r != openflow.RoleMaster {
-		t.Fatalf("conn2 role = %s, want master", openflow.RoleName(r))
+		t.Fatalf("conn2 role = %d, want master", r)
 	}
 	if r := controllerRole(sw, c1); r != openflow.RoleSlave {
-		t.Fatalf("conn1 role after second claim = %s, want slave", openflow.RoleName(r))
+		t.Fatalf("conn1 role after second claim = %d, want slave", r)
 	}
 	if s1.count(openflow.TypeRoleReply) != 1 || s2.count(openflow.TypeRoleReply) != 1 {
 		t.Fatalf("role replies: conn1=%d conn2=%d, want 1 each",
@@ -68,7 +68,7 @@ func TestRoleStaleGenerationFenced(t *testing.T) {
 	eng.RunUntil(10 * time.Millisecond)
 
 	if r := controllerRole(sw, c1); r != openflow.RoleMaster {
-		t.Fatalf("conn1 lost mastership to a stale claim (role=%s)", openflow.RoleName(r))
+		t.Fatalf("conn1 lost mastership to a stale claim (role=%d)", r)
 	}
 	if sw.Stats.RoleStale != 1 {
 		t.Fatalf("RoleStale = %d, want 1", sw.Stats.RoleStale)

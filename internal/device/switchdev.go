@@ -256,9 +256,6 @@ func (sw *Switch) Restart() {
 // and zero allocations.
 func (sw *Switch) SetLocalAgent(a LocalAgent) { sw.local = a }
 
-// LocalAgentAttached reports whether a local agent is consulted on misses.
-func (sw *Switch) LocalAgentAttached() bool { return sw.local != nil }
-
 // InstallLocal queues a FlowMod originated by the switch's own local
 // agent through the OFA's paced rule-install stage, so locally devolved
 // rules contend for the same insertion budget as controller installs.

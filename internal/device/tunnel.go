@@ -23,17 +23,15 @@ type TunnelConfig struct {
 }
 
 // Tunnel is a point-to-point overlay tunnel between two switch ports.
-// Like Link, all mutable state is split per direction (the transmit-side
-// busy clock and the receive-side decap count, each indexed by direction)
-// so the endpoints can live on different partition lanes: each slot has
-// exactly one writing lane.
+// Like Link, the transmit-side busy clock is split per direction so the
+// endpoints can live on different partition lanes: each slot has exactly
+// one writing lane.
 type Tunnel struct {
 	Cfg  TunnelConfig
 	a, b *Port
 
 	busyUntil [2]sim.Time
 	dead      bool
-	decapped  [2]uint64
 }
 
 // ConnectTunnel creates a tunnel between new logical ports on a and b.
@@ -57,9 +55,6 @@ func (t *Tunnel) Teardown() {
 	t.a.Owner.detachPort(t.a)
 	t.b.Owner.detachPort(t.b)
 }
-
-// Decapped returns the total packets decapsulated out of the tunnel.
-func (t *Tunnel) Decapped() uint64 { return t.decapped[0] + t.decapped[1] }
 
 func (t *Tunnel) dir(from *Port) int {
 	if from == t.a {
@@ -102,18 +97,13 @@ func (t *Tunnel) transmit(pkt *packet.Packet, from *Port) {
 
 // deliverTunnelPkt is the static delivery callback for every tunnel,
 // scheduled via DeferCall so per-packet transit allocates nothing. The
-// tunnel and receive direction are recovered from the destination port.
+// tunnel is recovered from the destination port.
 func deliverTunnelPkt(a1, a2 any) {
 	to := a1.(*Port)
-	t := to.Tunnel
-	d := 0
-	if to == t.a {
-		d = 1
-	}
-	t.deliver(a2.(*packet.Packet), to, d)
+	to.Tunnel.deliver(a2.(*packet.Packet), to)
 }
 
-func (t *Tunnel) deliver(pkt *packet.Packet, to *Port, d int) {
+func (t *Tunnel) deliver(pkt *packet.Packet, to *Port) {
 	if t.dead {
 		pkt.Release()
 		return
@@ -127,6 +117,5 @@ func (t *Tunnel) deliver(pkt *packet.Packet, to *Port, d int) {
 		inner, _ := pkt.PopMPLS()
 		pkt.Meta.InnerKey = inner
 	}
-	t.decapped[d]++
 	to.Owner.Receive(pkt, to)
 }

@@ -279,14 +279,6 @@ func (c *Cache) rulePriority() uint16 {
 	return 100 // scotch prioVSwitch; constant per deployment
 }
 
-// Generation returns the newest policy generation seen (ok=false before
-// any push).
-func (c *Cache) Generation() (uint64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.gen, c.genSeen
-}
-
 // Active reports whether a policy table is currently installed (false
 // after a Flush).
 func (c *Cache) Active() bool {

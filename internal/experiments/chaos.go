@@ -15,6 +15,7 @@ type chaosVSwitchResult struct {
 	atkFail    float64
 	swaps      uint64
 	injected   uint64
+	planned    int // events in the fault plan
 }
 
 // chaosVSwitchPoint runs the fig11 attack/client rig with two primary and
@@ -30,6 +31,7 @@ func chaosVSwitchPoint(s spec) chaosVSwitchResult {
 		atkFail:    r.cap.FailureFraction("attack"),
 		swaps:      r.app.Stats.FailoverSwaps,
 		injected:   r.faults.Injected(),
+		planned:    len(s.plan.Events),
 	}
 }
 
@@ -154,6 +156,7 @@ type chaosChurnResult struct {
 	finalActive    bool
 	clientFailFrac float64
 	injected       uint64
+	planned        int // events in the fault plan
 }
 
 // chaosChurnPoint runs s, whose plan flaps the attacker's access link
@@ -182,6 +185,7 @@ func chaosChurnPoint(s spec) chaosChurnResult {
 		finalActive:    r.app.Active(r.edge.DPID),
 		clientFailFrac: r.cap.FailureFraction("client"),
 		injected:       r.faults.Injected(),
+		planned:        len(s.plan.Events),
 	}
 }
 

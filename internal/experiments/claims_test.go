@@ -69,7 +69,7 @@ var claims = []claim{
 				}
 			}
 			_ = bound(t, "failover_swaps", row.chaos.swaps, ">", 0) &&
-				bound(t, "faults_injected (crash + restart)", row.chaos.injected, "==", 2) &&
+				bound(t, "faults_injected (crash + restart)", row.chaos.injected, "==", uint64(row.chaos.planned)) &&
 				bound(t, "nofault_client_fail", row.base.clientFail, ">", 0) &&
 				bound(t, "chaos_client_fail", row.chaos.clientFail, "<=", 2*row.base.clientFail)
 		}},
@@ -85,6 +85,7 @@ var claims = []claim{
 			bound(t, "handoff_ms", r.handoffMs, ">=", r.detectMs)
 			bound(t, "stale_claims_fenced (pod0 edge + 2 vSwitches)", r.staleFenced, "==", 3)
 			bound(t, "client_fail_frac", r.clientFailFrac, "<=", 0.05)
+			bound(t, "faults_injected (partition + heal)", r.injected, "==", uint64(len(r.spec.plan.Events)))
 		}},
 	{"ChaosChurnConverges", "chaos-churn", "paper §5.5",
 		"under access-link flaps the overlay deploys and withdraws once per flap and ends withdrawn",
@@ -97,7 +98,7 @@ var claims = []claim{
 			bound(t, "withdrawals", r.withdrawals, ">=", 2)
 			bound(t, "activations", r.activations, "==", r.withdrawals)
 			is(t, "overlay_active_at_end", r.finalActive, false)
-			bound(t, "faults_injected (down + up per flap)", r.injected, "==", uint64(2*r.flaps))
+			bound(t, "faults_injected (down + up per flap)", r.injected, "==", uint64(r.planned))
 		}},
 	{"ClusterScaleImprovement", "cluster-scale", "DESIGN.md §3 (internal/cluster), paper §7",
 		"at flash-crowd saturation four replicas deliver at least twice the flows of one and drop no punt",

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -498,7 +499,8 @@ func (r *rig) elephantBurst(fillers, elephants, pkts int) {
 }
 
 // drive runs the rig to its horizon, stops the spec's traffic and each of
-// stops, then runs the drain so the packets in flight land.
+// stops, then runs the drain so the packets in flight land. It panics
+// naming any fault plan event that failed to apply.
 func (r *rig) drive(stops ...func()) {
 	r.eng.RunUntil(r.spec.horizon)
 	for _, stop := range append(r.traffic, stops...) {
@@ -506,6 +508,9 @@ func (r *rig) drive(stops ...func()) {
 	}
 	if r.spec.drain > 0 {
 		r.eng.RunUntil(r.spec.horizon + r.spec.drain)
+	}
+	if errs := r.faults.Failures(); len(errs) > 0 {
+		panic(fmt.Sprintf("experiments: %v", errors.Join(errs...)))
 	}
 }
 

@@ -98,9 +98,10 @@ func (p Plan) Sorted() []Event {
 }
 
 // Environment applies fault events to a concrete rig. Experiments
-// implement it with whatever topology handles they hold; returning an
-// error (unknown target, unsupported kind) counts the event as failed
-// without stopping the run.
+// implement it with whatever topology handles they hold. Returning an
+// error (unknown target, unsupported kind) marks the event as failed
+// rather than injected: the Runner lists it in Failures, and the
+// experiment rig fails its run on any.
 type Environment interface {
 	ApplyFault(ev Event) error
 }
@@ -114,7 +115,7 @@ type Runner struct {
 	tr  *telemetry.Tracer
 
 	injected uint64
-	failed   uint64
+	failures []error
 }
 
 // NewRunner binds a runner to an engine, an environment, and an optional
@@ -138,12 +139,17 @@ func (r *Runner) Schedule(p Plan) {
 }
 
 func (r *Runner) fire(ev Event) {
-	r.injected++
 	r.tr.Mark("fault: "+ev.Kind.String()+" "+ev.Target, r.eng.Now())
 	if err := r.env.ApplyFault(ev); err != nil {
-		r.failed++
+		r.failures = append(r.failures, fmt.Errorf("fault %v %s at %v: %w", ev.Kind, ev.Target, ev.At, err))
+		return
 	}
+	r.injected++
 }
 
-// Injected returns how many events have fired so far.
+// Injected returns how many events have been applied so far.
 func (r *Runner) Injected() uint64 { return r.injected }
+
+// Failures returns an error for each event that failed to apply, in
+// firing order, each naming its event.
+func (r *Runner) Failures() []error { return r.failures }

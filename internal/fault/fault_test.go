@@ -2,11 +2,13 @@ package fault
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"scotch/internal/sim"
 	"scotch/internal/telemetry"
+	"scotch/internal/testsupport"
 )
 
 type recordEnv struct {
@@ -40,8 +42,8 @@ func TestRunnerFiresInOrder(t *testing.T) {
 	if env.got[0].Kind != LinkDown || env.got[1].Kind != SwitchCrash || env.got[2].Kind != LinkUp {
 		t.Fatalf("wrong order: %+v", env.got)
 	}
-	if r.Injected() != 3 || r.failed != 0 {
-		t.Fatalf("injected=%d failed=%d", r.Injected(), r.failed)
+	if r.Injected() != 3 || len(r.Failures()) != 0 {
+		t.Fatalf("injected=%d failures=%v", r.Injected(), r.Failures())
 	}
 }
 
@@ -52,10 +54,13 @@ func TestRunnerCountsFailuresAndMarks(t *testing.T) {
 	r := NewRunner(eng, env, tr)
 	r.Schedule(CrashRestart("vs1", 10*time.Millisecond, 20*time.Millisecond))
 	eng.RunUntil(time.Second)
-	if r.Injected() != 2 || r.failed != 1 {
-		t.Fatalf("injected=%d failed=%d, want 2/1", r.Injected(), r.failed)
+	// The restart fails: it is not counted as injected, and its failure
+	// names it.
+	f := r.Failures()
+	if r.Injected() != 1 || len(f) != 1 || !strings.Contains(f[0].Error(), "switch-restart vs1 at 20ms: nope") {
+		t.Fatalf("injected=%d failures=%v, want 1 and the restart's", r.Injected(), f)
 	}
-	marks := tr.Marks()
+	marks := testsupport.Marks(t, tr)
 	if len(marks) != 2 {
 		t.Fatalf("tracer recorded %d fault marks, want 2", len(marks))
 	}

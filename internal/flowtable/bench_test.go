@@ -29,7 +29,7 @@ func benchTable(exact int) *Table {
 		Instructions: []openflow.Instruction{openflow.ApplyActions(openflow.OutputAction(2))},
 	})
 	tbl.Insert(&Rule{Priority: 0, Instructions: []openflow.Instruction{
-		openflow.ApplyActions(openflow.ControllerAction())}})
+		openflow.ApplyActions(openflow.Action{Type: openflow.ActionTypeOutput, Port: openflow.PortController, MaxLen: 0xffff})}})
 	return tbl
 }
 
@@ -218,7 +218,7 @@ func TestExactMapRightSized(t *testing.T) {
 	}
 	r := exactRule(100, newKey(7), 1)
 	tbl.Insert(r)
-	if got := tbl.Lookup(packet.NewUDP(cliIP, srvIP, 7, 53, 0), 1); got != r {
+	if got := tbl.Lookup(udpProbe(cliIP, srvIP, 7, 53), 1); got != r {
 		t.Fatal("a rule inserted after the copy is not found")
 	}
 }

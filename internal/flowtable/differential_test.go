@@ -83,6 +83,13 @@ func opMatch(s *opStream) openflow.Match {
 		IPProto: netaddr.ProtoTCP, TCPDst: 80}
 }
 
+// udpProbe is a UDP packet with the given 5-tuple.
+func udpProbe(src, dst netaddr.IPv4, srcPort, dstPort uint16) *packet.Packet {
+	p := packet.NewTCP(src, dst, srcPort, dstPort, 0)
+	p.IP.Protocol, p.TCP, p.UDP = netaddr.ProtoUDP, nil, &packet.UDP{SrcPort: srcPort, DstPort: dstPort}
+	return p
+}
+
 // opProbes is every packet the checks look up: one per universe key, one
 // outside it, an MPLS-tagged one (never exact-eligible) and one carrying
 // tunnel metadata.
@@ -91,7 +98,7 @@ func opProbes() []*packet.Packet {
 	for _, src := range opSrcs {
 		for _, dst := range opDsts {
 			for sp := uint16(1000); sp <= 1001; sp++ {
-				ps = append(ps, packet.NewTCP(src, dst, sp, 80, 0), packet.NewUDP(src, dst, sp, 80, 0))
+				ps = append(ps, packet.NewTCP(src, dst, sp, 80, 0), udpProbe(src, dst, sp, 80))
 			}
 			icmp := packet.NewTCP(src, dst, 0, 0, 0)
 			icmp.IP.Protocol, icmp.TCP = netaddr.ProtoICMP, nil

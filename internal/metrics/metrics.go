@@ -14,13 +14,13 @@ import (
 // rates (the paper's congestion signal).
 //
 // Writers live on the simulation event loop, but /statusz snapshots read
-// concurrently from an HTTP goroutine, so all methods lock; reads (Rate,
-// Total) never mutate meter state.
+// concurrently from an HTTP goroutine, so all methods lock; Rate never
+// mutates meter state.
 type RateMeter struct {
 	mu      sync.Mutex
 	buckets [rateBuckets]float64
-	base    int64 // index of buckets[0] in units of rateBucket since t=0
-	total   float64
+	base    int64   // index of buckets[0] in units of rateBucket since t=0
+	total   float64 // lifetime count; the tests check it for lost Adds
 }
 
 // A RateMeter's window is one second, divided into ten buckets.
@@ -62,13 +62,6 @@ func (m *RateMeter) Add(now sim.Time) {
 		m.buckets[i]++
 	}
 	m.total++
-}
-
-// Total returns the lifetime event count, independent of the window.
-func (m *RateMeter) Total() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.total
 }
 
 // Rate returns the average event rate (events/second) over the window

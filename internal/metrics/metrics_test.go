@@ -97,6 +97,13 @@ func TestRateMeterZeroEventWindow(t *testing.T) {
 	}
 }
 
+// Total returns the lifetime event count, independent of the window.
+func (m *RateMeter) Total() float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.total
+}
+
 func TestRateMeterTotalLifetime(t *testing.T) {
 	// Total is a lifetime counter: unaffected by window roll-out or the
 	// full reset after a long idle gap.

@@ -203,6 +203,17 @@ func TestDisabledObservatoryAllocFree(t *testing.T) {
 	}
 }
 
+// UnmarshalJSON decodes the string form written by MarshalJSON, so the
+// tests can read a ClusterView back from /statusz.
+func (v *Verdict) UnmarshalJSON(b []byte) error {
+	if string(b) == `"burning"` {
+		*v = Burning
+	} else {
+		*v = Healthy
+	}
+	return nil
+}
+
 func TestStatuszHandler(t *testing.T) {
 	eng, o := burnRig()
 	eng.RunUntil(7 * time.Second)

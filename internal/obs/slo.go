@@ -30,17 +30,6 @@ func (v Verdict) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + v.String() + `"`), nil
 }
 
-// UnmarshalJSON decodes the string form written by MarshalJSON, so
-// ClusterView and Digest JSON round-trip for external consumers.
-func (v *Verdict) UnmarshalJSON(b []byte) error {
-	if string(b) == `"burning"` {
-		*v = Burning
-	} else {
-		*v = Healthy
-	}
-	return nil
-}
-
 // SLO is one declarative latency objective over a tenant's flow-setup
 // distribution, e.g. "tenant base p99 flow-setup < 50ms": Quantile of the
 // flows observed inside a window must complete within Target. The error

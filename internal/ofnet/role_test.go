@@ -75,7 +75,7 @@ func TestRoleHandoffOverTCP(t *testing.T) {
 		t.Fatal("switch not registered at both controllers")
 	}
 	if sw1.Role() != openflow.RoleEqual {
-		t.Fatalf("initial role = %s, want EQUAL", openflow.RoleName(sw1.Role()))
+		t.Fatalf("initial role = %d, want EQUAL", sw1.Role())
 	}
 
 	// Controller 1 claims master, controller 2 takes slave.

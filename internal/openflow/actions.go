@@ -18,10 +18,6 @@ const (
 const (
 	PortController uint32 = 0xfffffffd
 	PortAny        uint32 = 0xffffffff
-	// ControllerMaxLen asks the switch to send the full packet in
-	// Packet-In messages (OFPCML_NO_BUFFER); Scotch configures vSwitches
-	// this way so the controller can forward the first packet itself.
-	ControllerMaxLen uint16 = 0xffff
 )
 
 // Action is one OpenFlow action. Exactly the subset Scotch needs is
@@ -45,11 +41,6 @@ type Action struct {
 
 // OutputAction returns an action forwarding to a switch port.
 func OutputAction(port uint32) Action { return Action{Type: ActionTypeOutput, Port: port} }
-
-// ControllerAction returns an output action that punts to the controller.
-func ControllerAction() Action {
-	return Action{Type: ActionTypeOutput, Port: PortController, MaxLen: ControllerMaxLen}
-}
 
 // GroupAction returns an action handing the packet to a group.
 func GroupAction(id uint32) Action { return Action{Type: ActionTypeGroup, GroupID: id} }

@@ -140,7 +140,8 @@ func TestFlowModMaskedMatch(t *testing.T) {
 			IPv4Dst:     netaddr.MakeIPv4(10, 1, 0, 0),
 			IPv4DstMask: 0xffff0000,
 		},
-		Instructions: []Instruction{ApplyActions(ControllerAction())},
+		// Punt to the controller with the whole packet (OFPCML_NO_BUFFER).
+		Instructions: []Instruction{ApplyActions(Action{Type: ActionTypeOutput, Port: PortController, MaxLen: 0xffff})},
 	}
 	back := roundTrip(t, m, 9).(*FlowMod)
 	if back.Match.IPv4DstMask != 0xffff0000 {

@@ -17,21 +17,6 @@ const (
 	RoleSlave    uint32 = 3 // read-only, no asynchronous messages
 )
 
-// RoleName returns a short human-readable role name.
-func RoleName(role uint32) string {
-	switch role {
-	case RoleNoChange:
-		return "nochange"
-	case RoleEqual:
-		return "equal"
-	case RoleMaster:
-		return "master"
-	case RoleSlave:
-		return "slave"
-	}
-	return fmt.Sprintf("role(%d)", role)
-}
-
 // RoleRequest asks the switch to change (or report) this connection's
 // role. GenerationID is a monotonically increasing master-election epoch:
 // the switch rejects master/slave requests whose generation is older than

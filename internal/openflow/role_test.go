@@ -59,17 +59,3 @@ func TestRoleRequestTruncated(t *testing.T) {
 		t.Fatal("truncated role request decoded without error")
 	}
 }
-
-func TestRoleNameCoversAllRoles(t *testing.T) {
-	for role, want := range map[uint32]string{
-		RoleNoChange: "nochange",
-		RoleEqual:    "equal",
-		RoleMaster:   "master",
-		RoleSlave:    "slave",
-		99:           "role(99)",
-	} {
-		if got := RoleName(role); got != want {
-			t.Errorf("RoleName(%d) = %q, want %q", role, got, want)
-		}
-	}
-}

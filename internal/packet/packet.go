@@ -94,25 +94,7 @@ func NewTCP(src, dst netaddr.IPv4, srcPort, dstPort uint16, flags uint8) *Packet
 	return &bx.p
 }
 
-// NewUDP builds an IPv4/UDP packet with sensible defaults. The packet
-// comes from the pool: see Release.
-func NewUDP(src, dst netaddr.IPv4, srcPort, dstPort uint16, payloadLen int) *Packet {
-	bx := take()
-	*bx = boxed{
-		p: Packet{
-			Eth:  Ethernet{EtherType: EtherTypeIPv4},
-			IP:   IPv4{TTL: 64, Protocol: netaddr.ProtoUDP, Src: src, Dst: dst},
-			Size: ethernetLen + ipv4Len + udpLen + payloadLen,
-			Meta: Meta{pooled: true},
-		},
-		udp: UDP{SrcPort: srcPort, DstPort: dstPort},
-	}
-	bx.p.UDP = &bx.udp
-	bx.p.MPLS = bx.mpls[:0]
-	return &bx.p
-}
-
-// Release gives a dead packet back to the pool that NewTCP, NewUDP, Clone
+// Release gives a dead packet back to the pool that NewTCP, Clone
 // and Parse take from. Only the owner calls it, once the packet can no
 // longer be read: the next constructor may hand the same memory out again.
 // Release ignores any packet that did not come from the pool (a Parser's

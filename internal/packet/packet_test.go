@@ -42,6 +42,23 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 }
 
+// NewUDP builds a pooled IPv4/UDP packet, as NewTCP builds a TCP one.
+func NewUDP(src, dst netaddr.IPv4, srcPort, dstPort uint16, payloadLen int) *Packet {
+	bx := take()
+	*bx = boxed{
+		p: Packet{
+			Eth:  Ethernet{EtherType: EtherTypeIPv4},
+			IP:   IPv4{TTL: 64, Protocol: netaddr.ProtoUDP, Src: src, Dst: dst},
+			Size: ethernetLen + ipv4Len + udpLen + payloadLen,
+			Meta: Meta{pooled: true},
+		},
+		udp: UDP{SrcPort: srcPort, DstPort: dstPort},
+	}
+	bx.p.UDP = &bx.udp
+	bx.p.MPLS = bx.mpls[:0]
+	return &bx.p
+}
+
 func TestUDPRoundTrip(t *testing.T) {
 	p := NewUDP(srcIP, dstIP, 53, 5353, 3)
 	p.Payload = []byte{1, 2, 3}

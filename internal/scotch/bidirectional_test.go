@@ -9,6 +9,7 @@ import (
 	"scotch/internal/device"
 	"scotch/internal/netaddr"
 	"scotch/internal/sim"
+	"scotch/internal/testsupport"
 	"scotch/internal/topo"
 	"scotch/internal/workload"
 )
@@ -50,7 +51,7 @@ func TestBidirectionalFlowsUnderAttack(t *testing.T) {
 	cap := capture.New(eng)
 	cap.Attach(srv)
 	cap.Attach(cli)
-	resp := workload.AttachResponder(eng, srv, cap, "response")
+	resp := testsupport.AttachResponder(eng, srv, cap, "response")
 	// Answer only the legitimate client; answering the spoofed sources
 	// would amplify the attack into backscatter toward nonexistent hosts.
 	resp.RespondTo = func(src netaddr.IPv4) bool { return src == cli.IP }

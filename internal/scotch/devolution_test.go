@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"scotch/internal/device"
 	"scotch/internal/devolve"
 	"scotch/internal/netaddr"
+	"scotch/internal/packet"
 	"scotch/internal/workload"
 )
 
@@ -65,8 +67,8 @@ func TestDevolutionDisabledIsInert(t *testing.T) {
 		if vs.Stats.LocalHandled != 0 {
 			t.Fatal("LocalHandled non-zero with devolution disabled")
 		}
-		if vs.LocalAgentAttached() {
-			t.Fatal("a local agent attached with devolution disabled")
+		if f.app.DevolveCache(vs.DPID) != nil {
+			t.Fatal("a policy cache attached with devolution disabled")
 		}
 	}
 	if f.app.DevolveMetrics() != nil {
@@ -96,8 +98,8 @@ func TestDevolutionDrainFlushes(t *testing.T) {
 	if cache.Active() {
 		t.Fatal("drained member's cache still holds a policy table")
 	}
-	if f.vs[1].LocalAgentAttached() {
-		t.Fatal("drained member still has a local agent attached")
+	if consults(f, f.vs[1], cache) {
+		t.Fatal("drained member still consults its cache on a miss")
 	}
 	if f.app.DevolveCache(victim) != nil {
 		t.Fatal("drained member still tracked in the cache pool")
@@ -128,21 +130,34 @@ func TestDevolutionEnableAfterBuild(t *testing.T) {
 		if f.app.DevolveCache(vs.DPID) == nil {
 			t.Fatalf("no cache attached to built member %d", vs.DPID)
 		}
-		if !vs.LocalAgentAttached() {
-			t.Fatalf("member %d has no local agent", vs.DPID)
-		}
 	}
 	if f.app.PolicyGeneration() == 0 {
 		t.Fatal("no initial policy published on enable")
 	}
-	gen, seen := f.app.DevolveCache(f.vs[0].DPID).Generation()
-	if seen {
+	cache := f.app.DevolveCache(f.vs[0].DPID)
+	if n := cache.Stats().Applies; n != 0 {
 		// The push rides the control channel; it must not have landed
 		// synchronously.
-		t.Fatalf("policy applied with zero control delay (gen %d)", gen)
+		t.Fatalf("policy applied with zero control delay (%d tables)", n)
 	}
 	f.eng.RunUntil(10 * time.Millisecond)
-	if gen, seen := f.app.DevolveCache(f.vs[0].DPID).Generation(); !seen || gen == 0 {
+	if cache.Stats().Applies == 0 || !cache.Active() {
 		t.Fatal("policy table never arrived at the cache")
 	}
+	for _, vs := range f.vs {
+		if !consults(f, vs, f.app.DevolveCache(vs.DPID)) {
+			t.Fatalf("member %d does not consult its cache on a miss", vs.DPID)
+		}
+	}
+}
+
+// consults reports whether vs hands a table miss to cache as its local
+// agent: it sends one packet of a flow no rule matches into vs and checks
+// whether cache counted a hit or an escalation for it.
+func consults(f *fixture, vs *device.Switch, cache *devolve.Cache) bool {
+	seen := func() uint64 { s := cache.Stats(); return s.Hits + s.Escalated }
+	before := seen()
+	vs.Receive(packet.NewTCP(netaddr.MakeIPv4(10, 9, 9, 9), f.server.IP, 9999, 80, packet.FlagSYN), &device.Port{ID: 1})
+	f.eng.RunUntil(f.eng.Now() + time.Millisecond)
+	return seen() > before
 }

@@ -125,13 +125,12 @@ func (h eventHeap) down(ev *eventNode) {
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // New.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	free    []*eventNode // recycled nodes (never holds canceled nodes)
-	rng     *rand.Rand
-	stopped bool
-	fired   uint64
+	now    Time
+	seq    uint64
+	events eventHeap
+	free   []*eventNode // recycled nodes (never holds canceled nodes)
+	rng    *rand.Rand
+	fired  uint64
 	// small and large are the free lists of control-channel frames (see
 	// Frame): DeferBytes hands a frame to the engine, which lists it here
 	// once its delivery callback returns.
@@ -272,10 +271,7 @@ func (e *Engine) reclaim(ev *eventNode) {
 	e.free = append(e.free, ev)
 }
 
-// Stop makes Run and RunUntil return after the currently executing event.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
 	e.RunUntil(1<<62 - 1)
 }
@@ -284,9 +280,8 @@ func (e *Engine) Run() {
 // to end (if the queue drained earlier). It returns the number of events
 // fired during this call.
 func (e *Engine) RunUntil(end Time) uint64 {
-	e.stopped = false
 	start := e.fired
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.events) > 0 {
 		next := e.events[0]
 		if next.at > end {
 			break
@@ -294,8 +289,7 @@ func (e *Engine) RunUntil(end Time) uint64 {
 		e.now = next.at
 		if next.fn2 != nil && next.id > 0 {
 			// A train firing with more to come: re-queue the node for the
-			// next one before running this one, so a Stop inside fn2
-			// leaves the rest of the train queued.
+			// next one before running this one.
 			next.id--
 			next.at += next.gap
 			next.seq++
@@ -323,7 +317,7 @@ func (e *Engine) RunUntil(end Time) uint64 {
 			e.recycleFrame(b)
 		}
 	}
-	if !e.stopped && e.now < end && end < 1<<62-1 {
+	if e.now < end && end < 1<<62-1 {
 		e.now = end
 	}
 	return e.fired - start

@@ -129,26 +129,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d after Stop, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-}
-
 func TestTicker(t *testing.T) {
 	e := New(1)
 	var ticks []Time

@@ -53,8 +53,6 @@ type Proc interface {
 // what an experiment holds to advance virtual time.
 type Runner interface {
 	RunUntil(end Time) uint64
-	Run()
-	Stop()
 	Now() Time
 }
 

@@ -30,7 +30,6 @@ type Sharded struct {
 	lookahead time.Duration
 	workers   int
 	now       Time
-	stop      atomic.Bool
 	counts    []uint64 // per-lane fired counts, reused across windows
 }
 
@@ -131,22 +130,11 @@ func (s *Sharded) Pending() int {
 	return n
 }
 
-// Stop makes RunUntil return after the window in progress. Unlike
-// Engine.Stop it cannot cut a window short: lanes inside a window run
-// concurrently, and stopping one mid-window would make output depend on
-// worker interleaving.
-func (s *Sharded) Stop() { s.stop.Store(true) }
-
-// Run executes events until every heap and mailbox drains or Stop is
-// called.
-func (s *Sharded) Run() { s.RunUntil(1<<62 - 1) }
-
 // RunUntil executes events with timestamps <= end on every lane, then
 // advances all clocks to end. It returns the number of events fired.
 func (s *Sharded) RunUntil(end Time) uint64 {
-	s.stop.Store(false)
 	var fired uint64
-	for !s.stop.Load() {
+	for {
 		s.drain()
 		t, ok := s.nextEventTime()
 		if !ok || t > end {
@@ -159,13 +147,11 @@ func (s *Sharded) RunUntil(end Time) uint64 {
 		fired += s.runWindow(limit)
 		s.now = limit
 	}
-	if !s.stop.Load() && end < 1<<62-1 {
-		for _, l := range s.lanes {
-			l.Engine.RunUntil(end) // queues hold nothing <= end; advances clocks
-		}
-		if s.now < end {
-			s.now = end
-		}
+	for _, l := range s.lanes {
+		l.Engine.RunUntil(end) // queues hold nothing <= end; advances clocks
+	}
+	if s.now < end {
+		s.now = end
 	}
 	return fired
 }
@@ -261,8 +247,6 @@ type shardedSystem struct {
 }
 
 func (ss shardedSystem) RunUntil(end Time) uint64 { return ss.s.RunUntil(end) }
-func (ss shardedSystem) Run()                     { ss.s.Run() }
-func (ss shardedSystem) Stop()                    { ss.s.Stop() }
 
 // asLane unwraps a Proc to its backing lane, if it has one.
 func asLane(p Proc) (*Lane, bool) {

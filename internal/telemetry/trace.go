@@ -152,25 +152,6 @@ func (t *Tracer) Mark(name string, now sim.Time) {
 	t.marks = append(t.marks, mark{name: name, at: now})
 }
 
-// MarkEvent is an exported view of one recorded global instant event.
-type MarkEvent struct {
-	Name string
-	At   sim.Time
-}
-
-// Marks returns the global instant events recorded so far, in insertion
-// order. Nil-safe.
-func (t *Tracer) Marks() []MarkEvent {
-	if t == nil {
-		return nil
-	}
-	out := make([]MarkEvent, len(t.marks))
-	for i, m := range t.marks {
-		out[i] = MarkEvent{Name: m.name, At: m.at}
-	}
-	return out
-}
-
 // Span is one reconstructed control-path stage of one flow.
 type Span struct {
 	Stage string

@@ -105,31 +105,3 @@ func NewLeafSpine(eng sim.Proc) *LeafSpine {
 	}
 	return ls
 }
-
-// Linear builds a chain of n switches with one host at each end, useful
-// for middlebox and latency experiments.
-type Linear struct {
-	Net      *Network
-	Switches []*device.Switch
-	Left     *device.Host
-	Right    *device.Host
-}
-
-// NewLinear builds the chain with the given per-switch profile.
-func NewLinear(eng sim.Proc, nsw int, prof device.Profile, linkDelay time.Duration) *Linear {
-	n := New(eng)
-	ln := &Linear{Net: n}
-	cfg := device.LinkConfig{Delay: linkDelay}
-	for i := 0; i < nsw; i++ {
-		sw := n.AddSwitch(fmt.Sprintf("s%d", i), prof)
-		if i > 0 {
-			n.LinkSwitches(ln.Switches[i-1], sw, cfg)
-		}
-		ln.Switches = append(ln.Switches, sw)
-	}
-	ln.Left = n.AddHost("left", netaddr.MakeIPv4(10, 0, 0, 1))
-	ln.Right = n.AddHost("right", netaddr.MakeIPv4(10, 0, 1, 1))
-	n.AttachHost(ln.Left, ln.Switches[0], cfg)
-	n.AttachHost(ln.Right, ln.Switches[nsw-1], cfg)
-	return ln
-}

@@ -35,23 +35,6 @@ func TestPathSingleSwitch(t *testing.T) {
 	}
 }
 
-func TestPathAcrossChain(t *testing.T) {
-	eng := sim.New(1)
-	ln := NewLinear(eng, 4, fastProfile(), time.Millisecond)
-	hops, ok := ln.Net.Path(ln.Switches[0].DPID, ln.Right.IP)
-	if !ok {
-		t.Fatal("no path")
-	}
-	if len(hops) != 4 {
-		t.Fatalf("hops = %d, want 4", len(hops))
-	}
-	for i, h := range hops {
-		if h.DPID != ln.Switches[i].DPID {
-			t.Fatalf("hop %d at dpid %d, want %d", i, h.DPID, ln.Switches[i].DPID)
-		}
-	}
-}
-
 func TestPathPicksShorterDelay(t *testing.T) {
 	eng := sim.New(1)
 	n := New(eng)
@@ -91,21 +74,6 @@ func TestPathDisconnected(t *testing.T) {
 	n.AttachHost(h, b, device.LinkConfig{})
 	if _, ok := n.Path(a.DPID, h.IP); ok {
 		t.Fatal("path across disconnected fabric succeeded")
-	}
-}
-
-func TestPathDelay(t *testing.T) {
-	eng := sim.New(1)
-	ln := NewLinear(eng, 3, fastProfile(), 2*time.Millisecond)
-	d, ok := ln.Net.PathDelay(ln.Switches[0].DPID, ln.Switches[2].DPID)
-	if !ok {
-		t.Fatal("no delay")
-	}
-	if d != 4*time.Millisecond {
-		t.Fatalf("delay = %v, want 4ms", d)
-	}
-	if d, _ := ln.Net.PathDelay(ln.Switches[0].DPID, ln.Switches[0].DPID); d != 0 {
-		t.Fatalf("self delay = %v", d)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"scotch/internal/netaddr"
 	"scotch/internal/packet"
 	"scotch/internal/sim"
+	"scotch/internal/testsupport"
 )
 
 func pair(eng *sim.Engine) (*device.Host, *device.Host) {
@@ -415,7 +416,7 @@ func TestResponder(t *testing.T) {
 	cap := capture.New(eng)
 	cap.Attach(h1)
 	cap.Attach(h2)
-	r := AttachResponder(eng, h2, cap, "resp")
+	r := testsupport.AttachResponder(eng, h2, cap, "resp")
 
 	em := NewEmitter(eng, h1, cap)
 	k := netaddr.FlowKey{Src: h1.IP, Dst: h2.IP, Proto: netaddr.ProtoTCP, SrcPort: 100, DstPort: 80}
@@ -442,7 +443,7 @@ func TestResponderFilter(t *testing.T) {
 	h1, h2 := pair(eng)
 	cap := capture.New(eng)
 	cap.Attach(h2)
-	r := AttachResponder(eng, h2, cap, "resp")
+	r := testsupport.AttachResponder(eng, h2, cap, "resp")
 	r.RespondTo = func(src netaddr.IPv4) bool { return false }
 	em := NewEmitter(eng, h1, cap)
 	k := netaddr.FlowKey{Src: h1.IP, Dst: h2.IP, Proto: netaddr.ProtoTCP, SrcPort: 100, DstPort: 80}
