@@ -47,9 +47,16 @@ linkcheck:
 
 # Golden output gate: every experiment's output, minus its wall-time
 # lines, must match internal/experiments/testdata/all.golden byte for
-# byte. A deliberate shift is documented in EXPERIMENTS.md and the file
-# regenerated with
-#   go run ./cmd/scotchsim -parallel 2 all | grep -v ' wall time)$' > internal/experiments/testdata/all.golden
+# byte. `go test ./internal/experiments` also checks the armed run's
+# -stages -health -balance text (TestArmedGolden, armed.golden) and
+# obs-slo's own end-of-run view as -health-json encodes it
+# (TestObsSLODigest, obs_slo_digest.json). A deliberate shift is
+# documented in EXPERIMENTS.md and each file regenerated from the repo
+# root with
+#   all.golden:   go run ./cmd/scotchsim -parallel 2 all | grep -v ' wall time)$' > internal/experiments/testdata/all.golden
+#   armed.golden: go run ./cmd/scotchsim run -stages -health -balance fig14 elastic cluster-migrate obs-slo | grep -v ' wall time)$' > internal/experiments/testdata/armed.golden
+#   obs_slo_digest.json: go test ./internal/experiments -run 'TestObsSLODigest$' writes what it got to
+#     ${TMPDIR:-/tmp}/obs_slo_digest.json on a mismatch; copy it over internal/experiments/testdata/obs_slo_digest.json
 golden:
 	$(GO) run ./cmd/scotchsim -parallel 2 all > golden.out
 	grep -v ' wall time)$$' golden.out | diff -u internal/experiments/testdata/all.golden -

@@ -112,7 +112,7 @@ func runCmd(args []string, parallel int) {
 		arm.Observed = newest.Store
 		srv, err := telemetry.StartServer(*statuszAddr, nil,
 			obs.Handler(func() *obs.ClusterView {
-				return newest.Load().Snapshot()
+				return newest.Load().Snapshot("")
 			}))
 		if err != nil {
 			fail(err)
@@ -141,9 +141,9 @@ func runCmd(args []string, parallel int) {
 		fail(err)
 	}
 	if *healthJSON != "" && len(p.Health) > 0 {
-		digests := make([]*obs.Digest, 0, len(p.Health))
+		digests := make([]*obs.ClusterView, 0, len(p.Health))
 		for _, nh := range p.Health {
-			digests = append(digests, nh.Obs.Digest(nh.Name))
+			digests = append(digests, nh.Obs.Snapshot(nh.Name))
 		}
 		writeFile(*healthJSON, func(f *os.File) error {
 			enc := json.NewEncoder(f)

@@ -121,9 +121,8 @@ type Balancer struct {
 	tracer  *telemetry.Tracer
 	ticker  *sim.Ticker
 
-	st      state
-	lastSig Signals
-	log     []DecisionRecord
+	st  state
+	log []DecisionRecord
 
 	// Stats is read-only for callers.
 	Stats Stats

@@ -16,7 +16,6 @@ type FlowRecord struct {
 
 	Expected    int // packets the source will send
 	PacketsSent int
-	BytesSent   uint64
 	PacketsRecv int
 	BytesRecv   uint64
 
@@ -85,7 +84,6 @@ func (c *Capture) RecordSend(pkt *packet.Packet) {
 			f.FirstSent = c.eng.Now()
 		}
 		f.PacketsSent++
-		f.BytesSent += uint64(pkt.Size)
 	}
 }
 

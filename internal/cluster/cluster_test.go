@@ -66,7 +66,7 @@ func (t *reactiveApp) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.
 		Actions: []openflow.Action{openflow.OutputAction(out)},
 		Data:    pin.Data,
 	})
-	t.c.FlowDB.Put(&controller.FlowInfo{Key: key, FirstHop: sw.DPID, Created: t.c.Eng.Now()})
+	t.c.FlowDB.Put(&controller.FlowInfo{Key: key, FirstHop: sw.DPID})
 	return true
 }
 

@@ -68,16 +68,15 @@ type SwitchHandle struct {
 	// the congestion signal Scotch monitors (paper §4.2).
 	PacketInRate *metrics.RateMeter
 
-	ctrl         *Controller
-	connID       int
-	role         uint32
-	xid          uint32
-	statsCB      map[uint32]func(*openflow.MultipartReply)
-	barrierCB    map[uint32]func()
-	echoPending  int
-	lastEchoSent sim.Time
-	echoReq      *openflow.EchoRequest // reusable heartbeat probe
-	dead         bool
+	ctrl        *Controller
+	connID      int
+	role        uint32
+	xid         uint32
+	statsCB     map[uint32]func(*openflow.MultipartReply)
+	barrierCB   map[uint32]func()
+	echoPending int
+	echoReq     *openflow.EchoRequest // reusable heartbeat probe
+	dead        bool
 }
 
 // Controller is the central OpenFlow controller. Eng is the scheduling
@@ -534,7 +533,6 @@ func (c *Controller) HeartbeatTick(dpids []uint64, misses int) {
 			continue
 		}
 		h.echoPending++
-		h.lastEchoSent = c.Eng.Now()
 		if h.echoReq == nil {
 			h.echoReq = &openflow.EchoRequest{Data: []byte{byte(dpid)}}
 		}

@@ -4,28 +4,21 @@ import (
 	"sort"
 
 	"scotch/internal/netaddr"
-	"scotch/internal/sim"
 )
 
 // FlowInfo is the controller's record of one flow: where it entered the
 // network (the paper's Flow Info Database, §5.2, keyed by the tunnel-id to
-// switch and inner-label to ingress-port mappings), which middleboxes it
-// must traverse, and whether it currently rides the Scotch overlay.
+// switch and inner-label to ingress-port mappings) and whether it
+// currently rides the Scotch overlay. A migration recomputes the flow's
+// middlebox path from the policy (§5.4).
 type FlowInfo struct {
 	Key         netaddr.FlowKey
 	FirstHop    uint64 // datapath id of the first physical switch
 	IngressPort uint32 // ingress port at the first-hop switch
 
-	// Waypoints are the middlebox-attached switches (S_U, S_D pairs) the
-	// flow traverses; a migrated physical path must cross the same ones
-	// (§5.4).
-	Waypoints []uint64
-
 	OnOverlay      bool   // currently forwarded over the vSwitch mesh
 	OverlayVSwitch uint64 // mesh vSwitch handling the flow
 	Migrated       bool   // moved to a physical path by the migrator
-
-	Created sim.Time
 }
 
 // FlowInfoDB indexes FlowInfo by flow key.

@@ -57,7 +57,6 @@ func (r *ReactiveRouter) HandlePacketIn(sw *SwitchHandle, pin *openflow.PacketIn
 		Key:         key,
 		FirstHop:    sw.DPID,
 		IngressPort: pin.Match.InPort,
-		Created:     r.C.Eng.Now(),
 	})
 	// Forward the first packet explicitly so it is not lost while rules
 	// propagate.

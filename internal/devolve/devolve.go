@@ -41,24 +41,6 @@ const (
 	EscalateNoRoute               // no local forwarding entry for the destination
 )
 
-// Reason returns the escalation-reason label used in metrics
-// (scotch_devolve_escalations_total{reason=...}).
-func (d Decision) Reason() string {
-	switch d {
-	case Devolve:
-		return "devolved"
-	case EscalateNoPolicy:
-		return "no-policy"
-	case EscalateFirstContact:
-		return "first-contact"
-	case EscalateSensitive:
-		return "sensitive"
-	case EscalateNoRoute:
-		return "no-route"
-	}
-	return "unknown"
-}
-
 // TenantPolicy is one tenant's devolution policy entry: flows whose
 // source address falls in Prefix belong to the tenant. Sensitive tenants
 // (middlebox-chained) always escalate so central policy is never
@@ -123,14 +105,13 @@ type CacheStats struct {
 
 // record is the cache's bookkeeping for one locally devolved flow.
 type record struct {
-	tenant      string
-	inPort      uint32
-	out         uint32
-	first       *packet.Packet // clone of the first packet, for escalation re-punts; handed to PuntLocal
-	installedAt sim.Time
-	lastMiss    sim.Time
-	applied     bool // local rule confirmed in the table
-	escalated   bool // handed to the controller (elephant); stop absorbing misses
+	tenant    string
+	inPort    uint32
+	out       uint32
+	first     *packet.Packet // clone of the first packet, for escalation re-punts; handed to PuntLocal
+	lastMiss  sim.Time
+	applied   bool // local rule confirmed in the table
+	escalated bool // handed to the controller (elephant); stop absorbing misses
 }
 
 // devBox bundles a flow's record with the FlowMod (and its one-action
@@ -152,7 +133,6 @@ func (bx *devBox) RuleApplied() {
 	c.mu.Lock()
 	bx.applied = true
 	c.mu.Unlock()
-	c.m.ObserveDevolvedSetup(c.eng.Now() - bx.installedAt)
 }
 
 // Cache is the per-vSwitch policy cache: it implements
@@ -366,12 +346,11 @@ func (c *Cache) HandleMiss(pkt *packet.Packet, inPort uint32) bool {
 	t := c.table
 	bx := &devBox{
 		record: record{
-			tenant:      t.tenantFor(key.Src).Name,
-			inPort:      inPort,
-			out:         out,
-			first:       pkt.Clone(),
-			installedAt: now,
-			lastMiss:    now,
+			tenant:   t.tenantFor(key.Src).Name,
+			inPort:   inPort,
+			out:      out,
+			first:    pkt.Clone(),
+			lastMiss: now,
 		},
 		c: c,
 	}
@@ -422,7 +401,7 @@ func (c *Cache) noteEscalationLocked(d Decision) {
 	case EscalateNoRoute:
 		c.stats.NoRoute++
 	}
-	c.m.Escalation(d.Reason())
+	c.m.Escalation()
 }
 
 // sweepTick reconciles the records against the flow table: devolved
@@ -464,7 +443,7 @@ func (c *Cache) sweepTick() {
 			(t.ElephantPackets > 0 && r.Packets >= t.ElephantPackets) {
 			rec.escalated = true
 			c.stats.Elephants++
-			c.m.Escalation("elephant")
+			c.m.Escalation()
 			// Re-punt the stored first packet: its tunnel metadata still
 			// attributes the flow to its origin switch, so the controller
 			// admits it like any overlay punt and the red rules it

@@ -101,7 +101,7 @@ func TestDecide(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if d := c.Decide(tc.k); d != tc.want {
-			t.Errorf("%s: Decide = %v (%s), want %v", tc.name, d, d.Reason(), tc.want)
+			t.Errorf("%s: Decide = %v, want %v", tc.name, d, tc.want)
 		}
 	}
 }
@@ -280,7 +280,7 @@ func TestConcurrentPushLookup(t *testing.T) {
 		<-start
 		for i := 0; i < 2000; i++ {
 			m.Hit("legit")
-			m.Escalation("first-contact")
+			m.Escalation()
 			_ = m.TotalHits()
 			_ = m.TotalEscalations()
 		}

@@ -1,37 +1,19 @@
 package devolve
 
-import (
-	"sync"
-	"time"
+import "sync"
 
-	"scotch/internal/metrics"
-)
-
-// Metrics aggregates devolution counters and setup-latency histograms
-// across a pool of caches. All methods are nil-safe and safe for
-// concurrent use, so a disabled deployment pays nothing.
+// Metrics aggregates devolution counters across a pool of caches. All
+// methods are nil-safe and safe for concurrent use, so a disabled
+// deployment pays nothing.
 type Metrics struct {
-	// DevolvedSetup observes first-packet-to-rule-applied latency for
-	// locally devolved flows; CentralSetup observes the same span for
-	// flows admitted through the central controller, so the ablation can
-	// compare like with like.
-	DevolvedSetup *metrics.BucketHistogram
-	CentralSetup  *metrics.BucketHistogram
-
 	mu    sync.Mutex
 	hits  map[string]uint64
-	escal map[string]uint64
+	escal uint64
 }
 
-// NewMetrics returns an empty aggregate with latency-bucketed
-// histograms.
+// NewMetrics returns an empty aggregate.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		DevolvedSetup: metrics.NewBucketHistogram(nil),
-		CentralSetup:  metrics.NewBucketHistogram(nil),
-		hits:          make(map[string]uint64),
-		escal:         make(map[string]uint64),
-	}
+	return &Metrics{hits: make(map[string]uint64)}
 }
 
 // Hit counts one locally absorbed miss for a tenant.
@@ -44,32 +26,16 @@ func (m *Metrics) Hit(tenant string) {
 	m.mu.Unlock()
 }
 
-// Escalation counts one miss handed to the central controller, by
-// reason label ("first-contact", "sensitive", "no-route", "no-policy",
-// "elephant").
-func (m *Metrics) Escalation(reason string) {
+// Escalation counts one miss handed to the central controller, for any
+// reason (first contact, sensitive tenant, no route, no policy, or an
+// elephant escalated by the sweep).
+func (m *Metrics) Escalation() {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	m.escal[reason]++
+	m.escal++
 	m.mu.Unlock()
-}
-
-// ObserveDevolvedSetup records a local-rule setup latency.
-func (m *Metrics) ObserveDevolvedSetup(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.DevolvedSetup.ObserveDuration(d)
-}
-
-// ObserveCentralSetup records a central-admission setup latency.
-func (m *Metrics) ObserveCentralSetup(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.CentralSetup.ObserveDuration(d)
 }
 
 // Hits returns the total local hits recorded for one tenant.
@@ -96,16 +62,12 @@ func (m *Metrics) TotalHits() uint64 {
 	return n
 }
 
-// TotalEscalations sums escalations across all reasons.
+// TotalEscalations returns the escalations counted so far.
 func (m *Metrics) TotalEscalations() uint64 {
 	if m == nil {
 		return 0
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var n uint64
-	for _, v := range m.escal {
-		n += v
-	}
-	return n
+	return m.escal
 }

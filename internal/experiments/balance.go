@@ -15,7 +15,7 @@ import (
 // viewSignals is the input of a balancer fed by an observatory: one
 // ClusterView snapshot per tick, digested by balance.ExtractSignals.
 func viewSignals(o *obs.Observatory) func() balance.Signals {
-	return func() balance.Signals { return balance.ExtractSignals(o.Snapshot()) }
+	return func() balance.Signals { return balance.ExtractSignals(o.Snapshot("")) }
 }
 
 // WriteDecisions prints a balancer's decision log in a compact,
@@ -289,7 +289,7 @@ func replicaScaleOutPoint(s spec) replicaScaleOutResult {
 			res.finalAlive++
 		}
 	}
-	if s := o.Digest("replica-scale-out").SLO("client-p99"); s != nil {
+	if s := o.Snapshot("replica-scale-out").SLO("client-p99"); s != nil {
 		res.verdictPath = s.VerdictPath
 		res.peakBurnLong = s.PeakBurnLong
 	}

@@ -201,14 +201,14 @@ var claims = []claim{
 				return
 			}
 			is(t, "crowd verdict_path", r.crowd.VerdictPath, "healthy->burning->healthy")
-			is(t, "crowd final verdict", r.crowd.Final, obs.Healthy)
+			is(t, "crowd final verdict", r.crowd.Verdict, obs.Healthy)
 			if !bound(t, "crowd transitions", len(r.crowd.Transitions), "==", 2) {
 				return
 			}
 			bound(t, "crowd peak_burn_short", r.crowd.PeakBurnShort, ">=", 1)
 			bound(t, "crowd peak_burn_long", r.crowd.PeakBurnLong, ">=", 1)
 			bound(t, "crowd peak_window_p99 (s)", r.crowd.PeakWindowQuantileSeconds, ">", 0.05)
-			is(t, "base final verdict", r.base.Final, obs.Healthy)
+			is(t, "base final verdict", r.base.Verdict, obs.Healthy)
 			// Isolation: once the overlay engages, base recovers while the
 			// crowd keeps burning until the event ends.
 			if n := len(r.base.Transitions); n > 0 {

@@ -3,14 +3,18 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"scotch/internal/obs"
 )
 
 // shortIDs are what TestGolden and TestClaims cover under -short and the
@@ -178,6 +182,48 @@ func TestObsSLOTableDeterministic(t *testing.T) {
 		t.Skip("short mode")
 	}
 	sameAsMemo(t, runIDs(t, []string{"obs-slo"}, 1, nil))
+}
+
+// obsSLODigest holds obs-slo's own end-of-run view as
+// `scotchsim run -health-json` writes a list of one digest. On a mismatch the
+// test writes what it got to obsSLODigestGot; obsSLODigestRegen, run from
+// the repo root after that failure, copies it over the pinned file.
+var (
+	obsSLODigest      = "testdata/obs_slo_digest.json"
+	obsSLODigestGot   = filepath.Join(os.TempDir(), "obs_slo_digest.json")
+	obsSLODigestRegen = "cp " + obsSLODigestGot + " internal/experiments/" + obsSLODigest
+)
+
+// TestObsSLODigest compares obs-slo's memoized view, series timelines,
+// SLO peaks and burn timelines included, with its pinned JSON.
+func TestObsSLODigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	var got bytes.Buffer
+	enc := json.NewEncoder(&got)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode([]*obs.ClusterView{memoRuns(t, "obs-slo")[0].result.(obsSLOResult).digest}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(obsSLODigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		if err := os.WriteFile(obsSLODigestGot, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The file runs to thousands of lines, too many for lineDiff's
+		// quadratic table: name the first line that differs.
+		a, b := strings.Split(string(want), "\n"), strings.Split(got.String(), "\n")
+		i := 0
+		for i < len(a) && i < len(b) && a[i] == b[i] {
+			i++
+		}
+		t.Errorf("obs-slo's digest differs from %s at line %d (%d lines, got %d)\nIf the shift is intended, regenerate the file from the repo root with\n  %s",
+			obsSLODigest, i+1, len(a), len(b), obsSLODigestRegen)
+	}
 }
 
 // goldenPath is the file holding every experiment's output as

@@ -12,12 +12,12 @@ import (
 )
 
 // obsSLOResult is one observatory run over the flash-crowd rig: the
-// digest plus the two SLO reports the table and the acceptance test
-// both read.
+// end-of-run view plus the two SLO reports the table and the acceptance
+// test both read.
 type obsSLOResult struct {
-	digest *obs.Digest
-	base   *obs.SLODigest
-	crowd  *obs.SLODigest
+	digest *obs.ClusterView
+	base   *obs.SLOView
+	crowd  *obs.SLOView
 }
 
 // obsSLOPoint runs the burn-rate demonstration: a steady 20 flows/s
@@ -56,7 +56,7 @@ func obsSLOPoint(s spec) obsSLOResult {
 	r.drive(fc.Stop, base.Stop)
 	o.Stop()
 
-	d := o.Digest("obs-slo")
+	d := o.Snapshot("obs-slo")
 	return obsSLOResult{digest: d, base: d.SLO("base-p99"), crowd: d.SLO("crowd-p99")}
 }
 
@@ -67,7 +67,7 @@ func runObsSLO(w io.Writer, p *Probes) (any, error) {
 	res := obsSLOPoint(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, backup: 1,
 		horizon: 20 * time.Second, drain: 4 * time.Second, seed: 47, probes: p})
 	fmt.Fprintln(w, "slo        tenant  verdict_path               peak_burn_short  peak_burn_long  peak_window_p99(s)")
-	for _, s := range []*obs.SLODigest{res.base, res.crowd} {
+	for _, s := range []*obs.SLOView{res.base, res.crowd} {
 		fmt.Fprintf(w, "%-10s %-7s %-26s %-16.1f %-15.1f %.4f\n",
 			s.Name, s.Tenant, s.VerdictPath, s.PeakBurnShort, s.PeakBurnLong,
 			s.PeakWindowQuantileSeconds)

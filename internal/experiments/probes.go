@@ -205,7 +205,7 @@ func WriteProbes(w io.Writer, p *Probes) error {
 		fmt.Fprintln(w)
 	}
 	for _, nh := range p.Health {
-		if err := nh.Obs.Digest(nh.Name).WriteText(w); err != nil {
+		if err := nh.Obs.Snapshot(nh.Name).WriteText(w); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)

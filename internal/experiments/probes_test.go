@@ -97,7 +97,7 @@ func TestObservatoryDoesNotChangeOutput(t *testing.T) {
 		t.Fatal("no health runs collected")
 	}
 	for _, nh := range runs {
-		d := nh.Obs.Digest(nh.Name)
+		d := nh.Obs.Snapshot(nh.Name)
 		if d.Samples == 0 {
 			t.Errorf("%s: observatory took no samples", nh.Name)
 		}
@@ -139,7 +139,7 @@ func TestArmedRunAllSharesNoState(t *testing.T) {
 		t.Errorf("collected %d traces, %d health, %d advice runs; want 9, 9, 9",
 			len(p.Traces), len(p.Health), len(p.Advice))
 	}
-	if v := newest.Load().Snapshot(); len(v.Components) == 0 || v.At == 0 {
+	if v := newest.Load().Snapshot(""); len(v.Components) == 0 || v.At == 0 {
 		t.Fatalf("newest cluster view = %+v, want populated", v)
 	}
 }
@@ -178,8 +178,8 @@ func TestSpawnedReplicaArmed(t *testing.T) {
 	}
 	p := checkGolden(t, runIDs(t, []string{"replica-scale-out"}, 1,
 		&Probes{Trace: true, Obs: &obs.Config{}}))[0].Probes
-	d := p.Health[0].Obs.Digest(p.Health[0].Name)
-	if !slices.ContainsFunc(d.Components, func(c obs.ComponentDigest) bool { return c.Name == "replica2" }) {
+	d := p.Health[0].Obs.Snapshot(p.Health[0].Name)
+	if !slices.ContainsFunc(d.Components, func(c obs.ComponentView) bool { return c.Name == "replica2" }) {
 		t.Error("health digest has no replica2 component")
 	}
 	stages := map[string]map[netaddr.FlowKey]bool{"ofa-queue": {}, "control-channel": {}}

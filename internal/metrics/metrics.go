@@ -19,8 +19,7 @@ import (
 type RateMeter struct {
 	mu      sync.Mutex
 	buckets [rateBuckets]float64
-	base    int64   // index of buckets[0] in units of rateBucket since t=0
-	total   float64 // lifetime count; the tests check it for lost Adds
+	base    int64 // index of buckets[0] in units of rateBucket since t=0
 }
 
 // A RateMeter's window is one second, divided into ten buckets.
@@ -61,7 +60,6 @@ func (m *RateMeter) Add(now sim.Time) {
 	if i >= 0 && i < int64(len(m.buckets)) {
 		m.buckets[i]++
 	}
-	m.total++
 }
 
 // Rate returns the average event rate (events/second) over the window

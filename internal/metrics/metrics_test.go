@@ -97,31 +97,6 @@ func TestRateMeterZeroEventWindow(t *testing.T) {
 	}
 }
 
-// Total returns the lifetime event count, independent of the window.
-func (m *RateMeter) Total() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.total
-}
-
-func TestRateMeterTotalLifetime(t *testing.T) {
-	// Total is a lifetime counter: unaffected by window roll-out or the
-	// full reset after a long idle gap.
-	m := NewRateMeter()
-	if m.Total() != 0 {
-		t.Fatalf("fresh total = %v", m.Total())
-	}
-	addN(m, 0, 3)
-	addN(m, 500*time.Millisecond, 4)
-	addN(m, time.Hour, 5)
-	if m.Total() != 12 {
-		t.Fatalf("total = %v, want 12", m.Total())
-	}
-	if r := m.Rate(time.Hour); math.Abs(r-5) > 1e-9 {
-		t.Fatalf("windowed rate = %v, want 5", r)
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	ts := NewTimeSeries(time.Second)
 	ts.Add(100*time.Millisecond, 1)

@@ -11,14 +11,13 @@
 // time series keyed to the simulation clock, and evaluates declarative
 // latency SLOs with multi-window error-budget burn rates.
 //
-// Three consumers read it:
-//
-//   - Snapshot() returns one consistent ClusterView — the input the
-//     joint-elasticity controller (ROADMAP item 3) will consume.
-//   - Handler() serves the view live as /statusz (JSON + HTML), with
-//     optional pprof capture on SLO-breach transitions.
-//   - Digest() renders a deterministic end-of-run health digest:
-//     per-component load timelines, SLO verdict paths, burn-rate peaks.
+// Snapshot(name) returns its one report, a ClusterView: per-component
+// summaries and load timelines, per-tenant quantiles, and each SLO's
+// current burn state, verdict path and burn-rate peaks. The joint
+// balancer reads it every tick, Handler() serves it live as /statusz
+// (JSON + HTML), and at end of run WriteText renders it as the
+// deterministic health digest. Breach transitions can capture pprof
+// profiles.
 //
 // Sampling is strictly read-only over the observed subsystems (RateMeter
 // reads do not mutate, histogram reads are atomic snapshots, and the

@@ -40,10 +40,10 @@ func TestSLOVerdictStateMachine(t *testing.T) {
 	eng.RunUntil(15 * time.Second)
 	o.Stop()
 
-	d := o.Digest("test")
+	d := o.Snapshot("test")
 	s := d.SLO("t-p99")
 	if s == nil {
-		t.Fatal("digest has no t-p99 report")
+		t.Fatal("view has no t-p99 report")
 	}
 	if s.VerdictPath != "healthy->burning->healthy" {
 		t.Fatalf("verdict path = %q, want healthy->burning->healthy", s.VerdictPath)
@@ -77,7 +77,7 @@ func TestSnapshotMidBurn(t *testing.T) {
 	eng, o := burnRig()
 	eng.RunUntil(7 * time.Second)
 
-	v := o.Snapshot()
+	v := o.Snapshot("")
 	if v.At == 0 || len(v.Components) == 0 {
 		t.Fatalf("empty snapshot: %+v", v)
 	}
@@ -114,8 +114,8 @@ func breachRun(dir string) *Observatory {
 	return o
 }
 
-// captures is the breach profile count a run's digest reports.
-func captures(o *Observatory) int { return o.Digest("run").Captures }
+// captures is the breach profile count a run's view reports.
+func captures(o *Observatory) int { return o.Snapshot("run").Captures }
 
 func TestBreachProfileCapture(t *testing.T) {
 	dir := t.TempDir()
@@ -173,15 +173,12 @@ func TestNilObservatorySafe(t *testing.T) {
 	o.WatchLatency(nil)
 	o.Start()
 	o.Stop()
-	if v := o.Snapshot(); v == nil || len(v.Components) != 0 {
+	v := o.Snapshot("x")
+	if v == nil || len(v.Components) != 0 || v.Samples != 0 || v.SLO("any") != nil {
 		t.Fatalf("nil snapshot = %+v", v)
 	}
-	d := o.Digest("x")
-	if d == nil || d.Samples != 0 || d.SLO("any") != nil {
-		t.Fatalf("nil digest = %+v", d)
-	}
 	var sb strings.Builder
-	if err := d.WriteText(&sb); err != nil {
+	if err := v.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -218,7 +215,7 @@ func TestStatuszHandler(t *testing.T) {
 	eng, o := burnRig()
 	eng.RunUntil(7 * time.Second)
 
-	h := Handler(o.Snapshot)
+	h := Handler(func() *ClusterView { return o.Snapshot("") })
 
 	// JSON via query parameter.
 	rec := httptest.NewRecorder()
@@ -232,6 +229,16 @@ func TestStatuszHandler(t *testing.T) {
 	}
 	if len(v.Components) == 0 || len(v.SLOs) != 1 {
 		t.Fatalf("json view = %+v", v)
+	}
+	// The live view carries the timelines and run peaks the end-of-run
+	// digest reports: one type serves both.
+	if pts := v.Components[0].Series[0].Points; len(pts) == 0 || pts[len(pts)-1].T != v.At {
+		t.Errorf("series timeline = %+v, want points ending at %v", pts, v.At)
+	}
+	s := v.SLOs[0]
+	if s.VerdictPath != "healthy->burning" || s.PeakBurnShort < 1 || s.PeakBurnLong < 1 ||
+		s.PeakWindowQuantileSeconds < 0.05 || len(s.BurnTimeline) == 0 || v.Samples == 0 {
+		t.Errorf("json SLO peaks = %+v (samples %d), want healthy->burning with peaks and a burn timeline", s, v.Samples)
 	}
 
 	// JSON via Accept header.
@@ -271,7 +278,7 @@ func TestSeriesReregisterKeepsRing(t *testing.T) {
 	o.sample()
 	o.Series("c", "s", func() float64 { return 2 })
 	o.sample()
-	v := o.Snapshot()
+	v := o.Snapshot("")
 	if len(v.Components) != 1 || len(v.Components[0].Series) != 1 {
 		t.Fatalf("re-registering duplicated the series: %+v", v.Components)
 	}

@@ -174,15 +174,6 @@ func (a *App) devoOriginRate(origin uint64, now sim.Time) float64 {
 	return rate
 }
 
-// devoObserveCentral records a centrally admitted flow's setup latency
-// (punt arrival to install) for the devolved-vs-central comparison.
-func (a *App) devoObserveCentral(r *flowReq) {
-	if a.devo == nil || r.at == 0 {
-		return
-	}
-	a.devo.metrics.ObserveCentralSetup(a.C.Eng.Now() - r.at)
-}
-
 // pushPolicy builds the member-specific policy table and delivers it
 // through the member's switch handle with control-channel delay; the
 // push is slave-suppressed, so only the member's current master can

@@ -48,9 +48,6 @@ func TestDevolutionLocalFastPath(t *testing.T) {
 	if devolved == 0 {
 		t.Fatal("no switch-level LocalHandled misses")
 	}
-	if m.DevolvedSetup.Count() == 0 {
-		t.Fatal("no devolved setup latencies observed")
-	}
 }
 
 // TestDevolutionDisabledIsInert pins the ablation baseline: without

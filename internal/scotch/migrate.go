@@ -45,34 +45,32 @@ func (a *App) AddMiddlebox(name string, su, sd uint64, suOut, sdIn uint32) *Midd
 // policyPathVia assembles a physical path that crosses each named
 // middlebox in order, producing the red-rule hop list: ... -> S_U(->MB)
 // -> S_D(in from MB, onward) -> ... (paper §5.4).
-func (a *App) policyPathVia(origin uint64, key netaddr.FlowKey, chain []string) ([]topo.Hop, []uint64, bool) {
+func (a *App) policyPathVia(origin uint64, key netaddr.FlowKey, chain []string) ([]topo.Hop, bool) {
 	cur := origin
 	var hops []topo.Hop
-	var waypoints []uint64
 	for _, name := range chain {
 		mb := a.mboxes[name]
 		if mb == nil {
-			return nil, nil, false
+			return nil, false
 		}
 		seg, ok := a.C.Net.SwitchPath(cur, mb.SU)
 		if !ok {
-			return nil, nil, false
+			return nil, false
 		}
 		hops = append(hops, seg...)
 		hops = append(hops, topo.Hop{DPID: mb.SU, OutPort: mb.SUOut})
-		waypoints = append(waypoints, mb.SU, mb.SD)
 		cur = mb.SD
 	}
 	mbLast := a.mboxes[chain[len(chain)-1]]
 	tail, ok := a.C.Net.Path(cur, key.Dst)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	// The S_D rule applies only to packets returning from the middlebox.
 	if len(tail) > 0 && tail[0].DPID == mbLast.SD {
 		tail[0].InPort = mbLast.SDIn
 	}
-	return append(hops, tail...), waypoints, true
+	return append(hops, tail...), true
 }
 
 // buildChains plumbs each middlebox chain into the overlay: tunnels from
@@ -250,7 +248,7 @@ func (a *App) migrate(fi *controller.FlowInfo) {
 	if a.Cfg.NaiveMigration {
 		hops, ok = a.C.Net.Path(fi.FirstHop, key.Dst)
 	} else {
-		hops, fi.Waypoints, ok = a.policyPath(fi.FirstHop, key)
+		hops, ok = a.policyPath(fi.FirstHop, key)
 	}
 	if !ok || len(hops) == 0 {
 		delete(a.migrating, key)

@@ -171,7 +171,6 @@ type flowReq struct {
 	// buffer the request owns, since the Packet-In's frame is recycled
 	// when HandlePacketIn returns and the request is served later.
 	data []byte
-	at   sim.Time // punt arrival, for central setup-latency attribution
 }
 
 // App is the Scotch controller application.
@@ -562,7 +561,7 @@ func (a *App) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.PacketIn
 	a.Stats.Requests++
 	req := a.newReq()
 	*req = flowReq{key: key, origin: origin, port: port, punter: punter,
-		data: append(req.data[:0], pin.Data...), at: a.C.Eng.Now()}
+		data: append(req.data[:0], pin.Data...)}
 
 	group := port
 	if a.Cfg.GroupBy != nil {
@@ -637,7 +636,7 @@ func (a *App) canOverlay(r *flowReq) bool {
 // downstream switch is hot, the flow stays on the overlay so that "new
 // rules are initially only inserted at the vswitches" (§4).
 func (a *App) admitPhysical(r *flowReq) {
-	hops, waypoints, ok := a.policyPath(r.origin, r.key)
+	hops, ok := a.policyPath(r.origin, r.key)
 	if !ok {
 		a.Stats.NoPath++
 		return
@@ -652,7 +651,6 @@ func (a *App) admitPhysical(r *flowReq) {
 		}
 	}
 	a.Stats.PhysicalAdmitted++
-	a.devoObserveCentral(r)
 	if tr := a.C.Tracer(); tr != nil {
 		tr.PointTag(telemetry.PointInstall, r.key, r.origin, a.C.Eng.Now(), "physical")
 	}
@@ -679,8 +677,6 @@ func (a *App) admitPhysical(r *flowReq) {
 		Key:         r.key,
 		FirstHop:    r.origin,
 		IngressPort: r.port,
-		Waypoints:   waypoints,
-		Created:     a.C.Eng.Now(),
 	})
 	// Forward the triggering packet from the origin switch along the new
 	// path (the controller holds the full packet).
@@ -706,7 +702,6 @@ func (a *App) admitOverlay(r *flowReq) {
 		return
 	}
 	a.Stats.OverlayRouted++
-	a.devoObserveCentral(r)
 	if tr := a.C.Tracer(); tr != nil {
 		tr.PointTag(telemetry.PointInstall, r.key, r.origin, a.C.Eng.Now(), "overlay")
 	}
@@ -754,7 +749,6 @@ func (a *App) admitOverlay(r *flowReq) {
 		IngressPort:    r.port,
 		OnOverlay:      true,
 		OverlayVSwitch: v1,
-		Created:        a.C.Eng.Now(),
 	})
 }
 
@@ -901,14 +895,13 @@ func (a *App) HandleFlowRemoved(sw *controller.SwitchHandle, fr *openflow.FlowRe
 
 // policyPath computes the physical path for a flow, honoring its
 // middlebox chain when one is configured.
-func (a *App) policyPath(origin uint64, key netaddr.FlowKey) ([]topo.Hop, []uint64, bool) {
+func (a *App) policyPath(origin uint64, key netaddr.FlowKey) ([]topo.Hop, bool) {
 	if a.Cfg.Policy != nil {
 		if chain := a.Cfg.Policy(key); len(chain) > 0 {
 			return a.policyPathVia(origin, key, chain)
 		}
 	}
-	hops, ok := a.C.Net.Path(origin, key.Dst)
-	return hops, nil, ok
+	return a.C.Net.Path(origin, key.Dst)
 }
 
 func exactMatch(k netaddr.FlowKey) openflow.Match {

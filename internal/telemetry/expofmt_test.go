@@ -46,9 +46,9 @@ func TestParseSeriesRoundTrip(t *testing.T) {
 	if labels[1].Name != "a" || labels[1].Value != `x"y,z` {
 		t.Fatalf("label a = %+v", labels[1])
 	}
-	// FormatSeries sorts, so the canonical form puts a first.
-	if got := FormatSeries(fam, labels); got != `fam{a="x\"y,z",b="2"}` {
-		t.Fatalf("canonical = %q", got)
+	// Labels writes the block ParseSeries reads.
+	if got := fam + Labels("b", "2", "a", `x"y,z`); got != `fam{b="2",a="x\"y,z"}` {
+		t.Fatalf("Labels spelling = %q", got)
 	}
 	// No label block.
 	fam, labels, err = ParseSeries("bare_series")
@@ -64,25 +64,6 @@ func TestParseSeriesMalformed(t *testing.T) {
 		if _, _, err := ParseSeries(s); err == nil {
 			t.Errorf("ParseSeries(%q) accepted malformed input", s)
 		}
-	}
-}
-
-// TestRegistryCanonicalAlias pins the compat behavior: the same
-// family+labels spelled with a different label order (or legacy escaping)
-// resolve to one series, and the exposition emits it once.
-func TestRegistryCanonicalAlias(t *testing.T) {
-	r := NewRegistry()
-	r.CounterFunc(`scotch_alias_total{x="1",a="2"}`, func() uint64 { return 1 })
-	r.CounterFunc(`scotch_alias_total{a="2",x="1"}`, func() uint64 { return 3 })
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(buf.String(), "scotch_alias_total{"); n != 1 {
-		t.Fatalf("canonical series emitted %d times:\n%s", n, buf.String())
-	}
-	if !strings.Contains(buf.String(), `scotch_alias_total{a="2",x="1"} 3`+"\n") {
-		t.Fatalf("missing canonical sample:\n%s", buf.String())
 	}
 }
 
@@ -107,9 +88,13 @@ func TestExpositionRoundTrip(t *testing.T) {
 
 	byKey := map[string]Sample{}
 	for _, s := range samples {
-		byKey[FormatSeries(s.Family, s.Labels)] = s
+		var kv []string
+		for _, l := range s.Labels {
+			kv = append(kv, l.Name, l.Value)
+		}
+		byKey[s.Family+Labels(kv...)] = s
 	}
-	c, ok := byKey[FormatSeries("scotch_rt_total", []Label{{"tenant", hostile}})]
+	c, ok := byKey["scotch_rt_total"+Labels("tenant", hostile)]
 	if !ok {
 		t.Fatalf("hostile-label counter lost in round trip:\n%s", buf.String())
 	}
@@ -217,4 +202,87 @@ func ParseExposition(r io.Reader) ([]Sample, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Label is one Prometheus label pair. Values are stored unescaped.
+type Label struct {
+	Name  string
+	Value string
+}
+
+// UnescapeLabelValue reverses EscapeLabelValue. Unknown escape sequences
+// are kept literally (lenient, for legacy Go-quoted values).
+func UnescapeLabelValue(v string) string {
+	if !strings.ContainsRune(v, '\\') {
+		return v
+	}
+	var b strings.Builder
+	b.Grow(len(v))
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if c != '\\' || i+1 >= len(v) {
+			b.WriteByte(c)
+			continue
+		}
+		i++
+		switch v[i] {
+		case '\\':
+			b.WriteByte('\\')
+		case '"':
+			b.WriteByte('"')
+		case 'n':
+			b.WriteByte('\n')
+		default:
+			b.WriteByte('\\')
+			b.WriteByte(v[i])
+		}
+	}
+	return b.String()
+}
+
+// ParseSeries splits a series key into its family and label pairs, e.g.
+// `fam{a="1",b="2"}` into ("fam", [{a 1} {b 2}]). Label values are
+// unescaped. A key without a label block returns nil labels.
+func ParseSeries(series string) (fam string, labels []Label, err error) {
+	i := strings.IndexByte(series, '{')
+	if i < 0 {
+		return series, nil, nil
+	}
+	fam = series[:i]
+	block := series[i:]
+	if len(block) < 2 || block[len(block)-1] != '}' {
+		return "", nil, fmt.Errorf("telemetry: malformed label block in %q", series)
+	}
+	body := block[1 : len(block)-1]
+	for len(body) > 0 {
+		eq := strings.IndexByte(body, '=')
+		if eq <= 0 || eq+1 >= len(body) || body[eq+1] != '"' {
+			return "", nil, fmt.Errorf("telemetry: malformed label pair in %q", series)
+		}
+		name := strings.TrimSpace(body[:eq])
+		rest := body[eq+2:] // past the opening quote
+		// Scan to the closing quote, honoring backslash escapes.
+		end := -1
+		for j := 0; j < len(rest); j++ {
+			if rest[j] == '\\' {
+				j++
+				continue
+			}
+			if rest[j] == '"' {
+				end = j
+				break
+			}
+		}
+		if end < 0 {
+			return "", nil, fmt.Errorf("telemetry: unterminated label value in %q", series)
+		}
+		labels = append(labels, Label{Name: name, Value: UnescapeLabelValue(rest[:end])})
+		body = rest[end+1:]
+		if strings.HasPrefix(body, ",") {
+			body = body[1:]
+		} else if len(body) > 0 {
+			return "", nil, fmt.Errorf("telemetry: malformed label separator in %q", series)
+		}
+	}
+	return fam, labels, nil
 }

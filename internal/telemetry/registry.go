@@ -13,12 +13,10 @@ import (
 // time, written in Prometheus text exposition format. Each series is a
 // counter or gauge function over state its subsystem already keeps, so
 // registering costs nothing on the instrumented path. Series names may
-// carry a label block (`name{label="v"}`); series of the same family
-// share one # TYPE line. Keys are canonicalized on registration — labels
-// sorted by name, values escaped per the exposition format — so the
-// legacy label-in-name spelling remains a readable alias for real label
-// pairs (see FormatSeries/ParseSeries). A nil registry ignores every
-// registration and writes nothing.
+// carry a label block built by Labels (`name{label="v"}`); series of the
+// same family share one # TYPE line. A key is stored and written exactly
+// as registered. A nil registry ignores every registration and writes
+// nothing.
 type Registry struct {
 	mu         sync.RWMutex
 	counterFns map[string]func() uint64
@@ -31,6 +29,29 @@ func NewRegistry() *Registry {
 		counterFns: make(map[string]func() uint64),
 		gaugeFns:   make(map[string]func() float64),
 	}
+}
+
+// EscapeLabelValue escapes a label value per the Prometheus text
+// exposition format: backslash, double quote, and newline.
+func EscapeLabelValue(v string) string {
+	if !strings.ContainsAny(v, "\\\"\n") {
+		return v
+	}
+	var b strings.Builder
+	b.Grow(len(v) + 2)
+	for _, r := range v {
+		switch r {
+		case '\\':
+			b.WriteString(`\\`)
+		case '"':
+			b.WriteString(`\"`)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }
 
 // Labels formats key/value pairs as a Prometheus label block, e.g.
@@ -63,7 +84,6 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	if r == nil || fn == nil {
 		return
 	}
-	name = canonicalKey(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counterFns[name] = fn
@@ -76,7 +96,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	if r == nil || fn == nil {
 		return
 	}
-	name = canonicalKey(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gaugeFns[name] = fn
