@@ -6,7 +6,8 @@
 // its specs. Every exported type, constant and variable under internal/
 // must also be referenced from outside its own package's tests (see
 // unusedExports), and every function and method declared there must be
-// linked into one of the module's binaries (see linkCheck), which also
+// linked into one of the module's binaries for a reason other than
+// sharing a called interface method's name (see linkCheck), which also
 // prints, as notes, the functions only the benchmark harness links.
 //
 // Usage:

@@ -68,3 +68,20 @@ func (g *Gauge) Set(n int) { g.n = n }
 // Size is called only from lib_test.go, though Counter.Size, which
 // cmd/tool calls, shares its name.
 func (g *Gauge) Size() int { return g.n }
+
+// Port is converted to an interface by cmd/tool, which makes the types
+// of its fields, Tunnel among them, reachable through reflection.
+type Port struct{ T *Tunnel }
+
+// Tunnel is reachable only from Port's field.
+type Tunnel struct{ name string }
+
+// Name is called only from lib_test.go. cmd/tool calls Node.Name through
+// an interface, so the linker keeps this method too, by its name.
+func (t *Tunnel) Name() string { return t.name }
+
+// Node is converted to cmd/tool's namer.
+type Node struct{ name string }
+
+// Name is called through an interface in cmd/tool's non-test code.
+func (n *Node) Name() string { return n.name }

@@ -9,7 +9,7 @@ import (
 func TestOnlyOwnTests(t *testing.T) {
 	c := &Counter{}
 	if OnlyOwnTests() != 3 || helper() != 5 || (&Orphan{}).Self() == nil || c.OnlyTests() != 0 ||
-		(&Gauge{}).Size() != 0 || testsupport.Helper() != 7 {
+		(&Gauge{}).Size() != 0 || (&Tunnel{}).Name() != "" || testsupport.Helper() != 7 {
 		t.Fatal("fixture")
 	}
 }

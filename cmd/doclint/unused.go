@@ -169,7 +169,11 @@ const testSupportDir = "internal/testsupport"
 // text symbols with `go tool nm`. The linker drops whatever nothing
 // reachable calls, whatever names other types share with it, but keeps a
 // method matching a called interface method by name and signature once
-// its type is converted to an interface. A binary linking
+// its type is converted to an interface, or is reachable from the fields
+// of one that is. So a type-checking pass (reach) also flags a linked
+// method that only that name match keeps: no non-test conversion of its
+// type targets an interface holding it, no type assertion asks for it,
+// and no non-test code names it. A binary linking
 // reflect.Value.Method or MethodByName keeps every exported method, which
 // would blind the check, so that is a violation too. The notes list what
 // only binaries outside cmd/ and examples/, the shipped programs, link.
@@ -237,6 +241,21 @@ func linkCheck(fset *token.FileSet, root string, files []srcFile) (violations, n
 		}
 	}
 
+	exports, err := exportFiles(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	byPkg := make(map[string][]*ast.File) // import path -> non-test default-tag files
+	for _, f := range files {
+		if goFiles[f.dir+"/"+f.base] {
+			byPkg[module+"/"+f.dir] = append(byPkg[module+"/"+f.dir], f.ast)
+		}
+	}
+	reached, declared, err := checkPackages(fset, byPkg, exports)
+	if err != nil {
+		return nil, nil, err
+	}
+
 	for _, f := range files {
 		if !strings.HasPrefix(f.dir, "internal/") || f.dir == testSupportDir || !goFiles[f.dir+"/"+f.base] {
 			continue
@@ -252,13 +271,17 @@ func linkCheck(fset *token.FileSet, root string, files []srcFile) (violations, n
 			}
 			p := fset.Position(fd.Name.Pos())
 			at := fmt.Sprintf("%s:%d: %s %s", filepath.ToSlash(p.Filename), p.Line, what, name)
-			by := linkedBy[module+"/"+f.dir+"."+name]
+			key := module + "/" + f.dir + "." + name
+			by := linkedBy[key]
 			shipped := slices.ContainsFunc(by, func(b string) bool {
 				return strings.HasPrefix(b, module+"/cmd/") || strings.HasPrefix(b, module+"/examples/")
 			})
 			switch {
 			case len(by) == 0:
 				violations = append(violations, at+" is linked into no binary")
+			case fd.Recv != nil && declared[key] != nil && reached.nameOnly(module+"/"+f.dir+"."+declOwner(fd), key, declared[key]):
+				violations = append(violations, at+" is linked only because an interface method shares its name: no conversion of "+
+					declOwner(fd)+" to an interface reaches it")
 			case !shipped:
 				notes = append(notes, at+" is linked only into "+strings.Join(by, ", "))
 			}

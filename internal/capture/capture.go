@@ -39,8 +39,10 @@ type Capture struct {
 	// record i lives at flows[i-1]. arena is the current allocation block
 	// records are carved from, so registering a flow costs one heap
 	// allocation per block of flows rather than one per flow.
-	flows   []*FlowRecord
-	arena   []FlowRecord
+	flows []*FlowRecord
+	arena []FlowRecord
+	// byKey holds the newest flow of each key until all its expected
+	// packets have arrived, for packets that lost their FlowID (lookup).
 	byKey   map[netaddr.FlowKey]*FlowRecord
 	latency map[string]*metrics.Histogram // per-class one-way packet delay
 	nextID  uint64
@@ -109,6 +111,9 @@ func (c *Capture) RecordRecv(pkt *packet.Packet, now sim.Time) {
 		f.PacketsRecv++
 		f.BytesRecv += uint64(pkt.Size)
 		f.LastRecv = now
+		if f.PacketsRecv >= f.Expected && c.byKey[f.Key] == f {
+			delete(c.byKey, f.Key) // complete: nothing more to attribute by key
+		}
 		if pkt.Meta.SentAt > 0 {
 			h := c.latency[f.Class]
 			if h == nil {

@@ -59,6 +59,55 @@ func TestLookupFallsBackToFlowKey(t *testing.T) {
 	}
 }
 
+// TestKeyIndexHoldsOnlyIncompleteFlows: the key fallback keeps a flow
+// only until its expected packets have all arrived, so the index does not
+// grow with the run, and it drops a key only for the flow it points at.
+func TestKeyIndexHoldsOnlyIncompleteFlows(t *testing.T) {
+	wire := func(p *packet.Packet) *packet.Packet { // a Packet-Out round trip: Meta is gone
+		q, err := packet.Parse(p.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	t.Run("incomplete flow still counted by key", func(t *testing.T) {
+		c := New(sim.New(1))
+		f := c.NewFlow(key(1), "client", 3)
+		p := packet.NewTCP(srcIP, dstIP, 1, 80, 0)
+		p.Meta.FlowID = f.ID
+		c.RecordRecv(p, time.Millisecond)
+		c.RecordRecv(wire(p), 2*time.Millisecond)
+		if f.PacketsRecv != 2 || c.byKey[key(1)] != f {
+			t.Fatalf("received %d packets, key indexed %v; want 2 and the flow", f.PacketsRecv, c.byKey[key(1)] != nil)
+		}
+	})
+	t.Run("completed flow leaves the index", func(t *testing.T) {
+		c := New(sim.New(1))
+		f := c.NewFlow(key(2), "attack", 1)
+		p := packet.NewTCP(srcIP, dstIP, 2, 80, 0)
+		p.Meta.FlowID = f.ID
+		c.RecordRecv(p, time.Millisecond)
+		if _, ok := c.byKey[key(2)]; ok || f.PacketsRecv != 1 {
+			t.Fatalf("completed flow still indexed (%v) or miscounted (%d)", ok, f.PacketsRecv)
+		}
+	})
+	t.Run("older flow of the key completing keeps the newer", func(t *testing.T) {
+		c := New(sim.New(1))
+		old := c.NewFlow(key(3), "client", 1)
+		newer := c.NewFlow(key(3), "client", 2)
+		p := packet.NewTCP(srcIP, dstIP, 3, 80, 0)
+		p.Meta.FlowID = old.ID
+		c.RecordRecv(p, time.Millisecond)
+		if c.byKey[key(3)] != newer {
+			t.Fatal("the older flow's completion dropped the newer flow's key")
+		}
+		c.RecordRecv(wire(p), 2*time.Millisecond)
+		if old.PacketsRecv != 1 || newer.PacketsRecv != 1 {
+			t.Fatalf("old/newer received %d/%d, want 1/1", old.PacketsRecv, newer.PacketsRecv)
+		}
+	})
+}
+
 func TestFailureFraction(t *testing.T) {
 	eng := sim.New(1)
 	c := New(eng)

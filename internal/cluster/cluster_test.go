@@ -191,8 +191,8 @@ func TestCooperativeMigrationMovesMastershipAndState(t *testing.T) {
 	rg := newTwoShardRig(t)
 	rg.sendFlow(0, 3000)
 	rg.eng.RunUntil(200 * time.Millisecond)
-	if rg.r[0].C.FlowDB.Len() != 1 {
-		t.Fatalf("flow state on home replica = %d", rg.r[0].C.FlowDB.Len())
+	if len(rg.r[0].C.FlowDB.All()) != 1 {
+		t.Fatalf("flow state on home replica = %d", len(rg.r[0].C.FlowDB.All()))
 	}
 
 	rg.migrate("pod-a", rg.r[1])
@@ -207,9 +207,9 @@ func TestCooperativeMigrationMovesMastershipAndState(t *testing.T) {
 	if !slave(rg.r[0], rg.sw[0].DPID) {
 		t.Fatal("old master is not slave on the migrated shard")
 	}
-	if rg.r[0].C.FlowDB.Len() != 0 || rg.r[1].C.FlowDB.Len() != 1 {
+	if len(rg.r[0].C.FlowDB.All()) != 0 || len(rg.r[1].C.FlowDB.All()) != 1 {
 		t.Fatalf("flow state after migrate = %d/%d, want 0/1",
-			rg.r[0].C.FlowDB.Len(), rg.r[1].C.FlowDB.Len())
+			len(rg.r[0].C.FlowDB.All()), len(rg.r[1].C.FlowDB.All()))
 	}
 	if rg.co.Stats.Migrations != 1 {
 		t.Fatalf("Migrations = %d", rg.co.Stats.Migrations)

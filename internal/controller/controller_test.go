@@ -38,8 +38,8 @@ func TestReactiveRoutingEndToEnd(t *testing.T) {
 	if r.FlowsRouted == 0 {
 		t.Fatal("router handled no flows")
 	}
-	if c.FlowDB.Len() != 1 {
-		t.Fatalf("FlowDB has %d entries, want 1", c.FlowDB.Len())
+	if len(c.FlowDB.flows) != 1 {
+		t.Fatalf("FlowDB has %d entries, want 1", len(c.FlowDB.flows))
 	}
 
 	// Subsequent packets ride the installed rules without Packet-Ins.
@@ -210,7 +210,7 @@ func TestFlowInfoDB(t *testing.T) {
 		t.Fatalf("overlay flows after clear = %d", len(got))
 	}
 	db.Delete(k)
-	if db.Len() != 0 {
+	if len(db.flows) != 0 {
 		t.Fatal("delete ineffective")
 	}
 }

@@ -57,9 +57,6 @@ func (db *FlowInfoDB) Store(fi FlowInfo) *FlowInfo {
 // Delete removes the record for key.
 func (db *FlowInfoDB) Delete(key netaddr.FlowKey) { delete(db.flows, key) }
 
-// Len returns the number of records.
-func (db *FlowInfoDB) Len() int { return len(db.flows) }
-
 // All returns every record ordered by flow key; cluster migration uses it
 // to transfer a shard's flow state between replicas deterministically.
 func (db *FlowInfoDB) All() []*FlowInfo {

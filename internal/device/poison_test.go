@@ -82,3 +82,27 @@ func TestDropsReleasePacket(t *testing.T) {
 		})
 	}
 }
+
+// TestStatsPartFramePoisoned: in a poison build a flow-stats part's frame
+// is overwritten once the connection's send returns, so a receiver that
+// kept it reads 0xAB rather than a part that looks whole.
+func TestStatsPartFramePoisoned(t *testing.T) {
+	eng := sim.New(1)
+	sw := NewSwitch(eng, "s1", 1, fastProfile())
+	var kept []byte
+	var typ openflow.MsgType
+	sw.SetController(func(_ uint64, b []byte) { kept, typ = b, openflow.MsgType(b[1]) })
+	send(t, sw, &openflow.FlowMod{Command: openflow.FlowAdd, Priority: 1,
+		Match: openflow.Match{Fields: openflow.FieldIPv4Src, IPv4Src: 1}})
+	eng.RunUntil(10 * time.Millisecond)
+	requestStats(t, sw, 7)
+	eng.RunUntil(20 * time.Millisecond)
+	if typ != openflow.TypeMultipartReply {
+		t.Fatalf("last message sent was of type %d, want a multipart reply", typ)
+	}
+	for i, c := range kept {
+		if c != 0xAB {
+			t.Fatalf("kept part reads %#x at byte %d, want poison", c, i)
+		}
+	}
+}

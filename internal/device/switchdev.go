@@ -100,6 +100,9 @@ type Switch struct {
 	errMsg openflow.Error
 	rx     rxScratch
 	fmFree []*openflow.FlowMod
+	// statsFree holds the flow-stats reply boxes whose dumps are done
+	// (see replyFlowStats).
+	statsFree []*statsReply
 
 	Stats SwitchStats
 
@@ -459,7 +462,7 @@ func (sw *Switch) sendAsync(m openflow.Message) {
 
 // marshal encodes m straight into a frame from the switch's free list.
 func (sw *Switch) marshal(m openflow.Message, xid uint32) []byte {
-	b, err := openflow.MarshalAppend(sw.proc.Frame(openflow.SizeHint(m)), m, xid)
+	b, err := openflow.MarshalAppend(sw.proc.Frame(), m, xid)
 	if err != nil {
 		panic(fmt.Sprintf("device: marshal %v: %v", m.Type(), err))
 	}
@@ -474,7 +477,7 @@ func (sw *Switch) marshal(m openflow.Message, xid uint32) []byte {
 func post(src, dst sim.Proc, delay time.Duration,
 	fn func(obj any, id int, b []byte), obj any, id int, b []byte, handed bool) {
 	if handed {
-		b = append(src.Frame(len(b)), b...)
+		b = append(src.Frame(), b...)
 	}
 	src.DeferBytes(dst, delay, fn, obj, id, b)
 }
@@ -863,15 +866,82 @@ func (sw *Switch) notifyRemoved(r *flowtable.Rule, reason uint8, now sim.Time) {
 	sw.sendAsync(&sw.fr)
 }
 
-// replyFlowStats answers a flow-stats request part by part, each part
-// marshalled into its own frame as the table walk fills it. The parts are
-// all scheduled at this one instant, back to back, so nothing else runs on
-// the controller between them.
+// replyFlowStats answers a flow-stats request. It snapshots the rules
+// the request selects into a reply box now, at the request's instant, and
+// posts one delivery per part, back to back, so nothing else runs on the
+// controller between them. Each delivery builds its part from the box
+// (deliverStatsPart), so at most one part's frame exists per reply.
 func (sw *Switch) replyFlowStats(connID int, req *openflow.MultipartRequest, xid uint32) {
 	if req.MPType != openflow.MultipartFlow || req.Flow == nil {
 		return
 	}
-	sw.Pipeline.FlowStats(req.Flow, sw.proc.Now(), func(part *openflow.MultipartReply) {
-		sw.sendToConnXID(connID, part, xid)
-	})
+	c := sw.conn(connID)
+	if c == nil {
+		return // connection closed since the request arrived
+	}
+	r := sw.getStatsReply()
+	r.sw, r.send, r.dst, r.xid = sw, c.send, c.proc, xid
+	sw.Pipeline.SnapshotStats(req.Flow, sw.proc.Now(), &r.snap)
+	for n := r.snap.Parts(); n > 0; n-- {
+		sw.proc.DeferCall(c.proc, sw.Profile.CtrlDelay, deliverStatsPart, r, nil)
+	}
+}
+
+// statsReply is the box of one flow-stats reply in flight: the snapshot
+// taken when the request arrived, and the part and the frame each
+// delivery rebuilds in turn. Two dumps in flight at once each have their
+// own box.
+type statsReply struct {
+	sw    *Switch
+	send  func(dpid uint64, msg []byte) // the requesting connection's
+	dst   sim.Proc                      // where the deliveries run
+	xid   uint32
+	snap  flowtable.StatsSnapshot
+	part  openflow.MultipartReply
+	frame []byte
+}
+
+// getStatsReply takes a reply box from the free list, or allocates one.
+func (sw *Switch) getStatsReply() *statsReply {
+	n := len(sw.statsFree)
+	if n == 0 {
+		return new(statsReply)
+	}
+	r := sw.statsFree[n-1]
+	sw.statsFree = sw.statsFree[:n-1]
+	return r
+}
+
+// deliverStatsPart is the DeferCall target of one reply part: it fills
+// the box's next part, marshals it into the box's frame and hands it to
+// the connection, which is done with the frame when send returns; a
+// Poison build then overwrites it. Filling the last part drops the
+// snapshot's rule references. The finished box goes back on the switch's
+// free list only when this delivery ran on the switch's own Proc: in a
+// sharded run with the controller on another lane, it is left to the
+// garbage collector, so each free list is touched by its own lane only.
+func deliverStatsPart(a1, _ any) {
+	r := a1.(*statsReply)
+	more := r.snap.FillPart(&r.part)
+	b, err := openflow.MarshalAppend(r.frame[:0], &r.part, r.xid)
+	if err != nil {
+		panic(fmt.Sprintf("device: marshal flow-stats part: %v", err))
+	}
+	r.frame = b
+	r.send(r.sw.DPID, b)
+	if sim.Poison {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xAB
+		}
+	}
+	if more {
+		return
+	}
+	sw := r.sw
+	r.sw, r.send = nil, nil
+	if r.dst == sw.proc {
+		r.dst = nil
+		sw.statsFree = append(sw.statsFree, r)
+	}
 }

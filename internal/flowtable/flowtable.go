@@ -558,10 +558,6 @@ type Pipeline struct {
 	// one Process result before the next call (the simulated switch runs
 	// its pipeline on a single lane; concurrent users must copy).
 	mergeScratch []openflow.Action
-
-	// statsPart is the reply part FlowStats fills and hands out, reused
-	// from part to part and from dump to dump.
-	statsPart openflow.MultipartReply
 }
 
 // StatsPartLen is the number of entries in one flow-stats reply part: 400
@@ -569,19 +565,34 @@ type Pipeline struct {
 // inside OpenFlow's 64 kB limit.
 const StatsPartLen = 400
 
-// FlowStats walks the rules req selects — those of table req.TableID (every
-// table for 0xff) whose match equals req.Match when it has fields — in table
-// order, and hands their statistics at virtual time now to emit in parts of
-// up to StatsPartLen entries. More is set on every part but the last,
-// decided by looking ahead, so a dump that selects nothing is still
-// answered by exactly one empty part with More=false. The part is owned by
-// the pipeline and overwritten once emit returns: emit must finish with it
-// (marshal it) before then.
-func (pl *Pipeline) FlowStats(req *openflow.FlowStatsRequest, now sim.Time, emit func(part *openflow.MultipartReply)) {
-	part := &pl.statsPart
-	part.MPType = openflow.MultipartFlow
-	part.More = false
-	part.Flows = part.Flows[:0]
+// statsEntry is one selected rule as a flow-stats request found it: its
+// counters copied, and the rule itself for the fields that never change
+// once it is installed (table, priority, cookie, match, install time).
+type statsEntry struct {
+	rule           *Rule
+	packets, bytes uint64
+}
+
+// StatsSnapshot is a flow-stats reply as of the instant its request was
+// served: 24 bytes per selected rule, against ~96 for the marshalled
+// entry. Pipeline.SnapshotStats takes it and FillPart turns it into reply
+// parts, one call per part, so a part can be built when it is delivered
+// and the rule walk still reads the table at the request's instant. A
+// rule replaced, deleted or expired in between is still reported as it
+// was, since rule storage is never reused for another rule (device's
+// ruleArena). The zero value is an empty snapshot, ready to be reused.
+type StatsSnapshot struct {
+	at      sim.Time
+	entries []statsEntry
+	next    int // first entry of the next part
+}
+
+// SnapshotStats resets s to the rules req selects — those of table
+// req.TableID (every table for 0xff) whose match equals req.Match when it
+// has fields — in table order, with their counters at virtual time now.
+func (pl *Pipeline) SnapshotStats(req *openflow.FlowStatsRequest, now sim.Time, s *StatsSnapshot) {
+	s.at, s.next = now, 0
+	s.entries = s.entries[:0]
 	for _, tbl := range pl.Tables {
 		if req.TableID != 0xff && tbl.ID != req.TableID {
 			continue
@@ -590,26 +601,48 @@ func (pl *Pipeline) FlowStats(req *openflow.FlowStatsRequest, now sim.Time, emit
 			if req.Match.Fields != 0 && !req.Match.Equal(&r.Match) {
 				continue
 			}
-			if len(part.Flows) == StatsPartLen {
-				part.More = true
-				emit(part)
-				part.More = false
-				part.Flows = part.Flows[:0]
-			}
-			age := now - r.Installed
-			part.Flows = append(part.Flows, openflow.FlowStats{
-				TableID:      r.TableID,
-				DurationSec:  uint32(age / time.Second),
-				DurationNsec: uint32(age % time.Second),
-				Priority:     r.Priority,
-				Cookie:       r.Cookie,
-				PacketCount:  r.Packets,
-				ByteCount:    r.Bytes,
-				Match:        r.Match,
-			})
+			s.entries = append(s.entries, statsEntry{rule: r, packets: r.Packets, bytes: r.Bytes})
 		}
 	}
-	emit(part)
+}
+
+// Parts returns the number of reply parts s makes: one per StatsPartLen
+// entries, and one empty part for a dump that selects nothing.
+func (s *StatsSnapshot) Parts() int {
+	return max(1, (len(s.entries)+StatsPartLen-1)/StatsPartLen)
+}
+
+// FillPart overwrites part with the next part of s: up to StatsPartLen
+// entries, ages taken at the snapshot's instant, More set on every part
+// but the last. It reports whether parts remain. Filling the last part
+// drops the snapshot's rule references, so a snapshot kept for reuse pins
+// no rule; filling past it gives further empty final parts.
+func (s *StatsSnapshot) FillPart(part *openflow.MultipartReply) (more bool) {
+	end := min(s.next+StatsPartLen, len(s.entries))
+	more = end < len(s.entries)
+	part.MPType = openflow.MultipartFlow
+	part.More = more
+	part.Flows = part.Flows[:0]
+	for _, e := range s.entries[s.next:end] {
+		r := e.rule
+		age := s.at - r.Installed
+		part.Flows = append(part.Flows, openflow.FlowStats{
+			TableID:      r.TableID,
+			DurationSec:  uint32(age / time.Second),
+			DurationNsec: uint32(age % time.Second),
+			Priority:     r.Priority,
+			Cookie:       r.Cookie,
+			PacketCount:  e.packets,
+			ByteCount:    e.bytes,
+			Match:        r.Match,
+		})
+	}
+	s.next = end
+	if !more {
+		clear(s.entries)
+		s.entries, s.next = s.entries[:0], 0
+	}
+	return more
 }
 
 // NewPipeline creates a pipeline with n tables of the given capacity each

@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -364,7 +365,8 @@ func TestInsertKeepsPriorityFIFOProperty(t *testing.T) {
 }
 
 // TestFlowStatsParts pins the shared stats walker's part boundaries, its
-// table and match filters, and the entries' table order and ages.
+// table and match filters, the entries' table order and ages, and that a
+// snapshot drops its rule references once its last part is filled.
 func TestFlowStatsParts(t *testing.T) {
 	fill := func(n int) *Pipeline {
 		pl := NewPipeline(2, 0)
@@ -379,11 +381,21 @@ func TestFlowStatsParts(t *testing.T) {
 		return pl
 	}
 	parts := func(pl *Pipeline, req *openflow.FlowStatsRequest) (sizes []int, more []bool, flows []openflow.FlowStats) {
-		pl.FlowStats(req, 5*time.Second, func(p *openflow.MultipartReply) {
+		var s StatsSnapshot
+		var p openflow.MultipartReply
+		pl.SnapshotStats(req, 5*time.Second, &s)
+		n := s.Parts()
+		for i := 0; i < n; i++ {
+			if s.FillPart(&p) != p.More {
+				t.Fatal("FillPart's result disagrees with the part's More flag")
+			}
 			sizes = append(sizes, len(p.Flows))
 			more = append(more, p.More)
 			flows = append(flows, p.Flows...)
-		})
+		}
+		if len(s.entries) != 0 || slices.ContainsFunc(s.entries[:cap(s.entries)], func(e statsEntry) bool { return e.rule != nil }) {
+			t.Fatal("the snapshot still references rules after its last part")
+		}
 		return
 	}
 	all := &openflow.FlowStatsRequest{TableID: 0xff}

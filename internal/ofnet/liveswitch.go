@@ -419,22 +419,24 @@ func (ls *LiveSwitch) applyFlowMod(conn *Conn, m *openflow.FlowMod, xid uint32) 
 }
 
 // replyStats answers a flow-stats request with as many reply parts as the
-// table needs. The parts are marshalled under the lock, where the
-// pipeline's reusable part is safe, and written after unlocking.
+// table needs. The rules are snapshot and every part marshalled under the
+// lock, where the snapshot's rules are safe, and written after unlocking.
 func (ls *LiveSwitch) replyStats(conn *Conn, req *openflow.MultipartRequest, xid uint32) error {
 	if req.MPType != openflow.MultipartFlow || req.Flow == nil {
 		return nil
 	}
-	var frames [][]byte
-	var err error
+	var snap flowtable.StatsSnapshot
+	var part openflow.MultipartReply
 	ls.mu.Lock()
-	ls.pipeline.FlowStats(req.Flow, ls.now(), func(part *openflow.MultipartReply) {
-		if err == nil {
-			var b []byte
-			b, err = openflow.Marshal(part, xid)
-			frames = append(frames, b)
+	ls.pipeline.SnapshotStats(req.Flow, ls.now(), &snap)
+	frames := make([][]byte, snap.Parts())
+	var err error
+	for i := range frames {
+		snap.FillPart(&part)
+		if frames[i], err = openflow.Marshal(&part, xid); err != nil {
+			break
 		}
-	})
+	}
 	ls.mu.Unlock()
 	if err != nil {
 		return err

@@ -131,10 +131,11 @@ type Engine struct {
 	free   []*eventNode // recycled nodes (never holds canceled nodes)
 	rng    *rand.Rand
 	fired  uint64
-	// small and large are the free lists of control-channel frames (see
-	// Frame): DeferBytes hands a frame to the engine, which lists it here
-	// once its delivery callback returns.
-	small, large frameList
+	// frames is the free list of control-channel frames (see Frame):
+	// DeferBytes hands a frame to the engine, which lists it here once its
+	// delivery callback returns. frameBytes is the capacity it holds.
+	frames     [][]byte
+	frameBytes int
 }
 
 // New returns an Engine whose random source is seeded with seed, so that

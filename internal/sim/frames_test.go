@@ -11,7 +11,7 @@ func noopFrame(any, int, []byte) {}
 // emptied, with its storage intact, and an empty list answers nil.
 func TestDeferBytesRecyclesFrame(t *testing.T) {
 	e := New(1)
-	if f := e.Frame(100); f != nil {
+	if f := e.Frame(); f != nil {
 		t.Fatalf("empty free list returned a %d-byte frame", cap(f))
 	}
 	b := append(make([]byte, 0, 128), 1, 2, 3)
@@ -21,46 +21,32 @@ func TestDeferBytesRecyclesFrame(t *testing.T) {
 	if got != "\x01\x02\x03" {
 		t.Fatalf("callback read %q", got)
 	}
-	f := e.Frame(100)
+	f := e.Frame()
 	if len(f) != 0 || cap(f) != 128 || &f[:1][0] != &b[0] {
 		t.Fatalf("recycled frame len %d cap %d, want the delivered 128-byte buffer, emptied", len(f), cap(f))
 	}
-	if e.Frame(100) != nil {
+	if e.Frame() != nil {
 		t.Fatal("one delivery recycled two frames")
 	}
 }
 
-// TestFrameClassesApart: a small message never takes a large frame, a
-// large message never takes a small one or a large one too small for it,
-// and each class keeps at most its byte bound.
-func TestFrameClassesApart(t *testing.T) {
+// TestFrameListCapped: the free list keeps at most maxFreeBytes of
+// frames, hands out the newest first whatever size is asked for, and
+// counts its bytes back to zero once emptied.
+func TestFrameListCapped(t *testing.T) {
 	e := New(1)
-	for i := 0; i < 8; i++ {
-		e.DeferBytes(e, 0, noopFrame, nil, 0, make([]byte, 0, maxFreeLargeBytes/3))
-	}
-	for i := 0; i < maxFreeSmallBytes/64+10; i++ {
+	for i := 0; i < maxFreeBytes/64+10; i++ {
 		e.DeferBytes(e, 0, noopFrame, nil, 0, make([]byte, 0, 64))
 	}
 	e.Run()
-	if len(e.large.frames) != 3 || len(e.small.frames) != maxFreeSmallBytes/64 {
-		t.Fatalf("lists hold %d large and %d small frames, want 3 and %d",
-			len(e.large.frames), len(e.small.frames), maxFreeSmallBytes/64)
+	if len(e.frames) != maxFreeBytes/64 || e.frameBytes != maxFreeBytes {
+		t.Fatalf("list holds %d frames of %d bytes, want %d of %d",
+			len(e.frames), e.frameBytes, maxFreeBytes/64, maxFreeBytes)
 	}
-	if f := e.Frame(100); cap(f) != 64 {
-		t.Fatalf("small message got a %d-byte frame", cap(f))
+	for e.Frame() != nil {
 	}
-	if f := e.Frame(maxFreeLargeBytes); f != nil {
-		t.Fatalf("large message got a %d-byte frame too small for it", cap(f))
-	}
-	if f := e.Frame(largeFrame); cap(f) != maxFreeLargeBytes/3 {
-		t.Fatalf("large message got a %d-byte frame", cap(f))
-	}
-	for e.Frame(largeFrame) != nil {
-	}
-	for e.Frame(1) != nil {
-	}
-	if e.large.bytes != 0 || e.small.bytes != 0 {
-		t.Fatalf("emptied lists still count %d and %d bytes", e.large.bytes, e.small.bytes)
+	if e.frameBytes != 0 {
+		t.Fatalf("emptied list still counts %d bytes", e.frameBytes)
 	}
 }
 
@@ -74,10 +60,10 @@ func TestFrameRecycledOnReceivingLane(t *testing.T) {
 		src.DeferBytes(dst, time.Microsecond, noopFrame, nil, 0, make([]byte, 0, 64))
 	})
 	sh.RunUntil(time.Millisecond)
-	if src.Frame(64) != nil {
+	if src.Frame() != nil {
 		t.Fatal("the sending lane's list got the frame")
 	}
-	if dst.Frame(64) == nil {
+	if dst.Frame() == nil {
 		t.Fatal("the receiving lane's list did not get the frame")
 	}
 }
@@ -89,7 +75,7 @@ func TestFrameRoundTripAllocFree(t *testing.T) {
 	e.DeferBytes(e, 0, noopFrame, nil, 0, make([]byte, 0, 64))
 	e.Run()
 	avg := testing.AllocsPerRun(1000, func() {
-		e.DeferBytes(e, time.Microsecond, noopFrame, nil, 0, append(e.Frame(5), "frame"...))
+		e.DeferBytes(e, time.Microsecond, noopFrame, nil, 0, append(e.Frame(), "frame"...))
 		e.Run()
 	})
 	if avg != 0 {

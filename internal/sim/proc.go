@@ -39,14 +39,14 @@ type Proc interface {
 	// recycled event node directly, so control-channel deliveries cost no
 	// closure and no interface-boxing of the slice header. Semantics
 	// match Defer. DeferBytes hands b to the engine: once fn returns, b
-	// goes onto the free lists of the Proc that ran fn (see Frame). So fn
+	// goes onto the free list of the Proc that ran fn (see Frame). So fn
 	// must not keep b, and the caller must not touch b after the current
 	// event returns.
 	DeferBytes(dst Proc, d time.Duration, fn func(obj any, id int, b []byte), obj any, id int, b []byte)
-	// Frame returns an empty frame from this Proc's free lists, for one
-	// message of about size bytes to be appended to and handed to
-	// DeferBytes, or nil when there is none.
-	Frame(size int) []byte
+	// Frame returns an empty frame from this Proc's free list, for one
+	// message to be appended to and handed to DeferBytes, or nil when
+	// there is none.
+	Frame() []byte
 }
 
 // Runner is the top-level driving surface shared by *Engine and *Sharded:
