@@ -151,7 +151,7 @@ func (b *Balancer) SetTracer(t *telemetry.Tracer) {
 	b.tracer = t
 }
 
-// Start begins policy ticks every cfg.Interval. It returns the balancer
+// Start begins policy ticks every interval. It returns the balancer
 // for chaining; a nil balancer is a no-op, and a second Start panics.
 func (b *Balancer) Start() *Balancer {
 	if b == nil {
@@ -160,7 +160,7 @@ func (b *Balancer) Start() *Balancer {
 	if b.ticker != nil {
 		panic("balance: Start called twice")
 	}
-	b.ticker = b.eng.Every(b.cfg.Interval, b.tick)
+	b.ticker = b.eng.Every(interval, b.tick)
 	return b
 }
 

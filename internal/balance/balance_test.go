@@ -93,12 +93,12 @@ func TestBalancerGrowsThenDrains(t *testing.T) {
 	// Keep the rendered view in step with the fake pool.
 	eng.Every(50*time.Millisecond, func() { vs.poolSize = float64(pool.size) })
 
-	eng.RunUntil(2 * time.Second)
+	eng.RunUntil(5 * time.Second)
 	if pool.grows != 2 || pool.size != 3 {
 		t.Fatalf("grows=%d size=%d, want 2 grows to MaxPool", pool.grows, pool.size)
 	}
 	vs.poolLoad = 5
-	eng.RunUntil(6 * time.Second)
+	eng.RunUntil(10 * time.Second)
 	b.Stop()
 	if pool.shrinks != 2 || pool.size != 1 {
 		t.Fatalf("shrinks=%d size=%d, want drained to MinPool", pool.shrinks, pool.size)
@@ -130,7 +130,7 @@ func TestBalancerMigratesAndEscalates(t *testing.T) {
 		Migrator: mig,
 		Replicas: ReplicaFuncs{SpawnFn: func() error { spawns++; return nil }},
 	}).Start()
-	eng.RunUntil(150 * time.Millisecond)
+	eng.RunUntil(750 * time.Millisecond)
 	if len(mig.moves) != 1 || mig.moves[0] != [2]int{0, 1} {
 		t.Fatalf("moves = %v, want one 0->1", mig.moves)
 	}
@@ -138,7 +138,7 @@ func TestBalancerMigratesAndEscalates(t *testing.T) {
 	// cooldown lets the ladder escalate to spawn.
 	vs.repLoads = []float64{900, 800}
 	vs.burning, vs.burn = true, 3
-	eng.RunUntil(300 * time.Millisecond)
+	eng.RunUntil(1500 * time.Millisecond)
 	b.Stop()
 	if spawns != 1 {
 		t.Fatalf("spawns = %d, want 1", spawns)
@@ -153,11 +153,11 @@ func TestMigratorNoPodStartsCooldown(t *testing.T) {
 	mig := &fakeMigrator{ok: false}
 	vs := &viewState{repLoads: []float64{900, 100}}
 	b := New(eng, testCfg(), vs.signals, Actuators{Migrator: mig}).Start()
-	eng.RunUntil(350 * time.Millisecond)
+	eng.RunUntil(1750 * time.Millisecond)
 	b.Stop()
-	// Ticks at 100/200/300ms; the 100ms attempt fails definitively and
-	// must start the 200ms cooldown: exactly one retry (at 300ms), not
-	// one per tick.
+	// Ticks at 0.5/1/1.5s; the 0.5s attempt fails definitively and must
+	// start the 1s cooldown: exactly one retry (at 1.5s), not one per
+	// tick.
 	if len(mig.moves) != 2 {
 		t.Fatalf("moves = %v, want cooldown to suppress per-tick retries", mig.moves)
 	}
@@ -171,16 +171,16 @@ func TestActuatorErrorRetriesWithoutCooldown(t *testing.T) {
 	pool := &fakePool{size: 1, growErr: errors.New("no standby")}
 	vs := &viewState{poolSize: 1, poolLoad: 200}
 	b := New(eng, testCfg(), vs.signals, Actuators{Pool: pool}).Start()
-	eng.RunUntil(450 * time.Millisecond)
-	// Eligible from tick 2 (200ms): ticks at 200/300/400ms all retry
-	// because a failed grow must not start the cooldown.
+	eng.RunUntil(2250 * time.Millisecond)
+	// Eligible from tick 2 (1s): ticks at 1/1.5/2s all retry because a
+	// failed grow must not start the cooldown.
 	if b.Stats.Errors != 3 || b.Stats.Grows != 0 {
 		t.Fatalf("stats = %+v, want 3 error retries", b.Stats)
 	}
 	// Capacity appears: the kept streak converts to a grow on the very
 	// next tick, without re-counting from zero.
 	pool.growErr = nil
-	eng.RunUntil(550 * time.Millisecond)
+	eng.RunUntil(2750 * time.Millisecond)
 	b.Stop()
 	if pool.grows != 1 || b.Stats.Grows != 1 {
 		t.Fatalf("grows = %d after capacity appeared, want 1 (stats %+v)", pool.grows, b.Stats)
@@ -191,7 +191,7 @@ func TestNoActuatorIsSuppressedNotFatal(t *testing.T) {
 	eng := sim.New(1)
 	vs := &viewState{poolSize: 1, poolLoad: 200, repLoads: []float64{900, 100}}
 	b := New(eng, testCfg(), vs.signals, Actuators{}).Start()
-	eng.RunUntil(time.Second)
+	eng.RunUntil(5 * time.Second)
 	b.Stop()
 	if b.Stats.NoActuator == 0 {
 		t.Fatalf("stats = %+v, want no-actuator suppressions", b.Stats)
@@ -209,7 +209,7 @@ func TestAdviseModeNeverActuates(t *testing.T) {
 	cfg := testCfg()
 	cfg.Advise = true
 	b := New(eng, cfg, vs.signals, Actuators{Pool: pool, Migrator: mig}).Start()
-	eng.RunUntil(time.Second)
+	eng.RunUntil(5 * time.Second)
 	b.Stop()
 	if pool.grows != 0 || len(mig.moves) != 0 {
 		t.Fatalf("advise mode actuated: grows=%d moves=%v", pool.grows, mig.moves)
@@ -232,10 +232,11 @@ func TestMarksAndMetrics(t *testing.T) {
 	tr := telemetry.NewTracer()
 	b.SetTracer(tr)
 	b.Start()
-	eng.RunUntil(300 * time.Millisecond)
-	// Go cold: three cold ticks past the 250ms cooldown drain back.
+	eng.RunUntil(1250 * time.Millisecond)
+	// Go cold: three cold ticks, the last as the 1.5s cooldown ends,
+	// drain back.
 	vs.poolSize, vs.poolLoad = float64(pool.size), 5
-	eng.RunUntil(650 * time.Millisecond)
+	eng.RunUntil(3250 * time.Millisecond)
 	b.Stop()
 
 	var grow, drain string

@@ -40,52 +40,54 @@ func (a Action) String() string {
 	}
 }
 
-// Config tunes the joint balancer's multi-threshold policy. Each action
-// class has its own threshold band, hysteresis requirement, bound, and
-// cooldown; the scale-up ladder is ordered cheapest-remedy-first and the
-// scale-down ladder only runs when no SLO is burning.
+// The policy's fixed settings. Ticks come every interval of simulation
+// time. The pool band drains at or below poolDrainLoad (the unit of
+// Signals.PoolLoad); growing needs poolUpChecks consecutive hot ticks and
+// draining poolDownChecks cold ones, and poolCooldown spaces pool
+// resizes. A pod migrates when the hottest alive replica's load exceeds
+// migrateImbalance times the coolest's, and migrateCooldown spaces this
+// balancer's own migrations (and its "no pod move helps" verdicts);
+// failovers and explicit coordinator moves do not restart it. Replica
+// spawn becomes eligible at an SLO long-window burn rate of spawnBurn
+// with a burning verdict — burn is the escalation signal that cheaper
+// remedies are not enough — and only when every alive replica's load is
+// at least replicaHotLoad: if some replica is cool, migration can still
+// rebalance and new capacity would be wasted. replicaCooldown spaces
+// spawns and retirements.
+const (
+	interval                 = 500 * time.Millisecond
+	poolDrainLoad    float64 = 30
+	poolUpChecks             = 2
+	poolDownChecks           = 3
+	poolCooldown             = 1500 * time.Millisecond
+	migrateImbalance float64 = 2
+	migrateCooldown          = time.Second
+	spawnBurn        float64 = 2
+	replicaHotLoad   float64 = 300
+	replicaCooldown          = 2 * time.Second
+)
+
+// Config tunes the joint balancer's multi-threshold policy: the bands and
+// bounds that differ between rigs. The scale-up ladder is ordered
+// cheapest-remedy-first and the scale-down ladder only runs when no SLO
+// is burning.
 type Config struct {
-	// Interval is the spacing of policy ticks on the simulation clock.
-	Interval time.Duration
+	// PoolGrowLoad is the pool load at or above which the pool grows (same
+	// unit as Signals.PoolLoad); MinPool and MaxPool bound its size.
+	PoolGrowLoad float64
+	MinPool      int
+	MaxPool      int
 
-	// PoolGrowLoad / PoolDrainLoad bound the pool hysteresis band (same
-	// unit as Signals.PoolLoad). PoolUpChecks and PoolDownChecks are the
-	// consecutive-tick streaks required before acting; MinPool/MaxPool
-	// bound the size; PoolCooldown spaces pool resizes.
-	PoolGrowLoad   float64
-	PoolDrainLoad  float64
-	PoolUpChecks   int
-	PoolDownChecks int
-	MinPool        int
-	MaxPool        int
-	PoolCooldown   time.Duration
+	// MigrateMinLoad is the load the hottest replica must reach before an
+	// imbalance migrates a pod, so idle clusters don't churn.
+	MigrateMinLoad float64
 
-	// MigrateImbalance triggers a pod migration when the hottest alive
-	// replica's load exceeds this multiple of the coolest's, provided the
-	// hottest is above MigrateMinLoad in absolute terms (idle clusters
-	// don't churn). MigrateCooldown spaces this balancer's own migrations
-	// (and its "no pod move helps" verdicts); failovers and explicit
-	// coordinator moves do not restart it.
-	MigrateImbalance float64
-	MigrateMinLoad   float64
-	MigrateCooldown  time.Duration
-
-	// SpawnBurn is the SLO long-window burn rate at or above which (with
-	// a burning verdict) replica spawn becomes eligible — burn is the
-	// escalation signal that cheaper remedies are not enough. A spawn
-	// additionally requires every alive replica's load to be at least
-	// ReplicaHotLoad: if some replica is cool, migration can still
-	// rebalance and new capacity would be wasted.
-	SpawnBurn      float64
-	ReplicaHotLoad float64
 	// ReplicaIdleLoad is the per-replica load at or below which — with
 	// every SLO healthy — the coolest replica becomes eligible for
-	// retirement. MinReplicas/MaxReplicas bound the replica count;
-	// ReplicaCooldown spaces spawns and retirements.
+	// retirement. MinReplicas/MaxReplicas bound the replica count.
 	ReplicaIdleLoad float64
 	MinReplicas     int
 	MaxReplicas     int
-	ReplicaCooldown time.Duration
 
 	// Advise, when true, runs the balancer dry: decisions are logged,
 	// counted and trace-marked but never actuated. Cooldowns and streak
@@ -97,54 +99,33 @@ type Config struct {
 
 // DefaultConfig returns calibrated defaults: the pool band the elastic
 // experiments run with (pool-only balancers), the migration band every
-// cluster rig runs with (migrate-only balancers), and a replica band
-// that escalates at a burn rate of 2 (the error budget burning twice as
-// fast as it accrues).
+// cluster rig runs with (migrate-only balancers), and the replica bounds.
 func DefaultConfig() Config {
 	return Config{
-		Interval:       500 * time.Millisecond,
-		PoolGrowLoad:   150,
-		PoolDrainLoad:  30,
-		PoolUpChecks:   2,
-		PoolDownChecks: 3,
-		MinPool:        1,
-		MaxPool:        4,
-		PoolCooldown:   1500 * time.Millisecond,
+		PoolGrowLoad: 150,
+		MinPool:      1,
+		MaxPool:      4,
 
-		MigrateImbalance: 2,
-		MigrateMinLoad:   50,
-		MigrateCooldown:  time.Second,
+		MigrateMinLoad: 50,
 
-		SpawnBurn:       2,
-		ReplicaHotLoad:  300,
 		ReplicaIdleLoad: 50,
 		MinReplicas:     1,
 		MaxReplicas:     4,
-		ReplicaCooldown: 2 * time.Second,
 	}
 }
 
 func (cfg Config) validate() {
-	if cfg.Interval <= 0 {
-		panic("balance: non-positive Interval")
-	}
-	if cfg.PoolDrainLoad >= cfg.PoolGrowLoad {
-		panic("balance: PoolDrainLoad must be below PoolGrowLoad")
-	}
-	if cfg.PoolUpChecks < 1 || cfg.PoolDownChecks < 1 {
-		panic("balance: PoolUpChecks and PoolDownChecks must be at least 1")
+	if cfg.PoolGrowLoad <= poolDrainLoad {
+		panic("balance: PoolGrowLoad must be above the pool drain load")
 	}
 	if cfg.MinPool < 1 || cfg.MaxPool < cfg.MinPool {
 		panic("balance: need 1 <= MinPool <= MaxPool")
 	}
-	if cfg.MigrateImbalance < 1 {
-		panic("balance: MigrateImbalance must be at least 1")
-	}
 	if cfg.MinReplicas < 1 || cfg.MaxReplicas < cfg.MinReplicas {
 		panic("balance: need 1 <= MinReplicas <= MaxReplicas")
 	}
-	if cfg.ReplicaIdleLoad >= cfg.ReplicaHotLoad {
-		panic("balance: ReplicaIdleLoad must be below ReplicaHotLoad")
+	if cfg.ReplicaIdleLoad >= replicaHotLoad {
+		panic("balance: ReplicaIdleLoad must be below the replica hot load")
 	}
 }
 
@@ -203,7 +184,7 @@ func decide(cfg Config, st *state, sig Signals, now sim.Time) (Decision, []Suppr
 		} else {
 			st.poolUp = 0
 		}
-		if sig.PoolLoad <= cfg.PoolDrainLoad {
+		if sig.PoolLoad <= poolDrainLoad {
 			st.poolDown++
 		} else {
 			st.poolDown = 0
@@ -223,11 +204,11 @@ func decide(cfg Config, st *state, sig Signals, now sim.Time) (Decision, []Suppr
 	// falls through so independent pressure lower down still acts.
 
 	// Rung 1: grow the overlay pool.
-	if sig.HasPool && st.poolUp >= cfg.PoolUpChecks {
+	if sig.HasPool && st.poolUp >= poolUpChecks {
 		switch {
 		case sig.PoolSize >= cfg.MaxPool:
 			sups = append(sups, Suppression{ActionGrowPool, "bounds: pool at max"})
-		case !ready(st.poolActed, st.lastPool, cfg.PoolCooldown, now):
+		case !ready(st.poolActed, st.lastPool, poolCooldown, now):
 			sups = append(sups, Suppression{ActionGrowPool, "cooldown"})
 		default:
 			return Decision{
@@ -250,8 +231,8 @@ func decide(cfg Config, st *state, sig Signals, now sim.Time) (Decision, []Suppr
 				cold = r
 			}
 		}
-		if hot.ID != cold.ID && hot.Load >= cfg.MigrateMinLoad && hot.Load > cfg.MigrateImbalance*cold.Load {
-			if !ready(st.migActed, st.lastMig, cfg.MigrateCooldown, now) {
+		if hot.ID != cold.ID && hot.Load >= cfg.MigrateMinLoad && hot.Load > migrateImbalance*cold.Load {
+			if !ready(st.migActed, st.lastMig, migrateCooldown, now) {
 				sups = append(sups, Suppression{ActionMigrate, "cooldown"})
 			} else {
 				return Decision{
@@ -259,7 +240,7 @@ func decide(cfg Config, st *state, sig Signals, now sim.Time) (Decision, []Suppr
 					From:   hot.ID,
 					To:     cold.ID,
 					Reason: fmt.Sprintf("replica%d load %.0f > %.1fx replica%d load %.0f",
-						hot.ID, hot.Load, cfg.MigrateImbalance, cold.ID, cold.Load),
+						hot.ID, hot.Load, migrateImbalance, cold.ID, cold.Load),
 				}, sups
 			}
 		}
@@ -268,17 +249,17 @@ func decide(cfg Config, st *state, sig Signals, now sim.Time) (Decision, []Suppr
 	// Rung 3: spawn a replica — the escalation rung. Requires the SLO
 	// burn signal (cheaper remedies demonstrably not enough) and every
 	// alive replica hot (otherwise migration can still rebalance).
-	if sig.Burning && sig.MaxBurn >= cfg.SpawnBurn && len(alive) > 0 && allAtLeast(alive, cfg.ReplicaHotLoad) {
+	if sig.Burning && sig.MaxBurn >= spawnBurn && len(alive) > 0 && allAtLeast(alive, replicaHotLoad) {
 		switch {
 		case len(alive) >= cfg.MaxReplicas:
 			sups = append(sups, Suppression{ActionSpawnReplica, "bounds: replicas at max"})
-		case !ready(st.repActed, st.lastRep, cfg.ReplicaCooldown, now):
+		case !ready(st.repActed, st.lastRep, replicaCooldown, now):
 			sups = append(sups, Suppression{ActionSpawnReplica, "cooldown"})
 		default:
 			return Decision{
 				Action: ActionSpawnReplica,
 				Reason: fmt.Sprintf("%s burn %.1f >= %.1f with all %d replicas >= %.0f",
-					sig.BurnSLO, sig.MaxBurn, cfg.SpawnBurn, len(alive), cfg.ReplicaHotLoad),
+					sig.BurnSLO, sig.MaxBurn, spawnBurn, len(alive), replicaHotLoad),
 			}, sups
 		}
 	}
@@ -289,14 +270,14 @@ func decide(cfg Config, st *state, sig Signals, now sim.Time) (Decision, []Suppr
 		return Decision{}, sups
 	}
 
-	if sig.HasPool && st.poolDown >= cfg.PoolDownChecks && sig.PoolSize > cfg.MinPool {
-		if !ready(st.poolActed, st.lastPool, cfg.PoolCooldown, now) {
+	if sig.HasPool && st.poolDown >= poolDownChecks && sig.PoolSize > cfg.MinPool {
+		if !ready(st.poolActed, st.lastPool, poolCooldown, now) {
 			sups = append(sups, Suppression{ActionDrainPool, "cooldown"})
 		} else {
 			return Decision{
 				Action: ActionDrainPool,
 				Reason: fmt.Sprintf("pool load %.0f <= %.0f for %d checks at size %d",
-					sig.PoolLoad, cfg.PoolDrainLoad, st.poolDown, sig.PoolSize),
+					sig.PoolLoad, poolDrainLoad, st.poolDown, sig.PoolSize),
 			}, sups
 		}
 	}
@@ -308,7 +289,7 @@ func decide(cfg Config, st *state, sig Signals, now sim.Time) (Decision, []Suppr
 				cold = r
 			}
 		}
-		if !ready(st.repActed, st.lastRep, cfg.ReplicaCooldown, now) {
+		if !ready(st.repActed, st.lastRep, replicaCooldown, now) {
 			sups = append(sups, Suppression{ActionRetireReplica, "cooldown"})
 		} else {
 			return Decision{

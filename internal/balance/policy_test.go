@@ -7,29 +7,19 @@ import (
 	"scotch/internal/sim"
 )
 
-// testCfg is a compact policy config for exercising every band: small
-// streaks and cooldowns so tests stay readable.
+// testCfg is a compact policy config for exercising every band: the pool
+// grows at 100 (and drains at the fixed 30) within a size of 1 to 3.
 func testCfg() Config {
 	return Config{
-		Interval:       100 * time.Millisecond,
-		PoolGrowLoad:   100,
-		PoolDrainLoad:  20,
-		PoolUpChecks:   2,
-		PoolDownChecks: 3,
-		MinPool:        1,
-		MaxPool:        3,
-		PoolCooldown:   250 * time.Millisecond,
+		PoolGrowLoad: 100,
+		MinPool:      1,
+		MaxPool:      3,
 
-		MigrateImbalance: 2,
-		MigrateMinLoad:   50,
-		MigrateCooldown:  200 * time.Millisecond,
+		MigrateMinLoad: 50,
 
-		SpawnBurn:       2,
-		ReplicaHotLoad:  300,
 		ReplicaIdleLoad: 10,
 		MinReplicas:     1,
 		MaxReplicas:     3,
-		ReplicaCooldown: 400 * time.Millisecond,
 	}
 }
 
@@ -54,8 +44,7 @@ func hasSup(sups []Suppression, a Action, reason string) bool {
 	return false
 }
 
-// ms converts milliseconds into a sim timestamp; testCfg cooldowns are
-// millisecond-scale.
+// ms converts milliseconds into a sim timestamp.
 func ms(n int) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
 
 func TestPoolGrowRequiresStreak(t *testing.T) {
@@ -74,7 +63,7 @@ func TestPoolGrowRequiresStreak(t *testing.T) {
 func TestPoolDeadBandHolds(t *testing.T) {
 	cfg := testCfg()
 	var st state
-	// Between drain (20) and grow (100): neither streak ever advances.
+	// Between drain (30) and grow (100): neither streak ever advances.
 	for i := 0; i < 10; i++ {
 		d, sups := decide(cfg, &st, poolSig(60, 2), ms(i*100))
 		if d.Action != ActionNone || len(sups) != 0 {
@@ -324,8 +313,8 @@ func TestNoPoolInViewDisablesPoolRungs(t *testing.T) {
 func TestCooldownExpiryReenables(t *testing.T) {
 	cfg := testCfg()
 	// The one pool cooldown spaces grows and drains alike: with the
-	// streak complete, the 250ms cooldown from t=0 holds the tick at
-	// 200ms and releases the one at 300ms.
+	// streak complete, the 1.5s cooldown from t=0 holds the tick at
+	// 1.4s and releases the one at 1.6s.
 	cases := []struct {
 		sig  Signals
 		want Action
@@ -338,10 +327,10 @@ func TestCooldownExpiryReenables(t *testing.T) {
 		st.notePool(ms(0))
 		decide(cfg, &st, c.sig, ms(50))
 		decide(cfg, &st, c.sig, ms(100))
-		if d, _ := decide(cfg, &st, c.sig, ms(200)); d.Action != ActionNone {
+		if d, _ := decide(cfg, &st, c.sig, ms(1400)); d.Action != ActionNone {
 			t.Fatalf("%v: acted inside cooldown: %+v", c.want, d)
 		}
-		if d, _ := decide(cfg, &st, c.sig, ms(300)); d.Action != c.want {
+		if d, _ := decide(cfg, &st, c.sig, ms(1600)); d.Action != c.want {
 			t.Fatalf("%v: cooldown expiry did not re-enable it: %+v", c.want, d)
 		}
 	}
@@ -349,16 +338,12 @@ func TestCooldownExpiryReenables(t *testing.T) {
 
 func TestValidatePanics(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.Interval = 0 },
-		func(c *Config) { c.PoolDrainLoad = c.PoolGrowLoad },
-		func(c *Config) { c.PoolUpChecks = 0 },
-		func(c *Config) { c.PoolDownChecks = 0 },
+		func(c *Config) { c.PoolGrowLoad = poolDrainLoad },
 		func(c *Config) { c.MinPool = 0 },
 		func(c *Config) { c.MaxPool = c.MinPool - 1 },
-		func(c *Config) { c.MigrateImbalance = 0.5 },
 		func(c *Config) { c.MinReplicas = 0 },
 		func(c *Config) { c.MaxReplicas = c.MinReplicas - 1 },
-		func(c *Config) { c.ReplicaIdleLoad = c.ReplicaHotLoad },
+		func(c *Config) { c.ReplicaIdleLoad = replicaHotLoad },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

@@ -54,14 +54,12 @@ func scriptedLoad(vals ...float64) balance.LoadFunc {
 	}
 }
 
-// testCfg is a compact pool band: 100ms ticks, grow at 100 for two
-// ticks, drain at 20 for three, 250ms cooldown, size in [1, 3].
+// testCfg is a compact pool band: grow at 100, size in [1, 3]. The
+// policy's fixed settings tick every 500ms, grow after two hot ticks,
+// drain at 30 after three cold ones, and space resizes by 1.5s.
 func testCfg() balance.Config {
 	cfg := balance.DefaultConfig()
-	cfg.Interval = 100 * time.Millisecond
-	cfg.PoolGrowLoad, cfg.PoolDrainLoad = 100, 20
-	cfg.PoolUpChecks, cfg.PoolDownChecks = 2, 3
-	cfg.PoolCooldown = 250 * time.Millisecond
+	cfg.PoolGrowLoad = 100
 	cfg.MinPool, cfg.MaxPool = 1, 3
 	return cfg
 }
@@ -82,7 +80,7 @@ func TestHysteresisGrowAndShrink(t *testing.T) {
 		10, 10, 10, 10, 10, 10, 10, 10, 10, 10, // shrink to 2, then 1
 	)
 	b := newPoolBalancer(eng, pool, load).Start()
-	eng.RunUntil(3 * time.Second)
+	eng.RunUntil(15 * time.Second)
 	b.Stop()
 
 	if pool.grows != 2 {
@@ -103,7 +101,7 @@ func TestSingleSpikeDoesNotGrow(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1}
 	b := newPoolBalancer(eng, pool, scriptedLoad(150, 0, 150, 0, 150, 0)).Start()
-	eng.RunUntil(time.Second)
+	eng.RunUntil(5 * time.Second)
 	b.Stop()
 	if pool.grows != 0 {
 		t.Fatalf("grew on alternating spikes (grows=%d) — up-streak hysteresis broken", pool.grows)
@@ -114,13 +112,13 @@ func TestCooldownSpacesResizes(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1}
 	b := newPoolBalancer(eng, pool, scriptedLoad(150)).Start()
-	// Load is pegged high. With a 100ms tick and 250ms cooldown the pool
-	// may grow at most once per 3 ticks: by 650ms (6 ticks) exactly two
-	// resizes fit (t=200ms and t=500ms).
-	eng.RunUntil(650 * time.Millisecond)
+	// Load is pegged high. With a 500ms tick and 1.5s cooldown the pool
+	// may grow at most once per 3 ticks: by 3.25s (6 ticks) exactly two
+	// resizes fit (t=1s and t=2.5s).
+	eng.RunUntil(3250 * time.Millisecond)
 	b.Stop()
 	if pool.grows != 2 {
-		t.Fatalf("grows = %d in 650ms, want 2 (cooldown not enforced)", pool.grows)
+		t.Fatalf("grows = %d in 3.25s, want 2 (cooldown not enforced)", pool.grows)
 	}
 }
 
@@ -148,14 +146,14 @@ func TestGrowFailureRetries(t *testing.T) {
 	eng := sim.New(1)
 	pool := &fakePool{size: 1, growErr: errors.New("no standby")}
 	b := newPoolBalancer(eng, pool, scriptedLoad(500)).Start()
-	eng.RunUntil(time.Second)
+	eng.RunUntil(5 * time.Second)
 	if pool.grows != 0 || b.Stats.Grows != 0 {
 		t.Fatal("counted a failed grow")
 	}
 	// Capacity appears: the sustained streak must convert to a grow on
 	// the next tick without restarting from zero.
 	pool.growErr = nil
-	eng.RunUntil(1100 * time.Millisecond)
+	eng.RunUntil(5500 * time.Millisecond)
 	b.Stop()
 	if pool.grows != 1 {
 		t.Fatalf("grows = %d after capacity appeared, want 1", pool.grows)
@@ -169,7 +167,7 @@ func TestMetricsAndMarks(t *testing.T) {
 	tr := telemetry.NewTracer()
 	b.SetTracer(tr)
 	b.Start()
-	eng.RunUntil(2 * time.Second)
+	eng.RunUntil(10 * time.Second)
 	b.Stop()
 
 	if b.Stats.Grows != 1 || b.Stats.Drains != 1 {
@@ -187,9 +185,7 @@ func TestMetricsAndMarks(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	eng := sim.New(1)
 	bad := []func(*balance.Config){
-		func(c *balance.Config) { c.Interval = 0 },
-		func(c *balance.Config) { c.PoolDrainLoad = c.PoolGrowLoad },
-		func(c *balance.Config) { c.PoolUpChecks = 0 },
+		func(c *balance.Config) { c.PoolGrowLoad = 30 }, // the drain load
 		func(c *balance.Config) { c.MinPool = 0 },
 		func(c *balance.Config) { c.MaxPool = c.MinPool - 1 },
 	}

@@ -46,8 +46,8 @@ type Signals struct {
 }
 
 // LoadFunc samples the scalar load signal driving pool decisions, in the
-// unit of the balancer's pool band (Config.PoolGrowLoad and
-// PoolDrainLoad). It is called once per balancer tick, on the
+// unit of the balancer's pool band (Config.PoolGrowLoad and the drain
+// load). It is called once per balancer tick, on the
 // simulation clock.
 type LoadFunc func() float64
 

@@ -240,17 +240,3 @@ func (c *Capture) FirstPacketLatency(class string) *metrics.Histogram {
 	})
 	return &h
 }
-
-// Counts returns (flows sent, flows delivered) for a class.
-func (c *Capture) Counts(class string) (sent, delivered int) {
-	c.eachFlow(class, func(f *FlowRecord) {
-		if f.PacketsSent == 0 {
-			return
-		}
-		sent++
-		if f.Delivered() {
-			delivered++
-		}
-	})
-	return sent, delivered
-}

@@ -119,9 +119,6 @@ type Coordinator struct {
 	Replicas []*Replica
 	Stats    Stats
 
-	// OnMigrate, when set, fires as each pod handoff is initiated.
-	OnMigrate func(pod string, from, to int, failover bool)
-
 	// Trace, when set, records each handoff as an instant event in the
 	// control-path trace timeline.
 	Trace *telemetry.Tracer
@@ -363,9 +360,6 @@ func (co *Coordinator) migrate(p *Pod, to *Replica, failover bool) {
 			kind = "failover"
 		}
 		co.Trace.Mark(fmt.Sprintf("%s %s %d->%d", kind, p.Name, fromID, to.ID), co.Eng.Now())
-	}
-	if co.OnMigrate != nil {
-		co.OnMigrate(p.Name, fromID, to.ID, failover)
 	}
 }
 

@@ -782,7 +782,7 @@ func (sw *Switch) applyRule(it ruleItem) {
 		}
 		sw.Stats.RulesInstalled++
 		if sw.trace != nil {
-			if key, ok := telemetry.FlowKeyFromMatch(&m.Match); ok {
+			if key, ok := flowtable.KeyFromMatch(&m.Match); ok {
 				sw.trace.Point(telemetry.PointRuleApplied, key, sw.DPID, now)
 			}
 		}

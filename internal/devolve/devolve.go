@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"scotch/internal/device"
+	"scotch/internal/flowtable"
 	"scotch/internal/metrics"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
@@ -244,7 +245,7 @@ func (c *Cache) deleteRuleLocked(key netaddr.FlowKey) {
 		Command:  openflow.FlowDeleteStrict,
 		TableID:  0,
 		Priority: c.rulePriority(),
-		Match:    exactMatch(key),
+		Match:    flowtable.ExactMatch(key),
 	}, nil)
 }
 
@@ -362,7 +363,7 @@ func (c *Cache) HandleMiss(pkt *packet.Packet, inPort uint32) bool {
 		Priority:     t.RulePriority,
 		Cookie:       RuleCookie,
 		IdleTimeout:  uint16(t.IdleTimeout / time.Second),
-		Match:        exactMatch(key),
+		Match:        flowtable.ExactMatch(key),
 		Instructions: bx.inst[:],
 	}
 	rec := &bx.record
@@ -427,7 +428,7 @@ func (c *Cache) sweepTick() {
 		if r.Cookie != RuleCookie {
 			continue
 		}
-		key, ok := keyFromMatch(&r.Match)
+		key, ok := flowtable.KeyFromMatch(&r.Match)
 		if !ok {
 			continue
 		}
@@ -483,42 +484,4 @@ func sortKeys(keys []netaddr.FlowKey) {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-}
-
-// exactMatch builds the exact five-tuple match for a flow key (the same
-// shape the scotch controller uses for its per-flow rules).
-func exactMatch(k netaddr.FlowKey) openflow.Match {
-	m := openflow.Match{
-		Fields:  openflow.FieldEthType | openflow.FieldIPProto | openflow.FieldIPv4Src | openflow.FieldIPv4Dst,
-		EthType: packet.EtherTypeIPv4,
-		IPProto: k.Proto,
-		IPv4Src: k.Src,
-		IPv4Dst: k.Dst,
-	}
-	switch k.Proto {
-	case netaddr.ProtoTCP:
-		m.Fields |= openflow.FieldTCPSrc | openflow.FieldTCPDst
-		m.TCPSrc, m.TCPDst = k.SrcPort, k.DstPort
-	case netaddr.ProtoUDP:
-		m.Fields |= openflow.FieldUDPSrc | openflow.FieldUDPDst
-		m.UDPSrc, m.UDPDst = k.SrcPort, k.DstPort
-	}
-	return m
-}
-
-// keyFromMatch recovers a flow key from an exact match (inverse of
-// exactMatch); ok is false for wildcard matches.
-func keyFromMatch(m *openflow.Match) (netaddr.FlowKey, bool) {
-	need := openflow.FieldIPv4Src | openflow.FieldIPv4Dst | openflow.FieldIPProto
-	if !m.Fields.Has(need) {
-		return netaddr.FlowKey{}, false
-	}
-	k := netaddr.FlowKey{Src: m.IPv4Src, Dst: m.IPv4Dst, Proto: m.IPProto}
-	switch {
-	case m.Fields.Has(openflow.FieldTCPSrc | openflow.FieldTCPDst):
-		k.SrcPort, k.DstPort = m.TCPSrc, m.TCPDst
-	case m.Fields.Has(openflow.FieldUDPSrc | openflow.FieldUDPDst):
-		k.SrcPort, k.DstPort = m.UDPSrc, m.UDPDst
-	}
-	return k, true
 }

@@ -19,8 +19,7 @@ func runAblationFanout(w io.Writer, p *Probes) (any, error) {
 		cfg.OverlayInstallRate = 1e6
 		r := build(spec{cfg: &cfg, clients: 2, servers: 4, primary: 4, attack: 16000,
 			horizon: 5 * time.Second, drain: time.Second, seed: 21, probes: p})
-		r.drive()
-		sent, delivered := r.cap.Counts("attack")
+		o := r.drive()
 		var total, max uint64
 		for _, vs := range r.vs {
 			total += vs.Stats.PacketInSent
@@ -28,11 +27,8 @@ func runAblationFanout(w io.Writer, p *Probes) (any, error) {
 				max = vs.Stats.PacketInSent
 			}
 		}
-		share := 0.0
-		if total > 0 {
-			share = float64(max) / float64(total)
-		}
-		t.row(fan, r.spec.attack, float64(delivered)/float64(sent), share)
+		atk := o.flows["attack"]
+		t.row(fan, o.spec.attack, float64(atk.delivered)/float64(atk.sent), frac(max, total))
 	}
 	t.flush()
 	return nil, nil
@@ -49,8 +45,8 @@ func runAblationElephant(w io.Writer, p *Probes) (any, error) {
 		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, attack: 2000,
 			horizon: 15 * time.Second, drain: time.Second, seed: 22, probes: p})
 		r.elephantBurst(30, 4, 5000)
-		r.drive()
-		t.row(kb, r.app.Stats.Migrated, r.cap.DeliveryRatio("elephant"))
+		o := r.drive()
+		t.row(kb, o.app.Migrated, r.cap.DeliveryRatio("elephant"))
 	}
 	t.flush()
 	return nil, nil
@@ -66,8 +62,8 @@ func runAblationScheduler(w io.Writer, p *Probes) (any, error) {
 		cfg.InstallRate = rate
 		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, attack: 2500, steady: 100,
 			horizon: 10 * time.Second, drain: time.Second, seed: 23, probes: p})
-		r.drive()
-		t.row(int(rate), r.cap.FailureFraction("client"),
+		o := r.drive()
+		t.row(int(rate), o.fail("client"),
 			r.edge.Stats.InsertQueueDrop, r.edge.Stats.StallDrops)
 	}
 	t.flush()

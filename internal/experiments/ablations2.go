@@ -19,13 +19,13 @@ func runAblationFIFO(w io.Writer, p *Probes) (any, error) {
 		cfg.FIFOScheduler = fifo
 		r := build(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, attack: 2500, steady: 100,
 			horizon: 15 * time.Second, drain: time.Second, seed: 24, probes: p})
-		r.drive()
+		o := r.drive()
 		name := "priority+rr"
 		if fifo {
 			name = "fifo"
 		}
 		lat := r.cap.FirstPacketLatency("client")
-		t.row(name, r.cap.FailureFraction("client"),
+		t.row(name, o.fail("client"),
 			lat.Quantile(0.5)*1000, lat.Quantile(0.99)*1000)
 	}
 	t.flush()
@@ -64,7 +64,7 @@ func runAblationWithdrawal(w io.Writer, p *Probes) (any, error) {
 		}
 		cli := workload.StartClient(r.emitter(r.clients[1]), r.servers[0].IP, 50, 1, 0)
 		cli.Class = "postsurge"
-		r.drive(cli.Stop)
+		o := r.drive(cli.Stop)
 
 		name := "on"
 		if !enabled {
@@ -75,7 +75,7 @@ func runAblationWithdrawal(w io.Writer, p *Probes) (any, error) {
 			vsAfter += vs.Stats.PacketInSent
 		}
 		lat := r.cap.FirstPacketLatency("postsurge")
-		t.row(name, r.app.Active(r.edge.DPID),
+		t.row(name, o.active,
 			r.edge.Stats.PacketInSent-edgeBefore,
 			vsAfter-vsBefore,
 			lat.Quantile(0.5)*1000)

@@ -47,26 +47,20 @@ func WriteDecisions(w io.Writer, log []balance.DecisionRecord) {
 }
 
 // elasticUnderMigrationResult is one joint pool+migration run: the
-// per-second pool-size and pod0-ownership trajectories, the balancer's
-// action counts, and the loss accounting the acceptance test pins.
+// per-second pool-size and pod0-ownership trajectories, the final pool
+// size, and the balancer's decision log.
 type elasticUnderMigrationResult struct {
-	sizes  []int // pool size at t = 1s, 2s, ...
-	owners []int // pod0's owning replica at t = 1s, 2s, ...
-
-	grows      uint64
-	drains     uint64
-	migrations uint64
-	finalPool  int
+	outcome
+	sizes     []int // pool size at t = 1s, 2s, ...
+	owners    []int // pod0's owning replica at t = 1s, 2s, ...
+	finalPool int
 
 	// firstGrow / firstMigrate / growAfterMigrate order-stamp the
 	// interleaving the experiment exists to demonstrate: the pool grew,
 	// then a pod migrated, then the pool grew again — elasticity and
 	// migration active over the same rig at the same time.
 	firstGrow, firstMigrate, growAfterMigrate sim.Time
-
-	clientSent int
-	clientFail float64
-	log        []balance.DecisionRecord
+	log                                       []balance.DecisionRecord
 }
 
 // elasticUnderMigrationPoint runs two pods, both homed on replica 0 with
@@ -97,7 +91,7 @@ func elasticUnderMigrationPoint(s spec) elasticUnderMigrationResult {
 	bcfg.MaxPool = 5 // 2 permanent + 3 standbys
 	bcfg.PoolGrowLoad = 100
 	bcfg.MigrateMinLoad = 1300
-	b := balance.New(r.eng, bcfg, viewSignals(o), balance.Actuators{
+	r.bal = balance.New(r.eng, bcfg, viewSignals(o), balance.Actuators{
 		Pool:     pool,
 		Migrator: r.co,
 	}).Start()
@@ -108,36 +102,25 @@ func elasticUnderMigrationPoint(s spec) elasticUnderMigrationResult {
 		res.owners = append(res.owners, r.co.Owner("pod0"))
 	})
 
-	r.drive()
-	b.Stop()
-	o.Stop()
-
-	res.grows = b.Stats.Grows
-	res.drains = b.Stats.Drains
-	res.migrations = b.Stats.Migrations
+	res.outcome = r.drive()
 	res.finalPool = pool.Size()
-	res.log = b.Log()
-	for _, d := range res.log {
-		if !d.Applied {
-			continue
-		}
-		switch d.Action {
-		case balance.ActionGrowPool:
-			if res.firstGrow == 0 {
-				res.firstGrow = d.At
-			}
-			if res.firstMigrate != 0 && res.growAfterMigrate == 0 {
-				res.growAfterMigrate = d.At
-			}
-		case balance.ActionMigrate:
-			if res.firstMigrate == 0 {
-				res.firstMigrate = d.At
-			}
+	res.log = r.bal.Log()
+	res.firstGrow = firstApplied(res.log, balance.ActionGrowPool, 0)
+	res.firstMigrate = firstApplied(res.log, balance.ActionMigrate, 0)
+	if res.firstMigrate > 0 {
+		res.growAfterMigrate = firstApplied(res.log, balance.ActionGrowPool, res.firstMigrate)
+	}
+	return res
+}
+
+// firstApplied is when log first applied action after t (0: never).
+func firstApplied(log []balance.DecisionRecord, action balance.Action, after sim.Time) sim.Time {
+	for _, d := range log {
+		if d.Applied && d.Action == action && d.At > after {
+			return d.At
 		}
 	}
-	res.clientSent, _ = r.cap.Counts("client")
-	res.clientFail = r.cap.FailureFraction("client")
-	return res
+	return 0
 }
 
 func runElasticUnderMigration(w io.Writer, p *Probes) (any, error) {
@@ -170,31 +153,27 @@ func runElasticUnderMigration(w io.Writer, p *Probes) (any, error) {
 	fmt.Fprintln(w, "decisions:")
 	WriteDecisions(w, res.log)
 	fmt.Fprintf(w, "grows=%d drains=%d migrations=%d final_pool=%d\n",
-		res.grows, res.drains, res.migrations, res.finalPool)
+		res.bal.Grows, res.bal.Drains, res.bal.Migrations, res.finalPool)
 	fmt.Fprintf(w, "first_grow=%.2fs first_migrate=%.2fs grow_after_migrate=%.2fs\n",
 		res.firstGrow.Seconds(), res.firstMigrate.Seconds(), res.growAfterMigrate.Seconds())
-	fmt.Fprintf(w, "client_flows=%d client_fail=%.3f\n", res.clientSent, res.clientFail)
+	fmt.Fprintf(w, "client_flows=%d client_fail=%.3f\n", res.flows["client"].sent, res.fail("client"))
 	return res, nil
 }
 
 // replicaScaleOutResult is one burn-driven replica scale-out run: the
-// per-second alive-replica and pod-placement trajectories, the balancer's
-// action counts, and the SLO digest facts the acceptance test pins.
+// per-second alive-replica and pod-placement trajectories, the replicas
+// alive at the end, the SLO digest facts the acceptance test pins, and
+// the balancer's decision log.
 type replicaScaleOutResult struct {
+	outcome
 	alive    []int // alive replicas at t = 1s, 2s, ...
 	podSplit []int // flattened pods-per-replica, maxReplicas wide per row
 	queueSum []int // summed replica ingress queue depth at t = 1s, 2s, ...
 
-	spawns     uint64
-	retires    uint64
-	migrations uint64
-	finalAlive int
-
+	finalAlive   int
 	verdictPath  string
 	peakBurnLong float64
-
-	clientSent int
-	log        []balance.DecisionRecord
+	log          []balance.DecisionRecord
 }
 
 // replicaScaleOutMaxReplicas bounds the run's replica count; the
@@ -226,18 +205,15 @@ func replicaScaleOutPoint(s spec) replicaScaleOutResult {
 		Target: 50 * time.Millisecond,
 	}}})
 	o.WatchCoordinator(r.co)
-	lt := workload.NewLatencyTracker()
-	lt.AttachCapture(r.cap)
-	o.WatchLatency(lt)
+	o.WatchLatency(r.latency())
 	o.Start()
 
 	bcfg := balance.DefaultConfig()
 	bcfg.MigrateMinLoad = 200
-	bcfg.ReplicaHotLoad = 300
 	bcfg.ReplicaIdleLoad = 80
 	bcfg.MinReplicas = 2
 	bcfg.MaxReplicas = replicaScaleOutMaxReplicas
-	b := balance.New(r.eng, bcfg, viewSignals(o), balance.Actuators{
+	r.bal = balance.New(r.eng, bcfg, viewSignals(o), balance.Actuators{
 		Migrator: r.co,
 		Replicas: balance.ReplicaFuncs{
 			SpawnFn: func() error {
@@ -276,14 +252,8 @@ func replicaScaleOutPoint(s spec) replicaScaleOutResult {
 		res.podSplit = append(res.podSplit, counts...)
 	})
 
-	r.drive()
-	b.Stop()
-	o.Stop()
-
-	res.spawns = b.Stats.Spawns
-	res.retires = b.Stats.Retires
-	res.migrations = b.Stats.Migrations
-	res.log = b.Log()
+	res.outcome = r.drive()
+	res.log = r.bal.Log()
 	for _, rep := range r.co.Replicas {
 		if rep.Alive() {
 			res.finalAlive++
@@ -293,7 +263,6 @@ func replicaScaleOutPoint(s spec) replicaScaleOutResult {
 		res.verdictPath = s.VerdictPath
 		res.peakBurnLong = s.PeakBurnLong
 	}
-	res.clientSent, _ = r.cap.Counts("client")
 	return res
 }
 
@@ -314,8 +283,8 @@ func runReplicaScaleOut(w io.Writer, p *Probes) (any, error) {
 	fmt.Fprintln(w, "decisions:")
 	WriteDecisions(w, res.log)
 	fmt.Fprintf(w, "spawns=%d retires=%d migrations=%d final_alive=%d\n",
-		res.spawns, res.retires, res.migrations, res.finalAlive)
+		res.bal.Spawns, res.bal.Retires, res.bal.Migrations, res.finalAlive)
 	fmt.Fprintf(w, "client-p99: verdict_path=%s peak_burn_long=%.1f client_flows=%d\n",
-		res.verdictPath, res.peakBurnLong, res.clientSent)
+		res.verdictPath, res.peakBurnLong, res.flows["client"].sent)
 	return res, nil
 }

@@ -27,22 +27,47 @@ func TestChaosEnvUnknownTargets(t *testing.T) {
 	}
 }
 
-// TestUnappliedFaultFailsRun checks that a plan event the rig cannot
-// apply fails the run, naming the event, instead of reading as injected.
+// TestUnappliedFaultFailsRun checks that every kind of plan event the rig
+// cannot apply fails the run, naming the event, instead of reading as
+// injected.
 func TestUnappliedFaultFailsRun(t *testing.T) {
 	cfg := scotch.DefaultConfig()
-	s := spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, backup: 2, attack: 1000, steady: 20,
-		horizon: time.Second, seed: 41,
-		plan: fault.CrashRestart("no-such-switch", 200*time.Millisecond, 600*time.Millisecond)}
-	var res chaosVSwitchResult
-	var failure any
-	func() {
-		defer func() { failure = recover() }()
-		res = chaosVSwitchPoint(s)
-	}()
-	msg := fmt.Sprint(failure)
-	if failure == nil || !strings.Contains(msg, "switch-crash no-such-switch at 200ms") ||
-		!strings.Contains(msg, "switch-restart no-such-switch at 600ms") {
-		t.Fatalf("run failure = %q (injected=%d), want a failure naming both events", msg, res.injected)
+	edge := spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, backup: 2, attack: 1000, steady: 20,
+		horizon: time.Second, seed: 41}
+	cluster := spec{pods: 2, replicas: 2, cfg: &cfg, clients: 1, servers: 1, primary: 2,
+		horizon: time.Second, seed: 43}
+	at := func(kind fault.Kind, target string) fault.Plan {
+		return fault.Plan{Events: []fault.Event{{At: 200 * time.Millisecond, Kind: kind, Target: target}}}
+	}
+	for _, tc := range []struct {
+		name string
+		rig  spec
+		plan fault.Plan
+		want []string
+	}{
+		{"unknown switch", edge, fault.CrashRestart("no-such-switch", 200*time.Millisecond, 600*time.Millisecond),
+			[]string{"switch-crash no-such-switch at 200ms", "switch-restart no-such-switch at 600ms"}},
+		{"unknown host link", edge, at(fault.LinkDown, "link:no-such-host"),
+			[]string{"link-down link:no-such-host at 200ms"}},
+		{"replica out of range", cluster, at(fault.ControllerPartition, "replica9"),
+			[]string{"controller-partition replica9 at 200ms"}},
+		{"replica not a number", cluster, at(fault.ControllerPartition, "replicaX"),
+			[]string{"controller-partition replicaX at 200ms"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.rig
+			s.plan = tc.plan
+			var failure any
+			func() {
+				defer func() { failure = recover() }()
+				build(s).drive()
+			}()
+			msg := fmt.Sprint(failure)
+			for _, want := range tc.want {
+				if failure == nil || !strings.Contains(msg, want) {
+					t.Errorf("run failure = %q, want a failure naming %q", msg, want)
+				}
+			}
+		})
 	}
 }

@@ -18,34 +18,59 @@ type claim struct {
 	id     string // experiment whose result the row reads
 	source string // PAPER.md section or DESIGN.md safety claim
 	text   string
-	check  func(t *testing.T, res any)
+	// rerun, when set, is the row's point function (see point): the row
+	// is checked again at each of sweepSeeds on the spec its memoized
+	// result's outcome ran, with only the seed changed.
+	rerun func(spec) any
+	check func(t checker, res any)
 }
 
-// sweepSeeds are the fresh seeds the rows in reruns are checked at too,
-// beyond the seed their experiment runs.
+// sweepSeeds are the fresh seeds the rows with a rerun are checked at
+// too, beyond the seed their experiment runs.
 var sweepSeeds = []int64{100, 101, 102, 103, 104, 105}
 
-// reruns holds, by row name, a run of the row's point on the spec its
-// memoized result ran, at another seed.
-var reruns = map[string]func(res any, seed int64) any{
-	"ChaosPartitionBound": func(res any, seed int64) any {
-		s := res.(chaosPartitionResult).spec
-		s.seed = seed
-		return chaosPartitionPoint(s)
-	},
-	"ClusterFailoverDetection": func(res any, seed int64) any {
-		s := res.(clusterFailoverResult).spec
-		s.seed = seed
-		return clusterFailoverPoint(s)
-	},
+// point makes a point function a claim's rerun.
+func point[R any](run func(spec) R) func(spec) any {
+	return func(s spec) any { return run(s) }
+}
+
+// ran is the spec an outcome, or a result embedding one, ran.
+func (o outcome) ran() spec { return o.spec }
+
+// seedOf is the seed res ran at: its outcome's, or its first point's for
+// the experiments that run several points at one seed.
+func seedOf(t *testing.T, res any) int64 {
+	switch r := res.(type) {
+	case interface{ ran() spec }:
+		return r.ran().seed
+	case []fig9Row:
+		return r[0].spec.seed
+	case []chaosVSwitchRow:
+		return r[0].base.spec.seed
+	case []outcome:
+		return r[0].spec.seed
+	case devolveAblationResult:
+		return r.centralized.spec.seed
+	case multitenantResult:
+		return r.quiet.spec.seed
+	}
+	t.Fatalf("a %T carries no outcome", res)
+	return 0
+}
+
+// checker is one check of a row: its test, and the seed of the outcome
+// it reads, which every line bound and is log names.
+type checker struct {
+	*testing.T
+	seed int64
 }
 
 // claims is the one-seed claims table. Every check logs its measured
 // value, bound and margin, so `go test -v -run TestClaims` prints it.
 var claims = []claim{
 	{"Fig9ShapeMatchesPaper", "fig9", "paper §6.1",
-		"insertion is loss-free up to 2000/s; overdriven, the successful rate flattens near 1000/s",
-		func(t *testing.T, res any) {
+		"insertion is loss-free up to 2000/s; overdriven, the successful rate flattens near 1000/s", nil,
+		func(t checker, res any) {
 			rows := res.([]fig9Row)
 			bound(t, "rows", len(rows), ">=", 1)
 			for _, r := range rows {
@@ -60,79 +85,81 @@ var claims = []claim{
 			}
 		}},
 	{"ChaosVSwitchBound", "chaos-vswitch", "paper §5.6",
-		"with a primary mesh vSwitch dead from 4s at 2000 attack flows/s, backup promotion keeps client failure within 2x of no fault",
-		func(t *testing.T, res any) {
+		"with a primary mesh vSwitch dead from 4s at 2000 attack flows/s, backup promotion keeps client failure within 2x of no fault", nil,
+		func(t checker, res any) {
 			var row chaosVSwitchRow
 			for _, r := range res.([]chaosVSwitchRow) {
-				if r.rate == 2000 {
+				if r.base.spec.attack == 2000 {
 					row = r
 				}
 			}
-			_ = bound(t, "failover_swaps", row.chaos.swaps, ">", 0) &&
+			_ = bound(t, "failover_swaps", row.chaos.app.FailoverSwaps, ">", 0) &&
 				bound(t, "faults_injected (crash + restart)", row.chaos.injected, "==", uint64(row.chaos.planned)) &&
-				bound(t, "nofault_client_fail", row.base.clientFail, ">", 0) &&
-				bound(t, "chaos_client_fail", row.chaos.clientFail, "<=", 2*row.base.clientFail)
+				bound(t, "nofault_client_fail", row.base.fail("client"), ">", 0) &&
+				bound(t, "chaos_client_fail", row.chaos.fail("client"), "<=", 2*row.base.fail("client"))
 		}},
 	{"ChaosPartitionBound", "chaos-partition", "DESIGN.md §8 (generation fencing, OF 1.3 §6.3)",
-		"a partitioned master is detected within 250ms and its 3 replayed stale claims are fenced",
-		func(t *testing.T, res any) {
-			r := res.(chaosPartitionResult)
-			if !bound(t, "failovers", r.failovers, "==", 1) {
+		"a partitioned master is detected within 250ms and its 3 replayed stale claims are fenced", point(chaosPartitionPoint),
+		func(t checker, res any) {
+			r := res.(failoverResult)
+			if !bound(t, "failovers", r.co.Failovers, "==", 1) {
 				return
 			}
 			bound(t, "detect_ms", r.detectMs, ">", 0)
 			bound(t, "detect_ms", r.detectMs, "<=", 250+1)
 			bound(t, "handoff_ms", r.handoffMs, ">=", r.detectMs)
 			bound(t, "stale_claims_fenced (pod0 edge + 2 vSwitches)", r.staleFenced, "==", 3)
-			bound(t, "client_fail_frac", r.clientFailFrac, "<=", 0.05)
-			bound(t, "faults_injected (partition + heal)", r.injected, "==", uint64(len(r.spec.plan.Events)))
+			bound(t, "client_fail_frac", r.fail("client"), "<=", 0.05)
+			bound(t, "faults_injected (partition + heal)", r.injected, "==", uint64(r.planned))
 		}},
 	{"ChaosChurnConverges", "chaos-churn", "paper §5.5",
-		"under access-link flaps the overlay deploys and withdraws once per flap and ends withdrawn",
-		func(t *testing.T, res any) {
-			r := res.(chaosChurnResult)
-			if !bound(t, "link_flaps", r.flaps, ">=", 2) {
+		"under access-link flaps the overlay deploys and withdraws once per flap and ends withdrawn", nil,
+		func(t checker, res any) {
+			r := res.(outcome)
+			if !bound(t, "link_flaps", r.planned/2, ">=", 2) {
 				return
 			}
-			bound(t, "activations", r.activations, ">=", 2)
-			bound(t, "withdrawals", r.withdrawals, ">=", 2)
-			bound(t, "activations", r.activations, "==", r.withdrawals)
-			is(t, "overlay_active_at_end", r.finalActive, false)
+			bound(t, "activations", r.app.Activations, ">=", 2)
+			bound(t, "withdrawals", r.app.Withdrawals, ">=", 2)
+			bound(t, "activations", r.app.Activations, "==", r.app.Withdrawals)
+			is(t, "overlay_active_at_end", r.active, false)
 			bound(t, "faults_injected (down + up per flap)", r.injected, "==", uint64(r.planned))
 		}},
 	{"ClusterScaleImprovement", "cluster-scale", "DESIGN.md §3 (internal/cluster), paper §7",
-		"at flash-crowd saturation four replicas deliver at least twice the flows of one and drop no punt",
-		func(t *testing.T, res any) {
-			var one, four clusterScaleRow
-			for _, r := range res.([]clusterScaleRow) {
-				switch r.replicas {
+		"at flash-crowd saturation four replicas deliver at least twice the flows of one and drop no punt", nil,
+		func(t checker, res any) {
+			var one, four outcome
+			for _, r := range res.([]outcome) {
+				switch r.spec.replicas {
 				case 1:
 					one = r
 				case 4:
 					four = r
 				}
 			}
-			if !bound(t, "delivered_flows at 1 replica", one.delivered, ">", 0) {
+			delivered := func(o outcome) int { return o.flows["crowd"].delivered }
+			rate := func(o outcome) float64 { return float64(delivered(o)) / o.spec.horizon.Seconds() }
+			if !bound(t, "delivered_flows at 1 replica", delivered(one), ">", 0) {
 				return
 			}
-			bound(t, "delivered_flows at 4 replicas", four.delivered, ">=", 2*one.delivered)
-			bound(t, "success_flows_per_s at 4 replicas", four.successRate, ">=", 2*one.successRate)
-			bound(t, "replica_queue_drops at 4 replicas", four.drops, "==", 0)
+			bound(t, "delivered_flows at 4 replicas", delivered(four), ">=", 2*delivered(one))
+			bound(t, "success_flows_per_s at 4 replicas", rate(four), ">=", 2*rate(one))
+			bound(t, "replica_queue_drops at 4 replicas", four.queueDrops, "==", 0)
 		}},
 	{"ClusterMigrateZeroLoss", "cluster-migrate", "DESIGN.md §13 (migration)",
-		"the hot pod moves to the idle replica mid-surge and no client flow is lost across the handoff",
-		func(t *testing.T, res any) {
+		"the hot pod moves to the idle replica mid-surge and no client flow is lost across the handoff", nil,
+		func(t checker, res any) {
 			r := res.(clusterMigrateResult)
-			_ = bound(t, "migrations", r.migrations, ">=", 1) &&
-				bound(t, "owner_after", r.ownerAfter, "!=", r.ownerBefore) &&
-				bound(t, "client_flows", r.clientSent, "!=", 0) &&
-				bound(t, "client_fail_frac", r.clientFailFrac, "==", 0)
+			_ = bound(t, "migrations", r.co.Migrations, ">=", 1) &&
+				bound(t, "owner_after", r.ownerAfter, "!=", r.spec.homes[0]) &&
+				bound(t, "client_flows", r.flows["client"].sent, "!=", 0) &&
+				bound(t, "client_fail_frac", r.fail("client"), "==", 0)
 		}},
 	{"ClusterFailoverDetection", "cluster-failover", "DESIGN.md §8 (failover)",
-		"a killed replica is detected within the heartbeat window and its shard re-mastered without client loss",
-		func(t *testing.T, res any) {
-			r := res.(clusterFailoverResult)
-			if !bound(t, "failovers", r.failovers, "==", 1) {
+		"a killed replica is detected within the heartbeat window and its shard re-mastered without client loss", point(clusterFailoverPoint),
+		func(t checker, res any) {
+			r := res.(failoverResult)
+			if !bound(t, "failovers", r.co.Failovers, "==", 1) {
 				return
 			}
 			// Detection is heartbeat-driven: at most misses*interval + one
@@ -140,11 +167,11 @@ var claims = []claim{
 			bound(t, "detect_ms", r.detectMs, ">", 0)
 			bound(t, "detect_ms", r.detectMs, "<=", 400)
 			bound(t, "handoff_ms", r.handoffMs, ">=", r.detectMs)
-			bound(t, "client_fail_frac", r.clientFailFrac, "==", 0)
+			bound(t, "client_fail_frac", r.fail("client"), "==", 0)
 		}},
 	{"DevolveAblationBounds", "devolve-ablation", "DESIGN.md §11",
-		"devolved to a pool of 4, controller Packet-Ins drop to 1.25/pool of centralized and the base tenant's p99 stays within 1.1x",
-		func(t *testing.T, res any) {
+		"devolved to a pool of 4, controller Packet-Ins drop to 1.25/pool of centralized and the base tenant's p99 stays within 1.1x", nil,
+		func(t checker, res any) {
 			r := res.(devolveAblationResult)
 			if !bound(t, "packet_ins_centralized", r.centralized.packetIns, ">", 0) {
 				return
@@ -154,8 +181,8 @@ var claims = []claim{
 				return
 			}
 			bound(t, "base_p99_ratio", r.p99Ratio, "<=", 1.1)
-			bound(t, "devolve_hits", r.devolved.hits, ">", 0)
-			for i, arm := range []devolveRunResult{r.centralized, r.devolved} {
+			bound(t, "devolve_hits", r.hits, ">", 0)
+			for i, arm := range []latResult{r.centralized, r.devolved} {
 				name := []string{"centralized", "devolved"}[i]
 				for _, row := range arm.rows {
 					bound(t, name+" "+row.tenant+" flows", row.flows, ">", 0)
@@ -164,8 +191,8 @@ var claims = []claim{
 			}
 		}},
 	{"DevolveInvalidateNoStaleDelivery", "devolve-invalidate", "DESIGN.md §11 (invalidation)",
-		"a revoked tenant gains no local hit, stale policy generations are fenced, and traffic completes centrally",
-		func(t *testing.T, res any) {
+		"a revoked tenant gains no local hit, stale policy generations are fenced, and traffic completes centrally", nil,
+		func(t checker, res any) {
 			r := res.(devolveInvalidateResult)
 			if !bound(t, "web hits_at_revoke", r.webHitsAtRevoke, ">", 0) {
 				return
@@ -175,57 +202,58 @@ var claims = []claim{
 			bound(t, "stale_rejected (replayed table + post-drain replay)", r.staleRejected, ">=", 2)
 			is(t, "drain_flushed", r.drainFlushed, true)
 			is(t, "drain_fences_stale", r.drainStaleOK, true)
-			bound(t, "web completion", r.webCompletion, ">=", 0.9)
-			bound(t, "bulk completion", r.bulkCompletion, ">=", 0.9)
+			bound(t, "web completion", r.completion("web"), ">=", 0.9)
+			bound(t, "bulk completion", r.completion("bulk"), ">=", 0.9)
 		}},
 	{"ElasticGrowsAndDrains", "elastic", "DESIGN.md §9, paper §3",
-		"the pool grows under a ramping attack, drains back to its floor, and loses no flow started in the drain window",
-		func(t *testing.T, res any) {
+		"the pool grows under a ramping attack, drains back to its floor, and loses no flow started in the drain window", nil,
+		func(t checker, res any) {
 			r := res.(elasticResult)
-			_ = bound(t, "peak", r.peak, ">=", 2) &&
+			_ = bound(t, "peak", slices.Max(r.sizes), ">=", 2) &&
 				bound(t, "final", r.final, "==", 1) &&
-				bound(t, "grows", r.ups, ">", 0) &&
-				bound(t, "drains_started", r.downs, ">", 0) &&
-				bound(t, "members_added", r.added, "==", r.ups) &&
-				bound(t, "members_drained", r.drained, "==", r.downs) &&
-				bound(t, "drain_window_fail", r.probeFail, "==", 0) &&
+				bound(t, "grows", r.bal.Grows, ">", 0) &&
+				bound(t, "drains_started", r.bal.Drains, ">", 0) &&
+				bound(t, "members_added", r.app.VSwitchesAdded, "==", r.bal.Grows) &&
+				bound(t, "members_drained", r.app.VSwitchesDrained, "==", r.bal.Drains) &&
+				bound(t, "drain_window_fail", r.fail("drainprobe"), "==", 0) &&
 				// The steady client shares the switch with a 3000 flows/s
 				// attack; its loss stays inside the protected envelope.
-				bound(t, "client_fail", r.clientFail, "<=", 0.15)
+				bound(t, "client_fail", r.fail("client"), "<=", 0.15)
 		}},
 	{"ObsSLOBurnAndRecover", "obs-slo", "DESIGN.md §12",
-		"the crowd's p99 SLO burns through the flash crowd and recovers; the base tenant recovers first",
-		func(t *testing.T, res any) {
+		"the crowd's p99 SLO burns through the flash crowd and recovers; the base tenant recovers first", nil,
+		func(t checker, res any) {
 			r := res.(obsSLOResult)
-			if !bound(t, "samples", r.digest.Samples, ">", 0) || !is(t, "both SLO reports", r.crowd != nil && r.base != nil, true) {
+			base, crowd := r.digest.SLO("base-p99"), r.digest.SLO("crowd-p99")
+			if !bound(t, "samples", r.digest.Samples, ">", 0) || !is(t, "both SLO reports", crowd != nil && base != nil, true) {
 				return
 			}
-			is(t, "crowd verdict_path", r.crowd.VerdictPath, "healthy->burning->healthy")
-			is(t, "crowd final verdict", r.crowd.Verdict, obs.Healthy)
-			if !bound(t, "crowd transitions", len(r.crowd.Transitions), "==", 2) {
+			is(t, "crowd verdict_path", crowd.VerdictPath, "healthy->burning->healthy")
+			is(t, "crowd final verdict", crowd.Verdict, obs.Healthy)
+			if !bound(t, "crowd transitions", len(crowd.Transitions), "==", 2) {
 				return
 			}
-			bound(t, "crowd peak_burn_short", r.crowd.PeakBurnShort, ">=", 1)
-			bound(t, "crowd peak_burn_long", r.crowd.PeakBurnLong, ">=", 1)
-			bound(t, "crowd peak_window_p99 (s)", r.crowd.PeakWindowQuantileSeconds, ">", 0.05)
-			is(t, "base final verdict", r.base.Verdict, obs.Healthy)
+			bound(t, "crowd peak_burn_short", crowd.PeakBurnShort, ">=", 1)
+			bound(t, "crowd peak_burn_long", crowd.PeakBurnLong, ">=", 1)
+			bound(t, "crowd peak_window_p99 (s)", crowd.PeakWindowQuantileSeconds, ">", 0.05)
+			is(t, "base final verdict", base.Verdict, obs.Healthy)
 			// Isolation: once the overlay engages, base recovers while the
 			// crowd keeps burning until the event ends.
-			if n := len(r.base.Transitions); n > 0 {
+			if n := len(base.Transitions); n > 0 {
 				bound(t, "base recovery - crowd recovery (s)",
-					(r.base.Transitions[n-1].At - r.crowd.Transitions[1].At).Seconds(), "<", 0)
+					(base.Transitions[n-1].At - crowd.Transitions[1].At).Seconds(), "<", 0)
 			}
 		}},
 	{"MultitenantIsolation", "scenario-multitenant", "paper §3, §5",
-		"a 1500 flows/s DDoS tenant moves the baseline tenant's p99 flow-setup latency by less than 2x",
-		func(t *testing.T, res any) {
+		"a 1500 flows/s DDoS tenant moves the baseline tenant's p99 flow-setup latency by less than 2x", nil,
+		func(t checker, res any) {
 			r := res.(multitenantResult)
 			if !bound(t, "base_p99_ratio", r.p99Ratio, ">", 0) {
 				return
 			}
 			bound(t, "base_p99_ratio", r.p99Ratio, "<", 2)
 			bound(t, "pool_peak", r.peakPool, ">=", 2)
-			for _, row := range r.attacked {
+			for _, row := range r.attacked.rows {
 				if !is(t, "expected tenant "+row.tenant, slices.Contains([]string{"base", "crowd", "ddos"}, row.tenant), true) {
 					continue
 				}
@@ -233,14 +261,14 @@ var claims = []claim{
 				bound(t, row.tenant+" p50_ms", row.p50ms, ">", 0)
 				bound(t, row.tenant+" p99_ms", row.p99ms, ">=", row.p50ms)
 			}
-			hasTenants(t, "attacked run", r.attacked, "base", "crowd", "ddos")
+			hasTenants(t, "attacked run", r.attacked.rows, "base", "crowd", "ddos")
 		}},
 	{"FattreeScenario", "scenario-fattree", "paper §5.6",
-		"on a k=8 fat-tree both tenants deliver the bulk of their flows through the overlay",
-		func(t *testing.T, res any) {
-			r := res.(fattreeResult)
-			bound(t, "base_completion", r.baseCompletion, ">=", 0.9)
-			bound(t, "crowd_completion", r.crowdCompletion, ">=", 0.8)
+		"on a k=8 fat-tree both tenants deliver the bulk of their flows through the overlay", nil,
+		func(t checker, res any) {
+			r := res.(latResult)
+			bound(t, "base_completion", r.completion("base"), ">=", 0.9)
+			bound(t, "crowd_completion", r.completion("crowd"), ">=", 0.8)
 			for _, row := range r.rows {
 				bound(t, row.tenant+" flows", row.flows, ">", 0)
 				bound(t, row.tenant+" p99_ms", row.p99ms, ">", 0)
@@ -248,8 +276,8 @@ var claims = []claim{
 			hasTenants(t, "run", r.rows, "base", "crowd")
 		}},
 	{"ReplayScenario", "scenario-replay", "paper §6",
-		"the embedded trace schedules fully and nearly every flow delivers, for all three tenant labels",
-		func(t *testing.T, res any) {
+		"the embedded trace schedules fully and nearly every flow delivers, for all three tenant labels", nil,
+		func(t checker, res any) {
 			r := res.(replayResult)
 			if !bound(t, "trace_events", r.events, ">", 0) || !bound(t, "scheduled", r.scheduled, "==", r.events) {
 				return
@@ -260,15 +288,15 @@ var claims = []claim{
 			}
 			hasTenants(t, "replay", r.rows, "web", "batch", "replay")
 			bound(t, "flows observed", float64(total), ">=", 0.9*float64(r.events))
-			bound(t, "merged samples", r.merged.Count(), "==", total)
+			bound(t, "merged samples", r.merged.flows, "==", total)
 		}},
 	{"ElasticUnderMigration", "elastic-under-migration", "DESIGN.md §13",
-		"the pool grows, a pod migrates, the pool grows again, and none of it costs a client flow",
-		func(t *testing.T, res any) {
+		"the pool grows, a pod migrates, the pool grows again, and none of it costs a client flow", nil,
+		func(t checker, res any) {
 			r := res.(elasticUnderMigrationResult)
-			bound(t, "grows", r.grows, ">=", 2)
-			bound(t, "migrations", r.migrations, ">=", 1)
-			bound(t, "drains", r.drains, ">=", 1)
+			bound(t, "grows", r.bal.Grows, ">=", 2)
+			bound(t, "migrations", r.bal.Migrations, ">=", 1)
+			bound(t, "drains", r.bal.Drains, ">=", 1)
 			bound(t, "final_pool (the floor)", r.finalPool, "==", 2)
 			// The interleaving is the point: grow, then migrate, then grow.
 			if bound(t, "first_grow (s)", r.firstGrow.Seconds(), "!=", 0) &&
@@ -280,16 +308,16 @@ var claims = []claim{
 			// Pod 0, the surging pod, must have left its overloaded home.
 			bound(t, "pod0 first owner", r.owners[0], "==", 0)
 			bound(t, "pod0 last owner", r.owners[len(r.owners)-1], "==", 1)
-			_ = bound(t, "client_flows", r.clientSent, "!=", 0) &&
-				bound(t, "client_fail", r.clientFail, "==", 0)
+			_ = bound(t, "client_flows", r.flows["client"].sent, "!=", 0) &&
+				bound(t, "client_fail", r.fail("client"), "==", 0)
 		}},
 	{"ReplicaScaleOut", "replica-scale-out", "DESIGN.md §13",
-		"SLO burn, not load alone, spawns one replica; migrations rebalance onto it, burn recovers, and the idle cluster retires to its floor",
-		func(t *testing.T, res any) {
+		"SLO burn, not load alone, spawns one replica; migrations rebalance onto it, burn recovers, and the idle cluster retires to its floor", nil,
+		func(t checker, res any) {
 			r := res.(replicaScaleOutResult)
-			bound(t, "spawns (MaxReplicas bounds repeats)", r.spawns, "==", 1)
-			bound(t, "migrations (onto the spawned replica)", r.migrations, ">=", 2)
-			bound(t, "retires", r.retires, "==", 1)
+			bound(t, "spawns (MaxReplicas bounds repeats)", r.bal.Spawns, "==", 1)
+			bound(t, "migrations (onto the spawned replica)", r.bal.Migrations, ">=", 2)
+			bound(t, "retires", r.bal.Retires, "==", 1)
 			bound(t, "final_alive", r.finalAlive, "==", 2)
 			is(t, "client-p99 verdict_path", r.verdictPath, "healthy->burning->healthy")
 			bound(t, "peak_burn_long (the spawn threshold)", r.peakBurnLong, ">=", 2)
@@ -314,7 +342,7 @@ var claims = []claim{
 // selected row adds its id to one batch and pauses in t.Parallel until
 // TestClaims returns; the first to resume has the memo run the whole
 // batch. So a full run runs each id once, and `-run TestClaims/<row>`
-// runs only that row's experiment. A row in reruns is then checked
+// runs only that row's experiment. A row with a rerun is then checked
 // again at each of sweepSeeds, in a subtest named for the seed. Under
 // -short only the rows whose ids are in shortIDs run, without their
 // sweeps, and under the race detector chaos-vswitch's six 15s runs are
@@ -332,20 +360,22 @@ func TestClaims(t *testing.T) {
 			batch = append(batch, c.id)
 			t.Parallel()
 			res := memoRuns(t, batch...)[slices.Index(batch, c.id)].result
-			check := func(t *testing.T, res any, at string) {
+			check := func(t *testing.T, res any) {
 				mu.Lock()
 				defer mu.Unlock()
-				t.Logf("%s [%s] at %s: %s", c.id, c.source, at, c.text)
-				c.check(t, res)
+				seed := seedOf(t, res)
+				t.Logf("%s [%s] at seed %d: %s", c.id, c.source, seed, c.text)
+				c.check(checker{t, seed}, res)
 			}
-			check(t, res, "its own seed")
-			rerun := reruns[c.name]
-			if rerun == nil || testing.Short() {
+			check(t, res)
+			if c.rerun == nil || testing.Short() {
 				return
 			}
+			s := res.(interface{ ran() spec }).ran()
 			for _, seed := range sweepSeeds {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					check(t, rerun(res, seed), fmt.Sprintf("seed %d", seed))
+					s.seed = seed
+					check(t, c.rerun(s))
 				})
 			}
 		})
@@ -358,7 +388,7 @@ type number interface{ ~int | ~uint64 | ~float64 }
 // bound checks got against op ("<", "<=", ">", ">=", "==" or "!=") limit,
 // logs the value with its bound and the margin by which it holds, and
 // reports whether it held.
-func bound[T number](t *testing.T, what string, got T, op string, limit T) bool {
+func bound[T number](t checker, what string, got T, op string, limit T) bool {
 	t.Helper()
 	margin := float64(got) - float64(limit)
 	ok := map[string]bool{"<": margin < 0, "<=": margin <= 0, ">": margin > 0,
@@ -366,25 +396,25 @@ func bound[T number](t *testing.T, what string, got T, op string, limit T) bool 
 	if op[0] == '<' {
 		margin = -margin
 	}
-	t.Logf("%s = %v, want %s %v (margin %.4g)", what, got, op, limit, margin)
+	t.Logf("seed %d: %s = %v, want %s %v (margin %.4g)", t.seed, what, got, op, limit, margin)
 	if !ok {
-		t.Errorf("%s = %v, want %s %v", what, got, op, limit)
+		t.Errorf("seed %d: %s = %v, want %s %v", t.seed, what, got, op, limit)
 	}
 	return ok
 }
 
 // is checks got == want, logs the value, and reports whether it held.
-func is[T comparable](t *testing.T, what string, got, want T) bool {
+func is[T comparable](t checker, what string, got, want T) bool {
 	t.Helper()
-	t.Logf("%s = %v, want %v", what, got, want)
+	t.Logf("seed %d: %s = %v, want %v", t.seed, what, got, want)
 	if got != want {
-		t.Errorf("%s = %v, want %v", what, got, want)
+		t.Errorf("seed %d: %s = %v, want %v", t.seed, what, got, want)
 	}
 	return got == want
 }
 
 // hasTenants checks that rows hold a latency row for every tenant in want.
-func hasTenants(t *testing.T, what string, rows []latRow, want ...string) {
+func hasTenants(t checker, what string, rows []latRow, want ...string) {
 	t.Helper()
 	for _, tenant := range want {
 		is(t, what+" has tenant "+tenant, slices.ContainsFunc(rows, func(r latRow) bool { return r.tenant == tenant }), true)

@@ -15,18 +15,12 @@ import (
 // scales with it (devolved Packet-Ins <= centralized/pool * 1.25).
 const devolvePool = 4
 
-// devolveRunResult is one arm of the ablation.
-type devolveRunResult struct {
-	rows      []latRow
-	packetIns uint64 // controller Packet-Ins processed
-	hits      uint64 // misses absorbed at the vSwitch tier
-	escal     uint64 // misses escalated to the controller by the caches
-}
-
 // devolveRun drives the three-tenant DDoS mix over s's mesh, either
 // centralized (every miss punts to the controller) or devolved
-// (per-tenant policies absorb mice at the vSwitch tier).
-func devolveRun(s spec, devolved bool) devolveRunResult {
+// (per-tenant policies absorb mice at the vSwitch tier). A devolved run
+// also reports the misses its caches absorbed at the vSwitch tier and
+// those they escalated to the controller.
+func devolveRun(s spec, devolved bool) (res latResult, hits, escal uint64) {
 	r := build(s)
 
 	if devolved {
@@ -36,30 +30,23 @@ func devolveRun(s spec, devolved bool) devolveRunResult {
 		r.app.DevolveTenant("ddos", netaddr.MustParsePrefix("172.16.0.0/12"), false)
 	}
 
-	lat := workload.NewLatencyTracker()
-	lat.AttachCapture(r.cap)
-
+	lat := r.latency()
 	sc := r.tenantMix(120, workload.TrapezoidCurve{Base: 0, Peak: 600,
 		RampStart: 2 * time.Second, PeakStart: 4 * time.Second,
 		PeakEnd: 7 * time.Second, RampEnd: 9 * time.Second},
 		&workload.OnOffCurve{Rate: 1500, Start: 2 * time.Second, End: 8 * time.Second})
-	r.drive(sc.Stop)
-
-	res := devolveRunResult{
-		rows:      latencyRows(lat),
-		packetIns: r.c.Stats.PacketIns,
-	}
+	o := r.drive(sc.Stop)
 	if m := r.app.DevolveMetrics(); m != nil {
-		res.hits = m.TotalHits()
-		res.escal = m.TotalEscalations()
+		hits, escal = m.TotalHits(), m.TotalEscalations()
 	}
-	return res
+	return latResult{o, latencyRows(lat)}, hits, escal
 }
 
-// devolveAblationResult pairs the two arms with the acceptance ratios.
+// devolveAblationResult pairs the two arms with the devolved arm's cache
+// hits and escalations and the acceptance ratios.
 type devolveAblationResult struct {
-	centralized devolveRunResult
-	devolved    devolveRunResult
+	centralized, devolved latResult
+	hits, escal           uint64
 	// piRatio is devolved Packet-Ins over centralized; the pool-factor
 	// claim bounds it by 1.25/pool.
 	piRatio float64
@@ -69,16 +56,11 @@ type devolveAblationResult struct {
 }
 
 func devolveAblationPoint(s spec) devolveAblationResult {
-	res := devolveAblationResult{
-		centralized: devolveRun(s, false),
-		devolved:    devolveRun(s, true),
-	}
-	if res.centralized.packetIns > 0 {
-		res.piRatio = float64(res.devolved.packetIns) / float64(res.centralized.packetIns)
-	}
-	if c := baseP99(res.centralized.rows); c > 0 {
-		res.p99Ratio = baseP99(res.devolved.rows) / c
-	}
+	var res devolveAblationResult
+	res.centralized, _, _ = devolveRun(s, false)
+	res.devolved, res.hits, res.escal = devolveRun(s, true)
+	res.piRatio = frac(res.devolved.packetIns, res.centralized.packetIns)
+	res.p99Ratio = frac(baseP99(res.devolved.rows), baseP99(res.centralized.rows))
 	return res
 }
 
@@ -97,7 +79,7 @@ func runDevolveAblation(w io.Writer, p *Probes) (any, error) {
 	latencyTable(w, res.devolved.rows)
 	fmt.Fprintf(w, "pool=%d packet_ins_centralized=%d packet_ins_devolved=%d devolve_hits=%d escalations=%d\n",
 		devolvePool, res.centralized.packetIns, res.devolved.packetIns,
-		res.devolved.hits, res.devolved.escal)
+		res.hits, res.escal)
 	fmt.Fprintf(w, "pi_ratio=%.4f (bound <= %.4f) base_p99_ratio=%.3f (bound <= 1.1)\n",
 		res.piRatio, 1.25/float64(devolvePool), res.p99Ratio)
 	return res, nil
@@ -105,14 +87,13 @@ func runDevolveAblation(w io.Writer, p *Probes) (any, error) {
 
 // devolveInvalidateResult is one devolve-invalidate run.
 type devolveInvalidateResult struct {
+	outcome
 	webHitsAtRevoke uint64 // web tenant hits when the revoke landed
 	webHitsFinal    uint64 // must equal webHitsAtRevoke: no stale delivery
 	bulkHitsFinal   uint64 // the surviving tenant keeps devolving
 	staleRejected   uint64 // fenced-off pushes (>=1: the replayed table)
 	drainFlushed    bool   // drained member's cache emptied
 	drainStaleOK    bool   // flushed cache still fences stale generations
-	webCompletion   float64
-	bulkCompletion  float64
 	finalGen        uint64
 }
 
@@ -169,7 +150,7 @@ func devolveInvalidatePoint(s spec) devolveInvalidateResult {
 		res.drainFlushed = drainedCache != nil && !drainedCache.Active()
 		res.drainStaleOK = drainedCache != nil && !drainedCache.Apply(&devolve.Table{Gen: 2})
 	})
-	r.drive(sc.Stop)
+	res.outcome = r.drive(sc.Stop)
 
 	res.webHitsFinal = m.Hits("web")
 	res.bulkHitsFinal = m.Hits("bulk")
@@ -179,8 +160,6 @@ func devolveInvalidatePoint(s spec) devolveInvalidateResult {
 	if drainedCache != nil {
 		res.staleRejected += drainedCache.Stats().StaleRejected
 	}
-	res.webCompletion = r.cap.CompletionFraction("web")
-	res.bulkCompletion = r.cap.CompletionFraction("bulk")
 	res.finalGen = r.app.PolicyGeneration()
 	return res
 }
@@ -192,8 +171,8 @@ func runDevolveInvalidate(w io.Writer, p *Probes) (any, error) {
 	res := devolveInvalidatePoint(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2,
 		horizon: 8 * time.Second, drain: 2 * time.Second, seed: 72, probes: p})
 	t := newTable(w, "tenant", "hits_at_revoke", "hits_final", "completion")
-	t.row("web", res.webHitsAtRevoke, res.webHitsFinal, res.webCompletion)
-	t.row("bulk", uint64(0), res.bulkHitsFinal, res.bulkCompletion)
+	t.row("web", res.webHitsAtRevoke, res.webHitsFinal, res.completion("web"))
+	t.row("bulk", uint64(0), res.bulkHitsFinal, res.completion("bulk"))
 	t.flush()
 	fmt.Fprintf(w, "stale_rejected=%d drain_flushed=%v drain_fences_stale=%v final_gen=%d\n",
 		res.staleRejected, res.drainFlushed, res.drainStaleOK, res.finalGen)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"scotch/internal/netaddr"
@@ -11,18 +12,11 @@ import (
 )
 
 // elasticResult is one full autoscaling run: the pool-size trajectory
-// sampled once per second plus the resize and loss accounting. The
-// experiment table and the Go acceptance test share it.
+// sampled once per second, and the size at the end.
 type elasticResult struct {
-	sizes      []int // pool size at t = 1s, 2s, ...
-	peak       int
-	final      int
-	ups        uint64 // applied pool grows
-	downs      uint64 // applied pool drains
-	added      uint64 // overlay members added live
-	drained    uint64 // overlay members drained to completion
-	clientFail float64
-	probeFail  float64 // loss of flows started inside the drain window
+	outcome
+	sizes []int // pool size at t = 1s, 2s, ...
+	final int
 }
 
 // elasticPoint drives the paper's single-edge rig through one load
@@ -35,7 +29,7 @@ type elasticResult struct {
 // there would be attributable to the scale-down path.
 func elasticPoint(s spec) elasticResult {
 	r := build(s)
-	pool, b := r.poolBalancer()
+	pool := r.poolBalancer()
 
 	// Spoofed source walk, as StartDDoS does.
 	fc := spoofCrowd(r.emitter(r.clients[0]), r.servers[0].IP, netaddr.MustParsePrefix("172.16.0.0/12"),
@@ -56,19 +50,8 @@ func elasticPoint(s spec) elasticResult {
 	})
 	r.eng.Schedule(22*time.Second, func() { probe.Stop() })
 
-	r.drive(fc.Stop)
-	b.Stop()
-
-	for _, n := range res.sizes {
-		res.peak = max(res.peak, n)
-	}
+	res.outcome = r.drive(fc.Stop)
 	res.final = pool.Size()
-	res.ups = b.Stats.Grows
-	res.downs = b.Stats.Drains
-	res.added = r.app.Stats.VSwitchesAdded
-	res.drained = r.app.Stats.VSwitchesDrained
-	res.clientFail = r.cap.FailureFraction("client")
-	res.probeFail = r.cap.FailureFraction("drainprobe")
 	return res
 }
 
@@ -86,8 +69,8 @@ func runElastic(w io.Writer, p *Probes) (any, error) {
 		fmt.Fprintf(w, "%-5d %d\n", i+1, s)
 	}
 	fmt.Fprintf(w, "peak=%d final=%d grows=%d drains_started=%d members_added=%d members_drained=%d\n",
-		res.peak, res.final, res.ups, res.downs, res.added, res.drained)
+		slices.Max(res.sizes), res.final, res.bal.Grows, res.bal.Drains, res.app.VSwitchesAdded, res.app.VSwitchesDrained)
 	fmt.Fprintf(w, "client_fail=%.3f drain_window_fail=%.3f\n",
-		res.clientFail, res.probeFail)
+		res.fail("client"), res.fail("drainprobe"))
 	return res, nil
 }

@@ -66,13 +66,10 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // table is a small column-aligned printer for experiment output.
-type table struct {
-	w   *tabwriter.Writer
-	out io.Writer
-}
+type table struct{ w *tabwriter.Writer }
 
 func newTable(w io.Writer, headers ...string) *table {
-	t := &table{w: tabwriter.NewWriter(w, 2, 4, 2, ' ', 0), out: w}
+	t := &table{w: tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)}
 	for i, h := range headers {
 		if i > 0 {
 			fmt.Fprint(t.w, "\t")

@@ -52,17 +52,14 @@ func runFig15(w io.Writer, p *Probes) (any, error) {
 			})
 		})
 
-		r.drive(tg.Stop, fc.Stop)
+		o := r.drive(tg.Stop, fc.Stop)
 
 		name := "scotch"
 		if c == nil {
 			name = "baseline"
 		}
-		sent, _ := r.cap.Counts("crowd")
 		fct := r.cap.FCT("crowd")
-		t.row(name, sent,
-			r.cap.FailureFraction("crowd"),
-			r.cap.CompletionFraction("crowd"),
+		t.row(name, o.flows["crowd"].sent, o.fail("crowd"), o.completion("crowd"),
 			fct.Quantile(0.5)*1000,
 			fct.Quantile(0.99)*1000)
 	}

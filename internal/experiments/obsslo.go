@@ -11,13 +11,12 @@ import (
 	"scotch/internal/workload"
 )
 
-// obsSLOResult is one observatory run over the flash-crowd rig: the
-// end-of-run view plus the two SLO reports the table and the acceptance
+// obsSLOResult is one observatory run over the flash-crowd rig and its
+// end-of-run view, whose two SLO reports the table and the acceptance
 // test both read.
 type obsSLOResult struct {
+	outcome
 	digest *obs.ClusterView
-	base   *obs.SLOView
-	crowd  *obs.SLOView
 }
 
 // obsSLOPoint runs the burn-rate demonstration: a steady 20 flows/s
@@ -53,11 +52,7 @@ func obsSLOPoint(s spec) obsSLOResult {
 			PeakEnd: 10 * time.Second, RampEnd: 12 * time.Second,
 		}, "crowd")
 
-	r.drive(fc.Stop, base.Stop)
-	o.Stop()
-
-	d := o.Snapshot("obs-slo")
-	return obsSLOResult{digest: d, base: d.SLO("base-p99"), crowd: d.SLO("crowd-p99")}
+	return obsSLOResult{outcome: r.drive(fc.Stop, base.Stop), digest: o.Snapshot("obs-slo")}
 }
 
 func runObsSLO(w io.Writer, p *Probes) (any, error) {
@@ -67,12 +62,12 @@ func runObsSLO(w io.Writer, p *Probes) (any, error) {
 	res := obsSLOPoint(spec{cfg: &cfg, clients: 2, servers: 1, primary: 2, backup: 1,
 		horizon: 20 * time.Second, drain: 4 * time.Second, seed: 47, probes: p})
 	fmt.Fprintln(w, "slo        tenant  verdict_path               peak_burn_short  peak_burn_long  peak_window_p99(s)")
-	for _, s := range []*obs.SLOView{res.base, res.crowd} {
+	for _, s := range res.digest.SLOs {
 		fmt.Fprintf(w, "%-10s %-7s %-26s %-16.1f %-15.1f %.4f\n",
 			s.Name, s.Tenant, s.VerdictPath, s.PeakBurnShort, s.PeakBurnLong,
 			s.PeakWindowQuantileSeconds)
 	}
-	for _, tr := range res.crowd.Transitions {
+	for _, tr := range res.digest.SLO("crowd-p99").Transitions {
 		fmt.Fprintf(w, "crowd transition t=%-6v %s -> %s\n", tr.At, tr.From, tr.To)
 	}
 	return res, res.digest.WriteText(w)

@@ -40,7 +40,7 @@ func runFig8(w io.Writer, p *Probes) (any, error) {
 			em.Start(workload.Flow{Key: key, Packets: 7000, Interval: 2 * time.Millisecond,
 				Size: 1000, Class: "elephant"})
 		})
-		r.drive(atk.Stop)
+		o := r.drive(atk.Stop)
 
 		fl := r.cap.Flows("elephant")
 		ratio := 0.0
@@ -53,7 +53,7 @@ func runFig8(w io.Writer, p *Probes) (any, error) {
 		if naive {
 			mode = "naive-shortest-path"
 		}
-		t.row(mode, r.app.Stats.Migrated, r.fw[0].Passed, r.fw[1].Rejected, ratio, stalled)
+		t.row(mode, o.app.Migrated, r.fw[0].Passed, r.fw[1].Rejected, ratio, stalled)
 	}
 	t.flush()
 	return nil, nil

@@ -11,7 +11,6 @@ import (
 	"scotch/internal/packet"
 	"scotch/internal/sim"
 	"scotch/internal/telemetry"
-	"scotch/internal/workload"
 )
 
 // Probes arms one run's instrumentation and collects what it built. Every
@@ -150,9 +149,7 @@ func (r *rig) observe(cfg obs.Config) *obs.Observatory {
 	for _, sw := range r.switches() {
 		o.WatchSwitch(sw)
 	}
-	lt := workload.NewLatencyTracker()
-	lt.AttachCapture(r.cap)
-	o.WatchLatency(lt)
+	o.WatchLatency(r.latency())
 	o.Start()
 	return o
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -120,7 +121,7 @@ type rig struct {
 	// owns its balancer, the migrate-only balancer.
 	co       *cluster.Coordinator
 	replicas []*cluster.Replica
-	bal      *balance.Balancer
+	bal      *balance.Balancer  // or the pool or joint balancer a point starts
 	fw       []*device.Firewall // diamond: FW_A, FW_B
 	faults   *fault.Runner
 	traffic  []func() // the stops of the spec's traffic
@@ -128,6 +129,7 @@ type rig struct {
 	// joining mid-run also gets.
 	tr  *telemetry.Tracer
 	obs *obs.Observatory
+	lat *workload.LatencyTracker // latency's, built on first use
 }
 
 // deployment wires a Scotch app over a built topology, connects it and
@@ -306,14 +308,7 @@ func (r *rig) deployCluster(s spec) {
 		if err := pd.app.Build(); err != nil {
 			panic(err)
 		}
-		dpids := []uint64{pd.edge.DPID}
-		for _, vs := range pd.vs {
-			dpids = append(dpids, vs.DPID)
-		}
-		for _, sb := range pd.standby {
-			dpids = append(dpids, sb.DPID)
-		}
-		r.co.AddPod(pd.name, pd.app, home, dpids...)
+		r.co.AddPod(pd.name, pd.app, home, dpids(slices.Concat([]*device.Switch{pd.edge}, pd.vs, pd.standby))...)
 	}
 	r.co.Start()
 	// Load-triggered migration: a migrate-only balancer whose ticker is
@@ -460,22 +455,28 @@ func nth[T any](xs []T, i int) (v T) {
 // pool is pod 0's elastic vSwitch pool: its mesh plus the standbys it may
 // grow into.
 func (r *rig) pool() *scotch.VSwitchPool {
-	standby := make([]uint64, 0, len(r.standby))
-	for _, sb := range r.standby {
-		standby = append(standby, sb.DPID)
-	}
-	return scotch.NewVSwitchPool(r.app, standby)
+	return scotch.NewVSwitchPool(r.app, dpids(r.standby))
 }
 
-// poolBalancer starts a pool-only balancer that grows the rig's mesh into
-// its standbys on the overlay-routed rate per member and drains it back.
-func (r *rig) poolBalancer() (*scotch.VSwitchPool, *balance.Balancer) {
+// dpids lists the DPIDs of sws.
+func dpids(sws []*device.Switch) []uint64 {
+	out := make([]uint64, 0, len(sws))
+	for _, sw := range sws {
+		out = append(out, sw.DPID)
+	}
+	return out
+}
+
+// poolBalancer starts the rig's balancer, a pool-only one that resizes
+// the mesh within its standbys on the overlay-routed rate per member.
+func (r *rig) poolBalancer() *scotch.VSwitchPool {
 	pool := r.pool()
 	b := balance.New(r.eng, balance.DefaultConfig(),
 		balance.PoolSignals(pool, scotch.OverlayRate(r.eng, r.app, pool)),
 		balance.Actuators{Pool: pool})
 	b.SetTracer(r.c.Tracer())
-	return pool, b.Start()
+	r.bal = b.Start()
+	return pool
 }
 
 // elephantBurst has client 1 start, one second in, fillers one-packet
@@ -498,10 +499,45 @@ func (r *rig) elephantBurst(fillers, elephants, pkts int) {
 	})
 }
 
+// latency returns the rig's flow-setup latency tracker, by flow class,
+// attaching it to the capture on first use. Trackers only accumulate, so
+// the armed observatory and the experiment read the same one.
+func (r *rig) latency() *workload.LatencyTracker {
+	if r.lat == nil {
+		r.lat = workload.NewLatencyTracker()
+		r.lat.AttachCapture(r.cap)
+	}
+	return r.lat
+}
+
+// tally is one flow class at the end of a run: its flows that sent a
+// packet, those that delivered at least one, and those that delivered
+// every packet.
+type tally struct{ sent, delivered, completed int }
+
+// outcome is what drive reads off a rig once it has run: the spec that
+// ran and only scalars, so the test memo can keep every result for the
+// whole test binary. Reads a rig does not have are zero.
+type outcome struct {
+	spec  spec
+	flows map[string]tally // by flow class
+	// Pod 0's Scotch app, and whether its edge's overlay is still active.
+	app        scotch.Stats
+	active     bool
+	co         cluster.Stats
+	bal        balance.Stats // the rig's own balancer's
+	packetIns  uint64        // the one-pod controller's Packet-Ins
+	queueDrops uint64        // Packet-Ins the replicas' ingress queues dropped
+	injected   uint64        // fault plan events applied
+	planned    int           // fault plan events
+}
+
 // drive runs the rig to its horizon, stops the spec's traffic and each of
-// stops, then runs the drain so the packets in flight land. It panics
-// naming any fault plan event that failed to apply.
-func (r *rig) drive(stops ...func()) {
+// stops, then runs the drain so the packets in flight land. It stops the
+// rig's balancer and armed observatory, which closes any breach CPU
+// profile the observatory holds, and returns the run's outcome. It
+// panics naming any fault plan event that failed to apply.
+func (r *rig) drive(stops ...func()) outcome {
 	r.eng.RunUntil(r.spec.horizon)
 	for _, stop := range append(r.traffic, stops...) {
 		stop()
@@ -509,9 +545,66 @@ func (r *rig) drive(stops ...func()) {
 	if r.spec.drain > 0 {
 		r.eng.RunUntil(r.spec.horizon + r.spec.drain)
 	}
+	r.bal.Stop()
+	r.obs.Stop()
 	if errs := r.faults.Failures(); len(errs) > 0 {
 		panic(fmt.Sprintf("experiments: %v", errors.Join(errs...)))
 	}
+	o := outcome{spec: r.spec, flows: make(map[string]tally),
+		injected: r.faults.Injected(), planned: len(r.spec.plan.Events)}
+	for _, f := range r.cap.Flows("") {
+		if f.PacketsSent == 0 {
+			continue
+		}
+		t := o.flows[f.Class]
+		t.sent++
+		if f.Delivered() {
+			t.delivered++
+		}
+		if f.Completed() {
+			t.completed++
+		}
+		o.flows[f.Class] = t
+	}
+	if r.app != nil {
+		o.app = r.app.Stats
+		o.active = r.edge != nil && r.app.Active(r.edge.DPID)
+	}
+	if r.co != nil {
+		o.co = r.co.Stats
+	}
+	if r.bal != nil {
+		o.bal = r.bal.Stats
+	}
+	if r.c != nil {
+		o.packetIns = r.c.Stats.PacketIns
+	}
+	for _, rep := range r.replicas {
+		o.queueDrops += rep.C.Stats.PacketInsDropped
+	}
+	return o
+}
+
+// fail is the fraction of class's sent flows that delivered nothing, the
+// paper's headline metric (capture.FailureFraction).
+func (o outcome) fail(class string) float64 {
+	t := o.flows[class]
+	return frac(t.sent-t.delivered, t.sent)
+}
+
+// completion is the fraction of class's sent flows that delivered every
+// packet (capture.CompletionFraction).
+func (o outcome) completion(class string) float64 {
+	t := o.flows[class]
+	return frac(t.completed, t.sent)
+}
+
+// frac is n/of, or 0 when of is 0.
+func frac[T int | uint64 | float64](n, of T) float64 {
+	if of == 0 {
+		return 0
+	}
+	return float64(n) / float64(of)
 }
 
 // switches returns every switch of the rig's network in creation order.

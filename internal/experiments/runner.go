@@ -53,12 +53,7 @@ func RunAll(ctx context.Context, ids []string, parallelism int, arm *Probes) ([]
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	if parallelism > len(exps) {
-		parallelism = len(exps)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
+	parallelism = max(1, min(parallelism, len(exps)))
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -21,19 +21,29 @@ type latRow struct {
 	p50ms, p95ms, p99ms float64
 }
 
+// condense reads h as tenant's row.
+func condense(tenant string, h *metrics.BucketHistogram) latRow {
+	return latRow{tenant: tenant, flows: h.Count(),
+		p50ms: h.Quantile(0.5) * 1000, p95ms: h.Quantile(0.95) * 1000, p99ms: h.Quantile(0.99) * 1000}
+}
+
+// latencyRows condenses every tenant of tr that a flow reached. A tenant
+// with none is an armed observatory's SLO looking up a class this
+// experiment does not send, so it is left out.
 func latencyRows(tr *workload.LatencyTracker) []latRow {
 	var rows []latRow
 	for _, name := range tr.TenantNames() {
-		h := tr.Tenant(name)
-		rows = append(rows, latRow{
-			tenant: name,
-			flows:  h.Count(),
-			p50ms:  h.Quantile(0.5) * 1000,
-			p95ms:  h.Quantile(0.95) * 1000,
-			p99ms:  h.Quantile(0.99) * 1000,
-		})
+		if h := tr.Tenant(name); h.Count() > 0 {
+			rows = append(rows, condense(name, h))
+		}
 	}
 	return rows
+}
+
+// latResult is a run read as its outcome and its per-tenant latency rows.
+type latResult struct {
+	outcome
+	rows []latRow
 }
 
 // baseP99 is the base tenant's p99 setup latency in rows (0: none).
@@ -57,23 +67,21 @@ func latencyTable(w io.Writer, rows []latRow) {
 // multitenantResult is one scenario-multitenant run pair; the experiment
 // table and the acceptance test share it.
 type multitenantResult struct {
-	quiet    []latRow // base + crowd, overlay + pool balancer active
-	attacked []latRow // the same mix plus the DDoS tenant
-	peakPool int      // pool peak during the attacked run
+	quiet    latResult // base + crowd, overlay + pool balancer active
+	attacked latResult // the same mix plus the DDoS tenant
+	peakPool int       // pool peak during the attacked run
 	// p99Ratio is the baseline tenant's attacked p99 over its quiet p99 —
 	// the paper's isolation claim bounds this below 2.
 	p99Ratio float64
 }
 
 // multitenantRun composes the three-tenant mix on s's single-edge rig with
-// a pool-only balancer resizing the overlay and returns the per-tenant
-// latency rows.
-func multitenantRun(s spec, withDDoS bool) ([]latRow, int) {
+// a pool-only balancer resizing the overlay and returns the run with its
+// per-tenant latency rows, and the pool's peak size.
+func multitenantRun(s spec, withDDoS bool) (latResult, int) {
 	r := build(s)
-	pool, b := r.poolBalancer()
-
-	lat := workload.NewLatencyTracker()
-	lat.AttachCapture(r.cap)
+	pool := r.poolBalancer()
+	lat := r.latency()
 
 	var ddos *workload.OnOffCurve
 	if withDDoS {
@@ -87,9 +95,8 @@ func multitenantRun(s spec, withDDoS bool) ([]latRow, int) {
 	r.eng.Every(time.Second, func() {
 		peak = max(peak, pool.Size())
 	})
-	r.drive(sc.Stop)
-	b.Stop()
-	return latencyRows(lat), peak
+	o := r.drive(sc.Stop)
+	return latResult{o, latencyRows(lat)}, peak
 }
 
 // tenantMix starts the multi-tenant DDoS mix on a rig of three clients and
@@ -120,9 +127,7 @@ func multitenantPoint(s spec) multitenantResult {
 	var res multitenantResult
 	res.quiet, _ = multitenantRun(s, false)
 	res.attacked, res.peakPool = multitenantRun(s, true)
-	if q := baseP99(res.quiet); q > 0 {
-		res.p99Ratio = baseP99(res.attacked) / q
-	}
+	res.p99Ratio = frac(baseP99(res.attacked.rows), baseP99(res.quiet.rows))
 	return res
 }
 
@@ -132,28 +137,20 @@ func runScenarioMultitenant(w io.Writer, p *Probes) (any, error) {
 	res := multitenantPoint(spec{cfg: &cfg, clients: 3, servers: 2, primary: 1, standby: 3,
 		horizon: 12 * time.Second, drain: 2 * time.Second, seed: 61, probes: p})
 	fmt.Fprintln(w, "quiet run (base + crowd, overlay + balancer):")
-	latencyTable(w, res.quiet)
+	latencyTable(w, res.quiet.rows)
 	fmt.Fprintln(w, "attacked run (base + crowd + ddos):")
-	latencyTable(w, res.attacked)
+	latencyTable(w, res.attacked.rows)
 	fmt.Fprintf(w, "pool_peak=%d base_p99_ratio=%.3f (bound < 2.0)\n",
 		res.peakPool, res.p99Ratio)
 	return res, nil
 }
 
-// fattreeResult is one scenario-fattree run.
-type fattreeResult struct {
-	rows            []latRow
-	crowdCompletion float64
-	baseCompletion  float64
-}
-
 // fattreePoint drives a flash crowd against one pod of a k=8 fat-tree
 // (80 switches, hosts subsampled to two per edge) deployed under Scotch,
 // with a steady all-to-all baseline tenant underneath.
-func fattreePoint(s spec) fattreeResult {
+func fattreePoint(s spec) latResult {
 	r := build(s)
-	lat := workload.NewLatencyTracker()
-	lat.AttachCapture(r.cap)
+	lat := r.latency()
 
 	var sources []*workload.Emitter
 	var dsts []netaddr.IPv4
@@ -185,13 +182,8 @@ func fattreePoint(s spec) fattreeResult {
 		Sources: crowdSources, Dsts: []netaddr.IPv4{target},
 	})
 	sc.Start()
-	r.drive(sc.Stop)
-
-	return fattreeResult{
-		rows:            latencyRows(lat),
-		crowdCompletion: r.cap.CompletionFraction("crowd"),
-		baseCompletion:  r.cap.CompletionFraction("base"),
-	}
+	o := r.drive(sc.Stop)
+	return latResult{o, latencyRows(lat)}
 }
 
 func runScenarioFattree(w io.Writer, p *Probes) (any, error) {
@@ -200,19 +192,19 @@ func runScenarioFattree(w io.Writer, p *Probes) (any, error) {
 		seed: 62, probes: p})
 	latencyTable(w, res.rows)
 	fmt.Fprintf(w, "base_completion=%.3f crowd_completion=%.3f\n",
-		res.baseCompletion, res.crowdCompletion)
+		res.completion("base"), res.completion("crowd"))
 	return res, nil
 }
 
 //go:embed testdata/scenario_replay.csv
 var scenarioReplayTrace []byte
 
-// replayResult is one scenario-replay run.
+// replayResult is one scenario-replay run: the trace's events, those
+// scheduled, and the latency rows of each tenant and of all of them.
 type replayResult struct {
-	events    int
-	scheduled int
-	rows      []latRow
-	merged    *metrics.BucketHistogram
+	latResult
+	events, scheduled int
+	merged            latRow
 }
 
 // replayPoint parses the embedded trace and replays it over the rig,
@@ -221,8 +213,7 @@ type replayResult struct {
 // per-tenant latency CDFs.
 func replayPoint(s spec) replayResult {
 	r := build(s)
-	lat := workload.NewLatencyTracker()
-	lat.AttachCapture(r.cap)
+	lat := r.latency()
 
 	events, err := workload.ParseTraceCSV(bytes.NewReader(scenarioReplayTrace))
 	if err != nil {
@@ -238,13 +229,9 @@ func replayPoint(s spec) replayResult {
 			return em, srv.IP
 		},
 	})
-	r.drive()
-	return replayResult{
-		events:    len(events),
-		scheduled: n,
-		rows:      latencyRows(lat),
-		merged:    lat.Merged(),
-	}
+	o := r.drive()
+	return replayResult{latResult: latResult{o, latencyRows(lat)},
+		events: len(events), scheduled: n, merged: condense("all", lat.Merged())}
 }
 
 func runScenarioReplay(w io.Writer, p *Probes) (any, error) {
@@ -254,7 +241,6 @@ func runScenarioReplay(w io.Writer, p *Probes) (any, error) {
 	fmt.Fprintf(w, "trace_events=%d scheduled=%d\n", res.events, res.scheduled)
 	latencyTable(w, res.rows)
 	fmt.Fprintf(w, "all_tenants: n=%d p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f\n",
-		res.merged.Count(), res.merged.Quantile(0.5)*1000,
-		res.merged.Quantile(0.95)*1000, res.merged.Quantile(0.99)*1000)
+		res.merged.flows, res.merged.p50ms, res.merged.p95ms, res.merged.p99ms)
 	return res, nil
 }

@@ -7,15 +7,6 @@ import (
 	"scotch/internal/device"
 )
 
-// fig3Point runs the paper's §3.2 measurement once: a reactive baseline
-// controller on s's switch, with s's attacker and steady client. Returns
-// the client flow failure fraction.
-func fig3Point(s spec) float64 {
-	r := build(s)
-	r.drive()
-	return r.cap.FailureFraction("client")
-}
-
 func runFig3(w io.Writer, p *Probes) (any, error) {
 	rates := []float64{100, 500, 1000, 1500, 2000, 2500, 3000, 3800}
 	profiles := []device.Profile{
@@ -27,8 +18,11 @@ func runFig3(w io.Writer, p *Probes) (any, error) {
 	for _, r := range rates {
 		row := []any{int(r)}
 		for _, prof := range profiles {
-			row = append(row, fig3Point(spec{fabric: testbed, profile: prof, attack: r, steady: 100,
-				horizon: 8 * time.Second, drain: time.Second, seed: 3, probes: p}))
+			// §3.2's measurement: a reactive baseline controller on the
+			// switch under test, with its attacker and steady client.
+			o := build(spec{fabric: testbed, profile: prof, attack: r, steady: 100,
+				horizon: 8 * time.Second, drain: time.Second, seed: 3, probes: p}).drive()
+			row = append(row, o.fail("client"))
 		}
 		t.row(row...)
 	}
@@ -41,13 +35,12 @@ func runFig4(w io.Writer, p *Probes) (any, error) {
 	for _, rate := range []float64{50, 100, 150, 200, 300, 500, 1000} {
 		r := build(spec{fabric: testbed, profile: device.Pica8Profile(), steady: rate,
 			horizon: 10 * time.Second, drain: time.Second, seed: 5, probes: p})
-		r.drive()
+		o := r.drive()
 		secs := r.spec.horizon.Seconds()
-		_, delivered := r.cap.Counts("client")
 		t.row(int(rate),
 			float64(r.edge.Stats.PacketInSent)/secs,
 			float64(r.edge.Stats.RulesInstalled)/secs,
-			float64(delivered)/secs)
+			float64(o.flows["client"].delivered)/secs)
 	}
 	t.flush()
 	return nil, nil

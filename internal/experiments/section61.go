@@ -39,7 +39,10 @@ func driveInserts(eng *sim.Engine, sw *device.Switch, rate float64, dur time.Dur
 }
 
 // fig9Row is one attempted insertion rate and the rate that succeeded.
-type fig9Row struct{ attempted, successful float64 }
+type fig9Row struct {
+	outcome
+	attempted, successful float64
+}
 
 func runFig9(w io.Writer, p *Probes) (any, error) {
 	// "We let the Ryu controller generate flow rules at a constant rate
@@ -52,8 +55,7 @@ func runFig9(w io.Writer, p *Probes) (any, error) {
 	for _, rate := range rates {
 		r := build(spec{fabric: bareSwitch, profile: prof, horizon: 10 * time.Second, seed: 9, probes: p})
 		driveInserts(r.eng, r.edge, rate, r.spec.horizon)
-		r.drive()
-		row := fig9Row{rate, float64(r.edge.Stats.RulesInstalled) / r.spec.horizon.Seconds()}
+		row := fig9Row{r.drive(), rate, float64(r.edge.Stats.RulesInstalled) / r.spec.horizon.Seconds()}
 		t.row(int(rate), row.successful)
 		rows = append(rows, row)
 	}

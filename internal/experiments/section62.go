@@ -17,10 +17,9 @@ func runFig11(w io.Writer, p *Probes) (any, error) {
 	t := newTable(w, "attack_flows_per_s", "baseline_client_failure", "scotch_client_failure", "scotch_attack_failure")
 	for _, ar := range rates {
 		run := func(cfg *scotch.Config) (float64, float64) {
-			r := build(spec{cfg: cfg, clients: 2, servers: 1, primary: 2, attack: ar, steady: 100,
-				horizon: 15 * time.Second, drain: time.Second, seed: 11, probes: p})
-			r.drive()
-			return r.cap.FailureFraction("client"), r.cap.FailureFraction("attack")
+			o := build(spec{cfg: cfg, clients: 2, servers: 1, primary: 2, attack: ar, steady: 100,
+				horizon: 15 * time.Second, drain: time.Second, seed: 11, probes: p}).drive()
+			return o.fail("client"), o.fail("attack")
 		}
 		cfg := scotch.DefaultConfig()
 		base, _ := run(nil)
@@ -44,13 +43,12 @@ func runFig12(w io.Writer, p *Probes) (any, error) {
 		cfg.FanOut = n
 		// Two attackers spread over eight servers exercise every delivery
 		// vSwitch.
-		r := build(spec{cfg: &cfg, clients: 2, servers: 8, primary: n, attack: 25000,
-			horizon: 5 * time.Second, drain: time.Second, seed: 12, probes: p})
-		r.drive()
-		sent, delivered := r.cap.Counts("attack")
-		handled := r.app.Stats.OverlayRouted + r.app.Stats.PhysicalAdmitted
-		secs := r.spec.horizon.Seconds()
-		t.row(n, float64(sent)/secs, float64(handled)/secs, float64(delivered)/secs)
+		o := build(spec{cfg: &cfg, clients: 2, servers: 8, primary: n, attack: 25000,
+			horizon: 5 * time.Second, drain: time.Second, seed: 12, probes: p}).drive()
+		atk := o.flows["attack"]
+		handled := o.app.OverlayRouted + o.app.PhysicalAdmitted
+		secs := o.spec.horizon.Seconds()
+		t.row(n, float64(atk.sent)/secs, float64(handled)/secs, float64(atk.delivered)/secs)
 	}
 	t.flush()
 	return nil, nil
@@ -90,18 +88,14 @@ func runFig13(w io.Writer, p *Probes) (any, error) {
 				}
 			}
 		})
-		r.drive()
+		o := r.drive()
 		sampler.Stop()
 
-		frac := 0.0
-		if total := ovBytes + physBytes; total > 0 {
-			frac = float64(physBytes) / float64(total)
-		}
 		mode := "off"
 		if enabled {
 			mode = "on"
 		}
-		t.row(mode, ovBytes, physBytes, frac, r.app.Stats.Migrated)
+		t.row(mode, ovBytes, physBytes, frac(physBytes, ovBytes+physBytes), o.app.Migrated)
 	}
 	t.flush()
 	return nil, nil

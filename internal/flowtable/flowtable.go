@@ -141,6 +141,28 @@ func ExactMatch(k netaddr.FlowKey) openflow.Match {
 	return m
 }
 
+// KeyFromMatch recovers the flow key of a rule that ExactMatch built. It
+// is lenient: it needs only the source, destination and protocol fields
+// and takes both transport ports when the match has them, so a rule that
+// also matches more, such as a vSwitch rule's tunnel id, still yields its
+// flow. ok is false for a match without the three, such as an offload
+// default or a table-miss rule, which belongs to no single flow. The
+// index's exactKey is the strict form.
+func KeyFromMatch(m *openflow.Match) (netaddr.FlowKey, bool) {
+	need := openflow.FieldIPv4Src | openflow.FieldIPv4Dst | openflow.FieldIPProto
+	if !m.Fields.Has(need) {
+		return netaddr.FlowKey{}, false
+	}
+	k := netaddr.FlowKey{Src: m.IPv4Src, Dst: m.IPv4Dst, Proto: m.IPProto}
+	switch {
+	case m.Fields.Has(openflow.FieldTCPSrc | openflow.FieldTCPDst):
+		k.SrcPort, k.DstPort = m.TCPSrc, m.TCPDst
+	case m.Fields.Has(openflow.FieldUDPSrc | openflow.FieldUDPDst):
+		k.SrcPort, k.DstPort = m.UDPSrc, m.UDPDst
+	}
+	return k, true
+}
+
 // Table is a single flow table. Its rules are kept in match order:
 // priority descending, then insertion order (seq) within a priority.
 //

@@ -29,6 +29,37 @@ func exactRule(prio uint16, k netaddr.FlowKey, port uint32) *Rule {
 	}
 }
 
+// TestKeyFromMatch recovers the flow of each rule shape the controller
+// apps install and refuses a wildcard, which belongs to no flow.
+func TestKeyFromMatch(t *testing.T) {
+	tcp := netaddr.FlowKey{Src: cliIP, Dst: srvIP, Proto: netaddr.ProtoTCP, SrcPort: 1000, DstPort: 80}
+	udp := netaddr.FlowKey{Src: cliIP, Dst: srvIP, Proto: netaddr.ProtoUDP, SrcPort: 53, DstPort: 53}
+	// A vSwitch rule on a tunnel also matches the tunnel id.
+	tunnel := ExactMatch(tcp)
+	tunnel.Fields |= openflow.FieldTunnelID
+	tunnel.TunnelID = 7
+	wildcard := ExactMatch(tcp)
+	wildcard.Fields = 0
+	for _, tc := range []struct {
+		name  string
+		match openflow.Match
+		want  netaddr.FlowKey
+		ok    bool
+	}{
+		{"tcp", ExactMatch(tcp), tcp, true},
+		{"udp", ExactMatch(udp), udp, true},
+		{"tunnel id", tunnel, tcp, true},
+		{"wildcard", wildcard, netaddr.FlowKey{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, ok := KeyFromMatch(&tc.match)
+			if got != tc.want || ok != tc.ok {
+				t.Errorf("KeyFromMatch = %v, %v; want %v, %v", got, ok, tc.want, tc.ok)
+			}
+		})
+	}
+}
+
 func TestMatchesExact(t *testing.T) {
 	p := tcpPkt(1000, 80)
 	m := ExactMatch(p.FlowKey())

@@ -28,7 +28,7 @@ func elephantFixture(t *testing.T, cfg Config, packets, bytes uint64) bool {
 		MPType: openflow.MultipartFlow,
 		Flows: []openflow.FlowStats{{
 			TableID: 0, PacketCount: packets, ByteCount: bytes,
-			Match: exactMatch(key),
+			Match: flowtable.ExactMatch(key),
 		}},
 	})
 	return f.app.migrating[key]
@@ -50,7 +50,7 @@ func TestElephantInThirdStatsPartMigrates(t *testing.T) {
 		OnOverlay: true, OverlayVSwitch: f.vs[0].DPID,
 	}
 	f.c.FlowDB.Put(fi)
-	elephant := &flowtable.Rule{Priority: 1, Match: exactMatch(key), Bytes: cfg.ElephantBytes + 1}
+	elephant := &flowtable.Rule{Priority: 1, Match: flowtable.ExactMatch(key), Bytes: cfg.ElephantBytes + 1}
 	pl := f.vs[0].Pipeline
 	for i := 0; i < 1000; i++ {
 		r := &flowtable.Rule{Priority: 1, Match: openflow.Match{

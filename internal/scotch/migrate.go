@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"scotch/internal/controller"
+	"scotch/internal/flowtable"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
 	"scotch/internal/topo"
@@ -211,7 +212,7 @@ func (a *App) handleStats(rep *openflow.MultipartReply) {
 		if !big {
 			continue
 		}
-		key, ok := keyFromMatch(&f.Match)
+		key, ok := flowtable.KeyFromMatch(&f.Match)
 		if !ok {
 			continue
 		}
@@ -266,7 +267,7 @@ func (a *App) migrate(fi *controller.FlowInfo) {
 			return
 		}
 	}
-	match := exactMatch(key)
+	match := flowtable.ExactMatch(key)
 	pending := len(hops) - 1
 	finish := func() {
 		h := a.C.Switch(hops[0].DPID)
@@ -323,22 +324,4 @@ func (a *App) redRuleFor(match openflow.Match, hop topo.Hop) *openflow.FlowMod {
 	fm.IdleTimeout = uint16(a.Cfg.RuleIdleTimeout / time.Second)
 	fm.Match = match
 	return fm
-}
-
-// keyFromMatch recovers a flow key from an exact-match rule (the inverse
-// of exactMatch); ok is false for non-exact matches such as the offload
-// defaults.
-func keyFromMatch(m *openflow.Match) (netaddr.FlowKey, bool) {
-	need := openflow.FieldIPv4Src | openflow.FieldIPv4Dst | openflow.FieldIPProto
-	if !m.Fields.Has(need) {
-		return netaddr.FlowKey{}, false
-	}
-	k := netaddr.FlowKey{Src: m.IPv4Src, Dst: m.IPv4Dst, Proto: m.IPProto}
-	switch {
-	case m.Fields.Has(openflow.FieldTCPSrc | openflow.FieldTCPDst):
-		k.SrcPort, k.DstPort = m.TCPSrc, m.TCPDst
-	case m.Fields.Has(openflow.FieldUDPSrc | openflow.FieldUDPDst):
-		k.SrcPort, k.DstPort = m.UDPSrc, m.UDPDst
-	}
-	return k, true
 }

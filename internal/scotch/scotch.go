@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"scotch/internal/controller"
+	"scotch/internal/flowtable"
 	"scotch/internal/metrics"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
@@ -654,7 +655,7 @@ func (a *App) admitPhysical(r *flowReq) {
 	if tr := a.C.Tracer(); tr != nil {
 		tr.PointTag(telemetry.PointInstall, r.key, r.origin, a.C.Eng.Now(), "physical")
 	}
-	match := exactMatch(r.key)
+	match := flowtable.ExactMatch(r.key)
 	first := hops[0]
 	if h := a.C.Switch(first.DPID); h != nil {
 		a.install(h, a.redRuleFor(match, first))
@@ -705,7 +706,7 @@ func (a *App) admitOverlay(r *flowReq) {
 	if tr := a.C.Tracer(); tr != nil {
 		tr.PointTag(telemetry.PointInstall, r.key, r.origin, a.C.Eng.Now(), "overlay")
 	}
-	match := exactMatch(r.key)
+	match := flowtable.ExactMatch(r.key)
 
 	// Per-flow vSwitch hops; a policy chain detours through its
 	// middleboxes (paper Fig. 8: tunnels decapsulate at S_U, re-enter the
@@ -796,10 +797,10 @@ func (a *App) repairOverlay(sw *controller.SwitchHandle, pin *openflow.PacketIn,
 	} else {
 		out = a.ov.meshPort[[2]uint64{sw.DPID, v2}]
 		if h := a.C.Switch(v2); h != nil {
-			a.install(h, a.vsRule(exactMatch(key), deliverPort))
+			a.install(h, a.vsRule(flowtable.ExactMatch(key), deliverPort))
 		}
 	}
-	a.install(sw, a.vsRule(exactMatch(key), out))
+	a.install(sw, a.vsRule(flowtable.ExactMatch(key), out))
 	if len(pin.Data) > 0 {
 		a.packetOut(sw, openflow.OutputAction(out), pin.Data)
 	}
@@ -837,7 +838,7 @@ func (a *App) withdraw(dpid uint64) {
 				TableID:     0,
 				Priority:    prioPin,
 				IdleTimeout: uint16(a.Cfg.RuleIdleTimeout / time.Second),
-				Match:       exactMatch(fi.Key),
+				Match:       flowtable.ExactMatch(fi.Key),
 				Instructions: []openflow.Instruction{
 					openflow.ApplyActions(openflow.PushMPLSAction(fi.IngressPort),
 						openflow.GroupAction(offloadGroupID)),
@@ -885,7 +886,7 @@ func (a *App) HandleFlowRemoved(sw *controller.SwitchHandle, fr *openflow.FlowRe
 	if fr.Reason == openflow.RemovedDelete {
 		return // explicit deletes are reconfiguration, not flow death
 	}
-	key, ok := keyFromMatch(&fr.Match)
+	key, ok := flowtable.KeyFromMatch(&fr.Match)
 	if !ok {
 		return
 	}
@@ -902,23 +903,4 @@ func (a *App) policyPath(origin uint64, key netaddr.FlowKey) ([]topo.Hop, bool) 
 		}
 	}
 	return a.C.Net.Path(origin, key.Dst)
-}
-
-func exactMatch(k netaddr.FlowKey) openflow.Match {
-	m := openflow.Match{
-		Fields:  openflow.FieldEthType | openflow.FieldIPProto | openflow.FieldIPv4Src | openflow.FieldIPv4Dst,
-		EthType: packet.EtherTypeIPv4,
-		IPProto: k.Proto,
-		IPv4Src: k.Src,
-		IPv4Dst: k.Dst,
-	}
-	switch k.Proto {
-	case netaddr.ProtoTCP:
-		m.Fields |= openflow.FieldTCPSrc | openflow.FieldTCPDst
-		m.TCPSrc, m.TCPDst = k.SrcPort, k.DstPort
-	case netaddr.ProtoUDP:
-		m.Fields |= openflow.FieldUDPSrc | openflow.FieldUDPDst
-		m.UDPSrc, m.UDPDst = k.SrcPort, k.DstPort
-	}
-	return m
 }

@@ -7,6 +7,7 @@ import (
 	"scotch/internal/capture"
 	"scotch/internal/controller"
 	"scotch/internal/device"
+	"scotch/internal/flowtable"
 	"scotch/internal/netaddr"
 	"scotch/internal/packet"
 	"scotch/internal/sim"
@@ -386,23 +387,26 @@ func TestSchedulerPacesAtRate(t *testing.T) {
 	}
 }
 
+// TestKeyFromMatchRoundTrip checks that the rules Scotch installs with
+// flowtable.ExactMatch give their flow back through flowtable.KeyFromMatch,
+// which migration and the rule-applied trace point rely on.
 func TestKeyFromMatchRoundTrip(t *testing.T) {
 	k := netaddr.FlowKey{Src: netaddr.MakeIPv4(1, 2, 3, 4), Dst: netaddr.MakeIPv4(5, 6, 7, 8),
 		Proto: netaddr.ProtoTCP, SrcPort: 1000, DstPort: 80}
-	m := exactMatch(k)
-	back, ok := keyFromMatch(&m)
+	m := flowtable.ExactMatch(k)
+	back, ok := flowtable.KeyFromMatch(&m)
 	if !ok || back != k {
 		t.Fatalf("round trip = %+v ok=%v", back, ok)
 	}
 	ku := netaddr.FlowKey{Src: k.Src, Dst: k.Dst, Proto: netaddr.ProtoUDP, SrcPort: 53, DstPort: 53}
-	mu := exactMatch(ku)
-	backu, ok := keyFromMatch(&mu)
+	mu := flowtable.ExactMatch(ku)
+	backu, ok := flowtable.KeyFromMatch(&mu)
 	if !ok || backu != ku {
 		t.Fatalf("udp round trip = %+v", backu)
 	}
-	var empty = exactMatch(k)
+	var empty = flowtable.ExactMatch(k)
 	empty.Fields = 0
-	if _, ok := keyFromMatch(&empty); ok {
-		t.Fatal("keyFromMatch accepted a wildcard")
+	if _, ok := flowtable.KeyFromMatch(&empty); ok {
+		t.Fatal("KeyFromMatch accepted a wildcard")
 	}
 }

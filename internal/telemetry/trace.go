@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"scotch/internal/netaddr"
-	"scotch/internal/openflow"
 	"scotch/internal/sim"
 )
 
@@ -369,23 +368,4 @@ func (t *Tracer) WriteStageSummary(w io.Writer) {
 			float64(s.P99)/float64(time.Millisecond),
 			float64(s.Max)/float64(time.Millisecond))
 	}
-}
-
-// FlowKeyFromMatch recovers the 5-tuple from an exact-match rule — the
-// inverse of the controller apps' exact-match builders. ok is false for
-// wildcard matches (offload defaults, table-miss rules), which belong to no
-// single flow.
-func FlowKeyFromMatch(m *openflow.Match) (netaddr.FlowKey, bool) {
-	need := openflow.FieldIPv4Src | openflow.FieldIPv4Dst | openflow.FieldIPProto
-	if !m.Fields.Has(need) {
-		return netaddr.FlowKey{}, false
-	}
-	k := netaddr.FlowKey{Src: m.IPv4Src, Dst: m.IPv4Dst, Proto: m.IPProto}
-	switch {
-	case m.Fields.Has(openflow.FieldTCPSrc | openflow.FieldTCPDst):
-		k.SrcPort, k.DstPort = m.TCPSrc, m.TCPDst
-	case m.Fields.Has(openflow.FieldUDPSrc | openflow.FieldUDPDst):
-		k.SrcPort, k.DstPort = m.UDPSrc, m.UDPDst
-	}
-	return k, true
 }

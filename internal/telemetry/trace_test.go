@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"scotch/internal/flowtable"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
 	"scotch/internal/packet"
@@ -236,6 +237,9 @@ func TestWriteChromeTraceEmptyAndDisabled(t *testing.T) {
 	}
 }
 
+// TestFlowKeyFromMatch checks the key a switch records at the rule-applied
+// trace point: flowtable.KeyFromMatch gives an exact-match rule the same
+// flow key the tracer's other points use, and a wildcard rule none.
 func TestFlowKeyFromMatch(t *testing.T) {
 	key := testKey(1)
 	m := &openflow.Match{
@@ -247,12 +251,12 @@ func TestFlowKeyFromMatch(t *testing.T) {
 		TCPSrc:  key.SrcPort,
 		TCPDst:  key.DstPort,
 	}
-	got, ok := FlowKeyFromMatch(m)
+	got, ok := flowtable.KeyFromMatch(m)
 	if !ok || got != key {
 		t.Fatalf("got %v ok=%v, want %v", got, ok, key)
 	}
 	// Wildcard match (no 5-tuple) belongs to no flow.
-	if _, ok := FlowKeyFromMatch(&openflow.Match{}); ok {
+	if _, ok := flowtable.KeyFromMatch(&openflow.Match{}); ok {
 		t.Fatal("wildcard match produced a key")
 	}
 }
