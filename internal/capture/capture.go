@@ -1,6 +1,8 @@
 package capture
 
 import (
+	"slices"
+
 	"scotch/internal/device"
 	"scotch/internal/metrics"
 	"scotch/internal/netaddr"
@@ -32,20 +34,26 @@ func (f *FlowRecord) Completed() bool {
 	return f.PacketsSent > 0 && f.PacketsRecv >= f.PacketsSent && f.PacketsSent >= f.Expected
 }
 
+// flowBlock is the capacity of one block of flow records.
+const flowBlock = 256
+
 // Capture aggregates flow records for one experiment.
 type Capture struct {
 	eng sim.Proc
-	// flows indexes records by flow ID: IDs are dense (1, 2, 3, ...), so
-	// record i lives at flows[i-1]. arena is the current allocation block
-	// records are carved from, so registering a flow costs one heap
-	// allocation per block of flows rather than one per flow.
-	flows []*FlowRecord
-	arena []FlowRecord
+	// blocks holds the records in creation order, flowBlock to a block.
+	// A block is allocated at full capacity and never grows, so record
+	// pointers stay valid, and registering a flow costs one heap
+	// allocation per block rather than one per flow. IDs are dense
+	// (1, 2, 3, ...), so record id lives at
+	// blocks[(id-1)/flowBlock][(id-1)%flowBlock].
+	blocks [][]FlowRecord
 	// byKey holds the newest flow of each key until all its expected
 	// packets have arrived, for packets that lost their FlowID (lookup).
-	byKey   map[netaddr.FlowKey]*FlowRecord
-	latency map[string]*metrics.Histogram // per-class one-way packet delay
-	nextID  uint64
+	byKey map[netaddr.FlowKey]*FlowRecord
+	// latency counts each class's one-way packet delays by exact value.
+	// Delays are integer nanoseconds on a deterministic fabric and repeat,
+	// so a run of millions of packets holds a few hundred keys.
+	latency map[string]map[sim.Time]uint64
 
 	// OnFirstDelivery, when set, fires once per flow at the moment its
 	// first packet is delivered — the flow-setup completion event the
@@ -59,21 +67,22 @@ func New(eng sim.Proc) *Capture {
 	return &Capture{
 		eng:     eng,
 		byKey:   make(map[netaddr.FlowKey]*FlowRecord),
-		latency: make(map[string]*metrics.Histogram),
+		latency: make(map[string]map[sim.Time]uint64),
 	}
 }
 
 // NewFlow registers a flow about to be sent and returns its record. The
 // returned record's ID must be stamped into packet Meta.FlowID.
 func (c *Capture) NewFlow(key netaddr.FlowKey, class string, expected int) *FlowRecord {
-	c.nextID++
-	if len(c.arena) == 0 {
-		c.arena = make([]FlowRecord, 256)
+	n := len(c.blocks)
+	if n == 0 || len(c.blocks[n-1]) == flowBlock {
+		c.blocks = append(c.blocks, make([]FlowRecord, 0, flowBlock))
+		n++
 	}
-	f := &c.arena[0]
-	c.arena = c.arena[1:]
-	*f = FlowRecord{ID: c.nextID, Key: key, Class: class, Expected: expected, FirstSent: c.eng.Now()}
-	c.flows = append(c.flows, f)
+	b := &c.blocks[n-1]
+	id := uint64((n-1)*flowBlock + len(*b) + 1)
+	*b = append(*b, FlowRecord{ID: id, Key: key, Class: class, Expected: expected, FirstSent: c.eng.Now()})
+	f := &(*b)[len(*b)-1]
 	c.byKey[key] = f
 	return f
 }
@@ -93,8 +102,12 @@ func (c *Capture) RecordSend(pkt *packet.Packet) {
 // packets that crossed a Packet-In/Packet-Out wire round trip lose their
 // simulation metadata, so the 5-tuple is the fallback identity.
 func (c *Capture) lookup(pkt *packet.Packet) *FlowRecord {
-	if id := pkt.Meta.FlowID; id >= 1 && id <= uint64(len(c.flows)) {
-		return c.flows[id-1]
+	if id := pkt.Meta.FlowID; id >= 1 {
+		if i := (id - 1) / flowBlock; i < uint64(len(c.blocks)) {
+			if b, j := c.blocks[i], (id-1)%flowBlock; j < uint64(len(b)) {
+				return &b[j]
+			}
+		}
 	}
 	return c.byKey[pkt.FlowKey()]
 }
@@ -115,24 +128,36 @@ func (c *Capture) RecordRecv(pkt *packet.Packet, now sim.Time) {
 			delete(c.byKey, f.Key) // complete: nothing more to attribute by key
 		}
 		if pkt.Meta.SentAt > 0 {
-			h := c.latency[f.Class]
-			if h == nil {
-				h = &metrics.Histogram{}
-				c.latency[f.Class] = h
+			counts := c.latency[f.Class]
+			if counts == nil {
+				counts = make(map[sim.Time]uint64)
+				c.latency[f.Class] = counts
 			}
-			h.AddDuration(now - pkt.Meta.SentAt)
+			counts[now-pkt.Meta.SentAt]++
 		}
 	}
 }
 
 // PacketLatency returns the one-way packet delay distribution (seconds)
 // observed for a class. Packets that crossed a Packet-In/Packet-Out round
-// trip lose their send timestamp and are not included.
+// trip lose their send timestamp and are not included. The histogram is
+// built at the time of the call from the capture's exact per-delay counts,
+// in ascending delay order, and is the caller's own: its snapshot and
+// quantiles equal those of one fed every delay as it arrived.
 func (c *Capture) PacketLatency(class string) *metrics.Histogram {
-	if h := c.latency[class]; h != nil {
-		return h
+	counts := c.latency[class]
+	delays := make([]sim.Time, 0, len(counts))
+	for d := range counts {
+		delays = append(delays, d)
 	}
-	return &metrics.Histogram{}
+	slices.Sort(delays)
+	var h metrics.Histogram
+	for _, d := range delays {
+		for n := counts[d]; n > 0; n-- {
+			h.AddDuration(d)
+		}
+	}
+	return &h
 }
 
 // Attach hooks the capture into a host's receive path, chaining any
@@ -151,11 +176,12 @@ func (c *Capture) Attach(h *device.Host) {
 // Aggregates must not inherit map iteration order: histogram fills and
 // float sums would differ between byte-identical reruns.
 func (c *Capture) eachFlow(class string, fn func(*FlowRecord)) {
-	for _, f := range c.flows {
-		if class != "" && f.Class != class {
-			continue
+	for _, b := range c.blocks {
+		for i := range b {
+			if f := &b[i]; class == "" || f.Class == class {
+				fn(f)
+			}
 		}
-		fn(f)
 	}
 }
 

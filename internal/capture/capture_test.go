@@ -1,10 +1,13 @@
 package capture
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"scotch/internal/device"
+	"scotch/internal/metrics"
 	"scotch/internal/netaddr"
 	"scotch/internal/packet"
 	"scotch/internal/sim"
@@ -159,8 +162,8 @@ func TestFCTAndLatency(t *testing.T) {
 	c.RecordRecv(p2, 10*time.Millisecond)
 
 	fct := c.FCT("client")
-	if fct.Count() != 1 {
-		t.Fatalf("fct count = %d", fct.Count())
+	if n := len(fct.Snapshot()); n != 1 {
+		t.Fatalf("fct count = %d", n)
 	}
 	if got := fct.Quantile(0.5); got < 0.009 || got > 0.011 {
 		t.Fatalf("fct = %v, want ~10ms", got)
@@ -170,13 +173,13 @@ func TestFCTAndLatency(t *testing.T) {
 		t.Fatalf("first packet latency = %v, want ~2ms", got)
 	}
 	lat := c.PacketLatency("client")
-	if lat.Count() != 1 { // only p2 carried SentAt
-		t.Fatalf("latency samples = %d", lat.Count())
+	if n := len(lat.Snapshot()); n != 1 { // only p2 carried SentAt
+		t.Fatalf("latency samples = %d", n)
 	}
 	if got := lat.Quantile(0.5); got < 0.0019 || got > 0.0021 {
 		t.Fatalf("packet latency = %v, want ~2ms", got)
 	}
-	if c.PacketLatency("empty").Count() != 0 {
+	if len(c.PacketLatency("empty").Snapshot()) != 0 {
 		t.Fatal("unknown class latency not empty")
 	}
 }
@@ -217,5 +220,118 @@ func TestFlowsByClass(t *testing.T) {
 	}
 	if got := len(c.Flows("")); got != 3 {
 		t.Fatalf("all flows = %d", got)
+	}
+}
+
+// TestPacketLatencyMatchesSampleHistogram: the histogram PacketLatency
+// builds from the per-delay counts reads exactly what a histogram fed
+// every delay in arrival order reads.
+func TestPacketLatencyMatchesSampleHistogram(t *testing.T) {
+	c := New(sim.New(1))
+	rng := rand.New(rand.NewSource(3))
+	common := []sim.Time{40 * time.Microsecond, 456215 * time.Nanosecond, 469644 * time.Nanosecond, time.Millisecond}
+	want := map[string]*metrics.Histogram{"a": {}, "b": {}}
+	var pkts []*packet.Packet
+	for port, class := range []string{"a", "b", "a"} {
+		f := c.NewFlow(key(uint16(port+1)), class, math.MaxInt)
+		p := packet.NewTCP(srcIP, dstIP, uint16(port+1), 80, 0)
+		p.Meta.FlowID = f.ID
+		pkts = append(pkts, p)
+	}
+	now := time.Second // every packet carries a send time
+	for i := 0; i < 5000; i++ {
+		p := pkts[rng.Intn(len(pkts))]
+		d := common[rng.Intn(len(common))]
+		if i%997 == 0 { // a few delays seen once
+			d = sim.Time(1 + rng.Int63n(int64(5*time.Millisecond)))
+		}
+		now += sim.Time(1 + rng.Intn(1000))
+		p.Meta.SentAt = now - d
+		c.RecordRecv(p, now)
+		want[c.lookup(p).Class].AddDuration(d)
+	}
+	want["never"] = &metrics.Histogram{}
+	for class, ref := range want {
+		got := c.PacketLatency(class)
+		gs, rs := got.Snapshot(), ref.Snapshot()
+		if len(gs) != len(rs) {
+			t.Fatalf("class %q: count %d, want %d", class, len(gs), len(rs))
+		}
+		for i := range rs {
+			if math.Float64bits(gs[i]) != math.Float64bits(rs[i]) {
+				t.Fatalf("class %q: snapshot[%d] = %v, want %v", class, i, gs[i], rs[i])
+			}
+		}
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			if g, r := got.Quantile(q), ref.Quantile(q); math.Float64bits(g) != math.Float64bits(r) {
+				t.Fatalf("class %q: q%v = %v, want %v", class, q, g, r)
+			}
+		}
+	}
+}
+
+// TestRecordRecvSeenDelayAllocatesNothing: once a delay has been counted,
+// delivering another packet with it costs no allocation.
+func TestRecordRecvSeenDelayAllocatesNothing(t *testing.T) {
+	c := New(sim.New(1))
+	f := c.NewFlow(key(1), "client", math.MaxInt)
+	p := packet.NewTCP(srcIP, dstIP, 1, 80, 0)
+	p.Meta.FlowID, p.Meta.SentAt = f.ID, time.Microsecond
+	c.RecordRecv(p, time.Millisecond)
+	if n := testing.AllocsPerRun(1000, func() { c.RecordRecv(p, time.Millisecond) }); n != 0 {
+		t.Fatalf("RecordRecv allocates %v per packet, want 0", n)
+	}
+}
+
+// TestFlowBlocks: records resolve by ID and by key across block edges,
+// keep creation order, and never move once NewFlow has returned them.
+func TestFlowBlocks(t *testing.T) {
+	c := New(sim.New(1))
+	first := c.NewFlow(key(1), "client", math.MaxInt)
+	for port := 2; port <= 1001; port++ {
+		c.NewFlow(key(uint16(port)), "client", math.MaxInt)
+	}
+	for _, id := range []uint64{255, 256, 257, 513} {
+		byID := packet.NewTCP(srcIP, dstIP, 60000, 80, 0) // a 5-tuple no flow has
+		byID.Meta.FlowID = id
+		byKey := packet.NewTCP(srcIP, dstIP, uint16(id), 80, 0)
+		for _, p := range []*packet.Packet{byID, byKey} {
+			if f := c.lookup(p); f == nil || f.ID != id || f.Key != key(uint16(id)) {
+				t.Fatalf("flow %d (packet FlowID %d) resolved to %+v", id, p.Meta.FlowID, f)
+			}
+		}
+	}
+	beyond := packet.NewTCP(srcIP, dstIP, 60000, 80, 0)
+	beyond.Meta.FlowID = 1002
+	if f := c.lookup(beyond); f != nil {
+		t.Fatalf("unregistered FlowID 1002 resolved to flow %d", f.ID)
+	}
+	all := c.Flows("")
+	if len(all) != 1001 {
+		t.Fatalf("Flows(\"\") holds %d records, want 1001", len(all))
+	}
+	for i, f := range all {
+		if f.ID != uint64(i+1) {
+			t.Fatalf("Flows(\"\")[%d] is flow %d", i, f.ID)
+		}
+	}
+	p := packet.NewTCP(srcIP, dstIP, 1, 80, 0)
+	p.Meta.FlowID = first.ID
+	c.RecordRecv(p, time.Millisecond)
+	if first.PacketsRecv != 1 {
+		t.Fatalf("the record NewFlow returned counts %d packets, want 1", first.PacketsRecv)
+	}
+}
+
+func BenchmarkRecordRecv(b *testing.B) {
+	c := New(sim.New(1))
+	f := c.NewFlow(key(1), "client", math.MaxInt)
+	p := packet.NewTCP(srcIP, dstIP, 1, 80, 0)
+	p.Meta.FlowID, p.Meta.SentAt = f.ID, time.Microsecond
+	c.RecordRecv(p, time.Millisecond) // the class and its delay are seen
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.RecordRecv(p, time.Millisecond)
 	}
 }

@@ -12,12 +12,11 @@ import (
 // currently rides the Scotch overlay. A migration recomputes the flow's
 // middlebox path from the policy (§5.4).
 type FlowInfo struct {
-	Key         netaddr.FlowKey
-	FirstHop    uint64 // datapath id of the first physical switch
-	IngressPort uint32 // ingress port at the first-hop switch
-
-	OnOverlay      bool   // currently forwarded over the vSwitch mesh
+	Key            netaddr.FlowKey
+	FirstHop       uint64 // datapath id of the first physical switch
 	OverlayVSwitch uint64 // mesh vSwitch handling the flow
+	IngressPort    uint32 // ingress port at the first-hop switch
+	OnOverlay      bool   // currently forwarded over the vSwitch mesh
 	Migrated       bool   // moved to a physical path by the migrator
 }
 

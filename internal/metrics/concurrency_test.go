@@ -102,8 +102,8 @@ func TestHistogramConcurrentQuantile(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if h.Count() != 5000 {
-		t.Fatalf("count = %d", h.Count())
+	if n := len(h.Snapshot()); n != 5000 {
+		t.Fatalf("count = %d", n)
 	}
 }
 

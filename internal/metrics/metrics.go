@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -103,27 +102,6 @@ func (h *Histogram) Add(v float64) {
 // AddDuration records a duration sample in seconds.
 func (h *Histogram) AddDuration(d time.Duration) { h.Add(d.Seconds()) }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// Mean returns the sample mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range h.samples {
-		s += v
-	}
-	return s / float64(len(h.samples))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1), or 0 with no samples.
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
@@ -167,10 +145,4 @@ func quantileSorted(samples []float64, q float64) float64 {
 		return samples[i]
 	}
 	return samples[i]*(1-frac) + samples[i+1]*frac
-}
-
-// String summarizes the distribution.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.6f p50=%.6f p99=%.6f",
-		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99))
 }
