@@ -68,7 +68,8 @@ golden:
 # data-plane packet and finished emitter box is overwritten instead of
 # pooled, so anything that keeps a frame, a decoded message or a packet past
 # its callback without copying shifts a golden output or fails a package
-# test. The flowtable tests check the table's reused Expire result.
+# test. A flow table overwrites each rule it retires before reusing it; the
+# flowtable tests check its reused results and recycled rules.
 golden-poison:
 	$(GO) test -tags scotchpoison ./internal/experiments -run 'Golden'
 	$(GO) test -tags scotchpoison ./internal/sim ./internal/flowtable ./internal/device ./internal/controller ./internal/scotch ./internal/cluster ./internal/packet ./internal/workload ./internal/devolve ./internal/ofnet

@@ -281,43 +281,44 @@ func TestTableFullError(t *testing.T) {
 	}
 }
 
-// TestRefusedInsertKeepsArenaSlot pins that a FlowMod refused for a full
-// table does not use up a rule-arena slot: on a saturated edge switch most
-// FlowMods are refused, and abandoned slots would leave each arena block
-// pinned by a fraction of the rules it could hold.
-func TestRefusedInsertKeepsArenaSlot(t *testing.T) {
+// TestRefusedInsertReturnsRule pins that a FlowMod refused for a full
+// table hands its rule back to the table: on a saturated edge switch most
+// FlowMods are refused, and each would otherwise cost a rule. The rule a
+// replace retires is refused 200 times over and then installed by the
+// next replace.
+func TestRefusedInsertReturnsRule(t *testing.T) {
 	eng := sim.New(1)
 	prof := fastProfile()
 	prof.TableCapacity = 3
 	sw := NewSwitch(eng, "s1", 1, prof)
-	add := func(i int) {
+	add := func(i int, out uint32) {
 		send(t, sw, &openflow.FlowMod{
 			Command: openflow.FlowAdd, Priority: 100,
-			Match: openflow.Match{Fields: openflow.FieldIPv4Src, IPv4Src: netaddr.IPv4(i)},
+			Match:        openflow.Match{Fields: openflow.FieldIPv4Src, IPv4Src: netaddr.IPv4(i)},
+			Instructions: openflow.Apply1(openflow.OutputAction(out)),
 		})
 	}
 	for i := 1; i <= 3; i++ {
-		add(i)
+		add(i, 1)
 	}
 	eng.RunUntil(100 * time.Millisecond)
-	free := len(sw.ruleArena)
+	tbl := sw.Pipeline.Table(0)
+	third := tbl.Rules()[2]
+	add(3, 2) // replaces rule 3, retiring its storage
 	for i := 10; i < 210; i++ {
-		add(i)
+		add(i, 1)
 	}
 	eng.RunUntil(time.Second)
 	if sw.Stats.TableFull != 200 {
 		t.Fatalf("table-full count = %d, want 200", sw.Stats.TableFull)
 	}
-	if len(sw.ruleArena) != free {
-		t.Fatalf("200 refused inserts used %d arena slots", free-len(sw.ruleArena))
-	}
-	send(t, sw, &openflow.FlowMod{Command: openflow.FlowDeleteStrict, Priority: 100,
-		Match: openflow.Match{Fields: openflow.FieldIPv4Src, IPv4Src: 1}})
-	add(1000)
+	add(2, 5)
 	eng.RunUntil(2 * time.Second)
-	if sw.Stats.RulesInstalled != 4 || len(sw.ruleArena) != free-1 {
-		t.Fatalf("after a delete and an add: %d installed, %d arena slots used, want 4 and 1",
-			sw.Stats.RulesInstalled, free-len(sw.ruleArena))
+	if sw.Stats.RulesInstalled != 5 || tbl.Len() != 3 {
+		t.Fatalf("%d installed, %d rules; want 5 and 3", sw.Stats.RulesInstalled, tbl.Len())
+	}
+	if r := tbl.Rules()[1]; r != third || r.Match.IPv4Src != 2 || outPortOf(t, sw, 2) != 5 {
+		t.Fatalf("rule 2 was replaced by %p (src %v), want the retired rule 3's storage %p holding it", r, r.Match.IPv4Src, third)
 	}
 }
 

@@ -49,10 +49,10 @@ func outPortOf(t *testing.T, sw *Switch, src netaddr.IPv4) uint32 {
 
 // TestControlFlowModAllocFree pins the FlowMod free list and the reused
 // strict-delete result: on a warm switch, a FlowMod add and a strict
-// delete delivered through DeliverControl cost no allocation. The rule
-// and instruction arenas add one block per 128 installs, which rounds
-// away. It cost four when every FlowMod was decoded fresh (two for the
-// add, one for the delete) and Delete built its result slice.
+// delete delivered through DeliverControl cost no allocation, the add
+// taking the rule the delete before it retired. It cost four when every
+// FlowMod was decoded fresh (two for the add, one for the delete) and
+// Delete built its result slice.
 func TestControlFlowModAllocFree(t *testing.T) {
 	if sim.Poison {
 		t.Skip("a poison build zeroes recycled boxes, so decodes reallocate")
@@ -82,6 +82,53 @@ func TestControlFlowModAllocFree(t *testing.T) {
 	if sw.Stats.RulesInstalled != 1017 || sw.Stats.RulesDeleted != 1017 {
 		t.Fatalf("installed %d, deleted %d, want 1017 each",
 			sw.Stats.RulesInstalled, sw.Stats.RulesDeleted)
+	}
+}
+
+// TestRuleChurnAllocFree pins rule reuse on the idle-timeout path that
+// reactive rules take: on a warm switch, a steady cycle in which every
+// second a rule is added and one added earlier idles out, with its
+// flow-removed notice sent, costs no allocation. Each add takes the
+// storage of a rule the sweep retired; the exact map's right-size copy,
+// two allocations per ~65 expiries, rounds away. With a fresh rule per
+// add it cost one per cycle, and two with a fresh instruction block.
+func TestRuleChurnAllocFree(t *testing.T) {
+	if sim.Poison {
+		t.Skip("a poison build zeroes recycled boxes, so decodes reallocate")
+	}
+	if raceEnabled {
+		t.Skip("alloc counts are only meaningful without -race")
+	}
+	eng := sim.New(1)
+	sw := NewSwitch(eng, "s1", 1, fastProfile())
+	removed := 0
+	sw.SetController(func(_ uint64, b []byte) {
+		if typ, _ := openflow.PeekType(b); typ == openflow.TypeFlowRemoved {
+			removed++
+		}
+	})
+	var adds [8][]byte
+	for i := range adds {
+		key := netaddr.FlowKey{Src: ipA, Dst: ipB, Proto: netaddr.ProtoTCP, SrcPort: uint16(1000 + i), DstPort: 80}
+		adds[i] = frame(t, &openflow.FlowMod{Command: openflow.FlowAdd, Priority: 10, IdleTimeout: 1,
+			Flags: openflow.FlagSendFlowRem, Match: flowtable.ExactMatch(key),
+			Instructions: openflow.Apply1(openflow.OutputAction(2))})
+	}
+	n := 0
+	step := func() {
+		sw.DeliverControl(adds[n%len(adds)])
+		n++
+		eng.RunUntil(eng.Now() + time.Second)
+	}
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Fatalf("a rule added and one idled out cost %.2f allocations a cycle, want 0", avg)
+	}
+	if tbl := sw.Pipeline.Table(0); sw.Stats.RulesInstalled != 1017 || tbl.Len() > 2 || removed < 1000 {
+		t.Fatalf("installed %d, %d rules live, %d flow-removed notices; want 1017, at most 2, at least 1000",
+			sw.Stats.RulesInstalled, tbl.Len(), removed)
 	}
 }
 

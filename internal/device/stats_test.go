@@ -24,10 +24,12 @@ func requestStats(t *testing.T, sw *Switch, xid uint32) {
 }
 
 // TestFlowStatsReplyShowsRequestInstant: the parts are built when they
-// are delivered, CtrlDelay after the request arrived, yet a rule hit and
-// an idle expiry that land in between leave the reply as it was at the
-// arrival: the expired rule is still listed, and the hit rule's count and
-// age are the arrival's.
+// are delivered, CtrlDelay after the request arrived, yet what lands in
+// between leaves the reply as it was at the arrival. A rule hit, an idle
+// expiry, a replace and a new rule that takes the storage the expiry and
+// the replace freed all land there: the expired and the replaced rules are
+// still listed as they were, the new rule is not, and the hit rule's count
+// and age are the arrival's.
 func TestFlowStatsReplyShowsRequestInstant(t *testing.T) {
 	eng := sim.New(1)
 	prof := fastProfile()
@@ -53,34 +55,58 @@ func TestFlowStatsReplyShowsRequestInstant(t *testing.T) {
 
 	hit := openflow.Match{Fields: openflow.FieldIPv4Dst, IPv4Dst: ipB}
 	idle := openflow.Match{Fields: openflow.FieldIPv4Dst, IPv4Dst: netaddr.MakeIPv4(10, 9, 9, 9)}
+	repl := openflow.Match{Fields: openflow.FieldIPv4Dst, IPv4Dst: netaddr.MakeIPv4(10, 9, 9, 8)}
+	fresh := openflow.Match{Fields: openflow.FieldIPv4Dst, IPv4Dst: netaddr.MakeIPv4(10, 9, 9, 7)}
 	addFlow(t, sw, hit, 9, 2)
 	send(t, sw, &openflow.FlowMod{Command: openflow.FlowAdd, Priority: 8, Match: idle, IdleTimeout: 1})
+	send(t, sw, &openflow.FlowMod{Command: openflow.FlowAdd, Priority: 7, Match: repl, Cookie: 1})
 	eng.RunUntil(50 * time.Millisecond)
+	tbl := sw.Pipeline.Table(0)
+	idleRule, replRule := tbl.Rules()[1], tbl.Rules()[2]
+	replInstalled := replRule.Installed
 	for i := 0; i < 4; i++ {
 		h1.Send(packet.NewTCP(ipA, ipB, 1000, 80, 0))
 	}
 	// The request arrives at 1.995 s and its part at 2.005 s; the sweep
-	// at 2 s expires the idle rule, and a fifth packet hits at 2 s.
+	// at 2 s expires the idle rule, and a fifth packet hits at 2 s. At
+	// 2.001 s a replace of the repl rule takes the idle rule's storage,
+	// and at 2.002 s a new rule takes the replaced rule's.
 	arrival := 2*time.Second - 5*time.Millisecond
 	eng.At(arrival-prof.CtrlDelay, func() { requestStats(t, sw, 7) })
 	eng.At(2*time.Second, func() { h1.Send(packet.NewTCP(ipA, ipB, 1000, 80, 0)) })
+	eng.At(2*time.Second+time.Millisecond-prof.CtrlDelay, func() {
+		send(t, sw, &openflow.FlowMod{Command: openflow.FlowAdd, Priority: 7, Match: repl, Cookie: 2})
+	})
+	eng.At(2*time.Second+2*time.Millisecond-prof.CtrlDelay, func() {
+		send(t, sw, &openflow.FlowMod{Command: openflow.FlowAdd, Priority: 6, Match: fresh, Cookie: 3})
+	})
 	eng.RunUntil(3 * time.Second)
 
-	tbl := sw.Pipeline.Table(0)
-	if tbl.Len() != 1 || tbl.Rules()[0].Packets != 5 {
-		t.Fatalf("after the run: %d rules, the hit rule counted %d packets; want 1 and 5",
+	if tbl.Len() != 3 || tbl.Rules()[0].Packets != 5 {
+		t.Fatalf("after the run: %d rules, the hit rule counted %d packets; want 3 and 5",
 			tbl.Len(), tbl.Rules()[0].Packets)
 	}
-	if len(parts) != 1 || len(parts[0].Flows) != 2 {
-		t.Fatalf("got %d parts (%v), want one part listing both rules", len(parts), parts)
+	if r := tbl.Rules()[1]; r != idleRule || r.Match != repl || r.Cookie != 2 {
+		t.Fatalf("the replace is rule %p (cookie %d), want the expired rule's storage %p", r, r.Cookie, idleRule)
+	}
+	if r := tbl.Rules()[2]; r != replRule || r.Match != fresh {
+		t.Fatalf("the new rule is %p, want the replaced rule's storage %p", r, replRule)
+	}
+	if len(parts) != 1 || len(parts[0].Flows) != 3 {
+		t.Fatalf("got %d parts (%v), want one part listing three rules", len(parts), parts)
 	}
 	got := parts[0].Flows
-	if got[0].Match != hit || got[0].PacketCount != 4 || got[1].Match != idle || got[1].PacketCount != 0 {
-		t.Fatalf("reply lists %+v, want the hit rule with 4 packets, then the idle rule with 0", got)
+	if got[0].Match != hit || got[0].PacketCount != 4 ||
+		got[1].Match != idle || got[1].PacketCount != 0 || got[1].Priority != 8 ||
+		got[2].Match != repl || got[2].Cookie != 1 || got[2].Priority != 7 {
+		t.Fatalf("reply lists %+v, want the hit rule with 4 packets, the idle rule with 0, then the repl rule with cookie 1", got)
 	}
 	age := arrival - tbl.Rules()[0].Installed
 	if got[0].DurationSec != uint32(age/time.Second) || got[0].DurationNsec != uint32(age%time.Second) {
 		t.Fatalf("hit rule's age %d s %d ns, want %v (at the arrival)", got[0].DurationSec, got[0].DurationNsec, age)
+	}
+	if age := arrival - replInstalled; got[2].DurationSec != uint32(age/time.Second) || got[2].DurationNsec != uint32(age%time.Second) {
+		t.Fatalf("replaced rule's age %d s %d ns, want %v (at the arrival)", got[2].DurationSec, got[2].DurationNsec, age)
 	}
 }
 

@@ -50,7 +50,9 @@ type LocalAgent interface {
 }
 
 // Switch is a simulated OpenFlow switch: a data plane driven by a flow
-// table pipeline plus an OFA connecting it to the controller.
+// table pipeline plus an OFA connecting it to the controller. Its rules
+// come from Table.NewRule, so a rule's storage is reused once it idles
+// out, is deleted or replaced, after its flow-removed notice is sent.
 type Switch struct {
 	name    string
 	DPID    uint64
@@ -64,16 +66,6 @@ type Switch struct {
 	pktInSrv    *sim.Server[dataItem]
 	ruleSrv     *sim.Server[ruleItem]
 	insertMeter *metrics.RateMeter
-	// ruleArena is the block new flow rules are carved from: one heap
-	// allocation per block of installs instead of one per rule. Slots of
-	// replaced or expired rules are not reused — acceptable at rule sizes,
-	// and it keeps removed-rule references (flow-removed notifications,
-	// stats snapshots) valid without lifetime tracking.
-	ruleArena []flowtable.Rule
-	// insArena is the block the one-action instruction lists of rules
-	// installed from decoded FlowMods are carved from, on the same terms
-	// as ruleArena (see keepInstructions).
-	insArena []apply1
 
 	// conns are the switch's controller connections in attach order. Each
 	// has an OpenFlow role: asynchronous messages (Packet-In, Flow-Removed,
@@ -587,7 +579,7 @@ type rxScratch struct {
 // its request only during the call. A FlowMod goes into a box from
 // fmFree, which rides the OFA queue and is put back once the rule stage
 // or the queue's drop is done with it (doneWith); the rule copies the
-// instructions it keeps (keepInstructions). Any other message is decoded
+// instructions it keeps (Rule.SetFlowMod). Any other message is decoded
 // fresh. On an error the message is returned as well, so a FlowMod's box
 // can go back.
 func (sw *Switch) decode(b []byte) (openflow.Message, uint32, error) {
@@ -749,36 +741,12 @@ func (sw *Switch) applyRule(it ruleItem) {
 	}
 	switch m.Command {
 	case openflow.FlowAdd, openflow.FlowModify:
-		if len(sw.ruleArena) == 0 {
-			sw.ruleArena = make([]flowtable.Rule, 128)
-		}
-		// The slots are consumed only once the table keeps the rule: a
-		// refused insert holds no reference to them, and the next FlowMod
-		// overwrites them. The copy is set before Insert, since a replace
-		// swaps the new rule into the old one's place.
-		ins, carved := m.Instructions, false
-		if it.own {
-			ins, carved = sw.keepInstructions(m.Instructions)
-		}
-		rule := &sw.ruleArena[0]
-		*rule = flowtable.Rule{
-			Priority:     m.Priority,
-			Match:        m.Match,
-			Instructions: ins,
-			IdleTimeout:  time.Duration(m.IdleTimeout) * time.Second,
-			HardTimeout:  time.Duration(m.HardTimeout) * time.Second,
-			Cookie:       m.Cookie,
-			Flags:        m.Flags,
-			Installed:    now,
-		}
+		rule := tbl.NewRule()
+		rule.SetFlowMod(m, now)
 		if err := tbl.Insert(rule); err != nil {
 			sw.Stats.TableFull++
 			sw.sendError(it.conn, openflow.ErrTypeFlowModFailed, openflow.ErrCodeTableFull, it.xid)
 			return
-		}
-		sw.ruleArena = sw.ruleArena[1:]
-		if carved {
-			sw.insArena = sw.insArena[1:]
 		}
 		sw.Stats.RulesInstalled++
 		if sw.trace != nil {
@@ -801,30 +769,6 @@ func (sw *Switch) applyRule(it ruleItem) {
 	}
 }
 
-// apply1 is one rule's copy of the openflow.Apply1 instruction shape.
-type apply1 struct {
-	inst [1]openflow.Instruction
-	act  [1]openflow.Action
-}
-
-// keepInstructions copies the instructions of a FlowMod decoded into a
-// reused box, for the rule that keeps them. The Apply1 shape, nearly
-// every rule, is carved from insArena's next slot; carved reports it, and
-// the caller consumes the slot only once the table keeps the rule. Any
-// other shape is cloned.
-func (sw *Switch) keepInstructions(ins []openflow.Instruction) (kept []openflow.Instruction, carved bool) {
-	if !openflow.IsApply1(ins) {
-		return openflow.CloneInstructions(ins), false
-	}
-	if len(sw.insArena) == 0 {
-		sw.insArena = make([]apply1, 128)
-	}
-	s := &sw.insArena[0]
-	s.act[0] = ins[0].Actions[0]
-	s.inst[0] = openflow.Instruction{Type: openflow.InstrApplyActions, Actions: s.act[:]}
-	return s.inst[:], true
-}
-
 // updateRuleRate switches the OFA between its loss-free and overloaded
 // insertion regimes depending on backlog (see Profile).
 func (sw *Switch) updateRuleRate() {
@@ -842,10 +786,6 @@ func (sw *Switch) sweepExpired() {
 		for i, r := range rules {
 			sw.notifyRemoved(r, reasons[i], now)
 		}
-		// The table keeps the slice for its next sweep: empty it now, or
-		// these rules (and the arena blocks they sit in) stay reachable
-		// until then.
-		clear(rules)
 	}
 }
 

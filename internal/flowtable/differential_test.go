@@ -3,7 +3,9 @@ package flowtable
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
@@ -116,28 +118,77 @@ func opProbes() []*packet.Packet {
 // runTableOps plays the script in b against a Table and the reference
 // linear table side by side and fails at the first step after which they
 // differ: in an insert's error, in Len, in Rules() order, in the Lookup
-// winner of any probe on either in_port, or in the rules a delete or an
-// expiry removed and their reasons. Each table gets its own copy of every
-// rule; a rule's Cookie names it across the two.
+// winner of any probe on either in_port or the actions it carries, in the
+// rules a delete or an expiry removed and their reasons, or in a
+// flow-stats snapshot filled some steps after it was taken. Each table
+// gets its own copy of every rule; a rule's Cookie names it across the
+// two. The reference keeps rules the script allocates; the Table gets
+// some of those and some of its own from NewRule, which it recycles, so
+// a replace, a delete, an expiry or a refused insert at capacity hands
+// storage to a later rule while the reference's never moves.
 func runTableOps(t *testing.T, b []byte) {
 	s := &opStream{b: b}
 	capacity := []int{0, 8, 24}[s.pick(3)]
 	tbl := &Table{Capacity: capacity}
 	ref := &refTable{Capacity: capacity}
+	pl := &Pipeline{Tables: []*Table{tbl}}
 	probes := opProbes()
 	var clock sim.Time
 	var cookie uint64
 
+	// A rule's actions name its cookie: the one-action shape, which an
+	// owned rule keeps inline, or for every fourth rule a two-action list.
+	actions := func(c uint64) []openflow.Instruction {
+		if c%4 == 0 {
+			return []openflow.Instruction{openflow.ApplyActions(openflow.PushMPLSAction(5), openflow.OutputAction(uint32(c)))}
+		}
+		return openflow.Apply1(openflow.OutputAction(uint32(c)))
+	}
 	insert := func(step int, m openflow.Match, prio uint16) {
 		cookie++
 		idle, hard := secs(s.pick(4)), secs(2*s.pick(3))
-		mk := func() *Rule {
-			return &Rule{Priority: prio, Match: m, Cookie: cookie,
-				IdleTimeout: idle, HardTimeout: hard, Installed: clock}
+		fill := func(r *Rule) *Rule {
+			r.Priority, r.Match, r.Cookie = prio, m, cookie
+			r.IdleTimeout, r.HardTimeout, r.Installed = idle, hard, clock
+			return r
 		}
-		if got, want := tbl.Insert(mk()), ref.Insert(mk()); got != want {
+		mine := &Rule{Instructions: actions(cookie)}
+		if s.pick(2) == 0 {
+			mine = tbl.NewRule()
+			if mine.Cookie != 0 || mine.Packets != 0 || mine.Instructions != nil || mine.next != nil || !mine.owned {
+				t.Fatalf("step %d: NewRule returned an uncleared rule: %+v", step, mine)
+			}
+			mine.setInstructions(actions(cookie))
+		}
+		if got, want := tbl.Insert(fill(mine)), ref.Insert(fill(&Rule{})); got != want {
 			t.Fatalf("step %d: insert %v prio %d: error %v, reference %v", step, &m, prio, got, want)
 		}
+	}
+	// snap is a flow-stats snapshot of tbl in flight, and want the entries
+	// the reference held when it was taken.
+	var snap StatsSnapshot
+	var part openflow.MultipartReply
+	var want []openflow.FlowStats
+	pending := false
+	takeSnapshot := func() {
+		pl.SnapshotStats(&openflow.FlowStatsRequest{TableID: 0xff}, clock, &snap)
+		want = want[:0]
+		for _, r := range ref.Rules() {
+			age := clock - r.Installed
+			want = append(want, openflow.FlowStats{DurationSec: uint32(age / time.Second),
+				DurationNsec: uint32(age % time.Second), Priority: r.Priority, Cookie: r.Cookie,
+				PacketCount: r.Packets, ByteCount: r.Bytes, Match: r.Match})
+		}
+		pending = true
+	}
+	fillSnapshot := func(step int) {
+		if snap.FillPart(&part) || part.More {
+			t.Fatalf("step %d: a %d-entry snapshot made more than one part", step, len(want))
+		}
+		if !slices.Equal(part.Flows, want) {
+			t.Fatalf("step %d: snapshot filled as %+v, reference at the snapshot %+v", step, part.Flows, want)
+		}
+		pending = false
 	}
 	installed := func() *Rule {
 		if ref.Len() == 0 {
@@ -165,7 +216,7 @@ func runTableOps(t *testing.T, b []byte) {
 	}
 
 	for step := 0; len(s.b) > 0; step++ {
-		switch s.pick(8) {
+		switch s.pick(9) {
 		case 0, 1: // a new rule, or a replacement when one is Equal
 			insert(step, opMatch(s), uint16(1+s.pick(3)))
 		case 2: // replace an installed rule
@@ -199,6 +250,12 @@ func runTableOps(t *testing.T, b []byte) {
 			got, gotWhy := tbl.Expire(clock)
 			want, wantWhy := ref.Expire(clock)
 			sameRemoved(step, "expire", got, want, gotWhy, wantWhy)
+		case 8: // a flow-stats snapshot, filled at a later step
+			if pending {
+				fillSnapshot(step)
+			} else {
+				takeSnapshot()
+			}
 		}
 
 		if tbl.Len() != ref.Len() {
@@ -215,9 +272,43 @@ func runTableOps(t *testing.T, b []byte) {
 				if (got == nil) != (want == nil) || got != nil && got.Cookie != want.Cookie {
 					t.Fatalf("step %d: probe %d on port %d hits %s, reference %s", step, pi, inPort, ruleName(got), ruleName(want))
 				}
+				if got != nil && !slices.EqualFunc(got.Instructions, actions(got.Cookie), func(a, b openflow.Instruction) bool {
+					return a.Type == b.Type && slices.Equal(a.Actions, b.Actions)
+				}) {
+					t.Fatalf("step %d: probe %d hits %s carrying %+v", step, pi, ruleName(got), got.Instructions)
+				}
 			}
 		}
 		checkIndex(t, step, tbl)
+		checkStorage(t, step, tbl)
+	}
+	if pending {
+		fillSnapshot(-1)
+	}
+}
+
+// checkStorage checks that the table's rules, those it retired last and
+// its free list are disjoint, with no rule twice in any of them, and that
+// only rules from NewRule are free.
+func checkStorage(t *testing.T, step int, tbl *Table) {
+	seen := make(map[*Rule]string)
+	note := func(r *Rule, where string) {
+		if prev, ok := seen[r]; ok {
+			t.Fatalf("step %d: rule %p is both %s and %s", step, r, prev, where)
+		}
+		seen[r] = where
+	}
+	for _, r := range tbl.rules {
+		note(r, "installed")
+	}
+	for _, r := range tbl.retired {
+		note(r, "retired")
+	}
+	for _, r := range tbl.free {
+		if !r.owned {
+			t.Fatalf("step %d: a rule the table does not own is on its free list", step)
+		}
+		note(r, "free")
 	}
 }
 

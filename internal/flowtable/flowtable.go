@@ -17,9 +17,11 @@ import (
 // switch reports it to the controller as OFPFMFC_TABLE_FULL.
 var ErrTableFull = errors.New("flowtable: table full")
 
-// Rule is one installed flow entry.
+// Rule is one installed flow entry. The table recycles one from
+// Table.NewRule, never one a caller allocates itself.
 type Rule struct {
 	TableID      uint8
+	owned        bool // from NewRule: the table recycles it once retired
 	Priority     uint16
 	Flags        uint16
 	Match        openflow.Match
@@ -34,6 +36,32 @@ type Rule struct {
 
 	seq  uint64 // table insertion order, for FIFO tie-breaks within a priority
 	next *Rule  // next installed rule of the same exact flow key, in match order
+
+	// inst and act are setInstructions' room for the one-action shape.
+	inst [1]openflow.Instruction
+	act  [1]openflow.Action
+}
+
+// SetFlowMod fills r with the rule FlowMod m installs at time now, with
+// its own copy of m's instructions.
+func (r *Rule) SetFlowMod(m *openflow.FlowMod, now sim.Time) {
+	r.Priority, r.Flags, r.Match, r.Cookie, r.Installed = m.Priority, m.Flags, m.Match, m.Cookie, now
+	r.IdleTimeout = time.Duration(m.IdleTimeout) * time.Second
+	r.HardTimeout = time.Duration(m.HardTimeout) * time.Second
+	r.setInstructions(m.Instructions)
+}
+
+// setInstructions gives r its own copy of ins, sharing no storage with
+// it: the one-action apply shape (openflow.IsApply1), nearly every rule,
+// goes into the rule's inline room, and any other shape is cloned.
+func (r *Rule) setInstructions(ins []openflow.Instruction) {
+	if !openflow.IsApply1(ins) {
+		r.Instructions = openflow.CloneInstructions(ins)
+		return
+	}
+	r.act[0] = ins[0].Actions[0]
+	r.inst[0] = openflow.Instruction{Type: openflow.InstrApplyActions, Actions: r.act[:]}
+	r.Instructions = r.inst[:]
 }
 
 // Expired reports whether the rule has timed out at virtual time now and,
@@ -176,6 +204,12 @@ func KeyFromMatch(m *openflow.Match) (netaddr.FlowKey, bool) {
 // that winner. Insert and Delete touch one chain (or wild) plus one
 // binary-searched position in rules: no mutation scans or rebuilds the
 // table. Expire still walks rules once per sweep, to find what timed out.
+//
+// The table recycles the rules NewRule hands out. Each one it lets go of
+// (deleted, expired, refused or replaced) is retired: still readable, as
+// for a flow-removed notice, until the table's next mutating call (Insert,
+// Delete, Expire, NewRule), which puts it on the free list. Rule storage
+// thus follows the table's peak size, not the rules it ever held.
 type Table struct {
 	ID       uint8
 	Capacity int // maximum number of rules; 0 means unlimited
@@ -185,9 +219,52 @@ type Table struct {
 	exact   map[netaddr.FlowKey]*Rule // head of each flow key's exact-rule chain
 	wild    []*Rule                   // non-exact rules, in match order
 	removed int                       // keys deleted from exact since it was last copied
-	deleted []*Rule                   // Delete's result, reused by the next Delete
-	expired []*Rule                   // Expire's rules, reused by the next Expire
+	retired []*Rule                   // rules the last mutating call let go of; Delete's and Expire's result
+	free    []*Rule                   // retired owned rules, for NewRule
+	block   []Rule                    // rules NewRule has not handed out yet
 	reasons []uint8                   // Expire's reasons, reused by the next Expire
+}
+
+// NewRule returns a cleared rule for the caller to fill and Insert: the
+// last one the table retired, or else one carved from a block a quarter
+// of the table's size (4 to 128 rules). Never Insert a retired rule anew.
+func (t *Table) NewRule() *Rule {
+	t.recycle()
+	n := len(t.free)
+	if n == 0 {
+		if len(t.block) == 0 {
+			t.block = make([]Rule, min(128, max(4, len(t.rules)/4)))
+		}
+		r := &t.block[0]
+		t.block = t.block[1:]
+		r.owned = true
+		return r
+	}
+	r := t.free[n-1]
+	t.free = t.free[:n-1]
+	*r = Rule{owned: true}
+	return r
+}
+
+// recycle moves the owned rules the last mutating call retired onto the
+// free list and empties retired, so it pins no caller's rule. A Poison
+// build first overwrites each with 0xAB bytes where a holder would read
+// it, so one kept too long reads garbage, not a rule.
+func (t *Table) recycle() {
+	for _, r := range t.retired {
+		if !r.owned {
+			continue
+		}
+		if sim.Poison {
+			const ab = 0xABABABABABABABAB
+			*r = Rule{owned: true, TableID: 0xAB, Priority: 0xABAB, Cookie: ab, Packets: ab, Bytes: ab,
+				Match: openflow.Match{Fields: 0xABAB, IPv4Src: 0xABABABAB, IPv4Dst: 0xABABABAB}}
+			r.setInstructions([]openflow.Instruction{{Type: openflow.InstrApplyActions, Actions: []openflow.Action{{Type: 0xABAB, Port: 0xABABABAB}}}})
+		}
+		t.free = append(t.free, r)
+	}
+	clear(t.retired)
+	t.retired = t.retired[:0]
 }
 
 // Len returns the number of installed rules.
@@ -270,9 +347,10 @@ func (t *Table) find(m *openflow.Match, priority uint16) *Rule {
 
 // Insert adds a rule. A rule with an identical match and priority replaces
 // the existing entry in place (OpenFlow add semantics), keeping its
-// position, without consuming extra capacity. Returns ErrTableFull when at
-// capacity.
+// position, without consuming extra capacity; the replaced rule is
+// retired. Returns ErrTableFull when at capacity, retiring r.
 func (t *Table) Insert(r *Rule) error {
+	t.recycle()
 	r.TableID = t.ID
 	if old := t.find(&r.Match, r.Priority); old != nil {
 		r.seq = old.seq
@@ -286,9 +364,13 @@ func (t *Table) Insert(r *Rule) error {
 		} else {
 			t.wild[position(t.wild, old)] = r
 		}
+		if old != r {
+			t.retired = append(t.retired, old)
+		}
 		return nil
 	}
 	if t.Capacity > 0 && len(t.rules) >= t.Capacity {
+		t.retired = append(t.retired, r)
 		return ErrTableFull
 	}
 	t.seq++
@@ -429,13 +511,12 @@ func (t *Table) Lookup(p *packet.Packet, inPort uint32) *Rule {
 // delete also removes rules more specific than m; taking only the equal
 // ones is a deliberate simplification (no caller sends a non-strict
 // delete; DESIGN.md §7). Removed rules are returned in match order so the
-// switch can emit flow-removed notifications. The returned slice is the
-// table's own, reused by its next Delete: it is valid until the table's
-// next mutating call (Insert, Delete, Expire), and a caller that needs
-// the rules longer copies it.
+// switch can emit flow-removed notifications. They are retired, and the
+// slice is the table's own, which callers do not modify: both stay valid
+// until the table's next mutating call (Insert, Delete, Expire, NewRule).
 func (t *Table) Delete(m *openflow.Match, priority uint16, strict bool) []*Rule {
-	clear(t.deleted) // a slot past this call's result pins no rule
-	removed := t.deleted[:0]
+	t.recycle()
+	removed := t.retired
 	switch key, exact := exactKey(m); {
 	case strict:
 		if r := t.find(m, priority); r != nil {
@@ -458,18 +539,17 @@ func (t *Table) Delete(m *openflow.Match, priority uint16, strict bool) []*Rule 
 		t.remove(r)
 	}
 	t.rightSize()
-	t.deleted = removed
+	t.retired = removed
 	return removed
 }
 
 // Expire removes timed-out rules at virtual time now, returning them
-// paired with their removal reasons. Both slices are the table's own,
-// reused by its next Expire: they are valid until then, and a caller that
-// needs the rules longer copies them (one that is done with them early
-// can clear the rules slice, so it pins none of them until that Expire).
+// paired with their removal reasons. The rules are retired, and both
+// slices are the table's own, which callers do not modify: all stay valid
+// until the table's next mutating call (Insert, Delete, Expire, NewRule).
 func (t *Table) Expire(now sim.Time) ([]*Rule, []uint8) {
-	clear(t.expired) // a slot past this call's result pins no rule
-	rules := t.expired[:0]
+	t.recycle()
+	rules := t.retired
 	reasons := t.reasons[:0]
 	wild := false
 	keep := t.rules[:0]
@@ -493,7 +573,7 @@ func (t *Table) Expire(now sim.Time) ([]*Rule, []uint8) {
 		})
 	}
 	t.rightSize()
-	t.expired, t.reasons = rules, reasons
+	t.retired, t.reasons = rules, reasons
 	return rules, reasons
 }
 
@@ -587,34 +667,25 @@ type Pipeline struct {
 // inside OpenFlow's 64 kB limit.
 const StatsPartLen = 400
 
-// statsEntry is one selected rule as a flow-stats request found it: its
-// counters copied, and the rule itself for the fields that never change
-// once it is installed (table, priority, cookie, match, install time).
-type statsEntry struct {
-	rule           *Rule
-	packets, bytes uint64
-}
-
 // StatsSnapshot is a flow-stats reply as of the instant its request was
-// served: 24 bytes per selected rule, against ~96 for the marshalled
-// entry. Pipeline.SnapshotStats takes it and FillPart turns it into reply
-// parts, one call per part, so a part can be built when it is delivered
-// and the rule walk still reads the table at the request's instant. A
-// rule replaced, deleted or expired in between is still reported as it
-// was, since rule storage is never reused for another rule (device's
-// ruleArena). The zero value is an empty snapshot, ready to be reused.
+// served: the reply entry of every selected rule, 96 bytes each.
+// Pipeline.SnapshotStats takes it and FillPart turns it into reply parts,
+// one call per part, so a part can be built when it is delivered and the
+// rule walk still reads the table at the request's instant. The snapshot
+// keeps no rule, so a rule replaced, deleted or expired in between, and
+// one whose storage a new rule has taken since, is still reported as it
+// was. The zero value is an empty snapshot, ready to be reused.
 type StatsSnapshot struct {
-	at      sim.Time
-	entries []statsEntry
+	entries []openflow.FlowStats
 	next    int // first entry of the next part
 }
 
 // SnapshotStats resets s to the rules req selects — those of table
 // req.TableID (every table for 0xff) whose match equals req.Match when it
-// has fields — in table order, with their counters at virtual time now.
+// has fields — in table order, with their counters and ages at virtual
+// time now.
 func (pl *Pipeline) SnapshotStats(req *openflow.FlowStatsRequest, now sim.Time, s *StatsSnapshot) {
-	s.at, s.next = now, 0
-	s.entries = s.entries[:0]
+	s.entries, s.next = s.entries[:0], 0
 	for _, tbl := range pl.Tables {
 		if req.TableID != 0xff && tbl.ID != req.TableID {
 			continue
@@ -623,7 +694,17 @@ func (pl *Pipeline) SnapshotStats(req *openflow.FlowStatsRequest, now sim.Time, 
 			if req.Match.Fields != 0 && !req.Match.Equal(&r.Match) {
 				continue
 			}
-			s.entries = append(s.entries, statsEntry{rule: r, packets: r.Packets, bytes: r.Bytes})
+			age := now - r.Installed
+			s.entries = append(s.entries, openflow.FlowStats{
+				TableID:      r.TableID,
+				DurationSec:  uint32(age / time.Second),
+				DurationNsec: uint32(age % time.Second),
+				Priority:     r.Priority,
+				Cookie:       r.Cookie,
+				PacketCount:  r.Packets,
+				ByteCount:    r.Bytes,
+				Match:        r.Match,
+			})
 		}
 	}
 }
@@ -635,33 +716,17 @@ func (s *StatsSnapshot) Parts() int {
 }
 
 // FillPart overwrites part with the next part of s: up to StatsPartLen
-// entries, ages taken at the snapshot's instant, More set on every part
-// but the last. It reports whether parts remain. Filling the last part
-// drops the snapshot's rule references, so a snapshot kept for reuse pins
-// no rule; filling past it gives further empty final parts.
+// entries, More set on every part but the last. It reports whether parts
+// remain. Filling the last part empties the snapshot; filling past it
+// gives further empty final parts.
 func (s *StatsSnapshot) FillPart(part *openflow.MultipartReply) (more bool) {
 	end := min(s.next+StatsPartLen, len(s.entries))
 	more = end < len(s.entries)
 	part.MPType = openflow.MultipartFlow
 	part.More = more
-	part.Flows = part.Flows[:0]
-	for _, e := range s.entries[s.next:end] {
-		r := e.rule
-		age := s.at - r.Installed
-		part.Flows = append(part.Flows, openflow.FlowStats{
-			TableID:      r.TableID,
-			DurationSec:  uint32(age / time.Second),
-			DurationNsec: uint32(age % time.Second),
-			Priority:     r.Priority,
-			Cookie:       r.Cookie,
-			PacketCount:  e.packets,
-			ByteCount:    e.bytes,
-			Match:        r.Match,
-		})
-	}
+	part.Flows = append(part.Flows[:0], s.entries[s.next:end]...)
 	s.next = end
 	if !more {
-		clear(s.entries)
 		s.entries, s.next = s.entries[:0], 0
 	}
 	return more

@@ -389,16 +389,9 @@ func (ls *LiveSwitch) applyFlowMod(conn *Conn, m *openflow.FlowMod, xid uint32) 
 	if tbl := ls.pipeline.Table(m.TableID); tbl != nil {
 		switch m.Command {
 		case openflow.FlowAdd, openflow.FlowModify:
-			rule := &flowtable.Rule{
-				Priority:     m.Priority,
-				Match:        m.Match,
-				Instructions: openflow.CloneInstructions(m.Instructions),
-				IdleTimeout:  time.Duration(m.IdleTimeout) * time.Second,
-				HardTimeout:  time.Duration(m.HardTimeout) * time.Second,
-				Cookie:       m.Cookie,
-				Flags:        m.Flags,
-				Installed:    ls.now(),
-			}
+			// m is the connection's scratch: the rule copies what it keeps.
+			rule := tbl.NewRule()
+			rule.SetFlowMod(m, ls.now())
 			if err := tbl.Insert(rule); err != nil {
 				tableFull = true
 			} else {
@@ -420,7 +413,7 @@ func (ls *LiveSwitch) applyFlowMod(conn *Conn, m *openflow.FlowMod, xid uint32) 
 
 // replyStats answers a flow-stats request with as many reply parts as the
 // table needs. The rules are snapshot and every part marshalled under the
-// lock, where the snapshot's rules are safe, and written after unlocking.
+// lock, and the frames written after unlocking.
 func (ls *LiveSwitch) replyStats(conn *Conn, req *openflow.MultipartRequest, xid uint32) error {
 	if req.MPType != openflow.MultipartFlow || req.Flow == nil {
 		return nil

@@ -533,6 +533,107 @@ func TestLiveSwitchPacketOutAllocFree(t *testing.T) {
 	}
 }
 
+// TestLiveSwitchFlowModAllocFree: a FlowMod add takes its rule from the
+// table, which reuses the storage of the rule a replace or a delete let
+// go of, and copies the one-action instructions into it, so once warm a
+// replace, and a delete followed by an add, allocate nothing (a rule and
+// an instruction block per add when each add allocated both).
+func TestLiveSwitchFlowModAllocFree(t *testing.T) {
+	if raceEnabled || sim.Poison {
+		t.Skip("race builds add allocations; poison builds overwrite recycled rules")
+	}
+	ls := NewLiveSwitch(4, 1)
+	conn := NewConn(&memConn{})
+	match := openflow.Match{Fields: openflow.FieldEthType | openflow.FieldIPv4Dst,
+		EthType: packet.EtherTypeIPv4, IPv4Dst: netaddr.MakeIPv4(10, 0, 1, 1)}
+	add := &openflow.FlowMod{Command: openflow.FlowAdd, Priority: 5, Match: match,
+		Instructions: openflow.Apply1(openflow.OutputAction(9))}
+	del := &openflow.FlowMod{Command: openflow.FlowDeleteStrict, Priority: 5, Match: match}
+	mustHandle := func(m openflow.Message) {
+		if err := ls.handle(conn, m, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustHandle(add)
+	if n := testing.AllocsPerRun(200, func() { mustHandle(add) }); n != 0 {
+		t.Errorf("a replace: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { mustHandle(del); mustHandle(add) }); n != 0 {
+		t.Errorf("a delete and an add: %v allocs/op, want 0", n)
+	}
+	if got := ls.Installed.Load(); ls.RuleCount() != 1 || got != 1+201+201 {
+		t.Fatalf("%d rules, %d installs; want 1 and 403", ls.RuleCount(), got)
+	}
+}
+
+// TestLiveSwitchRuleReuseUnderInject streams FlowMod replaces and deletes
+// to a live switch while another goroutine injects packets that hit the
+// same rules, so the storage of a rule one FlowMod lets go of holds the
+// next one's while lookups run. Every packet must be forwarded to a port
+// some rule named or missed, and every forwarded one delivered. Under
+// -race it pins that rule reuse happens only under the switch lock; under
+// a poison build, that no lookup reads a recycled rule.
+func TestLiveSwitchRuleReuseUnderInject(t *testing.T) {
+	ls := NewLiveSwitch(31, 1)
+	var delivered [5]int64
+	var mu sync.Mutex
+	for port := uint32(1); port <= 4; port++ {
+		ls.RegisterPort(port, func(*packet.Packet) { mu.Lock(); delivered[port]++; mu.Unlock() })
+	}
+	conn := NewConn(&memConn{})
+	const keys, rounds = 16, 10000
+	key := func(i int) netaddr.FlowKey {
+		return netaddr.FlowKey{Src: netaddr.MakeIPv4(10, 0, 0, byte(1+i%keys)), Dst: netaddr.MakeIPv4(10, 0, 1, 1),
+			Proto: netaddr.ProtoTCP, SrcPort: 1000, DstPort: 80}
+	}
+	fm := func(i int) *openflow.FlowMod {
+		m := &openflow.FlowMod{Command: openflow.FlowAdd, Priority: 10, Match: flowtable.ExactMatch(key(i)),
+			Instructions: openflow.Apply1(openflow.OutputAction(uint32(1 + i%4)))}
+		if i%3 == 2 {
+			m.Command, m.Instructions = openflow.FlowDeleteStrict, nil
+		}
+		return m
+	}
+	for i := 0; i < keys; i++ {
+		if err := ls.handle(conn, fm(3*i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			ls.handle(conn, fm(i), uint32(i))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		pkts := make([]*packet.Packet, keys)
+		for i := range pkts {
+			k := key(i)
+			pkts[i] = packet.NewTCP(k.Src, k.Dst, k.SrcPort, k.DstPort, 0)
+		}
+		for i := 0; i < rounds; i++ {
+			ls.Inject(pkts[i%keys], 1)
+		}
+	}()
+	wg.Wait()
+
+	fwd, miss := ls.Forwarded.Load(), ls.Misses.Load()
+	if fwd+miss != rounds {
+		t.Fatalf("%d forwarded + %d missed, want %d packets", fwd, miss, rounds)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if sum := delivered[1] + delivered[2] + delivered[3] + delivered[4]; uint64(sum) != fwd {
+		t.Fatalf("%d packets delivered to ports 1-4 (%v), want all %d forwarded", sum, delivered, fwd)
+	}
+	if n := ls.RuleCount(); n > keys {
+		t.Fatalf("%d rules installed, want at most %d", n, keys)
+	}
+}
+
 // TestLiveSwitchLentPacketPoisoned: a port callback only borrows its
 // packet. One that keeps it past the call reads a released packet, which
 // a Poison build overwrites, on both the data-plane and the Packet-Out
