@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet doclint linkcheck golden golden-poison claims examples microbench bench-smoke bench-compare trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
+.PHONY: all build test short race vet doclint linkcheck golden golden-poison claims examples microbench bench-smoke bench-compare heap-growth trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
 
 all: build test
 
@@ -120,6 +120,17 @@ bench-smoke:
 #   make bench-compare OLD=old.json NEW=bench_smoke.json
 bench-compare:
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
+
+# Run-length memory check: retained_heap_mb of both simulated workloads
+# after a 3 s and a 15 s benchmark run, side by side. A workload whose
+# retained heap grows with run length keeps state per flow it has seen.
+heap-growth:
+	@printf '%-18s %12s %12s\n' workload 'seconds 3' 'seconds 15'
+	@for w in ddos-overlay fattree-elephants; do \
+		a=$$($(GO) run ./benchmark -workload $$w -seconds 3 | awk '$$1 == "retained_heap_mb" {print $$2}'); \
+		b=$$($(GO) run ./benchmark -workload $$w -seconds 15 | awk '$$1 == "retained_heap_mb" {print $$2}'); \
+		printf '%-18s %9s MB %9s MB\n' $$w "$$a" "$$b"; \
+	done
 
 # Sample control-path trace (Chrome trace-event JSON, loadable in
 # chrome://tracing / Perfetto).

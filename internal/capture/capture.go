@@ -1,6 +1,7 @@
 package capture
 
 import (
+	"math"
 	"slices"
 
 	"scotch/internal/device"
@@ -10,15 +11,18 @@ import (
 	"scotch/internal/sim"
 )
 
-// FlowRecord tracks one flow end to end.
+// FlowRecord tracks one flow end to end. A capture holds one for every
+// flow a run ever starts, so the record is kept at 72 bytes: counts are
+// int32, and the traffic class is an index into the capture's class
+// names (Capture.Class reads it), which fits in the padding after them.
 type FlowRecord struct {
-	ID    uint64
-	Key   netaddr.FlowKey
-	Class string // traffic class ("client", "attack", ...)
+	ID  uint64
+	Key netaddr.FlowKey
 
-	Expected    int // packets the source will send
-	PacketsSent int
-	PacketsRecv int
+	Expected    int32 // packets the source will send
+	PacketsSent int32
+	PacketsRecv int32
+	class       uint16 // index into Capture.classes
 	BytesRecv   uint64
 
 	FirstSent sim.Time
@@ -50,29 +54,51 @@ type Capture struct {
 	// byKey holds the newest flow of each key until all its expected
 	// packets have arrived, for packets that lost their FlowID (lookup).
 	byKey map[netaddr.FlowKey]*FlowRecord
-	// latency counts each class's one-way packet delays by exact value.
-	// Delays are integer nanoseconds on a deterministic fabric and repeat,
-	// so a run of millions of packets holds a few hundred keys.
-	latency map[string]map[sim.Time]uint64
+	// classes names the traffic classes ("client", "attack", ...) in
+	// order of first use; a record's class field indexes it, and classID
+	// maps each name back to its index.
+	classes []string
+	classID map[string]uint16
+	// latency counts each class's one-way packet delays by exact value,
+	// indexed like classes. Delays are integer nanoseconds on a
+	// deterministic fabric and repeat, so a run of millions of packets
+	// holds a few hundred keys.
+	latency []map[sim.Time]uint64
 
 	// OnFirstDelivery, when set, fires once per flow at the moment its
 	// first packet is delivered — the flow-setup completion event the
 	// scenario engine's latency trackers observe (now - f.FirstSent spans
-	// Packet-In → RuleApplied → Delivered).
-	OnFirstDelivery func(f *FlowRecord, now sim.Time)
+	// Packet-In → RuleApplied → Delivered). class is the flow's class.
+	OnFirstDelivery func(f *FlowRecord, class string, now sim.Time)
 }
 
 // New returns an empty capture.
 func New(eng sim.Proc) *Capture {
-	return &Capture{
-		eng:     eng,
-		byKey:   make(map[netaddr.FlowKey]*FlowRecord),
-		latency: make(map[string]map[sim.Time]uint64),
+	return &Capture{eng: eng, byKey: make(map[netaddr.FlowKey]*FlowRecord), classID: make(map[string]uint16)}
+}
+
+// Class returns the traffic class of a record registered with c.
+func (c *Capture) Class(f *FlowRecord) string { return c.classes[f.class] }
+
+// classIndex returns the index of a class name in c.classes, adding it on
+// first use. A capture holds at most 65 536 classes.
+func (c *Capture) classIndex(class string) uint16 {
+	if i, ok := c.classID[class]; ok {
+		return i
 	}
+	if len(c.classes) > math.MaxUint16 {
+		panic("capture: more than 65536 traffic classes")
+	}
+	i := uint16(len(c.classes))
+	c.classes = append(c.classes, class)
+	c.classID[class] = i
+	c.latency = append(c.latency, nil)
+	return i
 }
 
 // NewFlow registers a flow about to be sent and returns its record. The
-// returned record's ID must be stamped into packet Meta.FlowID.
+// returned record's ID must be stamped into packet Meta.FlowID. An
+// expected count past math.MaxInt32 is stored as math.MaxInt32.
 func (c *Capture) NewFlow(key netaddr.FlowKey, class string, expected int) *FlowRecord {
 	n := len(c.blocks)
 	if n == 0 || len(c.blocks[n-1]) == flowBlock {
@@ -81,7 +107,8 @@ func (c *Capture) NewFlow(key netaddr.FlowKey, class string, expected int) *Flow
 	}
 	b := &c.blocks[n-1]
 	id := uint64((n-1)*flowBlock + len(*b) + 1)
-	*b = append(*b, FlowRecord{ID: id, Key: key, Class: class, Expected: expected, FirstSent: c.eng.Now()})
+	*b = append(*b, FlowRecord{ID: id, Key: key, class: c.classIndex(class),
+		Expected: int32(min(expected, math.MaxInt32)), FirstSent: c.eng.Now()})
 	f := &(*b)[len(*b)-1]
 	c.byKey[key] = f
 	return f
@@ -118,7 +145,7 @@ func (c *Capture) RecordRecv(pkt *packet.Packet, now sim.Time) {
 		if f.PacketsRecv == 0 {
 			f.FirstRecv = now
 			if c.OnFirstDelivery != nil {
-				c.OnFirstDelivery(f, now)
+				c.OnFirstDelivery(f, c.classes[f.class], now)
 			}
 		}
 		f.PacketsRecv++
@@ -128,10 +155,10 @@ func (c *Capture) RecordRecv(pkt *packet.Packet, now sim.Time) {
 			delete(c.byKey, f.Key) // complete: nothing more to attribute by key
 		}
 		if pkt.Meta.SentAt > 0 {
-			counts := c.latency[f.Class]
+			counts := c.latency[f.class]
 			if counts == nil {
 				counts = make(map[sim.Time]uint64)
-				c.latency[f.Class] = counts
+				c.latency[f.class] = counts
 			}
 			counts[now-pkt.Meta.SentAt]++
 		}
@@ -145,13 +172,19 @@ func (c *Capture) RecordRecv(pkt *packet.Packet, now sim.Time) {
 // in ascending delay order, and is the caller's own: its snapshot and
 // quantiles equal those of one fed every delay as it arrived.
 func (c *Capture) PacketLatency(class string) *metrics.Histogram {
-	counts := c.latency[class]
+	var counts map[sim.Time]uint64
+	if i, ok := c.classID[class]; ok {
+		counts = c.latency[i]
+	}
 	delays := make([]sim.Time, 0, len(counts))
-	for d := range counts {
+	var total uint64
+	for d, n := range counts {
 		delays = append(delays, d)
+		total += n
 	}
 	slices.Sort(delays)
 	var h metrics.Histogram
+	h.Grow(int(total))
 	for _, d := range delays {
 		for n := counts[d]; n > 0; n-- {
 			h.AddDuration(d)
@@ -176,9 +209,13 @@ func (c *Capture) Attach(h *device.Host) {
 // Aggregates must not inherit map iteration order: histogram fills and
 // float sums would differ between byte-identical reruns.
 func (c *Capture) eachFlow(class string, fn func(*FlowRecord)) {
+	idx, ok := c.classID[class]
+	if class != "" && !ok {
+		return
+	}
 	for _, b := range c.blocks {
 		for i := range b {
-			if f := &b[i]; class == "" || f.Class == class {
+			if f := &b[i]; class == "" || f.class == idx {
 				fn(f)
 			}
 		}
@@ -215,8 +252,8 @@ func (c *Capture) FailureFraction(class string) float64 {
 func (c *Capture) DeliveryRatio(class string) float64 {
 	var sent, recv int
 	c.eachFlow(class, func(f *FlowRecord) {
-		sent += f.PacketsSent
-		recv += f.PacketsRecv
+		sent += int(f.PacketsSent)
+		recv += int(f.PacketsRecv)
 	})
 	if sent == 0 {
 		return 0

@@ -3,8 +3,10 @@ package capture
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"scotch/internal/device"
 	"scotch/internal/metrics"
@@ -248,7 +250,7 @@ func TestPacketLatencyMatchesSampleHistogram(t *testing.T) {
 		now += sim.Time(1 + rng.Intn(1000))
 		p.Meta.SentAt = now - d
 		c.RecordRecv(p, now)
-		want[c.lookup(p).Class].AddDuration(d)
+		want[c.Class(c.lookup(p))].AddDuration(d)
 	}
 	want["never"] = &metrics.Histogram{}
 	for class, ref := range want {
@@ -267,6 +269,42 @@ func TestPacketLatencyMatchesSampleHistogram(t *testing.T) {
 				t.Fatalf("class %q: q%v = %v, want %v", class, q, g, r)
 			}
 		}
+	}
+}
+
+// TestPacketLatencyPresized: building a class's latency histogram
+// allocates its samples once, at their final size, rather than regrowing
+// them sample by sample: a 1M-sample class allocates at most three times
+// its sample bytes in all.
+func TestPacketLatencyPresized(t *testing.T) {
+	c := New(sim.New(1))
+	f := c.NewFlow(key(1), "client", math.MaxInt)
+	p := packet.NewTCP(srcIP, dstIP, 1, 80, 0)
+	p.Meta.FlowID = f.ID
+	const samples = 1 << 20
+	for i := 0; i < samples; i++ {
+		now := sim.Time(i+1) * time.Millisecond
+		p.Meta.SentAt = now - sim.Time(1+i%300)*time.Microsecond
+		c.RecordRecv(p, now)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := c.PacketLatency("client")
+	runtime.ReadMemStats(&after)
+	if n := len(h.Snapshot()); n != samples {
+		t.Fatalf("histogram holds %d samples, want %d", n, samples)
+	}
+	const sampleBytes = samples * 8
+	if got := after.TotalAlloc - before.TotalAlloc; got > 3*sampleBytes {
+		t.Fatalf("PacketLatency allocated %d bytes for %d samples, want at most %d", got, samples, 3*sampleBytes)
+	}
+}
+
+// TestFlowRecordSize pins the per-flow record a capture keeps for every
+// flow a run starts.
+func TestFlowRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(FlowRecord{}); n > 72 {
+		t.Fatalf("FlowRecord is %d bytes, want at most 72", n)
 	}
 }
 

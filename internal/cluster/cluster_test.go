@@ -41,7 +41,7 @@ func (t *reactiveApp) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.
 	if !ok {
 		return false
 	}
-	if t.c.FlowDB.Lookup(key) != nil {
+	if _, ok := t.c.FlowDB.Lookup(key); ok {
 		// Duplicate punt (a later packet raced the rule install):
 		// re-forward without new state, as the real apps do.
 		sw.SendPacketOut(&openflow.PacketOut{

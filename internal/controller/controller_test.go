@@ -38,8 +38,8 @@ func TestReactiveRoutingEndToEnd(t *testing.T) {
 	if r.FlowsRouted == 0 {
 		t.Fatal("router handled no flows")
 	}
-	if len(c.FlowDB.flows) != 1 {
-		t.Fatalf("FlowDB has %d entries, want 1", len(c.FlowDB.flows))
+	if n := len(c.FlowDB.hw) + len(c.FlowDB.flows); n != 1 {
+		t.Fatalf("FlowDB has %d entries, want 1", n)
 	}
 
 	// Subsequent packets ride the installed rules without Packet-Ins.
@@ -194,13 +194,13 @@ func TestInstallPathOrdersFirstHopLast(t *testing.T) {
 func TestFlowInfoDB(t *testing.T) {
 	db := NewFlowInfoDB()
 	k := netaddr.FlowKey{Src: netaddr.MakeIPv4(1, 1, 1, 1), Dst: netaddr.MakeIPv4(2, 2, 2, 2), Proto: 6, SrcPort: 1, DstPort: 2}
-	if db.Lookup(k) != nil {
+	if _, ok := db.Lookup(k); ok {
 		t.Fatal("lookup on empty db")
 	}
 	db.Put(&FlowInfo{Key: k, FirstHop: 7, IngressPort: 3, OnOverlay: true})
-	fi := db.Lookup(k)
-	if fi == nil || fi.FirstHop != 7 || fi.IngressPort != 3 {
-		t.Fatalf("lookup = %+v", fi)
+	fi := db.OverlayRecord(k)
+	if got, ok := db.Lookup(k); !ok || fi == nil || got != *fi || got.FirstHop != 7 || got.IngressPort != 3 {
+		t.Fatalf("lookup = %+v, overlay record %+v", got, fi)
 	}
 	if got := db.OverlayFlows(); len(got) != 1 {
 		t.Fatalf("overlay flows = %d", len(got))
@@ -212,6 +212,23 @@ func TestFlowInfoDB(t *testing.T) {
 	db.Delete(k)
 	if len(db.flows) != 0 {
 		t.Fatal("delete ineffective")
+	}
+
+	// A hardware-routed record is a value: Lookup copies it out, and it
+	// has no overlay record to hold.
+	db.Store(FlowInfo{Key: k, FirstHop: 9, IngressPort: 4})
+	if got, ok := db.Lookup(k); !ok || got != (FlowInfo{Key: k, FirstHop: 9, IngressPort: 4}) {
+		t.Fatalf("hardware lookup = %+v, %v", got, ok)
+	}
+	if db.OverlayRecord(k) != nil || len(db.OverlayFlows()) != 0 {
+		t.Fatal("hardware record reads as an overlay record")
+	}
+	if avg := testing.AllocsPerRun(100, func() { db.Lookup(k) }); avg != 0 {
+		t.Fatalf("hardware Lookup allocates %.1f times", avg)
+	}
+	db.Delete(k)
+	if len(db.hw) != 0 {
+		t.Fatal("delete of a hardware record ineffective")
 	}
 }
 

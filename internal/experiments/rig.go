@@ -556,7 +556,8 @@ func (r *rig) drive(stops ...func()) outcome {
 		if f.PacketsSent == 0 {
 			continue
 		}
-		t := o.flows[f.Class]
+		class := r.cap.Class(f)
+		t := o.flows[class]
 		t.sent++
 		if f.Delivered() {
 			t.delivered++
@@ -564,7 +565,7 @@ func (r *rig) drive(stops ...func()) outcome {
 		if f.Completed() {
 			t.completed++
 		}
-		o.flows[f.Class] = t
+		o.flows[class] = t
 	}
 	if r.app != nil {
 		o.app = r.app.Stats

@@ -80,8 +80,7 @@ func runFig13(w io.Writer, p *Probes) (any, error) {
 			for _, f := range r.cap.Flows("elephant") {
 				delta := f.BytesRecv - lastBytes[f.Key]
 				lastBytes[f.Key] = f.BytesRecv
-				fi := r.c.FlowDB.Lookup(f.Key)
-				if fi != nil && fi.Migrated {
+				if fi, ok := r.c.FlowDB.Lookup(f.Key); ok && fi.Migrated {
 					physBytes += delta
 				} else {
 					ovBytes += delta

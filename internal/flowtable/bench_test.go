@@ -10,6 +10,7 @@ import (
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
 	"scotch/internal/packet"
+	"scotch/internal/sim"
 )
 
 // benchTable builds a table shaped like a reactive switch under load: many
@@ -222,5 +223,30 @@ func TestExactMapRightSized(t *testing.T) {
 	tbl.Insert(r)
 	if got := tbl.Lookup(udpProbe(cliIP, srvIP, 7, 53), 1); got != r {
 		t.Fatal("a rule inserted after the copy is not found")
+	}
+}
+
+// TestSmallTableChurnAllocFree: a table that never holds more exact keys
+// than one map group's slots churns them without allocating. Its map
+// never grew, so rightSize has nothing to give back and does not copy it.
+// The rules are the caller's own (a ring the table has let go of before
+// each is reused), so a poison build's recycling does not count.
+func TestSmallTableChurnAllocFree(t *testing.T) {
+	tbl := &Table{}
+	instr := []openflow.Instruction{openflow.ApplyActions(openflow.OutputAction(1))}
+	var ring [4]Rule
+	var now sim.Time
+	cycles := func() {
+		for i := 0; i < 1000; i++ {
+			r := &ring[i%len(ring)]
+			*r = Rule{Priority: 100, Match: ExactMatch(newKey(i)), Instructions: instr,
+				Installed: now, IdleTimeout: 2 * time.Millisecond}
+			tbl.Insert(r)
+			now += sim.Time(time.Millisecond)
+			tbl.Expire(now) // takes out the rule installed two cycles ago
+		}
+	}
+	if n := testing.AllocsPerRun(1, cycles); n != 0 {
+		t.Fatalf("1000 add/idle-expire cycles on a %d-rule table allocate %.0f objects, want 0", tbl.Len(), n)
 	}
 }

@@ -219,6 +219,7 @@ type Table struct {
 	exact   map[netaddr.FlowKey]*Rule // head of each flow key's exact-rule chain
 	wild    []*Rule                   // non-exact rules, in match order
 	removed int                       // keys deleted from exact since it was last copied
+	peak    int                       // most keys exact has held since it was made
 	retired []*Rule                   // rules the last mutating call let go of; Delete's and Expire's result
 	free    []*Rule                   // retired owned rules, for NewRule
 	block   []Rule                    // rules NewRule has not handed out yet
@@ -394,6 +395,7 @@ func (t *Table) link(key netaddr.FlowKey, r *Rule) {
 	if head == nil || r.Priority > head.Priority {
 		r.next = head
 		t.exact[key] = r
+		t.peak = max(t.peak, len(t.exact))
 		return
 	}
 	c := head
@@ -448,17 +450,27 @@ func (t *Table) remove(r *Rule) {
 // rightSize copies exact into a map sized for its live keys once more keys
 // have been deleted from it since the last copy than 2*len(exact)+64. A Go
 // map never gives back the capacity that churn has grown, and the keys of
-// a reactive table turn over for as long as it runs.
+// a reactive table turn over for as long as it runs. A map that never held
+// more keys than one group's slots (mapGroupSlots) never grew, so it has
+// nothing to give back and is not copied.
 func (t *Table) rightSize() {
 	if t.removed <= 2*len(t.exact)+64 {
+		return
+	}
+	t.removed = 0
+	if t.peak <= mapGroupSlots {
 		return
 	}
 	m := make(map[netaddr.FlowKey]*Rule, len(t.exact))
 	for k, r := range t.exact {
 		m[k] = r
 	}
-	t.exact, t.removed = m, 0
+	t.exact, t.peak = m, len(m)
 }
+
+// mapGroupSlots is the number of entries a Go map holds in its first
+// group, before it grows into a table of groups.
+const mapGroupSlots = 8
 
 // exactEligible reports whether the packet can hit the exact index: a plain
 // (or GRE-decap-transparent) IPv4 packet whose transport header agrees with

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -97,6 +98,15 @@ func (h *Histogram) Add(v float64) {
 	defer h.mu.Unlock()
 	h.samples = append(h.samples, v)
 	h.sorted = nil
+}
+
+// Grow makes room for n more samples, so that many Adds allocate nothing
+// more. A caller that knows its sample count up front fills the histogram
+// in one allocation instead of append's repeated regrowth.
+func (h *Histogram) Grow(n int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.samples = slices.Grow(h.samples, n)
 }
 
 // AddDuration records a duration sample in seconds.

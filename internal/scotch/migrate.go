@@ -216,7 +216,7 @@ func (a *App) handleStats(rep *openflow.MultipartReply) {
 		if !ok {
 			continue
 		}
-		fi := a.C.FlowDB.Lookup(key)
+		fi := a.C.FlowDB.OverlayRecord(key)
 		if fi == nil || !fi.OnOverlay || fi.Migrated {
 			continue
 		}

@@ -213,7 +213,7 @@ func TestDrainElephantHandoff(t *testing.T) {
 	})
 	f.eng.RunUntil(3 * time.Second)
 
-	fi := f.c.FlowDB.Lookup(key)
+	fi := f.c.FlowDB.OverlayRecord(key)
 	if fi == nil || !fi.OnOverlay {
 		t.Fatal("elephant did not land on the overlay — fixture broken")
 	}

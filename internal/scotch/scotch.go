@@ -548,7 +548,7 @@ func (a *App) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.PacketIn
 	}
 
 	tr := a.C.Tracer()
-	if fi := a.C.FlowDB.Lookup(key); fi != nil {
+	if fi, ok := a.C.FlowDB.Lookup(key); ok {
 		// Duplicate punt for a flow already being set up: re-forward the
 		// packet along the flow's chosen path without new state.
 		a.Stats.DuplicatePunts++
@@ -755,7 +755,7 @@ func (a *App) admitOverlay(r *flowReq) {
 
 // reforward pushes a duplicate-punted packet along the flow's existing
 // path with a Packet-Out, installing no new state.
-func (a *App) reforward(punter *controller.SwitchHandle, fi *controller.FlowInfo, pin *openflow.PacketIn) {
+func (a *App) reforward(punter *controller.SwitchHandle, fi controller.FlowInfo, pin *openflow.PacketIn) {
 	if len(pin.Data) == 0 {
 		return
 	}
@@ -785,7 +785,7 @@ func (a *App) reforward(punter *controller.SwitchHandle, fi *controller.FlowInfo
 // the per-flow rule and forward the packet.
 func (a *App) repairOverlay(sw *controller.SwitchHandle, pin *openflow.PacketIn, pkt *packet.Packet) bool {
 	key := pkt.FlowKey()
-	fi := a.C.FlowDB.Lookup(key)
+	fi := a.C.FlowDB.OverlayRecord(key)
 	v2, deliverPort, ok := a.ov.deliveryFor(key.Dst)
 	if !ok {
 		return false

@@ -254,8 +254,8 @@ func TestElephantMigration(t *testing.T) {
 	// few stats-poll intervals of its start.
 	f.eng.RunUntil(6 * time.Second)
 
-	fi := f.c.FlowDB.Lookup(key)
-	if fi == nil {
+	fi, ok := f.c.FlowDB.Lookup(key)
+	if !ok {
 		t.Fatal("elephant not in FlowDB")
 	}
 	if !fi.Migrated {

@@ -82,10 +82,10 @@ func (t *LatencyTracker) Merged() *metrics.BucketHistogram {
 // name. Any previously installed hook is chained.
 func (t *LatencyTracker) AttachCapture(c *capture.Capture) {
 	prev := c.OnFirstDelivery
-	c.OnFirstDelivery = func(f *capture.FlowRecord, now time.Duration) {
-		t.Observe(f.Class, now-f.FirstSent)
+	c.OnFirstDelivery = func(f *capture.FlowRecord, class string, now time.Duration) {
+		t.Observe(class, now-f.FirstSent)
 		if prev != nil {
-			prev(f, now)
+			prev(f, class, now)
 		}
 	}
 }

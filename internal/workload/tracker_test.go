@@ -43,7 +43,7 @@ func TestLatencyTrackerCaptureHook(t *testing.T) {
 	cap := capture.New(eng)
 	cap.Attach(h2)
 	chained := 0
-	cap.OnFirstDelivery = func(*capture.FlowRecord, sim.Time) { chained++ }
+	cap.OnFirstDelivery = func(*capture.FlowRecord, string, sim.Time) { chained++ }
 	tr := NewLatencyTracker()
 	tr.AttachCapture(cap)
 

@@ -404,7 +404,7 @@ func TestEmitterRecyclesEmission(t *testing.T) {
 		}
 	}
 	for _, f := range cap.Flows("") {
-		if n := nextSeq[f.ID]; n != f.Expected {
+		if n := nextSeq[f.ID]; n != int(f.Expected) {
 			t.Errorf("flow %d received %d packets, want %d", f.ID, n, f.Expected)
 		}
 	}
