@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet doclint linkcheck golden golden-poison claims examples microbench bench-smoke bench-compare heap-growth trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
+.PHONY: all build test short race vet doclint linkcheck golden golden-poison claims examples microbench bench-smoke bench-compare heap-growth digest trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
 
 all: build test
 
@@ -130,6 +130,17 @@ heap-growth:
 		a=$$($(GO) run ./benchmark -workload $$w -seconds 3 | awk '$$1 == "retained_heap_mb" {print $$2}'); \
 		b=$$($(GO) run ./benchmark -workload $$w -seconds 15 | awk '$$1 == "retained_heap_mb" {print $$2}'); \
 		printf '%-18s %9s MB %9s MB\n' $$w "$$a" "$$b"; \
+	done
+
+# Behaviour fingerprint: the sim_digest of both simulated workloads at
+# seeds 1-3 after a 3 s benchmark run, one line per pair. A refactor that
+# must not change behaviour prints the same lines as its parent commit.
+digest:
+	@for w in ddos-overlay fattree-elephants; do \
+		for s in 1 2 3; do \
+			d=$$($(GO) run ./benchmark -workload $$w -seed $$s -seconds 3 | awk '$$1 == "sim_digest" {print $$2}'); \
+			printf '%-18s seed %s %s\n' $$w $$s "$$d"; \
+		done; \
 	done
 
 # Sample control-path trace (Chrome trace-event JSON, loadable in

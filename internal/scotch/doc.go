@@ -12,6 +12,9 @@
 //	               thresholds, §5.5 withdrawal
 //	scheduler.go — §5.2/§5.3: per-switch paced installation with the
 //	               admitted > migration > ingress priority order
+//	install.go   — §5.3: every flow setup's install plan (hops, rules,
+//	               first packet) and the one executor that decides the
+//	               order they go out in
 //	migrate.go   — §5.3: elephant detection via flow stats and migration
 //	               to policy-consistent physical paths (§5.4)
 package scotch

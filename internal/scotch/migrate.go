@@ -7,7 +7,6 @@ import (
 	"scotch/internal/flowtable"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
-	"scotch/internal/topo"
 )
 
 // MiddleboxChain describes one middlebox insertion point: the switches
@@ -33,88 +32,127 @@ type MiddleboxChain struct {
 
 // AddMiddlebox registers a middlebox chain element. Call before Build; the
 // experiment is responsible for wiring the middlebox device between
-// (SU, SUOut) and (SD, SDIn).
+// (SU, SUOut) and (SD, SDIn). Each name registers once; chains are
+// plumbed in registration order.
 func (a *App) AddMiddlebox(name string, su, sd uint64, suOut, sdIn uint32) *MiddleboxChain {
 	mb := &MiddleboxChain{
 		Name: name, SU: su, SD: sd, SUOut: suOut, SDIn: sdIn,
 		inPort: make(map[uint64]uint32),
 	}
-	a.mboxes[name] = mb
+	a.chains = append(a.chains, mb)
 	return mb
 }
 
-// policyPathVia assembles a physical path that crosses each named
-// middlebox in order, producing the red-rule hop list: ... -> S_U(->MB)
-// -> S_D(in from MB, onward) -> ... (paper §5.4).
-func (a *App) policyPathVia(origin uint64, key netaddr.FlowKey, chain []string) ([]topo.Hop, bool) {
+// chain returns the middlebox chain registered under name, or nil.
+func (a *App) chain(name string) *MiddleboxChain {
+	for _, mb := range a.chains {
+		if mb.Name == name {
+			return mb
+		}
+	}
+	return nil
+}
+
+// policyPath fills the app's hop scratch with a flow's physical path from
+// origin. Unless naive, it crosses each middlebox of the flow's policy
+// chain in order, producing the red-rule hop list ... -> S_U(->MB) ->
+// S_D(in from MB, onward) -> ... (paper §5.4). The hops are valid until
+// the next path is built.
+func (a *App) policyPath(origin uint64, key netaddr.FlowKey, naive bool) ([]hop, bool) {
+	var chain []string
+	if a.Cfg.Policy != nil && !naive {
+		chain = a.Cfg.Policy(key)
+	}
+	hops := a.hops[:0]
 	cur := origin
-	var hops []topo.Hop
+	var last *MiddleboxChain
 	for _, name := range chain {
-		mb := a.mboxes[name]
-		if mb == nil {
+		if last = a.chain(name); last == nil {
 			return nil, false
 		}
-		seg, ok := a.C.Net.SwitchPath(cur, mb.SU)
+		seg, ok := a.C.Net.SwitchPath(cur, last.SU)
 		if !ok {
 			return nil, false
 		}
-		hops = append(hops, seg...)
-		hops = append(hops, topo.Hop{DPID: mb.SU, OutPort: mb.SUOut})
-		cur = mb.SD
+		for _, h := range seg {
+			hops = append(hops, hop{dpid: h.DPID, out: h.OutPort})
+		}
+		hops = append(hops, hop{dpid: last.SU, out: last.SUOut})
+		cur = last.SD
 	}
-	mbLast := a.mboxes[chain[len(chain)-1]]
 	tail, ok := a.C.Net.Path(cur, key.Dst)
 	if !ok {
 		return nil, false
 	}
-	// The S_D rule applies only to packets returning from the middlebox.
-	if len(tail) > 0 && tail[0].DPID == mbLast.SD {
-		tail[0].InPort = mbLast.SDIn
+	for i, h := range tail {
+		hp := hop{dpid: h.DPID, out: h.OutPort}
+		// The S_D rule applies only to packets returning from the middlebox.
+		if i == 0 && last != nil && h.DPID == last.SD {
+			hp.inPort = last.SDIn
+		}
+		hops = append(hops, hp)
 	}
-	return append(hops, tail...), true
+	a.hops = hops
+	return hops, true
 }
 
-// buildChains plumbs each middlebox chain into the overlay: tunnels from
-// every mesh vSwitch into S_U (with a shared green tunnel-id rule toward
-// the middlebox) and a tunnel from S_D to an aggregation vSwitch (with a
-// shared green in_port rule). Called from Overlay.build.
-func (o *Overlay) buildChains() error {
+// overlayHops fills the app's hop scratch with a flow's vSwitch hops from
+// entry vSwitch v1 to delivery vSwitch v2, whose host-facing port is
+// deliverPort. A policy chain detours through its middleboxes (paper
+// Fig. 8: tunnels decapsulate at S_U and re-enter the mesh after S_D),
+// each hop after a middlebox matching the tunnel it arrives on. The hops
+// are valid until the next path is built.
+func (a *App) overlayHops(v1, v2 uint64, deliverPort uint32, chain []string) ([]hop, bool) {
+	hops := a.hops[:0]
+	cur := v1
+	var fromTunnel uint64
+	for _, name := range chain {
+		mb := a.chain(name)
+		if mb == nil {
+			return nil, false
+		}
+		in, ok := mb.inPort[cur]
+		if !ok {
+			return nil, false
+		}
+		hops = append(hops, hop{dpid: cur, out: in, tunnel: fromTunnel})
+		cur, fromTunnel = mb.vd, mb.outID
+	}
+	hops = append(hops, hop{dpid: cur, out: a.ov.outToward(cur, v2, deliverPort), tunnel: fromTunnel})
+	if cur != v2 {
+		// After a chain, the delivery rule must not shadow v2's own
+		// chain-entry rule for the same flow, so it matches the mesh
+		// tunnel it arrives on.
+		var tunnel uint64
+		if len(chain) > 0 {
+			tunnel = a.ov.meshID[[2]uint64{cur, v2}]
+		}
+		hops = append(hops, hop{dpid: v2, out: deliverPort, tunnel: tunnel})
+	}
+	a.hops = hops
+	return hops, true
+}
+
+// buildChains plumbs each middlebox chain into the overlay, in
+// registration order so tunnel ports and ids are the same on every run:
+// an entry tunnel from every primary into S_U (buildChainEntry), and a
+// tunnel from S_D to an aggregation vSwitch with a shared green in_port
+// rule. Called from Overlay.build.
+func (o *Overlay) buildChains() {
 	a := o.app
 	net := a.C.Net
-	for _, mb := range a.mboxes {
-		su := net.Switch(mb.SU)
-		sd := net.Switch(mb.SD)
-		if su == nil || sd == nil {
-			continue
+	for _, vs := range o.vswitches {
+		if !o.backups[vs] {
+			o.buildChainEntry(vs)
 		}
-		suHandle := a.C.Switch(mb.SU)
-		sdHandle := a.C.Switch(mb.SD)
-		// In-tunnels: every primary vSwitch can hand flows to the
-		// middlebox; decapsulation happens at S_U so the middlebox sees
-		// the original packet (paper Fig. 8).
-		for _, vs := range o.vswitches {
-			if o.backups[vs] {
-				continue
-			}
-			vdev := net.Switch(vs)
-			delay, _ := net.PathDelay(vs, mb.SU)
-			vp, sp := o.allocPort(vs), o.allocPort(mb.SU)
-			id := o.allocTunnelID()
-			connectTunnel(o, vdev, vp, su, sp, id, delay)
-			mb.inPort[vs] = vp
-			// Shared green rule at S_U: anything from this tunnel goes
-			// to the middlebox.
-			suHandle.InstallFlow(&openflow.FlowMod{
-				Command: openflow.FlowAdd, TableID: 0, Priority: prioGreenChain,
-				Match:        openflow.Match{Fields: openflow.FieldTunnelID, TunnelID: id},
-				Instructions: openflow.Apply1(openflow.OutputAction(mb.SUOut)),
-			})
+	}
+	for _, mb := range a.chains {
+		sd, sdHandle := net.Switch(mb.SD), a.C.Switch(mb.SD)
+		if sd == nil || sdHandle == nil || len(o.vswitches) == 0 {
+			continue
 		}
 		// Out-tunnel: S_D aggregates middlebox output back into the mesh
 		// via one aggregation vSwitch.
-		if len(o.vswitches) == 0 {
-			continue
-		}
 		mb.vd = o.firstPrimary()
 		vdev := net.Switch(mb.vd)
 		delay, _ := net.PathDelay(mb.SD, mb.vd)
@@ -130,7 +168,6 @@ func (o *Overlay) buildChains() error {
 			Instructions: openflow.Apply1(openflow.OutputAction(sp)),
 		})
 	}
-	return nil
 }
 
 func (o *Overlay) firstPrimary() uint64 {
@@ -140,49 +177,6 @@ func (o *Overlay) firstPrimary() uint64 {
 		}
 	}
 	return o.vswitches[0]
-}
-
-// overlayChainHops returns the per-flow overlay rule placements for a
-// flow with a policy chain: entry vSwitch -> S_U tunnel, then from each
-// chain's aggregation vSwitch onward, ending at the delivery vSwitch.
-// Each element is (vswitch dpid, out port).
-type vsHop struct {
-	vs  uint64
-	out uint32
-	// tunnelID, when nonzero, constrains the rule to packets arriving
-	// from that tunnel (higher priority). This disambiguates the case
-	// where a chain's aggregation vSwitch is also the flow's entry
-	// vSwitch: without it the entry rule and the post-middlebox rule
-	// share a match and the flow loops through the middlebox.
-	tunnelID uint64
-}
-
-func (a *App) overlayChainHops(v1 uint64, chain []string, v2 uint64, deliverPort uint32) ([]vsHop, bool) {
-	var hops []vsHop
-	cur := v1
-	var fromTunnel uint64
-	for _, name := range chain {
-		mb := a.mboxes[name]
-		if mb == nil {
-			return nil, false
-		}
-		in, ok := mb.inPort[cur]
-		if !ok {
-			return nil, false
-		}
-		hops = append(hops, vsHop{vs: cur, out: in, tunnelID: fromTunnel})
-		cur = mb.vd
-		fromTunnel = mb.outID
-	}
-	if cur == v2 {
-		hops = append(hops, vsHop{vs: cur, out: deliverPort, tunnelID: fromTunnel})
-	} else {
-		hops = append(hops, vsHop{vs: cur, out: a.ov.meshPort[[2]uint64{cur, v2}], tunnelID: fromTunnel})
-		// The delivery rule must not shadow v2's own chain-entry rule
-		// for the same flow, so it matches the mesh tunnel it arrives on.
-		hops = append(hops, vsHop{vs: v2, out: deliverPort, tunnelID: a.ov.meshID[[2]uint64{cur, v2}]})
-	}
-	return hops, true
 }
 
 // pollElephants queries every live mesh vSwitch for flow statistics and
@@ -244,13 +238,7 @@ func (a *App) migrateOut(fi *controller.FlowInfo) {
 // first-hop rule last (§5.3).
 func (a *App) migrate(fi *controller.FlowInfo) {
 	key := fi.Key
-	var hops []topo.Hop
-	var ok bool
-	if a.Cfg.NaiveMigration {
-		hops, ok = a.C.Net.Path(fi.FirstHop, key.Dst)
-	} else {
-		hops, ok = a.policyPath(fi.FirstHop, key)
-	}
+	hops, ok := a.policyPath(fi.FirstHop, key, a.Cfg.NaiveMigration)
 	if !ok || len(hops) == 0 {
 		delete(a.migrating, key)
 		return
@@ -259,69 +247,20 @@ func (a *App) migrate(fi *controller.FlowInfo) {
 	// path to make sure their control plane is not overloaded." Defer and
 	// retry when any is hot.
 	now := a.C.Eng.Now()
-	for _, hop := range hops[1:] {
-		if h := a.C.Switch(hop.DPID); h != nil && h.PacketInRate.Rate(now) > a.Cfg.ActivateRate {
+	for _, hp := range hops[1:] {
+		if h := a.C.Switch(hp.dpid); h != nil && h.PacketInRate.Rate(now) > a.Cfg.ActivateRate {
 			a.C.Eng.Schedule(time.Second, func() {
 				a.sched(fi.FirstHop).SubmitMigration(func() { a.migrate(fi) })
 			})
 			return
 		}
 	}
-	match := flowtable.ExactMatch(key)
-	pending := len(hops) - 1
-	finish := func() {
-		h := a.C.Switch(hops[0].DPID)
-		if h == nil {
-			delete(a.migrating, key)
-			return
-		}
-		a.sched(hops[0].DPID).SubmitAdmitted(func() {
-			a.install(h, a.redRuleFor(match, hops[0]))
+	a.send(setup{key: key, hops: hops, order: migrationOrder, done: func(sent bool) {
+		if sent {
 			fi.OnOverlay = false
 			fi.Migrated = true
 			a.Stats.Migrated++
-			delete(a.migrating, key)
-		})
-	}
-	if pending == 0 {
-		finish()
-		return
-	}
-	for _, hop := range hops[1:] {
-		hop := hop
-		if a.C.Switch(hop.DPID) == nil {
-			pending--
-			if pending == 0 {
-				finish()
-			}
-			continue
 		}
-		a.sched(hop.DPID).SubmitAdmitted(func() {
-			if h := a.C.Switch(hop.DPID); h != nil {
-				a.install(h, a.redRuleFor(match, hop))
-			}
-			pending--
-			if pending == 0 {
-				finish()
-			}
-		})
-	}
-}
-
-// redRuleFor builds the red rule for one hop; hops downstream of a
-// middlebox carry an in-port constraint and slightly higher priority so
-// they only catch middlebox output. It is built in the app's FlowMod box.
-func (a *App) redRuleFor(match openflow.Match, hop topo.Hop) *openflow.FlowMod {
-	prio := uint16(prioRed)
-	if hop.InPort != 0 {
-		match.Fields |= openflow.FieldInPort
-		match.InPort = hop.InPort
-		prio = prioRed + 1
-	}
-	fm := a.flowMod1(openflow.OutputAction(hop.OutPort))
-	fm.Command = openflow.FlowAdd
-	fm.Priority = prio
-	fm.IdleTimeout = uint16(a.Cfg.RuleIdleTimeout / time.Second)
-	fm.Match = match
-	return fm
+		delete(a.migrating, key)
+	}})
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"scotch/internal/controller"
 	"scotch/internal/device"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
@@ -41,6 +42,13 @@ type delivery struct {
 	backup uint64 // backup delivery vSwitch (0 = none)
 }
 
+// deliveryTunnel is one host delivery tunnel from a vSwitch: its port at
+// the vSwitch, which deliveryFor hands out, and the tunnel itself.
+type deliveryTunnel struct {
+	port uint32
+	t    *device.Tunnel
+}
+
 // Overlay owns the Scotch tunnel fabric: the vSwitch full mesh, the
 // physical-switch fan-out tunnels, and the host delivery tunnels.
 type Overlay struct {
@@ -54,10 +62,9 @@ type Overlay struct {
 	// delivery lookups until DrainVSwitch finishes tearing them down.
 	draining map[uint64]bool
 
-	meshPort     map[[2]uint64]uint32 // (from, to) -> out port at from
-	meshID       map[[2]uint64]uint64 // (from, to) -> tunnel id
-	deliveries   map[netaddr.IPv4]*delivery
-	deliveryPort map[[2]uint64]uint32 // (vs, host-as-ip) unused; see deliveries
+	meshPort   map[[2]uint64]uint32 // (from, to) -> out port at from
+	meshID     map[[2]uint64]uint64 // (from, to) -> tunnel id
+	deliveries map[netaddr.IPv4]*delivery
 
 	phys           map[uint64][]physTunnel // protected switch -> fan-out tunnels
 	tunnelOrigin   map[uint64]uint64       // tunnel id -> physical switch dpid
@@ -67,11 +74,10 @@ type Overlay struct {
 	// host delivery tunnels by (vs, host-as-ip), so live pool shrinkage
 	// can tear them down again.
 	tunnels     map[uint64]*device.Tunnel
-	deliveryTun map[[2]uint64]*device.Tunnel
+	deliveryTun map[[2]uint64]deliveryTunnel
 
 	nextTunnelID uint64
 	nextPort     map[uint64]uint32 // per-node logical port allocator
-	hostPorts    map[netaddr.IPv4]uint32
 
 	// liveFanout scratch buffers; see its comment for the reuse contract.
 	fanoutScratch []physTunnel
@@ -87,14 +93,12 @@ func newOverlay(app *App) *Overlay {
 		meshPort:       make(map[[2]uint64]uint32),
 		meshID:         make(map[[2]uint64]uint64),
 		deliveries:     make(map[netaddr.IPv4]*delivery),
-		deliveryPort:   make(map[[2]uint64]uint32),
 		phys:           make(map[uint64][]physTunnel),
 		tunnelOrigin:   make(map[uint64]uint64),
 		groupInstalled: make(map[uint64]bool),
 		tunnels:        make(map[uint64]*device.Tunnel),
-		deliveryTun:    make(map[[2]uint64]*device.Tunnel),
+		deliveryTun:    make(map[[2]uint64]deliveryTunnel),
 		nextPort:       make(map[uint64]uint32),
-		hostPorts:      make(map[netaddr.IPv4]uint32),
 	}
 }
 
@@ -199,7 +203,8 @@ func (o *Overlay) build() error {
 	for _, v := range o.vswitches {
 		o.alive[v] = true
 	}
-	return o.buildChains()
+	o.buildChains()
+	return nil
 }
 
 // buildMeshTunnel creates the mesh tunnel between two member vSwitches
@@ -268,9 +273,7 @@ func (o *Overlay) buildDelivery(ip netaddr.IPv4, vs uint64) error {
 	vp := o.allocPort(vs)
 	hp := o.allocPort(0) // host-side logical port id space is per-host anyway
 	t := device.ConnectTunnel(vdev, vp, host, hp, tunnelConfig(o.allocTunnelID(), delay))
-	o.hostPorts[ip] = vp
-	o.deliveryPort[[2]uint64{vs, uint64(ip)}] = vp
-	o.deliveryTun[[2]uint64{vs, uint64(ip)}] = t
+	o.deliveryTun[[2]uint64{vs, uint64(ip)}] = deliveryTunnel{port: vp, t: t}
 	return nil
 }
 
@@ -410,8 +413,18 @@ func (o *Overlay) deliveryFor(ip netaddr.IPv4) (uint64, uint32, bool) {
 	if len(o.alive) > 0 && !o.alive[vs] && d.backup != 0 {
 		vs = d.backup
 	}
-	port, ok := o.deliveryPort[[2]uint64{vs, uint64(ip)}]
-	return vs, port, ok
+	dt, ok := o.deliveryTun[[2]uint64{vs, uint64(ip)}]
+	return vs, dt.port, ok
+}
+
+// outToward returns mesh member vs's out port toward v2, a flow's delivery
+// vSwitch: v2's host-facing deliverPort when vs is v2, else the mesh tunnel
+// to v2.
+func (o *Overlay) outToward(vs, v2 uint64, deliverPort uint32) uint32 {
+	if vs == v2 {
+		return deliverPort
+	}
+	return o.meshPort[[2]uint64{vs, v2}]
 }
 
 // activate installs the offload rules at a congested switch (paper §5.1):
@@ -420,34 +433,22 @@ func (o *Overlay) deliveryFor(ip netaddr.IPv4) (uint64, uint32, bool) {
 // FlowMods ride the switch's admitted queue so they are paced like any
 // other install.
 func (o *Overlay) activate(dpid uint64) {
-	st := o.app.protected[dpid]
-	h := o.app.C.Switch(dpid)
-	if st == nil || h == nil || st.active {
+	a := o.app
+	st := a.protected[dpid]
+	if st == nil || a.C.Switch(dpid) == nil || st.active {
 		return
 	}
 	st.active = true
-	o.app.Stats.Activations++
-	sched := o.app.sched(dpid)
-	// Handles are re-resolved at service time so installs queued across a
-	// cluster migration drain through the new master's connection.
+	a.Stats.Activations++
 	// Table 1 default first so table 0 never forwards into a void.
-	sched.SubmitAdmitted(func() {
-		h := o.app.C.Switch(dpid)
-		if h == nil {
-			return
-		}
+	a.paced(dpid, func(h *controller.SwitchHandle) {
 		h.InstallFlow(&openflow.FlowMod{
 			Command: openflow.FlowAdd, TableID: 1, Priority: prioOffloadDefault,
 			Instructions: openflow.Apply1(openflow.GroupAction(offloadGroupID)),
 		})
 	})
 	for _, port := range st.ingressPorts {
-		port := port
-		sched.SubmitAdmitted(func() {
-			h := o.app.C.Switch(dpid)
-			if h == nil {
-				return
-			}
+		a.paced(dpid, func(h *controller.SwitchHandle) {
 			h.InstallFlow(&openflow.FlowMod{
 				Command: openflow.FlowAdd, TableID: 0, Priority: prioOffloadPortTag,
 				Match: openflow.Match{Fields: openflow.FieldInPort, InPort: port},
@@ -462,32 +463,22 @@ func (o *Overlay) activate(dpid uint64) {
 
 // deactivate removes the offload rules (withdrawal step 2, §5.5).
 func (o *Overlay) deactivate(dpid uint64) {
-	st := o.app.protected[dpid]
-	h := o.app.C.Switch(dpid)
-	if st == nil || h == nil || !st.active {
+	a := o.app
+	st := a.protected[dpid]
+	if st == nil || a.C.Switch(dpid) == nil || !st.active {
 		return
 	}
 	st.active = false
-	o.app.Stats.Withdrawals++
-	sched := o.app.sched(dpid)
+	a.Stats.Withdrawals++
 	for _, port := range st.ingressPorts {
-		port := port
-		sched.SubmitAdmitted(func() {
-			h := o.app.C.Switch(dpid)
-			if h == nil {
-				return
-			}
+		a.paced(dpid, func(h *controller.SwitchHandle) {
 			h.InstallFlow(&openflow.FlowMod{
 				Command: openflow.FlowDeleteStrict, TableID: 0, Priority: prioOffloadPortTag,
 				Match: openflow.Match{Fields: openflow.FieldInPort, InPort: port},
 			})
 		})
 	}
-	sched.SubmitAdmitted(func() {
-		h := o.app.C.Switch(dpid)
-		if h == nil {
-			return
-		}
+	a.paced(dpid, func(h *controller.SwitchHandle) {
 		h.InstallFlow(&openflow.FlowMod{
 			Command: openflow.FlowDeleteStrict, TableID: 1, Priority: prioOffloadDefault,
 		})
@@ -583,7 +574,7 @@ func (o *Overlay) addLive(dpid uint64, backup bool) error {
 	}
 
 	// Middlebox-chain entry tunnels, so policy flows can enter the mesh
-	// here too (sorted by chain name: tunnel ids must be reproducible).
+	// here too.
 	if !backup {
 		o.buildChainEntry(dpid)
 	}
@@ -612,19 +603,14 @@ func (o *Overlay) addLive(dpid uint64, backup bool) error {
 	return nil
 }
 
-// buildChainEntry gives one mesh member the per-chain entry tunnels and
-// shared green rules that buildChains created for the build-time
-// primaries.
+// buildChainEntry gives one mesh member an entry tunnel into each chain's
+// S_U, in registration order, with a shared green rule at S_U sending
+// anything from that tunnel to the middlebox. Decapsulation happens at
+// S_U, so the middlebox sees the original packet (paper Fig. 8).
 func (o *Overlay) buildChainEntry(vs uint64) {
 	a := o.app
 	net := a.C.Net
-	names := make([]string, 0, len(a.mboxes))
-	for name := range a.mboxes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		mb := a.mboxes[name]
+	for _, mb := range a.chains {
 		su := net.Switch(mb.SU)
 		suHandle := a.C.Switch(mb.SU)
 		if su == nil || suHandle == nil {
@@ -662,9 +648,9 @@ func (o *Overlay) drain(dpid uint64) error {
 	if o.draining[dpid] {
 		return fmt.Errorf("scotch: vswitch %d already draining", dpid)
 	}
-	for name, mb := range a.mboxes {
+	for _, mb := range a.chains {
 		if mb.vd == dpid {
-			return fmt.Errorf("scotch: vswitch %d aggregates chain %q", dpid, name)
+			return fmt.Errorf("scotch: vswitch %d aggregates chain %q", dpid, mb.Name)
 		}
 	}
 	if !o.alive[dpid] {
@@ -743,7 +729,7 @@ func (o *Overlay) rebindDeliveries(dpid uint64) map[netaddr.IPv4]bool {
 		if target == 0 {
 			continue // guarded against by drain's last-primary check
 		}
-		if _, ok := o.deliveryPort[[2]uint64{target, uint64(ip)}]; !ok {
+		if _, ok := o.deliveryTun[[2]uint64{target, uint64(ip)}]; !ok {
 			if err := o.buildDelivery(ip, target); err != nil {
 				continue
 			}
@@ -859,9 +845,8 @@ func (o *Overlay) removeMember(dpid uint64) {
 	}
 	sort.Slice(dkeys, func(i, j int) bool { return dkeys[i][1] < dkeys[j][1] })
 	for _, k := range dkeys {
-		o.deliveryTun[k].Teardown()
+		o.deliveryTun[k].t.Teardown()
 		delete(o.deliveryTun, k)
-		delete(o.deliveryPort, k)
 	}
 	// Membership.
 	for i, vs := range o.vswitches {

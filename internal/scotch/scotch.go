@@ -11,9 +11,7 @@ import (
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
 	"scotch/internal/packet"
-	"scotch/internal/sim"
 	"scotch/internal/telemetry"
-	"scotch/internal/topo"
 )
 
 // Config tunes the Scotch application. DefaultConfig matches the paper's
@@ -183,7 +181,7 @@ type App struct {
 	protected map[uint64]*protState
 	physSched map[uint64]*installScheduler
 	ovlSched  map[uint64]*installScheduler
-	mboxes    map[string]*MiddleboxChain
+	chains    []*MiddleboxChain // in registration order; see chain
 	migrating map[netaddr.FlowKey]bool
 	reqPool   []*flowReq // recycled flowReq boxes (see newReq)
 	monDpids  []uint64   // monitor's sorted-visit scratch, reused every tick
@@ -202,56 +200,12 @@ type App struct {
 	devo *devolution
 
 	// tx holds the boxes every per-flow FlowMod and every first-packet
-	// Packet-Out is built in (see flowMod1 and packetOut).
-	tx txBoxes
+	// Packet-Out is built in (see flowMod1 and packetOut), and hops the
+	// path the next setup sends (see policyPath and overlayHops).
+	tx   txBoxes
+	hops []hop
 
 	Stats Stats
-}
-
-// txBoxes is a one-action FlowMod and a one-action PacketOut, each with its
-// lists, reused for every message the admission paths send. The
-// SwitchHandle marshals a message before its send returns, so a box is
-// free again as soon as install or packetOut returns; a Poison build then
-// zeroes it, so a holder that kept a reference reads zeros.
-type txBoxes struct {
-	fm    openflow.FlowMod
-	ins   [1]openflow.Instruction
-	act   [1]openflow.Action
-	po    openflow.PacketOut
-	poAct [1]openflow.Action
-}
-
-// flowMod1 fills the app's FlowMod box with a rule whose instructions
-// apply the one action act, and returns it for the caller to finish and
-// send with install.
-func (a *App) flowMod1(act openflow.Action) *openflow.FlowMod {
-	t := &a.tx
-	t.act[0] = act
-	t.ins[0] = openflow.Instruction{Type: openflow.InstrApplyActions, Actions: t.act[:]}
-	t.fm = openflow.FlowMod{Instructions: t.ins[:]}
-	return &t.fm
-}
-
-// install sends fm, built by flowMod1, to h.
-func (a *App) install(h *controller.SwitchHandle, fm *openflow.FlowMod) {
-	h.InstallFlow(fm)
-	if sim.Poison {
-		a.tx.fm, a.tx.ins, a.tx.act = openflow.FlowMod{}, [1]openflow.Instruction{}, [1]openflow.Action{}
-	}
-}
-
-// packetOut has h forward data as if it came from the controller port,
-// with the one action act, from the app's PacketOut box.
-func (a *App) packetOut(h *controller.SwitchHandle, act openflow.Action, data []byte) {
-	t := &a.tx
-	t.poAct[0] = act
-	t.po = openflow.PacketOut{BufferID: 0xffffffff, InPort: openflow.PortController,
-		Actions: t.poAct[:], Data: data}
-	h.SendPacketOut(&t.po)
-	t.po.Data = nil // the box keeps no caller's buffer alive
-	if sim.Poison {
-		t.po, t.poAct = openflow.PacketOut{}, [1]openflow.Action{}
-	}
 }
 
 // New creates the app and registers it with the controller.
@@ -262,7 +216,6 @@ func New(c *controller.Controller, cfg Config) *App {
 		protected: make(map[uint64]*protState),
 		physSched: make(map[uint64]*installScheduler),
 		ovlSched:  make(map[uint64]*installScheduler),
-		mboxes:    make(map[string]*MiddleboxChain),
 	}
 	a.ov = newOverlay(a)
 	c.Register(a)
@@ -637,13 +590,13 @@ func (a *App) canOverlay(r *flowReq) bool {
 // downstream switch is hot, the flow stays on the overlay so that "new
 // rules are initially only inserted at the vswitches" (§4).
 func (a *App) admitPhysical(r *flowReq) {
-	hops, ok := a.policyPath(r.origin, r.key)
+	hops, ok := a.policyPath(r.origin, r.key, false)
 	if !ok {
 		a.Stats.NoPath++
 		return
 	}
-	for _, hop := range hops[1:] {
-		if a.pathSwitchHot(hop.DPID) {
+	for _, hp := range hops[1:] {
+		if a.pathSwitchHot(hp.dpid) {
 			if a.canOverlay(r) {
 				a.admitOverlay(r)
 				return
@@ -655,35 +608,14 @@ func (a *App) admitPhysical(r *flowReq) {
 	if tr := a.C.Tracer(); tr != nil {
 		tr.PointTag(telemetry.PointInstall, r.key, r.origin, a.C.Eng.Now(), "physical")
 	}
-	match := flowtable.ExactMatch(r.key)
-	first := hops[0]
-	if h := a.C.Switch(first.DPID); h != nil {
-		a.install(h, a.redRuleFor(match, first))
-	}
-	for _, hop := range hops[1:] {
-		hop := hop
-		if a.C.Switch(hop.DPID) == nil {
-			continue
-		}
-		// Resolve the handle at service time: if the switch migrates to
-		// another replica while this install is queued, the rule must go
-		// out on the new master's connection.
-		a.sched(hop.DPID).SubmitAdmitted(func() {
-			if h := a.C.Switch(hop.DPID); h != nil {
-				a.install(h, a.redRuleFor(match, hop))
-			}
-		})
-	}
+	// The triggering packet leaves the origin switch along the new path
+	// (the controller holds the full packet).
+	a.send(setup{key: r.key, hops: hops, order: physicalOrder, at: a.C.Switch(r.origin), data: r.data})
 	a.C.FlowDB.Store(controller.FlowInfo{
 		Key:         r.key,
 		FirstHop:    r.origin,
 		IngressPort: r.port,
 	})
-	// Forward the triggering packet from the origin switch along the new
-	// path (the controller holds the full packet).
-	if h := a.C.Switch(r.origin); h != nil && len(r.data) > 0 {
-		a.packetOut(h, openflow.OutputAction(first.OutPort), r.data)
-	}
 }
 
 // admitOverlay serves one overlay-marked request: per-flow rules at the
@@ -706,44 +638,16 @@ func (a *App) admitOverlay(r *flowReq) {
 	if tr := a.C.Tracer(); tr != nil {
 		tr.PointTag(telemetry.PointInstall, r.key, r.origin, a.C.Eng.Now(), "overlay")
 	}
-	match := flowtable.ExactMatch(r.key)
-
-	// Per-flow vSwitch hops; a policy chain detours through its
-	// middleboxes (paper Fig. 8: tunnels decapsulate at S_U, re-enter the
-	// mesh after S_D).
-	var hops []vsHop
+	var chain []string
 	if a.Cfg.Policy != nil {
-		if chain := a.Cfg.Policy(r.key); len(chain) > 0 {
-			var okc bool
-			hops, okc = a.overlayChainHops(v1, chain, v2, deliverPort)
-			if !okc {
-				a.Stats.NoPath++
-				return
-			}
-		}
+		chain = a.Cfg.Policy(r.key)
 	}
-	if hops == nil {
-		if v1 == v2 {
-			hops = []vsHop{{vs: v1, out: deliverPort}}
-		} else {
-			hops = []vsHop{
-				{vs: v1, out: a.ov.meshPort[[2]uint64{v1, v2}]},
-				{vs: v2, out: deliverPort},
-			}
-		}
+	hops, ok := a.overlayHops(v1, v2, deliverPort, chain)
+	if !ok {
+		a.Stats.NoPath++
+		return
 	}
-	// Install downstream-first; the entry vSwitch also forwards the first
-	// packet.
-	for i := len(hops) - 1; i >= 0; i-- {
-		h := a.C.Switch(hops[i].vs)
-		if h == nil {
-			continue
-		}
-		a.install(h, a.vsRuleTun(match, hops[i].out, hops[i].tunnelID))
-		if i == 0 && len(r.data) > 0 {
-			a.packetOut(h, openflow.OutputAction(hops[i].out), r.data)
-		}
-	}
+	a.send(setup{key: r.key, hops: hops, order: overlayOrder, at: a.C.Switch(v1), data: r.data})
 	a.C.FlowDB.Store(controller.FlowInfo{
 		Key:            r.key,
 		FirstHop:       r.origin,
@@ -759,30 +663,27 @@ func (a *App) reforward(punter *controller.SwitchHandle, fi controller.FlowInfo,
 	if len(pin.Data) == 0 {
 		return
 	}
-	var action openflow.Action
+	var out uint32
 	if fi.OnOverlay && a.ov.isMesh(punter.DPID) {
 		v2, deliverPort, ok := a.ov.deliveryFor(fi.Key.Dst)
 		if !ok {
 			return
 		}
-		if punter.DPID == v2 {
-			action = openflow.OutputAction(deliverPort)
-		} else {
-			action = openflow.OutputAction(a.ov.meshPort[[2]uint64{punter.DPID, v2}])
-		}
+		out = a.ov.outToward(punter.DPID, v2, deliverPort)
 	} else {
 		hops, ok := a.C.Net.Path(punter.DPID, fi.Key.Dst)
 		if !ok {
 			return
 		}
-		action = openflow.OutputAction(hops[0].OutPort)
+		out = hops[0].OutPort
 	}
-	a.packetOut(punter, action, pin.Data)
+	a.packetOut(punter, openflow.OutputAction(out), pin.Data)
 }
 
 // repairOverlay handles a miss at a mesh vSwitch that is not a fan-out
 // entry (rule install race, or flows re-hashed after a failover): restore
-// the per-flow rule and forward the packet.
+// the per-flow rules from the punting vSwitch to the delivery vSwitch and
+// forward the packet, on the handle the punt came in on.
 func (a *App) repairOverlay(sw *controller.SwitchHandle, pin *openflow.PacketIn, pkt *packet.Packet) bool {
 	key := pkt.FlowKey()
 	fi := a.C.FlowDB.OverlayRecord(key)
@@ -791,19 +692,8 @@ func (a *App) repairOverlay(sw *controller.SwitchHandle, pin *openflow.PacketIn,
 		return false
 	}
 	a.Stats.Repairs++
-	var out uint32
-	if sw.DPID == v2 {
-		out = deliverPort
-	} else {
-		out = a.ov.meshPort[[2]uint64{sw.DPID, v2}]
-		if h := a.C.Switch(v2); h != nil {
-			a.install(h, a.vsRule(flowtable.ExactMatch(key), deliverPort))
-		}
-	}
-	a.install(sw, a.vsRule(flowtable.ExactMatch(key), out))
-	if len(pin.Data) > 0 {
-		a.packetOut(sw, openflow.OutputAction(out), pin.Data)
-	}
+	hops, _ := a.overlayHops(sw.DPID, v2, deliverPort, nil)
+	a.send(setup{key: key, hops: hops, order: overlayOrder, at: sw, data: pin.Data})
 	if fi != nil && fi.OnOverlay {
 		fi.OverlayVSwitch = sw.DPID
 	}
@@ -815,24 +705,14 @@ func (a *App) repairOverlay(sw *controller.SwitchHandle, pin *openflow.PacketIn,
 // default offload rules; new flows punt to the controller again.
 func (a *App) withdraw(dpid uint64) {
 	st := a.protected[dpid]
-	if st == nil || !st.active {
+	if st == nil || !st.active || a.C.Switch(dpid) == nil {
 		return
 	}
-	h := a.C.Switch(dpid)
-	if h == nil {
-		return
-	}
-	sched := a.sched(dpid)
 	for _, fi := range a.C.FlowDB.OverlayFlows() {
 		if fi.FirstHop != dpid {
 			continue
 		}
-		fi := fi
-		sched.SubmitAdmitted(func() {
-			h := a.C.Switch(dpid)
-			if h == nil {
-				return
-			}
+		a.paced(dpid, func(h *controller.SwitchHandle) {
 			h.InstallFlow(&openflow.FlowMod{
 				Command:     openflow.FlowAdd,
 				TableID:     0,
@@ -851,31 +731,6 @@ func (a *App) withdraw(dpid uint64) {
 	st.belowCount = 0
 }
 
-// vsRule builds a per-flow rule at a mesh vSwitch, in the app's FlowMod
-// box.
-func (a *App) vsRule(match openflow.Match, outPort uint32) *openflow.FlowMod {
-	return a.vsRuleTun(match, outPort, 0)
-}
-
-// vsRuleTun builds a per-flow vSwitch rule additionally constrained to
-// packets arriving from a specific tunnel (used on middlebox chains), in
-// the app's FlowMod box.
-func (a *App) vsRuleTun(match openflow.Match, outPort uint32, tunnelID uint64) *openflow.FlowMod {
-	prio := uint16(prioVSwitch)
-	if tunnelID != 0 {
-		match.Fields |= openflow.FieldTunnelID
-		match.TunnelID = tunnelID
-		prio = prioVSwitch + 1
-	}
-	fm := a.flowMod1(openflow.OutputAction(outPort))
-	fm.Command = openflow.FlowAdd
-	fm.Priority = prio
-	fm.IdleTimeout = uint16(a.Cfg.RuleIdleTimeout / time.Second)
-	fm.Flags = openflow.FlagSendFlowRem
-	fm.Match = match
-	return fm
-}
-
 // HandleFlowRemoved implements controller.FlowRemovedHandler: when a
 // flow's vSwitch rule idles out, the flow has ended and its Flow Info
 // Database record is retired. Without this, long-dead mice would be
@@ -892,15 +747,4 @@ func (a *App) HandleFlowRemoved(sw *controller.SwitchHandle, fr *openflow.FlowRe
 	}
 	a.C.FlowDB.Delete(key)
 	delete(a.migrating, key)
-}
-
-// policyPath computes the physical path for a flow, honoring its
-// middlebox chain when one is configured.
-func (a *App) policyPath(origin uint64, key netaddr.FlowKey) ([]topo.Hop, bool) {
-	if a.Cfg.Policy != nil {
-		if chain := a.Cfg.Policy(key); len(chain) > 0 {
-			return a.policyPathVia(origin, key, chain)
-		}
-	}
-	return a.C.Net.Path(origin, key.Dst)
 }
