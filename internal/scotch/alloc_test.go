@@ -38,16 +38,19 @@ func TestOverlaySetupAllocFree(t *testing.T) {
 		name    string
 		punter  func(f *fixture) (*controller.SwitchHandle, uint32)
 		counter func(s *Stats) uint64
+		want    uint64 // path count for 1001 punts
 	}{
 		{"admit", func(f *fixture) (*controller.SwitchHandle, uint32) {
 			at, _ := f.net.HostAttach(f.atk.IP)
 			return f.c.Switch(f.edge.DPID), at.Port
-		}, func(s *Stats) uint64 { return s.OverlayRouted }},
+		}, func(s *Stats) uint64 { return s.OverlayRouted }, 1001},
 		// The server is assigned to vs[0], so vs[1] repairs toward it. The
-		// in-port only has to carry no tunnel id.
+		// in-port only has to carry no tunnel id. Each repair counts twice:
+		// the packet reaches vs[0] before its rule applies there and punts
+		// again.
 		{"repair", func(f *fixture) (*controller.SwitchHandle, uint32) {
 			return f.c.Switch(f.vs[1].DPID), 1
-		}, func(s *Stats) uint64 { return s.Repairs }},
+		}, func(s *Stats) uint64 { return s.Repairs }, 2002},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -75,10 +78,8 @@ func TestOverlaySetupAllocFree(t *testing.T) {
 			if avg := testing.AllocsPerRun(1000, setup); avg != 0 {
 				t.Fatalf("an overlay %s costs %.2f allocations, want 0", tc.name, avg)
 			}
-			// A repair can count twice: the packet may reach the delivery
-			// vSwitch before its rule applies there and punt again.
-			if n := tc.counter(&f.app.Stats) - done; n < 1001 {
-				t.Fatalf("%d of 1001 punts took the %s path", n, tc.name)
+			if n := tc.counter(&f.app.Stats) - done; n != tc.want {
+				t.Fatalf("1001 punts took the %s path %d times, want %d", tc.name, n, tc.want)
 			}
 			if n := f.server.Received - delivered; n != 1001 {
 				t.Fatalf("%d of 1001 first packets reached the server", n)

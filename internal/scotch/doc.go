@@ -13,8 +13,8 @@
 //	scheduler.go — §5.2/§5.3: per-switch paced installation with the
 //	               admitted > migration > ingress priority order
 //	install.go   — §5.3: every flow setup's install plan (hops, rules,
-//	               first packet) and the one executor that decides the
-//	               order they go out in
+//	               first packet) and the send functions, one per order,
+//	               that decide the order they go out in
 //	migrate.go   — §5.3: elephant detection via flow stats and migration
 //	               to policy-consistent physical paths (§5.4)
 package scotch

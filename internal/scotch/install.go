@@ -24,119 +24,96 @@ type hop struct {
 	inPort uint32
 }
 
-// order is when a setup's rules and its first packet go out.
-type order uint8
+// sendOverlay, sendPhysical and sendMigration are the one place the app
+// decides the order in which a flow's rules and first packet go out, one
+// function per order. None keeps hops, so the hops may live in the app's
+// scratch: a queued rule captures its hop by value.
 
-const (
-	// overlayOrder sends every rule now, the last hop's first, and the
-	// first packet right after hop 0's rule.
-	overlayOrder order = iota
-	// physicalOrder sends hop 0's rule now, queues each downstream hop's
-	// rule on its own switch's admitted queue, then sends the first packet
-	// at hop 0.
-	physicalOrder
-	// migrationOrder queues the downstream hops' rules on their admitted
-	// queues, and hop 0's on its own only once the last of them has run:
-	// the first hop last (§5.3), so the flow leaves the overlay only onto a
-	// path that is already in place.
-	migrationOrder
-)
-
-// setup is one flow's install plan: its hops from the first switch to the
-// last, and the order they go out in. The overlay order installs vSwitch
-// rules, the others red (physical) rules.
-type setup struct {
-	key   netaddr.FlowKey
-	hops  []hop
-	order order
-	// at is hop 0's handle in the orders that send hop 0 now; nil skips
-	// hop 0's rule and the first packet.
-	at *controller.SwitchHandle
-	// data is the first packet, forwarded at hop 0 through its out port.
-	data []byte
-	// done runs in the migration order once hop 0's rule went out, or with
-	// sent false when hop 0's switch had no handle when its turn came.
-	done func(sent bool)
+// sendOverlay installs the vSwitch rules for key along hops now, the last
+// hop's first, hop 0's on at, and then forwards the first packet data from
+// at through hop 0's out port (admitOverlay, repairOverlay). A nil at skips
+// hop 0's rule and the packet.
+func (a *App) sendOverlay(at *controller.SwitchHandle, key netaddr.FlowKey, hops []hop, data []byte) {
+	for i := len(hops) - 1; i > 0; i-- {
+		if h := a.C.Switch(hops[i].dpid); h != nil {
+			a.install(h, a.rule(key, hops[i], true))
+		}
+	}
+	if at != nil {
+		a.install(at, a.rule(key, hops[0], true))
+		if len(data) > 0 {
+			a.packetOut(at, openflow.OutputAction(hops[0].out), data)
+		}
+	}
 }
 
-// send carries out s: the one place the app decides the order in which a
-// flow's rules and first packet go out. It keeps none of s.hops, so the
-// hops may live in the app's scratch: a queued rule captures its hop by
-// value.
-func (a *App) send(s setup) {
-	key := s.key
-	switch s.order {
-	case overlayOrder:
-		for i := len(s.hops) - 1; i > 0; i-- {
-			if h := a.C.Switch(s.hops[i].dpid); h != nil {
-				a.install(h, a.rule(key, s.hops[i], true))
-			}
-		}
-		if s.at != nil {
-			a.install(s.at, a.rule(key, s.hops[0], true))
-			if len(s.data) > 0 {
-				a.packetOut(s.at, openflow.OutputAction(s.hops[0].out), s.data)
-			}
-		}
-	case physicalOrder:
-		if s.at != nil {
-			a.install(s.at, a.rule(key, s.hops[0], false))
-		}
-		for _, hp := range s.hops[1:] {
-			a.paced(hp.dpid, func(h *controller.SwitchHandle) { a.install(h, a.rule(key, hp, false)) })
-		}
-		if s.at != nil && len(s.data) > 0 {
-			a.packetOut(s.at, openflow.OutputAction(s.hops[0].out), s.data)
-		}
-	case migrationOrder:
-		first, done := s.hops[0], s.done
-		last := func() {
-			sent := a.paced(first.dpid, func(h *controller.SwitchHandle) {
-				a.install(h, a.rule(key, first, false))
-				done(true)
-			})
-			if !sent {
-				done(false)
-			}
-		}
-		left := len(s.hops) - 1
-		if left == 0 {
+// sendPhysical installs hop 0's red rule for key on at now, queues each
+// downstream hop's on its own switch's admitted queue, then forwards the
+// first packet data from at through hop 0's out port (admitPhysical). A
+// nil at skips hop 0's rule and the packet.
+func (a *App) sendPhysical(at *controller.SwitchHandle, key netaddr.FlowKey, hops []hop, data []byte) {
+	if at != nil {
+		a.install(at, a.rule(key, hops[0], false))
+	}
+	for _, hp := range hops[1:] {
+		a.paced(hp.dpid, func(h *controller.SwitchHandle) { a.install(h, a.rule(key, hp, false)) }, nil)
+	}
+	if at != nil && len(data) > 0 {
+		a.packetOut(at, openflow.OutputAction(hops[0].out), data)
+	}
+}
+
+// sendMigration queues the downstream hops' red rules for key on their
+// admitted queues, and hop 0's on its own only once the last of them has
+// run or been dropped: the first hop last (§5.3), so the flow leaves the
+// overlay only onto a path that is already in place (migrate). done runs
+// once hop 0's turn has come; sent reports whether its rule went out.
+func (a *App) sendMigration(key netaddr.FlowKey, hops []hop, done func(sent bool)) {
+	first := hops[0]
+	last := func() {
+		a.paced(first.dpid, func(h *controller.SwitchHandle) {
+			a.install(h, a.rule(key, first, false))
+			done(true)
+		}, func() { done(false) })
+	}
+	left := len(hops) - 1
+	if left == 0 {
+		last()
+		return
+	}
+	ran := func() {
+		if left--; left == 0 {
 			last()
 		}
-		ran := func() {
-			if left--; left == 0 {
-				last()
-			}
-		}
-		for _, hp := range s.hops[1:] {
-			sent := a.paced(hp.dpid, func(h *controller.SwitchHandle) {
-				a.install(h, a.rule(key, hp, false))
-				ran()
-			})
-			if !sent {
-				ran()
-			}
-		}
+	}
+	for _, hp := range hops[1:] {
+		a.paced(hp.dpid, func(h *controller.SwitchHandle) {
+			a.install(h, a.rule(key, hp, false))
+			ran()
+		}, ran)
 	}
 }
 
 // paced queues fn on the admitted queue of switch dpid, the highest class of
-// its install scheduler, and reports whether it did: a switch the
-// controller has no handle for gets nothing. The handle is resolved again
-// when the queue serves fn, so work queued across a cluster handoff goes out
-// on the new master's connection, never on the demoted one
-// (cluster.Coordinator.migrate); fn is dropped if the switch has no handle
-// by then.
-func (a *App) paced(dpid uint64, fn func(*controller.SwitchHandle)) bool {
+// its install scheduler. The handle is resolved again when the queue serves
+// fn, so work queued across a cluster handoff goes out on the new master's
+// connection, never on the demoted one (cluster.Coordinator.migrate). If
+// the switch has no handle, now or when the queue serves fn, drop runs in
+// fn's place (when non-nil).
+func (a *App) paced(dpid uint64, fn func(*controller.SwitchHandle), drop func()) {
 	if a.C.Switch(dpid) == nil {
-		return false
+		if drop != nil {
+			drop()
+		}
+		return
 	}
 	a.sched(dpid).SubmitAdmitted(func() {
 		if h := a.C.Switch(dpid); h != nil {
 			fn(h)
+		} else if drop != nil {
+			drop()
 		}
 	})
-	return true
 }
 
 // rule builds hop hp's per-flow rule for key in the app's FlowMod box. A

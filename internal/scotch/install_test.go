@@ -74,14 +74,22 @@ func TestChainsBuildInRegistrationOrder(t *testing.T) {
 	}
 }
 
-// TestMigrationFirstHopAfterHandoff hands both switches of a two-hop path
-// to a second controller after a migration's downstream rule went out and
-// before its first-hop rule did, as a pod handoff can
-// (cluster.Coordinator.migrate). The first-hop rule must go out on the new
-// master's connection and reach the switch. It used to go out on the
-// handle resolved when the downstream rule ran, which the handoff had
-// demoted, so the switch never got it while the flow counted as migrated.
-func TestMigrationFirstHopAfterHandoff(t *testing.T) {
+// migrationRig is a two-switch path s0 -> s1 whose one overlay flow is
+// being migrated, stepped until the migration's downstream rule (at s1)
+// has gone out; the first-hop rule (at s0) waits one pacing slot on its
+// admitted queue, and whatever the test does next lands inside that slot.
+type migrationRig struct {
+	eng    *sim.Engine
+	net    *topo.Network
+	s0, s1 *device.Switch
+	old    *controller.Controller
+	app    *App
+	key    netaddr.FlowKey
+	fi     *controller.FlowInfo
+}
+
+func newMigrationRig(t *testing.T) *migrationRig {
+	t.Helper()
 	eng := sim.New(7)
 	net := topo.New(eng)
 	s0 := net.AddSwitch("s0", device.Pica8Profile())
@@ -92,45 +100,79 @@ func TestMigrationFirstHopAfterHandoff(t *testing.T) {
 	server := net.AddHost("server", netaddr.MakeIPv4(10, 0, 1, 1))
 	net.AttachHost(client, s0, link)
 	net.AttachHost(server, s1, link)
-	old, next := controller.New(eng, net), controller.New(eng, net)
+	old := controller.New(eng, net)
 	app := New(old, DefaultConfig())
 	old.ConnectAll()
-	next.ConnectAll()
 	eng.RunUntil(100 * time.Millisecond)
 
 	key := netaddr.FlowKey{Src: client.IP, Dst: server.IP, Proto: netaddr.ProtoTCP, SrcPort: 4000, DstPort: 80}
 	fi := &controller.FlowInfo{Key: key, FirstHop: s0.DPID, IngressPort: 1, OnOverlay: true}
 	old.FlowDB.Put(fi)
 	app.migrateOut(fi)
-	// Step until s1's rule has gone out; s0's waits one pacing slot on its
-	// admitted queue, and the handoff lands inside that slot.
 	for sent := old.Stats.FlowModsSent; old.Stats.FlowModsSent == sent; {
 		if eng.Now() > 200*time.Millisecond {
 			t.Fatal("the downstream rule never went out")
 		}
 		eng.RunUntil(eng.Now() + 100*time.Microsecond)
 	}
-	old.Unregister(app)
-	app.Rebind(next)
-	next.Register(app)
-	for _, sw := range []*device.Switch{s0, s1} {
-		old.Switch(sw.DPID).NoteRole(openflow.RoleSlave)
+	return &migrationRig{eng: eng, net: net, s0: s0, s1: s1, old: old, app: app, key: key, fi: fi}
+}
+
+// TestMigrationFirstHopAfterHandoff hands both switches of a two-hop path
+// to a second controller after a migration's downstream rule went out and
+// before its first-hop rule did, as a pod handoff can
+// (cluster.Coordinator.migrate). The first-hop rule must go out on the new
+// master's connection and reach the switch. It used to go out on the
+// handle resolved when the downstream rule ran, which the handoff had
+// demoted, so the switch never got it while the flow counted as migrated.
+func TestMigrationFirstHopAfterHandoff(t *testing.T) {
+	r := newMigrationRig(t)
+	next := controller.New(r.eng, r.net)
+	next.ConnectAll()
+	r.old.Unregister(r.app)
+	r.app.Rebind(next)
+	next.Register(r.app)
+	for _, sw := range []*device.Switch{r.s0, r.s1} {
+		r.old.Switch(sw.DPID).NoteRole(openflow.RoleSlave)
 		next.Switch(sw.DPID).RequestRole(openflow.RoleMaster, 1)
 	}
-	eng.RunUntil(eng.Now() + 50*time.Millisecond)
+	r.eng.RunUntil(r.eng.Now() + 50*time.Millisecond)
 
-	if !fi.Migrated {
+	if !r.fi.Migrated {
 		t.Fatal("the flow was not migrated")
 	}
-	match := flowtable.ExactMatch(key)
-	for _, sw := range []*device.Switch{s1, s0} {
+	match := flowtable.ExactMatch(r.key)
+	for _, sw := range []*device.Switch{r.s1, r.s0} {
 		found := false
-		for _, r := range sw.Pipeline.Table(0).Rules() {
-			found = found || (r.Priority == prioRed && r.Match.Equal(&match))
+		for _, rule := range sw.Pipeline.Table(0).Rules() {
+			found = found || (rule.Priority == prioRed && rule.Match.Equal(&match))
 		}
 		if !found {
 			t.Fatalf("%s has no red rule for the migrated flow (slave writes suppressed: %d)",
-				sw.Name(), old.Stats.SlaveSuppressed)
+				sw.Name(), r.old.Stats.SlaveSuppressed)
 		}
+	}
+}
+
+// TestMigrationDroppedFirstHopEndsInFlight rebinds the app to a controller
+// that has no connection to the first-hop switch while a migration's
+// first-hop rule waits on its queue. The rule is dropped, the flow stays on
+// the overlay, and the migration no longer counts as in flight, so the
+// elephant identifier can try the flow again.
+func TestMigrationDroppedFirstHopEndsInFlight(t *testing.T) {
+	r := newMigrationRig(t)
+	next := controller.New(r.eng, r.net)
+	next.Connect(r.s1)
+	r.old.Unregister(r.app)
+	r.app.Rebind(next)
+	next.Register(r.app)
+	r.eng.RunUntil(r.eng.Now() + 50*time.Millisecond)
+
+	if r.fi.Migrated || !r.fi.OnOverlay || r.app.Stats.Migrated != 0 {
+		t.Fatalf("migrated %v, on overlay %v, %d migrations counted; want the flow left on the overlay",
+			r.fi.Migrated, r.fi.OnOverlay, r.app.Stats.Migrated)
+	}
+	if r.app.migrating[r.key] {
+		t.Fatal("the dropped migration still counts as in flight")
 	}
 }

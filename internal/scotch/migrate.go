@@ -255,12 +255,12 @@ func (a *App) migrate(fi *controller.FlowInfo) {
 			return
 		}
 	}
-	a.send(setup{key: key, hops: hops, order: migrationOrder, done: func(sent bool) {
+	a.sendMigration(key, hops, func(sent bool) {
 		if sent {
 			fi.OnOverlay = false
 			fi.Migrated = true
 			a.Stats.Migrated++
 		}
 		delete(a.migrating, key)
-	}})
+	})
 }

@@ -446,7 +446,7 @@ func (o *Overlay) activate(dpid uint64) {
 			Command: openflow.FlowAdd, TableID: 1, Priority: prioOffloadDefault,
 			Instructions: openflow.Apply1(openflow.GroupAction(offloadGroupID)),
 		})
-	})
+	}, nil)
 	for _, port := range st.ingressPorts {
 		a.paced(dpid, func(h *controller.SwitchHandle) {
 			h.InstallFlow(&openflow.FlowMod{
@@ -457,7 +457,7 @@ func (o *Overlay) activate(dpid uint64) {
 					openflow.GotoTable(1),
 				},
 			})
-		})
+		}, nil)
 	}
 }
 
@@ -476,13 +476,13 @@ func (o *Overlay) deactivate(dpid uint64) {
 				Command: openflow.FlowDeleteStrict, TableID: 0, Priority: prioOffloadPortTag,
 				Match: openflow.Match{Fields: openflow.FieldInPort, InPort: port},
 			})
-		})
+		}, nil)
 	}
 	a.paced(dpid, func(h *controller.SwitchHandle) {
 		h.InstallFlow(&openflow.FlowMod{
 			Command: openflow.FlowDeleteStrict, TableID: 1, Priority: prioOffloadDefault,
 		})
-	})
+	}, nil)
 }
 
 // failover replaces a dead vSwitch everywhere: group buckets at protected

@@ -610,7 +610,7 @@ func (a *App) admitPhysical(r *flowReq) {
 	}
 	// The triggering packet leaves the origin switch along the new path
 	// (the controller holds the full packet).
-	a.send(setup{key: r.key, hops: hops, order: physicalOrder, at: a.C.Switch(r.origin), data: r.data})
+	a.sendPhysical(a.C.Switch(r.origin), r.key, hops, r.data)
 	a.C.FlowDB.Store(controller.FlowInfo{
 		Key:         r.key,
 		FirstHop:    r.origin,
@@ -647,7 +647,7 @@ func (a *App) admitOverlay(r *flowReq) {
 		a.Stats.NoPath++
 		return
 	}
-	a.send(setup{key: r.key, hops: hops, order: overlayOrder, at: a.C.Switch(v1), data: r.data})
+	a.sendOverlay(a.C.Switch(v1), r.key, hops, r.data)
 	a.C.FlowDB.Store(controller.FlowInfo{
 		Key:            r.key,
 		FirstHop:       r.origin,
@@ -693,7 +693,7 @@ func (a *App) repairOverlay(sw *controller.SwitchHandle, pin *openflow.PacketIn,
 	}
 	a.Stats.Repairs++
 	hops, _ := a.overlayHops(sw.DPID, v2, deliverPort, nil)
-	a.send(setup{key: key, hops: hops, order: overlayOrder, at: sw, data: pin.Data})
+	a.sendOverlay(sw, key, hops, pin.Data)
 	if fi != nil && fi.OnOverlay {
 		fi.OverlayVSwitch = sw.DPID
 	}
@@ -725,7 +725,7 @@ func (a *App) withdraw(dpid uint64) {
 				},
 			})
 			a.Stats.Pinned++
-		})
+		}, nil)
 	}
 	a.ov.deactivate(dpid)
 	st.belowCount = 0
