@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet doclint linkcheck golden golden-poison claims examples microbench bench-smoke bench-compare heap-growth digest trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
+.PHONY: all build test short race vet doclint linkcheck golden golden-update golden-poison claims examples microbench bench-smoke bench-compare heap-growth digest trace-sample chaos trace-chaos fuzz-short scenario-cdf devolve obs balance cover clean
 
 all: build test
 
@@ -50,16 +50,15 @@ linkcheck:
 # byte. `go test ./internal/experiments` also checks the armed run's
 # -stages -health -balance text (TestArmedGolden, armed.golden) and
 # obs-slo's own end-of-run view as -health-json encodes it
-# (TestObsSLODigest, obs_slo_digest.json). A deliberate shift is
-# documented in EXPERIMENTS.md and each file regenerated from the repo
-# root with
-#   all.golden:   go run ./cmd/scotchsim -parallel 2 all | grep -v ' wall time)$' > internal/experiments/testdata/all.golden
-#   armed.golden: go run ./cmd/scotchsim run -stages -health -balance fig14 elastic cluster-migrate obs-slo | grep -v ' wall time)$' > internal/experiments/testdata/armed.golden
-#   obs_slo_digest.json: go test ./internal/experiments -run 'TestObsSLODigest$' writes what it got to
-#     ${TMPDIR:-/tmp}/obs_slo_digest.json on a mismatch; copy it over internal/experiments/testdata/obs_slo_digest.json
+# (TestObsSLODigestGolden, obs_slo_digest.json). A deliberate shift is
+# documented in EXPERIMENTS.md and all three files rewritten with
+# `make golden-update`, which runs the golden tests with -update.
 golden:
 	$(GO) run ./cmd/scotchsim -parallel 2 all > golden.out
 	grep -v ' wall time)$$' golden.out | diff -u internal/experiments/testdata/all.golden -
+
+golden-update:
+	$(GO) test -count=1 ./internal/experiments -run Golden -update
 
 # Poison gate (DESIGN.md §14, "The control-channel frame", "The live
 # connection" and "The data-plane packet"): with the scotchpoison tag every

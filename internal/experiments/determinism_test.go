@@ -5,9 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"io"
 	"os"
-	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -184,19 +184,33 @@ func TestObsSLOTableDeterministic(t *testing.T) {
 	sameAsMemo(t, runIDs(t, []string{"obs-slo"}, 1, nil))
 }
 
-// obsSLODigest holds obs-slo's own end-of-run view as
-// `scotchsim run -health-json` writes a list of one digest. On a mismatch the
-// test writes what it got to obsSLODigestGot; obsSLODigestRegen, run from
-// the repo root after that failure, copies it over the pinned file.
-var (
-	obsSLODigest      = "testdata/obs_slo_digest.json"
-	obsSLODigestGot   = filepath.Join(os.TempDir(), "obs_slo_digest.json")
-	obsSLODigestRegen = "cp " + obsSLODigestGot + " internal/experiments/" + obsSLODigest
-)
+// update makes the golden tests rewrite their files from this run instead
+// of comparing with them; updateCmd, run from the repo root, rewrites
+// every golden file at once.
+var update = flag.Bool("update", false, "rewrite the golden files from this run")
 
-// TestObsSLODigest compares obs-slo's memoized view, series timelines,
-// SLO peaks and burn timelines included, with its pinned JSON.
-func TestObsSLODigest(t *testing.T) {
+const updateCmd = "go test ./internal/experiments -run Golden -update"
+
+// updated writes got over the golden file path and reports true when
+// -update is set; otherwise it reports false and the caller compares.
+func updated(t *testing.T, path string, got []byte) bool {
+	t.Helper()
+	if !*update {
+		return false
+	}
+	if err := os.WriteFile(path, got, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return true
+}
+
+// obsSLODigest holds obs-slo's own end-of-run view as
+// `scotchsim run -health-json` writes a list of one digest.
+const obsSLODigest = "testdata/obs_slo_digest.json"
+
+// TestObsSLODigestGolden compares obs-slo's memoized view, series
+// timelines, SLO peaks and burn timelines included, with its pinned JSON.
+func TestObsSLODigestGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -206,14 +220,14 @@ func TestObsSLODigest(t *testing.T) {
 	if err := enc.Encode([]*obs.ClusterView{memoRuns(t, "obs-slo")[0].result.(obsSLOResult).digest}); err != nil {
 		t.Fatal(err)
 	}
+	if updated(t, obsSLODigest, got.Bytes()) {
+		return
+	}
 	want, err := os.ReadFile(obsSLODigest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != string(want) {
-		if err := os.WriteFile(obsSLODigestGot, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
 		// The file runs to thousands of lines, too many for lineDiff's
 		// quadratic table: name the first line that differs.
 		a, b := strings.Split(string(want), "\n"), strings.Split(got.String(), "\n")
@@ -222,18 +236,13 @@ func TestObsSLODigest(t *testing.T) {
 			i++
 		}
 		t.Errorf("obs-slo's digest differs from %s at line %d (%d lines, got %d)\nIf the shift is intended, regenerate the file from the repo root with\n  %s",
-			obsSLODigest, i+1, len(a), len(b), obsSLODigestRegen)
+			obsSLODigest, i+1, len(a), len(b), updateCmd)
 	}
 }
 
 // goldenPath is the file holding every experiment's output as
-// `scotchsim all` prints it, minus the wall-time lines; goldenRegen (run
-// from the repo root) rewrites it, as the Makefile's golden target
-// documents.
-const (
-	goldenPath  = "testdata/all.golden"
-	goldenRegen = `go run ./cmd/scotchsim -parallel 2 all | grep -v ' wall time)$' > internal/experiments/testdata/all.golden`
-)
+// `scotchsim all` prints it, minus the wall-time lines.
+const goldenPath = "testdata/all.golden"
 
 // goldenBanner matches the "== id: title ==" line that opens each section.
 var goldenBanner = regexp.MustCompile(`(?m)^== ([^:]+): .* ==$`)
@@ -305,7 +314,19 @@ func lineDiff(path, want, got string) string {
 // behaviour or nondeterminism leaked in (map iteration, wall-clock reads,
 // state shared across runs).
 func TestGolden(t *testing.T) {
-	checkGolden(t, memoRuns(t, goldenIDs()...))
+	if *update && (testing.Short() || raceEnabled) {
+		t.Fatal("-update rewrites all.golden from every experiment: run it without -short and -race")
+	}
+	results := memoRuns(t, goldenIDs()...)
+	var all bytes.Buffer
+	for _, r := range results {
+		all.Write(r.Output)
+		all.WriteString("\n")
+	}
+	if updated(t, goldenPath, all.Bytes()) {
+		return
+	}
+	checkGolden(t, results)
 }
 
 // checkGolden compares each result's output with its section of the
@@ -321,11 +342,11 @@ func checkGolden(t *testing.T, results []RunResult) []RunResult {
 			want, ok := sections[r.ID]
 			if !ok {
 				t.Fatalf("%s has no section in %s; regenerate it from the repo root with\n  %s",
-					r.ID, goldenPath, goldenRegen)
+					r.ID, goldenPath, updateCmd)
 			}
 			if got != want {
 				t.Errorf("%s differs from %s:\n%s\nIf the shift is intended, document it in EXPERIMENTS.md and regenerate the file from the repo root with\n  %s",
-					r.ID, goldenPath, lineDiff(goldenPath, want, got), goldenRegen)
+					r.ID, goldenPath, lineDiff(goldenPath, want, got), updateCmd)
 			}
 		})
 	}

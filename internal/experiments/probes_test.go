@@ -14,12 +14,8 @@ import (
 )
 
 // armedGolden holds what `scotchsim run -stages -health -balance` prints
-// for armedIDs, minus the wall-time lines; armedRegen rewrites it from
-// the repo root.
-const (
-	armedGolden = "testdata/armed.golden"
-	armedRegen  = `go run ./cmd/scotchsim run -stages -health -balance fig14 elastic cluster-migrate obs-slo | grep -v ' wall time)$' > internal/experiments/testdata/armed.golden`
-)
+// for armedIDs, minus the wall-time lines.
+const armedGolden = "testdata/armed.golden"
 
 var armedIDs = []string{"fig14", "elastic", "cluster-migrate", "obs-slo"}
 
@@ -144,6 +140,24 @@ func TestArmedRunAllSharesNoState(t *testing.T) {
 	}
 }
 
+// TestArmingKeepsOwnTenants: the armed observatory's default SLO on
+// tenant "client" reads the rig's one latency tracker, which obs-slo's
+// own view also reads. Arming must not add that zero-flow tenant to the
+// experiment's own view: it lists the same tenants armed and unarmed.
+func TestArmingKeepsOwnTenants(t *testing.T) {
+	tenants := func(r RunResult) []string {
+		var out []string
+		for _, tv := range r.result.(obsSLOResult).digest.Tenants {
+			out = append(out, tv.Tenant)
+		}
+		return out
+	}
+	plain, armed := tenants(memoRuns(t, "obs-slo")[0]), tenants(armedRuns(t, "obs-slo")[0])
+	if len(plain) == 0 || !slices.Equal(plain, armed) {
+		t.Fatalf("obs-slo's own view lists tenants %v unarmed and %v armed", plain, armed)
+	}
+}
+
 // TestArmedGolden: built at parallelism 4, the experiments' output
 // followed by WriteProbes' advice, health and stage blocks must match the
 // bytes a serial run printed.
@@ -157,13 +171,16 @@ func TestArmedGolden(t *testing.T) {
 	if err := WriteProbes(&got, CollectProbes(results)); err != nil {
 		t.Fatal(err)
 	}
+	if updated(t, armedGolden, got.Bytes()) {
+		return
+	}
 	want, err := os.ReadFile(armedGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != string(want) {
 		t.Errorf("armed artifacts differ from %s:\n%s\nIf the shift is intended, regenerate the file from the repo root with\n  %s",
-			armedGolden, lineDiff(armedGolden, string(want), got.String()), armedRegen)
+			armedGolden, lineDiff(armedGolden, string(want), got.String()), updateCmd)
 	}
 }
 

@@ -21,15 +21,16 @@ func TestLeafSpineDeployment(t *testing.T) {
 	// Every leaf is protected; every host has a same-rack delivery vSwitch
 	// with a backup.
 	for _, leaf := range ls.Leaves {
-		if app.protected[leaf.DPID] == nil {
+		if app.prot(leaf.DPID) == nil {
 			t.Fatalf("%s not protected", leaf.Name())
 		}
 	}
 	for ip, leaf := range ls.HostLeaf {
-		d := app.ov.deliveries[ip]
-		if d == nil {
+		i, ok := app.ov.findDelivery(ip)
+		if !ok {
 			t.Fatalf("host %v has no delivery vSwitch", ip)
 		}
+		d := app.ov.deliveries[i]
 		if ls.VSwitchAt[d.vs] != leaf {
 			t.Fatalf("host %v delivers via rack %d, want %d", ip, ls.VSwitchAt[d.vs], leaf)
 		}

@@ -206,15 +206,15 @@ func (a *App) devolveTable(member uint64) *devolve.Table {
 		ElephantBytes:   a.Cfg.ElephantBytes,
 		ElephantPackets: a.Cfg.ElephantPackets,
 	}
-	for ip := range a.ov.deliveries {
-		vs, port, ok := a.ov.deliveryFor(ip)
+	for _, d := range a.ov.deliveries {
+		vs, port, ok := a.ov.deliveryFor(d.ip)
 		if !ok {
 			continue
 		}
 		if vs == member {
-			t.Routes[ip] = port
-		} else if mp, ok := a.ov.meshPort[[2]uint64{member, vs}]; ok {
-			t.Routes[ip] = mp
+			t.Routes[d.ip] = port
+		} else if l, ok := a.ov.mesh[[2]uint64{member, vs}]; ok {
+			t.Routes[d.ip] = l.port
 		}
 	}
 	for id, origin := range a.ov.tunnelOrigin {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"scotch/internal/controller"
+	"scotch/internal/device"
 	"scotch/internal/flowtable"
 	"scotch/internal/netaddr"
 	"scotch/internal/openflow"
@@ -125,7 +126,7 @@ func (a *App) overlayHops(v1, v2 uint64, deliverPort uint32, chain []string) ([]
 		// tunnel it arrives on.
 		var tunnel uint64
 		if len(chain) > 0 {
-			tunnel = a.ov.meshID[[2]uint64{cur, v2}]
+			tunnel = a.ov.mesh[[2]uint64{cur, v2}].id
 		}
 		hops = append(hops, hop{dpid: v2, out: deliverPort, tunnel: tunnel})
 	}
@@ -137,18 +138,18 @@ func (a *App) overlayHops(v1, v2 uint64, deliverPort uint32, chain []string) ([]
 // registration order so tunnel ports and ids are the same on every run:
 // an entry tunnel from every primary into S_U (buildChainEntry), and a
 // tunnel from S_D to an aggregation vSwitch with a shared green in_port
-// rule. Called from Overlay.build.
-func (o *Overlay) buildChains() {
+// rule. Called from overlay.build.
+func (o *overlay) buildChains() {
 	a := o.app
 	net := a.C.Net
-	for _, vs := range o.vswitches {
-		if !o.backups[vs] {
-			o.buildChainEntry(vs)
+	for _, m := range o.members {
+		if m.serving() {
+			o.buildChainEntry(m.dpid)
 		}
 	}
 	for _, mb := range a.chains {
 		sd, sdHandle := net.Switch(mb.SD), a.C.Switch(mb.SD)
-		if sd == nil || sdHandle == nil || len(o.vswitches) == 0 {
+		if sd == nil || sdHandle == nil || len(o.members) == 0 {
 			continue
 		}
 		// Out-tunnel: S_D aggregates middlebox output back into the mesh
@@ -158,7 +159,7 @@ func (o *Overlay) buildChains() {
 		delay, _ := net.PathDelay(mb.SD, mb.vd)
 		sp, vp := o.allocPort(mb.SD), o.allocPort(mb.vd)
 		mb.outID = o.allocTunnelID()
-		connectTunnel(o, sd, sp, vdev, vp, mb.outID, delay)
+		device.ConnectTunnel(sd, sp, vdev, vp, tunnelConfig(mb.outID, delay))
 		mb.sdOut = sp
 		mb.vdIn = vp
 		// Shared green rule at S_D: middlebox output returns to the mesh.
@@ -170,24 +171,25 @@ func (o *Overlay) buildChains() {
 	}
 }
 
-func (o *Overlay) firstPrimary() uint64 {
-	for _, vs := range o.vswitches {
-		if !o.backups[vs] {
-			return vs
+func (o *overlay) firstPrimary() uint64 {
+	for _, m := range o.members {
+		if m.serving() {
+			return m.dpid
 		}
 	}
-	return o.vswitches[0]
+	return o.members[0].dpid
 }
 
-// pollElephants queries every live mesh vSwitch for flow statistics and
-// queues migration for flows that crossed the elephant threshold (§5.3:
-// "The large flow identifier selects the flows with high packet counts").
+// pollElephants queries every live primary for flow statistics, draining
+// ones included, and queues migration for flows that crossed the elephant
+// threshold (§5.3: "The large flow identifier selects the flows with high
+// packet counts").
 func (a *App) pollElephants() {
-	for _, vs := range a.ov.vswitches {
-		if a.ov.backups[vs] || !a.ov.aliveOrUnbuilt(vs) {
+	for _, m := range a.ov.members {
+		if m.backup || !m.alive {
 			continue
 		}
-		h := a.C.Switch(vs)
+		h := a.C.Switch(m.dpid)
 		if h == nil || h.Dead() {
 			continue
 		}

@@ -1,8 +1,9 @@
 package scotch
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"scotch/internal/controller"
@@ -27,54 +28,81 @@ const (
 	prioVSwitch        = 100 // per-flow rules at mesh vSwitches
 )
 
-// physTunnel is one tunnel from a protected switch into the mesh.
+// member is one mesh vSwitch. It is alive from AddVSwitch until a
+// failover. A draining member carries its established flows out but takes
+// no new assignments; DrainVSwitch drops the record once its tunnels are
+// torn down.
+type member struct {
+	dpid     uint64
+	backup   bool // serves only in place of a failed primary
+	alive    bool
+	draining bool
+}
+
+// usable reports whether the member may take new flow assignments.
+func (m *member) usable() bool { return m.alive && !m.draining }
+
+// serving reports whether the member is a primary taking new flow
+// assignments.
+func (m *member) serving() bool { return m.usable() && !m.backup }
+
+// physTunnel is one fan-out tunnel from a protected switch into the mesh.
 type physTunnel struct {
-	vs       uint64 // mesh vSwitch dpid
-	physPort uint32 // tunnel port at the physical switch
-	vsPort   uint32 // tunnel port at the vSwitch
+	m        *member // the mesh vSwitch it ends at
+	physPort uint32  // tunnel port at the physical switch
 	id       uint64
+	t        *device.Tunnel
 }
 
-// delivery records how a host is reached from the mesh.
+// meshLink is one direction of the mesh tunnel between two members.
+type meshLink struct {
+	port uint32 // out port at the sending member
+	id   uint64
+	t    *device.Tunnel
+}
+
+// delivery records how the mesh reaches one destination host: its
+// delivery vSwitch, an optional backup, and the tunnels toward the host,
+// at most one from each vSwitch.
 type delivery struct {
+	ip     netaddr.IPv4
 	vs     uint64 // delivery vSwitch
-	vsPort uint32 // tunnel port at the vSwitch toward the host
 	backup uint64 // backup delivery vSwitch (0 = none)
+	tuns   []hostTunnel
 }
 
-// deliveryTunnel is one host delivery tunnel from a vSwitch: its port at
-// the vSwitch, which deliveryFor hands out, and the tunnel itself.
-type deliveryTunnel struct {
+// hostTunnel is one delivery tunnel: its port at vSwitch vs, which
+// deliveryFor hands out, and the tunnel itself.
+type hostTunnel struct {
+	vs   uint64
 	port uint32
 	t    *device.Tunnel
 }
 
-// Overlay owns the Scotch tunnel fabric: the vSwitch full mesh, the
-// physical-switch fan-out tunnels, and the host delivery tunnels.
-type Overlay struct {
+// tunnel returns the delivery tunnel from vs, or nil.
+func (d *delivery) tunnel(vs uint64) *hostTunnel {
+	for i := range d.tuns {
+		if d.tuns[i].vs == vs {
+			return &d.tuns[i]
+		}
+	}
+	return nil
+}
+
+// overlay owns the Scotch tunnel fabric: the vSwitch full mesh, the
+// physical-switch fan-out tunnels (kept in each protState), and the host
+// delivery tunnels. Each list is kept in the order the overlay visits it,
+// so reruns of a seed allocate the same ports and tunnel ids.
+type overlay struct {
 	app *App
 
-	vswitches []uint64 // mesh members (primaries and backups)
-	backups   map[uint64]bool
-	alive     map[uint64]bool
-	// draining members carry their established flows out but accept no
-	// new assignments: they are excluded from select-group buckets and
-	// delivery lookups until DrainVSwitch finishes tearing them down.
-	draining map[uint64]bool
+	members    []*member              // membership order
+	mesh       map[[2]uint64]meshLink // (from, to) -> link
+	deliveries []*delivery            // destination IP order
 
-	meshPort   map[[2]uint64]uint32 // (from, to) -> out port at from
-	meshID     map[[2]uint64]uint64 // (from, to) -> tunnel id
-	deliveries map[netaddr.IPv4]*delivery
-
-	phys           map[uint64][]physTunnel // protected switch -> fan-out tunnels
-	tunnelOrigin   map[uint64]uint64       // tunnel id -> physical switch dpid
-	groupInstalled map[uint64]bool
-
-	// tunnels indexes every overlay tunnel by id, and deliveryTun the
-	// host delivery tunnels by (vs, host-as-ip), so live pool shrinkage
-	// can tear them down again.
-	tunnels     map[uint64]*device.Tunnel
-	deliveryTun map[[2]uint64]deliveryTunnel
+	// tunnelOrigin resolves a fan-out tunnel id to its protected switch
+	// (the paper's tunnel-id -> switch-id table, §5.2).
+	tunnelOrigin map[uint64]uint64
 
 	nextTunnelID uint64
 	nextPort     map[uint64]uint32 // per-node logical port allocator
@@ -84,25 +112,16 @@ type Overlay struct {
 	spareScratch  []physTunnel
 }
 
-func newOverlay(app *App) *Overlay {
-	return &Overlay{
-		app:            app,
-		backups:        make(map[uint64]bool),
-		alive:          make(map[uint64]bool),
-		draining:       make(map[uint64]bool),
-		meshPort:       make(map[[2]uint64]uint32),
-		meshID:         make(map[[2]uint64]uint64),
-		deliveries:     make(map[netaddr.IPv4]*delivery),
-		phys:           make(map[uint64][]physTunnel),
-		tunnelOrigin:   make(map[uint64]uint64),
-		groupInstalled: make(map[uint64]bool),
-		tunnels:        make(map[uint64]*device.Tunnel),
-		deliveryTun:    make(map[[2]uint64]deliveryTunnel),
-		nextPort:       make(map[uint64]uint32),
+func newOverlay(app *App) *overlay {
+	return &overlay{
+		app:          app,
+		mesh:         make(map[[2]uint64]meshLink),
+		tunnelOrigin: make(map[uint64]uint64),
+		nextPort:     make(map[uint64]uint32),
 	}
 }
 
-func (o *Overlay) allocPort(dpid uint64) uint32 {
+func (o *overlay) allocPort(dpid uint64) uint32 {
 	p, ok := o.nextPort[dpid]
 	if !ok {
 		p = 1000 // well clear of topology-assigned data ports
@@ -111,39 +130,54 @@ func (o *Overlay) allocPort(dpid uint64) uint32 {
 	return p
 }
 
-func (o *Overlay) allocTunnelID() uint64 {
+func (o *overlay) allocTunnelID() uint64 {
 	o.nextTunnelID++
 	return o.nextTunnelID
 }
 
-// isMesh reports whether dpid is a mesh vSwitch.
-func (o *Overlay) isMesh(dpid uint64) bool {
-	for _, v := range o.vswitches {
-		if v == dpid {
-			return true
+// member returns the mesh member dpid, or nil.
+func (o *overlay) member(dpid uint64) *member {
+	for _, m := range o.members {
+		if m.dpid == dpid {
+			return m
 		}
 	}
-	return false
+	return nil
 }
 
-// originOf resolves a tunnel id to the protected physical switch that owns
-// it (the paper's tunnel-id -> switch-id table, §5.2).
-func (o *Overlay) originOf(tunnelID uint64) (uint64, bool) {
-	dpid, ok := o.tunnelOrigin[tunnelID]
-	return dpid, ok
+// isMesh reports whether dpid is a mesh vSwitch.
+func (o *overlay) isMesh(dpid uint64) bool { return o.member(dpid) != nil }
+
+// alive reports whether dpid is a live mesh member.
+func (o *overlay) alive(dpid uint64) bool {
+	m := o.member(dpid)
+	return m != nil && m.alive
+}
+
+// draining reports whether dpid is a mesh member mid-drain.
+func (o *overlay) draining(dpid uint64) bool {
+	m := o.member(dpid)
+	return m != nil && m.draining
+}
+
+// findDelivery returns the index of ip's delivery record, or where it
+// belongs in IP order.
+func (o *overlay) findDelivery(ip netaddr.IPv4) (int, bool) {
+	return slices.BinarySearchFunc(o.deliveries, ip, func(d *delivery, ip netaddr.IPv4) int {
+		return cmp.Compare(d.ip, ip)
+	})
 }
 
 // build creates every tunnel: the vSwitch full mesh, fan-out tunnels from
 // each protected switch, and delivery tunnels to each assigned host.
 // Configuration is done offline (paper §5.6), before traffic flows.
-func (o *Overlay) build() error {
+func (o *overlay) build() error {
 	a := o.app
-	net := a.C.Net
 
 	// Full mesh between vSwitches.
-	for i, va := range o.vswitches {
-		for _, vb := range o.vswitches[i+1:] {
-			if err := o.buildMeshTunnel(va, vb); err != nil {
+	for i, va := range o.members {
+		for _, vb := range o.members[i+1:] {
+			if err := o.buildMeshTunnel(va.dpid, vb.dpid); err != nil {
 				return err
 			}
 		}
@@ -152,64 +186,46 @@ func (o *Overlay) build() error {
 	// Fan-out tunnels from each protected switch to its nearest vSwitches;
 	// the receiving side strips the inner (ingress-port) label into packet
 	// metadata.
-	// Sorted: tunnel port/id allocation below must not depend on map
-	// iteration order, or reruns of the same seed diverge.
-	protDPIDs := make([]uint64, 0, len(a.protected))
-	for dpid := range a.protected {
-		protDPIDs = append(protDPIDs, dpid)
-	}
-	sort.Slice(protDPIDs, func(i, j int) bool { return protDPIDs[i] < protDPIDs[j] })
-	for _, dpid := range protDPIDs {
-		sw := net.Switch(dpid)
-		if sw == nil {
-			return fmt.Errorf("scotch: unknown protected switch %d", dpid)
+	for _, st := range a.protected {
+		if a.C.Net.Switch(st.dpid) == nil {
+			return fmt.Errorf("scotch: unknown protected switch %d", st.dpid)
 		}
-		vss := o.nearestVSwitches(dpid, a.Cfg.FanOut)
+		vss := o.nearestVSwitches(st.dpid, a.Cfg.FanOut)
 		if len(vss) == 0 {
-			return fmt.Errorf("scotch: no vswitches available for switch %d", dpid)
+			return fmt.Errorf("scotch: no vswitches available for switch %d", st.dpid)
 		}
 		// Pre-build tunnels to backups too so failover only swaps buckets.
-		for _, vs := range o.vswitches {
-			if o.backups[vs] {
-				vss = append(vss, vs)
+		for _, m := range o.members {
+			if m.backup {
+				vss = append(vss, m)
 			}
 		}
-		for _, vs := range vss {
-			o.buildFanoutTunnel(dpid, vs)
+		for _, m := range vss {
+			o.buildFanoutTunnel(st, m)
 		}
 		// The select group is installed up front; it is inert until the
 		// offload default rules reference it.
-		o.installGroup(dpid)
+		o.installGroup(st)
 	}
 
-	// Delivery tunnels from each host's local (and backup) vSwitch, in IP
-	// order for the same reason: buildDelivery allocates ports/tunnel ids.
-	ips := make([]netaddr.IPv4, 0, len(o.deliveries))
-	for ip := range o.deliveries {
-		ips = append(ips, ip)
-	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	for _, ip := range ips {
-		d := o.deliveries[ip]
-		if err := o.buildDelivery(ip, d.vs); err != nil {
+	// Delivery tunnels from each host's local (and backup) vSwitch.
+	for _, d := range o.deliveries {
+		if err := o.buildDelivery(d, d.vs); err != nil {
 			return err
 		}
 		if d.backup != 0 {
-			if err := o.buildDelivery(ip, d.backup); err != nil {
+			if err := o.buildDelivery(d, d.backup); err != nil {
 				return err
 			}
 		}
-	}
-	for _, v := range o.vswitches {
-		o.alive[v] = true
 	}
 	o.buildChains()
 	return nil
 }
 
 // buildMeshTunnel creates the mesh tunnel between two member vSwitches
-// and records it in the port/id/handle indexes.
-func (o *Overlay) buildMeshTunnel(va, vb uint64) error {
+// and records both directions.
+func (o *overlay) buildMeshTunnel(va, vb uint64) error {
 	a := o.app
 	net := a.C.Net
 	da, db := net.Switch(va), net.Switch(vb)
@@ -219,33 +235,29 @@ func (o *Overlay) buildMeshTunnel(va, vb uint64) error {
 	delay, _ := net.PathDelay(va, vb)
 	pa, pb := o.allocPort(va), o.allocPort(vb)
 	id := o.allocTunnelID()
-	connectTunnel(o, da, pa, db, pb, id, delay)
-	o.meshPort[[2]uint64{va, vb}] = pa
-	o.meshPort[[2]uint64{vb, va}] = pb
-	o.meshID[[2]uint64{va, vb}] = id
-	o.meshID[[2]uint64{vb, va}] = id
+	t := device.ConnectTunnel(da, pa, db, pb, tunnelConfig(id, delay))
+	o.mesh[[2]uint64{va, vb}] = meshLink{port: pa, id: id, t: t}
+	o.mesh[[2]uint64{vb, va}] = meshLink{port: pb, id: id, t: t}
 	return nil
 }
 
 // buildFanoutTunnel creates one fan-out tunnel from a protected switch
-// into mesh vSwitch vs, registering its origin for Packet-In
-// attribution. The receiving side strips the inner (ingress-port) label.
-func (o *Overlay) buildFanoutTunnel(dpid, vs uint64) {
-	a := o.app
-	net := a.C.Net
-	sw, vdev := net.Switch(dpid), net.Switch(vs)
+// into mesh member m, registering its origin for Packet-In attribution.
+// The receiving side strips the inner (ingress-port) label.
+func (o *overlay) buildFanoutTunnel(st *protState, m *member) {
+	net := o.app.C.Net
+	sw, vdev := net.Switch(st.dpid), net.Switch(m.dpid)
 	if sw == nil || vdev == nil {
 		return
 	}
-	delay, _ := net.PathDelay(dpid, vs)
-	sp, vp := o.allocPort(dpid), o.allocPort(vs)
+	delay, _ := net.PathDelay(st.dpid, m.dpid)
+	sp, vp := o.allocPort(st.dpid), o.allocPort(m.dpid)
 	id := o.allocTunnelID()
 	cfg := tunnelConfig(id, delay)
 	cfg.StripInnerB = true
 	t := device.ConnectTunnel(sw, sp, vdev, vp, cfg)
-	o.phys[dpid] = append(o.phys[dpid], physTunnel{vs: vs, physPort: sp, vsPort: vp, id: id})
-	o.tunnelOrigin[id] = dpid
-	o.tunnels[id] = t
+	st.fanout = append(st.fanout, physTunnel{m: m, physPort: sp, id: id, t: t})
+	o.tunnelOrigin[id] = st.dpid
 }
 
 // tunnelConfig is the app's standard tunnel over an underlay path of the
@@ -254,77 +266,78 @@ func tunnelConfig(id uint64, delay time.Duration) device.TunnelConfig {
 	return device.TunnelConfig{ID: id, Delay: delay + 20*time.Microsecond, RateBps: tunnelBps}
 }
 
-// connectTunnel creates one overlay tunnel with the app's standard
-// parameters and records it under its id.
-func connectTunnel(o *Overlay, a device.Node, ap uint32, b device.Node, bp uint32, id uint64, delay time.Duration) {
-	o.tunnels[id] = device.ConnectTunnel(a, ap, b, bp, tunnelConfig(id, delay))
-}
-
-func (o *Overlay) buildDelivery(ip netaddr.IPv4, vs uint64) error {
-	a := o.app
-	net := a.C.Net
-	host := net.Host(ip)
+// buildDelivery creates the delivery tunnel from vSwitch vs to d's host.
+// A tunnel rebuilt from the same vSwitch replaces the old one.
+func (o *overlay) buildDelivery(d *delivery, vs uint64) error {
+	net := o.app.C.Net
+	host := net.Host(d.ip)
 	vdev := net.Switch(vs)
 	if host == nil || vdev == nil {
-		return fmt.Errorf("scotch: unknown host %v or vswitch %d", ip, vs)
+		return fmt.Errorf("scotch: unknown host %v or vswitch %d", d.ip, vs)
 	}
-	at, _ := net.HostAttach(ip)
+	at, _ := net.HostAttach(d.ip)
 	delay, _ := net.PathDelay(vs, at.DPID)
 	vp := o.allocPort(vs)
 	hp := o.allocPort(0) // host-side logical port id space is per-host anyway
-	t := device.ConnectTunnel(vdev, vp, host, hp, tunnelConfig(o.allocTunnelID(), delay))
-	o.deliveryTun[[2]uint64{vs, uint64(ip)}] = deliveryTunnel{port: vp, t: t}
+	ht := hostTunnel{vs: vs, port: vp,
+		t: device.ConnectTunnel(vdev, vp, host, hp, tunnelConfig(o.allocTunnelID(), delay))}
+	if old := d.tunnel(vs); old != nil {
+		old.t.Teardown()
+		*old = ht
+		return nil
+	}
+	d.tuns = append(d.tuns, ht)
 	return nil
 }
 
-// nearestVSwitches returns up to n live primary vSwitches ordered by
-// underlay delay from dpid (stable order for determinism).
-func (o *Overlay) nearestVSwitches(dpid uint64, n int) []uint64 {
+// nearestVSwitches returns up to n serving primaries ordered by underlay
+// delay from dpid (stable order for determinism).
+func (o *overlay) nearestVSwitches(dpid uint64, n int) []*member {
 	type cand struct {
-		vs    uint64
+		m     *member
 		delay time.Duration
 	}
 	var cands []cand
-	for _, vs := range o.vswitches {
-		if o.backups[vs] || (len(o.alive) > 0 && !o.alive[vs]) || o.draining[vs] {
+	for _, m := range o.members {
+		if !m.serving() {
 			continue
 		}
-		d, ok := o.app.C.Net.PathDelay(dpid, vs)
+		d, ok := o.app.C.Net.PathDelay(dpid, m.dpid)
 		if !ok {
 			continue
 		}
-		cands = append(cands, cand{vs, d})
+		cands = append(cands, cand{m, d})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].delay != cands[j].delay {
-			return cands[i].delay < cands[j].delay
+	slices.SortFunc(cands, func(x, y cand) int {
+		if x.delay != y.delay {
+			return cmp.Compare(x.delay, y.delay)
 		}
-		return cands[i].vs < cands[j].vs
+		return cmp.Compare(x.m.dpid, y.m.dpid)
 	})
 	if n > len(cands) {
 		n = len(cands)
 	}
-	out := make([]uint64, 0, n)
+	out := make([]*member, 0, n)
 	for _, c := range cands[:n] {
-		out = append(out, c.vs)
+		out = append(out, c.m)
 	}
 	return out
 }
 
 // installGroup (re)installs the select group at a protected switch from
 // its current live fan-out tunnels.
-func (o *Overlay) installGroup(dpid uint64) {
-	h := o.app.C.Switch(dpid)
+func (o *overlay) installGroup(st *protState) {
+	h := o.app.C.Switch(st.dpid)
 	if h == nil {
 		return
 	}
-	live := o.liveFanout(dpid)
+	live := o.liveFanout(st)
 	if len(live) == 0 {
 		// Every fan-out vSwitch is dead or draining: a select group with
 		// an empty bucket list would blackhole all offloaded traffic, so
 		// leave the last-known buckets in place and deactivate the
 		// offload — new packets stay on the physical control path.
-		o.deactivate(dpid)
+		o.deactivate(st)
 		return
 	}
 	var buckets []openflow.Bucket
@@ -337,10 +350,10 @@ func (o *Overlay) installGroup(dpid uint64) {
 		})
 	}
 	cmd := openflow.GroupAdd
-	if o.groupInstalled[dpid] {
+	if st.groupInstalled {
 		cmd = openflow.GroupModify
 	}
-	o.groupInstalled[dpid] = true
+	st.groupInstalled = true
 	h.SendGroupMod(&openflow.GroupMod{
 		Command:   cmd,
 		GroupType: openflow.GroupTypeSelect,
@@ -349,39 +362,27 @@ func (o *Overlay) installGroup(dpid uint64) {
 	})
 }
 
-func (o *Overlay) aliveOrUnbuilt(vs uint64) bool {
-	if len(o.alive) == 0 {
-		return true
-	}
-	return o.alive[vs]
-}
-
-// usable reports whether a vSwitch may take new flow assignments: it
-// must be alive (or the overlay unbuilt) and not draining.
-func (o *Overlay) usable(vs uint64) bool {
-	return o.aliveOrUnbuilt(vs) && !o.draining[vs]
-}
-
-// liveFanout returns the fan-out tunnels of a switch whose vSwitch is
-// alive, preferring primaries; backup vSwitches join the list only when a
-// primary has failed. This is the bucket list of the switch's select
-// group, so selectVSwitch and installGroup stay consistent by sharing it.
-func (o *Overlay) liveFanout(dpid uint64) []physTunnel {
-	// Reuses the overlay's scratch buffers: both callers consume the
-	// result before the next liveFanout call and never retain it, and
+// liveFanout returns a protected switch's fan-out tunnels whose member is
+// usable, preferring primaries; backups join the list only in place of
+// a primary that has failed or is draining. This is the bucket list of
+// the switch's select group, so selectVSwitch and installGroup stay
+// consistent by sharing it.
+func (o *overlay) liveFanout(st *protState) []physTunnel {
+	// Reuses the overlay's scratch buffers: every caller consumes the
+	// result before the next liveFanout call and never retains it, and
 	// the overlay runs single-threaded on the controller's lane.
 	primaries := o.fanoutScratch[:0]
 	spares := o.spareScratch[:0]
 	nPrimary := 0
-	for _, pt := range o.phys[dpid] {
-		if o.backups[pt.vs] {
-			if o.usable(pt.vs) {
+	for _, pt := range st.fanout {
+		if pt.m.backup {
+			if pt.m.usable() {
 				spares = append(spares, pt)
 			}
 			continue
 		}
 		nPrimary++
-		if o.usable(pt.vs) {
+		if pt.m.usable() {
 			primaries = append(primaries, pt)
 		}
 	}
@@ -394,8 +395,12 @@ func (o *Overlay) liveFanout(dpid uint64) []physTunnel {
 
 // selectVSwitch mirrors the switch's select-group bucket choice for a flow
 // so the controller knows which mesh vSwitch a tunneled flow lands on.
-func (o *Overlay) selectVSwitch(dpid uint64, key netaddr.FlowKey) (physTunnel, bool) {
-	live := o.liveFanout(dpid)
+func (o *overlay) selectVSwitch(dpid uint64, key netaddr.FlowKey) (physTunnel, bool) {
+	st := o.app.prot(dpid)
+	if st == nil {
+		return physTunnel{}, false
+	}
+	live := o.liveFanout(st)
 	if len(live) == 0 {
 		return physTunnel{}, false
 	}
@@ -404,27 +409,30 @@ func (o *Overlay) selectVSwitch(dpid uint64, key netaddr.FlowKey) (physTunnel, b
 
 // deliveryFor returns the delivery vSwitch and its host-facing tunnel port
 // for a destination.
-func (o *Overlay) deliveryFor(ip netaddr.IPv4) (uint64, uint32, bool) {
-	d, ok := o.deliveries[ip]
+func (o *overlay) deliveryFor(ip netaddr.IPv4) (uint64, uint32, bool) {
+	i, ok := o.findDelivery(ip)
 	if !ok {
 		return 0, 0, false
 	}
+	d := o.deliveries[i]
 	vs := d.vs
-	if len(o.alive) > 0 && !o.alive[vs] && d.backup != 0 {
+	if !o.alive(vs) && d.backup != 0 {
 		vs = d.backup
 	}
-	dt, ok := o.deliveryTun[[2]uint64{vs, uint64(ip)}]
-	return vs, dt.port, ok
+	if ht := d.tunnel(vs); ht != nil {
+		return vs, ht.port, true
+	}
+	return vs, 0, false
 }
 
 // outToward returns mesh member vs's out port toward v2, a flow's delivery
 // vSwitch: v2's host-facing deliverPort when vs is v2, else the mesh tunnel
 // to v2.
-func (o *Overlay) outToward(vs, v2 uint64, deliverPort uint32) uint32 {
+func (o *overlay) outToward(vs, v2 uint64, deliverPort uint32) uint32 {
 	if vs == v2 {
 		return deliverPort
 	}
-	return o.meshPort[[2]uint64{vs, v2}]
+	return o.mesh[[2]uint64{vs, v2}].port
 }
 
 // activate installs the offload rules at a congested switch (paper §5.1):
@@ -432,10 +440,10 @@ func (o *Overlay) outToward(vs, v2 uint64, deliverPort uint32) uint32 {
 // table 1, whose default rule hands the packet to the select group. The
 // FlowMods ride the switch's admitted queue so they are paced like any
 // other install.
-func (o *Overlay) activate(dpid uint64) {
+func (o *overlay) activate(st *protState) {
 	a := o.app
-	st := a.protected[dpid]
-	if st == nil || a.C.Switch(dpid) == nil || st.active {
+	dpid := st.dpid
+	if a.C.Switch(dpid) == nil || st.active {
 		return
 	}
 	st.active = true
@@ -462,10 +470,10 @@ func (o *Overlay) activate(dpid uint64) {
 }
 
 // deactivate removes the offload rules (withdrawal step 2, §5.5).
-func (o *Overlay) deactivate(dpid uint64) {
+func (o *overlay) deactivate(st *protState) {
 	a := o.app
-	st := a.protected[dpid]
-	if st == nil || a.C.Switch(dpid) == nil || !st.active {
+	dpid := st.dpid
+	if a.C.Switch(dpid) == nil || !st.active {
 		return
 	}
 	st.active = false
@@ -489,36 +497,31 @@ func (o *Overlay) deactivate(dpid uint64) {
 // switches and delivery assignments fall back to backups (paper §5.6).
 // Flows previously handled by the dead vSwitch re-hash onto live buckets
 // and are treated as new flows when they miss there.
-func (o *Overlay) failover(dead uint64) {
-	if !o.alive[dead] {
+func (o *overlay) failover(dead uint64) {
+	m := o.member(dead)
+	if m == nil || !m.alive {
 		return
 	}
-	o.alive[dead] = false
+	m.alive = false
 	o.app.Stats.FailoverSwaps++
 	// Re-derive every affected switch's buckets; liveFanout promotes a
-	// backup in place of the dead primary. Sorted so the resulting
-	// GroupMod sequence is reproducible.
-	o.reinstallGroupsFor(dead)
-	if o.draining[dead] {
+	// backup in place of the dead primary.
+	o.reinstallGroupsFor(m)
+	if m.draining {
 		// The vSwitch died mid-drain: nothing left to wait for. Tear it
-		// down now; the pending drain poll sees the cleared draining
-		// flag and stops.
+		// down now; the pending drain poll finds no draining member and
+		// stops.
 		o.finishDrain(dead)
 	}
 }
 
 // reinstallGroupsFor refreshes the select group of every protected
-// switch that fans out to vs, in sorted order for reproducibility.
-func (o *Overlay) reinstallGroupsFor(vs uint64) {
-	physDPIDs := make([]uint64, 0, len(o.phys))
-	for dpid := range o.phys {
-		physDPIDs = append(physDPIDs, dpid)
-	}
-	sort.Slice(physDPIDs, func(i, j int) bool { return physDPIDs[i] < physDPIDs[j] })
-	for _, dpid := range physDPIDs {
-		for _, pt := range o.phys[dpid] {
-			if pt.vs == vs {
-				o.installGroup(dpid)
+// switch that fans out to m, in dpid order.
+func (o *overlay) reinstallGroupsFor(m *member) {
+	for _, st := range o.app.protected {
+		for _, pt := range st.fanout {
+			if pt.m == m {
+				o.installGroup(st)
 				break
 			}
 		}
@@ -534,10 +537,9 @@ const drainPollInterval = 250 * time.Millisecond
 // hashing onto the member immediately), middlebox-chain entry tunnels,
 // and delivery rebinding for any host left unreachable by earlier
 // failures. Mirrors build() for a single member, against live state.
-func (o *Overlay) addLive(dpid uint64, backup bool) error {
+func (o *overlay) addLive(dpid uint64, backup bool) error {
 	a := o.app
-	net := a.C.Net
-	if net.Switch(dpid) == nil {
+	if a.C.Net.Switch(dpid) == nil {
 		return fmt.Errorf("scotch: unknown vswitch %d", dpid)
 	}
 	if o.isMesh(dpid) {
@@ -547,29 +549,24 @@ func (o *Overlay) addLive(dpid uint64, backup bool) error {
 		return fmt.Errorf("scotch: vswitch %d not connected to the controller", dpid)
 	}
 	// Mesh tunnels to the existing members, in membership order.
-	for _, vb := range o.vswitches {
-		if err := o.buildMeshTunnel(vb, dpid); err != nil {
+	for _, vb := range o.members {
+		if err := o.buildMeshTunnel(vb.dpid, dpid); err != nil {
 			return err
 		}
 	}
-	o.vswitches = append(o.vswitches, dpid)
-	if backup {
-		o.backups[dpid] = true
-	}
-	o.alive[dpid] = true
+	m := &member{dpid: dpid, backup: backup, alive: true}
+	o.members = append(o.members, m)
 
 	// Fan-out from every protected switch; unlike build's FanOut-nearest
 	// selection, a live-added member joins every switch's fan-out — the
-	// pool is growing precisely because the existing tunnels are hot.
-	protDPIDs := make([]uint64, 0, len(a.protected))
-	for p := range a.protected {
-		protDPIDs = append(protDPIDs, p)
-	}
-	sort.Slice(protDPIDs, func(i, j int) bool { return protDPIDs[i] < protDPIDs[j] })
-	for _, p := range protDPIDs {
-		o.buildFanoutTunnel(p, dpid)
-		if !backup {
-			o.installGroup(p)
+	// pool is growing precisely because the existing tunnels are hot. A
+	// backup changes a switch's buckets only when it is promoted at once,
+	// in place of a failed or draining primary.
+	for _, st := range a.protected {
+		n := len(o.liveFanout(st))
+		o.buildFanoutTunnel(st, m)
+		if !backup || len(o.liveFanout(st)) != n {
+			o.installGroup(st)
 		}
 	}
 
@@ -580,17 +577,11 @@ func (o *Overlay) addLive(dpid uint64, backup bool) error {
 	}
 
 	// Re-home any delivery whose primary and backup are both gone.
-	ips := make([]netaddr.IPv4, 0, len(o.deliveries))
-	for ip := range o.deliveries {
-		ips = append(ips, ip)
-	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	for _, ip := range ips {
-		d := o.deliveries[ip]
-		if o.alive[d.vs] || (d.backup != 0 && o.alive[d.backup]) {
+	for _, d := range o.deliveries {
+		if o.alive(d.vs) || o.alive(d.backup) {
 			continue
 		}
-		if err := o.buildDelivery(ip, dpid); err != nil {
+		if err := o.buildDelivery(d, dpid); err != nil {
 			return err
 		}
 		d.vs = dpid
@@ -607,7 +598,7 @@ func (o *Overlay) addLive(dpid uint64, backup bool) error {
 // S_U, in registration order, with a shared green rule at S_U sending
 // anything from that tunnel to the middlebox. Decapsulation happens at
 // S_U, so the middlebox sees the original packet (paper Fig. 8).
-func (o *Overlay) buildChainEntry(vs uint64) {
+func (o *overlay) buildChainEntry(vs uint64) {
 	a := o.app
 	net := a.C.Net
 	for _, mb := range a.chains {
@@ -623,7 +614,7 @@ func (o *Overlay) buildChainEntry(vs uint64) {
 		delay, _ := net.PathDelay(vs, mb.SU)
 		vp, sp := o.allocPort(vs), o.allocPort(mb.SU)
 		id := o.allocTunnelID()
-		connectTunnel(o, vdev, vp, su, sp, id, delay)
+		device.ConnectTunnel(vdev, vp, su, sp, tunnelConfig(id, delay))
 		mb.inPort[vs] = vp
 		suHandle.InstallFlow(&openflow.FlowMod{
 			Command: openflow.FlowAdd, TableID: 0, Priority: prioGreenChain,
@@ -640,12 +631,13 @@ func (o *Overlay) buildChainEntry(vs uint64) {
 // table is empty of per-flow rules — or drainTimeout expires — the
 // tunnels are torn down. A member that dies mid-drain is torn down
 // immediately by failover.
-func (o *Overlay) drain(dpid uint64) error {
+func (o *overlay) drain(dpid uint64) error {
 	a := o.app
-	if !o.isMesh(dpid) {
+	m := o.member(dpid)
+	if m == nil {
 		return fmt.Errorf("scotch: vswitch %d not a mesh member", dpid)
 	}
-	if o.draining[dpid] {
+	if m.draining {
 		return fmt.Errorf("scotch: vswitch %d already draining", dpid)
 	}
 	for _, mb := range a.chains {
@@ -653,18 +645,18 @@ func (o *Overlay) drain(dpid uint64) error {
 			return fmt.Errorf("scotch: vswitch %d aggregates chain %q", dpid, mb.Name)
 		}
 	}
-	if !o.alive[dpid] {
+	if !m.alive {
 		// Already dead: failover swapped it out of service; just reclaim
 		// the plumbing.
-		o.removeMember(dpid)
+		o.removeMember(m)
 		a.Stats.VSwitchesDrained++
 		return nil
 	}
-	// Keep at least one live, non-draining primary: the overlay must
-	// stay able to absorb an activation.
+	// Keep at least one serving primary: the overlay must stay able to
+	// absorb an activation.
 	others := 0
-	for _, vs := range o.vswitches {
-		if vs != dpid && o.alive[vs] && !o.draining[vs] && !o.backups[vs] {
+	for _, x := range o.members {
+		if x != m && x.serving() {
 			others++
 		}
 	}
@@ -672,13 +664,13 @@ func (o *Overlay) drain(dpid uint64) error {
 		return fmt.Errorf("scotch: vswitch %d is the last live primary", dpid)
 	}
 
-	o.draining[dpid] = true
+	m.draining = true
 	if tr := a.C.Tracer(); tr != nil {
 		tr.Mark(fmt.Sprintf("scotch:vswitch-drain vs=%d", dpid), a.C.Eng.Now())
 	}
 	// Stop new assignments: refresh the select groups that fan out here
 	// (liveFanout now excludes the member) and re-home its deliveries.
-	o.reinstallGroupsFor(dpid)
+	o.reinstallGroupsFor(m)
 	wasDelivery := o.rebindDeliveries(dpid)
 
 	// Hand established flows to the migration path: anything that
@@ -698,17 +690,12 @@ func (o *Overlay) drain(dpid uint64) error {
 }
 
 // rebindDeliveries moves every delivery off a draining member onto a
-// live one (preferring the configured backup), building missing
-// delivery tunnels, and reports which destination IPs were re-homed.
-func (o *Overlay) rebindDeliveries(dpid uint64) map[netaddr.IPv4]bool {
+// usable one (preferring the configured backup, else the first serving
+// primary), building missing delivery tunnels, and reports which
+// destination IPs were re-homed.
+func (o *overlay) rebindDeliveries(dpid uint64) map[netaddr.IPv4]bool {
 	moved := make(map[netaddr.IPv4]bool)
-	ips := make([]netaddr.IPv4, 0, len(o.deliveries))
-	for ip := range o.deliveries {
-		ips = append(ips, ip)
-	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	for _, ip := range ips {
-		d := o.deliveries[ip]
+	for _, d := range o.deliveries {
 		if d.backup == dpid {
 			d.backup = 0
 		}
@@ -716,12 +703,12 @@ func (o *Overlay) rebindDeliveries(dpid uint64) map[netaddr.IPv4]bool {
 			continue
 		}
 		target := uint64(0)
-		if d.backup != 0 && o.alive[d.backup] && !o.draining[d.backup] {
+		if b := o.member(d.backup); b != nil && b.usable() {
 			target = d.backup
 		} else {
-			for _, vs := range o.vswitches {
-				if vs != dpid && o.alive[vs] && !o.draining[vs] && !o.backups[vs] {
-					target = vs
+			for _, m := range o.members {
+				if m.serving() {
+					target = m.dpid
 					break
 				}
 			}
@@ -729,8 +716,8 @@ func (o *Overlay) rebindDeliveries(dpid uint64) map[netaddr.IPv4]bool {
 		if target == 0 {
 			continue // guarded against by drain's last-primary check
 		}
-		if _, ok := o.deliveryTun[[2]uint64{target, uint64(ip)}]; !ok {
-			if err := o.buildDelivery(ip, target); err != nil {
+		if d.tunnel(target) == nil {
+			if err := o.buildDelivery(d, target); err != nil {
 				continue
 			}
 		}
@@ -738,7 +725,7 @@ func (o *Overlay) rebindDeliveries(dpid uint64) map[netaddr.IPv4]bool {
 		if d.backup == target {
 			d.backup = 0
 		}
-		moved[ip] = true
+		moved[d.ip] = true
 	}
 	return moved
 }
@@ -746,10 +733,10 @@ func (o *Overlay) rebindDeliveries(dpid uint64) map[netaddr.IPv4]bool {
 // pollDrain checks whether a draining member's flow table still holds
 // per-flow rules; when it empties (or the deadline passes) the member
 // is torn down.
-func (o *Overlay) pollDrain(dpid uint64, deadline sim.Time) {
+func (o *overlay) pollDrain(dpid uint64, deadline sim.Time) {
 	a := o.app
 	a.C.Eng.Schedule(drainPollInterval, func() {
-		if !o.draining[dpid] {
+		if !o.draining(dpid) {
 			return // failover finished the drain for us
 		}
 		h := a.C.Switch(dpid)
@@ -768,7 +755,7 @@ func (o *Overlay) pollDrain(dpid uint64, deadline sim.Time) {
 			if rep.More {
 				return
 			}
-			if !o.draining[dpid] {
+			if !o.draining(dpid) {
 				return
 			}
 			if remaining == 0 {
@@ -781,81 +768,65 @@ func (o *Overlay) pollDrain(dpid uint64, deadline sim.Time) {
 }
 
 // finishDrain completes a drain: the member's tunnels are torn down and
-// its membership state is erased.
-func (o *Overlay) finishDrain(dpid uint64) {
-	if !o.draining[dpid] {
+// its record leaves the mesh.
+func (o *overlay) finishDrain(dpid uint64) {
+	m := o.member(dpid)
+	if m == nil || !m.draining {
 		return
 	}
-	delete(o.draining, dpid)
-	o.removeMember(dpid)
+	o.removeMember(m)
 	o.app.Stats.VSwitchesDrained++
 	if tr := o.app.C.Tracer(); tr != nil {
 		tr.Mark(fmt.Sprintf("scotch:vswitch-drained vs=%d", dpid), o.app.C.Eng.Now())
 	}
 }
 
-// removeMember tears down every tunnel touching a member and scrubs it
-// from the overlay indexes. Logical port ids are never reused: a member
-// re-added later allocates fresh ports, so late packets on old tunnels
-// cannot leak into new ones.
-func (o *Overlay) removeMember(dpid uint64) {
+// removeMember tears down every tunnel touching a member and drops its
+// record. Logical port ids are never reused: a member re-added later
+// allocates fresh ports, so late packets on old tunnels cannot leak into
+// new ones.
+func (o *overlay) removeMember(m *member) {
 	// Mesh tunnels to the surviving members.
-	for _, vb := range o.vswitches {
-		if vb == dpid {
+	for _, vb := range o.members {
+		if vb == m {
 			continue
 		}
-		if id, ok := o.meshID[[2]uint64{dpid, vb}]; ok {
-			if t := o.tunnels[id]; t != nil {
-				t.Teardown()
-			}
-			delete(o.tunnels, id)
+		if l, ok := o.mesh[[2]uint64{m.dpid, vb.dpid}]; ok {
+			l.t.Teardown()
 		}
-		delete(o.meshID, [2]uint64{dpid, vb})
-		delete(o.meshID, [2]uint64{vb, dpid})
-		delete(o.meshPort, [2]uint64{dpid, vb})
-		delete(o.meshPort, [2]uint64{vb, dpid})
+		delete(o.mesh, [2]uint64{m.dpid, vb.dpid})
+		delete(o.mesh, [2]uint64{vb.dpid, m.dpid})
 	}
-	// Fan-out tunnels from protected switches.
-	physDPIDs := make([]uint64, 0, len(o.phys))
-	for p := range o.phys {
-		physDPIDs = append(physDPIDs, p)
-	}
-	sort.Slice(physDPIDs, func(i, j int) bool { return physDPIDs[i] < physDPIDs[j] })
-	for _, p := range physDPIDs {
-		kept := o.phys[p][:0:0]
-		for _, pt := range o.phys[p] {
-			if pt.vs != dpid {
+	// Fan-out tunnels from protected switches. The member is dead or
+	// draining, so it is in no bucket list, but a primary leaving frees
+	// the slot a promoted backup filled: a switch whose live bucket list
+	// shrinks gets its group refreshed.
+	for _, st := range o.app.protected {
+		n := len(o.liveFanout(st))
+		kept := st.fanout[:0]
+		for _, pt := range st.fanout {
+			if pt.m != m {
 				kept = append(kept, pt)
 				continue
 			}
-			if t := o.tunnels[pt.id]; t != nil {
-				t.Teardown()
-			}
-			delete(o.tunnels, pt.id)
+			pt.t.Teardown()
 			delete(o.tunnelOrigin, pt.id)
 		}
-		o.phys[p] = kept
+		clear(st.fanout[len(kept):])
+		st.fanout = kept
+		if len(o.liveFanout(st)) != n {
+			o.installGroup(st)
+		}
 	}
 	// Delivery tunnels from this member.
-	var dkeys [][2]uint64
-	for k := range o.deliveryTun {
-		if k[0] == dpid {
-			dkeys = append(dkeys, k)
+	for _, d := range o.deliveries {
+		for i := range d.tuns {
+			if d.tuns[i].vs == m.dpid {
+				d.tuns[i].t.Teardown()
+				d.tuns = slices.Delete(d.tuns, i, i+1)
+				break
+			}
 		}
 	}
-	sort.Slice(dkeys, func(i, j int) bool { return dkeys[i][1] < dkeys[j][1] })
-	for _, k := range dkeys {
-		o.deliveryTun[k].t.Teardown()
-		delete(o.deliveryTun, k)
-	}
-	// Membership.
-	for i, vs := range o.vswitches {
-		if vs == dpid {
-			o.vswitches = append(o.vswitches[:i], o.vswitches[i+1:]...)
-			break
-		}
-	}
-	delete(o.alive, dpid)
-	delete(o.backups, dpid)
-	delete(o.draining, dpid)
+	o.members = slices.DeleteFunc(o.members, func(x *member) bool { return x == m })
 }

@@ -83,10 +83,10 @@ func TestAddVSwitchLive(t *testing.T) {
 		t.Fatalf("mesh members = %v, want [old, new]", members)
 	}
 	ov := f.app.ov
-	if _, ok := ov.meshPort[[2]uint64{f.vs[0].DPID, nv.DPID}]; !ok {
+	if _, ok := ov.mesh[[2]uint64{f.vs[0].DPID, nv.DPID}]; !ok {
 		t.Fatal("no mesh tunnel from the old member to the new one")
 	}
-	if got := len(ov.liveFanout(f.edge.DPID)); got != 2 {
+	if got := len(ov.liveFanout(f.app.prot(f.edge.DPID))); got != 2 {
 		t.Fatalf("fan-out = %d after live add, want 2", got)
 	}
 	if f.app.Stats.VSwitchesAdded != 1 {
@@ -128,17 +128,17 @@ func TestDrainVSwitchGraceful(t *testing.T) {
 	if err := f.app.DrainVSwitch(victim); err == nil {
 		t.Fatal("second drain of the same member accepted")
 	}
-	if !f.app.Draining(victim) {
+	if !f.app.ov.draining(victim) {
 		t.Fatal("Draining not reported during drain")
 	}
 	// New assignments exclude the member instantly.
 	ov := f.app.ov
-	if got := len(ov.liveFanout(f.edge.DPID)); got != 1 {
+	if got := len(ov.liveFanout(f.app.prot(f.edge.DPID))); got != 1 {
 		t.Fatalf("fan-out = %d right after drain start, want 1", got)
 	}
 	for i := 0; i < 64; i++ {
 		key := netaddr.FlowKey{Src: f.client.IP, Dst: f.server.IP, SrcPort: uint16(i), DstPort: 80}
-		if pt, ok := ov.selectVSwitch(f.edge.DPID, key); !ok || pt.vs == victim {
+		if pt, ok := ov.selectVSwitch(f.edge.DPID, key); !ok || pt.m.dpid == victim {
 			t.Fatalf("selectVSwitch still offers draining member (flow %d)", i)
 		}
 	}
@@ -155,7 +155,7 @@ func TestDrainVSwitchGraceful(t *testing.T) {
 	cl.Stop()
 	f.eng.RunUntil(13 * time.Second)
 
-	if f.app.Draining(victim) {
+	if f.app.ov.draining(victim) {
 		t.Fatal("drain never completed")
 	}
 	if f.app.Stats.VSwitchesDrained != 1 {
@@ -165,11 +165,11 @@ func TestDrainVSwitchGraceful(t *testing.T) {
 	if len(members) != 1 || members[0] == victim {
 		t.Fatalf("mesh members after drain = %v", members)
 	}
-	if _, ok := ov.meshPort[[2]uint64{f.vs[0].DPID, victim}]; ok {
+	if _, ok := ov.mesh[[2]uint64{f.vs[0].DPID, victim}]; ok {
 		t.Fatal("mesh tunnel to drained member survived")
 	}
-	for _, pt := range ov.phys[f.edge.DPID] {
-		if pt.vs == victim {
+	for _, pt := range f.app.prot(f.edge.DPID).fanout {
+		if pt.m.dpid == victim {
 			t.Fatal("fan-out tunnel to drained member survived")
 		}
 	}
@@ -188,7 +188,7 @@ func TestDrainVSwitchGraceful(t *testing.T) {
 	if got := len(f.app.MeshMembers()); got != 2 {
 		t.Fatalf("members after re-add = %d, want 2", got)
 	}
-	if got := len(ov.liveFanout(f.edge.DPID)); got != 2 {
+	if got := len(ov.liveFanout(f.app.prot(f.edge.DPID))); got != 2 {
 		t.Fatalf("fan-out after re-add = %d, want 2", got)
 	}
 }
@@ -270,7 +270,7 @@ func TestDrainRacingFailover(t *testing.T) {
 	if f.app.Stats.VSwitchesDrained != 1 {
 		t.Fatalf("failover did not finish the drain (VSwitchesDrained=%d)", f.app.Stats.VSwitchesDrained)
 	}
-	if f.app.Draining(victim) {
+	if f.app.ov.draining(victim) {
 		t.Fatal("draining flag survived the failover")
 	}
 	for _, m := range f.app.MeshMembers() {

@@ -80,27 +80,27 @@ func TestDeactivationRemovesOffloadRules(t *testing.T) {
 func TestLiveFanoutPromotesBackup(t *testing.T) {
 	f := newFixture(t, DefaultConfig(), 2, 1)
 	ov := f.app.ov
-	live := ov.liveFanout(f.edge.DPID)
+	live := ov.liveFanout(f.app.prot(f.edge.DPID))
 	if len(live) != 2 {
 		t.Fatalf("initial fanout = %d", len(live))
 	}
 	for _, pt := range live {
-		if ov.backups[pt.vs] {
+		if pt.m.backup {
 			t.Fatal("backup in fanout while primaries alive")
 		}
 	}
 	// Kill one primary: the backup takes its slot.
 	ov.failover(f.vs[0].DPID)
-	live = ov.liveFanout(f.edge.DPID)
+	live = ov.liveFanout(f.app.prot(f.edge.DPID))
 	if len(live) != 2 {
 		t.Fatalf("fanout after failover = %d, want 2", len(live))
 	}
 	seenBackup := false
 	for _, pt := range live {
-		if pt.vs == f.vs[0].DPID {
+		if pt.m.dpid == f.vs[0].DPID {
 			t.Fatal("dead vswitch still in fanout")
 		}
-		if ov.backups[pt.vs] {
+		if pt.m.backup {
 			seenBackup = true
 		}
 	}
@@ -130,13 +130,13 @@ func TestDeliveryFallsBackToBackup(t *testing.T) {
 
 func TestTunnelOriginResolution(t *testing.T) {
 	f := newFixture(t, DefaultConfig(), 2, 0)
-	for _, pt := range f.app.ov.phys[f.edge.DPID] {
-		origin, ok := f.app.ov.originOf(pt.id)
+	for _, pt := range f.app.prot(f.edge.DPID).fanout {
+		origin, ok := f.app.ov.tunnelOrigin[pt.id]
 		if !ok || origin != f.edge.DPID {
 			t.Fatalf("tunnel %d origin = %d ok=%v", pt.id, origin, ok)
 		}
 	}
-	if _, ok := f.app.ov.originOf(999999); ok {
+	if _, ok := f.app.ov.tunnelOrigin[999999]; ok {
 		t.Fatal("unknown tunnel resolved")
 	}
 }
@@ -323,7 +323,7 @@ func TestAllBackupsDeadDegrades(t *testing.T) {
 	}
 	f.eng.RunUntil(2*time.Second + 50*time.Millisecond)
 
-	if got := len(ov.liveFanout(f.edge.DPID)); got != 0 {
+	if got := len(ov.liveFanout(f.app.prot(f.edge.DPID))); got != 0 {
 		t.Fatalf("fanout = %d after killing every vSwitch, want 0", got)
 	}
 	if _, ok := ov.selectVSwitch(f.edge.DPID, netaddr.FlowKey{}); ok {

@@ -27,12 +27,12 @@ func NewVSwitchPool(app *App, standby []uint64) *VSwitchPool {
 	return &VSwitchPool{app: app, standby: append([]uint64(nil), standby...)}
 }
 
-// Size counts mesh members still taking new assignments; a draining
-// member is already out of service, so it does not count.
+// Size counts the mesh's serving primaries: a draining, dead or backup
+// member takes no new assignments of its own, so it does not count.
 func (p *VSwitchPool) Size() int {
 	n := 0
-	for _, m := range p.app.MeshMembers() {
-		if !p.app.Draining(m) {
+	for _, m := range p.app.ov.members {
+		if m.serving() {
 			n++
 		}
 	}

@@ -1,8 +1,9 @@
 package scotch
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"scotch/internal/controller"
@@ -63,13 +64,6 @@ type Config struct {
 	// admitted > migration > ingress priority classes (and per-port round
 	// robin) with a single arrival-order queue.
 	FIFOScheduler bool
-
-	// GroupBy generalizes ingress differentiation (§5.2: "we can classify
-	// the flows into different groups and enforce fair sharing of the SDN
-	// network across groups, [e.g.] according to which customer it
-	// belongs"). It maps a new-flow request to its fairness queue id; nil
-	// uses the paper's per-ingress-port example.
-	GroupBy func(origin uint64, ingressPort uint32, key netaddr.FlowKey) uint32
 }
 
 // DefaultConfig returns the calibrated defaults.
@@ -126,12 +120,18 @@ type Stats struct {
 	VSwitchesDrained uint64 // mesh members drained out of a running overlay
 }
 
-// protState is per-protected-switch activation state.
+// protState is one protected switch: its activation state and its
+// fan-out into the mesh.
 type protState struct {
 	dpid         uint64
 	ingressPorts []uint32
 	active       bool
 	belowCount   int
+	// fanout holds the switch's tunnels into the mesh, in build order;
+	// groupInstalled records that its select group exists, so the next
+	// install modifies it.
+	fanout         []physTunnel
+	groupInstalled bool
 	// reqRate tracks the switch's new-flow arrival rate as seen by the
 	// controller *after origin attribution*: once the overlay engages,
 	// Packet-Ins arrive from mesh vSwitches but still count against the
@@ -177,14 +177,13 @@ type App struct {
 	C   *controller.Controller
 	Cfg Config
 
-	ov        *Overlay
-	protected map[uint64]*protState
+	ov        *overlay
+	protected []*protState // dpid order; see prot
 	physSched map[uint64]*installScheduler
 	ovlSched  map[uint64]*installScheduler
 	chains    []*MiddleboxChain // in registration order; see chain
 	migrating map[netaddr.FlowKey]bool
 	reqPool   []*flowReq // recycled flowReq boxes (see newReq)
-	monDpids  []uint64   // monitor's sorted-visit scratch, reused every tick
 
 	// owns, when set, restricts which punting switches this app instance
 	// handles (cluster sharding); nil handles everything.
@@ -213,7 +212,6 @@ func New(c *controller.Controller, cfg Config) *App {
 	a := &App{
 		C:         c,
 		Cfg:       cfg,
-		protected: make(map[uint64]*protState),
 		physSched: make(map[uint64]*installScheduler),
 		ovlSched:  make(map[uint64]*installScheduler),
 	}
@@ -271,10 +269,7 @@ func (a *App) AddVSwitch(dpid uint64, backup bool) error {
 		a.RepublishPolicy()
 		return nil
 	}
-	a.ov.vswitches = append(a.ov.vswitches, dpid)
-	if backup {
-		a.ov.backups[dpid] = true
-	}
+	a.ov.members = append(a.ov.members, &member{dpid: dpid, backup: backup, alive: true})
 	return nil
 }
 
@@ -298,30 +293,59 @@ func (a *App) DrainVSwitch(dpid uint64) error {
 	return nil
 }
 
-// Draining reports whether a mesh member is mid-drain.
-func (a *App) Draining(dpid uint64) bool { return a.ov.draining[dpid] }
-
 // MeshMembers returns the current mesh membership (primaries and
 // backups, in membership order). The returned slice is a copy.
 func (a *App) MeshMembers() []uint64 {
-	return append([]uint64(nil), a.ov.vswitches...)
+	out := make([]uint64, len(a.ov.members))
+	for i, m := range a.ov.members {
+		out[i] = m.dpid
+	}
+	return out
 }
 
 // AssignHost maps a destination host to its local delivery vSwitch (and an
 // optional backup).
 func (a *App) AssignHost(ip netaddr.IPv4, vs uint64, backup uint64) {
-	a.ov.deliveries[ip] = &delivery{vs: vs, backup: backup}
+	o := a.ov
+	i, ok := o.findDelivery(ip)
+	if ok {
+		o.deliveries[i].vs, o.deliveries[i].backup = vs, backup
+		return
+	}
+	o.deliveries = slices.Insert(o.deliveries, i, &delivery{ip: ip, vs: vs, backup: backup})
 }
 
 // Protect places a physical switch under Scotch management. ingressPorts
 // are the ports whose table-miss traffic the offload rules will tag and
-// tunnel (and whose new flows get per-port fair treatment).
+// tunnel (and whose new flows get per-port fair treatment). Protecting a
+// switch again replaces its ingress ports.
 func (a *App) Protect(dpid uint64, ingressPorts ...uint32) {
-	a.protected[dpid] = &protState{
+	i, ok := a.protIndex(dpid)
+	if ok {
+		a.protected[i].ingressPorts = ingressPorts
+		return
+	}
+	a.protected = slices.Insert(a.protected, i, &protState{
 		dpid:         dpid,
 		ingressPorts: ingressPorts,
 		reqRate:      metrics.NewRateMeter(),
+	})
+}
+
+// protIndex returns the index of dpid's protected-switch state, or where
+// it belongs in dpid order.
+func (a *App) protIndex(dpid uint64) (int, bool) {
+	return slices.BinarySearchFunc(a.protected, dpid, func(st *protState, dpid uint64) int {
+		return cmp.Compare(st.dpid, dpid)
+	})
+}
+
+// prot returns a protected switch's state, or nil.
+func (a *App) prot(dpid uint64) *protState {
+	if i, ok := a.protIndex(dpid); ok {
+		return a.protected[i]
 	}
+	return nil
 }
 
 // Build constructs the overlay (tunnels, groups), starts the congestion
@@ -355,7 +379,7 @@ func (a *App) Build() error {
 
 // Active reports whether the overlay offload is engaged at a switch.
 func (a *App) Active(dpid uint64) bool {
-	st := a.protected[dpid]
+	st := a.prot(dpid)
 	return st != nil && st.active
 }
 
@@ -363,11 +387,10 @@ func (a *App) Active(dpid uint64) bool {
 // observatory iterates this once at wiring time to register per-switch
 // request-rate probes.
 func (a *App) ProtectedDPIDs() []uint64 {
-	out := make([]uint64, 0, len(a.protected))
-	for dpid := range a.protected {
-		out = append(out, dpid)
+	out := make([]uint64, len(a.protected))
+	for i, st := range a.protected {
+		out[i] = st.dpid
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -376,7 +399,7 @@ func (a *App) ProtectedDPIDs() []uint64 {
 // origin-attributed signal the congestion monitor acts on. Returns 0 for
 // unprotected switches. Reading never mutates the meter.
 func (a *App) RequestRate(dpid uint64) float64 {
-	st := a.protected[dpid]
+	st := a.prot(dpid)
 	if st == nil {
 		return 0
 	}
@@ -429,16 +452,10 @@ func (a *App) ovlSchedFor(dpid uint64) *installScheduler {
 // withdrawal.
 func (a *App) monitor() {
 	now := a.C.Eng.Now()
-	// Sorted: activations/withdrawals install rules through the shared
-	// scheduler, so the visit order must be reproducible.
-	dpids := a.monDpids[:0]
-	for dpid := range a.protected {
-		dpids = append(dpids, dpid)
-	}
-	a.monDpids = dpids
-	sort.Slice(dpids, func(i, j int) bool { return dpids[i] < dpids[j] })
-	for _, dpid := range dpids {
-		st := a.protected[dpid]
+	// In dpid order: activations/withdrawals install rules through the
+	// shared scheduler, so the visit order must be reproducible.
+	for _, st := range a.protected {
+		dpid := st.dpid
 		h := a.C.Switch(dpid)
 		if h == nil {
 			continue
@@ -454,11 +471,11 @@ func (a *App) monitor() {
 		switch {
 		case !st.active && rate > a.Cfg.ActivateRate:
 			st.belowCount = 0
-			a.ov.activate(dpid)
+			a.ov.activate(st)
 		case st.active && rate < a.Cfg.DeactivateRate:
 			st.belowCount++
 			if st.belowCount >= a.Cfg.DeactivateChecks {
-				a.withdraw(dpid)
+				a.withdraw(st)
 			}
 		default:
 			st.belowCount = 0
@@ -485,7 +502,7 @@ func (a *App) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.PacketIn
 	port := pin.Match.InPort
 	var punter = sw
 	if pin.Match.Fields.Has(openflow.FieldTunnelID) {
-		if phys, ok := a.ov.originOf(pin.Match.TunnelID); ok {
+		if phys, ok := a.ov.tunnelOrigin[pin.Match.TunnelID]; ok {
 			origin = phys
 			port = uint32(pin.Cookie)
 		} else if a.ov.isMesh(sw.DPID) {
@@ -496,7 +513,7 @@ func (a *App) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.PacketIn
 		return a.repairOverlay(sw, pin, pkt)
 	}
 
-	if st := a.protected[origin]; st != nil {
+	if st := a.prot(origin); st != nil {
 		st.reqRate.Add(a.C.Eng.Now())
 	}
 
@@ -517,10 +534,8 @@ func (a *App) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.PacketIn
 	*req = flowReq{key: key, origin: origin, port: port, punter: punter,
 		data: append(req.data[:0], pin.Data...)}
 
+	// Fairness groups are ingress ports, the paper's §5.2 example.
 	group := port
-	if a.Cfg.GroupBy != nil {
-		group = a.Cfg.GroupBy(origin, port, key)
-	}
 	phys := a.sched(origin)
 	ovl := a.ovlSchedFor(origin)
 	backlog := phys.IngressLen(group) + ovl.IngressLen(group)
@@ -552,7 +567,7 @@ func (a *App) HandlePacketIn(sw *controller.SwitchHandle, pin *openflow.PacketIn
 // activation threshold, or its paced install queue has a deep backlog.
 func (a *App) pathSwitchHot(dpid uint64) bool {
 	now := a.C.Eng.Now()
-	if st := a.protected[dpid]; st != nil {
+	if st := a.prot(dpid); st != nil {
 		if st.active {
 			return true
 		}
@@ -628,7 +643,7 @@ func (a *App) admitOverlay(r *flowReq) {
 		a.Stats.NoPath++
 		return
 	}
-	v1 := pt.vs
+	v1 := pt.m.dpid
 	v2, deliverPort, ok := a.ov.deliveryFor(r.key.Dst)
 	if !ok {
 		a.Stats.NoPath++
@@ -703,9 +718,9 @@ func (a *App) repairOverlay(sw *controller.SwitchHandle, pin *openflow.PacketIn,
 // withdraw executes §5.5: pin the overlay flows of this switch with
 // explicit offload rules (so they continue uninterrupted), then remove the
 // default offload rules; new flows punt to the controller again.
-func (a *App) withdraw(dpid uint64) {
-	st := a.protected[dpid]
-	if st == nil || !st.active || a.C.Switch(dpid) == nil {
+func (a *App) withdraw(st *protState) {
+	dpid := st.dpid
+	if !st.active || a.C.Switch(dpid) == nil {
 		return
 	}
 	for _, fi := range a.C.FlowDB.OverlayFlows() {
@@ -727,7 +742,7 @@ func (a *App) withdraw(dpid uint64) {
 			a.Stats.Pinned++
 		}, nil)
 	}
-	a.ov.deactivate(dpid)
+	a.ov.deactivate(st)
 	st.belowCount = 0
 }
 

@@ -53,13 +53,16 @@ func (t *LatencyTracker) Tenant(tenant string) *metrics.BucketHistogram {
 	return t.hist(tenant)
 }
 
-// TenantNames returns the observed tenants, sorted.
+// TenantNames returns the observed tenants, sorted. A tenant only read
+// through Tenant, with no observation yet, is not listed.
 func (t *LatencyTracker) TenantNames() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]string, 0, len(t.tenants))
-	for name := range t.tenants {
-		out = append(out, name)
+	for name, h := range t.tenants {
+		if h.Count() > 0 {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -25,6 +25,10 @@ func TestLatencyTrackerPerTenant(t *testing.T) {
 	if q := tr.Tenant("ghost").Quantile(0.99); q != 0 {
 		t.Errorf("ghost p99 = %v, want 0", q)
 	}
+	// Reading a tenant does not make it an observed one.
+	if names := tr.TenantNames(); len(names) != 2 {
+		t.Errorf("tenants after reading ghost = %v, want [base ddos]", names)
+	}
 	// The merged CDF spans all tenants.
 	if n := tr.Merged().Count(); n != 3 {
 		t.Errorf("merged count = %d, want 3", n)
